@@ -16,14 +16,20 @@ minimization gives the linear cost equation
 whose solution evaluates that feedback exactly; the two trajectories agree
 when F is the optimal gain.
 
-Integration is classical fourth-order Runge-Utta on the stacked matrices,
-backward from the horizon, with re-symmetrization after every step.
+Integration is classical fourth-order Runge-Kutta on the stacked matrices,
+backward from the horizon, with re-symmetrization after every step. The
+linear part A^T K + K A + C^T K C + sum_j m_ij K_j of both right sides is one
+precomputed Kronecker matrix acting on the flattened regime stack, and the
+quadratic term uses S = B R^{-1} B^T. The RK4 core carries leading batch
+axes: a robustness sweep integrates all its models at once, and a single
+solve is a batch of one.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -149,6 +155,22 @@ def lq_from_model(spec: ModelSpec) -> LQSpec:
     )
 
 
+def _interp(times: np.ndarray, values: np.ndarray, t) -> np.ndarray:
+    """Linear interpolation of values[k] (given at times[k]) at t, clamped to the grid.
+
+    t may be a scalar or an array of times; the result carries t's shape in
+    front of values' trailing axes.
+    """
+    t = np.minimum(np.maximum(t, times[0]), times[-1])
+    # t >= times[0], so the right-sided search index is at least 1
+    j = np.minimum(np.searchsorted(times, t, side="right"), len(times) - 1) - 1
+    w = (t - times[j]) / (times[j + 1] - times[j])
+    w = np.reshape(w, np.shape(w) + (1,) * (values.ndim - 1))
+    lo = values[j] * (1.0 - w)
+    lo += values[j + 1] * w
+    return lo
+
+
 @dataclass(frozen=True, eq=False)
 class RiccatiTrajectory:
     """Solution K(t_k, i) on an even time grid, t ascending from 0 to T."""
@@ -173,12 +195,7 @@ class RiccatiTrajectory:
 
     def k_at(self, t: float) -> FloatArray:
         """Linear interpolation in t, shape (N, d, d)."""
-        times = self.times
-        t = float(np.clip(t, times[0], times[-1]))
-        j = int(np.searchsorted(times, t, side="right") - 1)
-        j = min(max(j, 0), len(times) - 2)
-        w = (t - times[j]) / (times[j + 1] - times[j])
-        return (1.0 - w) * self.k[j] + w * self.k[j + 1]
+        return _interp(self.times, self.k, float(t))
 
     def rows(self):
         """Flat (t, regime, row, col, value) tuples, regimes 1-based."""
@@ -206,45 +223,80 @@ class FeedbackTrajectory:
             )
 
     def gain_at(self, t: float) -> FloatArray:
-        times = self.times
-        t = float(np.clip(t, times[0], times[-1]))
-        j = int(np.searchsorted(times, t, side="right") - 1)
-        j = min(max(j, 0), len(times) - 2)
-        w = (t - times[j]) / (times[j + 1] - times[j])
-        return (1.0 - w) * self.gains[j] + w * self.gains[j + 1]
+        return _interp(self.times, self.gains, float(t))
 
 
-def _riccati_rhs(k: np.ndarray, lq: LQSpec, rinv_bt: np.ndarray) -> np.ndarray:
-    """Right side g with dK/dt = -g(K), stacked over regimes."""
-    at_k = np.einsum("nji,njk->nik", lq.a, k)
-    ka = np.swapaxes(at_k, -1, -2)
-    ctkc = np.einsum("nji,njk,nkl->nil", lq.c, k, lq.c)
-    kb = np.einsum("nij,njl->nil", k, lq.b)
-    quad = np.einsum("nil,nlj,njk->nik", kb, rinv_bt, k)
-    coupling = np.einsum("ij,jkl->ikl", lq.rates, k)
-    return ctkc + at_k + ka - quad + lq.q + coupling
+def _linear_operator(a: np.ndarray, c: np.ndarray, rates: np.ndarray) -> np.ndarray:
+    """Matrix of K -> A_i^T K_i + K_i A_i + C_i^T K_i C_i + sum_j m_ij K_j.
+
+    a, c are (..., N, d, d) and rates (..., N, N); the result (..., N d^2, N d^2)
+    acts on the row-major flattening of the (N, d, d) stack.
+    """
+    n, d = a.shape[-3], a.shape[-1]
+    eye = np.eye(d)
+    # entry [i, p, q, j, u, v] is the weight of K_j[u, v] in g_i[p, q]
+    blocks = (
+        np.einsum("...iup,qv->...ipquv", a, eye) + np.einsum("pu,...ivq->...ipquv", eye, a)
+        + np.einsum("...iup,...ivq->...ipquv", c, c)
+    )
+    op = np.einsum("...ij,pu,qv->...ipqjuv", rates, eye, eye)
+    op += np.einsum("ij,...ipquv->...ipqjuv", np.eye(n), blocks)
+    return op.reshape(*op.shape[:-6], n * d * d, n * d * d)
+
+
+def _apply(op: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """op applied to the flattened (N, d, d) trailing block of k."""
+    return (op @ k.reshape(k.shape[:-3] + (-1, 1))).reshape(k.shape)
+
+
+def _riccati_data(lqs) -> tuple[np.ndarray, ...]:
+    """Models stacked on a leading axis: operator, S = B R^{-1} B^T, Q and P."""
+    op = _linear_operator(
+        np.stack([lq.a for lq in lqs]), np.stack([lq.c for lq in lqs]),
+        np.stack([lq.rates for lq in lqs]),
+    )
+    s = np.stack([lq.b @ lq.r_inv_bt() for lq in lqs])
+    return op, s, np.stack([lq.q for lq in lqs]), np.stack([lq.p for lq in lqs])
+
+
+def _riccati_rhs(k: np.ndarray, op: np.ndarray, s: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Right side g with dK/dt = -g(K); leading axes of k are batch axes."""
+    return _apply(op, k) + q - k @ s @ k
 
 
 def _integrate_backward(rhs, terminal: np.ndarray, horizon: float, n_steps: int) -> np.ndarray:
-    """RK4 for dK/dt = -rhs(t, K) from t = T down to 0, nodes at k*T/n."""
+    """RK4 for dK/dt = -rhs(j, K) from t = T down to 0, nodes at k*T/n.
+
+    rhs receives the stage time as its index j on the half-step grid
+    t_j = j*T/(2n) and a stack shaped like terminal, whose leading axes are
+    batch axes. Iterates are re-symmetrized after every step; any entry that
+    is not finite or exceeds BLOWUP_LIMIT in size raises BlowupError.
+    """
     if n_steps < 1:
         raise ShapeError("n_steps must be >= 1")
     h = horizon / n_steps
     traj = np.empty((n_steps + 1, *terminal.shape))
     traj[n_steps] = terminal
-    k = terminal.copy()
+    # a symmetric iterate plus a symmetrized increment stays exactly symmetric
+    k = 0.5 * (terminal + terminal.swapaxes(-1, -2))
     for step in range(n_steps, 0, -1):
-        t = step * h
-        k1 = rhs(t, k)
-        k2 = rhs(t - 0.5 * h, k + 0.5 * h * k1)
-        k3 = rhs(t - 0.5 * h, k + 0.5 * h * k2)
-        k4 = rhs(t - h, k + h * k3)
-        k = k + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        k = 0.5 * (k + np.swapaxes(k, -1, -2))
-        if not np.all(np.isfinite(k)) or float(np.max(np.abs(k))) > BLOWUP_LIMIT:
-            raise BlowupError(f"Riccati iterate exceeded {BLOWUP_LIMIT:.0e} at t = {t - h:.6g}")
+        j = 2 * step
+        k1 = rhs(j, k)
+        k2 = rhs(j - 1, k + 0.5 * h * k1)
+        k3 = rhs(j - 1, k + 0.5 * h * k2)
+        k4 = rhs(j - 2, k + h * k3)
+        inc = k1 + 2.0 * (k2 + k3) + k4
+        k = k + (h / 12.0) * (inc + inc.swapaxes(-1, -2))
+        if not np.abs(k).max() <= BLOWUP_LIMIT:
+            raise BlowupError(f"Riccati iterate exceeded {BLOWUP_LIMIT:.0e} at t = {(step - 1) * h:.6g}")
         traj[step - 1] = k
     return traj
+
+
+def _solve_stack(lqs, n_steps: int) -> np.ndarray:
+    """K for models sharing one horizon, in one RK4: (n_steps + 1, len(lqs), N, d, d)."""
+    op, s, q, p = _riccati_data(lqs)
+    return _integrate_backward(lambda _j, k: _riccati_rhs(k, op, s, q), p, lqs[0].horizon, n_steps)
 
 
 def solve_coupled_riccati(lq: LQSpec, n_steps: int = 400) -> RiccatiTrajectory:
@@ -257,21 +309,39 @@ def solve_coupled_riccati(lq: LQSpec, n_steps: int = 400) -> RiccatiTrajectory:
     """
     if n_steps < 8:
         raise ShapeError("solve_coupled_riccati needs at least 8 steps")
-    rinv_bt = lq.r_inv_bt()
-
-    def rhs(_t, k):
-        return _riccati_rhs(k, lq, rinv_bt)
-
-    traj = _integrate_backward(rhs, lq.p.copy(), lq.horizon, n_steps)
     times = np.linspace(0.0, lq.horizon, n_steps + 1)
-    return RiccatiTrajectory(times=times, k=traj)
+    return RiccatiTrajectory(times=times, k=_solve_stack([lq], n_steps)[:, 0])
 
 
 def lq_feedback(traj: RiccatiTrajectory, lq: LQSpec) -> FeedbackTrajectory:
     """Optimal gains F(t, i) = R^{-1} B^T K(t, i) on the trajectory grid."""
-    rinv_bt = lq.r_inv_bt()
-    gains = np.einsum("nld,tndf->tnlf", rinv_bt, traj.k)
-    return FeedbackTrajectory(times=traj.times, gains=gains)
+    return FeedbackTrajectory(times=traj.times, gains=lq.r_inv_bt() @ traj.k)
+
+
+def _feedback_cost_stack(lq: LQSpec, stage_gains: np.ndarray, n_steps: int) -> np.ndarray:
+    """Fixed-feedback cost of a stack of gain grids under one LQ model.
+
+    stage_gains (2 n_steps + 1, ..., N, l, d) holds the gains at the RK4
+    stage times t_j = j*T/(2 n_steps); the axes between time and regime are
+    batch axes, and the result is (n_steps + 1, ..., N, d, d).
+    """
+    if stage_gains.shape[0] != 2 * n_steps + 1:
+        raise ShapeError(f"need gains at {2 * n_steps + 1} stage times, got {stage_gains.shape[0]}")
+    op = _linear_operator(lq.a, lq.c, lq.rates)
+
+    @lru_cache(maxsize=2)  # RK4 asks for each interior stage time twice in a row
+    def stage(j):
+        f = stage_gains[j]
+        return (lq.b @ f).swapaxes(-1, -2), f.swapaxes(-1, -2) @ lq.r @ f + lq.q
+
+    def rhs(j, m):
+        # with A - B F in the drift: op M - (BF)^T M - M BF + Q + F^T R F
+        bf_t, w = stage(j)
+        bf_m = bf_t @ m
+        return _apply(op, m) + w - bf_m - bf_m.swapaxes(-1, -2)
+
+    terminal = np.broadcast_to(lq.p, (*stage_gains.shape[1:-2], lq.dim, lq.dim))
+    return _integrate_backward(rhs, terminal, lq.horizon, n_steps)
 
 
 def fixed_feedback_cost(lq: LQSpec, feedback: FeedbackTrajectory, n_steps: int = 400) -> RiccatiTrajectory:
@@ -279,41 +349,31 @@ def fixed_feedback_cost(lq: LQSpec, feedback: FeedbackTrajectory, n_steps: int =
 
     Solves the backward linear equation with the minimization replaced by the
     frozen gain; the result M(t, i) gives the policy cost x^T M x. Gains are
-    interpolated linearly to the RK4 stage times, so passing a feedback grid
-    at twice the resolution of the cost grid makes the stage lookups exact.
+    interpolated linearly to the RK4 stage times, all at once before the
+    run, so passing a feedback grid at twice the resolution of the cost grid
+    makes the stage lookups exact.
     """
-
-    def rhs(t, m):
-        f = feedback.gain_at(t)  # (N, l, d)
-        a_cl = lq.a - np.einsum("ndl,nle->nde", lq.b, f)
-        at_m = np.einsum("nji,njk->nik", a_cl, m)
-        ma = np.swapaxes(at_m, -1, -2)
-        ctmc = np.einsum("nji,njk,nkl->nil", lq.c, m, lq.c)
-        ftrf = np.einsum("nli,nlk,nkj->nij", f, lq.r, f)
-        coupling = np.einsum("ij,jkl->ikl", lq.rates, m)
-        return at_m + ma + ctmc + lq.q + ftrf + coupling
-
-    traj = _integrate_backward(rhs, lq.p.copy(), lq.horizon, n_steps)
-    times = np.linspace(0.0, lq.horizon, n_steps + 1)
-    return RiccatiTrajectory(times=times, k=traj)
+    if n_steps < 1:
+        raise ShapeError("n_steps must be >= 1")
+    stage_times = np.linspace(0.0, lq.horizon, 2 * n_steps + 1)
+    table = _interp(feedback.times, feedback.gains, stage_times)
+    m = _feedback_cost_stack(lq, table[:, None], n_steps)
+    return RiccatiTrajectory(times=stage_times[::2], k=m[:, 0])
 
 
 def riccati_defect(traj: RiccatiTrajectory, lq: LQSpec) -> float:
     """Max residual of the equation under a central time difference.
 
     For each interior node, compares (K_{k+1} - K_{k-1}) / (2 dt) against
-    -g(K_k); the result decays like dt^2 for the exact solution.
+    -g(K_k), all nodes in one batched evaluation; the result decays like
+    dt^2 for the exact solution.
     """
     if len(traj.times) < 3:
         raise ShapeError("defect needs at least 3 time nodes")
-    rinv_bt = lq.r_inv_bt()
+    op, s, q, _ = _riccati_data([lq])
     dt = traj.times[1] - traj.times[0]
     kdot = (traj.k[2:] - traj.k[:-2]) / (2.0 * dt)
-    worst = 0.0
-    for j in range(kdot.shape[0]):
-        res = kdot[j] + _riccati_rhs(traj.k[j + 1], lq, rinv_bt)
-        worst = max(worst, float(np.max(np.abs(res))))
-    return worst
+    return float(np.max(np.abs(kdot + _riccati_rhs(traj.k[1:-1], op, s, q))))
 
 
 def a_priori_bound(lq: LQSpec) -> float:

@@ -32,7 +32,7 @@ from .hjbgrid import (
 )
 from .io import write_csv
 from .model import ModelSpec, PerturbationSchedule, _perturb_offdiag, make_perturbation_sequence
-from .riccati import LQSpec, fixed_feedback_cost, lq_feedback, solve_coupled_riccati
+from .riccati import LQSpec, _feedback_cost_stack, _solve_stack
 
 SWEEP_HEADER = "n,delta,value_gap,policy_loss,aux,solver_iters,stderr"
 
@@ -129,35 +129,41 @@ def sweep_lq_finite_horizon(
 ) -> SweepReport:
     """Finite-horizon LQ sweep with exact (ODE-based) performance loss.
 
-    Per row: solve the coupled Riccati system of the perturbed model,
+    Per row: the coupled Riccati solution K_n of the perturbed model,
     value_gap = max over time nodes and regimes of ||K_n - K||_2, replay
     the perturbed feedback in the true model through the fixed-feedback
     matrix ODE, policy_loss = x0' (M_n(0,i0) - M*(0,i0)) x0 where M* is the
     true feedback pushed through the same ODE (equal to K in exact
     arithmetic), aux = sup_t ||F_n - F||_2. No Monte Carlo enters.
+
+    The schedule's distinct models are stacked on a leading axis and solved
+    by one Riccati RK4 and one fixed-feedback RK4. The true model sits in
+    the stack once and serves the reference K, the base cost M* and the
+    delta = 0 control row, so that row's gaps are exactly zero.
     """
     x0 = np.asarray(x0, dtype=np.float64).reshape(true_lq.dim)
     if not 1 <= i0 <= true_lq.n_regimes:
         raise ShapeError(f"regime {i0} out of range")
+    stack, slot = [true_lq], {0.0: 0}
+    for delta, lq in zip(sched.magnitudes, perturbed_lq_sequence(true_lq, sched)):
+        if float(delta) not in slot:
+            slot[float(delta)] = len(stack)
+            stack.append(lq)
     # gains on a doubled grid so the replay ODE sees exact half-step values
-    traj = solve_coupled_riccati(true_lq, n_steps=2 * steps)
-    gains = lq_feedback(traj, true_lq)
-    m_star = fixed_feedback_cost(true_lq, gains, n_steps=steps)
-    base = float(x0 @ m_star.k[0, i0 - 1] @ x0)
+    k = _solve_stack(stack, 2 * steps)  # (2 steps + 1, models, N, d, d)
+    gains = np.stack([lq.r_inv_bt() for lq in stack]) @ k
+    value_gap = [_spectral_gap(k[:, b], k[:, 0]) for b in range(len(stack))]
+    aux = [_spectral_gap(gains[:, b], gains[:, 0]) for b in range(len(stack))]
+    del k  # free the Riccati stack before the replay allocates its own
+    # the doubled grid is the replay's RK4 stage grid, so gains are stage gains
+    m0 = _feedback_cost_stack(true_lq, gains, steps)[0, :, i0 - 1]
+    cost = x0 @ m0 @ x0  # (models,)
 
     rows = []
-    models = {
-        float(d): lq for d, lq in zip(sched.magnitudes, perturbed_lq_sequence(true_lq, sched))
-    }
     for n, delta in enumerate(_schedule_deltas(sched)):
-        lq_n = models.get(delta, true_lq)
-        traj_n = solve_coupled_riccati(lq_n, n_steps=2 * steps)
-        gains_n = lq_feedback(traj_n, lq_n)
-        m_n = fixed_feedback_cost(true_lq, gains_n, n_steps=steps)
-        value_gap = _spectral_gap(traj_n.k, traj.k)
-        loss = float(x0 @ m_n.k[0, i0 - 1] @ x0) - base
-        aux = _spectral_gap(gains_n.gains, gains.gains)
-        rows.append(SweepRow(n, delta, value_gap, loss, aux, solver_iters=2 * steps))
+        b = slot[delta]
+        loss = float(cost[b] - cost[0])
+        rows.append(SweepRow(n, delta, value_gap[b], loss, aux[b], solver_iters=2 * steps))
     return SweepReport(criterion="lq-finite-horizon", rows=tuple(rows))
 
 

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchsde import (
     BlowupError,
@@ -18,6 +20,7 @@ from switchsde import (
     solve_coupled_riccati,
     time_lipschitz_bound,
 )
+from switchsde.riccati import BLOWUP_LIMIT, _integrate_backward, _riccati_data, _riccati_rhs
 from conftest import reference_lq, scalar_lq
 
 # K(0) of the reference problem, integrated independently with an adaptive
@@ -154,6 +157,13 @@ def test_needs_at_least_eight_steps(ref_lq):
         solve_coupled_riccati(ref_lq, n_steps=4)
 
 
+@pytest.mark.parametrize("n_steps", [0, -3])
+def test_feedback_cost_needs_a_step(ref_lq, n_steps):
+    gains = lq_feedback(solve_coupled_riccati(ref_lq, n_steps=8), ref_lq)
+    with pytest.raises(ShapeError):
+        fixed_feedback_cost(ref_lq, gains, n_steps=n_steps)
+
+
 def test_zero_cost_gives_zero_value():
     lq = LQSpec(
         dim=1, n_regimes=1, control_dim=1,
@@ -280,3 +290,89 @@ def test_feedback_shape_mismatch_raises(ref_lq):
     traj = solve_coupled_riccati(ref_lq, n_steps=8)
     with pytest.raises(ShapeError):
         FeedbackTrajectory(times=traj.times, gains=np.ones((3, 2, 1, 2)))
+
+
+# ---------------------------------------------------------------------------
+# operator-form right side and the fused blow-up check
+
+
+def _textbook_terms(lq, k):
+    """The right side's terms per regime, written out with plain @."""
+    terms = []
+    for i in range(lq.n_regimes):
+        s = lq.b[i] @ np.linalg.inv(lq.r[i]) @ lq.b[i].T
+        coupling = sum(lq.rates[i, j] * k[j] for j in range(lq.n_regimes))
+        terms.append((
+            lq.a[i].T @ k[i], k[i] @ lq.a[i], lq.c[i].T @ k[i] @ lq.c[i],
+            -(k[i] @ s @ k[i]), lq.q[i], coupling,
+        ))
+    return terms
+
+
+def _random_lq(seed, n, d, l):
+    rng = np.random.default_rng(seed)
+    g = rng.normal(size=(n, d, d))
+    h = rng.normal(size=(n, l, l))
+    off = rng.uniform(0.0, 2.0, size=(n, n)) * (1.0 - np.eye(n))
+    return LQSpec(
+        dim=d, n_regimes=n, control_dim=l,
+        a=rng.normal(size=(n, d, d)), b=rng.normal(size=(n, d, l)), c=rng.normal(size=(n, d, d)),
+        q=g @ np.swapaxes(g, -1, -2), r=h @ np.swapaxes(h, -1, -2) + np.eye(l),
+        p=np.broadcast_to(np.eye(d), (n, d, d)), rates=off - np.diag(off.sum(axis=1)),
+        horizon=1.0,
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 3), d=st.integers(1, 3), l=st.integers(1, 2),
+    batch=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+)
+def test_operator_rhs_matches_textbook_formula(n, d, l, batch, seed):
+    lq = _random_lq(seed, n, d, l)
+    x = np.random.default_rng(seed + 1).normal(size=(batch, n, d, d))
+    k = x + np.swapaxes(x, -1, -2)
+    op, s, q, _ = _riccati_data([lq])
+    got = _riccati_rhs(k, op, s, q)
+    for b in range(batch):
+        for i, terms in enumerate(_textbook_terms(lq, k[b])):
+            scale = max(float(np.max(np.abs(t))) for t in terms)
+            assert np.max(np.abs(got[b, i] - sum(terms))) <= 1e-12 * scale
+
+
+def test_defect_matches_nodewise_textbook_residual(ref_lq):
+    traj = solve_coupled_riccati(ref_lq, n_steps=400)
+    dt = traj.times[1] - traj.times[0]
+    worst, scale = 0.0, 0.0
+    for j in range(1, len(traj.times) - 1):
+        kdot = (traj.k[j + 1] - traj.k[j - 1]) / (2.0 * dt)
+        for i, terms in enumerate(_textbook_terms(ref_lq, traj.k[j])):
+            worst = max(worst, float(np.max(np.abs(kdot[i] + sum(terms)))))
+            scale = max(scale, float(np.max(np.abs(kdot[i]))))
+    # the residual is a difference of O(scale) terms, so compare at that scale
+    assert abs(riccati_defect(traj, ref_lq) - worst) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 1e13])
+def test_integrate_backward_raises_blowup_on_bad_iterate(bad):
+    # one step moves K by h * rhs = 0.25 * bad
+    with pytest.raises(BlowupError) as exc:
+        _integrate_backward(lambda j, k: np.full_like(k, bad), np.zeros((1, 1, 1, 1)), 1.0, 4)
+    assert exc.value.code == "E_BLOWUP"
+
+
+def test_integrate_backward_accepts_iterates_at_the_limit():
+    terminal = np.full((2, 1, 2, 2), BLOWUP_LIMIT)
+    traj = _integrate_backward(lambda j, k: np.zeros_like(k), terminal, 1.0, 4)
+    assert np.array_equal(traj, np.broadcast_to(terminal, traj.shape))
+
+
+def test_integrate_backward_passes_half_step_stage_indices():
+    seen = []
+
+    def rhs(j, k):
+        seen.append(j)
+        return np.zeros_like(k)
+
+    _integrate_backward(rhs, np.zeros((1, 1, 1, 1)), 1.0, 2)
+    assert seen == [4, 3, 3, 2, 2, 1, 1, 0]

@@ -3,10 +3,20 @@
 import numpy as np
 import pytest
 
-from switchsde import ConfigError, Grid1D, PerturbationSchedule
+from switchsde import (
+    BlowupError,
+    ConfigError,
+    Grid1D,
+    LQSpec,
+    PerturbationSchedule,
+    fixed_feedback_cost,
+    lq_feedback,
+    solve_coupled_riccati,
+)
 from switchsde.robustness import (
     SWEEP_HEADER,
     check_eps_optimality,
+    perturbed_lq_sequence,
     sweep_grid,
     sweep_lq_finite_horizon,
 )
@@ -51,6 +61,64 @@ def test_lq_sweep_gaps_decay_and_control_row_vanishes(ref_lq, lq_schedule):
     assert vg[-1] == 0.0 and pl[-1] == 0.0
     # performance loss is second order, so it decays faster than the gap
     assert pl[4] / pl[0] < vg[4] / vg[0]
+
+
+def _rowwise_lq_sweep(true_lq, sched, x0, i0, steps):
+    """(value_gap, policy_loss, aux) per row, one model at a time."""
+    x0 = np.asarray(x0, dtype=np.float64)
+
+    def solve(lq):
+        traj = solve_coupled_riccati(lq, n_steps=2 * steps)
+        gains = lq_feedback(traj, lq)
+        m = fixed_feedback_cost(true_lq, gains, n_steps=steps)
+        return traj.k, gains.gains, float(x0 @ m.k[0, i0 - 1] @ x0)
+
+    def gap(a, b):
+        return float(np.max(np.linalg.norm(a - b, ord=2, axis=(-2, -1))))
+
+    k, f, base = solve(true_lq)
+    models = perturbed_lq_sequence(true_lq, sched)
+    if sched.magnitudes[-1] != 0.0:
+        models.append(true_lq)  # the delta = 0 control row
+    rows = []
+    for model in models:
+        k_n, f_n, cost = solve(model)
+        rows.append((gap(k_n, k), cost - base, gap(f_n, f)))
+    return np.array(rows)
+
+
+@pytest.mark.parametrize("which", ["combined", "rates"])
+def test_stacked_lq_sweep_matches_rowwise_reference(ref_lq, which):
+    if which == "combined":  # criterion 4's schedule
+        sched = PerturbationSchedule(
+            "combined", 10,
+            d_a=np.array([[[0.2, 0.0], [0.1, 0.3]], [[0.3, 0.1], [0.0, 0.2]]]),
+            d_b=np.array([[[0.1], [0.2]], [[0.2], [0.1]]]),
+            d_c=np.array([[[0.05, 0.0], [0.0, 0.05]], [[0.05, 0.02], [0.0, 0.05]]]),
+            d_m=np.array([[0.0, 0.5], [1.0, 0.0]]),
+        )
+    else:
+        sched = PerturbationSchedule("rates", 4, d_m=np.array([[0.0, 0.5], [1.0, 0.0]]))
+    x0, i0, steps = [1.0, 0.5], 2, 200
+    rep = sweep_lq_finite_horizon(ref_lq, sched, x0=x0, i0=i0, steps=steps)
+    got = np.column_stack([rep.column(c) for c in ("value_gap", "policy_loss", "aux")])
+    np.testing.assert_allclose(
+        got, _rowwise_lq_sweep(ref_lq, sched, x0, i0, steps), rtol=1e-12, atol=1e-12
+    )
+
+
+def test_lq_sweep_raises_when_a_member_blows_up():
+    # the true model is tame; delta = 1 pushes A to 5.5 over horizon 4
+    lq = LQSpec(
+        dim=1, n_regimes=1, control_dim=1,
+        a=np.full((1, 1, 1), 0.5), b=np.zeros((1, 1, 1)), c=np.zeros((1, 1, 1)),
+        q=np.ones((1, 1, 1)), r=np.ones((1, 1, 1)), p=np.ones((1, 1, 1)),
+        rates=np.zeros((1, 1)), horizon=4.0,
+    )
+    solve_coupled_riccati(lq, n_steps=400)
+    sched = PerturbationSchedule("coefficient", 2, d_a=np.full((1, 1, 1), 5.0))
+    with pytest.raises(BlowupError):
+        sweep_lq_finite_horizon(lq, sched, x0=[1.0], i0=1, steps=200)
 
 
 # ---------------------------------------------------------------------------
