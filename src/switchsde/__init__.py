@@ -26,11 +26,13 @@ from .errors import (
     BlowupError,
     CapFractionWarning,
     ConfigError,
+    DegenerateError,
     EigError,
     IoError,
     MaxIterError,
     NanError,
     RatesError,
+    SchemeError,
     ShapeError,
     StepError,
     SwitchSdeError,

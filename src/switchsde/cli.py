@@ -378,16 +378,15 @@ def _run_hjb(cfg: ExperimentConfig, out: Path, lines: list, results: dict) -> No
         sol = solve_finite_horizon(
             cfg.model, grid,
             horizon=float(hor) if hor is not None else None,
-            n_t=int(n_t) if n_t is not None else None, tol=tol,
+            n_t=int(n_t) if n_t is not None else None,
         )
     else:
         sol = solve_exit(cfg.model, grid, tol=tol, max_iter=max_iter)
     sol.to_csv(out / "values.csv")
     lines.append(
-        f"hjb: criterion={crit} status={sol.status} iterations={sol.iterations} "
+        f"hjb: criterion={crit} iterations={sol.iterations} "
         f"residual={g17(sol.residual)}"
     )
-    results["status"] = sol.status
     results["iterations"] = sol.iterations
     results["residual"] = sol.residual
     results["outputs"] = ["values.csv"]
@@ -397,13 +396,16 @@ def _run_ergodic(cfg: ExperimentConfig, out: Path, lines: list, results: dict) -
     block = cfg.block
     grid = _parse_grid(block["grid"], "ergodic.grid")
     ladder = tuple(block.get("ladder", DEFAULT_LADDER))
-    est = estimate_ergodic(cfg.model, grid, ladder=ladder, tol=_float(block, "tol", "ergodic", 1e-8))
+    est = estimate_ergodic(
+        cfg.model, grid, ladder=ladder, tol=_float(block, "tol", "ergodic", 1e-8),
+        max_iter=_int(block, "max_iter", "ergodic", 100),
+    )
     write_csv(out / "ladder.csv", "alpha,alpha_v_ref", zip(est.ladder, est.ladder_values))
     from .hjbgrid import GridSolution
 
     GridSolution(
         criterion="ergodic", grid=grid, values=est.relative_values, policy=est.policy,
-        iterations=len(est.ladder), residual=0.0, status="ok",
+        iterations=len(est.ladder), residual=0.0,
     ).to_csv(out / "values.csv")
     lines.append(f"ergodic: rho={g17(est.rho)} reference_node={est.reference_node}")
     m_c = cfg.model.cost_bound()

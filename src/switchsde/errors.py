@@ -53,6 +53,18 @@ class MaxIterError(SwitchSdeError):
     code = "E_MAXITER"
 
 
+class DegenerateError(SwitchSdeError):
+    """Diffusion vanishes where a solver needs it strictly positive."""
+
+    code = "E_DEGENERATE"
+
+
+class SchemeError(SwitchSdeError):
+    """A property the monotone grid scheme guarantees failed on a result."""
+
+    code = "E_SCHEME"
+
+
 class BlowupError(SwitchSdeError):
     """Integrated quantity exceeded the blow-up guard."""
 

@@ -7,10 +7,15 @@ an M-matrix row for every action. Ends are reflecting (zero outward
 derivative, one-sided second difference) except for the exit problem, whose
 boundary rows are Dirichlet.
 
-The regime coupling sum_j m_ij V(x, j) is handled by Gauss-Seidel sweeps
-over regimes with an exact tridiagonal solve per regime, inner tolerance a
-tenth of the outer one. Minimization over actions is an exhaustive scan of
-the ActionGrid in list order; ties keep the lowest index.
+Every policy evaluation is one exact linear solve. With the unknowns ordered
+node-major (row k N + i for node k and regime i), the matrix zeta - L_a - M_a
+of a fixed action table couples each row to its two spatial neighbours N
+rows away and to the other regimes of its node, so it is banded with N sub-
+and N super-diagonals and one banded LU solves it. The matrix is a weakly
+chained diagonally dominant M-matrix, so policy iteration is Howard's
+algorithm with exact evaluation (Bokanowski, Maroso & Zidani, SIAM J. Numer.
+Anal. 47, 2009). Minimization over actions is an exhaustive scan of the
+ActionGrid in list order; ties keep the lowest index.
 """
 
 from __future__ import annotations
@@ -18,14 +23,19 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.linalg import solve_banded
 
-from .errors import ShapeError, StepError, UnboundedError
+from .errors import (
+    DegenerateError,
+    MaxIterError,
+    SchemeError,
+    ShapeError,
+    StepError,
+    UnboundedError,
+)
 from .io import write_csv
 from .model import FloatArray, ModelSpec, _freeze
 
 DEFAULT_LADDER = (0.2, 0.1, 0.05, 0.025)
-MAX_SWEEPS = 50000
 
 GRID_HEADER = "criterion,regime,x,value,action_index"
 GRID_HEADER_T = "criterion,regime,x,value,action_index,t"
@@ -62,7 +72,8 @@ class GridSolution:
     action index per (regime, node). The finite-horizon solve stacks time
     levels: values (n_t + 1, N, n_x) with the terminal level last, policy
     (n_t, N, n_x) where level j acts on [t_j, t_{j+1}), and ``t_levels``
-    carries the level times.
+    carries the level times. ``iterations`` counts policy evaluations (1
+    for a fixed policy, n_t for the finite-horizon levels).
     """
 
     criterion: str
@@ -71,7 +82,6 @@ class GridSolution:
     policy: np.ndarray
     iterations: int
     residual: float
-    status: str  # 'ok' or 'maxiter'
     residual_history: tuple = ()
     alpha: float | None = None
     horizon: float | None = None
@@ -126,7 +136,8 @@ class _Tables:
     sub/sup/ldiag are the three diagonals of the drift-diffusion operator L
     (excluding regime coupling), built so that L annihilates constants; sub
     and sup are nonnegative for every action, which is the M-matrix
-    property the maximum principle rests on.
+    property the maximum principle rests on. rates[a, i, k, j] is m_ij at
+    node k under action a, diagonal included.
     """
 
     def __init__(self, spec: ModelSpec, grid: Grid1D):
@@ -136,28 +147,24 @@ class _Tables:
         self.grid = grid
         K = grid.n_x
         N = spec.regimes.count
-        A = spec.actions.n_actions
+        acts = spec.actions.actions
+        A = acts.shape[0]
         dx = grid.dx
-        xs = grid.nodes[:, None]  # (K, 1)
+        nodes = grid.nodes
 
-        self.a = np.empty((N, K))
-        self.b = np.empty((A, N, K))
-        self.c = np.empty((A, N, K))
-        self.beta = np.empty((A, N, K))
-        self.rates = np.empty((A, K, N, N))
-        for i in range(N):
-            s_vec = np.full(K, i, dtype=np.int64)
-            self.a[i] = spec.diffusion.a_batch(xs, s_vec)[:, 0, 0]
-            for ai, act in enumerate(spec.actions.actions):
-                u = np.tile(act, (K, 1))
-                self.b[ai, i] = spec.drift.eval_batch(xs, s_vec, u)[:, 0]
-                self.c[ai, i] = spec.costs.running.eval_batch(xs, s_vec, u)
-                self.beta[ai, i] = spec.costs.exit_beta.eval_batch(xs, s_vec, u)
-        for ai, act in enumerate(spec.actions.actions):
-            u = np.tile(act, (K, 1))
-            self.rates[ai] = spec.generator.rates_batch(xs, u)
+        # one batch row per (action, regime, node), in that order
+        xs = np.tile(nodes, A * N)[:, None]
+        s = np.tile(np.repeat(np.arange(N), K), A)
+        u = np.repeat(acts, N * K, axis=0)
+        self.a = spec.diffusion.a_batch(xs[: N * K], s[: N * K])[:, 0, 0].reshape(N, K)
+        self.b = spec.drift.eval_batch(xs, s, u)[:, 0].reshape(A, N, K)
+        self.c = spec.costs.running.eval_batch(xs, s, u).reshape(A, N, K)
+        self.beta = spec.costs.exit_beta.eval_batch(xs, s, u).reshape(A, N, K)
+        rates = spec.generator.rates_batch(np.tile(nodes, A)[:, None], np.repeat(acts, K, axis=0))
+        self.rates = np.ascontiguousarray(rates.reshape(A, K, N, N).transpose(0, 2, 1, 3))
 
-        assert np.all(self.a > 0.0), "degenerate diffusion on the grid"
+        if not np.all(self.a > 0.0):
+            raise DegenerateError("grid solvers need a = sigma^2 / 2 > 0 at every node")
         b_plus = np.maximum(self.b, 0.0)
         b_minus = np.maximum(-self.b, 0.0)
         self.sub = self.a[None] / dx**2 + b_minus / dx
@@ -167,122 +174,126 @@ class _Tables:
         self.sup[:, :, 0] = self.a[None, :, 0] / dx**2 + b_plus[:, :, 0] / dx
         self.sup[:, :, -1] = 0.0
         self.sub[:, :, -1] = self.a[None, :, -1] / dx**2 + b_minus[:, :, -1] / dx
-        assert np.all(self.sub >= 0.0) and np.all(self.sup >= 0.0)
+        if not (np.all(self.sub >= 0.0) and np.all(self.sup >= 0.0)):
+            raise SchemeError("upwind coefficients must be finite and nonnegative")
         self.ldiag = -(self.sub + self.sup)
-
-        # m_ii and off-diagonal coupling per (action, regime, node)
-        idx = np.arange(N)
-        self.m_diag = self.rates[:, :, idx, idx].transpose(0, 2, 1)  # (A, N, K)
-
-    def apply_l(self, ai_tab: np.ndarray, v: FloatArray) -> FloatArray:
-        """(L v)_i per node for a per-node action table ai_tab (N, K)."""
-        K = self.grid.n_x
-        kk = np.arange(K)
-        out = np.empty_like(v)
-        for i in range(v.shape[0]):
-            a = ai_tab[i]
-            sub = self.sub[a, i, kk]
-            sup = self.sup[a, i, kk]
-            diag = self.ldiag[a, i, kk]
-            out[i] = diag * v[i]
-            out[i, 1:] += sub[1:] * v[i, :-1]
-            out[i, :-1] += sup[:-1] * v[i, 1:]
-        return out
-
-    def coupling(self, ai_tab: np.ndarray, v: FloatArray) -> FloatArray:
-        """sum_j m_ij v_j per node, including the diagonal term (N, K)."""
-        K = self.grid.n_x
-        N = v.shape[0]
-        kk = np.arange(K)
-        out = np.empty_like(v)
-        for i in range(N):
-            rates_i = self.rates[ai_tab[i], kk, i, :]  # (K, N)
-            out[i] = np.einsum("kj,jk->k", rates_i, v)
-        return out
+        self._i = np.arange(N)[:, None]
+        self._k = np.arange(K)
 
     def gather(self, table: np.ndarray, ai_tab: np.ndarray) -> FloatArray:
-        """Per-node values of an (A, N, K) table under an (N, K) action table."""
-        K = self.grid.n_x
-        kk = np.arange(K)
-        return np.stack([table[ai_tab[i], i, kk] for i in range(ai_tab.shape[0])])
-
-
-def _gs_solve(
-    tab: _Tables,
-    ai_tab: np.ndarray,
-    rhs_base: FloatArray,
-    zeta: FloatArray,
-    v0: FloatArray,
-    inner_tol: float,
-    dirichlet: FloatArray | None = None,
-    max_sweeps: int = MAX_SWEEPS,
-) -> tuple[FloatArray, int, bool]:
-    """Solve (zeta - L - M) v = rhs_base by regime Gauss-Seidel.
-
-    zeta is the per-(regime, node) zeroth-order coefficient (alpha, beta or
-    1/dt as appropriate), applied with the diagonal generator entry folded
-    in separately. ``dirichlet`` (N, 2) pins the two boundary nodes when
-    given. Returns (v, sweeps, converged).
-    """
-    K = tab.grid.n_x
-    N = rhs_base.shape[0]
-    kk = np.arange(K)
-    v = v0.copy()
-
-    bands = []
-    rates_off = []
-    for i in range(N):
-        a = ai_tab[i]
-        sub = tab.sub[a, i, kk]
-        sup = tab.sup[a, i, kk]
-        diag = zeta[i] - tab.m_diag[a, i, kk] - tab.ldiag[a, i, kk]
-        ab = np.zeros((3, K))
-        ab[0, 1:] = -sup[:-1]
-        ab[1] = diag
-        ab[2, :-1] = -sub[1:]
-        rates_i = tab.rates[a, kk, i, :].copy()  # (K, N)
-        rates_i[:, i] = 0.0
-        if dirichlet is not None:
-            ab[1, 0] = 1.0
-            ab[0, 1] = 0.0
-            ab[1, -1] = 1.0
-            ab[2, -2] = 0.0
-            rates_i[0] = 0.0
-            rates_i[-1] = 0.0
-        bands.append(ab)
-        rates_off.append(rates_i)
-
-    for sweep in range(1, max_sweeps + 1):
-        delta = 0.0
-        for i in range(N):
-            rhs = rhs_base[i] + np.einsum("kj,jk->k", rates_off[i], v)
-            if dirichlet is not None:
-                rhs = rhs.copy()
-                rhs[0] = dirichlet[i, 0]
-                rhs[-1] = dirichlet[i, 1]
-            new = solve_banded((1, 1), bands[i], rhs)
-            delta = max(delta, float(np.max(np.abs(new - v[i]))))
-            v[i] = new
-        if delta < inner_tol:
-            return v, sweep, True
-    return v, max_sweeps, False
+        """Per-node entries of an (A, N, K, ...) table under an (N, K) action table."""
+        return table[ai_tab, self._i, self._k]
 
 
 def _hamiltonians(tab: _Tables, v: FloatArray, with_beta: bool) -> FloatArray:
-    """Per-action pre-minimization values L_a v + M_a v + c_a (- beta_a v)."""
-    A, N, K = tab.c.shape
-    out = np.empty((A, N, K))
-    for ai in range(A):
-        ai_tab = np.full((N, K), ai, dtype=np.int64)
-        out[ai] = tab.apply_l(ai_tab, v) + tab.coupling(ai_tab, v) + tab.c[ai]
-        if with_beta:
-            out[ai] -= tab.beta[ai] * v
+    """Per-action pre-minimization values L_a v + M_a v + c_a (- beta_a v), (A, N, K)."""
+    out = tab.ldiag * v
+    out[..., 1:] += tab.sub[..., 1:] * v[:, :-1]
+    out[..., :-1] += tab.sup[..., :-1] * v[:, 1:]
+    out += np.einsum("aikj,jk->aik", tab.rates, v)
+    out += tab.c
+    if with_beta:
+        out -= tab.beta * v
     return out
 
 
-def _improve(tab: _Tables, v: FloatArray, with_beta: bool) -> np.ndarray:
-    """Pointwise argmin over the action list; ties keep the lowest index."""
-    return np.argmin(_hamiltonians(tab, v, with_beta), axis=0).astype(np.int64)
+def _solve_policy(
+    tab: _Tables,
+    ai_tab: np.ndarray,
+    rhs: FloatArray,
+    zeta,
+    dirichlet: FloatArray | None = None,
+) -> FloatArray:
+    """Solve (zeta - L - M) v = rhs for one action table by one banded LU.
+
+    zeta is the zeroth-order coefficient (alpha, beta or 1/dt), a scalar or
+    per (regime, node). ``dirichlet`` (N, 2) turns the two end nodes into
+    identity rows pinned to the given values. Row k N + i of the node-major
+    system holds node k, regime i; band row N + i - j of column k N + j holds
+    its entry in that row, so the band is viewed as (2N + 1, node, regime).
+    """
+    from scipy.linalg import solve_banded
+
+    N, K = ai_tab.shape
+    sub = tab.gather(tab.sub, ai_tab)
+    sup = tab.gather(tab.sup, ai_tab)
+    rates = tab.gather(tab.rates, ai_tab)  # (N, K, N): row regime, node, column regime
+    center = zeta - tab.gather(tab.ldiag, ai_tab)
+    b = rhs
+    if dirichlet is not None:
+        for arr in (sub, sup, rates):
+            arr[:, [0, -1]] = 0.0
+        center[:, [0, -1]] = 1.0
+        b = rhs.copy()
+        b[:, [0, -1]] = dirichlet
+
+    ab = np.zeros((2 * N + 1, K, N))
+    i, j = np.arange(N)[:, None, None], np.arange(N)
+    ab[N + i - j, np.arange(K)[:, None], j] = -rates
+    ab[N] += center.T
+    ab[0, 1:] = -sup[:, :-1].T
+    ab[2 * N, :-1] = -sub[:, 1:].T
+    v = solve_banded((N, N), ab.reshape(2 * N + 1, K * N), b.T.ravel())
+    return v.reshape(K, N).T
+
+
+def _howard(
+    tab: _Tables, v: FloatArray, alpha: float | None, tol: float, max_iter: int,
+    h_vals: FloatArray | None = None,
+) -> tuple[FloatArray, np.ndarray, list]:
+    """Howard's policy iteration from v: exact evaluation, exhaustive improvement.
+
+    Discounted when h_vals is None (zeta = alpha); otherwise the exit problem
+    (zeta = beta_a, Dirichlet ends pinned to h_vals (N, 2)). Stops when the
+    improved policy repeats, so the last evaluation is exact for the returned
+    policy, or when the sup-norm value change drops below tol. Returns
+    (values, policy, residual history).
+
+    The evaluated iterates never increase, because each evaluation matrix
+    has a nonnegative inverse. The residual history carries no such
+    guarantee: it can rise from one iteration to the next.
+    """
+    exit_ = h_vals is not None
+    policy = np.argmin(_hamiltonians(tab, v, exit_), axis=0)
+    history = []
+    for _ in range(max_iter):
+        zeta = tab.gather(tab.beta, policy) if exit_ else alpha
+        v_new = _solve_policy(tab, policy, tab.gather(tab.c, policy), zeta, h_vals)
+        ham = _hamiltonians(tab, v_new, exit_)
+        best = np.min(ham, axis=0)
+        res = best[:, 1:-1] if exit_ else best - alpha * v_new
+        history.append(float(np.max(np.abs(res))))
+        change = float(np.max(np.abs(v_new - v)))
+        v, previous = v_new, policy
+        policy = np.argmin(ham, axis=0)
+        if change < tol or np.array_equal(policy, previous):
+            return v, policy, history
+    raise MaxIterError(f"policy iteration did not converge in {max_iter} iterations")
+
+
+def _discount(spec: ModelSpec, alpha: float | None) -> float:
+    alpha = spec.costs.alpha if alpha is None else float(alpha)
+    if alpha <= 0:
+        raise ShapeError("discount alpha must be > 0")
+    return alpha
+
+
+def _bounded_cost(spec: ModelSpec) -> float:
+    m_c = spec.cost_bound()
+    if not np.isfinite(m_c):
+        raise UnboundedError("grid solvers need a bounded running cost")
+    return m_c
+
+
+def _action_table(tab: _Tables, policy: np.ndarray, ndim: int = 2) -> np.ndarray:
+    """Checked int64 copy of a policy table whose trailing axes are (N, K)."""
+    pol = np.array(policy, dtype=np.int64)
+    N, K = tab.a.shape
+    if pol.ndim != ndim or pol.shape[-2:] != (N, K):
+        raise ShapeError(f"policy table has shape {pol.shape}, expected trailing axes {(N, K)}")
+    if pol.size and (pol.min() < 0 or pol.max() >= tab.c.shape[0]):
+        raise ShapeError(f"policy table holds an action index outside 0..{tab.c.shape[0] - 1}")
+    return pol
 
 
 def solve_discounted(
@@ -291,74 +302,52 @@ def solve_discounted(
 ) -> GridSolution:
     """Policy iteration for min_a [L_a V + M_a V + c_a] = alpha V.
 
-    Alternates exact policy evaluation (Gauss-Seidel over regimes with
-    tridiagonal inner solves to tol/10) and exhaustive policy improvement;
-    stops when the sup-norm value change drops below tol. The discrete
-    maximum principle 0 <= V <= M_c/alpha is checked on the result.
+    Howard's algorithm: each evaluation is one exact banded solve of the
+    coupled system, each improvement an exhaustive action scan. It stops
+    when the improved policy repeats or the sup-norm value change drops
+    below tol, and raises MaxIterError when neither happens within max_iter
+    evaluations. The discrete maximum principle 0 <= V <= M_c/alpha is
+    checked on the result.
     """
-    alpha = spec.costs.alpha if alpha is None else float(alpha)
-    if alpha <= 0:
-        raise ShapeError("discount alpha must be > 0")
-    m_c = spec.cost_bound()
-    if not np.isfinite(m_c):
-        raise UnboundedError("grid solvers need a bounded running cost")
-    tab = _Tables(spec, grid)
-    N, K = spec.regimes.count, grid.n_x
-    zeta = np.full((N, K), alpha)
+    return _discounted(_Tables(spec, grid), alpha, tol, max_iter)
 
-    v = np.zeros((N, K))
-    policy = _improve(tab, v, with_beta=False)
-    history = []
-    status = "ok"
-    it = 0
-    for it in range(1, max_iter + 1):
-        rhs = tab.gather(tab.c, policy)
-        v_new, sweeps, conv = _gs_solve(tab, policy, rhs, zeta, v, tol / 10.0)
-        if not conv:
-            status = "maxiter"
-        res = float(np.max(np.abs(np.min(_hamiltonians(tab, v_new, False), axis=0) - alpha * v_new)))
-        history.append(res)
-        change = float(np.max(np.abs(v_new - v)))
-        v = v_new
-        policy = _improve(tab, v, with_beta=False)
-        if change < tol:
-            break
-    else:
-        status = "maxiter"
 
-    # residual should not increase across outer iterations (inner-solve noise allowed)
-    slack = max(1e-12, tol)
-    assert all(history[j + 1] <= history[j] + slack for j in range(len(history) - 1)), \
-        "policy-iteration residual increased"
-    assert np.all(v >= -1e-9) and np.all(v <= m_c / alpha + 1e-9), \
-        "discounted solution violates the maximum principle bound"
+def _discounted(tab: _Tables, alpha: float | None, tol: float, max_iter: int) -> GridSolution:
+    alpha = _discount(tab.spec, alpha)
+    m_c = _bounded_cost(tab.spec)
+    v, policy, history = _howard(tab, np.zeros(tab.a.shape), alpha, tol, max_iter)
+    if not (np.all(v >= -1e-9) and np.all(v <= m_c / alpha + 1e-9)):
+        raise SchemeError("discounted solution violates the maximum principle bound")
     return GridSolution(
-        criterion="discounted", grid=grid, values=v, policy=policy,
-        iterations=it, residual=history[-1] if history else 0.0, status=status,
-        residual_history=tuple(history), alpha=alpha,
+        criterion="discounted", grid=tab.grid, values=v, policy=policy,
+        iterations=len(history), residual=history[-1], residual_history=tuple(history),
+        alpha=alpha,
     )
 
 
 def evaluate_policy_value(
     spec: ModelSpec, grid: Grid1D, policy: np.ndarray, alpha: float | None = None,
-    tol: float = 1e-8,
 ) -> GridSolution:
-    """Discounted value of a fixed action table (single coupled solve)."""
-    alpha = spec.costs.alpha if alpha is None else float(alpha)
-    tab = _Tables(spec, grid)
-    N, K = spec.regimes.count, grid.n_x
-    policy = np.asarray(policy, dtype=np.int64)
-    if policy.shape != (N, K):
-        raise ShapeError(f"policy table has shape {policy.shape}, expected {(N, K)}")
-    zeta = np.full((N, K), alpha)
-    rhs = tab.gather(tab.c, policy)
-    v, sweeps, conv = _gs_solve(tab, policy, rhs, zeta, np.zeros((N, K)), tol / 10.0)
-    res = float(np.max(np.abs(tab.apply_l(policy, v) + tab.coupling(policy, v) + rhs - alpha * v)))
+    """Discounted value of a fixed action table (one exact coupled solve)."""
+    return _evaluate_value(_Tables(spec, grid), policy, alpha)
+
+
+def _evaluate_value(tab: _Tables, policy: np.ndarray, alpha: float | None) -> GridSolution:
+    alpha = _discount(tab.spec, alpha)
+    policy = _action_table(tab, policy)
+    v = _solve_policy(tab, policy, tab.gather(tab.c, policy), alpha)
+    res = float(np.max(np.abs(tab.gather(_hamiltonians(tab, v, False), policy) - alpha * v)))
     return GridSolution(
-        criterion="discounted-policy", grid=grid, values=v, policy=policy,
-        iterations=sweeps, residual=res, status="ok" if conv else "maxiter",
-        alpha=alpha,
+        criterion="discounted-policy", grid=tab.grid, values=v, policy=policy,
+        iterations=1, residual=res, alpha=alpha,
     )
+
+
+def _exit_values(spec: ModelSpec, grid: Grid1D) -> FloatArray:
+    """Exit cost h at the two interval ends per regime, (N, 2)."""
+    N = spec.regimes.count
+    ends = np.tile([[grid.x_min], [grid.x_max]], (N, 1))
+    return spec.costs.exit_h.eval_batch(ends, np.repeat(np.arange(N), 2)).reshape(N, 2)
 
 
 def solve_exit(
@@ -368,7 +357,8 @@ def solve_exit(
     """Policy iteration for min_a [L_a V + M_a V - beta_a V + c_a] = 0 on O.
 
     The grid interval is the exit domain; the two boundary rows are Dirichlet
-    rows pinning V to h exactly.
+    rows pinning V to h exactly. Stopping and MaxIterError as in
+    solve_discounted.
     """
     if beta is not None or exit_h is not None:
         costs = spec.costs
@@ -378,93 +368,50 @@ def solve_exit(
             costs = replace(costs, exit_h=exit_h)
         spec = replace(spec, costs=costs)
     tab = _Tables(spec, grid)
-    m_c = spec.cost_bound()
-    if not np.isfinite(m_c):
-        raise UnboundedError("grid solvers need a bounded running cost")
-    N, K = spec.regimes.count, grid.n_x
-    xs = grid.nodes
-    h_vals = np.stack(
-        [
-            spec.costs.exit_h.eval_batch(
-                np.array([[xs[0]], [xs[-1]]]), np.full(2, i, dtype=np.int64)
-            )
-            for i in range(N)
-        ]
-    )  # (N, 2)
-
-    v = np.zeros((N, K))
-    v[:, 0] = h_vals[:, 0]
-    v[:, -1] = h_vals[:, 1]
-    policy = _improve(tab, v, with_beta=True)
-    history = []
-    status = "ok"
-    it = 0
-    for it in range(1, max_iter + 1):
-        rhs = tab.gather(tab.c, policy)
-        zeta = tab.gather(tab.beta, policy)
-        v_new, sweeps, conv = _gs_solve(
-            tab, policy, rhs, zeta, v, tol / 10.0, dirichlet=h_vals
-        )
-        if not conv:
-            status = "maxiter"
-        ham = np.min(_hamiltonians(tab, v_new, True), axis=0)
-        res = float(np.max(np.abs(ham[:, 1:-1])))
-        history.append(res)
-        change = float(np.max(np.abs(v_new - v)))
-        v = v_new
-        policy = _improve(tab, v, with_beta=True)
-        if change < tol:
-            break
-    else:
-        status = "maxiter"
-
-    slack = max(1e-12, tol)
-    assert all(history[j + 1] <= history[j] + slack for j in range(len(history) - 1)), \
-        "policy-iteration residual increased"
+    _bounded_cost(spec)
+    h_vals = _exit_values(spec, grid)
+    v = np.zeros(tab.a.shape)
+    v[:, [0, -1]] = h_vals
+    v, policy, history = _howard(tab, v, None, tol, max_iter, h_vals)
     return GridSolution(
         criterion="exit", grid=grid, values=v, policy=policy,
-        iterations=it, residual=history[-1] if history else 0.0, status=status,
-        residual_history=tuple(history),
+        iterations=len(history), residual=history[-1], residual_history=tuple(history),
     )
 
 
-def evaluate_policy_exit(
-    spec: ModelSpec, grid: Grid1D, policy: np.ndarray, tol: float = 1e-8,
-) -> GridSolution:
-    """Exit cost of a fixed action table (single coupled Dirichlet solve)."""
+def evaluate_policy_exit(spec: ModelSpec, grid: Grid1D, policy: np.ndarray) -> GridSolution:
+    """Exit cost of a fixed action table (one exact coupled Dirichlet solve)."""
     tab = _Tables(spec, grid)
-    N, K = spec.regimes.count, grid.n_x
-    policy = np.asarray(policy, dtype=np.int64)
-    xs = grid.nodes
-    h_vals = np.stack(
-        [
-            spec.costs.exit_h.eval_batch(
-                np.array([[xs[0]], [xs[-1]]]), np.full(2, i, dtype=np.int64)
-            )
-            for i in range(N)
-        ]
+    policy = _action_table(tab, policy)
+    v = _solve_policy(
+        tab, policy, tab.gather(tab.c, policy), tab.gather(tab.beta, policy),
+        _exit_values(spec, grid),
     )
-    rhs = tab.gather(tab.c, policy)
-    zeta = tab.gather(tab.beta, policy)
-    v0 = np.zeros((N, K))
-    v, sweeps, conv = _gs_solve(tab, policy, rhs, zeta, v0, tol / 10.0, dirichlet=h_vals)
-    ham = tab.apply_l(policy, v) + tab.coupling(policy, v) + rhs - zeta * v
-    res = float(np.max(np.abs(ham[:, 1:-1])))
+    ham = tab.gather(_hamiltonians(tab, v, True), policy)
     return GridSolution(
         criterion="exit-policy", grid=grid, values=v, policy=policy,
-        iterations=sweeps, residual=res, status="ok" if conv else "maxiter",
+        iterations=1, residual=float(np.max(np.abs(ham[:, 1:-1]))),
     )
+
+
+def _levels(spec: ModelSpec, grid: Grid1D, n_t: int) -> FloatArray:
+    """(n_t + 1, N, K) value levels with the terminal cost filled in last."""
+    N, K = spec.regimes.count, grid.n_x
+    values = np.empty((n_t + 1, N, K))
+    values[n_t] = spec.costs.terminal.eval_batch(
+        np.tile(grid.nodes, N)[:, None], np.repeat(np.arange(N), K)
+    ).reshape(N, K)
+    return values
 
 
 def solve_finite_horizon(
     spec: ModelSpec, grid: Grid1D, horizon: float | None = None, n_t: int | None = None,
-    tol: float = 1e-8,
 ) -> GridSolution:
     """Backward semi-implicit scheme for the finite-horizon system.
 
     At each level the minimizing action is chosen explicitly from the next
     level's values, then the coupled linear system for the new level is
-    solved implicitly; the terminal level equals c_T exactly. Needs the time
+    solved exactly; the terminal level equals c_T exactly. Needs the time
     step at or below 0.1 for the frozen-policy accuracy to hold.
     """
     T = spec.costs.horizon if horizon is None else float(horizon)
@@ -473,75 +420,46 @@ def solve_finite_horizon(
     dt = T / n_t
     if dt > 0.1 + 1e-12:
         raise StepError(f"finite-horizon time step {dt:.4g} exceeds 0.1; raise n_t")
-    m_c = spec.cost_bound()
-    if not np.isfinite(m_c):
-        raise UnboundedError("grid solvers need a bounded running cost")
+    _bounded_cost(spec)
     tab = _Tables(spec, grid)
-    N, K = spec.regimes.count, grid.n_x
-    xs = grid.nodes[:, None]
+    values = _levels(spec, grid, n_t)
+    policy = np.empty((n_t, *tab.a.shape), dtype=np.int64)
 
-    values = np.empty((n_t + 1, N, K))
-    policy = np.empty((n_t, N, K), dtype=np.int64)
-    for i in range(N):
-        values[n_t, i] = spec.costs.terminal.eval_batch(xs, np.full(K, i, dtype=np.int64))
-
-    zeta = np.full((N, K), 1.0 / dt)
-    status = "ok"
     worst_res = 0.0
+    ham = _hamiltonians(tab, values[n_t], False)
     for j in range(n_t - 1, -1, -1):
         v_next = values[j + 1]
-        pol = _improve(tab, v_next, with_beta=False)
-        rhs = tab.gather(tab.c, pol) + v_next / dt
-        v_new, sweeps, conv = _gs_solve(tab, pol, rhs, zeta, v_next, tol / 10.0)
-        if not conv:
-            status = "maxiter"
-        res = float(
-            np.max(
-                np.abs(
-                    (v_next - v_new) / dt
-                    + tab.apply_l(pol, v_new) + tab.coupling(pol, v_new)
-                    + tab.gather(tab.c, pol)
-                )
-            )
-        )
+        pol = np.argmin(ham, axis=0)
+        values[j] = _solve_policy(tab, pol, tab.gather(tab.c, pol) + v_next / dt, 1.0 / dt)
+        ham = _hamiltonians(tab, values[j], False)
+        res = float(np.max(np.abs((v_next - values[j]) / dt + tab.gather(ham, pol))))
         worst_res = max(worst_res, res)
-        values[j] = v_new
         policy[j] = pol
 
     return GridSolution(
         criterion="finite-horizon", grid=grid, values=values, policy=policy,
-        iterations=n_t, residual=worst_res, status=status, horizon=T,
+        iterations=n_t, residual=worst_res, horizon=T,
         t_levels=np.linspace(0.0, T, n_t + 1),
     )
 
 
 def evaluate_policy_finite_horizon(
     spec: ModelSpec, grid: Grid1D, policy: np.ndarray, horizon: float | None = None,
-    tol: float = 1e-8,
 ) -> GridSolution:
     """Finite-horizon cost of a fixed time-indexed action table."""
     T = spec.costs.horizon if horizon is None else float(horizon)
-    policy = np.asarray(policy, dtype=np.int64)
+    tab = _Tables(spec, grid)
+    policy = _action_table(tab, policy, ndim=3)
     n_t = policy.shape[0]
     dt = T / n_t
-    tab = _Tables(spec, grid)
-    N, K = spec.regimes.count, grid.n_x
-    xs = grid.nodes[:, None]
-    values = np.empty((n_t + 1, N, K))
-    for i in range(N):
-        values[n_t, i] = spec.costs.terminal.eval_batch(xs, np.full(K, i, dtype=np.int64))
-    zeta = np.full((N, K), 1.0 / dt)
-    status = "ok"
+    values = _levels(spec, grid, n_t)
     for j in range(n_t - 1, -1, -1):
         pol = policy[j]
         rhs = tab.gather(tab.c, pol) + values[j + 1] / dt
-        v_new, _, conv = _gs_solve(tab, pol, rhs, zeta, values[j + 1], tol / 10.0)
-        if not conv:
-            status = "maxiter"
-        values[j] = v_new
+        values[j] = _solve_policy(tab, pol, rhs, 1.0 / dt)
     return GridSolution(
         criterion="finite-horizon-policy", grid=grid, values=values, policy=policy,
-        iterations=n_t, residual=0.0, status=status, horizon=T,
+        iterations=n_t, residual=0.0, horizon=T,
         t_levels=np.linspace(0.0, T, n_t + 1),
     )
 
@@ -550,33 +468,45 @@ def _reference_node(grid: Grid1D) -> int:
     return int(np.argmin(np.abs(grid.nodes)))
 
 
-def estimate_ergodic(
-    spec: ModelSpec, grid: Grid1D, ladder=DEFAULT_LADDER, tol: float = 1e-8,
-) -> ErgodicEstimate:
-    """Vanishing-discount estimate of the optimal ergodic constant.
-
-    Solves the discounted problem for each ladder alpha and extrapolates
-    alpha * V_alpha(reference node, regime 1) linearly in alpha from the two
-    smallest ladder entries; the relative value is the smallest-alpha
-    solution shifted to vanish at the reference node.
-    """
+def _ladder(ladder) -> tuple:
     ladder = tuple(sorted((float(a) for a in ladder), reverse=True))
     if len(ladder) < 2:
         raise ShapeError("ergodic ladder needs at least two discount values")
+    return ladder
+
+
+def _extrapolate(alphas, ys) -> float:
+    """Two-point linear extrapolation of alpha * V_alpha to alpha = 0."""
+    (a0, a1), (y0, y1) = alphas, ys
+    return (a1 * y0 - a0 * y1) / (a1 - a0)
+
+
+def estimate_ergodic(
+    spec: ModelSpec, grid: Grid1D, ladder=DEFAULT_LADDER, tol: float = 1e-8,
+    max_iter: int = 100,
+) -> ErgodicEstimate:
+    """Vanishing-discount estimate of the optimal ergodic constant.
+
+    Solves the discounted problem for each ladder alpha (one coefficient
+    table for the whole ladder) and extrapolates alpha * V_alpha(reference
+    node, regime 1) linearly in alpha from the two smallest ladder entries;
+    the relative value is the smallest-alpha solution shifted to vanish at
+    the reference node.
+    """
+    ladder = _ladder(ladder)
+    tab = _Tables(spec, grid)
     k_ref = _reference_node(grid)
     ys = []
     sol = None
     for alpha in ladder:
-        sol = solve_discounted(spec, grid, alpha=alpha, tol=tol)
+        sol = _discounted(tab, alpha, tol, max_iter)
         ys.append(alpha * float(sol.values[0, k_ref]))
     extrapolants = tuple(
-        (ladder[j + 1] * ys[j] - ladder[j] * ys[j + 1]) / (ladder[j + 1] - ladder[j])
-        for j in range(len(ladder) - 1)
+        _extrapolate(ladder[j:j + 2], ys[j:j + 2]) for j in range(len(ladder) - 1)
     )
-    rho = extrapolants[-1]
     rel = sol.values - sol.values[0, k_ref]
     return ErgodicEstimate(
-        rho=float(rho), relative_values=rel, policy=sol.policy, ladder=ladder,
+        rho=float(extrapolants[-1]), relative_values=rel, policy=sol.policy, ladder=ladder,
         ladder_values=tuple(ys), extrapolants=extrapolants, reference_node=k_ref,
         grid=grid,
     )
@@ -584,15 +514,14 @@ def estimate_ergodic(
 
 def estimate_ergodic_policy(
     spec: ModelSpec, grid: Grid1D, policy: np.ndarray, ladder=DEFAULT_LADDER,
-    tol: float = 1e-8,
 ) -> float:
-    """Long-run average cost of a fixed action table via the same ladder."""
-    ladder = tuple(sorted((float(a) for a in ladder), reverse=True))
+    """Long-run average cost of a fixed action table via the same ladder.
+
+    Only the two smallest ladder entries enter the extrapolation, so only
+    those are evaluated.
+    """
+    alphas = _ladder(ladder)[-2:]
+    tab = _Tables(spec, grid)
     k_ref = _reference_node(grid)
-    ys = []
-    for alpha in ladder:
-        sol = evaluate_policy_value(spec, grid, policy, alpha=alpha, tol=tol)
-        ys.append(alpha * float(sol.values[0, k_ref]))
-    return float(
-        (ladder[-1] * ys[-2] - ladder[-2] * ys[-1]) / (ladder[-1] - ladder[-2])
-    )
+    ys = [alpha * float(_evaluate_value(tab, policy, alpha).values[0, k_ref]) for alpha in alphas]
+    return float(_extrapolate(alphas, ys))

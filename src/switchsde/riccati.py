@@ -32,7 +32,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import BlowupError, EigError, RatesError, ShapeError
 from .model import FloatArray, ModelSpec, _freeze, _shaped, ROW_SUM_TOL
@@ -113,15 +112,8 @@ class LQSpec:
             raise RatesError("generator rows must sum to zero")
 
     def r_inv_bt(self) -> FloatArray:
-        """Per-regime R^{-1} B^T via Cholesky, shape (N, l, d)."""
-        out = np.empty((self.n_regimes, self.control_dim, self.dim))
-        for i in range(self.n_regimes):
-            try:
-                cf = cho_factor(self.r[i])
-            except np.linalg.LinAlgError as exc:
-                raise EigError(f"Cholesky of R failed in regime {i + 1}: {exc}") from exc
-            out[i] = cho_solve(cf, self.b[i].T)
-        return out
+        """Per-regime R^{-1} B^T, shape (N, l, d); R is checked definite above."""
+        return np.linalg.solve(self.r, np.swapaxes(self.b, -1, -2))
 
 
 def lq_from_model(spec: ModelSpec) -> LQSpec:

@@ -199,7 +199,7 @@ def sweep_grid(
 
         def solve_one(m):
             s = solve_discounted(m, grid, tol=tol, max_iter=max_iter)
-            j = evaluate_policy_value(true_spec, grid, s.policy, tol=tol).values
+            j = evaluate_policy_value(true_spec, grid, s.policy).values
             return (
                 float(np.max(np.abs(s.values - sol_true.values))),
                 float(np.max(j - sol_true.values)),
@@ -212,7 +212,7 @@ def sweep_grid(
 
         def solve_one(m):
             s = solve_exit(m, grid, tol=tol, max_iter=max_iter)
-            j = evaluate_policy_exit(true_spec, grid, s.policy, tol=tol).values
+            j = evaluate_policy_exit(true_spec, grid, s.policy).values
             return (
                 float(np.max(np.abs(s.values - sol_true.values))),
                 float(np.max(j - sol_true.values)),
@@ -222,11 +222,11 @@ def sweep_grid(
 
     elif criterion == "finite-horizon":
         levels = n_t
-        sol_true = solve_finite_horizon(true_spec, grid, n_t=levels, tol=tol)
+        sol_true = solve_finite_horizon(true_spec, grid, n_t=levels)
 
         def solve_one(m):
-            s = solve_finite_horizon(m, grid, n_t=levels, tol=tol)
-            j = evaluate_policy_finite_horizon(true_spec, grid, s.policy, tol=tol).values
+            s = solve_finite_horizon(m, grid, n_t=levels)
+            j = evaluate_policy_finite_horizon(true_spec, grid, s.policy).values
             return (
                 float(np.max(np.abs(s.values - sol_true.values))),
                 float(np.max(j[0] - sol_true.values[0])),
@@ -235,14 +235,14 @@ def sweep_grid(
             )
 
     else:  # ergodic
-        est_true = estimate_ergodic(true_spec, grid, ladder=ladder, tol=tol)
+        est_true = estimate_ergodic(true_spec, grid, ladder=ladder, tol=tol, max_iter=max_iter)
         # baseline through the same fixed-policy replay so the delta = 0 row
         # cancels exactly instead of carrying the extrapolation mismatch
-        rho_base = estimate_ergodic_policy(true_spec, grid, est_true.policy, ladder=ladder, tol=tol)
+        rho_base = estimate_ergodic_policy(true_spec, grid, est_true.policy, ladder=ladder)
 
         def solve_one(m):
-            e = estimate_ergodic(m, grid, ladder=ladder, tol=tol)
-            rho_replay = estimate_ergodic_policy(true_spec, grid, e.policy, ladder=ladder, tol=tol)
+            e = estimate_ergodic(m, grid, ladder=ladder, tol=tol, max_iter=max_iter)
+            rho_replay = estimate_ergodic_policy(true_spec, grid, e.policy, ladder=ladder)
             return (
                 abs(e.rho - est_true.rho),
                 abs(rho_replay - rho_base),
@@ -354,9 +354,9 @@ def check_eps_optimality(
             sol_n = solve_exit(model, grid, tol=tol, max_iter=max_iter)
         policy = _worst_eps_policy(_Tables(model, grid), sol_n.values, eps, with_beta)
         if criterion == "discounted":
-            j = evaluate_policy_value(true_spec, grid, policy, tol=tol).values
+            j = evaluate_policy_value(true_spec, grid, policy).values
         else:
-            j = evaluate_policy_exit(true_spec, grid, policy, tol=tol).values
+            j = evaluate_policy_exit(true_spec, grid, policy).values
         gap = float(np.max(np.abs(j - sol_true.values)))
         rows.append(EpsRow(n, delta, gap, gap <= 3.0 * eps))
 

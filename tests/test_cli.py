@@ -2,11 +2,17 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from switchsde import ConfigError, cli
+import switchsde
+from switchsde import ConfigError, cli, model_to_dict
 from switchsde.io import atomic_write_text, g17, write_csv
+from conftest import saturated_model
 
 CHAIN = {
     "dim": 1,
@@ -174,6 +180,25 @@ def test_config_errors_exit_4(tmp_path, capsys):
     assert err.count("config error") == 3
 
 
+@pytest.mark.parametrize("command", ["hjb", "ergodic"])
+def test_policy_iteration_budget_exhausted_exits_3(tmp_path, capsys, command):
+    # two actions whose optimal policy differs from the first improvement
+    block = {"grid": {"x_min": -2.0, "x_max": 2.0, "n_x": 41}, "max_iter": 1}
+    if command == "hjb":
+        block["criterion"] = "discounted"
+    doc = {"command": command, "model": model_to_dict(saturated_model()), command: block}
+    code, out = _run(tmp_path, doc)
+    assert code == 3
+    assert "E_MAXITER" in capsys.readouterr().err
+    assert not (out / "values.csv").exists()
+    results = json.loads((out / "results.json").read_text())
+    assert results["error"].startswith("E_MAXITER")
+    del block["max_iter"]
+    code, out = _run(tmp_path, doc, sub="converged")
+    assert code == 0
+    assert "status" not in json.loads((out / "results.json").read_text())
+
+
 def test_hjb_values_layout(tmp_path):
     doc = {
         "command": "hjb", "model": CHAIN,
@@ -220,6 +245,16 @@ def test_out_key_in_config_is_used(tmp_path, monkeypatch):
     cfg = _write(tmp_path, doc)
     assert cli.main(["--config", str(cfg)]) == 0
     assert (tmp_path / "from_config" / "report.txt").exists()
+
+
+def test_import_leaves_scipy_out():
+    src = str(Path(switchsde.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    probe = "import sys, switchsde; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

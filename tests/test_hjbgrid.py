@@ -8,13 +8,16 @@ import pytest
 from scipy.linalg import expm
 
 from switchsde import (
+    DegenerateError,
     ErgodicEstimate,
     Grid1D,
+    MaxIterError,
     RunningCost,
     ShapeError,
     StepError,
     estimate_ergodic,
     estimate_ergodic_policy,
+    evaluate_policy_exit,
     evaluate_policy_value,
     solve_discounted,
     solve_exit,
@@ -46,7 +49,6 @@ def test_discounted_chain_matches_linear_solve(chain):
     v = chain_value(chain)
     for i in range(2):
         assert np.abs(sol.values[i] - v[i]).max() <= 1e-8
-    assert sol.status == "ok"
 
 
 def test_discounted_constant_cost_is_c_over_alpha():
@@ -91,6 +93,28 @@ def test_cost_scaling_doubles_value_keeps_policy(saturated):
     sol2 = solve_discounted(doubled, grid)
     assert np.abs(sol2.values - 2.0 * base.values).max() <= 1e-8
     assert np.array_equal(sol2.policy, base.policy)
+
+
+def test_degenerate_diffusion_raises_typed_error(make_chain):
+    with pytest.raises(DegenerateError, match="sigma"):
+        solve_discounted(make_chain(sigma=0.0), GRID)
+
+
+@pytest.mark.parametrize("solve", [solve_discounted, solve_exit])
+def test_exhausted_policy_iteration_raises(saturated, solve):
+    grid = Grid1D(-2.0, 2.0, 51)
+    assert solve(saturated, grid).iterations > 1
+    with pytest.raises(MaxIterError, match="1 iterations"):
+        solve(saturated, grid, max_iter=1)
+
+
+@pytest.mark.parametrize("evaluate", [evaluate_policy_value, evaluate_policy_exit])
+def test_fixed_policy_table_is_checked(saturated, evaluate):
+    grid = Grid1D(-2.0, 2.0, 21)
+    with pytest.raises(ShapeError, match="shape"):
+        evaluate(saturated, grid, np.zeros((2, 20), dtype=np.int64))
+    with pytest.raises(ShapeError, match="action index"):
+        evaluate(saturated, grid, np.full((2, 21), 2))
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +200,12 @@ def test_ergodic_policy_replay_matches(chain):
 def test_ergodic_needs_two_ladder_entries(chain):
     with pytest.raises(ShapeError):
         estimate_ergodic(chain, GRID, ladder=(0.1,))
+
+
+def test_ergodic_ladder_honours_max_iter(saturated):
+    grid = Grid1D(-2.0, 2.0, 51)
+    with pytest.raises(MaxIterError):
+        estimate_ergodic(saturated, grid, max_iter=1)
 
 
 # ---------------------------------------------------------------------------

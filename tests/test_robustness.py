@@ -8,13 +8,18 @@ from switchsde import (
     ConfigError,
     Grid1D,
     LQSpec,
+    MaxIterError,
     PerturbationSchedule,
     fixed_feedback_cost,
     lq_feedback,
+    make_perturbation_sequence,
     solve_coupled_riccati,
+    solve_discounted,
 )
+from switchsde.hjbgrid import _Tables
 from switchsde.robustness import (
     SWEEP_HEADER,
+    _worst_eps_policy,
     check_eps_optimality,
     perturbed_lq_sequence,
     sweep_grid,
@@ -139,7 +144,7 @@ def test_grid_sweep_structure(saturated, sat_schedule, sat_grid, criterion):
     # the value gap plus the cross-model term
     assert np.all(pl <= vg + aux + 1e-9)
     # control row: identical model, identical policy
-    assert vg[-1] == 0.0 and abs(pl[-1]) <= 1e-8
+    assert vg[-1] == 0.0 and pl[-1] == 0.0
 
 
 def test_grid_sweep_ergodic_matches_stationary_formula(chain):
@@ -152,6 +157,12 @@ def test_grid_sweep_ergodic_matches_stationary_formula(chain):
         expected = abs((4.0 + 2.0 * d) / (3.0 + d) - 4.0 / 3.0)
         assert row.value_gap == pytest.approx(expected, abs=1e-3)
         assert row.policy_loss == pytest.approx(0.0, abs=1e-9)  # single action
+
+
+def test_ergodic_grid_sweep_honours_max_iter(saturated, sat_grid):
+    sched = PerturbationSchedule("coefficient", 0, d_a=np.ones((2, 1, 1)))
+    with pytest.raises(MaxIterError):
+        sweep_grid(saturated, sched, "ergodic", sat_grid, max_iter=1)
 
 
 def test_grid_sweep_rejects_unknown_criterion(chain, sat_schedule):
@@ -190,11 +201,27 @@ def test_eps_check_exit_criterion(saturated, sat_schedule, sat_grid):
 
 
 def test_eps_check_fails_below_model_gap_scale(saturated, sat_schedule, sat_grid):
-    # with eps far below the perturbation-induced gaps nothing can pass
-    rep = check_eps_optimality(saturated, sat_schedule, "discounted", 1e-12, sat_grid)
-    assert rep.threshold_n is None
-    assert not rep.passed
-    assert rep.verdict == "not reached within n_max"
+    # eps far below the model gap: row 0's policy misses 3 eps, while a row
+    # whose degraded policy is the true optimal table replays it through
+    # the very solve that produced the true value, so its gap is exactly 0
+    eps = 1e-12
+    rep = check_eps_optimality(saturated, sat_schedule, "discounted", eps, sat_grid)
+    optimal = solve_discounted(saturated, sat_grid).policy
+    models = make_perturbation_sequence(saturated, sat_schedule) + [saturated]
+    replays_optimal = []
+    for model in models:
+        values = solve_discounted(model, sat_grid).values
+        degraded = _worst_eps_policy(_Tables(model, sat_grid), values, eps, with_beta=False)
+        replays_optimal.append(np.array_equal(degraded, optimal))
+    assert len(rep.rows) == len(models)
+    assert not rep.rows[0].passed and rep.rows[0].gap > 3.0 * eps
+    assert not replays_optimal[0] and replays_optimal[-1]
+    for row, same in zip(rep.rows, replays_optimal):
+        if same:
+            assert row.gap == 0.0
+    first = next(k for k in range(len(models)) if all(replays_optimal[k:]))
+    assert rep.threshold_n == first
+    assert rep.passed
 
 
 def test_eps_check_rejects_bad_arguments(saturated, sat_schedule, sat_grid):
