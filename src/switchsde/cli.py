@@ -549,7 +549,7 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output directory (default: config 'out' or ./out)")
     parser.add_argument(
         "--threads", type=int, default=0,
-        help="worker hint; affects wall time only, never results",
+        help="accepted and ignored: every command runs on one thread",
     )
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)

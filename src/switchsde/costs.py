@@ -14,10 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CapFractionWarning, UnboundedError
+from .errors import CapFractionWarning, ShapeError, UnboundedError
 from .io import write_csv
 from .model import FloatArray, ModelSpec
-from .simulate import BatchStepper, _n_steps_for, outside_interval
+from .simulate import BatchStepper, _check_t_cap, _n_steps_for, outside_interval
 
 DEFAULT_BATCH = 16384
 
@@ -84,6 +84,12 @@ def write_estimates_csv(path, estimates) -> None:
     write_csv(path, ESTIMATE_HEADER, [e.csv_row() for e in estimates])
 
 
+def _check_counts(n_paths: int, batch: int) -> None:
+    """Every estimator needs at least one path and a positive batch size."""
+    if n_paths < 1 or batch < 1:
+        raise ShapeError(f"n_paths = {n_paths} and batch = {batch} must both be >= 1")
+
+
 def _run_weighted(
     spec: ModelSpec,
     policy,
@@ -98,6 +104,7 @@ def _run_weighted(
     batch: int = DEFAULT_BATCH,
 ) -> FloatArray:
     """Per-path totals sum_k weights[k] * c(X_k, S_k, U_k) (+ terminal)."""
+    _check_counts(n_paths, batch)
     totals = np.empty(n_paths)
     for start in range(0, n_paths, batch):
         m = min(batch, n_paths - start)
@@ -199,6 +206,8 @@ def mc_exit(
     t_cap keep their accrued running cost, get no exit payoff, and are
     counted in capped_fraction; a fraction above 1% raises the cap warning.
     """
+    _check_counts(n_paths, batch)
+    _check_t_cap(t_cap)
     domain = spec.costs.exit_domain if domain is None else domain
     beta = spec.costs.exit_beta if beta is None else beta
     exit_h = spec.costs.exit_h if exit_h is None else exit_h

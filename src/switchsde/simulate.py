@@ -1,22 +1,31 @@
-"""Hybrid path simulation: Euler-Maruyama plus per-step jump thinning.
+"""Hybrid path simulation: Euler-Maruyama plus event-driven regime jumps.
 
 The continuous state advances explicitly,
 
     X_{k+1} = X_k + b(X_k, S_k, U_k) dt + sigma(X_k, S_k) sqrt(dt) xi_k,
 
-and the regime jumps at most once per step: with probability
-(sum_{j != i} m_ij(X_k, U_k)) dt a jump fires and the destination is drawn
-proportionally to m_ij. The step bound dt <= 1/(4 N M) keeps that
-probability at or below one quarter.
+and the regime jumps at most once per step, with probability
+p_k = (sum_{j != i} m_ij(X_k, U_k)) dt, to a destination drawn
+proportionally to m_ij. The step bound dt <= 1/(4 N M) keeps p_k at or
+below one quarter.
+
+Jumps are driven by a hazard clock rather than a per-step uniform. Each
+path holds an Exp(1) clock E = -log1p(-v) and a running hazard H; every
+step adds -log1p(-p_k) to H, and the path jumps as soon as H > E. Given no
+jump since the last one, the jump fires at step k with probability exactly
+p_k, so the discretised chain's law is the per-step Bernoulli thinning's.
+The inequality is strict, so a regime with zero outflow never jumps. On a
+jump the path draws two uniforms: the first picks the destination from the
+cumulative outflow table, the second sets the next clock; H restarts at 0.
 
 Randomness is counter based: path p draws from a Philox stream keyed by
 (seed, p), independent of every other path and of how paths are batched.
-Each path consumes its stream in fixed blocks of CHUNK steps: first the
-Gaussian increments for the block (skipped entirely when the diffusion is
-identically zero, a static property of the spec), then one uniform per
-step. The step uniform both triggers the jump (u < p_jump) and, rescaled
-to u / dt on that event, selects the destination regime, so a path
-simulated alone is bit-identical to the same path inside any batch.
+Each path consumes its stream in this order: one uniform for the first
+clock, then, per block of CHUNK steps, the block's Gaussian increments
+(none at all when the diffusion is identically zero, a static property of
+the spec), interleaved in step order with two uniforms per jump. The order
+depends only on the path's own trajectory, so a path simulated alone is
+bit-identical to the same path inside any batch.
 """
 
 from __future__ import annotations
@@ -38,20 +47,16 @@ MAX_STEPS = 10**8
 class RngStream:
     """Counter-based random stream identity for one path.
 
-    ``counter`` is the Philox counter offset at which the stream starts;
-    fresh streams start at zero. ``generator()`` always rebuilds the
-    underlying bit generator from scratch, so the same RngStream yields the
-    same draw sequence every time it is handed to the simulator.
+    ``generator()`` always rebuilds the underlying Philox bit generator from
+    its key (seed, path_index) at counter zero, so the same RngStream yields
+    the same draw sequence every time it is handed to the simulator.
     """
 
     seed: int
     path_index: int
-    counter: int = 0
 
     def generator(self) -> np.random.Generator:
         bg = np.random.Philox(key=np.array([self.seed, self.path_index], dtype=np.uint64))
-        if self.counter:
-            bg.advance(self.counter)
         return np.random.Generator(bg)
 
 
@@ -200,19 +205,20 @@ class BatchStepper:
         self.s = i0 - 1
         self.alive = np.ones(m, dtype=bool)
         self.original_index = np.arange(m, dtype=np.int64)
-        # one generator per path, alive for the whole run
+        # one generator per path, alive for the whole run; its first draw
+        # sets the path's first Exp(1) jump clock
         self._gens = [
             make_rng_stream(seed, first_path_index + p).generator() for p in range(m)
         ]
+        self._clock = -np.log1p(-np.array([g.random() for g in self._gens]))
+        self._hazard = np.zeros(m)
         self.clamped_steps = 0
         self.record_jumps = record_jumps
         self.jumps: list[tuple[float, int, int]] = []
         self._pos = CHUNK  # forces a refill on the first step
         self._normals = None
-        self._u_step = None
         self._all_alive = True
         self._sqrt_dt = np.sqrt(self.dt)
-        self._inv_dt = 1.0 / self.dt
 
         # static fast-path tables for the constant families
         drift = spec.drift
@@ -230,13 +236,15 @@ class BatchStepper:
         if gen.kind == "constant":
             off = gen.rates.copy()
             np.fill_diagonal(off, 0.0)
-            self._p_jump_const = off.sum(axis=1) * self.dt  # (N,)
+            # hazard added per step in each regime, -log1p(-p_jump), and its
+            # value in each row's current regime (refreshed on jumps)
+            self._hazard_table = -np.log1p(-off.sum(axis=1) * self.dt)  # (N,)
+            self._hazard_step = self._hazard_table[self.s]
             self._cum_off = np.cumsum(off, axis=1)  # (N, N)
-            self._base_off = None
         else:
             off = gen.base.copy()
             np.fill_diagonal(off, 0.0)
-            self._p_jump_const = None
+            self._hazard_table = None
             self._base_out = off.sum(axis=1)
             self._base_off = off
         # clamp cache keyed on the identity of the raw action batch
@@ -279,51 +287,59 @@ class BatchStepper:
                 self.clamped_steps += int(np.count_nonzero(rows & self.alive))
         return self._clamp_val
 
-    def _refill(self) -> None:
+    def _refill(self) -> np.ndarray | None:
+        """Compact away retired rows and draw the next block of normals.
+
+        Returns the mask of kept rows, or None when every row was alive.
+        """
         self.check_finite()
+        keep = None
         if not self._all_alive:
             keep = self.alive
             self.x = self.x[keep]
             self.s = self.s[keep]
             self.original_index = self.original_index[keep]
+            self._clock = self._clock[keep]
+            self._hazard = self._hazard[keep]
+            if self._hazard_table is not None:
+                self._hazard_step = self._hazard_step[keep]
             self._gens = [g for g, k in zip(self._gens, keep) if k]
             self.alive = np.ones(self.x.shape[0], dtype=bool)
             self._all_alive = True
-        m = self.x.shape[0]
-        if self._u_step is None or self._u_step.shape[0] != m:
-            self._u_step = np.empty((m, CHUNK))
-            if not self._zero_diffusion:
-                if self._scalar:
-                    self._normals = np.empty((m, CHUNK))
-                else:
-                    self._normals = np.empty((m, CHUNK, self.wd))
-        if self._zero_diffusion:
-            for p, g in enumerate(self._gens):
-                g.random(out=self._u_step[p])
-        else:
+        if not self._zero_diffusion:
+            m = self.x.shape[0]
+            if self._normals is None or self._normals.shape[0] != m:
+                shape = (m, CHUNK) if self._scalar else (m, CHUNK, self.wd)
+                self._normals = np.empty(shape)
             for p, g in enumerate(self._gens):
                 g.standard_normal(out=self._normals[p])
-                g.random(out=self._u_step[p])
         self._pos = 0
+        return keep
 
     def step(self, u_raw: FloatArray) -> None:
-        """Advance every living row one Euler step using the given actions."""
+        """Advance every living row one Euler step using the given actions.
+
+        ``u_raw`` has one row per current row. When this step starts a new
+        chunk, retired rows are compacted away first and their actions with
+        them.
+        """
         if self._pos >= CHUNK:
-            self._refill()
+            keep = self._refill()
+            if keep is not None:
+                u_raw = u_raw[keep]
         pos = self._pos
         x, s, alive = self.x, self.s, self.alive
         all_alive = self._all_alive
         u = self._clamped(u_raw)
 
-        # jump probabilities from the pre-step state
-        u_step = self._u_step[:, pos]
-        if self._p_jump_const is not None:
-            p_jump = self._p_jump_const[s]
+        # hazard of this step's jump, -log1p(-p_jump), from the pre-step state
+        if self._hazard_table is not None:
+            self._hazard += self._hazard_step
             gval = None
         else:
             gen = self.spec.generator
             gval = 1.0 + gen.gx * np.tanh(x.mean(axis=1)) + gen.gu * np.tanh(u.mean(axis=1))
-            p_jump = self._base_out[s] * gval * self.dt
+            self._hazard -= np.log1p(-(self._base_out[s] * gval * self.dt))
 
         # Euler increment, in place on the scalar fast path
         if self._scalar:
@@ -356,27 +372,43 @@ class BatchStepper:
             else:
                 x[alive] += dx[alive]
 
-        # resolve jumps; on the event, u/dt is uniform on [0, total outflow)
-        jumped = u_step < p_jump
+        # a path jumps once its hazard passes its clock
+        jumped = self._hazard > self._clock
         if not all_alive:
             jumped &= alive
         if np.count_nonzero(jumped):
-            rows = np.nonzero(jumped)[0]
-            sj = s[rows]
-            r = u_step[rows] * self._inv_dt
-            if self._base_off is None:
-                cum = self._cum_off[sj]
-            else:
-                cum = np.cumsum(self._base_off[sj] * gval[rows, None], axis=1)
-            dest = np.argmax(r[:, None] < cum, axis=1)
-            if self.record_jumps:
-                t_next = self.t + self.dt
-                for i, row in enumerate(rows):
-                    self.jumps.append((t_next, int(s[row]) + 1, int(dest[i]) + 1))
-            s[rows] = dest
+            self._jump(np.nonzero(jumped)[0], gval)
 
         self._pos = pos + 1
         self.t += self.dt
+
+    def _jump(self, rows: np.ndarray, gval: FloatArray | None) -> None:
+        """Move the given rows to new regimes and restart their clocks.
+
+        Each row draws two uniforms from its own stream: the first picks the
+        destination in proportion to the pre-step rates, the second sets the
+        next Exp(1) clock.
+        """
+        s, gens = self.s, self._gens
+        draws = np.array([
+            (g.random(), g.random()) for g in map(gens.__getitem__, rows.tolist())
+        ])
+        self._clock[rows] = -np.log1p(-draws[:, 1])
+        self._hazard[rows] = 0.0
+        sj = s[rows]
+        if self._hazard_table is not None:
+            cum = self._cum_off[sj]
+        else:
+            cum = np.cumsum(self._base_off[sj] * gval[rows, None], axis=1)
+        # the first draw times the total outflow is uniform on [0, outflow)
+        dest = np.argmax((draws[:, 0] * cum[:, -1])[:, None] < cum, axis=1)
+        if self.record_jumps:
+            t_next = self.t + self.dt
+            for i, row in enumerate(rows):
+                self.jumps.append((t_next, int(s[row]) + 1, int(dest[i]) + 1))
+        s[rows] = dest
+        if self._hazard_table is not None:
+            self._hazard_step[rows] = self._hazard_table[dest]
 
 
 # ---------------------------------------------------------------------------
@@ -467,6 +499,11 @@ def simulate_path(spec: ModelSpec, policy, x0, i0, T: float, dt: float, stream: 
     )
 
 
+def _check_t_cap(t_cap: float) -> None:
+    if not np.isfinite(t_cap) or t_cap <= 0:
+        raise StepError("t_cap must be finite and positive")
+
+
 def outside_interval(x: FloatArray, domain: tuple[float, float]) -> np.ndarray:
     """Rows whose state has left the open box (lo, hi) in any coordinate."""
     lo, hi = domain
@@ -483,8 +520,7 @@ def simulate_exit_path(
     domain; no interpolation toward the boundary is applied. A start outside
     the domain terminates immediately with a zero-length path.
     """
-    if not np.isfinite(t_cap) or t_cap <= 0:
-        raise StepError("t_cap must be finite and positive")
+    _check_t_cap(t_cap)
     n_cap = _n_steps_for(t_cap, dt)
     eng = BatchStepper(
         spec, x0, i0, dt, seed=stream.seed, first_path_index=stream.path_index,

@@ -168,6 +168,28 @@ def test_solver_error_exits_3(tmp_path, capsys):
     assert "error:" in (out / "report.txt").read_text()
 
 
+@pytest.mark.parametrize(
+    "overrides,code_name",
+    [
+        ({"batch": -1}, "E_SHAPE"),
+        ({"batch": 0}, "E_SHAPE"),
+        ({"n_paths": 0}, "E_SHAPE"),
+        ({"criterion": "exit", "t_cap": 0.0}, "E_STEP"),
+        ({"criterion": "exit", "t_cap": -2.0}, "E_STEP"),
+    ],
+)
+def test_cost_rejects_bad_counts_and_time_cap(tmp_path, capsys, overrides, code_name):
+    block = {"criterion": "discounted", "x0": [0.0], "i0": 1, "dt": 0.05,
+             "n_paths": 16, "seed": 7, "eps_tail": 0.01, **overrides}
+    code, out = _run(tmp_path, {"command": "cost", "model": CHAIN, "cost": block})
+    assert code == 3
+    assert code_name in capsys.readouterr().err
+    assert not (out / "estimates.csv").exists()
+    results = json.loads((out / "results.json").read_text())
+    assert results["error"].startswith(code_name)
+    assert "value" not in results
+
+
 def test_config_errors_exit_4(tmp_path, capsys):
     bad_key = _write(tmp_path, {"command": "validate", "model": CHAIN, "bogus": 1})
     assert cli.main(["--config", str(bad_key), "--out", str(tmp_path / "a")]) == 4

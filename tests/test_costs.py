@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,6 +18,8 @@ from switchsde import (
     DriftFamily,
     ExitDiscount,
     McEstimate,
+    ShapeError,
+    StepError,
     UnboundedError,
     discounted_horizon,
     mc_discounted,
@@ -27,7 +30,7 @@ from switchsde import (
     write_estimates_csv,
 )
 from switchsde.costs import ESTIMATE_HEADER
-from conftest import bm_model, chain_model, chain_value
+from conftest import bm_model, chain_model, chain_value, saturated_model
 
 ZERO = ConstantPolicy(np.zeros(1))
 
@@ -229,3 +232,48 @@ def test_exit_cap_warning():
     with pytest.warns(CapFractionWarning, match="time cap"):
         est = mc_exit(spec, ZERO, [0.0], 1, 0.01, 64, seed=6, t_cap=0.05)
     assert est.capped_fraction > 0.9
+
+
+# ---------------------------------------------------------------------------
+# argument checks shared by every estimator
+
+
+ESTIMATORS = {
+    "discounted": lambda spec, **kw: mc_discounted(
+        spec, ZERO, [0.0], 1, 1.0, 0.05, seed=1, eps_tail=0.05, **kw),
+    "finite-horizon": lambda spec, **kw: mc_finite_horizon(
+        spec, ZERO, [0.0], 1, 0.5, 0.05, seed=1, **kw),
+    "ergodic": lambda spec, **kw: mc_ergodic(
+        spec, ZERO, [0.0], 1, 1.0, 0.05, seed=1, **kw),
+    "exit": lambda spec, **kw: mc_exit(
+        spec, ZERO, [0.0], 1, 0.05, seed=1, t_cap=1.0, **kw),
+}
+
+
+@pytest.mark.parametrize("criterion", sorted(ESTIMATORS))
+@pytest.mark.parametrize("n_paths,batch", [(0, 16), (-3, 16), (10, 0), (10, -1)])
+def test_estimators_reject_nonpositive_path_and_batch_counts(chain, criterion, n_paths, batch):
+    with pytest.raises(ShapeError, match="must both be >= 1"):
+        ESTIMATORS[criterion](chain, n_paths=n_paths, batch=batch)
+
+
+@pytest.mark.parametrize("t_cap", [0.0, -1.0, math.inf, math.nan])
+def test_exit_rejects_bad_time_cap(t_cap):
+    with pytest.raises(StepError, match="t_cap"):
+        mc_exit(bm_model(), ZERO, [0.0], 1, 0.01, 8, seed=1, t_cap=t_cap)
+
+
+def test_exit_batch_invariance_across_compaction():
+    # the drift depends on the action, so the actions must be compacted with
+    # the rows when paths that exited are dropped at a chunk boundary
+    spec = saturated_model()
+    policy = ConstantPolicy(np.array([1.0]))
+    args = (spec, policy, [0.0], 1, 0.002, 24)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CapFractionWarning)
+        alone = mc_exit(*args, seed=2, t_cap=2.5, batch=1)
+        batched = mc_exit(*args, seed=2, t_cap=2.5, batch=24)
+    assert 0.0 < alone.capped_fraction < 1.0
+    assert batched.value == alone.value
+    assert batched.stderr == alone.stderr
+    assert batched.capped_fraction == alone.capped_fraction

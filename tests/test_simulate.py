@@ -6,8 +6,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchsde import (
+    ActionGrid,
     BatchStepper,
+    BoundaryCost,
+    CallablePolicy,
     ConstantPolicy,
+    CostSpec,
+    ExitDiscount,
+    GeneratorSpec,
+    RegimeSet,
+    RunningCost,
+    TerminalCost,
     NanError,
     ShapeError,
     StepError,
@@ -20,6 +29,26 @@ from switchsde import DiffusionFamily, DriftFamily, ModelSpec
 from conftest import bm_model, chain_model
 
 ZERO = ConstantPolicy(np.zeros(1))
+
+
+def _switching_model(generator, sigma=0.0):
+    """Driftless 1-D model with the given regime generator and unit costs."""
+    n = generator.n_regimes
+    return ModelSpec(
+        dim=1,
+        regimes=RegimeSet(n),
+        actions=ActionGrid(np.array([[-1.0], [1.0]])),
+        drift=DriftFamily("constant", 1, n, 1, b0=np.zeros((n, 1))),
+        diffusion=DiffusionFamily("constant", 1, n, c0=np.full((n, 1, 1), float(sigma))),
+        generator=generator,
+        costs=CostSpec(
+            running=RunningCost("constant", n, 1, 1, value=1.0),
+            alpha=1.0, horizon=1.0,
+            terminal=TerminalCost("zero", n, 1),
+            exit_h=BoundaryCost("zero"), exit_beta=ExitDiscount("zero"),
+            exit_domain=(-1.0, 1.0),
+        ),
+    )
 
 
 def _with_drift(spec, b0):
@@ -92,6 +121,100 @@ def test_first_path_index_aligns_streams(seed, row):
     assert lone.s[0] == batch.s[row]
 
 
+def test_batch_row_equals_single_path_with_state_dependent_rates_and_compaction():
+    # x- and u-dependent rates, jumps on the compared paths, and a retirement
+    # before the first chunk boundary so survivors are compacted mid-run
+    base = np.array([[0.0, 1.0, 0.5], [0.7, 0.0, 0.3], [0.4, 0.6, 0.0]])
+    spec = _switching_model(
+        GeneratorSpec("state-action-dependent", 3, base=base, gx=0.5, gu=-0.3), sigma=0.3,
+    )
+    policy = CallablePolicy(lambda t, x, regimes: np.sin(3.0 * x))
+    n, dt, seed, m = 1500, 0.01, 17, 8
+    keep = {1, 4, 6}
+    eng = BatchStepper(spec, [0.0], 2, dt, seed=seed, first_path_index=0, n_paths=m)
+    xs = {p: [0.0] for p in keep}
+    ss = {p: [2] for p in keep}
+    for k in range(n):
+        if k == 300:
+            eng.mark_dead(~np.isin(eng.original_index, sorted(keep)))
+        eng.step(policy.actions_at(eng.t, eng.x, eng.s))
+        for p in keep:
+            row = int(np.flatnonzero(eng.original_index == p)[0])
+            xs[p].append(eng.x[row, 0])
+            ss[p].append(eng.s[row] + 1)
+    assert eng.x.shape[0] == len(keep)  # the refill at step CHUNK compacted
+    for p in keep:
+        single = simulate_path(spec, policy, [0.0], 2, n * dt, dt, make_rng_stream(seed, p))
+        assert len(single.jumps) > 0
+        assert np.array_equal(single.states[:, 0], xs[p])
+        assert np.array_equal(single.regimes, ss[p])
+
+
+@pytest.mark.parametrize("kind", ["constant", "state-action-dependent"])
+def test_zero_outflow_regime_never_jumps(kind):
+    # regime 2 has no outflow; regime 1 drains into it
+    if kind == "constant":
+        gen = GeneratorSpec("constant", 2, rates=np.array([[-3.0, 3.0], [0.0, 0.0]]))
+    else:
+        gen = GeneratorSpec("state-action-dependent", 2,
+                            base=np.array([[0.0, 3.0], [0.0, 0.0]]), gx=0.5)
+    spec = _switching_model(gen, sigma=0.5)
+    n_paths, n, dt = 500, 400, 0.02
+    eng = BatchStepper(spec, [0.0], np.array([1, 2] * (n_paths // 2)), dt, seed=4,
+                       n_paths=n_paths)
+    eng._clock[1::2] = 0.0  # even a zero clock stays unfired without hazard
+    u = np.zeros((n_paths, 1))
+    arrived = eng.s == 1
+    for _ in range(n):
+        eng.step(u)
+        assert np.all(eng.s[arrived] == 1)
+        arrived |= eng.s == 1
+    assert arrived[0::2].sum() > 0.9 * (n_paths // 2)
+
+
+def test_first_jump_step_is_geometric():
+    # P(first jump at step k) = (1 - p)^(k - 1) p with p = outflow * dt
+    gen = GeneratorSpec("constant", 2, rates=np.array([[-2.0, 2.0], [0.0, 0.0]]))
+    spec = _switching_model(gen)
+    n_paths, dt = 20_000, 0.05
+    p = 2.0 * dt
+    eng = BatchStepper(spec, [0.0], 1, dt, seed=8, n_paths=n_paths)
+    u = np.zeros((n_paths, 1))
+    first = np.zeros(n_paths, dtype=np.int64)
+    for k in range(1, 401):
+        eng.step(u)
+        first[(first == 0) & (eng.s == 1)] = k
+    assert np.all(first > 0)
+    mean = first.mean()
+    se = np.sqrt((1.0 - p) / p**2 / n_paths)
+    assert abs(mean - 1.0 / p) <= 4.0 * se
+
+
+@pytest.mark.parametrize("kind", ["constant", "state-action-dependent"])
+def test_destinations_are_proportional_to_rates(kind):
+    # out of regime 1 only; rates 1 : 0 : 3 to regimes 2, 3, 4, all absorbing
+    row = np.array([0.0, 1.0, 0.0, 3.0])
+    off = np.zeros((4, 4))
+    off[0] = row
+    if kind == "constant":
+        gen = GeneratorSpec("constant", 4, rates=off - np.diag(off.sum(axis=1)))
+    else:
+        gen = GeneratorSpec("state-action-dependent", 4, base=off, gx=0.4, gu=0.4)
+    spec = _switching_model(gen, sigma=0.5)
+    n_paths, n, dt = 4000, 200, 0.008
+    eng = BatchStepper(spec, [0.0], 1, dt, seed=12, n_paths=n_paths)
+    policy = CallablePolicy(lambda t, x, regimes: np.tanh(x))
+    for _ in range(n):
+        eng.step(policy.actions_at(eng.t, eng.x, eng.s))
+    counts = np.bincount(eng.s, minlength=4)[1:]
+    total = counts.sum()
+    assert total > 0.9 * n_paths
+    assert counts[1] == 0
+    for j, share in ((0, 0.25), (2, 0.75)):
+        se = np.sqrt(share * (1.0 - share) / total)
+        assert abs(counts[j] / total - share) <= 4.0 * se
+
+
 # ---------------------------------------------------------------------------
 # law checks
 
@@ -141,25 +264,8 @@ def test_jump_count_matches_rate(make_chain):
 
 def test_jump_destinations_follow_rate_ratios():
     # three regimes, jump out of regime 1 lands on 2 vs 3 at ratio 3:1
-    from switchsde import (ActionGrid, BoundaryCost, CostSpec, ExitDiscount,
-                           GeneratorSpec, RegimeSet, RunningCost, TerminalCost)
-
     rates = np.array([[-4.0, 3.0, 1.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    spec = ModelSpec(
-        dim=1,
-        regimes=RegimeSet(3),
-        actions=ActionGrid(np.zeros((1, 1))),
-        drift=DriftFamily("constant", 1, 3, 1, b0=np.zeros((3, 1))),
-        diffusion=DiffusionFamily("constant", 1, 3, c0=np.zeros((3, 1, 1))),
-        generator=GeneratorSpec("constant", 3, rates=rates),
-        costs=CostSpec(
-            running=RunningCost("constant", 3, 1, 1, value=1.0),
-            alpha=1.0, horizon=1.0,
-            terminal=TerminalCost("zero", 3, 1),
-            exit_h=BoundaryCost("zero"), exit_beta=ExitDiscount("zero"),
-            exit_domain=(-1.0, 1.0),
-        ),
-    )
+    spec = _switching_model(GeneratorSpec("constant", 3, rates=rates))
     n_paths, n, dt = 3000, 40, 0.00625
     eng = BatchStepper(spec, [0.0], 1, dt, seed=2, n_paths=n_paths)
     u = np.zeros((n_paths, 1))
