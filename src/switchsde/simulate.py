@@ -9,27 +9,32 @@ p_k = (sum_{j != i} m_ij(X_k, U_k)) dt, to a destination drawn
 proportionally to m_ij. The step bound dt <= 1/(4 N M) keeps p_k at or
 below one quarter.
 
-Jumps are driven by a hazard clock rather than a per-step uniform. Each
-path holds an Exp(1) clock E = -log1p(-v) and a running hazard H; every
-step adds -log1p(-p_k) to H, and the path jumps as soon as H > E. Given no
-jump since the last one, the jump fires at step k with probability exactly
-p_k, so the discretised chain's law is the per-step Bernoulli thinning's.
-The inequality is strict, so a regime with zero outflow never jumps. On a
-jump the path draws two uniforms: the first picks the destination from the
-cumulative outflow table, the second sets the next clock; H restarts at 0.
+Jumps are driven by a clock rather than a per-step uniform. Each path holds
+a uniform clock W = 1 - v in (0, 1] and a survival product S, the chance
+of no jump since its last one; every step multiplies S by 1 - p_k, and the
+path jumps as soon as S < W. Given no jump since the last one, the jump
+fires at step k with probability exactly p_k, so the discretised chain's
+law is the per-step Bernoulli thinning's. A regime with zero outflow keeps
+S at 1, so it never jumps. On a jump the path takes two uniforms: the first
+picks the destination from the cumulative outflow table, the second sets
+the next clock; S restarts at 1.
 
 Randomness is counter based: path p draws from a Philox stream keyed by
 (seed, p), independent of every other path and of how paths are batched.
 Each path consumes its stream in this order: one uniform for the first
 clock, then, per block of CHUNK steps, the block's Gaussian increments
-(none at all when the diffusion is identically zero, a static property of
-the spec), interleaved in step order with two uniforms per jump. The order
+(none when the diffusion is identically zero) followed by a fixed number of
+jump uniforms (none when no regime has outflow). Both counts depend only on
+the spec and dt. Jumps take their uniforms from the block's supply two at a
+time; a path that uses it up draws further pairs straight from its stream,
+in step order, and leftovers are dropped at the block's end. The order
 depends only on the path's own trajectory, so a path simulated alone is
 bit-identical to the same path inside any batch.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -206,17 +211,19 @@ class BatchStepper:
         self.alive = np.ones(m, dtype=bool)
         self.original_index = np.arange(m, dtype=np.int64)
         # one generator per path, alive for the whole run; its first draw
-        # sets the path's first Exp(1) jump clock
+        # sets the path's first jump clock
         self._gens = [
             make_rng_stream(seed, first_path_index + p).generator() for p in range(m)
         ]
-        self._clock = -np.log1p(-np.array([g.random() for g in self._gens]))
-        self._hazard = np.zeros(m)
+        self._clock = 1.0 - np.array([g.random() for g in self._gens])
+        self._survival = np.ones(m)
         self.clamped_steps = 0
         self.record_jumps = record_jumps
         self.jumps: list[tuple[float, int, int]] = []
         self._pos = CHUNK  # forces a refill on the first step
         self._normals = None
+        self._jump_u = None
+        self._jump_next = None
         self._all_alive = True
         self._sqrt_dt = np.sqrt(self.dt)
 
@@ -236,17 +243,20 @@ class BatchStepper:
         if gen.kind == "constant":
             off = gen.rates.copy()
             np.fill_diagonal(off, 0.0)
-            # hazard added per step in each regime, -log1p(-p_jump), and its
-            # value in each row's current regime (refreshed on jumps)
-            self._hazard_table = -np.log1p(-off.sum(axis=1) * self.dt)  # (N,)
-            self._hazard_step = self._hazard_table[self.s]
+            self._stay = 1.0 - off.sum(axis=1) * self.dt  # (N,), 1 - p_jump
             self._cum_off = np.cumsum(off, axis=1)  # (N, N)
+            p_max = 1.0 - self._stay.min()
         else:
             off = gen.base.copy()
             np.fill_diagonal(off, 0.0)
-            self._hazard_table = None
+            self._stay = None
             self._base_out = off.sum(axis=1)
             self._base_off = off
+            p_max = self._base_out.max() * (1.0 + abs(gen.gx) + abs(gen.gu)) * self.dt
+        # jump uniforms per block: two per jump for the block's expected jump
+        # count in the fastest regime plus four standard deviations
+        lam = p_max * CHUNK
+        self._n_jump_u = 2 * math.ceil(lam + 4.0 * math.sqrt(lam)) if lam > 0 else 0
         # clamp cache keyed on the identity of the raw action batch
         self._clamp_key = None
         self._clamp_val = None
@@ -288,7 +298,7 @@ class BatchStepper:
         return self._clamp_val
 
     def _refill(self) -> np.ndarray | None:
-        """Compact away retired rows and draw the next block of normals.
+        """Compact away retired rows and draw the next block's randomness.
 
         Returns the mask of kept rows, or None when every row was alive.
         """
@@ -300,19 +310,24 @@ class BatchStepper:
             self.s = self.s[keep]
             self.original_index = self.original_index[keep]
             self._clock = self._clock[keep]
-            self._hazard = self._hazard[keep]
-            if self._hazard_table is not None:
-                self._hazard_step = self._hazard_step[keep]
+            self._survival = self._survival[keep]
             self._gens = [g for g, k in zip(self._gens, keep) if k]
             self.alive = np.ones(self.x.shape[0], dtype=bool)
             self._all_alive = True
-        if not self._zero_diffusion:
-            m = self.x.shape[0]
-            if self._normals is None or self._normals.shape[0] != m:
+        m = self.x.shape[0]
+        if self._jump_u is None or self._jump_u.shape[0] != m:
+            self._jump_u = np.empty((m, self._n_jump_u))
+            if not self._zero_diffusion:
                 shape = (m, CHUNK) if self._scalar else (m, CHUNK, self.wd)
                 self._normals = np.empty(shape)
+        # per path, the normals come first in its stream, then the uniforms
+        if not self._zero_diffusion:
             for p, g in enumerate(self._gens):
                 g.standard_normal(out=self._normals[p])
+        if self._n_jump_u:
+            for p, g in enumerate(self._gens):
+                g.random(out=self._jump_u[p])
+        self._jump_next = np.zeros(m, dtype=np.int64)
         self._pos = 0
         return keep
 
@@ -332,14 +347,14 @@ class BatchStepper:
         all_alive = self._all_alive
         u = self._clamped(u_raw)
 
-        # hazard of this step's jump, -log1p(-p_jump), from the pre-step state
-        if self._hazard_table is not None:
-            self._hazard += self._hazard_step
+        # survive this step's jump, probability 1 - p_jump, from the pre-step state
+        if self._stay is not None:
+            self._survival *= self._stay[s]
             gval = None
         else:
             gen = self.spec.generator
             gval = 1.0 + gen.gx * np.tanh(x.mean(axis=1)) + gen.gu * np.tanh(u.mean(axis=1))
-            self._hazard -= np.log1p(-(self._base_out[s] * gval * self.dt))
+            self._survival *= 1.0 - self._base_out[s] * gval * self.dt
 
         # Euler increment, in place on the scalar fast path
         if self._scalar:
@@ -372,8 +387,8 @@ class BatchStepper:
             else:
                 x[alive] += dx[alive]
 
-        # a path jumps once its hazard passes its clock
-        jumped = self._hazard > self._clock
+        # a path jumps once its survival drops below its clock
+        jumped = self._survival < self._clock
         if not all_alive:
             jumped &= alive
         if np.count_nonzero(jumped):
@@ -385,18 +400,21 @@ class BatchStepper:
     def _jump(self, rows: np.ndarray, gval: FloatArray | None) -> None:
         """Move the given rows to new regimes and restart their clocks.
 
-        Each row draws two uniforms from its own stream: the first picks the
-        destination in proportion to the pre-step rates, the second sets the
-        next Exp(1) clock.
+        Each row takes two uniforms, from the block's supply or, once that
+        is used up, from its own stream: the first picks the destination in
+        proportion to the pre-step rates, the second sets the next clock.
         """
-        s, gens = self.s, self._gens
-        draws = np.array([
-            (g.random(), g.random()) for g in map(gens.__getitem__, rows.tolist())
-        ])
-        self._clock[rows] = -np.log1p(-draws[:, 1])
-        self._hazard[rows] = 0.0
+        s = self.s
+        nxt = self._jump_next[rows]
+        supplied = nxt + 2 <= self._n_jump_u
+        draws = self._jump_u[rows[:, None], np.minimum(nxt, self._n_jump_u - 2)[:, None] + [0, 1]]
+        self._jump_next[rows[supplied]] += 2
+        for i in np.flatnonzero(~supplied):
+            draws[i] = self._gens[rows[i]].random(2)
+        self._clock[rows] = 1.0 - draws[:, 1]
+        self._survival[rows] = 1.0
         sj = s[rows]
-        if self._hazard_table is not None:
+        if self._stay is not None:
             cum = self._cum_off[sj]
         else:
             cum = np.cumsum(self._base_off[sj] * gval[rows, None], axis=1)
@@ -407,8 +425,6 @@ class BatchStepper:
             for i, row in enumerate(rows):
                 self.jumps.append((t_next, int(s[row]) + 1, int(dest[i]) + 1))
         s[rows] = dest
-        if self._hazard_table is not None:
-            self._hazard_step[rows] = self._hazard_table[dest]
 
 
 # ---------------------------------------------------------------------------

@@ -162,7 +162,7 @@ def test_zero_outflow_regime_never_jumps(kind):
     n_paths, n, dt = 500, 400, 0.02
     eng = BatchStepper(spec, [0.0], np.array([1, 2] * (n_paths // 2)), dt, seed=4,
                        n_paths=n_paths)
-    eng._clock[1::2] = 0.0  # even a zero clock stays unfired without hazard
+    eng._clock[1::2] = 1.0  # even the highest clock stays unfired without outflow
     u = np.zeros((n_paths, 1))
     arrived = eng.s == 1
     for _ in range(n):
@@ -170,6 +170,31 @@ def test_zero_outflow_regime_never_jumps(kind):
         assert np.all(eng.s[arrived] == 1)
         arrived |= eng.s == 1
     assert arrived[0::2].sum() > 0.9 * (n_paths // 2)
+
+
+def test_exhausted_jump_supply_keeps_batch_invariance_and_law():
+    # one jump's uniforms per block, so nearly every jump of this fast chain
+    # (p = 1/8 at its dt bound) draws its pair straight from the path stream
+    spec = chain_model(sigma=0.3, m12=5.0, m21=5.0)
+    n, dt, seed, m = 1100, 0.025, 21, 64
+
+    def stepper(first, count):
+        eng = BatchStepper(spec, [0.0], 1, dt, seed=seed, first_path_index=first, n_paths=count)
+        eng._n_jump_u = 2
+        return eng
+
+    eng = stepper(0, m)
+    lone = {p: stepper(p, 1) for p in (0, 5, 63)}
+    jumps = 0
+    for _ in range(n):
+        before = eng.s.copy()
+        eng.step(np.zeros((m, 1)))
+        jumps += int(np.count_nonzero(eng.s != before))
+        for p, one in lone.items():
+            one.step(np.zeros((1, 1)))
+            assert one.x[0, 0] == eng.x[p, 0] and one.s[0] == eng.s[p]
+    p_jump, total = 5.0 * dt, m * n
+    assert abs(jumps / total - p_jump) <= 4.0 * np.sqrt(p_jump * (1.0 - p_jump) / total)
 
 
 def test_first_jump_step_is_geometric():
@@ -213,6 +238,22 @@ def test_destinations_are_proportional_to_rates(kind):
     for j, share in ((0, 0.25), (2, 0.75)):
         se = np.sqrt(share * (1.0 - share) / total)
         assert abs(counts[j] / total - share) <= 4.0 * se
+
+
+def test_next_clock_is_independent_of_the_destination():
+    # regime 1 feeds 2 and 3 at equal rates and both return at one rate, so
+    # the two sojourns have one law whatever uniform picked the destination
+    off = np.array([[0.0, 2.0, 2.0], [1.5, 0.0, 0.0], [1.5, 0.0, 0.0]])
+    gen = GeneratorSpec("constant", 3, rates=off - np.diag(off.sum(axis=1)))
+    spec = _switching_model(gen)
+    n_paths, n, dt = 2000, 2000, 0.01
+    eng = BatchStepper(spec, [0.0], 1, dt, seed=23, n_paths=n_paths)
+    u = np.zeros((n_paths, 1))
+    occupied = np.zeros(3)
+    for _ in range(n):
+        eng.step(u)
+        occupied += np.bincount(eng.s, minlength=3)
+    assert abs(occupied[1] / occupied[2] - 1.0) <= 0.05
 
 
 # ---------------------------------------------------------------------------
