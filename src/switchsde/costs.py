@@ -17,7 +17,7 @@ import numpy as np
 from .errors import CapFractionWarning, ShapeError, UnboundedError
 from .io import write_csv
 from .model import FloatArray, ModelSpec
-from .simulate import BatchStepper, _check_t_cap, _n_steps_for, outside_interval
+from .simulate import BatchStepper, _check_step_budget, _check_t_cap, _n_steps_for, outside_interval
 
 DEFAULT_BATCH = 16384
 
@@ -162,9 +162,10 @@ def mc_discounted(
     Discounting is applied per step at the left endpoint, e^(-alpha t_k).
     The reported truncation_bias_bound is eps_tail itself.
     """
-    if alpha <= 0 or eps_tail <= 0:
+    if not (alpha > 0 and eps_tail > 0):
         raise UnboundedError("mc_discounted needs alpha > 0 and eps_tail > 0")
     t_alpha = discounted_horizon(spec, alpha, eps_tail)
+    _check_step_budget(t_alpha, dt)
     n_steps = max(int(math.ceil(t_alpha / dt - 1e-12)), 0)
     weights = dt * np.exp(-alpha * dt * np.arange(n_steps))
     totals = _run_weighted(spec, policy, x0, i0, dt, n_steps, seed, n_paths, weights, batch=batch)
@@ -205,9 +206,15 @@ def mc_exit(
     and add e^(-B_tau) h at the exit node. Paths still inside the domain at
     t_cap keep their accrued running cost, get no exit payoff, and are
     counted in capped_fraction; a fraction above 1% raises the cap warning.
+
+    The running value and B are held per stepper row and compacted with the
+    rows whenever ``BatchStepper.step`` compacts. Costs are evaluated on the
+    whole batch; a retired row's entries are ignored, since its value was
+    written once, at its exit.
     """
     _check_counts(n_paths, batch)
     _check_t_cap(t_cap)
+    _check_step_budget(t_cap, dt)
     domain = spec.costs.exit_domain if domain is None else domain
     beta = spec.costs.exit_beta if beta is None else beta
     exit_h = spec.costs.exit_h if exit_h is None else exit_h
@@ -215,31 +222,40 @@ def mc_exit(
 
     values = np.zeros(n_paths)
     capped = np.zeros(n_paths, dtype=bool)
-    log_disc = np.zeros(n_paths)
     for start in range(0, n_paths, batch):
         m = min(batch, n_paths - start)
         eng = BatchStepper(spec, x0, i0, dt, seed, first_path_index=start, n_paths=m)
+        acc = np.zeros(m)
+        log_disc = np.zeros(m)
+        last_u = None
+        uc = None
         for k in range(n_cap + 1):
             out_rows = outside_interval(eng.x, domain) & eng.alive
             if np.any(out_rows):
-                orig = start + eng.original_index[out_rows]
-                disc = np.exp(-log_disc[orig])
-                values[orig] += disc * exit_h.eval_batch(eng.x[out_rows], eng.s[out_rows])
+                h = exit_h.eval_batch(eng.x[out_rows], eng.s[out_rows])
+                values[start + eng.original_index[out_rows]] = (
+                    acc[out_rows] + np.exp(-log_disc[out_rows]) * h
+                )
                 eng.mark_dead(out_rows)
             if eng.n_alive == 0:
                 break
             if k == n_cap:
-                capped[start + eng.original_index[eng.alive]] = True
+                orig = start + eng.original_index[eng.alive]
+                capped[orig] = True
+                values[orig] = acc[eng.alive]
                 break
             u = policy.actions_at(eng.t, eng.x, eng.s)
-            uc = spec.actions.clamp(u)
-            al = eng.alive
-            orig = start + eng.original_index[al]
-            c = spec.costs.running.eval_batch(eng.x[al], eng.s[al], uc[al])
-            b = beta.eval_batch(eng.x[al], eng.s[al], uc[al])
-            values[orig] += np.exp(-log_disc[orig]) * c * dt
-            log_disc[orig] += b * dt
-            eng.step(u)
+            if u is not last_u:
+                uc = spec.actions.clamp(u)
+                last_u = u
+            c = spec.costs.running.eval_batch(eng.x, eng.s, uc)
+            b = beta.eval_batch(eng.x, eng.s, uc)
+            acc += np.exp(-log_disc) * c * dt
+            log_disc += b * dt
+            keep = eng.step(u)
+            if keep is not None:
+                acc = acc[keep]
+                log_disc = log_disc[keep]
         eng.check_finite()
 
     value, stderr = _mean_stderr(values)

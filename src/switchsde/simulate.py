@@ -30,6 +30,13 @@ time; a path that uses it up draws further pairs straight from its stream,
 in step order, and leftovers are dropped at the block's end. The order
 depends only on the path's own trajectory, so a path simulated alone is
 bit-identical to the same path inside any batch.
+
+A batch retires rows with mark_dead. It compacts them away at the next
+chunk refill, or earlier, at the start of the first step at which at most
+half of its rows are alive; a mid-block compaction carries the survivors'
+unused draws along with them, so compaction never changes a path. step()
+returns the mask of kept rows when it compacts, and None otherwise, so a
+caller holding state row by row compacts it the same way.
 """
 
 from __future__ import annotations
@@ -163,13 +170,15 @@ class BatchStepper:
     """Drives a batch of paths with per-path streams and chunked draws.
 
     Rows can be retired (mark_dead); retired rows stop updating immediately
-    and are compacted away at the next chunk refill so the per-step work
-    shrinks with the surviving population. ``original_index`` maps current
-    rows back to path indices.
+    and are compacted away at the next chunk refill, or mid-block as soon as
+    at most half the rows are alive, so the per-step work shrinks with the
+    surviving population. ``step`` returns the kept-row mask of a compaction
+    (else None). ``original_index`` maps current rows back to path indices.
 
-    Non-finite states are detected at chunk boundaries and on an explicit
-    check_finite() call, not per step; callers that consume the final state
-    should call check_finite() once after their loop.
+    Non-finite states are detected at chunk boundaries, before every
+    compaction and on an explicit check_finite() call, not per step;
+    callers that consume the final state should call check_finite() once
+    after their loop.
     """
 
     def __init__(
@@ -209,6 +218,7 @@ class BatchStepper:
             raise ShapeError(f"i0 outside 1..{spec.regimes.count}")
         self.s = i0 - 1
         self.alive = np.ones(m, dtype=bool)
+        self._n_alive = m
         self.original_index = np.arange(m, dtype=np.int64)
         # one generator per path, alive for the whole run; its first draw
         # sets the path's first jump clock
@@ -221,8 +231,6 @@ class BatchStepper:
         self.record_jumps = record_jumps
         self.jumps: list[tuple[float, int, int]] = []
         self._pos = CHUNK  # forces a refill on the first step
-        self._normals = None
-        self._jump_u = None
         self._jump_next = None
         self._all_alive = True
         self._sqrt_dt = np.sqrt(self.dt)
@@ -257,6 +265,11 @@ class BatchStepper:
         # count in the fastest regime plus four standard deviations
         lam = p_max * CHUNK
         self._n_jump_u = 2 * math.ceil(lam + 4.0 * math.sqrt(lam)) if lam > 0 else 0
+        # block buffers; rows only shrink, so later blocks use leading rows
+        self._jump_u = np.empty((m, self._n_jump_u))
+        self._normals = None
+        if not self._zero_diffusion:
+            self._normals = np.empty((m, CHUNK) if self._scalar else (m, CHUNK, self.wd))
         # clamp cache keyed on the identity of the raw action batch
         self._clamp_key = None
         self._clamp_val = None
@@ -264,11 +277,12 @@ class BatchStepper:
 
     @property
     def n_alive(self) -> int:
-        return int(self.alive.sum())
+        return self._n_alive
 
     def mark_dead(self, dead_rows: np.ndarray) -> None:
         self.alive &= ~dead_rows
         self._all_alive = False
+        self._n_alive = int(np.count_nonzero(self.alive))
 
     def check_finite(self) -> None:
         if np.isfinite(self.x).all():
@@ -297,31 +311,40 @@ class BatchStepper:
                 self.clamped_steps += int(np.count_nonzero(rows & self.alive))
         return self._clamp_val
 
-    def _refill(self) -> np.ndarray | None:
-        """Compact away retired rows and draw the next block's randomness.
+    def _compact(self) -> np.ndarray:
+        """Move the living rows to the front and drop the rest.
 
-        Returns the mask of kept rows, or None when every row was alive.
+        Mid-block, the survivors' unused normals, jump uniforms and supply
+        positions move with them, in place in the block buffers. Returns
+        the mask of kept rows.
         """
-        self.check_finite()
-        keep = None
-        if not self._all_alive:
-            keep = self.alive
-            self.x = self.x[keep]
-            self.s = self.s[keep]
-            self.original_index = self.original_index[keep]
-            self._clock = self._clock[keep]
-            self._survival = self._survival[keep]
-            self._gens = [g for g, k in zip(self._gens, keep) if k]
-            self.alive = np.ones(self.x.shape[0], dtype=bool)
-            self._all_alive = True
+        keep = self.alive
+        rows = np.flatnonzero(keep)
+        n, pos = rows.size, self._pos
+        self.x = self.x[rows]
+        self.s = self.s[rows]
+        self.original_index = self.original_index[rows]
+        self._clock = self._clock[rows]
+        self._survival = self._survival[rows]
+        self._gens = [self._gens[r] for r in rows]
+        if pos < CHUNK:
+            if self._normals is not None:
+                self._normals[:n, pos:] = self._normals[rows, pos:]
+            self._jump_u[:n] = self._jump_u[rows]
+            self._jump_next = self._jump_next[rows]
+        if self._normals is not None:
+            self._normals = self._normals[:n]
+        self._jump_u = self._jump_u[:n]
+        self.alive = np.ones(n, dtype=bool)
+        self._all_alive = True
+        self._n_alive = n
+        return keep
+
+    def _refill(self) -> None:
+        """Draw the next block's randomness into the leading buffer rows."""
         m = self.x.shape[0]
-        if self._jump_u is None or self._jump_u.shape[0] != m:
-            self._jump_u = np.empty((m, self._n_jump_u))
-            if not self._zero_diffusion:
-                shape = (m, CHUNK) if self._scalar else (m, CHUNK, self.wd)
-                self._normals = np.empty(shape)
         # per path, the normals come first in its stream, then the uniforms
-        if not self._zero_diffusion:
+        if self._normals is not None:
             for p, g in enumerate(self._gens):
                 g.standard_normal(out=self._normals[p])
         if self._n_jump_u:
@@ -329,19 +352,24 @@ class BatchStepper:
                 g.random(out=self._jump_u[p])
         self._jump_next = np.zeros(m, dtype=np.int64)
         self._pos = 0
-        return keep
 
-    def step(self, u_raw: FloatArray) -> None:
+    def step(self, u_raw: FloatArray) -> np.ndarray | None:
         """Advance every living row one Euler step using the given actions.
 
         ``u_raw`` has one row per current row. When this step starts a new
-        chunk, retired rows are compacted away first and their actions with
-        them.
+        chunk, or at most half the rows are alive, retired rows are first
+        compacted away and their actions with them; the kept-row mask is
+        then returned, else None.
         """
-        if self._pos >= CHUNK:
-            keep = self._refill()
-            if keep is not None:
+        keep = None
+        refill = self._pos >= CHUNK
+        if refill or (not self._all_alive and 2 * self._n_alive <= self.x.shape[0]):
+            self.check_finite()
+            if not self._all_alive:
+                keep = self._compact()
                 u_raw = u_raw[keep]
+            if refill:
+                self._refill()
         pos = self._pos
         x, s, alive = self.x, self.s, self.alive
         all_alive = self._all_alive
@@ -396,6 +424,7 @@ class BatchStepper:
 
         self._pos = pos + 1
         self.t += self.dt
+        return keep
 
     def _jump(self, rows: np.ndarray, gval: FloatArray | None) -> None:
         """Move the given rows to new regimes and restart their clocks.
@@ -475,12 +504,19 @@ class PathSample:
         write_csv(path, header, rows, comments=comments)
 
 
+def _check_step_budget(T: float, dt: float) -> None:
+    """Reject a non-positive dt, and a T/dt that is NaN or beyond MAX_STEPS."""
+    if not dt > 0:
+        raise StepError(f"dt = {dt} must be positive")
+    if not T / dt <= MAX_STEPS:
+        raise StepError(f"T/dt = {T / dt:.6g} is outside the step budget {MAX_STEPS}")
+
+
 def _n_steps_for(T: float, dt: float) -> int:
+    _check_step_budget(T, dt)
     n = int(round(T / dt))
     if n < 0 or abs(n * dt - T) > 1e-9 * max(1.0, abs(T)):
         raise StepError(f"horizon T = {T} is not an integer multiple of dt = {dt}")
-    if n > MAX_STEPS:
-        raise StepError(f"T/dt = {n} exceeds the step budget {MAX_STEPS}")
     return n
 
 

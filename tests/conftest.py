@@ -4,8 +4,13 @@ Every closed-form oracle in the tests is pinned to one of these builders, so
 the construction parameters are frozen here and referenced by fixture.
 """
 
+import shutil
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis.configuration import set_hypothesis_home_dir
 
 from switchsde import (
     ActionGrid,
@@ -21,6 +26,19 @@ from switchsde import (
     RunningCost,
     TerminalCost,
 )
+
+# the same examples on every run, and no example database on disk; each
+# test's own max_examples and deadline still apply
+settings.register_profile("tier1", derandomize=True, database=None)
+settings.load_profile("tier1")
+
+
+def pytest_configure(config):
+    # hypothesis still caches the constants it reads from local source files;
+    # keep that cache in a temporary directory, not in the checkout
+    home = tempfile.mkdtemp(prefix="hypothesis-")
+    config.add_cleanup(lambda: shutil.rmtree(home, ignore_errors=True))
+    set_hypothesis_home_dir(home)
 
 
 def chain_model(sigma=0.2, m12=1.0, m21=2.0, values=(1.0, 2.0), alpha=1.0):

@@ -190,6 +190,18 @@ def test_cost_rejects_bad_counts_and_time_cap(tmp_path, capsys, overrides, code_
     assert "value" not in results
 
 
+@pytest.mark.parametrize("criterion", ["discounted", "finite-horizon", "ergodic", "exit"])
+@pytest.mark.parametrize("dt", [1e-9, 0.0])
+def test_cost_rejects_bad_dt_and_runs_beyond_the_step_budget(tmp_path, capsys, criterion, dt):
+    # at dt = 1e-9 each criterion asks for 1e9 to 1e12 steps
+    block = {"criterion": criterion, "x0": [0.0], "i0": 1, "dt": dt, "n_paths": 4, "seed": 7,
+             "t": 1.0, "t_long": 2.0, "t_cap": 1000.0}
+    code, out = _run(tmp_path, {"command": "cost", "model": CHAIN, "cost": block})
+    assert code == 3
+    assert "E_STEP" in capsys.readouterr().err
+    assert not (out / "estimates.csv").exists()
+
+
 def test_config_errors_exit_4(tmp_path, capsys):
     bad_key = _write(tmp_path, {"command": "validate", "model": CHAIN, "bogus": 1})
     assert cli.main(["--config", str(bad_key), "--out", str(tmp_path / "a")]) == 4

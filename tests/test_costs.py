@@ -11,12 +11,16 @@ from hypothesis import strategies as st
 
 from switchsde import (
     DEFAULT_BATCH,
+    BatchStepper,
     BoundaryCost,
     CapFractionWarning,
     ConstantPolicy,
     DiffusionFamily,
     DriftFamily,
     ExitDiscount,
+    GeneratorSpec,
+    Grid1D,
+    GridPolicy,
     McEstimate,
     ShapeError,
     StepError,
@@ -27,9 +31,11 @@ from switchsde import (
     mc_exit,
     mc_finite_horizon,
     pairwise_sum,
+    solve_exit,
     write_estimates_csv,
 )
 from switchsde.costs import ESTIMATE_HEADER
+from switchsde.simulate import CHUNK
 from conftest import bm_model, chain_model, chain_value, saturated_model
 
 ZERO = ConstantPolicy(np.zeros(1))
@@ -93,6 +99,10 @@ def test_discounted_rejects_bad_parameters(chain):
         mc_discounted(chain, ZERO, [0.0], 1, 0.0, 0.01, 4, seed=1)
     with pytest.raises(UnboundedError):
         mc_discounted(chain, ZERO, [0.0], 1, 1.0, 0.01, 4, seed=1, eps_tail=0.0)
+    with pytest.raises(UnboundedError):
+        mc_discounted(chain, ZERO, [0.0], 1, 1.0, 0.01, 4, seed=1, eps_tail=math.nan)
+    with pytest.raises(UnboundedError):
+        mc_discounted(chain, ZERO, [0.0], 1, math.nan, 0.01, 4, seed=1)
 
 
 def test_discounted_constant_cost_is_deterministic():
@@ -239,14 +249,14 @@ def test_exit_cap_warning():
 
 
 ESTIMATORS = {
-    "discounted": lambda spec, **kw: mc_discounted(
-        spec, ZERO, [0.0], 1, 1.0, 0.05, seed=1, eps_tail=0.05, **kw),
-    "finite-horizon": lambda spec, **kw: mc_finite_horizon(
-        spec, ZERO, [0.0], 1, 0.5, 0.05, seed=1, **kw),
-    "ergodic": lambda spec, **kw: mc_ergodic(
-        spec, ZERO, [0.0], 1, 1.0, 0.05, seed=1, **kw),
-    "exit": lambda spec, **kw: mc_exit(
-        spec, ZERO, [0.0], 1, 0.05, seed=1, t_cap=1.0, **kw),
+    "discounted": lambda spec, dt=0.05, **kw: mc_discounted(
+        spec, ZERO, [0.0], 1, 1.0, dt, seed=1, eps_tail=0.05, **kw),
+    "finite-horizon": lambda spec, dt=0.05, **kw: mc_finite_horizon(
+        spec, ZERO, [0.0], 1, 0.5, dt, seed=1, **kw),
+    "ergodic": lambda spec, dt=0.05, **kw: mc_ergodic(
+        spec, ZERO, [0.0], 1, 1.0, dt, seed=1, **kw),
+    "exit": lambda spec, dt=0.05, **kw: mc_exit(
+        spec, ZERO, [0.0], 1, dt, seed=1, t_cap=1.0, **kw),
 }
 
 
@@ -263,6 +273,15 @@ def test_exit_rejects_bad_time_cap(t_cap):
         mc_exit(bm_model(), ZERO, [0.0], 1, 0.01, 8, seed=1, t_cap=t_cap)
 
 
+@pytest.mark.parametrize("criterion", sorted(ESTIMATORS))
+@pytest.mark.parametrize("dt,match", [(0.0, "must be positive"), (-0.05, "must be positive"),
+                                      (1e-9, "step budget")])
+def test_estimators_check_dt_and_step_budget_before_stepping(chain, criterion, dt, match):
+    # at dt = 1e-9 every run is beyond MAX_STEPS: 5e8 to 4e9 steps
+    with pytest.raises(StepError, match=match):
+        ESTIMATORS[criterion](chain, dt=dt, n_paths=4)
+
+
 def test_exit_batch_invariance_across_compaction():
     # the drift depends on the action, so the actions must be compacted with
     # the rows when paths that exited are dropped at a chunk boundary
@@ -274,6 +293,33 @@ def test_exit_batch_invariance_across_compaction():
         alone = mc_exit(*args, seed=2, t_cap=2.5, batch=1)
         batched = mc_exit(*args, seed=2, t_cap=2.5, batch=24)
     assert 0.0 < alone.capped_fraction < 1.0
+    assert batched.value == alone.value
+    assert batched.stderr == alone.stderr
+    assert batched.capped_fraction == alone.capped_fraction
+
+
+def test_exit_batch_invariance_across_mid_block_compaction(monkeypatch):
+    # an x-dependent grid policy, x- and u-dependent rates, beta and h both
+    # nonzero; started near the boundary, most paths exit within ~100 steps,
+    # so the batch compacts mid-block long before the refill at step CHUNK
+    spec = dataclasses.replace(saturated_model(), generator=GeneratorSpec(
+        "state-action-dependent", 2, base=np.array([[0.0, 1.0], [2.0, 0.0]]), gx=0.5, gu=-0.3,
+    ))
+    grid = Grid1D(*spec.costs.exit_domain, 81)
+    policy = GridPolicy(grid.nodes, solve_exit(spec, grid).policy, spec.actions)
+    compactions = []
+    compact = BatchStepper._compact
+
+    def spy(self):
+        compactions.append((self._pos, self.n_alive, self.x.shape[0]))
+        return compact(self)
+
+    monkeypatch.setattr(BatchStepper, "_compact", spy)
+    args = (spec, policy, [1.8], 1, 0.002, 64)
+    alone = mc_exit(*args, seed=3, t_cap=8.0, batch=1)
+    assert compactions == []  # a single row is never compacted
+    batched = mc_exit(*args, seed=3, t_cap=8.0, batch=64)
+    assert any(0 < pos < CHUNK // 4 and 2 * live <= rows for pos, live, rows in compactions)
     assert batched.value == alone.value
     assert batched.stderr == alone.stderr
     assert batched.capped_fraction == alone.capped_fraction

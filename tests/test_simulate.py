@@ -1,5 +1,7 @@
 """Path simulation: stream reproducibility, laws, clamps and exits."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -14,9 +16,11 @@ from switchsde import (
     CostSpec,
     ExitDiscount,
     GeneratorSpec,
+    GridPolicy,
     RegimeSet,
     RunningCost,
     TerminalCost,
+    TimeGridPolicy,
     NanError,
     ShapeError,
     StepError,
@@ -24,7 +28,7 @@ from switchsde import (
     simulate_exit_path,
     simulate_path,
 )
-from switchsde.simulate import outside_interval
+from switchsde.simulate import CHUNK, MAX_STEPS, outside_interval
 from switchsde import DiffusionFamily, DriftFamily, ModelSpec
 from conftest import bm_model, chain_model
 
@@ -122,27 +126,36 @@ def test_first_path_index_aligns_streams(seed, row):
 
 
 def test_batch_row_equals_single_path_with_state_dependent_rates_and_compaction():
-    # x- and u-dependent rates, jumps on the compared paths, and a retirement
-    # before the first chunk boundary so survivors are compacted mid-run
+    # x- and u-dependent rates, jumps on the compared paths, and two
+    # retirements: 5 of 8 rows at step 300 leave at most half alive, so the
+    # batch compacts mid-block; 1 of the 3 left at step 700 does not, so that
+    # row is compacted away at the refill at step CHUNK
     base = np.array([[0.0, 1.0, 0.5], [0.7, 0.0, 0.3], [0.4, 0.6, 0.0]])
     spec = _switching_model(
         GeneratorSpec("state-action-dependent", 3, base=base, gx=0.5, gu=-0.3), sigma=0.3,
     )
     policy = CallablePolicy(lambda t, x, regimes: np.sin(3.0 * x))
     n, dt, seed, m = 1500, 0.01, 17, 8
-    keep = {1, 4, 6}
+    retire = {300: {0, 2, 3, 5, 7}, 700: {4}}
+    keep = {1, 6}
     eng = BatchStepper(spec, [0.0], 2, dt, seed=seed, first_path_index=0, n_paths=m)
     xs = {p: [0.0] for p in keep}
     ss = {p: [2] for p in keep}
+    masks = {}
     for k in range(n):
-        if k == 300:
-            eng.mark_dead(~np.isin(eng.original_index, sorted(keep)))
-        eng.step(policy.actions_at(eng.t, eng.x, eng.s))
+        if k in retire:
+            eng.mark_dead(np.isin(eng.original_index, sorted(retire[k])))
+        alive = eng.alive.copy()
+        kept = eng.step(policy.actions_at(eng.t, eng.x, eng.s))
+        if kept is not None:
+            assert np.array_equal(kept, alive)
+            masks[k] = kept.sum(), kept.size
         for p in keep:
             row = int(np.flatnonzero(eng.original_index == p)[0])
             xs[p].append(eng.x[row, 0])
             ss[p].append(eng.s[row] + 1)
-    assert eng.x.shape[0] == len(keep)  # the refill at step CHUNK compacted
+    assert masks == {300: (3, 8), CHUNK: (2, 3)}
+    assert eng.x.shape[0] == len(keep)
     for p in keep:
         single = simulate_path(spec, policy, [0.0], 2, n * dt, dt, make_rng_stream(seed, p))
         assert len(single.jumps) > 0
@@ -362,6 +375,19 @@ def test_step_budget_is_enforced(make_bm):
         simulate_path(make_bm(), ZERO, [0.0], 1, 1e7, 1e-4, make_rng_stream(0, 0))
 
 
+@pytest.mark.parametrize("T,dt,match", [
+    (1.0, 0.0, "must be positive"), (1.0, -0.01, "must be positive"),
+    (1.0, 1.0 / MAX_STEPS / 4.0, "step budget"), (math.inf, 0.01, "step budget"),
+    (math.nan, 0.01, "step budget"),
+])
+def test_paths_check_dt_and_budget_before_stepping(make_bm, T, dt, match):
+    with pytest.raises(StepError, match=match):
+        simulate_path(make_bm(), ZERO, [0.0], 1, T, dt, make_rng_stream(0, 0))
+    if math.isfinite(T):
+        with pytest.raises(StepError, match=match):
+            simulate_exit_path(make_bm(), ZERO, [0.0], 1, (-1.0, 1.0), dt, T, make_rng_stream(0, 0))
+
+
 # ---------------------------------------------------------------------------
 # exits and serialization
 
@@ -407,3 +433,40 @@ def test_path_csv_has_jump_comments(make_chain, tmp_path):
     assert len(jumps) == len(path.jumps)
     data = [ln for ln in lines if ln and not ln.startswith("#")][1:]
     assert len(data) == path.times.size
+
+
+# ---------------------------------------------------------------------------
+# grid policies
+
+
+def _table_actions():
+    return ActionGrid(np.array([[-1.0], [0.0], [1.0]]))
+
+
+def test_grid_policy_rounds_to_nearest_node_and_clips():
+    nodes = np.linspace(-1.0, 1.0, 5)  # dx = 0.5
+    table = np.array([[0, 1, 2, 0, 1], [2, 2, 1, 1, 0]])
+    policy = GridPolicy(nodes, table, _table_actions())
+    x = np.array([[-0.76], [-0.74], [0.24], [0.26], [0.99], [-7.0], [3.0], [0.26]])
+    s = np.array([0, 0, 0, 0, 1, 1, 0, 1])
+    nearest = [0, 1, 2, 3, 4, 0, 4, 3]
+    expected = _table_actions().actions[table[s, nearest]]
+    assert np.array_equal(policy.actions_at(0.0, x, s), expected)
+
+
+def test_time_grid_policy_floors_time_to_a_level():
+    levels = np.array([0.0, 0.25, 0.5, 0.75])
+    nodes = np.linspace(-1.0, 1.0, 3)  # dx = 1
+    table = np.zeros((4, 1, 3), dtype=np.int64)
+    table[:, 0, :] = [[0, 0, 0], [1, 1, 1], [2, 2, 2], [2, 1, 0]]
+    policy = TimeGridPolicy(levels, nodes, table, _table_actions())
+    x = np.array([[-0.4], [0.6], [9.0]])  # nodes 1, 2, and 2 after clipping
+    s = np.zeros(3, dtype=np.int64)
+    u = lambda t: policy.actions_at(t, x, s)[:, 0].tolist()
+    assert u(0.5) == [1.0, 1.0, 1.0]  # exactly on level 2
+    assert u(0.5 - 1e-10) == [1.0, 1.0, 1.0]  # 1e-10 below level 2 counts as on it
+    assert u(0.5 - 1e-6) == [0.0, 0.0, 0.0]  # still on level 1
+    assert u(0.3) == [0.0, 0.0, 0.0]
+    assert u(0.76) == [0.0, -1.0, -1.0]  # last level
+    assert u(40.0) == [0.0, -1.0, -1.0]  # past the last level
+    assert u(-1.0) == [-1.0, -1.0, -1.0]  # before the first level
