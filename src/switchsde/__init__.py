@@ -61,14 +61,12 @@ from .model import (
     ExitDiscount,
     Finding,
     GeneratorSpec,
-    LyapunovPair,
     ModelSpec,
     PerturbationSchedule,
     RegimeSet,
     RunningCost,
     TerminalCost,
     ValidationReport,
-    check_lyapunov_sampled,
     default_sample,
     make_perturbation_sequence,
     model_from_dict,
@@ -85,7 +83,6 @@ from .riccati import (
     lq_from_model,
     riccati_defect,
     solve_coupled_riccati,
-    time_lipschitz_bound,
 )
 from .robustness import (
     EpsOptimalityReport,

@@ -6,6 +6,9 @@ and the SHA-256 digest of the canonical config bytes, and a plain-text
 ``report.txt`` listing the invariant checks that ran. Outputs contain no
 timestamps, so a rerun of the same config bytes is byte-identical.
 
+Each command block is described by one table in ``BLOCKS``; ``parse_config``
+converts every block value once, by that table, and fills in the defaults.
+
 Exit codes: 0 success, 2 validation findings failure, 3 solver error,
 4 config error.
 """
@@ -18,11 +21,19 @@ import json
 import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
 from . import __version__
-from .costs import mc_discounted, mc_ergodic, mc_exit, mc_finite_horizon, write_estimates_csv
+from .costs import (
+    DEFAULT_BATCH,
+    mc_discounted,
+    mc_ergodic,
+    mc_exit,
+    mc_finite_horizon,
+    write_estimates_csv,
+)
 from .errors import ConfigError, SwitchSdeError
 from .hjbgrid import (
     DEFAULT_LADDER,
@@ -36,7 +47,10 @@ from .io import atomic_write_text, g17, write_csv
 from .model import (
     ModelSpec,
     PerturbationSchedule,
-    _take,
+    _array,
+    _integer,
+    _number,
+    _object,
     default_sample,
     model_from_dict,
     validate_model,
@@ -48,7 +62,7 @@ from .riccati import (
     riccati_defect,
     solve_coupled_riccati,
 )
-from .robustness import check_eps_optimality, sweep_grid, sweep_lq_finite_horizon
+from .robustness import GRID_CRITERIA, check_eps_optimality, sweep_grid, sweep_lq_finite_horizon
 from .simulate import (
     ConstantPolicy,
     LQFeedbackPolicy,
@@ -58,14 +72,116 @@ from .simulate import (
 )
 
 COMMANDS = ("validate", "riccati", "simulate", "cost", "hjb", "ergodic", "robustness", "eps-check")
-STOCHASTIC_COMMANDS = ("simulate", "cost")
 GATED_COMMANDS = ("validate", "hjb", "ergodic", "robustness", "eps-check")
 
 RICCATI_HEADER = "t,regime,row,col,value"
 
 
+# ---------------------------------------------------------------------------
+# block tables: (key, type, default) per key
+#
+# A type is one of "number", "integer", "bool", "state" (dim numbers),
+# "action" (action-dim numbers), "numbers" (a nonempty list), "array"
+# (numbers nested to any depth), "grid", "schedule", "policy", or a tuple
+# of allowed strings. A default is a value, REQUIRED, a function of the
+# model, or When(key, values): required when that earlier key of the block
+# has one of the values, else None.
+
+REQUIRED = object()
+
+
+class When(NamedTuple):
+    key: str
+    values: tuple
+
+
+def _horizon(model: ModelSpec) -> float:
+    return model.costs.horizon
+
+
+_LQ_SWEEP = When("criterion", ("lq-finite-horizon",))
+_START = (
+    ("x0", "state", REQUIRED),
+    ("i0", "integer", REQUIRED),
+    ("dt", "number", REQUIRED),
+    ("seed", "integer", REQUIRED),
+)
+_SOLVER = (("tol", "number", 1e-8), ("max_iter", "integer", 100))
+
+BLOCKS = {
+    "validate": (),
+    "riccati": (("steps", "integer", 400),),
+    "simulate": (
+        *_START,
+        ("t", "number", _horizon),
+        ("exit", "bool", False),
+        ("t_cap", "number", When("exit", (True,))),
+        ("policy", "policy", None),
+    ),
+    "cost": (
+        ("criterion", ("discounted", "finite-horizon", "ergodic", "exit"), REQUIRED),
+        *_START,
+        ("n_paths", "integer", REQUIRED),
+        ("policy", "policy", None),
+        ("t", "number", _horizon),
+        ("t_long", "number", When("criterion", ("ergodic",))),
+        ("t_cap", "number", When("criterion", ("exit",))),
+        ("burn_in", "number", None),
+        ("eps_tail", "number", 1e-4),
+        ("batch", "integer", DEFAULT_BATCH),
+    ),
+    "hjb": (
+        ("criterion", ("discounted", "finite-horizon", "exit"), REQUIRED),
+        ("grid", "grid", REQUIRED),
+        ("alpha", "number", None),
+        ("horizon", "number", None),
+        ("n_t", "integer", None),
+        *_SOLVER,
+    ),
+    "ergodic": (
+        ("grid", "grid", REQUIRED),
+        ("ladder", "numbers", DEFAULT_LADDER),
+        *_SOLVER,
+    ),
+    "robustness": (
+        ("criterion", ("lq-finite-horizon", *GRID_CRITERIA), REQUIRED),
+        ("schedule", "schedule", REQUIRED),
+        ("grid", "grid", When("criterion", GRID_CRITERIA)),
+        ("x0", "state", _LQ_SWEEP),
+        ("i0", "integer", _LQ_SWEEP),
+        ("steps", "integer", 400),
+        *_SOLVER,
+        ("n_t", "integer", None),
+        ("ladder", "numbers", DEFAULT_LADDER),
+    ),
+    "eps-check": (
+        ("criterion", ("discounted", "exit"), REQUIRED),
+        ("eps", "number", REQUIRED),
+        ("grid", "grid", REQUIRED),
+        ("schedule", "schedule", REQUIRED),
+        *_SOLVER,
+    ),
+}
+GRID = (("x_min", "number", REQUIRED), ("x_max", "number", REQUIRED), ("n_x", "integer", REQUIRED))
+SCHEDULE = (
+    ("mode", PerturbationSchedule.MODES, REQUIRED),
+    ("n_max", "integer", REQUIRED),
+    ("magnitudes", "array", None),
+    ("d_a", "array", None),
+    ("d_b", "array", None),
+    ("d_c", "array", None),
+    ("d_m", "array", None),
+    ("d_cost", "array", None),
+    ("hat_b", "array", None),
+    ("hat_sigma", "array", None),
+)
+POLICIES = {"zero": (), "constant": (("u", "action", REQUIRED),), "lq": (("steps", "integer", 400),)}
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
+    """A parsed experiment; ``block`` holds the command's typed values."""
+
     command: str
     model: ModelSpec
     block: dict
@@ -78,105 +194,71 @@ def _digest(doc: dict) -> str:
     return hashlib.sha256(canon).hexdigest()
 
 
-def _float(doc: dict, key: str, path: str, default=None):
-    if key not in doc:
-        if default is None:
-            raise ConfigError(f"missing key '{key}'", path)
-        return float(default)
-    v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"'{key}' must be a number", path)
-    return float(v)
+def _read(doc, table, path: str, model: ModelSpec) -> dict:
+    """Typed values of one config object by its table, defaults filled in."""
+    _object(doc, path, [key for key, _, _ in table])
+    out = {}
+    for key, typ, default in table:
+        where = f"{path}.{key}"
+        if key in doc:
+            out[key] = _convert(doc[key], typ, where, model)
+        elif default is REQUIRED or isinstance(default, When) and out[default.key] in default.values:
+            raise ConfigError(f"missing key '{key}'", where)
+        elif isinstance(default, When):
+            out[key] = None
+        else:
+            out[key] = default(model) if callable(default) else default
+    return out
 
 
-def _int(doc: dict, key: str, path: str, default=None):
-    if key not in doc:
-        if default is None:
-            raise ConfigError(f"missing key '{key}'", path)
-        return int(default)
-    v = doc[key]
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"'{key}' must be an integer", path)
-    return v
-
-
-def _parse_grid(doc, path: str) -> Grid1D:
-    _take(doc, path, ["x_min", "x_max", "n_x"])
-    try:
-        return Grid1D(
-            _float(doc, "x_min", path), _float(doc, "x_max", path), _int(doc, "n_x", path)
-        )
-    except SwitchSdeError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc), path) from exc
-
-
-def _parse_schedule(doc, path: str) -> PerturbationSchedule:
-    _take(
-        doc, path, ["mode", "n_max"],
-        ["magnitudes", "d_a", "d_b", "d_c", "d_m", "d_cost", "hat_b", "hat_sigma"],
-    )
-    arr = lambda k: np.asarray(doc[k], dtype=np.float64) if k in doc else None
-    try:
-        return PerturbationSchedule(
-            mode=doc["mode"],
-            n_max=_int(doc, "n_max", path),
-            magnitudes=arr("magnitudes"),
-            d_a=arr("d_a"), d_b=arr("d_b"), d_c=arr("d_c"), d_m=arr("d_m"),
-            d_cost=doc.get("d_cost"), hat_b=arr("hat_b"), hat_sigma=arr("hat_sigma"),
-        )
-    except SwitchSdeError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(str(exc), path) from exc
-
-
-def _parse_policy(doc, path: str, spec: ModelSpec):
-    if doc is None:
-        return ConstantPolicy(np.zeros(spec.actions.action_dim))
-    _take(doc, path, ["kind"], ["u", "steps"])
-    kind = doc["kind"]
-    if kind == "zero":
-        return ConstantPolicy(np.zeros(spec.actions.action_dim))
-    if kind == "constant":
-        if "u" not in doc:
-            raise ConfigError("constant policy needs 'u'", path)
-        return ConstantPolicy(np.asarray(doc["u"], dtype=np.float64))
-    if kind == "lq":
-        lq = lq_from_model(spec)
-        traj = solve_coupled_riccati(lq, n_steps=_int(doc, "steps", path, 400))
-        return LQFeedbackPolicy(lq_feedback(traj, lq))
-    raise ConfigError(f"unknown policy kind '{kind}'", f"{path}.kind")
-
-
-_BLOCK_KEYS = {
-    "validate": ([], []),
-    "riccati": ([], ["steps"]),
-    "simulate": (["x0", "i0", "dt", "seed"], ["t", "t_cap", "exit", "policy"]),
-    "cost": (
-        ["criterion", "x0", "i0", "dt", "n_paths", "seed"],
-        ["policy", "t", "t_long", "t_cap", "burn_in", "eps_tail", "batch"],
-    ),
-    "hjb": (["criterion", "grid"], ["alpha", "horizon", "n_t", "tol", "max_iter"]),
-    "ergodic": (["grid"], ["ladder", "tol", "max_iter"]),
-    "robustness": (
-        ["criterion", "schedule"],
-        ["grid", "x0", "i0", "steps", "tol", "max_iter", "n_t", "ladder"],
-    ),
-    "eps-check": (["criterion", "eps", "grid", "schedule"], ["tol", "max_iter"]),
-}
+def _convert(v, typ, path: str, model: ModelSpec):
+    """One config value as its table type; a mismatch is a ConfigError."""
+    if isinstance(typ, tuple):
+        if not isinstance(v, str) or v not in typ:
+            raise ConfigError(f"expected one of {', '.join(typ)}", path)
+        return v
+    if typ == "number":
+        return _number(v, path)
+    if typ == "integer":
+        return _integer(v, path)
+    if typ == "bool":
+        if not isinstance(v, bool):
+            raise ConfigError("expected true or false", path)
+        return v
+    if typ == "policy":
+        kinds = tuple(POLICIES)
+        kind = _convert(_object(v, path, None, ("kind",))["kind"], kinds, f"{path}.kind", model)
+        return _read(v, (("kind", kinds, REQUIRED), *POLICIES[kind]), path, model)
+    if typ in ("grid", "schedule"):
+        values = _read(v, GRID if typ == "grid" else SCHEDULE, path, model)
+        try:
+            return Grid1D(**values) if typ == "grid" else PerturbationSchedule(**values)
+        except SwitchSdeError as exc:
+            # schedule errors name 'schedule.<key>'; grid errors name no field
+            raise ConfigError(exc.message, f"{path}{exc.path.removeprefix('schedule')}") from exc
+    arr = _array(v, path)
+    if typ == "array":
+        return arr
+    size = {"state": model.dim, "action": model.actions.action_dim}.get(typ)
+    if arr.ndim != 1 or arr.size == 0 or size is not None and arr.size != size:
+        raise ConfigError(f"expected a list of numbers of length {size or '>= 1'}", path)
+    return tuple(arr.tolist()) if typ == "numbers" else arr
 
 
 def parse_config(data) -> ExperimentConfig:
-    """Strict parse of the experiment document (unknown keys are fatal)."""
+    """Strict parse of the experiment document (unknown keys are fatal).
+
+    The model and the command's block are converted once; the block comes
+    back typed, with every default filled in. Type, shape and presence
+    errors raise ConfigError naming the dotted path of the field.
+    """
     if isinstance(data, bytes):
         data = data.decode("utf-8")
     try:
         doc = json.loads(data)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"not valid JSON: {exc}", "config") from exc
-    _take(doc, "config", ["command", "model"], ["out", *COMMANDS])
+    _object(doc, "", ("command", "model", "out", *COMMANDS), ("command", "model"))
     command = doc["command"]
     if command not in COMMANDS:
         raise ConfigError(f"unknown command '{command}'", "command")
@@ -187,17 +269,7 @@ def parse_config(data) -> ExperimentConfig:
             extra_blocks[0],
         )
     model = model_from_dict(doc["model"])
-    required, optional = _BLOCK_KEYS[command]
-    if command in doc:
-        block = doc[command]
-    elif required:
-        raise ConfigError(f"command '{command}' needs a '{command}' block", command)
-    else:
-        block = {}
-    _take(block, command, required, optional)
-    if command in STOCHASTIC_COMMANDS:
-        _int(block, "seed", f"{command}.seed")
-    _validate_block(command, block, model)
+    block = _read(doc.get(command, {}), BLOCKS[command], command, model)
     out = doc.get("out")
     if out is not None and not isinstance(out, str):
         raise ConfigError("'out' must be a string", "out")
@@ -206,58 +278,14 @@ def parse_config(data) -> ExperimentConfig:
     )
 
 
-def _validate_block(command: str, block: dict, model: ModelSpec) -> None:
-    """Cross-field requirements that _take cannot express."""
-    path = command
-    if command == "simulate":
-        np.asarray(block["x0"], dtype=np.float64).reshape(model.dim)
-        if block.get("exit", False):
-            _float(block, "t_cap", path)
-        else:
-            _float(block, "t", path, default=model.costs.horizon)
-        if "policy" in block:
-            _parse_policy(block["policy"], f"{path}.policy", model)
-    elif command == "cost":
-        crit = block["criterion"]
-        if crit not in ("discounted", "finite-horizon", "ergodic", "exit"):
-            raise ConfigError(f"unknown cost criterion '{crit}'", f"{path}.criterion")
-        if crit == "ergodic":
-            _float(block, "t_long", path)
-        if crit == "exit":
-            _float(block, "t_cap", path)
-        if "policy" in block:
-            _parse_policy(block["policy"], f"{path}.policy", model)
-    elif command == "hjb":
-        if block["criterion"] not in ("discounted", "finite-horizon", "exit"):
-            raise ConfigError(
-                f"unknown hjb criterion '{block['criterion']}'", f"{path}.criterion"
-            )
-        _parse_grid(block["grid"], f"{path}.grid")
-    elif command == "ergodic":
-        _parse_grid(block["grid"], f"{path}.grid")
-    elif command == "robustness":
-        crit = block["criterion"]
-        if crit == "lq-finite-horizon":
-            for key in ("x0", "i0"):
-                if key not in block:
-                    raise ConfigError(f"lq sweep needs '{key}'", f"{path}.{key}")
-        elif crit in ("discounted", "finite-horizon", "exit", "ergodic"):
-            if "grid" not in block:
-                raise ConfigError("grid sweep needs 'grid'", f"{path}.grid")
-            _parse_grid(block["grid"], f"{path}.grid")
-        else:
-            raise ConfigError(f"unknown sweep criterion '{crit}'", f"{path}.criterion")
-        _parse_schedule(block["schedule"], f"{path}.schedule")
-    elif command == "eps-check":
-        if block["criterion"] not in ("discounted", "exit"):
-            raise ConfigError(
-                f"eps-check supports 'discounted' and 'exit', not '{block['criterion']}'",
-                f"{path}.criterion",
-            )
-        if _float(block, "eps", path) <= 0:
-            raise ConfigError("'eps' must be > 0", f"{path}.eps")
-        _parse_grid(block["grid"], f"{path}.grid")
-        _parse_schedule(block["schedule"], f"{path}.schedule")
+def _policy(entry: dict | None, spec: ModelSpec):
+    """The simulation policy of a parsed ``policy`` entry (zero when absent)."""
+    if entry is None or entry["kind"] == "zero":
+        return ConstantPolicy(np.zeros(spec.actions.action_dim))
+    if entry["kind"] == "constant":
+        return ConstantPolicy(entry["u"])
+    lq = lq_from_model(spec)
+    return LQFeedbackPolicy(lq_feedback(solve_coupled_riccati(lq, n_steps=entry["steps"]), lq))
 
 
 # ---------------------------------------------------------------------------
@@ -265,7 +293,7 @@ def _validate_block(command: str, block: dict, model: ModelSpec) -> None:
 
 
 def _run_riccati(cfg: ExperimentConfig, out: Path, lines: list, results: dict) -> None:
-    steps = _int(cfg.block, "steps", "riccati", 400)
+    steps = cfg.block["steps"]
     lq = lq_from_model(cfg.model)
     traj = solve_coupled_riccati(lq, n_steps=steps)
     gains = lq_feedback(traj, lq)
@@ -294,21 +322,15 @@ def _run_riccati(cfg: ExperimentConfig, out: Path, lines: list, results: dict) -
 
 
 def _run_simulate(cfg: ExperimentConfig, out: Path, lines: list, results: dict) -> None:
-    block = cfg.block
-    spec = cfg.model
-    x0 = np.asarray(block["x0"], dtype=np.float64)
-    i0 = _int(block, "i0", "simulate")
-    dt = _float(block, "dt", "simulate")
-    stream = make_rng_stream(_int(block, "seed", "simulate"), 0)
-    policy = _parse_policy(block.get("policy"), "simulate.policy", spec)
-    if block.get("exit", False):
+    b, spec = cfg.block, cfg.model
+    stream = make_rng_stream(b["seed"], 0)
+    policy = _policy(b["policy"], spec)
+    if b["exit"]:
         path = simulate_exit_path(
-            spec, policy, x0, i0, spec.costs.exit_domain, dt,
-            _float(block, "t_cap", "simulate"), stream,
+            spec, policy, b["x0"], b["i0"], spec.costs.exit_domain, b["dt"], b["t_cap"], stream
         )
     else:
-        t_end = _float(block, "t", "simulate", default=spec.costs.horizon)
-        path = simulate_path(spec, policy, x0, i0, t_end, dt, stream)
+        path = simulate_path(spec, policy, b["x0"], b["i0"], b["t"], b["dt"], stream)
     path.to_csv(out / "path.csv")
     lines.append(
         f"simulate: steps={path.times.size - 1} termination={path.termination} "
@@ -320,36 +342,24 @@ def _run_simulate(cfg: ExperimentConfig, out: Path, lines: list, results: dict) 
 
 
 def _run_cost(cfg: ExperimentConfig, out: Path, lines: list, results: dict) -> None:
-    block = cfg.block
-    spec = cfg.model
-    crit = block["criterion"]
-    x0 = np.asarray(block["x0"], dtype=np.float64)
-    i0 = _int(block, "i0", "cost")
-    dt = _float(block, "dt", "cost")
-    n_paths = _int(block, "n_paths", "cost")
-    seed = _int(block, "seed", "cost")
-    kw = {}
-    if "batch" in block:
-        kw["batch"] = _int(block, "batch", "cost")
-    policy = _parse_policy(block.get("policy"), "cost.policy", spec)
+    b, spec = cfg.block, cfg.model
+    crit = b["criterion"]
+    x0, i0, dt, n_paths, seed = b["x0"], b["i0"], b["dt"], b["n_paths"], b["seed"]
+    policy = _policy(b["policy"], spec)
     if crit == "discounted":
         est = mc_discounted(
             spec, policy, x0, i0, spec.costs.alpha, dt, n_paths, seed,
-            eps_tail=_float(block, "eps_tail", "cost", 1e-4), **kw,
+            eps_tail=b["eps_tail"], batch=b["batch"],
         )
     elif crit == "finite-horizon":
-        t_end = _float(block, "t", "cost", default=spec.costs.horizon)
-        est = mc_finite_horizon(spec, policy, x0, i0, t_end, dt, n_paths, seed, **kw)
+        est = mc_finite_horizon(spec, policy, x0, i0, b["t"], dt, n_paths, seed, batch=b["batch"])
     elif crit == "ergodic":
-        burn = _float(block, "burn_in", "cost", -1.0)
         est = mc_ergodic(
-            spec, policy, x0, i0, _float(block, "t_long", "cost"), dt, n_paths, seed,
-            burn_in=None if burn < 0 else burn, **kw,
+            spec, policy, x0, i0, b["t_long"], dt, n_paths, seed,
+            burn_in=b["burn_in"], batch=b["batch"],
         )
     else:
-        est = mc_exit(
-            spec, policy, x0, i0, dt, n_paths, seed, _float(block, "t_cap", "cost"), **kw
-        )
+        est = mc_exit(spec, policy, x0, i0, dt, n_paths, seed, b["t_cap"], batch=b["batch"])
     write_estimates_csv(out / "estimates.csv", [est])
     lines.append(
         f"cost: criterion={crit} value={g17(est.value)} stderr={g17(est.stderr)} "
@@ -361,27 +371,16 @@ def _run_cost(cfg: ExperimentConfig, out: Path, lines: list, results: dict) -> N
 
 
 def _run_hjb(cfg: ExperimentConfig, out: Path, lines: list, results: dict) -> None:
-    block = cfg.block
-    grid = _parse_grid(block["grid"], "hjb.grid")
-    tol = _float(block, "tol", "hjb", 1e-8)
-    max_iter = _int(block, "max_iter", "hjb", 100)
-    crit = block["criterion"]
+    b = cfg.block
+    crit = b["criterion"]
     if crit == "discounted":
-        alpha = block.get("alpha")
         sol = solve_discounted(
-            cfg.model, grid,
-            alpha=float(alpha) if alpha is not None else None, tol=tol, max_iter=max_iter,
+            cfg.model, b["grid"], alpha=b["alpha"], tol=b["tol"], max_iter=b["max_iter"]
         )
     elif crit == "finite-horizon":
-        hor = block.get("horizon")
-        n_t = block.get("n_t")
-        sol = solve_finite_horizon(
-            cfg.model, grid,
-            horizon=float(hor) if hor is not None else None,
-            n_t=int(n_t) if n_t is not None else None,
-        )
+        sol = solve_finite_horizon(cfg.model, b["grid"], horizon=b["horizon"], n_t=b["n_t"])
     else:
-        sol = solve_exit(cfg.model, grid, tol=tol, max_iter=max_iter)
+        sol = solve_exit(cfg.model, b["grid"], tol=b["tol"], max_iter=b["max_iter"])
     sol.to_csv(out / "values.csv")
     lines.append(
         f"hjb: criterion={crit} iterations={sol.iterations} "
@@ -393,12 +392,10 @@ def _run_hjb(cfg: ExperimentConfig, out: Path, lines: list, results: dict) -> No
 
 
 def _run_ergodic(cfg: ExperimentConfig, out: Path, lines: list, results: dict) -> None:
-    block = cfg.block
-    grid = _parse_grid(block["grid"], "ergodic.grid")
-    ladder = tuple(block.get("ladder", DEFAULT_LADDER))
+    b = cfg.block
+    grid = b["grid"]
     est = estimate_ergodic(
-        cfg.model, grid, ladder=ladder, tol=_float(block, "tol", "ergodic", 1e-8),
-        max_iter=_int(block, "max_iter", "ergodic", 100),
+        cfg.model, grid, ladder=b["ladder"], tol=b["tol"], max_iter=b["max_iter"]
     )
     write_csv(out / "ladder.csv", "alpha,alpha_v_ref", zip(est.ladder, est.ladder_values))
     from .hjbgrid import GridSolution
@@ -418,24 +415,16 @@ def _run_ergodic(cfg: ExperimentConfig, out: Path, lines: list, results: dict) -
 
 
 def _run_robustness(cfg: ExperimentConfig, out: Path, lines: list, results: dict) -> None:
-    block = cfg.block
-    crit = block["criterion"]
-    sched = _parse_schedule(block["schedule"], "robustness.schedule")
-    tol = _float(block, "tol", "robustness", 1e-8)
+    b = cfg.block
+    crit = b["criterion"]
+    tol = b["tol"]
     if crit == "lq-finite-horizon":
         lq = lq_from_model(cfg.model)
-        rep = sweep_lq_finite_horizon(
-            lq, sched, np.asarray(block["x0"], dtype=np.float64),
-            _int(block, "i0", "robustness"), steps=_int(block, "steps", "robustness", 400),
-        )
+        rep = sweep_lq_finite_horizon(lq, b["schedule"], b["x0"], b["i0"], steps=b["steps"])
     else:
-        grid = _parse_grid(block["grid"], "robustness.grid")
-        n_t = block.get("n_t")
         rep = sweep_grid(
-            cfg.model, sched, crit, grid, tol=tol,
-            max_iter=_int(block, "max_iter", "robustness", 100),
-            n_t=int(n_t) if n_t is not None else None,
-            ladder=tuple(block.get("ladder", DEFAULT_LADDER)),
+            cfg.model, b["schedule"], crit, b["grid"], tol=tol, max_iter=b["max_iter"],
+            n_t=b["n_t"], ladder=b["ladder"],
         )
     rep = replace(rep, config_digest=cfg.digest)
     rep.to_csv(out / "sweep.csv")
@@ -461,13 +450,10 @@ def _run_robustness(cfg: ExperimentConfig, out: Path, lines: list, results: dict
 
 
 def _run_eps_check(cfg: ExperimentConfig, out: Path, lines: list, results: dict) -> None:
-    block = cfg.block
-    sched = _parse_schedule(block["schedule"], "eps-check.schedule")
-    grid = _parse_grid(block["grid"], "eps-check.grid")
+    b = cfg.block
     rep = check_eps_optimality(
-        cfg.model, sched, block["criterion"], _float(block, "eps", "eps-check"), grid,
-        tol=_float(block, "tol", "eps-check", 1e-8),
-        max_iter=_int(block, "max_iter", "eps-check", 100),
+        cfg.model, b["schedule"], b["criterion"], b["eps"], b["grid"],
+        tol=b["tol"], max_iter=b["max_iter"],
     )
     rep = replace(rep, config_digest=cfg.digest)
     rep.to_csv(out / "epscheck.csv")

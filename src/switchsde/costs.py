@@ -17,7 +17,7 @@ import numpy as np
 from .errors import CapFractionWarning, ShapeError, UnboundedError
 from .io import write_csv
 from .model import FloatArray, ModelSpec
-from .simulate import BatchStepper, _check_step_budget, _check_t_cap, _n_steps_for, outside_interval
+from .simulate import BatchStepper, _cap_steps, _check_step_budget, _n_steps_for, outside_interval
 
 DEFAULT_BATCH = 16384
 
@@ -213,12 +213,10 @@ def mc_exit(
     written once, at its exit.
     """
     _check_counts(n_paths, batch)
-    _check_t_cap(t_cap)
-    _check_step_budget(t_cap, dt)
+    n_cap = _cap_steps(t_cap, dt)
     domain = spec.costs.exit_domain if domain is None else domain
     beta = spec.costs.exit_beta if beta is None else beta
     exit_h = spec.costs.exit_h if exit_h is None else exit_h
-    n_cap = int(math.ceil(t_cap / dt - 1e-9))
 
     values = np.zeros(n_paths)
     capped = np.zeros(n_paths, dtype=bool)

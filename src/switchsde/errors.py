@@ -8,13 +8,19 @@ from __future__ import annotations
 
 
 class SwitchSdeError(Exception):
-    """Base class; ``code`` is the stable machine-readable identifier."""
+    """Base class; ``code`` is the stable machine-readable identifier.
+
+    ``path``, when given, is the dotted document path of the offending field
+    (e.g. ``costs.running.values``) and is appended to the message.
+    """
 
     code = "E_GENERIC"
 
-    def __init__(self, message: str):
-        super().__init__(f"{self.code}: {message}")
+    def __init__(self, message: str, path: str = ""):
+        where = f" at '{path}'" if path else ""
+        super().__init__(f"{self.code}: {message}{where}")
         self.message = message
+        self.path = path
 
 
 class ShapeError(SwitchSdeError):
@@ -81,11 +87,6 @@ class ConfigError(SwitchSdeError):
     """Configuration document rejected; ``path`` names the offending field."""
 
     code = "E_CONFIG"
-
-    def __init__(self, message: str, path: str = ""):
-        self.path = path
-        where = f" at '{path}'" if path else ""
-        super().__init__(f"{message}{where}")
 
 
 class IoError(SwitchSdeError):

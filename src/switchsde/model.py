@@ -7,6 +7,11 @@ b(x, i, u) and sigma(x, i), the generator family produces the switching-rate
 matrix m_ij(x, u) (nonnegative off-diagonals, zero row sums), and the cost
 family produces the running cost c(x, i, u) plus terminal and exit data.
 
+Each family class carries one field table per kind (``FIELDS``). The table
+drives the per-field shape and sign checks on construction, the document
+reader ``model_from_dict`` and the writer ``model_to_dict``; checks that
+span fields stay explicit code in the family.
+
 All value objects are frozen; arrays are made read-only on construction.
 Batch evaluation methods take stacked inputs (one row per sample or per
 simulated path) and are the single evaluation path shared by the simulator
@@ -15,9 +20,8 @@ and the grid solver.
 
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field, replace
-from typing import Sequence
+from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 from numpy.typing import NDArray
@@ -42,6 +46,90 @@ def _shaped(a, shape: tuple[int, ...], name: str) -> np.ndarray:
     return _freeze(arr)
 
 
+# ---------------------------------------------------------------------------
+# field tables
+
+
+class Field(NamedTuple):
+    """One field of a family kind: JSON key, attribute, shape, presence, sign.
+
+    ``shape`` is "" for a number, else one symbol per axis: ``N`` regimes,
+    ``d`` state dimension, ``l`` action dimension; any other letter takes
+    the length it first meets, and every later use in the same family must
+    match it. ``sign`` ("", ">= 0" or "> 0") holds for every entry. An
+    optional array left out is zero; an optional number left out keeps the
+    attribute's default.
+    """
+
+    key: str
+    attr: str
+    shape: str = ""
+    required: bool = True
+    sign: str = ""
+
+
+_SIGNS = {">= 0": np.greater_equal, "> 0": np.greater}
+
+
+def _fields(cls, kind) -> tuple[Field, ...]:
+    """The field table of one kind of a family class."""
+    if not isinstance(kind, str) or kind not in cls.FIELDS:
+        raise cls.ERROR(f"unknown {cls.PATH} kind '{kind}'", f"{cls.PATH}.kind")
+    return cls.FIELDS[kind]
+
+
+def _check_fields(fam, **sizes: int) -> None:
+    """Shape and sign of every field of ``fam``'s kind; arrays are frozen.
+
+    Shape errors are E_SHAPE, sign errors the family's ``ERROR``; both carry
+    the field's document path.
+    """
+    for f in _fields(type(fam), fam.kind):
+        path = f"{fam.PATH}.{f.key}"
+        v = getattr(fam, f.attr)
+        if f.shape:
+            if v is None and not f.required:
+                v = np.zeros(tuple(sizes[c] for c in f.shape))
+            v = np.asarray(v, dtype=np.float64)
+            bad = v.ndim != len(f.shape)
+            for c, n in zip(f.shape, v.shape):
+                bad = bad or sizes.setdefault(c, n) != n
+            if bad:
+                want = tuple(sizes.get(c, c) for c in f.shape)
+                raise ShapeError(f"'{f.key}' has shape {v.shape}, expected {want}", path)
+            object.__setattr__(fam, f.attr, _freeze(v))
+        elif v is None:
+            continue
+        if f.sign and not np.all(_SIGNS[f.sign](v, 0.0)):
+            raise fam.ERROR(f"'{f.key}' must be {f.sign}", path)
+
+
+def _interp_rows(xs: FloatArray, s: NDArray[np.int64], nodes: FloatArray, values: FloatArray) -> FloatArray:
+    """Tabulated values at stacked 1-D states, interpolated per regime."""
+    out = np.empty(xs.shape[0])
+    for i in range(values.shape[0]):
+        mask = s == i
+        if np.any(mask):
+            out[mask] = np.interp(xs[mask], nodes, values[i])
+    return out
+
+
+def _check_nodes(fam) -> None:
+    """Tabulated families are 1-D over strictly increasing x nodes."""
+    if fam.dim != 1:
+        raise ShapeError(f"tabulated {fam.PATH} supports dim 1 only", f"{fam.PATH}.kind")
+    if fam.x_nodes.size < 2 or np.any(np.diff(fam.x_nodes) <= 0):
+        raise ShapeError("'x_nodes' must be at least two increasing nodes", f"{fam.PATH}.x_nodes")
+
+
+_AFFINE = (Field("a", "a_mat", "Ndd"), Field("b", "b_mat", "Ndl"), Field("offset", "b0", "Nd", False))
+_TABULATED = (Field("x_nodes", "x_nodes", "n"), Field("values", "values", "Nn"))
+_ZERO_OR_CONSTANT = {
+    "zero": (),
+    "constant": (Field("value", "value", required=False, sign=">= 0"),),
+}
+
+
 @dataclass(frozen=True, eq=False)
 class RegimeSet:
     """Finite regime labels 1..count; arrays index regimes from 0."""
@@ -50,7 +138,7 @@ class RegimeSet:
 
     def __post_init__(self):
         if self.count < 1:
-            raise ShapeError("regime count must be >= 1")
+            raise ShapeError("regime count must be >= 1", "regimes.count")
 
 
 @dataclass(frozen=True, eq=False)
@@ -67,7 +155,7 @@ class ActionGrid:
     def __post_init__(self):
         arr = np.asarray(self.actions, dtype=np.float64)
         if arr.ndim != 2 or arr.shape[0] == 0:
-            raise ShapeError("actions must be a nonempty (n_actions, l) array")
+            raise ShapeError("actions must be a nonempty (n_actions, l) array", "actions")
         object.__setattr__(self, "actions", _freeze(arr))
         object.__setattr__(self, "lower", _freeze(arr.min(axis=0)))
         object.__setattr__(self, "upper", _freeze(arr.max(axis=0)))
@@ -105,6 +193,15 @@ class DriftFamily:
     inside the family.
     """
 
+    PATH = "drift"
+    ERROR = ShapeError
+    FIELDS = {
+        "lq": _AFFINE,
+        "saturated-affine": (*_AFFINE, Field("saturation", "saturation", required=False, sign="> 0")),
+        "constant": (Field("b0", "b0", "Nd"),),
+        "tabulated": _TABULATED,
+    }
+
     kind: str
     dim: int
     n_regimes: int
@@ -117,41 +214,16 @@ class DriftFamily:
     values: FloatArray | None = None  # (N, n_nodes)
 
     def __post_init__(self):
-        N, d, l = self.n_regimes, self.dim, self.action_dim
-        if self.kind in ("lq", "saturated-affine"):
-            object.__setattr__(self, "a_mat", _shaped(self.a_mat, (N, d, d), "drift.a"))
-            object.__setattr__(self, "b_mat", _shaped(self.b_mat, (N, d, l), "drift.b"))
-            b0 = np.zeros((N, d)) if self.b0 is None else self.b0
-            object.__setattr__(self, "b0", _shaped(b0, (N, d), "drift.offset"))
-            if self.kind == "saturated-affine" and not self.saturation > 0:
-                raise ShapeError("saturation scale must be positive")
-        elif self.kind == "constant":
-            object.__setattr__(self, "b0", _shaped(self.b0, (N, d), "drift.b0"))
-        elif self.kind == "tabulated":
-            if d != 1:
-                raise ShapeError("tabulated drift supports dim 1 only")
-            nodes = np.asarray(self.x_nodes, dtype=np.float64)
-            if nodes.ndim != 1 or nodes.size < 2 or np.any(np.diff(nodes) <= 0):
-                raise ShapeError("tabulated drift needs increasing x_nodes")
-            object.__setattr__(self, "x_nodes", _freeze(nodes))
-            object.__setattr__(
-                self, "values", _shaped(self.values, (N, nodes.size), "drift.values")
-            )
-        else:
-            raise ShapeError(f"unknown drift kind '{self.kind}'")
+        _check_fields(self, N=self.n_regimes, d=self.dim, l=self.action_dim)
+        if self.kind == "tabulated":
+            _check_nodes(self)
 
     def eval_batch(self, x: FloatArray, s: NDArray[np.int64], u: FloatArray) -> FloatArray:
         """Drift rows for stacked samples: x (m,d), s (m,), u (m,l) -> (m,d)."""
         if self.kind == "constant":
             return self.b0[s]
         if self.kind == "tabulated":
-            out = np.empty((x.shape[0], 1))
-            xs = x[:, 0]
-            for i in range(self.n_regimes):
-                mask = s == i
-                if np.any(mask):
-                    out[mask, 0] = np.interp(xs[mask], self.x_nodes, self.values[i])
-            return out
+            return _interp_rows(x[:, 0], s, self.x_nodes, self.values)[:, None]
         ax = np.einsum("mij,mj->mi", self.a_mat[s], x)
         if self.kind == "saturated-affine":
             ax = self.saturation * np.tanh(ax / self.saturation)
@@ -172,6 +244,14 @@ class DiffusionFamily:
     kind 'tabulated' scalar sigma interpolated over x nodes (d = 1)
     """
 
+    PATH = "diffusion"
+    ERROR = ShapeError
+    FIELDS = {
+        "lq": (Field("c", "c_mat", "Ndd"),),
+        "constant": (Field("c0", "c0", "Ndw"),),
+        "tabulated": _TABULATED,
+    }
+
     kind: str
     dim: int
     n_regimes: int
@@ -181,36 +261,13 @@ class DiffusionFamily:
     values: FloatArray | None = None  # (N, n_nodes)
 
     def __post_init__(self):
-        N, d = self.n_regimes, self.dim
-        if self.kind == "lq":
-            object.__setattr__(self, "c_mat", _shaped(self.c_mat, (N, d, d), "diffusion.c"))
-        elif self.kind == "constant":
-            arr = np.asarray(self.c0, dtype=np.float64)
-            if arr.ndim != 3 or arr.shape[0] != N or arr.shape[1] != d:
-                raise ShapeError(
-                    f"diffusion.c0 has shape {arr.shape}, expected (N, d, wiener_dim)"
-                )
-            object.__setattr__(self, "c0", _freeze(arr))
-        elif self.kind == "tabulated":
-            if d != 1:
-                raise ShapeError("tabulated diffusion supports dim 1 only")
-            nodes = np.asarray(self.x_nodes, dtype=np.float64)
-            if nodes.ndim != 1 or nodes.size < 2 or np.any(np.diff(nodes) <= 0):
-                raise ShapeError("tabulated diffusion needs increasing x_nodes")
-            object.__setattr__(self, "x_nodes", _freeze(nodes))
-            object.__setattr__(
-                self, "values", _shaped(self.values, (N, nodes.size), "diffusion.values")
-            )
-        else:
-            raise ShapeError(f"unknown diffusion kind '{self.kind}'")
+        _check_fields(self, N=self.n_regimes, d=self.dim)
+        if self.kind == "tabulated":
+            _check_nodes(self)
 
     @property
     def wiener_dim(self) -> int:
-        if self.kind == "lq":
-            return 1
-        if self.kind == "constant":
-            return self.c0.shape[2]
-        return 1
+        return self.c0.shape[2] if self.kind == "constant" else 1
 
     @property
     def is_zero(self) -> bool:
@@ -224,13 +281,7 @@ class DiffusionFamily:
         if self.kind == "lq":
             col = np.einsum("mij,mj->mi", self.c_mat[s], x)
             return col[:, :, None]
-        out = np.empty((x.shape[0], 1, 1))
-        xs = x[:, 0]
-        for i in range(self.n_regimes):
-            mask = s == i
-            if np.any(mask):
-                out[mask, 0, 0] = np.interp(xs[mask], self.x_nodes, self.values[i])
-        return out
+        return _interp_rows(x[:, 0], s, self.x_nodes, self.values)[:, None, None]
 
     def a_batch(self, x: FloatArray, s: NDArray[np.int64]) -> FloatArray:
         """Squared-diffusion matrices a = sigma sigma^T / 2: -> (m, d, d)."""
@@ -256,6 +307,18 @@ class GeneratorSpec:
     the simulator's step-size precondition.
     """
 
+    PATH = "generator"
+    ERROR = RatesError
+    FIELDS = {
+        "constant": (Field("rates", "rates", "NN"), Field("bound", "bound", required=False)),
+        "state-action-dependent": (
+            Field("base", "base", "NN", sign=">= 0"),
+            Field("gx", "gx", required=False),
+            Field("gu", "gu", required=False),
+            Field("bound", "bound", required=False),
+        ),
+    }
+
     kind: str
     n_regimes: int
     rates: FloatArray | None = None  # (N, N), constant kind
@@ -265,34 +328,29 @@ class GeneratorSpec:
     bound: float | None = None
 
     def __post_init__(self):
+        _check_fields(self, N=self.n_regimes)
         N = self.n_regimes
         if self.kind == "constant":
-            rates = _shaped(self.rates, (N, N), "generator.rates")
-            off = rates - np.diag(np.diag(rates))
-            if np.any(off < 0):
-                raise RatesError("off-diagonal switching rates must be >= 0")
+            rates = self.rates
+            if np.any(rates - np.diag(np.diag(rates)) < 0):
+                raise RatesError("off-diagonal switching rates must be >= 0", "generator.rates")
             if np.max(np.abs(rates.sum(axis=1))) > ROW_SUM_TOL:
-                raise RatesError("generator rows must sum to zero")
-            object.__setattr__(self, "rates", rates)
+                raise RatesError("generator rows must sum to zero", "generator.rates")
             analytic = float(np.max(np.abs(rates))) if N > 1 else 0.0
-        elif self.kind == "state-action-dependent":
-            base = _shaped(self.base, (N, N), "generator.base")
+        else:
+            base = self.base
             if np.any(np.diag(base) != 0.0):
-                raise RatesError("generator.base must have zero diagonal")
-            if np.any(base < 0):
-                raise RatesError("generator.base off-diagonals must be >= 0")
+                raise RatesError("'base' must have zero diagonal", "generator.base")
             if abs(self.gx) + abs(self.gu) > 1.0:
-                raise RatesError("|gx| + |gu| must be <= 1 to keep rates nonnegative")
-            object.__setattr__(self, "base", base)
+                raise RatesError("|gx| + |gu| must be <= 1 to keep rates nonnegative", "generator.gx")
             gmax = 1.0 + abs(self.gx) + abs(self.gu)
             analytic = float(max(np.max(base), np.max(base.sum(axis=1))) * gmax) if N > 1 else 0.0
-        else:
-            raise RatesError(f"unknown generator kind '{self.kind}'")
         if self.bound is None:
             object.__setattr__(self, "bound", max(analytic, 1e-12))
         elif self.bound < analytic - 1e-12:
             raise RatesError(
-                f"declared bound {self.bound} is below the family supremum {analytic}"
+                f"declared bound {self.bound} is below the family supremum {analytic}",
+                "generator.bound",
             )
 
     def rates_batch(self, x: FloatArray, u: FloatArray) -> FloatArray:
@@ -325,6 +383,21 @@ class RunningCost:
     action set (infinity for 'lq').
     """
 
+    PATH = "costs.running"
+    ERROR = ShapeError
+    FIELDS = {
+        "constant": (Field("value", "value", sign=">= 0"),),
+        "regime": (Field("values", "values", "N", sign=">= 0"),),
+        "quad-clamped": (
+            Field("weight", "weight", sign=">= 0"),
+            Field("cap", "cap", sign="> 0"),
+            Field("action_weight", "action_weight", required=False, sign=">= 0"),
+            Field("offset", "offset", required=False, sign=">= 0"),
+        ),
+        "cosine": (Field("amplitude", "amplitude", sign=">= 0"), Field("frequency", "frequency", required=False)),
+        "lq": (Field("q", "q_mat", "Ndd"), Field("r", "r_mat", "Nll")),
+    }
+
     kind: str
     n_regimes: int
     dim: int
@@ -341,28 +414,9 @@ class RunningCost:
     r_mat: FloatArray | None = None  # (N, l, l)
 
     def __post_init__(self):
-        N, d, l = self.n_regimes, self.dim, self.action_dim
-        if self.kind == "constant":
-            if self.value < 0:
-                raise ShapeError("constant cost must be >= 0")
-        elif self.kind == "regime":
-            vals = _shaped(self.values, (N,), "costs.running.values")
-            if np.any(vals < 0):
-                raise ShapeError("regime costs must be >= 0")
-            object.__setattr__(self, "values", vals)
-        elif self.kind == "quad-clamped":
-            if self.weight < 0 or self.cap <= 0 or self.action_weight < 0 or self.offset < 0:
-                raise ShapeError("quad-clamped cost needs weight,action_weight,offset >= 0 and cap > 0")
-        elif self.kind == "cosine":
-            if d != 1:
-                raise ShapeError("cosine cost supports dim 1 only")
-            if self.amplitude < 0:
-                raise ShapeError("cosine amplitude must be >= 0")
-        elif self.kind == "lq":
-            object.__setattr__(self, "q_mat", _shaped(self.q_mat, (N, d, d), "costs.running.q"))
-            object.__setattr__(self, "r_mat", _shaped(self.r_mat, (N, l, l), "costs.running.r"))
-        else:
-            raise ShapeError(f"unknown running-cost kind '{self.kind}'")
+        _check_fields(self, N=self.n_regimes, d=self.dim, l=self.action_dim)
+        if self.kind == "cosine" and self.dim != 1:
+            raise ShapeError("cosine cost supports dim 1 only", "costs.running.kind")
 
     def bound(self, actions: ActionGrid) -> float:
         if self.kind == "constant":
@@ -396,6 +450,15 @@ class TerminalCost:
     """Horizon payoff c_T(x, i): 'zero', 'constant', 'quad' (x^T P(i) x), or
     'bump' (compactly supported smooth bump of given height and width)."""
 
+    PATH = "costs.terminal"
+    ERROR = ShapeError
+    FIELDS = {
+        "zero": (),
+        "constant": (Field("value", "value"),),
+        "quad": (Field("p", "p_mat", "Ndd"),),
+        "bump": (Field("height", "height", sign=">= 0"), Field("width", "width", sign="> 0")),
+    }
+
     kind: str
     n_regimes: int
     dim: int
@@ -405,15 +468,7 @@ class TerminalCost:
     width: float = 1.0
 
     def __post_init__(self):
-        if self.kind == "quad":
-            object.__setattr__(
-                self, "p_mat", _shaped(self.p_mat, (self.n_regimes, self.dim, self.dim), "costs.terminal.p")
-            )
-        elif self.kind == "bump":
-            if self.width <= 0 or self.height < 0:
-                raise ShapeError("bump terminal needs width > 0 and height >= 0")
-        elif self.kind not in ("zero", "constant"):
-            raise ShapeError(f"unknown terminal-cost kind '{self.kind}'")
+        _check_fields(self, N=self.n_regimes, d=self.dim)
 
     def eval_batch(self, x: FloatArray, s: NDArray[np.int64]) -> FloatArray:
         if self.kind == "zero":
@@ -433,14 +488,15 @@ class TerminalCost:
 class BoundaryCost:
     """Exit payoff h(x, i) >= 0 on the boundary: 'zero' or 'constant'."""
 
+    PATH = "costs.exit_h"
+    ERROR = ShapeError
+    FIELDS = _ZERO_OR_CONSTANT
+
     kind: str
     value: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("zero", "constant"):
-            raise ShapeError(f"unknown exit payoff kind '{self.kind}'")
-        if self.value < 0:
-            raise ShapeError("exit payoff must be >= 0")
+        _check_fields(self)
 
     def eval_batch(self, x: FloatArray, s: NDArray[np.int64]) -> FloatArray:
         if self.kind == "zero":
@@ -452,14 +508,15 @@ class BoundaryCost:
 class ExitDiscount:
     """State discount rate beta(x, i, u) >= 0 for exit costs: 'zero' or 'constant'."""
 
+    PATH = "costs.exit_beta"
+    ERROR = ShapeError
+    FIELDS = _ZERO_OR_CONSTANT
+
     kind: str
     value: float = 0.0
 
     def __post_init__(self):
-        if self.kind not in ("zero", "constant"):
-            raise ShapeError(f"unknown exit discount kind '{self.kind}'")
-        if self.value < 0:
-            raise ShapeError("exit discount must be >= 0")
+        _check_fields(self)
 
     def eval_batch(self, x: FloatArray, s: NDArray[np.int64], u: FloatArray) -> FloatArray:
         if self.kind == "zero":
@@ -482,12 +539,12 @@ class CostSpec:
 
     def __post_init__(self):
         if not self.alpha > 0:
-            raise ShapeError("discount alpha must be > 0")
+            raise ShapeError("discount alpha must be > 0", "costs.alpha")
         if not self.horizon > 0:
-            raise ShapeError("horizon must be > 0")
+            raise ShapeError("horizon must be > 0", "costs.horizon")
         lo, hi = self.exit_domain
         if not lo < hi:
-            raise ShapeError("exit_domain must be an open interval (lo, hi)")
+            raise ShapeError("exit_domain must be an open interval (lo, hi)", "costs.exit_domain")
         object.__setattr__(self, "exit_domain", (float(lo), float(hi)))
 
 
@@ -519,7 +576,8 @@ class ModelSpec:
         derived = rc.bound(self.actions)
         if declared is not None and declared < derived - 1e-12:
             raise ShapeError(
-                f"declared cost bound {declared} is below the family supremum {derived}"
+                f"declared cost bound {declared} is below the family supremum {derived}",
+                "costs.m_c",
             )
 
     def cost_bound(self) -> float:
@@ -529,295 +587,139 @@ class ModelSpec:
             return max(self.costs.m_c, derived)
         return derived
 
-    def to_json(self) -> str:
-        return json.dumps(model_to_dict(self), sort_keys=True, separators=(",", ":"))
-
-    @staticmethod
-    def from_json(text: str | bytes) -> "ModelSpec":
-        try:
-            doc = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"model document is not valid JSON: {exc}") from exc
-        return model_from_dict(doc)
-
 
 # ---------------------------------------------------------------------------
 # serialization (strict: unknown keys are an error)
 
+_MODEL_KEYS = ("dim", "regimes", "actions", "drift", "diffusion", "generator", "costs")
+_COST_KEYS = ("running", "alpha", "horizon", "terminal", "exit_h", "exit_beta", "exit_domain", "m_c")
+_ZERO = {"kind": "zero"}
 
-def _take(doc: dict, path: str, keys_required: Sequence[str], keys_optional: Sequence[str] = ()):
+
+def _object(doc, path: str, keys, required=()) -> dict:
+    """``doc`` as a JSON object holding every key in ``required`` and no key
+    outside ``keys`` (any key when ``keys`` is None)."""
+    where = lambda k: f"{path}.{k}" if path else k
     if not isinstance(doc, dict):
         raise ConfigError("expected an object", path)
-    unknown = set(doc) - set(keys_required) - set(keys_optional)
-    if unknown:
-        raise ConfigError(f"unknown key '{sorted(unknown)[0]}'", path)
-    for k in keys_required:
+    for k in required:
         if k not in doc:
-            raise ConfigError(f"missing key '{k}'", path)
+            raise ConfigError(f"missing key '{k}'", where(k))
+    unknown = [k for k in doc if keys is not None and k not in keys]
+    if unknown:
+        raise ConfigError(f"unknown key '{unknown[0]}'", where(unknown[0]))
+    return doc
 
 
-def _lst(a: np.ndarray):
-    return np.asarray(a, dtype=np.float64).tolist()
+def _number(v, path: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError("expected a number", path)
+    return float(v)
+
+
+def _integer(v, path: str) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ConfigError("expected an integer", path)
+    return v
+
+
+def _numeric(v) -> bool:
+    if isinstance(v, list):
+        return all(_numeric(e) for e in v)
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
+
+
+def _array(v, path: str) -> np.ndarray:
+    """A number or JSON arrays of numbers nested to any depth, as floats."""
+    if not _numeric(v):
+        raise ConfigError("expected a number or an array of numbers", path)
+    try:
+        return np.array(v, dtype=np.float64)
+    except ValueError:
+        raise ConfigError("array rows differ in length", path) from None
+
+
+def _read_family(cls, doc, **sizes: int):
+    """One family from its document. Presence and JSON types are checked
+    here; shapes and signs by the family's own ``__post_init__``."""
+    path = f"model.{cls.PATH}"
+    fields = _fields(cls, _object(doc, path, None, ("kind",))["kind"])
+    _object(doc, path, ("kind", *(f.key for f in fields)), [f.key for f in fields if f.required])
+    kw = {
+        f.attr: (_array if f.shape else _number)(doc[f.key], f"{path}.{f.key}")
+        for f in fields
+        if f.key in doc
+    }
+    sizes = {k: v for k, v in sizes.items() if k in cls.__dataclass_fields__}
+    return cls(doc["kind"], **sizes, **kw)
+
+
+def _write_family(fam) -> dict:
+    out = {"kind": fam.kind}
+    for f in fam.FIELDS[fam.kind]:
+        v = getattr(fam, f.attr)
+        out[f.key] = v.tolist() if f.shape else v
+    return out
 
 
 def model_to_dict(spec: ModelSpec) -> dict:
-    dr = {"kind": spec.drift.kind}
-    if spec.drift.kind in ("lq", "saturated-affine"):
-        dr["a"] = _lst(spec.drift.a_mat)
-        dr["b"] = _lst(spec.drift.b_mat)
-        dr["offset"] = _lst(spec.drift.b0)
-        if spec.drift.kind == "saturated-affine":
-            dr["saturation"] = spec.drift.saturation
-    elif spec.drift.kind == "constant":
-        dr["b0"] = _lst(spec.drift.b0)
-    else:
-        dr["x_nodes"] = _lst(spec.drift.x_nodes)
-        dr["values"] = _lst(spec.drift.values)
-
-    df = {"kind": spec.diffusion.kind}
-    if spec.diffusion.kind == "lq":
-        df["c"] = _lst(spec.diffusion.c_mat)
-    elif spec.diffusion.kind == "constant":
-        df["c0"] = _lst(spec.diffusion.c0)
-    else:
-        df["x_nodes"] = _lst(spec.diffusion.x_nodes)
-        df["values"] = _lst(spec.diffusion.values)
-
-    if spec.generator.kind == "constant":
-        gen = {"kind": "constant", "rates": _lst(spec.generator.rates), "bound": spec.generator.bound}
-    else:
-        gen = {
-            "kind": "state-action-dependent",
-            "base": _lst(spec.generator.base),
-            "gx": spec.generator.gx,
-            "gu": spec.generator.gu,
-            "bound": spec.generator.bound,
-        }
-
-    rc = spec.costs.running
-    run: dict = {"kind": rc.kind}
-    if rc.kind == "constant":
-        run["value"] = rc.value
-    elif rc.kind == "regime":
-        run["values"] = _lst(rc.values)
-    elif rc.kind == "quad-clamped":
-        run.update(weight=rc.weight, cap=rc.cap, action_weight=rc.action_weight, offset=rc.offset)
-    elif rc.kind == "cosine":
-        run.update(amplitude=rc.amplitude, frequency=rc.frequency)
-    else:
-        run["q"] = _lst(rc.q_mat)
-        run["r"] = _lst(rc.r_mat)
-
-    tc = spec.costs.terminal
-    term: dict = {"kind": tc.kind}
-    if tc.kind == "constant":
-        term["value"] = tc.value
-    elif tc.kind == "quad":
-        term["p"] = _lst(tc.p_mat)
-    elif tc.kind == "bump":
-        term.update(height=tc.height, width=tc.width)
-
-    eh: dict = {"kind": spec.costs.exit_h.kind}
-    if spec.costs.exit_h.kind == "constant":
-        eh["value"] = spec.costs.exit_h.value
-    eb: dict = {"kind": spec.costs.exit_beta.kind}
-    if spec.costs.exit_beta.kind == "constant":
-        eb["value"] = spec.costs.exit_beta.value
-
+    """The JSON document of a model; ``model_from_dict`` reads it back exactly."""
+    c = spec.costs
     costs = {
-        "running": run,
-        "alpha": spec.costs.alpha,
-        "horizon": spec.costs.horizon,
-        "terminal": term,
-        "exit_h": eh,
-        "exit_beta": eb,
-        "exit_domain": list(spec.costs.exit_domain),
+        "running": _write_family(c.running),
+        "alpha": c.alpha,
+        "horizon": c.horizon,
+        "terminal": _write_family(c.terminal),
+        "exit_h": _write_family(c.exit_h),
+        "exit_beta": _write_family(c.exit_beta),
+        "exit_domain": list(c.exit_domain),
     }
-    if spec.costs.m_c is not None:
-        costs["m_c"] = spec.costs.m_c
-
+    if c.m_c is not None:
+        costs["m_c"] = c.m_c
     return {
         "dim": spec.dim,
         "regimes": {"count": spec.regimes.count},
-        "actions": _lst(spec.actions.actions),
-        "drift": dr,
-        "diffusion": df,
-        "generator": gen,
+        "actions": spec.actions.actions.tolist(),
+        "drift": _write_family(spec.drift),
+        "diffusion": _write_family(spec.diffusion),
+        "generator": _write_family(spec.generator),
         "costs": costs,
     }
 
 
 def model_from_dict(doc: dict) -> ModelSpec:
-    _take(doc, "model", ["dim", "regimes", "actions", "drift", "diffusion", "generator", "costs"])
+    """The model of a JSON document (strict: unknown keys are an error).
+
+    Every rejection is a ConfigError whose path is the dotted path of the
+    offending field, e.g. ``model.costs.running.values``.
+    """
+    _object(doc, "model", _MODEL_KEYS, _MODEL_KEYS)
     try:
-        dim = int(doc["dim"])
-        _take(doc["regimes"], "model.regimes", ["count"])
-        regimes = RegimeSet(int(doc["regimes"]["count"]))
-        actions = ActionGrid(np.asarray(doc["actions"], dtype=np.float64))
-        N, l = regimes.count, actions.action_dim
-
-        dr = dict(doc["drift"])
-        kind = dr.get("kind")
-        if kind in ("lq", "saturated-affine"):
-            req = ["kind", "a", "b"]
-            opt = ["offset", "saturation"] if kind == "saturated-affine" else ["offset"]
-            _take(dr, "model.drift", req, opt)
-            drift = DriftFamily(
-                kind,
-                dim,
-                N,
-                l,
-                a_mat=np.asarray(dr["a"], dtype=np.float64),
-                b_mat=np.asarray(dr["b"], dtype=np.float64),
-                b0=np.asarray(dr["offset"], dtype=np.float64) if "offset" in dr else None,
-                saturation=float(dr.get("saturation", 1.0)),
-            )
-        elif kind == "constant":
-            _take(dr, "model.drift", ["kind", "b0"])
-            drift = DriftFamily(kind, dim, N, l, b0=np.asarray(dr["b0"], dtype=np.float64))
-        elif kind == "tabulated":
-            _take(dr, "model.drift", ["kind", "x_nodes", "values"])
-            drift = DriftFamily(
-                kind,
-                dim,
-                N,
-                l,
-                x_nodes=np.asarray(dr["x_nodes"], dtype=np.float64),
-                values=np.asarray(dr["values"], dtype=np.float64),
-            )
-        else:
-            raise ConfigError(f"unknown coefficient family '{kind}'", "model.drift.kind")
-
-        df = dict(doc["diffusion"])
-        kind = df.get("kind")
-        if kind == "lq":
-            _take(df, "model.diffusion", ["kind", "c"])
-            diffusion = DiffusionFamily(kind, dim, N, c_mat=np.asarray(df["c"], dtype=np.float64))
-        elif kind == "constant":
-            _take(df, "model.diffusion", ["kind", "c0"])
-            diffusion = DiffusionFamily(kind, dim, N, c0=np.asarray(df["c0"], dtype=np.float64))
-        elif kind == "tabulated":
-            _take(df, "model.diffusion", ["kind", "x_nodes", "values"])
-            diffusion = DiffusionFamily(
-                kind,
-                dim,
-                N,
-                x_nodes=np.asarray(df["x_nodes"], dtype=np.float64),
-                values=np.asarray(df["values"], dtype=np.float64),
-            )
-        else:
-            raise ConfigError(f"unknown coefficient family '{kind}'", "model.diffusion.kind")
-
-        gen = dict(doc["generator"])
-        kind = gen.get("kind")
-        if kind == "constant":
-            _take(gen, "model.generator", ["kind", "rates"], ["bound"])
-            generator = GeneratorSpec(
-                kind, N, rates=np.asarray(gen["rates"], dtype=np.float64),
-                bound=float(gen["bound"]) if "bound" in gen else None,
-            )
-        elif kind == "state-action-dependent":
-            _take(gen, "model.generator", ["kind", "base"], ["gx", "gu", "bound"])
-            generator = GeneratorSpec(
-                kind,
-                N,
-                base=np.asarray(gen["base"], dtype=np.float64),
-                gx=float(gen.get("gx", 0.0)),
-                gu=float(gen.get("gu", 0.0)),
-                bound=float(gen["bound"]) if "bound" in gen else None,
-            )
-        else:
-            raise ConfigError(f"unknown generator kind '{kind}'", "model.generator.kind")
-
-        co = dict(doc["costs"])
-        _take(
-            co,
-            "model.costs",
-            ["running", "alpha", "horizon"],
-            ["terminal", "exit_h", "exit_beta", "exit_domain", "m_c"],
-        )
-        run = dict(co["running"])
-        kind = run.get("kind")
-        if kind == "constant":
-            _take(run, "model.costs.running", ["kind", "value"])
-            running = RunningCost(kind, N, dim, l, value=float(run["value"]))
-        elif kind == "regime":
-            _take(run, "model.costs.running", ["kind", "values"])
-            running = RunningCost(kind, N, dim, l, values=np.asarray(run["values"], dtype=np.float64))
-        elif kind == "quad-clamped":
-            _take(run, "model.costs.running", ["kind", "weight", "cap"], ["action_weight", "offset"])
-            running = RunningCost(
-                kind,
-                N,
-                dim,
-                l,
-                weight=float(run["weight"]),
-                cap=float(run["cap"]),
-                action_weight=float(run.get("action_weight", 0.0)),
-                offset=float(run.get("offset", 0.0)),
-            )
-        elif kind == "cosine":
-            _take(run, "model.costs.running", ["kind", "amplitude"], ["frequency"])
-            running = RunningCost(
-                kind, N, dim, l,
-                amplitude=float(run["amplitude"]),
-                frequency=float(run.get("frequency", 1.0)),
-            )
-        elif kind == "lq":
-            _take(run, "model.costs.running", ["kind", "q", "r"])
-            running = RunningCost(
-                kind, N, dim, l,
-                q_mat=np.asarray(run["q"], dtype=np.float64),
-                r_mat=np.asarray(run["r"], dtype=np.float64),
-            )
-        else:
-            raise ConfigError(f"unknown running-cost kind '{kind}'", "model.costs.running.kind")
-
-        term = dict(co.get("terminal", {"kind": "zero"}))
-        kind = term.get("kind")
-        if kind in ("zero",):
-            _take(term, "model.costs.terminal", ["kind"])
-            terminal = TerminalCost(kind, N, dim)
-        elif kind == "constant":
-            _take(term, "model.costs.terminal", ["kind", "value"])
-            terminal = TerminalCost(kind, N, dim, value=float(term["value"]))
-        elif kind == "quad":
-            _take(term, "model.costs.terminal", ["kind", "p"])
-            terminal = TerminalCost(kind, N, dim, p_mat=np.asarray(term["p"], dtype=np.float64))
-        elif kind == "bump":
-            _take(term, "model.costs.terminal", ["kind", "height", "width"])
-            terminal = TerminalCost(kind, N, dim, height=float(term["height"]), width=float(term["width"]))
-        else:
-            raise ConfigError(f"unknown terminal-cost kind '{kind}'", "model.costs.terminal.kind")
-
-        eh = dict(co.get("exit_h", {"kind": "zero"}))
-        _take(eh, "model.costs.exit_h", ["kind"], ["value"])
-        exit_h = BoundaryCost(eh.get("kind", "zero"), value=float(eh.get("value", 0.0)))
-        eb = dict(co.get("exit_beta", {"kind": "zero"}))
-        _take(eb, "model.costs.exit_beta", ["kind"], ["value"])
-        exit_beta = ExitDiscount(eb.get("kind", "zero"), value=float(eb.get("value", 0.0)))
-
-        domain = co.get("exit_domain", [-1.0, 1.0])
-        if not (isinstance(domain, (list, tuple)) and len(domain) == 2):
-            raise ConfigError("exit_domain must be [lo, hi]", "model.costs.exit_domain")
-
+        dim = _integer(doc["dim"], "model.dim")
+        count = _object(doc["regimes"], "model.regimes", ("count",), ("count",))["count"]
+        regimes = RegimeSet(_integer(count, "model.regimes.count"))
+        actions = ActionGrid(_array(doc["actions"], "model.actions"))
+        sizes = dict(dim=dim, n_regimes=regimes.count, action_dim=actions.action_dim)
+        drift = _read_family(DriftFamily, doc["drift"], **sizes)
+        diffusion = _read_family(DiffusionFamily, doc["diffusion"], **sizes)
+        generator = _read_family(GeneratorSpec, doc["generator"], **sizes)
+        co = _object(doc["costs"], "model.costs", _COST_KEYS, ("running", "alpha", "horizon"))
+        domain = _array(co.get("exit_domain", [-1.0, 1.0]), "model.costs.exit_domain")
+        if domain.shape != (2,):
+            raise ConfigError("expected [lo, hi]", "model.costs.exit_domain")
         costs = CostSpec(
-            running=running,
-            alpha=float(co["alpha"]),
-            horizon=float(co["horizon"]),
-            terminal=terminal,
-            exit_h=exit_h,
-            exit_beta=exit_beta,
-            exit_domain=(float(domain[0]), float(domain[1])),
-            m_c=float(co["m_c"]) if "m_c" in co else None,
+            running=_read_family(RunningCost, co["running"], **sizes),
+            alpha=_number(co["alpha"], "model.costs.alpha"),
+            horizon=_number(co["horizon"], "model.costs.horizon"),
+            terminal=_read_family(TerminalCost, co.get("terminal", _ZERO), **sizes),
+            exit_h=_read_family(BoundaryCost, co.get("exit_h", _ZERO)),
+            exit_beta=_read_family(ExitDiscount, co.get("exit_beta", _ZERO)),
+            exit_domain=(domain[0], domain[1]),
+            m_c=_number(co["m_c"], "model.costs.m_c") if "m_c" in co else None,
         )
         return ModelSpec(dim, regimes, actions, drift, diffusion, generator, costs)
-    except ConfigError:
-        raise
     except (ShapeError, RatesError) as exc:
-        raise ConfigError(str(exc), "model") from exc
-    except (TypeError, ValueError, KeyError) as exc:
-        raise ConfigError(f"malformed model document: {exc}", "model") from exc
+        raise ConfigError(exc.message, f"model.{exc.path}" if exc.path else "model") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -987,6 +889,8 @@ class PerturbationSchedule:
     'combined'     coefficient + rates + cost
     """
 
+    MODES = ("coefficient", "rates", "cost", "noise-approx", "combined")
+
     mode: str
     n_max: int
     magnitudes: FloatArray | None = None
@@ -999,8 +903,7 @@ class PerturbationSchedule:
     hat_sigma: FloatArray | None = None
 
     def __post_init__(self):
-        modes = ("coefficient", "rates", "cost", "noise-approx", "combined")
-        if self.mode not in modes:
+        if self.mode not in self.MODES:
             raise ConfigError(f"unknown perturbation mode '{self.mode}'", "schedule.mode")
         if self.n_max < 0:
             raise ConfigError("n_max must be >= 0", "schedule.n_max")
@@ -1139,60 +1042,3 @@ def make_perturbation_sequence(true_spec: ModelSpec, sched: PerturbationSchedule
             ModelSpec(d, true_spec.regimes, true_spec.actions, drift, diffusion, generator, costs)
         )
     return out
-
-
-# ---------------------------------------------------------------------------
-# Lyapunov drift condition, sampled
-
-
-@dataclass(frozen=True, eq=False)
-class LyapunovPair:
-    """Quadratic witness pair: V(x) = 1 + scale |x|^2, h(x) = kappa |x|^2.
-
-    V is regime independent, so the generator coupling term vanishes
-    identically and only the diffusion trace and drift terms contribute.
-    """
-
-    scale: float = 1.0
-    kappa: float = 0.0
-    c0_hat: float = 0.0
-
-    def __post_init__(self):
-        if self.scale < 0 or self.kappa < 0 or self.c0_hat < 0:
-            raise ShapeError("LyapunovPair parameters must be >= 0")
-
-    def v(self, x: FloatArray) -> FloatArray:
-        return 1.0 + self.scale * np.sum(x**2, axis=1)
-
-    def h(self, x: FloatArray) -> FloatArray:
-        return self.kappa * np.sum(x**2, axis=1)
-
-
-@dataclass(frozen=True)
-class LyapunovReport:
-    max_violation: float
-    passed: bool
-    worst_point: tuple
-
-
-def check_lyapunov_sampled(
-    spec: ModelSpec, pair: LyapunovPair, sample, tol: float = 1e-9
-) -> LyapunovReport:
-    """Evaluate (generator applied to V) + h - c0_hat at the sample points.
-
-    The extended generator acting on the quadratic witness reduces to
-    trace(a * 2 scale I) + b . (2 scale x); the regime coupling drops out
-    because V does not depend on the regime. Pass means the sampled maximum
-    is <= tol.
-    """
-    x, s, u = _sample_arrays(spec, sample)
-    a = spec.diffusion.a_batch(x, s)
-    b = spec.drift.eval_batch(x, s, u)
-    trace_term = 2.0 * pair.scale * np.trace(a, axis1=1, axis2=2)
-    drift_term = 2.0 * pair.scale * np.sum(b * x, axis=1)
-    gen_v = trace_term + drift_term
-    viol = gen_v + pair.h(x) - pair.c0_hat
-    k = int(np.argmax(viol))
-    worst = (x[k].copy(), int(s[k]) + 1, u[k].copy())
-    vmax = float(viol[k])
-    return LyapunovReport(max_violation=vmax, passed=vmax <= tol, worst_point=worst)

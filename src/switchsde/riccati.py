@@ -378,17 +378,3 @@ def a_priori_bound(lq: LQSpec) -> float:
     c0 = max(nrm(lq.q[i]) + nrm(lq.p[i]) for i in range(lq.n_regimes))
     k0 = max(2.0 * nrm(lq.a[i]) + nrm(lq.c[i]) ** 2 for i in range(lq.n_regimes))
     return c0 * np.exp(k0 * lq.horizon) * (lq.horizon + 1.0)
-
-
-def time_lipschitz_bound(lq: LQSpec) -> float:
-    """Uniform bound on ||dK/dt|| from the a priori trajectory bound."""
-    nrm = lambda m: float(np.linalg.norm(m, ord=2))
-    kappa = a_priori_bound(lq)
-    k0 = max(2.0 * nrm(lq.a[i]) + nrm(lq.c[i]) ** 2 for i in range(lq.n_regimes))
-    b2r = max(
-        nrm(lq.b[i]) ** 2 / float(np.min(np.linalg.eigvalsh(lq.r[i])))
-        for i in range(lq.n_regimes)
-    )
-    qmax = max(nrm(lq.q[i]) for i in range(lq.n_regimes))
-    m_bound = float(np.max(np.abs(lq.rates)))
-    return k0 * kappa + b2r * kappa**2 + qmax + lq.n_regimes * m_bound * kappa

@@ -551,9 +551,16 @@ def simulate_path(spec: ModelSpec, policy, x0, i0, T: float, dt: float, stream: 
     )
 
 
-def _check_t_cap(t_cap: float) -> None:
+def _cap_steps(t_cap: float, dt: float) -> int:
+    """Step cap of an exit run: t_cap/dt rounded up.
+
+    t_cap must be finite and positive and the run within the step budget;
+    a t_cap that is not a whole number of steps is covered by the next step.
+    """
     if not np.isfinite(t_cap) or t_cap <= 0:
         raise StepError("t_cap must be finite and positive")
+    _check_step_budget(t_cap, dt)
+    return int(math.ceil(t_cap / dt - 1e-9))
 
 
 def outside_interval(x: FloatArray, domain: tuple[float, float]) -> np.ndarray:
@@ -566,14 +573,14 @@ def simulate_exit_path(
     spec: ModelSpec, policy, x0, i0, domain: tuple[float, float], dt: float,
     t_cap: float, stream: RngStream,
 ) -> PathSample:
-    """Simulate until the state leaves the open domain, or until t_cap.
+    """Simulate until the state leaves the open domain, or until t_cap
+    rounded up to a whole number of steps, as in ``mc_exit``.
 
     The exit node is the first grid time at which the state is outside the
     domain; no interpolation toward the boundary is applied. A start outside
     the domain terminates immediately with a zero-length path.
     """
-    _check_t_cap(t_cap)
-    n_cap = _n_steps_for(t_cap, dt)
+    n_cap = _cap_steps(t_cap, dt)
     eng = BatchStepper(
         spec, x0, i0, dt, seed=stream.seed, first_path_index=stream.path_index,
         n_paths=1, record_jumps=True,

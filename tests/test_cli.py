@@ -10,9 +10,9 @@ from pathlib import Path
 import pytest
 
 import switchsde
-from switchsde import ConfigError, cli, model_to_dict
+from switchsde import CapFractionWarning, ConfigError, cli, model_to_dict
 from switchsde.io import atomic_write_text, g17, write_csv
-from conftest import saturated_model
+from conftest import bm_model, saturated_model
 
 CHAIN = {
     "dim": 1,
@@ -212,6 +212,59 @@ def test_config_errors_exit_4(tmp_path, capsys):
     assert cli.main(["--config", str(missing), "--out", str(tmp_path / "c")]) == 4
     err = capsys.readouterr().err
     assert err.count("config error") == 3
+
+
+GRID = {"x_min": -2.0, "x_max": 2.0, "n_x": 21}
+SCHED = {"mode": "rates", "n_max": 1, "d_m": [[0.0, 0.5], [1.0, 0.0]]}
+SIM = {"x0": [0.0], "i0": 1, "dt": 0.01, "seed": 1}
+SAD = {"kind": "state-action-dependent", "base": [[0.0, 1.0], [2.0, 0.0]]}
+
+
+@pytest.mark.parametrize(
+    "command,block,model,path",
+    [
+        ("hjb", {"criterion": "discounted", "grid": GRID, "alpha": "x"}, {}, "hjb.alpha"),
+        ("ergodic", {"grid": GRID, "ladder": 0.1}, {}, "ergodic.ladder"),
+        ("robustness", {"criterion": "finite-horizon", "grid": GRID, "schedule": SCHED, "n_t": "a"},
+         {}, "robustness.n_t"),
+        ("robustness", {"criterion": "discounted", "grid": GRID,
+                        "schedule": {"mode": "cost", "n_max": 1, "d_cost": "z"}},
+         {}, "robustness.schedule.d_cost"),
+        ("simulate", dict(SIM, x0=[0.0, 1.0]), {}, "simulate.x0"),
+        ("validate", None, {"dim": 1.5}, "model.dim"),
+        ("validate", None, {"regimes": {"count": 2.7}}, "model.regimes.count"),
+        ("validate", None, {"generator": dict(SAD, gx=True)}, "model.generator.gx"),
+        ("hjb", {"criterion": "finite-horizon", "grid": GRID, "n_t": 25.7}, {}, "hjb.n_t"),
+        ("simulate", dict(SIM, exit="yes"), {}, "simulate.exit"),
+    ],
+)
+def test_malformed_config_exits_4_naming_the_field(tmp_path, capsys, command, block, model, path):
+    doc = {"command": command, "model": dict(CHAIN, **model)}
+    if block is not None:
+        doc[command] = block
+    code, _ = _run(tmp_path, doc)
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("config error: E_CONFIG: ")
+    assert err.rstrip().endswith(f" at '{path}'")
+
+
+def test_simulate_exit_rounds_t_cap_up_like_mc_exit(tmp_path):
+    # dt = 0.03 does not divide t_cap = 1.0; both commands cap at 34 steps
+    model = model_to_dict(bm_model(cost_value=1.0))
+    model["costs"]["exit_domain"] = [-100.0, 100.0]
+    block = {"x0": [0.0], "i0": 1, "dt": 0.03, "seed": 3, "t_cap": 1.0}
+    code, out = _run(tmp_path, {"command": "simulate", "model": model,
+                                "simulate": dict(block, exit=True)})
+    assert code == 0
+    assert "simulate: steps=34 termination=cap" in (out / "report.txt").read_text()
+    assert len((out / "path.csv").read_text().splitlines()) == 1 + 35
+    cost = dict(block, criterion="exit", n_paths=4)
+    with pytest.warns(CapFractionWarning):
+        code, out = _run(tmp_path, {"command": "cost", "model": model, "cost": cost}, sub="cost")
+    assert code == 0
+    # unit running cost, no discount, no exit: each path accrues 34 steps of dt
+    assert json.loads((out / "results.json").read_text())["value"] == pytest.approx(34 * 0.03)
 
 
 @pytest.mark.parametrize("command", ["hjb", "ergodic"])

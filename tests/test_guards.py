@@ -1,0 +1,60 @@
+"""Repository rules no other test checks: the README config reference lists
+exactly the keys of the schema tables, and ``src/`` has no bare assert."""
+
+import ast
+import re
+from pathlib import Path
+
+from switchsde import cli, model
+
+ROOT = Path(__file__).resolve().parents[1]
+FAMILIES = (
+    model.DriftFamily,
+    model.DiffusionFamily,
+    model.GeneratorSpec,
+    model.RunningCost,
+    model.TerminalCost,
+    model.BoundaryCost,
+    model.ExitDiscount,
+)
+
+
+def _reference() -> dict:
+    """README config reference: heading -> {first cell: backticked names of the second}."""
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Config reference\n", 1)[1].split("\n## ", 1)[0]
+    tables = {}
+    for chunk in re.split(r"^#### ", section, flags=re.M)[1:]:
+        rows = [line.split("|")[1:3] for line in chunk.splitlines() if line.startswith("| `")]
+        tables[re.match(r"`([^`]+)`", chunk).group(1)] = {
+            re.fullmatch(r" `([^`]+)` ", first).group(1): re.findall(r"`([^`]+)`", second)
+            for first, second in rows
+        }
+    return tables
+
+
+def test_readme_config_reference_lists_exactly_the_table_keys():
+    ref = _reference()
+    blocks = {**cli.BLOCKS, "grid": cli.GRID, "schedule": cli.SCHEDULE}
+    for name, table in blocks.items():
+        assert list(ref[name]) == [key for key, _, _ in table], name
+    assert ref["policy"] == {
+        kind: ["kind", *(key for key, _, _ in table)] for kind, table in cli.POLICIES.items()
+    }
+    for cls in FAMILIES:
+        assert ref[cls.PATH] == {
+            kind: [f.key for f in fields] for kind, fields in cls.FIELDS.items()
+        }, cls.PATH
+    assert set(ref) == {*blocks, "policy", *(cls.PATH for cls in FAMILIES)}
+
+
+def test_src_has_no_bare_assert():
+    found = []
+    for path in sorted((ROOT / "src").rglob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        found += [
+            f"{path.relative_to(ROOT)}:{node.lineno}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Assert)
+        ]
+    assert found == []

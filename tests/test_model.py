@@ -1,5 +1,8 @@
 """Model families, validation, serialization and perturbation schedules."""
 
+import dataclasses
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,18 +10,20 @@ from hypothesis import strategies as st
 
 from switchsde import (
     ActionGrid,
+    BoundaryCost,
     ConfigError,
+    CostSpec,
     DiffusionFamily,
     DriftFamily,
+    ExitDiscount,
     GeneratorSpec,
-    LyapunovPair,
     ModelSpec,
     PerturbationSchedule,
     RatesError,
     RegimeSet,
     RunningCost,
     ShapeError,
-    check_lyapunov_sampled,
+    TerminalCost,
     default_sample,
     make_perturbation_sequence,
     model_from_dict,
@@ -211,6 +216,202 @@ def test_from_json_rejects_unknown_key():
         model_from_dict(doc)
 
 
+# generated models: one hand-written constructor per family kind, so the
+# properties below do not read the schema tables they check
+
+DRIFT_KINDS = ("lq", "saturated-affine", "constant", "tabulated")
+DIFFUSION_KINDS = ("lq", "constant", "tabulated")
+GENERATOR_KINDS = ("constant", "state-action-dependent")
+RUNNING_KINDS = ("constant", "regime", "quad-clamped", "cosine", "lq")
+TERMINAL_KINDS = ("zero", "constant", "quad", "bump")
+EXIT_KINDS = ("zero", "constant")
+ONE_D_KINDS = {("drift", "tabulated"), ("diffusion", "tabulated"), ("running", "cosine")}
+
+
+def _nodes(rng, n):
+    return np.cumsum(rng.uniform(0.1, 1.0, n)) - 2.0
+
+
+def _drift(kind, N, d, l, rng):
+    if kind == "lq":
+        return DriftFamily(kind, d, N, l, a_mat=rng.normal(size=(N, d, d)), b_mat=rng.normal(size=(N, d, l)))
+    if kind == "saturated-affine":
+        return DriftFamily(
+            kind, d, N, l, a_mat=rng.normal(size=(N, d, d)), b_mat=rng.normal(size=(N, d, l)),
+            b0=rng.normal(size=(N, d)), saturation=float(rng.uniform(0.5, 2.0)),
+        )
+    if kind == "constant":
+        return DriftFamily(kind, d, N, l, b0=rng.normal(size=(N, d)))
+    n = int(rng.integers(2, 6))
+    return DriftFamily(kind, d, N, l, x_nodes=_nodes(rng, n), values=rng.normal(size=(N, n)))
+
+
+def _diffusion(kind, N, d, rng):
+    if kind == "lq":
+        return DiffusionFamily(kind, d, N, c_mat=rng.normal(size=(N, d, d)))
+    if kind == "constant":
+        return DiffusionFamily(kind, d, N, c0=rng.normal(size=(N, d, int(rng.integers(1, 3)))))
+    n = int(rng.integers(2, 6))
+    return DiffusionFamily(kind, d, N, x_nodes=_nodes(rng, n), values=rng.uniform(0.1, 1.0, (N, n)))
+
+
+def _generator(kind, N, rng):
+    off = rng.uniform(0.0, 2.0, (N, N)) * (1.0 - np.eye(N))
+    if kind == "constant":
+        return GeneratorSpec(kind, N, rates=off - np.diag(off.sum(axis=1)))
+    gx = float(rng.uniform(-0.5, 0.5))
+    return GeneratorSpec(kind, N, base=off, gx=gx, gu=float(rng.uniform(-0.5, 0.5)))
+
+
+def _running(kind, N, d, l, rng):
+    if kind == "constant":
+        return RunningCost(kind, N, d, l, value=float(rng.uniform(0.0, 2.0)))
+    if kind == "regime":
+        return RunningCost(kind, N, d, l, values=rng.uniform(0.0, 2.0, N))
+    if kind == "quad-clamped":
+        w, cap, aw, off = rng.uniform(0.1, 2.0, 4)
+        return RunningCost(kind, N, d, l, weight=w, cap=cap, action_weight=aw, offset=off)
+    if kind == "cosine":
+        return RunningCost(kind, N, d, l, amplitude=float(rng.uniform(0.0, 2.0)), frequency=float(rng.normal()))
+    return RunningCost(kind, N, d, l, q_mat=rng.normal(size=(N, d, d)), r_mat=rng.normal(size=(N, l, l)))
+
+
+def _terminal(kind, N, d, rng):
+    if kind == "constant":
+        return TerminalCost(kind, N, d, value=float(rng.normal()))
+    if kind == "quad":
+        return TerminalCost(kind, N, d, p_mat=rng.normal(size=(N, d, d)))
+    if kind == "bump":
+        return TerminalCost(kind, N, d, height=float(rng.uniform(0.0, 2.0)), width=float(rng.uniform(0.1, 2.0)))
+    return TerminalCost(kind, N, d)
+
+
+@st.composite
+def models(draw, pinned=()):
+    """A valid model with random kinds, except the (family, kind) pairs pinned."""
+    kinds = {
+        "drift": draw(st.sampled_from(DRIFT_KINDS)),
+        "diffusion": draw(st.sampled_from(DIFFUSION_KINDS)),
+        "generator": draw(st.sampled_from(GENERATOR_KINDS)),
+        "running": draw(st.sampled_from(RUNNING_KINDS)),
+        "terminal": draw(st.sampled_from(TERMINAL_KINDS)),
+        "exit_h": draw(st.sampled_from(EXIT_KINDS)),
+        "exit_beta": draw(st.sampled_from(EXIT_KINDS)),
+        **dict(pinned),
+    }
+    one_d = any(pair in ONE_D_KINDS for pair in kinds.items())
+    d = 1 if one_d else draw(st.integers(1, 2))
+    N, l = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    actions = ActionGrid(rng.normal(size=(int(rng.integers(1, 4)), l)))
+    running = _running(kinds["running"], N, d, l, rng)
+    m_c = None
+    if kinds["running"] != "lq" and draw(st.booleans()):
+        m_c = running.bound(actions) + float(rng.uniform(0.0, 1.0))
+    value = lambda kind: float(rng.uniform(0.0, 1.0)) if kind == "constant" else 0.0
+    lo = float(rng.normal())
+    costs = CostSpec(
+        running=running,
+        alpha=float(rng.uniform(0.1, 2.0)),
+        horizon=float(rng.uniform(0.1, 2.0)),
+        terminal=_terminal(kinds["terminal"], N, d, rng),
+        exit_h=BoundaryCost(kinds["exit_h"], value=value(kinds["exit_h"])),
+        exit_beta=ExitDiscount(kinds["exit_beta"], value=value(kinds["exit_beta"])),
+        exit_domain=(lo, lo + float(rng.uniform(0.5, 3.0))),
+        m_c=m_c,
+    )
+    return ModelSpec(
+        d, RegimeSet(N), actions, _drift(kinds["drift"], N, d, l, rng),
+        _diffusion(kinds["diffusion"], N, d, rng), _generator(kinds["generator"], N, rng), costs,
+    )
+
+
+def _same(a, b) -> bool:
+    """Field-by-field equality of model value objects, arrays exactly."""
+    if dataclasses.is_dataclass(a):
+        return type(a) is type(b) and all(
+            _same(getattr(a, f.name), getattr(b, f.name)) for f in dataclasses.fields(a)
+        )
+    if isinstance(a, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
+
+
+ALL_KINDS = [
+    (family, kind)
+    for family, kinds in (
+        ("drift", DRIFT_KINDS), ("diffusion", DIFFUSION_KINDS), ("generator", GENERATOR_KINDS),
+        ("running", RUNNING_KINDS), ("terminal", TERMINAL_KINDS), ("exit_h", EXIT_KINDS),
+        ("exit_beta", EXIT_KINDS),
+    )
+    for kind in kinds
+]
+
+
+@pytest.mark.parametrize("family,kind", ALL_KINDS)
+@settings(max_examples=8, deadline=None)
+@given(data=st.data())
+def test_model_document_round_trips(family, kind, data):
+    spec = data.draw(models(pinned=[(family, kind)]))
+    doc = model_to_dict(spec)
+    back = model_from_dict(json.loads(json.dumps(doc)))
+    assert _same(back, spec)
+    assert model_to_dict(back) == doc
+
+
+# the keys a document may leave out, per family path
+OPTIONAL_KEYS = {
+    "drift": {"offset", "saturation"},
+    "generator": {"bound", "gx", "gu"},
+    "costs": {"exit_domain", "m_c"},
+    "costs.running": {"action_weight", "offset", "frequency"},
+    "costs.exit_h": {"value"},
+    "costs.exit_beta": {"value"},
+}
+FAMILY_PATHS = (
+    "drift", "diffusion", "generator", "costs", "costs.running", "costs.terminal",
+    "costs.exit_h", "costs.exit_beta",
+)
+
+
+def _first_leaf_to_bool(v):
+    return [_first_leaf_to_bool(v[0]), *v[1:]] if isinstance(v, list) else True
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    spec=models(),
+    family=st.sampled_from(FAMILY_PATHS),
+    mutation=st.sampled_from(("type", "bool", "shape", "missing", "unknown")),
+    pick=st.integers(0, 100),
+)
+def test_malformed_field_is_a_config_error_at_its_path(spec, family, mutation, pick):
+    doc = model_to_dict(spec)
+    obj = doc
+    for part in family.split("."):
+        obj = obj[part]
+    keys = [k for k, v in obj.items() if k != "kind" and not isinstance(v, dict)]
+    if mutation == "unknown" or not keys:
+        key = "bogus"
+        obj[key] = 1.0
+    else:
+        key = keys[pick % len(keys)]
+        if mutation == "type":
+            obj[key] = "x"
+        elif mutation == "bool":
+            obj[key] = _first_leaf_to_bool(obj[key])
+        elif mutation == "shape":
+            obj[key] = [obj[key]]
+        else:
+            del obj[key]
+            if key in OPTIONAL_KEYS.get(family, ()):
+                model_from_dict(doc)
+                return
+    with pytest.raises(ConfigError) as err:
+        model_from_dict(doc)
+    assert err.value.path == f"model.{family}.{key}"
+
+
 # ---------------------------------------------------------------------------
 # validation
 
@@ -233,23 +434,6 @@ def test_validate_flags_degenerate_diffusion(make_chain):
 def test_validate_rejects_empty_sample(chain):
     with pytest.raises(ShapeError):
         validate_model(chain, [])
-
-
-def test_lyapunov_witness_on_mean_reverting_drift():
-    # b = -x: the generator of 1 + x^2 is 2a - 2x^2, dominated by c0_hat - x^2
-    base = bm_model()
-    drift = DriftFamily(
-        "lq", 1, 1, 1, a_mat=np.array([[[-1.0]]]), b_mat=np.zeros((1, 1, 1))
-    )
-    spec = ModelSpec(
-        base.dim, base.regimes, base.actions, drift, base.diffusion,
-        base.generator, base.costs,
-    )
-    pair = LyapunovPair(scale=1.0, kappa=1.0, c0_hat=2.0)
-    report = check_lyapunov_sampled(spec, pair, default_sample(spec))
-    assert report.passed
-    bad = LyapunovPair(scale=1.0, kappa=3.0, c0_hat=0.0)
-    assert not check_lyapunov_sampled(spec, bad, default_sample(spec)).passed
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from switchsde import (
     lq_from_model,
     riccati_defect,
     solve_coupled_riccati,
-    time_lipschitz_bound,
 )
 from switchsde.riccati import BLOWUP_LIMIT, _integrate_backward, _riccati_data, _riccati_rhs
 from conftest import reference_lq, scalar_lq
@@ -77,13 +76,6 @@ def test_a_priori_bound_dominates_trajectory(ref_lq):
     traj = solve_coupled_riccati(ref_lq, n_steps=400)
     kmax = float(np.max(np.linalg.norm(traj.k, axis=(-2, -1))))
     assert kmax <= a_priori_bound(ref_lq)
-
-
-def test_lipschitz_bound_dominates_differences(ref_lq):
-    traj = solve_coupled_riccati(ref_lq, n_steps=400)
-    dt = traj.times[1] - traj.times[0]
-    rate = np.max(np.abs(np.diff(traj.k, axis=0))) / dt
-    assert rate <= time_lipschitz_bound(ref_lq)
 
 
 def test_k_at_interpolates_endpoints(ref_lq):
