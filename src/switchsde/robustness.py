@@ -1,12 +1,15 @@
-"""Robustness sweeps: solve approximating models, replay their policies.
+"""Robustness sweeps: solve a schedule of approximating models, replay their policies.
 
-Each sweep walks a perturbation schedule, solves the chosen criterion for
-every approximating model on one shared grid (or Riccati time grid), and
-reports two curves per row: the value gap between the approximating and
-true optimal values, and the performance loss from running the
-approximating model's optimal policy inside the true model. A delta = 0
-control row is appended whenever the schedule does not already end with
-one; it runs through the identical pipeline, so its gaps vanish exactly.
+Each sweep takes the distinct models of a perturbation schedule and solves
+them together: the LQ sweep as one stacked Riccati RK4, a grid sweep as one
+block-diagonal banded system per Howard iteration or time level, on one
+shared grid (or Riccati time grid). It reports two curves per row: the
+value gap between the approximating and true optimal values, and the
+performance loss from running the approximating model's optimal policy
+inside the true model, replayed for every row at once. The true model sits
+in each stack once. A delta = 0 control row is appended whenever the
+schedule does not already end with one; it shares the true model's solve,
+so its gaps vanish exactly.
 """
 
 from __future__ import annotations
@@ -19,16 +22,17 @@ from .errors import ConfigError, ShapeError
 from .hjbgrid import (
     DEFAULT_LADDER,
     Grid1D,
+    _discounted,
+    _ergodic,
+    _ergodic_policy,
+    _exit,
+    _exit_cost,
     _hamiltonians,
+    _solve_policy,
+    _step_back,
     _Tables,
-    estimate_ergodic,
-    estimate_ergodic_policy,
-    evaluate_policy_exit,
-    evaluate_policy_finite_horizon,
-    evaluate_policy_value,
-    solve_discounted,
-    solve_exit,
-    solve_finite_horizon,
+    _terminal,
+    _time_levels,
 )
 from .io import write_csv
 from .model import ModelSpec, PerturbationSchedule, _perturb_offdiag, make_perturbation_sequence
@@ -167,9 +171,64 @@ def sweep_lq_finite_horizon(
     return SweepReport(criterion="lq-finite-horizon", rows=tuple(rows))
 
 
-def _grid_models(true_spec: ModelSpec, sched: PerturbationSchedule) -> dict:
-    seq = make_perturbation_sequence(true_spec, sched)
-    return {float(d): m for d, m in zip(sched.magnitudes, seq)}
+def _grid_stack(true_spec: ModelSpec, sched: PerturbationSchedule, grid: Grid1D) -> tuple:
+    """The schedule's distinct models stacked on one grid, in row order.
+
+    Returns (tables of the stack, the true model's tables tiled to the same
+    blocks for the replay, the block of each sweep row, the true model's
+    block). The delta = 0 control row shares the true model's block.
+    """
+    by_delta = dict(zip(
+        (float(d) for d in sched.magnitudes), make_perturbation_sequence(true_spec, sched)
+    ))
+    stack, slot, labels = [], {}, []
+    deltas = _schedule_deltas(sched)
+    for n, delta in enumerate(deltas):
+        if delta not in slot:
+            slot[delta] = len(stack)
+            stack.append(by_delta.get(delta, true_spec))
+            labels.append(f"schedule row n = {n}, delta = {delta:g}")
+    tab = _Tables(stack, grid, labels)
+    replay = _Tables([true_spec] * len(stack), grid)
+    return tab, replay, [slot[d] for d in deltas], slot[0.0]
+
+
+def _stationary(tab: _Tables, criterion: str, tol: float, max_iter: int) -> list:
+    if criterion == "discounted":
+        return _discounted(tab, None, tol, max_iter)
+    return _exit(tab, tol, max_iter)
+
+
+def _replay(replay: _Tables, criterion: str, policy: np.ndarray) -> np.ndarray:
+    """Values in the true model of each block's policy, (N, B, K) to (N, B, K)."""
+    if criterion == "discounted":
+        alpha = replay.models[0].costs.alpha
+        return _solve_policy(replay, policy, replay.gather(replay.c, policy), alpha)
+    return _exit_cost(replay, policy)
+
+
+def _block_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Per-block sup-norm of a - b over (N, B, K) arrays."""
+    return np.max(np.abs(a - b), axis=(0, 2))
+
+
+def _finite_horizon_gaps(tab: _Tables, replay: _Tables, t: int, n_t: int | None) -> tuple:
+    """Per-block value gap over all levels, and values and replayed costs at t = 0.
+
+    The stack and the replay step back together, so each level's policy is
+    replayed as soon as it is chosen and only one level of each is kept.
+    """
+    _, n_t, dt = _time_levels(tab, None, n_t)
+    v, j = _terminal(tab), _terminal(replay)
+    value_gap = _block_gap(v, v[:, t:t + 1])
+    ham = _hamiltonians(tab, v, False)
+    for _ in range(n_t):
+        pol = np.argmin(ham, axis=0)
+        v = _step_back(tab, pol, v, dt)
+        j = _step_back(replay, pol, j, dt)
+        ham = _hamiltonians(tab, v, False)
+        value_gap = np.maximum(value_gap, _block_gap(v, v[:, t:t + 1]))
+    return value_gap, v, j, n_t
 
 
 def sweep_grid(
@@ -189,73 +248,50 @@ def sweep_grid(
     policy_loss replays the model-n policy in the true model; aux is the
     cross-model term J_true(pi_n) - V_n entering the triangle bound
     policy_loss <= value_gap + aux.
+
+    The schedule's distinct models are solved as one stacked system (see
+    hjbgrid._Tables), and every row's policy is replayed by one stacked
+    evaluation on the true model's tables. The true model sits in the stack
+    once and serves both the reference values and the control row. Each
+    model keeps its own Howard stopping test, so every column equals a solve
+    of that model alone; MaxIterError names the first row that did not
+    converge.
     """
     if criterion not in GRID_CRITERIA:
         raise ConfigError(f"unknown sweep criterion '{criterion}'", "criterion")
-    models = _grid_models(true_spec, sched)
+    tab, replay, slots, t = _grid_stack(true_spec, sched, grid)
 
-    if criterion == "discounted":
-        sol_true = solve_discounted(true_spec, grid, tol=tol, max_iter=max_iter)
+    if criterion == "ergodic":
+        ests = _ergodic(tab, ladder, tol, max_iter)
+        # the baseline goes through the same fixed-policy replay so the
+        # control row cancels exactly instead of carrying the extrapolation
+        # mismatch
+        rho = _ergodic_policy(replay, np.stack([e.policy for e in ests], axis=1), ladder)
+        per_block = [
+            (abs(e.rho - ests[t].rho), abs(r - rho[t]), abs(r - e.rho), len(ladder))
+            for e, r in zip(ests, rho)
+        ]
+    else:
+        if criterion == "finite-horizon":
+            # the replay is compared at t = 0
+            value_gap, v, j, n_t = _finite_horizon_gaps(tab, replay, t, n_t)
+            iters = [n_t] * len(value_gap)
+        else:
+            sols = _stationary(tab, criterion, tol, max_iter)
+            v = np.stack([s.values for s in sols], axis=1)
+            j = _replay(replay, criterion, np.stack([s.policy for s in sols], axis=1))
+            value_gap = _block_gap(v, v[:, t:t + 1])
+            iters = [s.iterations for s in sols]
+        policy_loss = np.max(j - v[:, t:t + 1], axis=(0, 2))
+        per_block = [
+            (float(g), float(loss), float(a), it)
+            for g, loss, a, it in zip(value_gap, policy_loss, _block_gap(j, v), iters)
+        ]
 
-        def solve_one(m):
-            s = solve_discounted(m, grid, tol=tol, max_iter=max_iter)
-            j = evaluate_policy_value(true_spec, grid, s.policy).values
-            return (
-                float(np.max(np.abs(s.values - sol_true.values))),
-                float(np.max(j - sol_true.values)),
-                float(np.max(np.abs(j - s.values))),
-                s.iterations,
-            )
-
-    elif criterion == "exit":
-        sol_true = solve_exit(true_spec, grid, tol=tol, max_iter=max_iter)
-
-        def solve_one(m):
-            s = solve_exit(m, grid, tol=tol, max_iter=max_iter)
-            j = evaluate_policy_exit(true_spec, grid, s.policy).values
-            return (
-                float(np.max(np.abs(s.values - sol_true.values))),
-                float(np.max(j - sol_true.values)),
-                float(np.max(np.abs(j - s.values))),
-                s.iterations,
-            )
-
-    elif criterion == "finite-horizon":
-        levels = n_t
-        sol_true = solve_finite_horizon(true_spec, grid, n_t=levels)
-
-        def solve_one(m):
-            s = solve_finite_horizon(m, grid, n_t=levels)
-            j = evaluate_policy_finite_horizon(true_spec, grid, s.policy).values
-            return (
-                float(np.max(np.abs(s.values - sol_true.values))),
-                float(np.max(j[0] - sol_true.values[0])),
-                float(np.max(np.abs(j[0] - s.values[0]))),
-                s.iterations,
-            )
-
-    else:  # ergodic
-        est_true = estimate_ergodic(true_spec, grid, ladder=ladder, tol=tol, max_iter=max_iter)
-        # baseline through the same fixed-policy replay so the delta = 0 row
-        # cancels exactly instead of carrying the extrapolation mismatch
-        rho_base = estimate_ergodic_policy(true_spec, grid, est_true.policy, ladder=ladder)
-
-        def solve_one(m):
-            e = estimate_ergodic(m, grid, ladder=ladder, tol=tol, max_iter=max_iter)
-            rho_replay = estimate_ergodic_policy(true_spec, grid, e.policy, ladder=ladder)
-            return (
-                abs(e.rho - est_true.rho),
-                abs(rho_replay - rho_base),
-                abs(rho_replay - e.rho),
-                len(ladder),
-            )
-
-    rows = []
-    for n, delta in enumerate(_schedule_deltas(sched)):
-        model = models.get(delta, true_spec)
-        value_gap, policy_loss, aux, iters = solve_one(model)
-        rows.append(SweepRow(n, delta, value_gap, policy_loss, aux, solver_iters=iters))
-    return SweepReport(criterion=criterion, rows=tuple(rows))
+    deltas = _schedule_deltas(sched)
+    return SweepReport(criterion=criterion, rows=tuple(
+        SweepRow(n, delta, *per_block[b]) for n, (delta, b) in enumerate(zip(deltas, slots))
+    ))
 
 
 # ---------------------------------------------------------------------------
@@ -338,27 +374,14 @@ def check_eps_optimality(
             f"eps-optimality check supports 'discounted' and 'exit', not '{criterion}'",
             "criterion",
         )
-    models = _grid_models(true_spec, sched)
-    with_beta = criterion == "exit"
-    if criterion == "discounted":
-        sol_true = solve_discounted(true_spec, grid, tol=tol, max_iter=max_iter)
-    else:
-        sol_true = solve_exit(true_spec, grid, tol=tol, max_iter=max_iter)
-
-    rows = []
-    for n, delta in enumerate(_schedule_deltas(sched)):
-        model = models.get(delta, true_spec)
-        if criterion == "discounted":
-            sol_n = solve_discounted(model, grid, tol=tol, max_iter=max_iter)
-        else:
-            sol_n = solve_exit(model, grid, tol=tol, max_iter=max_iter)
-        policy = _worst_eps_policy(_Tables(model, grid), sol_n.values, eps, with_beta)
-        if criterion == "discounted":
-            j = evaluate_policy_value(true_spec, grid, policy).values
-        else:
-            j = evaluate_policy_exit(true_spec, grid, policy).values
-        gap = float(np.max(np.abs(j - sol_true.values)))
-        rows.append(EpsRow(n, delta, gap, gap <= 3.0 * eps))
+    tab, replay, slots, t = _grid_stack(true_spec, sched, grid)
+    values = np.stack([s.values for s in _stationary(tab, criterion, tol, max_iter)], axis=1)
+    policy = _worst_eps_policy(tab, values, eps, criterion == "exit")
+    gaps = _block_gap(_replay(replay, criterion, policy), values[:, t:t + 1])
+    rows = [
+        EpsRow(n, delta, float(gaps[b]), bool(gaps[b] <= 3.0 * eps))
+        for n, (delta, b) in enumerate(zip(_schedule_deltas(sched), slots))
+    ]
 
     threshold = None
     for k in range(len(rows)):

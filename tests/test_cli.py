@@ -168,6 +168,22 @@ def test_solver_error_exits_3(tmp_path, capsys):
     assert "error:" in (out / "report.txt").read_text()
 
 
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_non_finite_coefficients_exit_3(tmp_path, capsys):
+    model = model_to_dict(saturated_model())
+    model["drift"]["a"] = [[[1e308]], [[1e308]]]
+    model["drift"]["saturation"] = 1e308
+    doc = {
+        "command": "hjb", "model": model,
+        "hjb": {"criterion": "discounted", "grid": {"x_min": -2.0, "x_max": 2.0, "n_x": 21}},
+    }
+    code, out = _run(tmp_path, doc)
+    assert code == 3
+    assert "E_SCHEME" in capsys.readouterr().err
+    assert not (out / "values.csv").exists()
+    assert json.loads((out / "results.json").read_text())["error"].startswith("E_SCHEME")
+
+
 @pytest.mark.parametrize(
     "overrides,code_name",
     [

@@ -13,6 +13,7 @@ from switchsde import (
     Grid1D,
     MaxIterError,
     RunningCost,
+    SchemeError,
     ShapeError,
     StepError,
     estimate_ergodic,
@@ -23,7 +24,7 @@ from switchsde import (
     solve_exit,
     solve_finite_horizon,
 )
-from switchsde.hjbgrid import DEFAULT_LADDER, GRID_HEADER, GRID_HEADER_T
+from switchsde.hjbgrid import DEFAULT_LADDER, GRID_HEADER, GRID_HEADER_T, _solve_policy, _Tables
 from conftest import bm_model, chain_model, chain_value
 
 GRID = Grid1D(-1.0, 1.0, 101)
@@ -98,6 +99,29 @@ def test_cost_scaling_doubles_value_keeps_policy(saturated):
 def test_degenerate_diffusion_raises_typed_error(make_chain):
     with pytest.raises(DegenerateError, match="sigma"):
         solve_discounted(make_chain(sigma=0.0), GRID)
+
+
+def overflowing_drift(spec):
+    """The saturated model with a drift of 1e308 everywhere: b / dx overflows."""
+    drift = dataclasses.replace(spec.drift, a_mat=np.full((2, 1, 1), 1e308), saturation=1e308)
+    return dataclasses.replace(spec, drift=drift)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize("solve", [solve_discounted, solve_exit, solve_finite_horizon])
+def test_non_finite_coefficients_raise_scheme_error(saturated, solve):
+    with pytest.raises(SchemeError, match="'sub' is not finite"):
+        solve(overflowing_drift(saturated), Grid1D(-2.0, 2.0, 21))
+
+
+def test_singular_policy_system_raises_scheme_error():
+    # zeta = 0 with reflecting ends: the rows of -L sum to zero, and with
+    # a / dx^2 = 32 the banded LU meets an exactly zero pivot
+    grid = Grid1D(-1.0, 1.0, 17)
+    tab = _Tables([bm_model(sigma=1.0)], grid)
+    policy = np.zeros(tab.shape, dtype=np.int64)
+    with pytest.raises(SchemeError, match="dgbsv info 17"):
+        _solve_policy(tab, policy, np.ones(tab.shape), 0.0)
 
 
 @pytest.mark.parametrize("solve", [solve_discounted, solve_exit])

@@ -6,7 +6,8 @@ action-dependent switching rates and a clamped quadratic cost. The checks
 are the ones the monotone scheme guarantees for every such model: the
 banded solve equals a dense solve of an independently assembled matrix,
 the maximum and comparison principles, replaying the optimal policy
-reproduces the optimal value, and Howard's iterates never increase.
+reproduces the optimal value, Howard's iterates never increase, and each
+block of a stacked solve equals the solve of its model alone.
 """
 
 import dataclasses
@@ -32,8 +33,9 @@ from switchsde import (
     evaluate_policy_value,
     solve_discounted,
     solve_exit,
+    solve_finite_horizon,
 )
-from switchsde.hjbgrid import _exit_values, _hamiltonians, _Tables
+from switchsde.hjbgrid import _discounted, _exit, _exit_values, _finite_horizon, _hamiltonians, _Tables
 
 CRITERIA = {
     "discounted": (solve_discounted, evaluate_policy_value),
@@ -129,15 +131,15 @@ def _howard_iterates(spec: ModelSpec, grid: Grid1D, criterion: str) -> list:
     """
     exit_ = criterion == "exit"
     evaluate = CRITERIA[criterion][1]
-    tab = _Tables(spec, grid)
-    v = np.zeros((spec.regimes.count, grid.n_x))
+    tab = _Tables([spec], grid)
+    v = np.zeros(tab.shape)  # (regime, block, node) with one block
     if exit_:
-        v[:, [0, -1]] = _exit_values(spec, grid)
-    policy = np.argmin(_hamiltonians(tab, v, exit_), axis=0)
-    iterates = [v]
+        v[..., [0, -1]] = _exit_values(tab)
+    policy = np.argmin(_hamiltonians(tab, v, exit_), axis=0)[:, 0]
+    iterates = [v[:, 0]]
     while True:
         iterates.append(evaluate(spec, grid, policy).values)
-        improved = np.argmin(_hamiltonians(tab, iterates[-1], exit_), axis=0)
+        improved = np.argmin(_hamiltonians(tab, iterates[-1][:, None], exit_), axis=0)[:, 0]
         if np.array_equal(improved, policy) or np.abs(iterates[-1] - iterates[-2]).max() < 1e-8:
             return iterates[1:]
         policy = improved
@@ -206,3 +208,32 @@ def test_residual_history_may_rise_while_iterates_fall():
     assert hist[1] > hist[0]
     iterates = _howard_iterates(spec, grid, "discounted")
     assert all(np.all(b <= a + 1e-12) for a, b in zip(iterates, iterates[1:]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3), n=st.integers(1, 3),
+    n_x=st.integers(11, 41), n_actions=st.integers(1, 3),
+)
+def test_stacked_blocks_equal_standalone_solves(seeds, n, n_x, n_actions):
+    # a stack shares its regimes, actions and discount; everything else differs
+    first = _model(seeds[0], n, n_actions)
+    specs = []
+    for seed in seeds:
+        spec = _model(seed, n, n_actions)
+        costs = dataclasses.replace(spec.costs, alpha=first.costs.alpha)
+        specs.append(dataclasses.replace(spec, actions=first.actions, costs=costs))
+    grid = Grid1D(-2.0, 2.0, n_x)
+    tab = _Tables(specs, grid)
+    for stacked, solve in (
+        (_discounted(tab, None, 1e-8, 100), solve_discounted),
+        (_exit(tab, 1e-8, 100), solve_exit),
+        (_finite_horizon(tab, None, 20), lambda spec, grid: solve_finite_horizon(spec, grid, n_t=20)),
+    ):
+        assert len(stacked) == len(specs)
+        for spec, got in zip(specs, stacked):
+            want = solve(spec, grid)
+            np.testing.assert_array_equal(got.values, want.values)
+            np.testing.assert_array_equal(got.policy, want.policy)
+            assert got.iterations == want.iterations
+            assert got.residual_history == want.residual_history

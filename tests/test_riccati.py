@@ -332,6 +332,17 @@ def test_operator_rhs_matches_textbook_formula(n, d, l, batch, seed):
             assert np.max(np.abs(got[b, i] - sum(terms))) <= 1e-12 * scale
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 3), d=st.integers(1, 3), l=st.integers(1, 2), seed=st.integers(0, 2**32 - 1),
+)
+def test_riccati_solution_stays_symmetric_positive_semidefinite(n, d, l, seed):
+    k = solve_coupled_riccati(_random_lq(seed, n, d, l), n_steps=200).k
+    scale = max(1.0, float(np.abs(k).max()))
+    assert np.abs(k - np.swapaxes(k, -1, -2)).max() <= 1e-12 * scale
+    assert np.linalg.eigvalsh(k).min() >= -1e-10 * scale
+
+
 def test_defect_matches_nodewise_textbook_residual(ref_lq):
     traj = solve_coupled_riccati(ref_lq, n_steps=400)
     dt = traj.times[1] - traj.times[0]

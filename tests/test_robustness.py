@@ -1,22 +1,37 @@
 """Perturbation sweeps: gap decay, exact control rows, 3-eps replay."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from switchsde import (
     BlowupError,
     ConfigError,
+    DiffusionFamily,
+    DriftFamily,
+    GeneratorSpec,
     Grid1D,
     LQSpec,
     MaxIterError,
     PerturbationSchedule,
+    RegimeSet,
+    RunningCost,
+    TerminalCost,
+    estimate_ergodic,
+    estimate_ergodic_policy,
+    evaluate_policy_exit,
+    evaluate_policy_finite_horizon,
+    evaluate_policy_value,
     fixed_feedback_cost,
     lq_feedback,
     make_perturbation_sequence,
     solve_coupled_riccati,
     solve_discounted,
+    solve_exit,
+    solve_finite_horizon,
 )
-from switchsde.hjbgrid import _Tables
+from switchsde.hjbgrid import DEFAULT_LADDER, _Tables
 from switchsde.robustness import (
     SWEEP_HEADER,
     _worst_eps_policy,
@@ -181,6 +196,122 @@ def test_sweep_csv_deterministic(saturated, sat_schedule, sat_grid, tmp_path):
     assert len(lines) == 6
 
 
+def _first_regime(spec):
+    """The saturated model's first regime alone: one regime, two actions."""
+    return dataclasses.replace(
+        spec,
+        regimes=RegimeSet(1),
+        drift=DriftFamily(
+            "saturated-affine", 1, 1, 1, a_mat=spec.drift.a_mat[:1], b_mat=spec.drift.b_mat[:1],
+            b0=spec.drift.b0[:1], saturation=spec.drift.saturation,
+        ),
+        diffusion=DiffusionFamily("constant", 1, 1, c0=spec.diffusion.c0[:1]),
+        generator=GeneratorSpec("constant", 1, rates=np.zeros((1, 1))),
+        costs=dataclasses.replace(
+            spec.costs,
+            running=RunningCost("quad-clamped", 1, 1, 1, weight=1.0, cap=4.0, action_weight=0.1),
+            terminal=TerminalCost("quad", 1, 1, p_mat=np.full((1, 1, 1), 0.5)),
+        ),
+    )
+
+
+SWEEP_CASES = {
+    # criterion 9's schedule and grid
+    "criterion-9": (
+        lambda m: m, Grid1D(-2.0, 2.0, 201),
+        PerturbationSchedule("coefficient", 10, d_a=np.ones((2, 1, 1)), d_c=np.full((2, 1, 1), 0.3)),
+    ),
+    # shifts the cost offset, so each model has its own bound M_c
+    "cost": (lambda m: m, Grid1D(-2.0, 2.0, 51), PerturbationSchedule("cost", 4, d_cost=0.5)),
+    "rates": (
+        lambda m: m, Grid1D(-2.0, 2.0, 51),
+        PerturbationSchedule("rates", 4, d_m=np.array([[0.0, 0.5], [1.0, 0.0]])),
+    ),
+    "one-regime": (
+        _first_regime, Grid1D(-2.0, 2.0, 51),
+        PerturbationSchedule("coefficient", 4, d_a=np.ones((1, 1, 1)), d_c=np.full((1, 1, 1), 0.3)),
+    ),
+}
+
+
+def _rowwise_grid_sweep(true_spec, sched, criterion, grid, max_iter=100):
+    """(value_gap, policy_loss, aux, solver_iters) per row, one model at a time
+    through the public solvers."""
+    models = make_perturbation_sequence(true_spec, sched)
+    if sched.magnitudes[-1] != 0.0:
+        models.append(true_spec)  # the delta = 0 control row
+    if criterion == "ergodic":
+        est_true = estimate_ergodic(true_spec, grid, max_iter=max_iter)
+        base = estimate_ergodic_policy(true_spec, grid, est_true.policy)
+        rows = []
+        for model in models:
+            est = estimate_ergodic(model, grid, max_iter=max_iter)
+            rho = estimate_ergodic_policy(true_spec, grid, est.policy)
+            rows.append((abs(est.rho - est_true.rho), abs(rho - base), abs(rho - est.rho),
+                         len(DEFAULT_LADDER)))
+        return rows
+    solve, evaluate = {
+        "discounted": (lambda m: solve_discounted(m, grid, max_iter=max_iter), evaluate_policy_value),
+        "exit": (lambda m: solve_exit(m, grid, max_iter=max_iter), evaluate_policy_exit),
+        "finite-horizon": (lambda m: solve_finite_horizon(m, grid), evaluate_policy_finite_horizon),
+    }[criterion]
+    first = (lambda a: a[0]) if criterion == "finite-horizon" else (lambda a: a)
+    v_true = solve(true_spec).values
+    rows = []
+    for model in models:
+        sol = solve(model)
+        j = evaluate(true_spec, grid, sol.policy).values
+        rows.append((
+            float(np.max(np.abs(sol.values - v_true))),
+            float(np.max(first(j) - first(v_true))),
+            float(np.max(np.abs(first(j) - first(sol.values)))),
+            sol.iterations,
+        ))
+    return rows
+
+
+@pytest.mark.parametrize("criterion", ["discounted", "exit", "finite-horizon", "ergodic"])
+@pytest.mark.parametrize("case", sorted(SWEEP_CASES))
+def test_stacked_grid_sweep_matches_rowwise_reference(saturated, case, criterion):
+    model, grid, sched = SWEEP_CASES[case]
+    true_spec = model(saturated)
+    rep = sweep_grid(true_spec, sched, criterion, grid)
+    got = [(r.value_gap, r.policy_loss, r.aux, r.solver_iters) for r in rep.rows]
+    assert got == _rowwise_grid_sweep(true_spec, sched, criterion, grid)
+
+
+@pytest.mark.parametrize("criterion", ["discounted", "exit"])
+def test_stacked_sweep_names_the_first_row_short_of_max_iter(saturated, criterion):
+    # at 51 nodes the rows need 4 or 5 iterations
+    _, _, sched = SWEEP_CASES["criterion-9"]
+    grid = Grid1D(-2.0, 2.0, 51)
+    iters = [r[3] for r in _rowwise_grid_sweep(saturated, sched, criterion, grid)]
+    max_iter = max(iters) - 1
+    assert min(iters) <= max_iter  # some rows converge within the budget
+    n = next(k for k, it in enumerate(iters) if it > max_iter)
+    delta = sweep_grid(saturated, sched, criterion, grid).rows[n].delta
+    with pytest.raises(MaxIterError, match=f"schedule row n = {n}, delta = {delta:g}\\)"):
+        sweep_grid(saturated, sched, criterion, grid, max_iter=max_iter)
+
+
+@pytest.mark.parametrize("criterion", ["discounted", "exit"])
+def test_stacked_eps_check_matches_rowwise_reference(saturated, criterion):
+    _, grid, sched = SWEEP_CASES["criterion-9"]
+    solve, evaluate = {
+        "discounted": (solve_discounted, evaluate_policy_value),
+        "exit": (solve_exit, evaluate_policy_exit),
+    }[criterion]
+    v_true = solve(saturated, grid).values
+    gaps = []
+    for model in make_perturbation_sequence(saturated, sched) + [saturated]:
+        values = solve(model, grid).values
+        tab = _Tables([model], grid)
+        policy = _worst_eps_policy(tab, values[:, None], 0.05, criterion == "exit")[:, 0]
+        gaps.append(float(np.max(np.abs(evaluate(saturated, grid, policy).values - v_true))))
+    rep = check_eps_optimality(saturated, sched, criterion, 0.05, grid)
+    assert [r.gap for r in rep.rows] == gaps
+
+
 # ---------------------------------------------------------------------------
 # 3-eps optimality
 
@@ -211,7 +342,8 @@ def test_eps_check_fails_below_model_gap_scale(saturated, sat_schedule, sat_grid
     replays_optimal = []
     for model in models:
         values = solve_discounted(model, sat_grid).values
-        degraded = _worst_eps_policy(_Tables(model, sat_grid), values, eps, with_beta=False)
+        tab = _Tables([model], sat_grid)
+        degraded = _worst_eps_policy(tab, values[:, None], eps, with_beta=False)[:, 0]
         replays_optimal.append(np.array_equal(degraded, optimal))
     assert len(rep.rows) == len(models)
     assert not rep.rows[0].passed and rep.rows[0].gap > 3.0 * eps
