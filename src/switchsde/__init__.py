@@ -39,8 +39,6 @@ from .errors import (
     UnboundedError,
 )
 from .hjbgrid import (
-    DEFAULT_LADDER,
-    ErgodicEstimate,
     Grid1D,
     GridSolution,
     estimate_ergodic,

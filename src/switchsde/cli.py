@@ -36,8 +36,8 @@ from .costs import (
 )
 from .errors import ConfigError, SwitchSdeError
 from .hjbgrid import (
-    DEFAULT_LADDER,
     Grid1D,
+    _reference_node,
     estimate_ergodic,
     solve_discounted,
     solve_exit,
@@ -81,11 +81,10 @@ RICCATI_HEADER = "t,regime,row,col,value"
 # block tables: (key, type, default) per key
 #
 # A type is one of "number", "integer", "bool", "state" (dim numbers),
-# "action" (action-dim numbers), "numbers" (a nonempty list), "array"
-# (numbers nested to any depth), "grid", "schedule", "policy", or a tuple
-# of allowed strings. A default is a value, REQUIRED, a function of the
-# model, or When(key, values): required when that earlier key of the block
-# has one of the values, else None.
+# "action" (action-dim numbers), "array" (numbers nested to any depth),
+# "grid", "schedule", "policy", or a tuple of allowed strings. A default is
+# a value, REQUIRED, a function of the model, or When(key, values): required
+# when that earlier key of the block has one of the values, else None.
 
 REQUIRED = object()
 
@@ -140,7 +139,6 @@ BLOCKS = {
     ),
     "ergodic": (
         ("grid", "grid", REQUIRED),
-        ("ladder", "numbers", DEFAULT_LADDER),
         *_SOLVER,
     ),
     "robustness": (
@@ -152,7 +150,6 @@ BLOCKS = {
         ("steps", "integer", 400),
         *_SOLVER,
         ("n_t", "integer", None),
-        ("ladder", "numbers", DEFAULT_LADDER),
     ),
     "eps-check": (
         ("criterion", ("discounted", "exit"), REQUIRED),
@@ -239,10 +236,10 @@ def _convert(v, typ, path: str, model: ModelSpec):
     arr = _array(v, path)
     if typ == "array":
         return arr
-    size = {"state": model.dim, "action": model.actions.action_dim}.get(typ)
-    if arr.ndim != 1 or arr.size == 0 or size is not None and arr.size != size:
-        raise ConfigError(f"expected a list of numbers of length {size or '>= 1'}", path)
-    return tuple(arr.tolist()) if typ == "numbers" else arr
+    size = {"state": model.dim, "action": model.actions.action_dim}[typ]
+    if arr.ndim != 1 or arr.size != size:
+        raise ConfigError(f"expected a list of numbers of length {size}", path)
+    return arr
 
 
 def parse_config(data) -> ExperimentConfig:
@@ -394,24 +391,19 @@ def _run_hjb(cfg: ExperimentConfig, out: Path, lines: list, results: dict) -> No
 def _run_ergodic(cfg: ExperimentConfig, out: Path, lines: list, results: dict) -> None:
     b = cfg.block
     grid = b["grid"]
-    est = estimate_ergodic(
-        cfg.model, grid, ladder=b["ladder"], tol=b["tol"], max_iter=b["max_iter"]
+    est = estimate_ergodic(cfg.model, grid, tol=b["tol"], max_iter=b["max_iter"])
+    est.to_csv(out / "values.csv")
+    lines.append(
+        f"ergodic: rho={g17(est.rho)} iterations={est.iterations} "
+        f"residual={g17(est.residual)} reference_node={_reference_node(grid)}"
     )
-    write_csv(out / "ladder.csv", "alpha,alpha_v_ref", zip(est.ladder, est.ladder_values))
-    from .hjbgrid import GridSolution
-
-    GridSolution(
-        criterion="ergodic", grid=grid, values=est.relative_values, policy=est.policy,
-        iterations=len(est.ladder), residual=0.0,
-    ).to_csv(out / "values.csv")
-    lines.append(f"ergodic: rho={g17(est.rho)} reference_node={est.reference_node}")
     m_c = cfg.model.cost_bound()
     tag = "PASS" if abs(est.rho) <= m_c + 1e-9 else "FAIL"
     lines.append(f"{tag} rho-bound: |rho| = {g17(abs(est.rho))} vs M_c = {g17(m_c)}")
     results["rho"] = est.rho
-    results["ladder"] = list(est.ladder)
-    results["ladder_values"] = list(est.ladder_values)
-    results["outputs"] = ["ladder.csv", "values.csv"]
+    results["iterations"] = est.iterations
+    results["residual"] = est.residual
+    results["outputs"] = ["values.csv"]
 
 
 def _run_robustness(cfg: ExperimentConfig, out: Path, lines: list, results: dict) -> None:
@@ -424,7 +416,7 @@ def _run_robustness(cfg: ExperimentConfig, out: Path, lines: list, results: dict
     else:
         rep = sweep_grid(
             cfg.model, b["schedule"], crit, b["grid"], tol=tol, max_iter=b["max_iter"],
-            n_t=b["n_t"], ladder=b["ladder"],
+            n_t=b["n_t"],
         )
     rep = replace(rep, config_digest=cfg.digest)
     rep.to_csv(out / "sweep.csv")

@@ -17,6 +17,9 @@ algorithm with exact evaluation (Bokanowski, Maroso & Zidani, SIAM J. Numer.
 Anal. 47, 2009). Minimization over actions is an exhaustive scan of the
 ActionGrid in list order; ties keep the lowest index.
 
+The ergodic criterion runs the same Howard loop with zeta = 0, each
+evaluation one banded solve for the average cost and a relative value.
+
 The solvers work on stacks of models sharing one grid (``_Tables``): the
 stacked system is block diagonal, so one banded solve per Howard iteration
 or time level serves every model, and each model keeps its own stopping
@@ -40,8 +43,6 @@ from .errors import (
 )
 from .io import write_csv
 from .model import FloatArray, ModelSpec, _freeze
-
-DEFAULT_LADDER = (0.2, 0.1, 0.05, 0.025)
 
 GRID_HEADER = "criterion,regime,x,value,action_index"
 GRID_HEADER_T = "criterion,regime,x,value,action_index,t"
@@ -79,7 +80,8 @@ class GridSolution:
     levels: values (n_t + 1, N, n_x) with the terminal level last, policy
     (n_t, N, n_x) where level j acts on [t_j, t_{j+1}), and ``t_levels``
     carries the level times. ``iterations`` counts policy evaluations (1
-    for a fixed policy, n_t for the finite-horizon levels).
+    for a fixed policy, n_t for the finite-horizon levels). An ergodic solve
+    carries the average cost ``rho``; its values are relative values.
     """
 
     criterion: str
@@ -92,6 +94,7 @@ class GridSolution:
     alpha: float | None = None
     horizon: float | None = None
     t_levels: FloatArray | None = None
+    rho: float | None = None
 
     def __post_init__(self):
         object.__setattr__(self, "values", _freeze(self.values))
@@ -120,20 +123,6 @@ class GridSolution:
     def to_csv(self, path) -> None:
         header = GRID_HEADER if self.values.ndim == 2 else GRID_HEADER_T
         write_csv(path, header, self.csv_rows())
-
-
-@dataclass(frozen=True, eq=False)
-class ErgodicEstimate:
-    """Vanishing-discount estimate of the optimal long-run average cost."""
-
-    rho: float
-    relative_values: FloatArray  # (N, n_x), zero at the reference node
-    policy: np.ndarray
-    ladder: tuple
-    ladder_values: tuple  # alpha * V_alpha(reference) per ladder entry
-    extrapolants: tuple  # successive two-point extrapolations
-    reference_node: int
-    grid: Grid1D
 
 
 class _Tables:
@@ -252,12 +241,18 @@ def _solve_policy(
     rhs: FloatArray,
     zeta,
     dirichlet: FloatArray | None = None,
+    pin: tuple | None = None,
 ) -> FloatArray:
     """Solve (zeta - L - M) v = rhs for one stacked action table by one banded LU.
 
     zeta is the zeroth-order coefficient (alpha, beta or 1/dt), a scalar or
-    per (regime, block, node). ``dirichlet`` (N, B, 2) turns every block's
-    two end nodes into identity rows pinned to the given values.
+    per (regime, block, node); rhs is (N, B, K), or (N, B, K, C) for C right
+    sides. ``dirichlet`` (N, B, 2) turns every block's two end nodes into
+    Dirichlet rows pinned to the given values: identity rows scaled by a
+    power of two no smaller than the one other entry of their column, so
+    partial pivoting keeps them in place and the pin is exact. ``pin`` =
+    (node, regimes) replaces the column of block b's unknown at that node
+    and regime ``regimes[b]`` by the unit vector (see ``_average_cost``).
 
     Row r = k N + i of the node-major system holds stacked node k (block
     and node), regime i. LAPACK's column-major band storage puts entry
@@ -277,11 +272,13 @@ def _solve_policy(
     center = zeta + (sub + sup)
     b = rhs
     if dirichlet is not None:
+        ends = np.stack([sub[:, :, 1], sup[:, :, -2]], axis=-1)
+        scale = np.ldexp(1.0, np.frexp(np.maximum(ends, 1.0))[1])
         for arr in (sub, sup, rates):
             arr[:, :, [0, -1]] = 0.0
-        center[:, :, [0, -1]] = 1.0
+        center[:, :, [0, -1]] = scale
         b = rhs.copy()
-        b[:, :, [0, -1]] = dirichlet
+        b[:, :, [0, -1]] = scale * dirichlet
 
     width = 3 * N + 1
     store = np.zeros((n * N + 2 * N) * width)
@@ -297,56 +294,105 @@ def _solve_policy(
     diagonal(2 * N, (B, K, N), (*node, width))[...] += center.transpose(1, 2, 0)
     diagonal(N * width + N, (B, K, N), (*node, width))[...] = -sup.transpose(1, 2, 0)
     diagonal(3 * N - N * width, (B, K, N), (*node, width))[...] = -sub.transpose(1, 2, 0)
+    band = store.reshape(-1, width)
+    if pin is not None:
+        k_pin, regimes = pin
+        columns = N + (np.arange(B) * K + k_pin) * N + regimes
+        band[columns, N:] = 0.0
+        band[columns, 2 * N] = 1.0
     _, _, v, info = dgbsv(
-        N, N, store.reshape(-1, width)[N:N + n * N].T, b.transpose(1, 2, 0).flatten(),
+        N, N, band[N:N + n * N].T, b.reshape(N, B, K, -1).transpose(1, 2, 0, 3).reshape(n * N, -1),
         overwrite_ab=True, overwrite_b=True,
     )
     if info != 0:
         raise SchemeError(f"banded LU of the policy system failed (LAPACK dgbsv info {info})")
-    return np.ascontiguousarray(v.reshape(B, K, N).transpose(2, 0, 1))
+    return np.ascontiguousarray(np.moveaxis(v.reshape(B, K, N, *rhs.shape[3:]), 2, 0))
+
+
+def _pinned_regimes(tab: _Tables, rates: FloatArray) -> np.ndarray:
+    """Per block, the lowest regime every regime reaches under a policy's rates (N, B, K, N).
+
+    All nodes of a regime communicate (a > 0), so those regimes form the
+    one closed class of a unichain policy, whose states are recurrent. A
+    multichain policy has no such regime: DegenerateError.
+    """
+    N = rates.shape[0]
+    step = np.any(rates > 0.0, axis=2).transpose(1, 0, 2) | np.eye(N, dtype=bool)  # (B, N, N)
+    recurrent = np.all(np.linalg.matrix_power(step, N), axis=1)  # reached from every regime
+    unichain = recurrent.any(axis=1)
+    if not unichain.all():
+        where = f" ({tab.labels[np.argmin(unichain)]})" if tab.labels else ""
+        raise DegenerateError(f"ergodic policy is multichain: several closed regime classes{where}")
+    return np.argmax(recurrent, axis=1)
+
+
+def _average_cost(tab: _Tables, policy: np.ndarray, k_ref: int) -> tuple:
+    """Exact average cost rho (B,) and relative value h (N, B, K) of an action table.
+
+    Solves (L + M) h + c = rho, h = 0 at an unknown p of node k_ref in a
+    recurrent regime (else singular): with p's column of -(L + M) replaced
+    by e_p, the right sides c and 1 give y1 and y2, and rho = y1[p] / y2[p],
+    h = y1 - rho y2 off p (Puterman, Markov Decision Processes, 1994, ch. 8).
+    """
+    pin = _pinned_regimes(tab, tab.gather(tab.rates, policy))
+    rhs = np.stack([tab.gather(tab.c, policy), np.ones(tab.shape)], axis=-1)
+    y = _solve_policy(tab, policy, rhs, 0.0, pin=(k_ref, pin))
+    blocks = np.arange(tab.shape[1])
+    rho = y[pin, blocks, k_ref, 0] / y[pin, blocks, k_ref, 1]
+    h = y[..., 0] - rho[:, None] * y[..., 1]
+    h[pin, blocks, k_ref] = 0.0  # p's own unknown carried rho's scale, not h
+    return rho, h
 
 
 def _howard(
     tab: _Tables, v: FloatArray, alpha: float | None, tol: float, max_iter: int,
-    h_vals: FloatArray | None = None,
-) -> tuple[FloatArray, np.ndarray, list]:
+    h_vals: FloatArray | None = None, k_ref: int | None = None,
+) -> tuple[FloatArray, np.ndarray, list, np.ndarray]:
     """Howard's policy iteration from v: exact evaluation, exhaustive improvement.
 
-    Discounted when h_vals is None (zeta = alpha); otherwise the exit problem
-    (zeta = beta_a, Dirichlet ends pinned to h_vals (N, B, 2)). Each block
-    stops on its own test: when its improved policy repeats, so its last
-    evaluation is exact for the returned policy, or when its sup-norm value
-    change drops below tol. A stopped block keeps the values, policy and
-    residual history of that iteration, as a solve of its model alone
-    would; the stack is evaluated until every block has stopped. Returns
-    (values, policy, per-block residual histories).
+    Discounted by default (zeta = alpha); the exit problem when h_vals is
+    given (zeta = beta_a, Dirichlet ends pinned to h_vals (N, B, 2)); the
+    average cost rho when k_ref is given (``_average_cost``; values are h).
+    Each block stops on its own test: when its improved policy repeats, so
+    its last evaluation is exact for the returned policy, or when the
+    sup-norm change of its values and rho drops below tol. A stopped block
+    keeps that iteration's results, as a solve of its model alone would.
+    Returns (values, policy, per-block residual histories, per-block rho).
 
-    The evaluated iterates never increase, because each evaluation matrix
-    has a nonnegative inverse. The residual history carries no such
-    guarantee: it can rise from one iteration to the next.
+    The discounted and exit iterates never increase, because each
+    evaluation matrix has a nonnegative inverse. The residual history
+    carries no such guarantee: it can rise from one iteration to the next.
     """
     exit_ = h_vals is not None
     policy = np.argmin(_hamiltonians(tab, v, exit_), axis=0)
     out_v, out_policy = np.empty_like(v), np.empty_like(policy)
-    histories = [[] for _ in tab.specs]
-    live = np.ones(len(tab.specs), dtype=bool)
+    B = len(tab.specs)
+    rho, out_rho = np.zeros(B), np.zeros(B)
+    histories = [[] for _ in range(B)]
+    live = np.ones(B, dtype=bool)
     for _ in range(max_iter):
-        zeta = tab.gather(tab.beta, policy) if exit_ else alpha
-        v_new = _solve_policy(tab, policy, tab.gather(tab.c, policy), zeta, h_vals)
+        if k_ref is not None:
+            rho_new, v_new = _average_cost(tab, policy, k_ref)
+            level = rho_new[:, None]
+        else:
+            zeta = tab.gather(tab.beta, policy) if exit_ else alpha
+            v_new = _solve_policy(tab, policy, tab.gather(tab.c, policy), zeta, h_vals)
+            rho_new, level = rho, 0.0 if exit_ else alpha * v_new
         ham = _hamiltonians(tab, v_new, exit_)
-        best = np.min(ham, axis=0)
-        res = np.max(np.abs(best[..., 1:-1] if exit_ else best - alpha * v_new), axis=(0, 2))
-        change = np.max(np.abs(v_new - v), axis=(0, 2))
-        v, previous = v_new, policy
+        best = np.min(ham, axis=0) - level
+        res = np.max(np.abs(best[..., 1:-1] if exit_ else best), axis=(0, 2))
+        change = np.maximum(np.max(np.abs(v_new - v), axis=(0, 2)), np.abs(rho_new - rho))
+        v, rho, previous = v_new, rho_new, policy
         policy = np.argmin(ham, axis=0)
         for b in np.flatnonzero(live):
             histories[b].append(float(res[b]))
         stop = live & ((change < tol) | np.all(policy == previous, axis=(0, 2)))
         out_v[:, stop] = v[:, stop]
         out_policy[:, stop] = policy[:, stop]
+        out_rho[stop] = rho[stop]
         live &= ~stop
         if not live.any():
-            return out_v, out_policy, histories
+            return out_v, out_policy, histories, out_rho
     where = f" ({tab.labels[np.flatnonzero(live)[0]]})" if tab.labels else ""
     raise MaxIterError(f"policy iteration did not converge in {max_iter} iterations{where}")
 
@@ -410,7 +456,7 @@ def _discounted(tab: _Tables, alpha: float | None, tol: float, max_iter: int) ->
     """solve_discounted for every block of the stack, one GridSolution each."""
     alpha = _discount(tab.models, alpha)
     bounds = [_bounded_cost(spec) / alpha for spec in tab.models]
-    v, policy, histories = _howard(tab, np.zeros(tab.shape), alpha, tol, max_iter)
+    v, policy, histories, _ = _howard(tab, np.zeros(tab.shape), alpha, tol, max_iter)
     sols = []
     for vb, pb, history, m in zip(_blocks(v), _blocks(policy), histories, tab.model):
         if not (np.all(vb >= -1e-9) and np.all(vb <= bounds[m] + 1e-9)):
@@ -474,7 +520,7 @@ def _exit(tab: _Tables, tol: float, max_iter: int) -> list:
     h_vals = _exit_values(tab)
     v = np.zeros(tab.shape)
     v[..., [0, -1]] = h_vals
-    v, policy, histories = _howard(tab, v, None, tol, max_iter, h_vals)
+    v, policy, histories, _ = _howard(tab, v, None, tol, max_iter, h_vals)
     return [
         GridSolution(
             criterion="exit", grid=tab.grid, values=vb, policy=pb,
@@ -592,71 +638,39 @@ def _reference_node(grid: Grid1D) -> int:
     return int(np.argmin(np.abs(grid.nodes)))
 
 
-def _ladder(ladder) -> tuple:
-    ladder = tuple(sorted((float(a) for a in ladder), reverse=True))
-    if len(ladder) < 2:
-        raise ShapeError("ergodic ladder needs at least two discount values")
-    return ladder
-
-
-def _extrapolate(alphas, ys) -> float:
-    """Two-point linear extrapolation of alpha * V_alpha to alpha = 0."""
-    (a0, a1), (y0, y1) = alphas, ys
-    return (a1 * y0 - a0 * y1) / (a1 - a0)
-
-
 def estimate_ergodic(
-    spec: ModelSpec, grid: Grid1D, ladder=DEFAULT_LADDER, tol: float = 1e-8,
-    max_iter: int = 100,
-) -> ErgodicEstimate:
-    """Vanishing-discount estimate of the optimal ergodic constant.
+    spec: ModelSpec, grid: Grid1D, tol: float = 1e-8, max_iter: int = 100,
+) -> GridSolution:
+    """Average-cost policy iteration for min_a [L_a h + M_a h + c_a] = rho.
 
-    Solves the discounted problem for each ladder alpha (one coefficient
-    table for the whole ladder) and extrapolates alpha * V_alpha(reference
-    node, regime 1) linearly in alpha from the two smallest ladder entries;
-    the relative value is the smallest-alpha solution shifted to vanish at
-    the reference node.
+    Unichain Howard (Puterman 1994, ch. 8-9): each evaluation is one exact
+    pinned solve for (rho, h); stopping and MaxIterError as in
+    solve_discounted, and 0 <= rho <= M_c is checked. A multichain policy
+    raises DegenerateError. h is shifted to vanish at the reference node of
+    regime 1.
     """
-    return _ergodic(_Tables([spec], grid), ladder, tol, max_iter)[0]
+    return _ergodic(_Tables([spec], grid), tol, max_iter)[0]
 
 
-def _ergodic(tab: _Tables, ladder, tol: float, max_iter: int) -> list:
-    """estimate_ergodic for every block: one stacked Howard per ladder rung."""
-    ladder = _ladder(ladder)
+def _ergodic(tab: _Tables, tol: float, max_iter: int) -> list:
+    """estimate_ergodic for every block of the stack: one stacked Howard."""
+    bounds = [_bounded_cost(spec) for spec in tab.models]
     k_ref = _reference_node(tab.grid)
-    rungs = []
-    for alpha in ladder:
-        sols = _discounted(tab, alpha, tol, max_iter)
-        rungs.append([alpha * float(sol.values[0, k_ref]) for sol in sols])
-    estimates = []
-    for sol, ys in zip(sols, zip(*rungs)):
-        extrapolants = tuple(
-            _extrapolate(ladder[j:j + 2], ys[j:j + 2]) for j in range(len(ladder) - 1)
-        )
-        estimates.append(ErgodicEstimate(
-            rho=float(extrapolants[-1]), relative_values=sol.values - sol.values[0, k_ref],
-            policy=sol.policy, ladder=ladder, ladder_values=ys, extrapolants=extrapolants,
-            reference_node=k_ref, grid=tab.grid,
+    h, policy, histories, rho = _howard(tab, np.zeros(tab.shape), None, tol, max_iter, k_ref=k_ref)
+    sols = []
+    for r, hb, pb, history, m in zip(rho, _blocks(h), _blocks(policy), histories, tab.model):
+        if not -1e-9 <= r <= bounds[m] + 1e-9:
+            raise SchemeError("ergodic solution violates the bound 0 <= rho <= M_c")
+        sols.append(GridSolution(
+            criterion="ergodic", grid=tab.grid, values=hb - hb[0, k_ref], policy=pb,
+            iterations=len(history), residual=history[-1], residual_history=tuple(history),
+            rho=float(r),
         ))
-    return estimates
+    return sols
 
 
-def estimate_ergodic_policy(
-    spec: ModelSpec, grid: Grid1D, policy: np.ndarray, ladder=DEFAULT_LADDER,
-) -> float:
-    """Long-run average cost of a fixed action table via the same ladder.
-
-    Only the two smallest ladder entries enter the extrapolation, so only
-    those are evaluated.
-    """
+def estimate_ergodic_policy(spec: ModelSpec, grid: Grid1D, policy: np.ndarray) -> float:
+    """Long-run average cost of a fixed action table (one pinned banded solve)."""
     tab = _Tables([spec], grid)
-    return _ergodic_policy(tab, _action_table(tab, policy), ladder)[0]
-
-
-def _ergodic_policy(tab: _Tables, policy: np.ndarray, ladder) -> list:
-    """estimate_ergodic_policy of an (N, B, K) action table: two stacked evaluations."""
-    alphas = _ladder(ladder)[-2:]
-    k_ref = _reference_node(tab.grid)
-    rungs = [alpha * _solve_policy(tab, policy, tab.gather(tab.c, policy), alpha)[0, :, k_ref]
-             for alpha in alphas]
-    return [float(_extrapolate(alphas, ys)) for ys in zip(*rungs)]
+    rho, _ = _average_cost(tab, _action_table(tab, policy), _reference_node(grid))
+    return float(rho[0])

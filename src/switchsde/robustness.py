@@ -20,14 +20,14 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError
 from .hjbgrid import (
-    DEFAULT_LADDER,
     Grid1D,
+    _average_cost,
     _discounted,
     _ergodic,
-    _ergodic_policy,
     _exit,
     _exit_cost,
     _hamiltonians,
+    _reference_node,
     _solve_policy,
     _step_back,
     _Tables,
@@ -193,10 +193,14 @@ def _grid_stack(true_spec: ModelSpec, sched: PerturbationSchedule, grid: Grid1D)
     return tab, replay, [slot[d] for d in deltas], slot[0.0]
 
 
-def _stationary(tab: _Tables, criterion: str, tol: float, max_iter: int) -> list:
+def _stationary(tab: _Tables, criterion: str, tol: float, max_iter: int) -> tuple:
+    """Optimal values (the constant rho if ergodic), policies and iterations per block."""
     if criterion == "discounted":
-        return _discounted(tab, None, tol, max_iter)
-    return _exit(tab, tol, max_iter)
+        sols = _discounted(tab, None, tol, max_iter)
+    else:
+        sols = (_ergodic if criterion == "ergodic" else _exit)(tab, tol, max_iter)
+    v = [s.values if s.rho is None else np.full(s.values.shape, s.rho) for s in sols]
+    return np.stack(v, axis=1), np.stack([s.policy for s in sols], axis=1), [s.iterations for s in sols]
 
 
 def _replay(replay: _Tables, criterion: str, policy: np.ndarray) -> np.ndarray:
@@ -204,6 +208,9 @@ def _replay(replay: _Tables, criterion: str, policy: np.ndarray) -> np.ndarray:
     if criterion == "discounted":
         alpha = replay.models[0].costs.alpha
         return _solve_policy(replay, policy, replay.gather(replay.c, policy), alpha)
+    if criterion == "ergodic":
+        rho, _ = _average_cost(replay, policy, _reference_node(replay.grid))
+        return np.broadcast_to(rho[:, None], replay.shape)
     return _exit_cost(replay, policy)
 
 
@@ -239,13 +246,13 @@ def sweep_grid(
     tol: float = 1e-8,
     max_iter: int = 100,
     n_t: int | None = None,
-    ladder=DEFAULT_LADDER,
 ) -> SweepReport:
     """Grid-based sweep for one of the four cost criteria.
 
     All models share one grid, so the reported gaps are pure model effects.
     value_gap compares optimal values (|rho_n - rho*| for ergodic);
-    policy_loss replays the model-n policy in the true model; aux is the
+    policy_loss replays the model-n policy in the true model (for ergodic
+    rho_true(pi_n) - rho*, from one pinned average-cost solve); aux is the
     cross-model term J_true(pi_n) - V_n entering the triangle bound
     policy_loss <= value_gap + aux.
 
@@ -261,32 +268,19 @@ def sweep_grid(
         raise ConfigError(f"unknown sweep criterion '{criterion}'", "criterion")
     tab, replay, slots, t = _grid_stack(true_spec, sched, grid)
 
-    if criterion == "ergodic":
-        ests = _ergodic(tab, ladder, tol, max_iter)
-        # the baseline goes through the same fixed-policy replay so the
-        # control row cancels exactly instead of carrying the extrapolation
-        # mismatch
-        rho = _ergodic_policy(replay, np.stack([e.policy for e in ests], axis=1), ladder)
-        per_block = [
-            (abs(e.rho - ests[t].rho), abs(r - rho[t]), abs(r - e.rho), len(ladder))
-            for e, r in zip(ests, rho)
-        ]
+    if criterion == "finite-horizon":
+        # the replay is compared at t = 0
+        value_gap, v, j, n_t = _finite_horizon_gaps(tab, replay, t, n_t)
+        iters = [n_t] * len(value_gap)
     else:
-        if criterion == "finite-horizon":
-            # the replay is compared at t = 0
-            value_gap, v, j, n_t = _finite_horizon_gaps(tab, replay, t, n_t)
-            iters = [n_t] * len(value_gap)
-        else:
-            sols = _stationary(tab, criterion, tol, max_iter)
-            v = np.stack([s.values for s in sols], axis=1)
-            j = _replay(replay, criterion, np.stack([s.policy for s in sols], axis=1))
-            value_gap = _block_gap(v, v[:, t:t + 1])
-            iters = [s.iterations for s in sols]
-        policy_loss = np.max(j - v[:, t:t + 1], axis=(0, 2))
-        per_block = [
-            (float(g), float(loss), float(a), it)
-            for g, loss, a, it in zip(value_gap, policy_loss, _block_gap(j, v), iters)
-        ]
+        v, policy, iters = _stationary(tab, criterion, tol, max_iter)
+        j = _replay(replay, criterion, policy)
+        value_gap = _block_gap(v, v[:, t:t + 1])
+    policy_loss = np.max(j - v[:, t:t + 1], axis=(0, 2))
+    per_block = [
+        (float(g), float(loss), float(a), it)
+        for g, loss, a, it in zip(value_gap, policy_loss, _block_gap(j, v), iters)
+    ]
 
     deltas = _schedule_deltas(sched)
     return SweepReport(criterion=criterion, rows=tuple(
@@ -375,7 +369,7 @@ def check_eps_optimality(
             "criterion",
         )
     tab, replay, slots, t = _grid_stack(true_spec, sched, grid)
-    values = np.stack([s.values for s in _stationary(tab, criterion, tol, max_iter)], axis=1)
+    values, _, _ = _stationary(tab, criterion, tol, max_iter)
     policy = _worst_eps_policy(tab, values, eps, criterion == "exit")
     gaps = _block_gap(_replay(replay, criterion, policy), values[:, t:t + 1])
     rows = [

@@ -209,7 +209,7 @@ def test_criterion_08_vanishing_discount_ergodic():
     ok = rel_err <= 0.02 and mc_err <= mc_tol
     _report(
         8, ok,
-        f"ladder rho {est.rho:.6f} rel err {rel_err:.2e} <= 2%, "
+        f"average-cost Howard rho {est.rho:.6f} rel err {rel_err:.2e} <= 2%, "
         f"|mc - rho| = {mc_err:.2e} <= {mc_tol:.2e}",
     )
 

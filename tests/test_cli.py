@@ -252,6 +252,7 @@ SAD = {"kind": "state-action-dependent", "base": [[0.0, 1.0], [2.0, 0.0]]}
         ("validate", None, {"generator": dict(SAD, gx=True)}, "model.generator.gx"),
         ("hjb", {"criterion": "finite-horizon", "grid": GRID, "n_t": 25.7}, {}, "hjb.n_t"),
         ("simulate", dict(SIM, exit="yes"), {}, "simulate.exit"),
+        ("ergodic", {"grid": GRID, "max_iter": 2.5}, {}, "ergodic.max_iter"),
     ],
 )
 def test_malformed_config_exits_4_naming_the_field(tmp_path, capsys, command, block, model, path):
@@ -300,6 +301,32 @@ def test_policy_iteration_budget_exhausted_exits_3(tmp_path, capsys, command):
     code, out = _run(tmp_path, doc, sub="converged")
     assert code == 0
     assert "status" not in json.loads((out / "results.json").read_text())
+
+
+def test_ergodic_reports_the_solver_state(tmp_path):
+    doc = {"command": "ergodic", "model": CHAIN,
+           "ergodic": {"grid": {"x_min": -1.0, "x_max": 1.0, "n_x": 101}}}
+    code, out = _run(tmp_path, doc)
+    assert code == 0
+    results = json.loads((out / "results.json").read_text())
+    assert results["rho"] == pytest.approx(4.0 / 3.0, abs=1e-10)
+    assert results["iterations"] >= 1 and 0.0 < results["residual"] <= 1e-10
+    assert results["outputs"] == ["values.csv"]
+    assert not (out / "ladder.csv").exists()
+    report = (out / "report.txt").read_text()
+    assert f"iterations={results['iterations']} residual=" in report
+
+
+def test_ergodic_multichain_model_exits_3(tmp_path, capsys):
+    # no switching either way: two closed classes, no single average cost
+    model = dict(CHAIN, generator={"kind": "constant", "rates": [[0.0, 0.0], [0.0, 0.0]]})
+    doc = {"command": "ergodic", "model": model,
+           "ergodic": {"grid": {"x_min": -1.0, "x_max": 1.0, "n_x": 101}}}
+    code, out = _run(tmp_path, doc)
+    assert code == 3
+    assert "E_DEGENERATE" in capsys.readouterr().err
+    assert not (out / "values.csv").exists()
+    assert json.loads((out / "results.json").read_text())["error"].startswith("E_DEGENERATE")
 
 
 def test_hjb_values_layout(tmp_path):

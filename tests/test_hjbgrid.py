@@ -9,7 +9,6 @@ from scipy.linalg import expm
 
 from switchsde import (
     DegenerateError,
-    ErgodicEstimate,
     Grid1D,
     MaxIterError,
     RunningCost,
@@ -24,8 +23,8 @@ from switchsde import (
     solve_exit,
     solve_finite_horizon,
 )
-from switchsde.hjbgrid import DEFAULT_LADDER, GRID_HEADER, GRID_HEADER_T, _solve_policy, _Tables
-from conftest import bm_model, chain_model, chain_value
+from switchsde.hjbgrid import GRID_HEADER, GRID_HEADER_T, _solve_policy, _Tables
+from conftest import bm_model, chain_model, chain_value, cosine_exit_model, saturated_model
 
 GRID = Grid1D(-1.0, 1.0, 101)
 
@@ -198,19 +197,30 @@ def test_exit_cosine_second_order(cosine_exit):
     assert errs[51] / errs[101] >= 3.0
 
 
+@pytest.mark.parametrize("model,n_x", [(cosine_exit_model, 101), (saturated_model, 401)])
+def test_exit_pins_the_ends_exactly(model, n_x):
+    # a / dx^2 > 1 at the ends: an unscaled identity row would be pivoted
+    # below its neighbour and come back with rounding
+    spec = model()
+    grid = Grid1D(*spec.costs.exit_domain, n_x)
+    sol = solve_exit(spec, grid)
+    h = spec.costs.exit_h.value
+    assert np.all(sol.values[:, [0, -1]] == h)
+
+
 # ---------------------------------------------------------------------------
-# ergodic ladder
+# ergodic
 
 
 def test_ergodic_chain_stationary_average(chain):
     est = estimate_ergodic(chain, GRID)
-    assert isinstance(est, ErgodicEstimate)
-    assert est.ladder == DEFAULT_LADDER
-    assert abs(est.rho - 4.0 / 3.0) / (4.0 / 3.0) <= 0.02
-    assert abs(est.rho) <= chain.costs.running.values.max()
-    # relative value is anchored at the reference node of regime 1
-    assert est.relative_values[0, est.reference_node] == 0.0
-    assert len(est.extrapolants) == len(est.ladder) - 1
+    assert est.criterion == "ergodic"
+    # exact for the discretized chain: the stationary average of c
+    assert abs(est.rho - 4.0 / 3.0) <= 1e-10
+    assert est.residual == est.residual_history[-1] <= 1e-10
+    assert est.iterations == len(est.residual_history)
+    # relative value is anchored at the reference node (x = 0) of regime 1
+    assert est.values[0, GRID.n_x // 2] == 0.0
 
 
 def test_ergodic_policy_replay_matches(chain):
@@ -221,12 +231,26 @@ def test_ergodic_policy_replay_matches(chain):
     assert abs(rep - est.rho) <= 1e-10
 
 
-def test_ergodic_needs_two_ladder_entries(chain):
-    with pytest.raises(ShapeError):
-        estimate_ergodic(chain, GRID, ladder=(0.1,))
+def test_ergodic_with_transient_first_regime(chain):
+    # regime 1 leaks into regime 2, which never leaves: the chain is
+    # unichain with regime 1 transient, so rho is regime 2's cost
+    spec = chain_model(m12=1.0, m21=0.0)
+    est = estimate_ergodic(spec, GRID)
+    assert abs(est.rho - 2.0) <= 1e-10
+    assert est.residual <= 1e-10
+    assert abs(estimate_ergodic_policy(spec, GRID, est.policy) - 2.0) <= 1e-10
 
 
-def test_ergodic_ladder_honours_max_iter(saturated):
+def test_ergodic_multichain_raises_degenerate_error():
+    # no switching either way: each regime is a closed class of its own
+    spec = chain_model(m12=0.0, m21=0.0)
+    with pytest.raises(DegenerateError, match="multichain"):
+        estimate_ergodic(spec, GRID)
+    with pytest.raises(DegenerateError, match="multichain"):
+        estimate_ergodic_policy(spec, GRID, np.zeros((2, GRID.n_x), dtype=np.int64))
+
+
+def test_ergodic_honours_max_iter(saturated):
     grid = Grid1D(-2.0, 2.0, 51)
     with pytest.raises(MaxIterError):
         estimate_ergodic(saturated, grid, max_iter=1)

@@ -6,8 +6,9 @@ action-dependent switching rates and a clamped quadratic cost. The checks
 are the ones the monotone scheme guarantees for every such model: the
 banded solve equals a dense solve of an independently assembled matrix,
 the maximum and comparison principles, replaying the optimal policy
-reproduces the optimal value, Howard's iterates never increase, and each
-block of a stacked solve equals the solve of its model alone.
+reproduces the optimal value, Howard's iterates never increase, each
+block of a stacked solve equals the solve of its model alone, and the
+discounted values approach the average cost as alpha vanishes.
 """
 
 import dataclasses
@@ -29,13 +30,22 @@ from switchsde import (
     RegimeSet,
     RunningCost,
     TerminalCost,
+    estimate_ergodic,
     evaluate_policy_exit,
     evaluate_policy_value,
     solve_discounted,
     solve_exit,
     solve_finite_horizon,
 )
-from switchsde.hjbgrid import _discounted, _exit, _exit_values, _finite_horizon, _hamiltonians, _Tables
+from switchsde.hjbgrid import (
+    _discounted,
+    _ergodic,
+    _exit,
+    _exit_values,
+    _finite_horizon,
+    _hamiltonians,
+    _Tables,
+)
 
 CRITERIA = {
     "discounted": (solve_discounted, evaluate_policy_value),
@@ -229,11 +239,27 @@ def test_stacked_blocks_equal_standalone_solves(seeds, n, n_x, n_actions):
         (_discounted(tab, None, 1e-8, 100), solve_discounted),
         (_exit(tab, 1e-8, 100), solve_exit),
         (_finite_horizon(tab, None, 20), lambda spec, grid: solve_finite_horizon(spec, grid, n_t=20)),
+        (_ergodic(tab, 1e-8, 100), estimate_ergodic),
     ):
         assert len(stacked) == len(specs)
         for spec, got in zip(specs, stacked):
             want = solve(spec, grid)
-            np.testing.assert_array_equal(got.values, want.values)
-            np.testing.assert_array_equal(got.policy, want.policy)
-            assert got.iterations == want.iterations
-            assert got.residual_history == want.residual_history
+            for field in dataclasses.fields(want):
+                if field.name != "grid":
+                    np.testing.assert_array_equal(getattr(got, field.name), getattr(want, field.name))
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 3), n_x=st.integers(11, 41),
+       n_actions=st.integers(1, 3))
+def test_vanishing_discount_approaches_the_average_cost(seed, n, n_x, n_actions):
+    # with u = rho / alpha + h, alpha u = min_a (L_a u + M_a u + c_a) + alpha h,
+    # so u - max h and u - min h are sub- and supersolutions of the
+    # discounted scheme and comparison gives |alpha V_alpha - rho| <= alpha span(h)
+    spec = _model(seed, n, n_actions)
+    grid = Grid1D(-2.0, 2.0, n_x)
+    est = estimate_ergodic(spec, grid)
+    span = np.ptp(est.values)
+    for alpha in (0.2, 0.1, 0.05, 0.025):
+        v = solve_discounted(spec, grid, alpha=alpha).values
+        assert np.abs(alpha * v - est.rho).max() <= alpha * span + 1e-9

@@ -31,7 +31,7 @@ from switchsde import (
     solve_exit,
     solve_finite_horizon,
 )
-from switchsde.hjbgrid import DEFAULT_LADDER, _Tables
+from switchsde.hjbgrid import _Tables
 from switchsde.robustness import (
     SWEEP_HEADER,
     _worst_eps_policy,
@@ -242,13 +242,12 @@ def _rowwise_grid_sweep(true_spec, sched, criterion, grid, max_iter=100):
         models.append(true_spec)  # the delta = 0 control row
     if criterion == "ergodic":
         est_true = estimate_ergodic(true_spec, grid, max_iter=max_iter)
-        base = estimate_ergodic_policy(true_spec, grid, est_true.policy)
         rows = []
         for model in models:
             est = estimate_ergodic(model, grid, max_iter=max_iter)
             rho = estimate_ergodic_policy(true_spec, grid, est.policy)
-            rows.append((abs(est.rho - est_true.rho), abs(rho - base), abs(rho - est.rho),
-                         len(DEFAULT_LADDER)))
+            rows.append((abs(est.rho - est_true.rho), rho - est_true.rho, abs(rho - est.rho),
+                         est.iterations))
         return rows
     solve, evaluate = {
         "discounted": (lambda m: solve_discounted(m, grid, max_iter=max_iter), evaluate_policy_value),
