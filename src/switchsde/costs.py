@@ -110,16 +110,11 @@ def _run_weighted(
         m = min(batch, n_paths - start)
         eng = BatchStepper(spec, x0, i0, dt, seed, first_path_index=start, n_paths=m)
         acc = np.zeros(m)
-        last_u = None
-        uc = None
         for k in range(n_steps):
-            u = policy.actions_at(eng.t, eng.x, eng.s)
-            if u is not last_u:
-                uc = spec.actions.clamp(u)
-                last_u = u
+            u = eng.actions(policy)
             w = weights[k]
             if w != 0.0:
-                acc += w * spec.costs.running.eval_batch(eng.x, eng.s, uc)
+                acc += w * spec.costs.running.eval_batch(eng.x, eng.s, u)
             eng.step(u)
         eng.check_finite()
         if terminal is not None:
@@ -225,8 +220,6 @@ def mc_exit(
         eng = BatchStepper(spec, x0, i0, dt, seed, first_path_index=start, n_paths=m)
         acc = np.zeros(m)
         log_disc = np.zeros(m)
-        last_u = None
-        uc = None
         for k in range(n_cap + 1):
             out_rows = outside_interval(eng.x, domain) & eng.alive
             if np.any(out_rows):
@@ -242,12 +235,9 @@ def mc_exit(
                 capped[orig] = True
                 values[orig] = acc[eng.alive]
                 break
-            u = policy.actions_at(eng.t, eng.x, eng.s)
-            if u is not last_u:
-                uc = spec.actions.clamp(u)
-                last_u = u
-            c = spec.costs.running.eval_batch(eng.x, eng.s, uc)
-            b = beta.eval_batch(eng.x, eng.s, uc)
+            u = eng.actions(policy)
+            c = spec.costs.running.eval_batch(eng.x, eng.s, u)
+            b = beta.eval_batch(eng.x, eng.s, u)
             acc += np.exp(-log_disc) * c * dt
             log_disc += b * dt
             keep = eng.step(u)

@@ -951,6 +951,17 @@ def make_perturbation_sequence(true_spec: ModelSpec, sched: PerturbationSchedule
         )
     if noise and true_spec.drift.kind not in ("constant", "saturated-affine", "lq"):
         raise ConfigError("noise-approx perturbations need an affine-family drift", "schedule.mode")
+    d_cost = None
+    if cost_mode and sched.d_cost is not None:
+        kind = true_spec.costs.running.kind
+        if kind == "lq":
+            raise ConfigError("cost perturbation does not apply to the lq family", "schedule.d_cost")
+        # a number shifts every kind; a regime cost also takes one shift per regime
+        d_cost = np.asarray(sched.d_cost, dtype=np.float64)
+        shapes = ((), (N,)) if kind == "regime" else ((),)
+        if d_cost.shape not in shapes:
+            expected = " or ".join(map(str, shapes))
+            raise ShapeError(f"d_cost has shape {d_cost.shape}, expected {expected}", "schedule.d_cost")
 
     out: list[ModelSpec] = []
     for n, delta in enumerate(np.asarray(sched.magnitudes)):
@@ -968,7 +979,8 @@ def make_perturbation_sequence(true_spec: ModelSpec, sched: PerturbationSchedule
             if sched.d_a is not None or sched.d_b is not None:
                 if drift.kind not in ("lq", "saturated-affine"):
                     raise ConfigError(
-                        f"dA/dB do not apply to drift kind '{drift.kind}'", "schedule.d_a"
+                        f"dA/dB do not apply to drift kind '{drift.kind}'",
+                        "schedule.d_a" if sched.d_a is not None else "schedule.d_b",
                     )
                 a_new = drift.a_mat + delta * _shaped(sched.d_a, (N, d, d), "schedule.d_a") \
                     if sched.d_a is not None else drift.a_mat
@@ -1004,20 +1016,13 @@ def make_perturbation_sequence(true_spec: ModelSpec, sched: PerturbationSchedule
                     gu=true_spec.generator.gu,
                 )
 
-        if cost_mode and sched.d_cost is not None:
+        if d_cost is not None:
             rc = costs.running
-            if rc.kind == "constant":
-                running = replace(rc, value=rc.value + delta * float(sched.d_cost))
-            elif rc.kind == "regime":
-                shift = np.asarray(sched.d_cost, dtype=np.float64)
-                shift = np.broadcast_to(shift, (N,))
-                running = replace(rc, values=_freeze(rc.values + delta * shift))
-            elif rc.kind == "quad-clamped":
-                running = replace(rc, offset=rc.offset + delta * float(sched.d_cost))
-            elif rc.kind == "cosine":
-                running = replace(rc, amplitude=rc.amplitude + delta * float(sched.d_cost))
+            if rc.kind == "regime":
+                running = replace(rc, values=_freeze(rc.values + delta * d_cost))
             else:
-                raise ConfigError("cost perturbation does not apply to the lq family", "schedule.d_cost")
+                attr = {"constant": "value", "quad-clamped": "offset", "cosine": "amplitude"}[rc.kind]
+                running = replace(rc, **{attr: getattr(rc, attr) + delta * float(d_cost)})
             costs = replace(costs, running=running)
 
         if noise:

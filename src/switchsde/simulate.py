@@ -31,6 +31,10 @@ in step order, and leftovers are dropped at the block's end. The order
 depends only on the path's own trajectory, so a path simulated alone is
 bit-identical to the same path inside any batch.
 
+Actions are looked up and clamped once per step, by actions(policy); the
+caller hands that array to its running cost and then to step(), which uses
+it as given, so cost, drift and rates all see the same clamped action.
+
 A batch retires rows with mark_dead. It compacts them away at the next
 chunk refill, or earlier, at the start of the first step at which at most
 half of its rows are alive; a mid-block compaction carries the survivors'
@@ -169,11 +173,13 @@ class CallablePolicy:
 class BatchStepper:
     """Drives a batch of paths with per-path streams and chunked draws.
 
-    Rows can be retired (mark_dead); retired rows stop updating immediately
-    and are compacted away at the next chunk refill, or mid-block as soon as
-    at most half the rows are alive, so the per-step work shrinks with the
-    surviving population. ``step`` returns the kept-row mask of a compaction
-    (else None). ``original_index`` maps current rows back to path indices.
+    A step is ``u = eng.actions(policy)`` then ``eng.step(u)``; the clamp
+    happens in ``actions`` only. Rows can be retired (mark_dead); retired
+    rows stop updating immediately and are compacted away at the next chunk
+    refill, or mid-block as soon as at most half the rows are alive, so the
+    per-step work shrinks with the surviving population. ``step`` returns
+    the kept-row mask of a compaction (else None). ``original_index`` maps
+    current rows back to path indices.
 
     Non-finite states are detected at chunk boundaries, before every
     compaction and on an explicit check_finite() call, not per step;
@@ -190,8 +196,6 @@ class BatchStepper:
         seed: int,
         first_path_index: int = 0,
         n_paths: int = 1,
-        record_jumps: bool = False,
-        t0: float = 0.0,
     ):
         n_big = spec.regimes.count * spec.generator.bound
         if dt <= 0 or dt * 4.0 * n_big > 1.0 + 1e-12:
@@ -200,7 +204,7 @@ class BatchStepper:
             )
         self.spec = spec
         self.dt = float(dt)
-        self.t = float(t0)
+        self.t = 0.0
         self.d = spec.dim
         self.wd = spec.diffusion.wiener_dim
         m = int(n_paths)
@@ -228,8 +232,6 @@ class BatchStepper:
         self._clock = 1.0 - np.array([g.random() for g in self._gens])
         self._survival = np.ones(m)
         self.clamped_steps = 0
-        self.record_jumps = record_jumps
-        self.jumps: list[tuple[float, int, int]] = []
         self._pos = CHUNK  # forces a refill on the first step
         self._jump_next = None
         self._all_alive = True
@@ -293,8 +295,11 @@ class BatchStepper:
             f"state became non-finite at or before t = {self.t:.6g} on path {path}"
         )
 
-    def _clamped(self, u_raw: FloatArray) -> FloatArray:
-        if u_raw is self._clamp_key and u_raw.shape[0] == self._clamp_val.shape[0]:
+    def actions(self, policy) -> FloatArray:
+        """The policy's actions for the current rows, clamped to the box;
+        clamped rows of living paths count into ``clamped_steps``."""
+        u_raw = policy.actions_at(self.t, self.x, self.s)
+        if u_raw is self._clamp_key:
             rows = self._clamp_rows
         else:
             u = self.spec.actions.clamp(u_raw)
@@ -353,13 +358,13 @@ class BatchStepper:
         self._jump_next = np.zeros(m, dtype=np.int64)
         self._pos = 0
 
-    def step(self, u_raw: FloatArray) -> np.ndarray | None:
+    def step(self, u: FloatArray) -> np.ndarray | None:
         """Advance every living row one Euler step using the given actions.
 
-        ``u_raw`` has one row per current row. When this step starts a new
-        chunk, or at most half the rows are alive, retired rows are first
-        compacted away and their actions with them; the kept-row mask is
-        then returned, else None.
+        ``u`` has one row per current row and is used as given (see
+        ``actions``). When this step starts a new chunk, or at most half the
+        rows are alive, retired rows are first compacted away and their
+        actions with them; the kept-row mask is then returned, else None.
         """
         keep = None
         refill = self._pos >= CHUNK
@@ -367,13 +372,12 @@ class BatchStepper:
             self.check_finite()
             if not self._all_alive:
                 keep = self._compact()
-                u_raw = u_raw[keep]
+                u = u[keep]
             if refill:
                 self._refill()
         pos = self._pos
         x, s, alive = self.x, self.s, self.alive
         all_alive = self._all_alive
-        u = self._clamped(u_raw)
 
         # survive this step's jump, probability 1 - p_jump, from the pre-step state
         if self._stay is not None:
@@ -448,12 +452,7 @@ class BatchStepper:
         else:
             cum = np.cumsum(self._base_off[sj] * gval[rows, None], axis=1)
         # the first draw times the total outflow is uniform on [0, outflow)
-        dest = np.argmax((draws[:, 0] * cum[:, -1])[:, None] < cum, axis=1)
-        if self.record_jumps:
-            t_next = self.t + self.dt
-            for i, row in enumerate(rows):
-                self.jumps.append((t_next, int(s[row]) + 1, int(dest[i]) + 1))
-        s[rows] = dest
+        s[rows] = np.argmax((draws[:, 0] * cum[:, -1])[:, None] < cum, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -522,33 +521,7 @@ def _n_steps_for(T: float, dt: float) -> int:
 
 def simulate_path(spec: ModelSpec, policy, x0, i0, T: float, dt: float, stream: RngStream) -> PathSample:
     """Simulate one trajectory to the horizon under the given policy."""
-    n = _n_steps_for(T, dt)
-    eng = BatchStepper(
-        spec, x0, i0, dt, seed=stream.seed, first_path_index=stream.path_index,
-        n_paths=1, record_jumps=True,
-    )
-    d, l = spec.dim, spec.actions.action_dim
-    states = np.empty((n + 1, d))
-    regimes = np.empty(n + 1, dtype=np.int64)
-    actions = np.empty((n, l))
-    states[0] = eng.x[0]
-    regimes[0] = eng.s[0] + 1
-    for k in range(n):
-        u = policy.actions_at(eng.t, eng.x, eng.s)
-        actions[k] = spec.actions.clamp(u)[0]
-        eng.step(u)
-        states[k + 1] = eng.x[0]
-        regimes[k + 1] = eng.s[0] + 1
-    eng.check_finite()
-    return PathSample(
-        times=np.arange(n + 1) * dt,
-        states=states,
-        regimes=regimes,
-        actions=actions,
-        jumps=tuple(eng.jumps),
-        termination="horizon",
-        clamped_steps=eng.clamped_steps,
-    )
+    return _record(spec, policy, x0, i0, dt, _n_steps_for(T, dt), None, stream)
 
 
 def _cap_steps(t_cap: float, dt: float) -> int:
@@ -580,35 +553,32 @@ def simulate_exit_path(
     domain; no interpolation toward the boundary is applied. A start outside
     the domain terminates immediately with a zero-length path.
     """
-    n_cap = _cap_steps(t_cap, dt)
-    eng = BatchStepper(
-        spec, x0, i0, dt, seed=stream.seed, first_path_index=stream.path_index,
-        n_paths=1, record_jumps=True,
-    )
-    d, l = spec.dim, spec.actions.action_dim
-    states = [eng.x[0].copy()]
-    regimes = [int(eng.s[0]) + 1]
-    actions = []
-    termination = "cap"
-    for k in range(n_cap + 1):
-        if outside_interval(eng.x, domain)[0]:
-            termination = "exit"
-            break
-        if k == n_cap:
-            break
-        u = policy.actions_at(eng.t, eng.x, eng.s)
-        actions.append(spec.actions.clamp(u)[0].copy())
+    return _record(spec, policy, x0, i0, dt, _cap_steps(t_cap, dt), domain, stream)
+
+
+def _record(spec, policy, x0, i0, dt, n_steps, domain, stream) -> PathSample:
+    """Step one path up to n_steps times, stopping at the first node outside
+    ``domain`` (never, for None). A step makes at most one jump and a jump
+    always changes the regime, so the jumps are read off the regimes."""
+    eng = BatchStepper(spec, x0, i0, dt, seed=stream.seed, first_path_index=stream.path_index)
+    states, regimes, actions = [eng.x[0].copy()], [int(eng.s[0]) + 1], []
+    outside = lambda: domain is not None and outside_interval(eng.x, domain)[0]
+    while len(actions) < n_steps and not outside():
+        u = eng.actions(policy)
+        actions.append(u[0].copy())
         eng.step(u)
         states.append(eng.x[0].copy())
         regimes.append(int(eng.s[0]) + 1)
     eng.check_finite()
-    n = len(states) - 1
+    n = len(actions)
+    times = np.arange(n + 1) * dt
     return PathSample(
-        times=np.arange(n + 1) * dt,
-        states=np.array(states).reshape(n + 1, d),
+        times=times,
+        states=np.array(states).reshape(n + 1, spec.dim),
         regimes=np.array(regimes, dtype=np.int64),
-        actions=np.array(actions, dtype=np.float64).reshape(n, l),
-        jumps=tuple(eng.jumps),
-        termination=termination,
+        actions=np.array(actions, dtype=np.float64).reshape(n, spec.actions.action_dim),
+        jumps=tuple((float(times[k + 1]), regimes[k], regimes[k + 1])
+                    for k in range(n) if regimes[k + 1] != regimes[k]),
+        termination="exit" if outside() else "horizon" if domain is None else "cap",
         clamped_steps=eng.clamped_steps,
     )

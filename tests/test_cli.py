@@ -168,6 +168,21 @@ def test_solver_error_exits_3(tmp_path, capsys):
     assert "error:" in (out / "report.txt").read_text()
 
 
+def test_cost_shift_of_the_wrong_shape_exits_3(tmp_path, capsys):
+    doc = {
+        "command": "robustness", "model": model_to_dict(bm_model(cost_value=1.0)),
+        "robustness": {
+            "criterion": "discounted",
+            "grid": {"x_min": -1.0, "x_max": 1.0, "n_x": 21},
+            "schedule": {"mode": "cost", "n_max": 1, "d_cost": [1.0, 2.0]},
+        },
+    }
+    code, out = _run(tmp_path, doc)
+    assert code == 3
+    assert capsys.readouterr().err.rstrip().endswith("at 'schedule.d_cost'")
+    assert json.loads((out / "results.json").read_text())["error"].startswith("E_SHAPE")
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_non_finite_coefficients_exit_3(tmp_path, capsys):
     model = model_to_dict(saturated_model())
@@ -315,6 +330,7 @@ def test_ergodic_reports_the_solver_state(tmp_path):
     assert not (out / "ladder.csv").exists()
     report = (out / "report.txt").read_text()
     assert f"iterations={results['iterations']} residual=" in report
+    assert "PASS rho-bound: 0 <= rho <= M_c = 2\n" in report
 
 
 def test_ergodic_multichain_model_exits_3(tmp_path, capsys):

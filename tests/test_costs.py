@@ -13,6 +13,7 @@ from switchsde import (
     DEFAULT_BATCH,
     BatchStepper,
     BoundaryCost,
+    CallablePolicy,
     CapFractionWarning,
     ConstantPolicy,
     DiffusionFamily,
@@ -249,14 +250,14 @@ def test_exit_cap_warning():
 
 
 ESTIMATORS = {
-    "discounted": lambda spec, dt=0.05, **kw: mc_discounted(
-        spec, ZERO, [0.0], 1, 1.0, dt, seed=1, eps_tail=0.05, **kw),
-    "finite-horizon": lambda spec, dt=0.05, **kw: mc_finite_horizon(
-        spec, ZERO, [0.0], 1, 0.5, dt, seed=1, **kw),
-    "ergodic": lambda spec, dt=0.05, **kw: mc_ergodic(
-        spec, ZERO, [0.0], 1, 1.0, dt, seed=1, **kw),
-    "exit": lambda spec, dt=0.05, **kw: mc_exit(
-        spec, ZERO, [0.0], 1, dt, seed=1, t_cap=1.0, **kw),
+    "discounted": lambda spec, dt=0.05, policy=ZERO, **kw: mc_discounted(
+        spec, policy, [0.0], 1, 1.0, dt, seed=1, eps_tail=0.05, **kw),
+    "finite-horizon": lambda spec, dt=0.05, policy=ZERO, **kw: mc_finite_horizon(
+        spec, policy, [0.0], 1, 0.5, dt, seed=1, **kw),
+    "ergodic": lambda spec, dt=0.05, policy=ZERO, **kw: mc_ergodic(
+        spec, policy, [0.0], 1, 1.0, dt, seed=1, **kw),
+    "exit": lambda spec, dt=0.05, policy=ZERO, **kw: mc_exit(
+        spec, policy, [0.0], 1, dt, seed=1, t_cap=1.0, **kw),
 }
 
 
@@ -280,6 +281,20 @@ def test_estimators_check_dt_and_step_budget_before_stepping(chain, criterion, d
     # at dt = 1e-9 every run is beyond MAX_STEPS: 5e8 to 4e9 steps
     with pytest.raises(StepError, match=match):
         ESTIMATORS[criterion](chain, dt=dt, n_paths=4)
+
+
+@pytest.mark.parametrize("criterion", sorted(ESTIMATORS))
+def test_estimators_charge_the_clamped_action(criterion):
+    # saturated_model's running cost weights |u|^2 and its actions span
+    # [-1, 1]; the wild policy leaves that box wherever |sin(2x)| > 1/3, so
+    # only a clamp before the running cost makes it equal its clamped twin
+    wild = CallablePolicy(lambda t, x, regimes: 3.0 * np.sin(2.0 * x))
+    tame = CallablePolicy(lambda t, x, regimes: np.clip(3.0 * np.sin(2.0 * x), -1.0, 1.0))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CapFractionWarning)
+        a = ESTIMATORS[criterion](saturated_model(), policy=wild, n_paths=64)
+        b = ESTIMATORS[criterion](saturated_model(), policy=tame, n_paths=64)
+    assert (a.value, a.stderr, a.capped_fraction) == (b.value, b.stderr, b.capped_fraction)
 
 
 def test_exit_batch_invariance_across_compaction():

@@ -491,6 +491,25 @@ def test_cost_sequence_shifts_running_cost(chain):
     assert np.allclose(seq[1].costs.running.values, [1.125, 2.125])
 
 
+@pytest.mark.parametrize(
+    "spec,d_cost",
+    [(bm_model(cost_value=1.0), [1.0, 2.0]), (chain_model(), [0.1, 0.2, 0.3])],
+    ids=["vector-on-constant", "length-3-on-2-regimes"],
+)
+def test_cost_shift_of_the_wrong_shape_is_a_shape_error(spec, d_cost):
+    sched = PerturbationSchedule(mode="cost", n_max=1, d_cost=np.array(d_cost))
+    with pytest.raises(ShapeError) as info:
+        make_perturbation_sequence(spec, sched)
+    assert info.value.path == "schedule.d_cost"
+
+
+def test_drift_shift_that_does_not_apply_names_the_given_key():
+    sched = PerturbationSchedule(mode="coefficient", n_max=0, d_b=np.ones((1, 1, 1)))
+    with pytest.raises(ConfigError) as info:
+        make_perturbation_sequence(bm_model(), sched)
+    assert info.value.path == "schedule.d_b"
+
+
 def test_noise_approx_scales_constant_diffusion(make_bm):
     spec = make_bm(sigma=0.5)
     sched = PerturbationSchedule(

@@ -146,7 +146,7 @@ def test_batch_row_equals_single_path_with_state_dependent_rates_and_compaction(
         if k in retire:
             eng.mark_dead(np.isin(eng.original_index, sorted(retire[k])))
         alive = eng.alive.copy()
-        kept = eng.step(policy.actions_at(eng.t, eng.x, eng.s))
+        kept = eng.step(eng.actions(policy))
         if kept is not None:
             assert np.array_equal(kept, alive)
             masks[k] = kept.sum(), kept.size
@@ -353,7 +353,7 @@ def test_horizon_must_be_step_multiple(make_chain):
         simulate_path(make_chain(), ZERO, [0.0], 1, 1.0, 0.03, make_rng_stream(0, 0))
 
 
-def test_clamped_actions_are_counted(make_chain):
+def test_clamped_actions_are_counted(make_chain, saturated):
     spec = make_chain()
     wild = ConstantPolicy(np.array([5.0]))  # outside the zero-only grid
     path = simulate_path(spec, wild, [0.0], 1, 0.5, 0.01, make_rng_stream(1, 0))
@@ -361,6 +361,13 @@ def test_clamped_actions_are_counted(make_chain):
     assert np.array_equal(path.actions, np.zeros((50, 1)))
     tame = simulate_path(spec, ZERO, [0.0], 1, 0.5, 0.01, make_rng_stream(1, 0))
     assert tame.clamped_steps == 0
+    # an x-dependent policy that leaves saturated_model's action box [-1, 1]
+    fn = lambda t, x, regimes: 3.0 * np.sin(2.0 * x) + 0.5 * (regimes[:, None] - 1.5)
+    path = simulate_path(saturated, CallablePolicy(fn), [0.2], 1, 2.0, 0.01, make_rng_stream(4, 0))
+    raw = np.stack([fn(t, x[None], np.array([i]))[0] for t, x, i in
+                    zip(path.times, path.states[:-1], path.regimes[:-1])])
+    assert np.array_equal(path.actions, saturated.actions.clamp(raw))
+    assert path.clamped_steps == int(np.count_nonzero(np.any(np.abs(raw) > 1.0, axis=1))) > 0
 
 
 def test_nonfinite_state_raises(make_bm):
@@ -425,6 +432,11 @@ def test_path_csv_has_jump_comments(make_chain, tmp_path):
     spec = make_chain(m12=5.0, m21=5.0)
     path = simulate_path(spec, ZERO, [0.0], 1, 1.0, 0.01, make_rng_stream(21, 0))
     assert len(path.jumps) > 0
+    # each jump is stamped with the time node where its new regime first shows
+    moved = np.flatnonzero(np.diff(path.regimes))
+    assert path.jumps == tuple(
+        (path.times[k + 1], path.regimes[k], path.regimes[k + 1]) for k in moved
+    )
     out = tmp_path / "path.csv"
     path.to_csv(out)
     lines = out.read_text().splitlines()
@@ -433,6 +445,8 @@ def test_path_csv_has_jump_comments(make_chain, tmp_path):
     assert len(jumps) == len(path.jumps)
     data = [ln for ln in lines if ln and not ln.startswith("#")][1:]
     assert len(data) == path.times.size
+    rows = {tuple(ln.split(",")[:2]) for ln in data}
+    assert all((t, j) in rows for _, t, _, j in (ln.split(",") for ln in jumps))
 
 
 # ---------------------------------------------------------------------------
