@@ -45,6 +45,7 @@ from .hjbgrid import (
 )
 from .io import atomic_write_text, g17, write_csv
 from .model import (
+    DIRECTIONS,
     ModelSpec,
     PerturbationSchedule,
     _array,
@@ -164,13 +165,7 @@ SCHEDULE = (
     ("mode", PerturbationSchedule.MODES, REQUIRED),
     ("n_max", "integer", REQUIRED),
     ("magnitudes", "array", None),
-    ("d_a", "array", None),
-    ("d_b", "array", None),
-    ("d_c", "array", None),
-    ("d_m", "array", None),
-    ("d_cost", "array", None),
-    ("hat_b", "array", None),
-    ("hat_sigma", "array", None),
+    *((key, "array", None) for key in DIRECTIONS),
 )
 POLICIES = {"zero": (), "constant": (("u", "action", REQUIRED),), "lq": (("steps", "integer", 400),)}
 
@@ -295,14 +290,7 @@ def _run_riccati(cfg: ExperimentConfig, out: Path, lines: list, results: dict) -
     traj = solve_coupled_riccati(lq, n_steps=steps)
     gains = lq_feedback(traj, lq)
     write_csv(out / "K.csv", RICCATI_HEADER, traj.rows())
-    grows = (
-        (gains.times[t], i + 1, r, c, gains.gains[t, i, r, c])
-        for t in range(gains.gains.shape[0])
-        for i in range(gains.gains.shape[1])
-        for r in range(gains.gains.shape[2])
-        for c in range(gains.gains.shape[3])
-    )
-    write_csv(out / "gains.csv", RICCATI_HEADER, grows)
+    write_csv(out / "gains.csv", RICCATI_HEADER, gains.rows())
     defect = riccati_defect(traj, lq)
     bound = a_priori_bound(lq)
     kmax = float(np.max(np.linalg.norm(traj.k, axis=(-2, -1))))

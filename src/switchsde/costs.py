@@ -192,8 +192,7 @@ def mc_ergodic(
 
 def mc_exit(
     spec: ModelSpec, policy, x0, i0, dt: float, n_paths: int, seed: int,
-    t_cap: float, domain: tuple[float, float] | None = None, beta=None, exit_h=None,
-    batch: int = DEFAULT_BATCH,
+    t_cap: float, batch: int = DEFAULT_BATCH,
 ) -> McEstimate:
     """Discounted running cost up to the first grid exit, plus exit payoff.
 
@@ -209,9 +208,7 @@ def mc_exit(
     """
     _check_counts(n_paths, batch)
     n_cap = _cap_steps(t_cap, dt)
-    domain = spec.costs.exit_domain if domain is None else domain
-    beta = spec.costs.exit_beta if beta is None else beta
-    exit_h = spec.costs.exit_h if exit_h is None else exit_h
+    domain, beta, exit_h = spec.costs.exit_domain, spec.costs.exit_beta, spec.costs.exit_h
 
     values = np.zeros(n_paths)
     capped = np.zeros(n_paths, dtype=bool)

@@ -29,7 +29,7 @@ sweeps stack a whole perturbation schedule.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -493,23 +493,13 @@ def _exit_values(tab: _Tables) -> FloatArray:
     return tab.per_model([spec.costs.exit_h.eval_batch(ends, s).reshape(N, 2) for spec in tab.models])
 
 
-def solve_exit(
-    spec: ModelSpec, grid: Grid1D, beta=None, exit_h=None, tol: float = 1e-8,
-    max_iter: int = 100,
-) -> GridSolution:
+def solve_exit(spec: ModelSpec, grid: Grid1D, tol: float = 1e-8, max_iter: int = 100) -> GridSolution:
     """Policy iteration for min_a [L_a V + M_a V - beta_a V + c_a] = 0 on O.
 
     The grid interval is the exit domain; the two boundary rows are Dirichlet
-    rows pinning V to h exactly. Stopping and MaxIterError as in
-    solve_discounted.
+    rows pinning V to the model's exit cost h exactly, and beta is the model's
+    exit discount. Stopping and MaxIterError as in solve_discounted.
     """
-    if beta is not None or exit_h is not None:
-        costs = spec.costs
-        if beta is not None:
-            costs = replace(costs, exit_beta=beta)
-        if exit_h is not None:
-            costs = replace(costs, exit_h=exit_h)
-        spec = replace(spec, costs=costs)
     return _exit(_Tables([spec], grid), tol, max_iter)[0]
 
 

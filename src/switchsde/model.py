@@ -10,7 +10,8 @@ family produces the running cost c(x, i, u) plus terminal and exit data.
 Each family class carries one field table per kind (``FIELDS``). The table
 drives the per-field shape and sign checks on construction, the document
 reader ``model_from_dict`` and the writer ``model_to_dict``; checks that
-span fields stay explicit code in the family.
+span fields stay explicit code in the family. Likewise ``DIRECTIONS`` names,
+for each perturbation-schedule direction, the field it shifts.
 
 All value objects are frozen; arrays are made read-only on construction.
 Batch evaluation methods take stacked inputs (one row per sample or per
@@ -21,6 +22,7 @@ and the grid solver.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -829,9 +831,10 @@ def validate_model(spec: ModelSpec, sample) -> ValidationReport:
 
     a = spec.diffusion.a_batch(x, s)
     min_eig = float(np.min(np.linalg.eigvalsh(a)))
-    findings.append(
-        Finding("nondegeneracy", min_eig > 0.0, f"min eigenvalue of a = {min_eig:.3e}")
-    )
+    # advisory for sigma = C x, which vanishes at x = 0; grid solvers reject a <= 0 at a node
+    lq = spec.diffusion.kind == "lq"
+    detail = f"{'riccati-only family, ' if lq else ''}min eigenvalue of a = {min_eig:.3e}"
+    findings.append(Finding("nondegeneracy", min_eig > 0.0, detail, advisory=lq))
 
     # advisory finite-difference surrogate for local Lipschitz continuity
     ratio = 0.0
@@ -858,10 +861,10 @@ def validate_model(spec: ModelSpec, sample) -> ValidationReport:
     return ValidationReport(tuple(findings))
 
 
-def default_sample(spec: ModelSpec, x_lo: float = -2.0, x_hi: float = 2.0, n: int = 9):
-    """Cartesian sample of grid states, all regimes and all actions."""
+def default_sample(spec: ModelSpec):
+    """Cartesian sample of nine states on [-2, 2], all regimes and all actions."""
     pts = []
-    for xv in np.linspace(x_lo, x_hi, n):
+    for xv in np.linspace(-2.0, 2.0, 9):
         x = np.full(spec.dim, xv)
         for i in range(1, spec.regimes.count + 1):
             for a in spec.actions.actions:
@@ -873,17 +876,58 @@ def default_sample(spec: ModelSpec, x_lo: float = -2.0, x_hi: float = 2.0, n: in
 # perturbation schedules
 
 
+class Direction(NamedTuple):
+    """What one schedule direction shifts.
+
+    ``modes`` are the schedule modes that apply it. ``family`` is the model
+    family it shifts and ``keys`` the field it shifts for each kind of that
+    family (a key of the family's ``FIELDS``); other kinds do not take it.
+    ``lq`` is the LQSpec attribute it shifts (None: no LQ counterpart), and
+    ``derived`` the family attributes recomputed after the shift.
+    """
+
+    modes: tuple[str, ...]
+    family: type
+    keys: dict[str, str]
+    lq: str | None = None
+    derived: tuple[str, ...] = ()
+
+
+_COEFFICIENT, _NOISE = ("coefficient", "combined"), ("noise-approx",)
+_AFFINE_KINDS = ("lq", "saturated-affine")
+
+DIRECTIONS = {
+    "d_a": Direction(_COEFFICIENT, DriftFamily, dict.fromkeys(_AFFINE_KINDS, "a"), "a"),
+    "d_b": Direction(_COEFFICIENT, DriftFamily, dict.fromkeys(_AFFINE_KINDS, "b"), "b"),
+    "d_c": Direction(_COEFFICIENT, DiffusionFamily, {"lq": "c", "constant": "c0"}, "c"),
+    "d_m": Direction(
+        ("rates", "combined"), GeneratorSpec,
+        {"constant": "rates", "state-action-dependent": "base"}, "rates", ("bound",),
+    ),
+    "d_cost": Direction(
+        ("cost", "combined"), RunningCost,
+        {"constant": "value", "regime": "values", "quad-clamped": "offset", "cosine": "amplitude"},
+    ),
+    # the noise-approx pair acts through the constant diffusion matrix
+    "hat_b": Direction(_NOISE, DriftFamily, {"constant": "b0", **dict.fromkeys(_AFFINE_KINDS, "offset")}),
+    "hat_sigma": Direction(_NOISE, DiffusionFamily, {"constant": "c0"}),
+}
+
+
 @dataclass(frozen=True, eq=False)
 class PerturbationSchedule:
     """Directions and magnitudes for an approximating-model sequence.
 
-    ``magnitudes`` defaults to 2^-n for n = 0..n_max. Directions are applied
-    as target + delta * direction; omitted directions stay zero. ``mode``
-    selects which blocks apply:
+    ``magnitudes`` defaults to 2^-n for n = 0..n_max. Each direction shifts
+    one field, named for each family kind by ``DIRECTIONS``, to
+    target + delta * direction; a direction has the shape of that field (a
+    number may also shift a per-regime cost vector) and omitted directions
+    stay zero. ``mode`` selects which directions apply, and a direction the
+    mode does not apply is a ConfigError:
 
-    'coefficient'  dA, dB to the drift family, dC to the diffusion family
-    'rates'        dm to the generator off-diagonals (diagonal rebuilt)
-    'cost'         dc to the running cost (constant shift; see apply rules)
+    'coefficient'  d_a, d_b to the drift family, d_c to the diffusion family
+    'rates'        d_m to the generator off-diagonals (diagonal rebuilt)
+    'cost'         d_cost to the running cost
     'noise-approx' hat_b, hat_sigma as a drift/diffusion correction pair
                    (requires constant-in-x diffusion)
     'combined'     coefficient + rates + cost
@@ -905,6 +949,9 @@ class PerturbationSchedule:
     def __post_init__(self):
         if self.mode not in self.MODES:
             raise ConfigError(f"unknown perturbation mode '{self.mode}'", "schedule.mode")
+        for key, direction in DIRECTIONS.items():
+            if getattr(self, key) is not None and self.mode not in direction.modes:
+                raise ConfigError(f"mode '{self.mode}' does not apply '{key}'", f"schedule.{key}")
         if self.n_max < 0:
             raise ConfigError("n_max must be >= 0", "schedule.n_max")
         if self.magnitudes is None:
@@ -913,8 +960,7 @@ class PerturbationSchedule:
             mags = np.asarray(self.magnitudes, dtype=np.float64)
             if mags.shape != (self.n_max + 1,):
                 raise ConfigError("magnitudes must have length n_max + 1", "schedule.magnitudes")
-            inner = mags[:-1]
-            if np.any(np.diff(mags) >= 0) or np.any(inner <= 0) or mags[-1] < 0:
+            if np.any(np.diff(mags) >= 0) or np.any(mags[:-1] <= 0) or mags[-1] < 0:
                 raise ConfigError(
                     "magnitudes must be strictly decreasing and positive (a final 0 is allowed)",
                     "schedule.magnitudes",
@@ -922,128 +968,78 @@ class PerturbationSchedule:
         object.__setattr__(self, "magnitudes", _freeze(mags))
 
 
-def _perturb_offdiag(rates: np.ndarray, d_m: np.ndarray, delta: float, n: int) -> np.ndarray:
-    off = rates - np.diag(np.diag(rates))
-    d_off = d_m - np.diag(np.diag(d_m))
-    new_off = off + delta * d_off
-    if np.any(new_off < 0):
-        raise RatesError(f"perturbed rates negative at schedule element {n}")
-    return new_off - np.diag(new_off.sum(axis=1))
+def _checked(key: str, direction, shape: tuple, per_regime: bool = False) -> np.ndarray:
+    """Direction ``key`` as floats of ``shape``; with ``per_regime`` a number also fits."""
+    d = np.asarray(direction, dtype=np.float64)
+    if d.shape != shape and not (per_regime and d.shape == ()):
+        raise ShapeError(f"'{key}' has shape {d.shape}, expected {shape}", f"schedule.{key}")
+    return d
+
+
+def _shift(key: str, name: str, value, direction: np.ndarray, delta: float):
+    """``value + delta * direction``, the one rule of every schedule direction.
+
+    ``d_m`` moves only the off-diagonals; the diagonal is rebuilt as minus
+    the row sum, or kept zero for a 'base' matrix of off-diagonals. A
+    negative off-diagonal is E_RATES.
+    """
+    if key != "d_m":
+        new = value + delta * direction
+        return float(new) if np.ndim(new) == 0 else new
+    off = value - np.diag(np.diag(value)) + delta * (direction - np.diag(np.diag(direction)))
+    if np.any(off < 0):
+        raise RatesError(f"perturbed rates negative at delta = {delta:g}", "schedule.d_m")
+    return off if name == "base" else off - np.diag(off.sum(axis=1))
+
+
+def _noise_shift(key: str, spec: ModelSpec, direction: np.ndarray, delta: float) -> np.ndarray:
+    """Drift b0 + sigma (delta hat_b) or noise sigma (I + delta hat_sigma), sigma = c0."""
+    c0 = spec.diffusion.c0
+    if key == "hat_b":
+        return spec.drift.b0 + np.einsum("nij,j->ni", c0, delta * direction)
+    return np.einsum("nij,jk->nik", c0, np.eye(c0.shape[2]) + delta * direction)
 
 
 def make_perturbation_sequence(true_spec: ModelSpec, sched: PerturbationSchedule) -> list[ModelSpec]:
     """Approximating models true + delta_n * direction, one per magnitude.
 
-    A magnitude of exactly zero reproduces the true model bit for bit. Every
-    element is checked against the structural generator rules; violations
-    raise E_RATES before any model is returned.
+    Each direction shifts the field ``DIRECTIONS`` names for the model's
+    family kind; the noise-approx pair (zero when left out) applies its
+    drift/diffusion correction instead. Every direction is checked against
+    the model before any model is built: a kind that does not take it is
+    E_CONFIG, a wrong shape E_SHAPE, both at ``schedule.<key>``. Every
+    element is checked against the structural generator rules (E_RATES). A
+    magnitude of exactly zero reproduces the true model bit for bit.
     """
-    N, d, l = true_spec.regimes.count, true_spec.dim, true_spec.actions.action_dim
-    coeff = sched.mode in ("coefficient", "combined")
-    rates_mode = sched.mode in ("rates", "combined")
-    cost_mode = sched.mode in ("cost", "combined")
     noise = sched.mode == "noise-approx"
-
-    if noise and true_spec.diffusion.kind != "constant":
-        raise ConfigError(
-            "noise-approx perturbations need a constant-in-state diffusion family",
-            "schedule.mode",
-        )
-    if noise and true_spec.drift.kind not in ("constant", "saturated-affine", "lq"):
-        raise ConfigError("noise-approx perturbations need an affine-family drift", "schedule.mode")
-    d_cost = None
-    if cost_mode and sched.d_cost is not None:
-        kind = true_spec.costs.running.kind
-        if kind == "lq":
-            raise ConfigError("cost perturbation does not apply to the lq family", "schedule.d_cost")
-        # a number shifts every kind; a regime cost also takes one shift per regime
-        d_cost = np.asarray(sched.d_cost, dtype=np.float64)
-        shapes = ((), (N,)) if kind == "regime" else ((),)
-        if d_cost.shape not in shapes:
-            expected = " or ".join(map(str, shapes))
-            raise ShapeError(f"d_cost has shape {d_cost.shape}, expected {expected}", "schedule.d_cost")
+    shifts = []
+    for key, direction in DIRECTIONS.items():
+        d = getattr(sched, key)
+        if sched.mode not in direction.modes or (d is None and not noise):
+            continue
+        fam = attrgetter(direction.family.PATH)(true_spec)
+        if fam.kind not in direction.keys:
+            raise ConfigError(f"'{key}' does not apply to {fam.PATH} kind '{fam.kind}'", f"schedule.{key}")
+        f = next(f for f in fam.FIELDS[fam.kind] if f.key == direction.keys[fam.kind])
+        if noise:
+            shape = (true_spec.diffusion.wiener_dim,) * (1 if key == "hat_b" else 2)
+            d = _checked(key, np.zeros(shape) if d is None else d, shape)
+        else:
+            d = _checked(key, d, np.shape(getattr(fam, f.attr)), f.shape == "N")
+        shifts.append((key, fam, f, d))
 
     out: list[ModelSpec] = []
-    for n, delta in enumerate(np.asarray(sched.magnitudes)):
+    for delta in sched.magnitudes:
         delta = float(delta)
         if delta == 0.0:
             out.append(true_spec)
             continue
-
-        drift = true_spec.drift
-        diffusion = true_spec.diffusion
-        generator = true_spec.generator
-        costs = true_spec.costs
-
-        if coeff:
-            if sched.d_a is not None or sched.d_b is not None:
-                if drift.kind not in ("lq", "saturated-affine"):
-                    raise ConfigError(
-                        f"dA/dB do not apply to drift kind '{drift.kind}'",
-                        "schedule.d_a" if sched.d_a is not None else "schedule.d_b",
-                    )
-                a_new = drift.a_mat + delta * _shaped(sched.d_a, (N, d, d), "schedule.d_a") \
-                    if sched.d_a is not None else drift.a_mat
-                b_new = drift.b_mat + delta * _shaped(sched.d_b, (N, d, l), "schedule.d_b") \
-                    if sched.d_b is not None else drift.b_mat
-                drift = replace(drift, a_mat=_freeze(a_new), b_mat=_freeze(b_new))
-            if sched.d_c is not None:
-                if diffusion.kind == "lq":
-                    c_new = diffusion.c_mat + delta * _shaped(sched.d_c, (N, d, d), "schedule.d_c")
-                    diffusion = replace(diffusion, c_mat=_freeze(c_new))
-                elif diffusion.kind == "constant":
-                    dc = _shaped(sched.d_c, diffusion.c0.shape, "schedule.d_c")
-                    diffusion = replace(diffusion, c0=_freeze(diffusion.c0 + delta * dc))
-                else:
-                    raise ConfigError(
-                        f"dC does not apply to diffusion kind '{diffusion.kind}'", "schedule.d_c"
-                    )
-
-        if rates_mode and sched.d_m is not None:
-            d_m = _shaped(sched.d_m, (N, N), "schedule.d_m")
-            if generator.kind == "constant":
-                generator = GeneratorSpec(
-                    "constant", N, rates=_perturb_offdiag(true_spec.generator.rates, d_m, delta, n)
-                )
-            else:
-                base = _perturb_offdiag(true_spec.generator.base, d_m, delta, n)
-                base = base - np.diag(np.diag(base))
-                generator = GeneratorSpec(
-                    "state-action-dependent",
-                    N,
-                    base=base,
-                    gx=true_spec.generator.gx,
-                    gu=true_spec.generator.gu,
-                )
-
-        if d_cost is not None:
-            rc = costs.running
-            if rc.kind == "regime":
-                running = replace(rc, values=_freeze(rc.values + delta * d_cost))
-            else:
-                attr = {"constant": "value", "quad-clamped": "offset", "cosine": "amplitude"}[rc.kind]
-                running = replace(rc, **{attr: getattr(rc, attr) + delta * float(d_cost)})
-            costs = replace(costs, running=running)
-
-        if noise:
-            hat_b = _shaped(
-                sched.hat_b if sched.hat_b is not None else np.zeros(diffusion.wiener_dim),
-                (diffusion.wiener_dim,),
-                "schedule.hat_b",
-            )
-            hat_sigma = _shaped(
-                sched.hat_sigma if sched.hat_sigma is not None else np.zeros((diffusion.wiener_dim,) * 2),
-                (diffusion.wiener_dim, diffusion.wiener_dim),
-                "schedule.hat_sigma",
-            )
-            # effective drift b + sigma * (delta hat_b); effective noise sigma (I + delta hat_sigma)
-            shift = np.einsum("nij,j->ni", true_spec.diffusion.c0, delta * hat_b)
-            eye = np.eye(diffusion.wiener_dim)
-            c0_new = np.einsum("nij,jk->nik", true_spec.diffusion.c0, eye + delta * hat_sigma)
-            drift = replace(drift, b0=_freeze(drift.b0 + shift))
-            diffusion = replace(diffusion, c0=_freeze(c0_new))
-
-        out.append(
-            ModelSpec(d, true_spec.regimes, true_spec.actions, drift, diffusion, generator, costs)
-        )
+        changes: dict[str, dict] = {}
+        for key, fam, f, d in shifts:
+            new = _noise_shift(key, true_spec, d, delta) if noise else \
+                _shift(key, f.key, getattr(fam, f.attr), d, delta)
+            changes.setdefault(fam.PATH, dict.fromkeys(DIRECTIONS[key].derived))[f.attr] = new
+        fams = {path: replace(attrgetter(path)(true_spec), **kw) for path, kw in changes.items()}
+        costs = replace(true_spec.costs, running=fams.pop(RunningCost.PATH, true_spec.costs.running))
+        out.append(replace(true_spec, costs=costs, **fams))
     return out

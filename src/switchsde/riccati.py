@@ -190,13 +190,8 @@ class RiccatiTrajectory:
         return _interp(self.times, self.k, float(t))
 
     def rows(self):
-        """Flat (t, regime, row, col, value) tuples, regimes 1-based."""
-        n1, N, d, _ = self.k.shape
-        for kk in range(n1):
-            for i in range(N):
-                for r in range(d):
-                    for c in range(d):
-                        yield (self.times[kk], i + 1, r, c, self.k[kk, i, r, c])
+        """K as flat (t, regime, row, col, value) tuples."""
+        return _stack_rows(self.times, self.k)
 
 
 @dataclass(frozen=True, eq=False)
@@ -216,6 +211,16 @@ class FeedbackTrajectory:
 
     def gain_at(self, t: float) -> FloatArray:
         return _interp(self.times, self.gains, float(t))
+
+    def rows(self):
+        """The gains as flat (t, regime, row, col, value) tuples."""
+        return _stack_rows(self.times, self.gains)
+
+
+def _stack_rows(times: FloatArray, stack: FloatArray):
+    """Flat (t, regime, row, col, value) tuples of a (times, N, rows, cols) stack, regimes 1-based."""
+    for k, i, r, c in np.ndindex(stack.shape):
+        yield (times[k], i + 1, r, c, stack[k, i, r, c])
 
 
 def _linear_operator(a: np.ndarray, c: np.ndarray, rates: np.ndarray) -> np.ndarray:

@@ -35,7 +35,7 @@ from .hjbgrid import (
     _time_levels,
 )
 from .io import write_csv
-from .model import ModelSpec, PerturbationSchedule, _perturb_offdiag, make_perturbation_sequence
+from .model import DIRECTIONS, ModelSpec, PerturbationSchedule, _checked, _shift, make_perturbation_sequence
 from .riccati import LQSpec, _feedback_cost_stack, _solve_stack
 
 SWEEP_HEADER = "n,delta,value_gap,policy_loss,aux,solver_iters,stderr"
@@ -90,38 +90,29 @@ def _spectral_gap(a: np.ndarray, b: np.ndarray) -> float:
 
 
 def perturbed_lq_sequence(true_lq: LQSpec, sched: PerturbationSchedule) -> list[LQSpec]:
-    """Apply the schedule's coefficient/rates directions to an LQSpec.
+    """Apply the schedule's directions to an LQSpec, as make_perturbation_sequence does.
 
-    Mirrors make_perturbation_sequence for the linear-quadratic data: dA,
-    dB perturb the drift pair, dC the noise loading, dm the generator
-    off-diagonals. Cost and noise-approx modes have no LQ counterpart here.
+    Each direction shifts the LQSpec attribute ``DIRECTIONS`` names by the
+    same rule and shape check as the model path: d_a, d_b the drift pair,
+    d_c the noise loading, d_m the generator off-diagonals. A mode or
+    direction with no LQ counterpart (cost, noise-approx) is E_CONFIG.
     """
-    if sched.mode in ("cost", "noise-approx"):
-        raise ConfigError(
-            f"mode '{sched.mode}' does not apply to the LQ sweep", "schedule.mode"
-        )
-    coeff = sched.mode in ("coefficient", "combined")
-    rates_mode = sched.mode in ("rates", "combined")
-    out = []
-    for n, delta in enumerate(sched.magnitudes):
-        delta = float(delta)
-        if delta == 0.0:
-            out.append(true_lq)
+    if not any(sched.mode in d.modes for d in DIRECTIONS.values() if d.lq):
+        raise ConfigError(f"mode '{sched.mode}' does not apply to the LQ sweep", "schedule.mode")
+    shifts = []
+    for key, direction in DIRECTIONS.items():
+        d = getattr(sched, key)
+        if d is None:
             continue
-        a, b, c, rates = true_lq.a, true_lq.b, true_lq.c, true_lq.rates
-        if coeff:
-            if sched.d_a is not None:
-                a = a + delta * np.asarray(sched.d_a, dtype=np.float64)
-            if sched.d_b is not None:
-                b = b + delta * np.asarray(sched.d_b, dtype=np.float64)
-            if sched.d_c is not None:
-                c = c + delta * np.asarray(sched.d_c, dtype=np.float64)
-        if rates_mode and sched.d_m is not None:
-            rates = _perturb_offdiag(
-                np.asarray(true_lq.rates), np.asarray(sched.d_m, dtype=np.float64), delta, n
-            )
-        out.append(replace(true_lq, a=a, b=b, c=c, rates=rates))
-    return out
+        if direction.lq is None:
+            raise ConfigError(f"'{key}' does not apply to the LQ sweep", f"schedule.{key}")
+        shifts.append((key, direction.lq, _checked(key, d, getattr(true_lq, direction.lq).shape)))
+    return [
+        true_lq if delta == 0.0 else replace(true_lq, **{
+            attr: _shift(key, attr, getattr(true_lq, attr), d, float(delta)) for key, attr, d in shifts
+        })
+        for delta in sched.magnitudes
+    ]
 
 
 def sweep_lq_finite_horizon(

@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import switchsde
@@ -183,6 +184,37 @@ def test_cost_shift_of_the_wrong_shape_exits_3(tmp_path, capsys):
     assert json.loads((out / "results.json").read_text())["error"].startswith("E_SHAPE")
 
 
+LQ_TWO_REGIMES = {
+    "dim": 1,
+    "regimes": {"count": 2},
+    "actions": [[0.0]],
+    "drift": {"kind": "lq", "a": [[[0.5]], [[-0.3]]], "b": [[[1.0]], [[0.5]]]},
+    "diffusion": {"kind": "lq", "c": [[[0.2]], [[0.1]]]},
+    "generator": {"kind": "constant", "rates": [[-1.0, 1.0], [2.0, -2.0]]},
+    "costs": {
+        "running": {"kind": "lq", "q": [[[1.0]], [[2.0]]], "r": [[[1.0]], [[0.5]]]},
+        "alpha": 1.0,
+        "horizon": 1.0,
+        "terminal": {"kind": "quad", "p": [[[0.5]], [[1.0]]]},
+    },
+}
+
+
+def test_lq_robustness_sweep_runs_and_matches_the_library(tmp_path):
+    # sigma = C x vanishes at x = 0, so the nondegeneracy finding is advisory
+    schedule = {"mode": "combined", "n_max": 3, "d_a": [[[0.2]], [[0.1]]], "d_b": [[[0.1]], [[0.2]]],
+                "d_c": [[[0.05]], [[0.05]]], "d_m": [[0.0, 0.5], [1.0, 0.0]]}
+    block = {"criterion": "lq-finite-horizon", "schedule": schedule, "x0": [1.0], "i0": 2, "steps": 100}
+    code, out = _run(tmp_path, {"command": "robustness", "model": LQ_TWO_REGIMES, "robustness": block})
+    assert code == 0
+    assert "FAIL (advisory) nondegeneracy" in (out / "report.txt").read_text()
+    sched = switchsde.PerturbationSchedule(**{k: np.array(v) if k.startswith("d_") else v
+                                              for k, v in schedule.items()})
+    lq = switchsde.lq_from_model(switchsde.model_from_dict(LQ_TWO_REGIMES))
+    switchsde.sweep_lq_finite_horizon(lq, sched, [1.0], 2, steps=100).to_csv(tmp_path / "lib.csv")
+    assert (out / "sweep.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_non_finite_coefficients_exit_3(tmp_path, capsys):
     model = model_to_dict(saturated_model())
@@ -268,6 +300,9 @@ SAD = {"kind": "state-action-dependent", "base": [[0.0, 1.0], [2.0, 0.0]]}
         ("hjb", {"criterion": "finite-horizon", "grid": GRID, "n_t": 25.7}, {}, "hjb.n_t"),
         ("simulate", dict(SIM, exit="yes"), {}, "simulate.exit"),
         ("ergodic", {"grid": GRID, "max_iter": 2.5}, {}, "ergodic.max_iter"),
+        ("robustness", {"criterion": "discounted", "grid": GRID,
+                        "schedule": {"mode": "rates", "n_max": 1, "d_cost": 5.0}},
+         {}, "robustness.schedule.d_cost"),
     ],
 )
 def test_malformed_config_exits_4_naming_the_field(tmp_path, capsys, command, block, model, path):

@@ -48,6 +48,19 @@ def test_readme_config_reference_lists_exactly_the_table_keys():
     assert set(ref) == {*blocks, "policy", *(cls.PATH for cls in FAMILIES)}
 
 
+def test_readme_schedule_modes_are_those_of_the_direction_table():
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n#### `schedule`\n", 1)[1].split("\n#### ", 1)[0]
+    modes = {
+        re.fullmatch(r" `([^`]+)` ", cells[1]).group(1): re.findall(r"`([^`]+)`", cells[4])
+        for cells in (line.split("|") for line in section.splitlines() if line.startswith("| `"))
+    }
+    assert modes == {
+        key: list(model.DIRECTIONS[key].modes) if key in model.DIRECTIONS else []
+        for key, _, _ in cli.SCHEDULE
+    }
+
+
 def test_src_has_no_bare_assert():
     found = []
     for path in sorted((ROOT / "src").rglob("*.py")):

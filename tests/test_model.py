@@ -30,6 +30,7 @@ from switchsde import (
     model_to_dict,
     validate_model,
 )
+from switchsde.model import DIRECTIONS
 from conftest import bm_model, chain_model, saturated_model
 
 
@@ -508,6 +509,43 @@ def test_drift_shift_that_does_not_apply_names_the_given_key():
     with pytest.raises(ConfigError) as info:
         make_perturbation_sequence(bm_model(), sched)
     assert info.value.path == "schedule.d_b"
+
+
+# one wrong shape per direction: (model, mode, key, direction)
+WRONG_SHAPES = {
+    "d_a": (saturated_model, "coefficient", np.ones((2, 2, 2))),
+    "d_b": (saturated_model, "coefficient", np.ones((2, 1, 2))),
+    "d_c": (saturated_model, "coefficient", np.ones((2, 1))),
+    "d_m": (chain_model, "rates", np.zeros((3, 3))),
+    "d_cost": (saturated_model, "cost", np.ones(2)),
+    "hat_b": (bm_model, "noise-approx", np.ones(2)),
+    "hat_sigma": (bm_model, "noise-approx", np.ones(1)),
+}
+
+
+@pytest.mark.parametrize("key", list(WRONG_SHAPES))
+def test_direction_of_the_wrong_shape_is_a_shape_error(key):
+    make, mode, direction = WRONG_SHAPES[key]
+    sched = PerturbationSchedule(mode=mode, n_max=1, **{key: direction})
+    with pytest.raises(ShapeError) as info:
+        make_perturbation_sequence(make(), sched)
+    assert info.value.path == f"schedule.{key}"
+
+
+@pytest.mark.parametrize("key", list(DIRECTIONS))
+def test_direction_its_mode_does_not_apply_is_a_config_error(key):
+    # e.g. a rates schedule with d_cost, which used to be dropped silently
+    mode = next(m for m in ("rates", "cost", "noise-approx") if m not in DIRECTIONS[key].modes)
+    with pytest.raises(ConfigError) as info:
+        PerturbationSchedule(mode=mode, n_max=1, **{key: 5.0})
+    assert info.value.path == f"schedule.{key}"
+
+
+def test_directions_name_fields_of_their_family():
+    for key, direction in DIRECTIONS.items():
+        fields = direction.family.FIELDS
+        for kind, field_key in direction.keys.items():
+            assert field_key in [f.key for f in fields[kind]], (key, kind)
 
 
 def test_noise_approx_scales_constant_diffusion(make_bm):

@@ -6,17 +6,23 @@ import numpy as np
 import pytest
 
 from switchsde import (
+    ActionGrid,
     BlowupError,
+    BoundaryCost,
     ConfigError,
+    CostSpec,
     DiffusionFamily,
     DriftFamily,
+    ExitDiscount,
     GeneratorSpec,
     Grid1D,
     LQSpec,
     MaxIterError,
+    ModelSpec,
     PerturbationSchedule,
     RegimeSet,
     RunningCost,
+    ShapeError,
     TerminalCost,
     estimate_ergodic,
     estimate_ergodic_policy,
@@ -25,6 +31,7 @@ from switchsde import (
     evaluate_policy_value,
     fixed_feedback_cost,
     lq_feedback,
+    lq_from_model,
     make_perturbation_sequence,
     solve_coupled_riccati,
     solve_discounted,
@@ -83,6 +90,16 @@ def test_lq_sweep_gaps_decay_and_control_row_vanishes(ref_lq, lq_schedule):
     assert pl[4] / pl[0] < vg[4] / vg[0]
 
 
+CRITERION_4 = PerturbationSchedule(
+    "combined", 10,
+    d_a=np.array([[[0.2, 0.0], [0.1, 0.3]], [[0.3, 0.1], [0.0, 0.2]]]),
+    d_b=np.array([[[0.1], [0.2]], [[0.2], [0.1]]]),
+    d_c=np.array([[[0.05, 0.0], [0.0, 0.05]], [[0.05, 0.02], [0.0, 0.05]]]),
+    d_m=np.array([[0.0, 0.5], [1.0, 0.0]]),
+)
+LQ_ARRAYS = ("a", "b", "c", "q", "r", "p", "rates")
+
+
 def _rowwise_lq_sweep(true_lq, sched, x0, i0, steps):
     """(value_gap, policy_loss, aux) per row, one model at a time."""
     x0 = np.asarray(x0, dtype=np.float64)
@@ -109,14 +126,8 @@ def _rowwise_lq_sweep(true_lq, sched, x0, i0, steps):
 
 @pytest.mark.parametrize("which", ["combined", "rates"])
 def test_stacked_lq_sweep_matches_rowwise_reference(ref_lq, which):
-    if which == "combined":  # criterion 4's schedule
-        sched = PerturbationSchedule(
-            "combined", 10,
-            d_a=np.array([[[0.2, 0.0], [0.1, 0.3]], [[0.3, 0.1], [0.0, 0.2]]]),
-            d_b=np.array([[[0.1], [0.2]], [[0.2], [0.1]]]),
-            d_c=np.array([[[0.05, 0.0], [0.0, 0.05]], [[0.05, 0.02], [0.0, 0.05]]]),
-            d_m=np.array([[0.0, 0.5], [1.0, 0.0]]),
-        )
+    if which == "combined":
+        sched = CRITERION_4
     else:
         sched = PerturbationSchedule("rates", 4, d_m=np.array([[0.0, 0.5], [1.0, 0.0]]))
     x0, i0, steps = [1.0, 0.5], 2, 200
@@ -125,6 +136,54 @@ def test_stacked_lq_sweep_matches_rowwise_reference(ref_lq, which):
     np.testing.assert_allclose(
         got, _rowwise_lq_sweep(ref_lq, sched, x0, i0, steps), rtol=1e-12, atol=1e-12
     )
+
+
+@pytest.mark.parametrize(
+    "key,direction",
+    [("d_a", np.ones((2, 1, 1))), ("d_b", np.ones((2, 2, 2))), ("d_c", np.ones((2, 2))),
+     ("d_m", np.zeros((3, 3)))],
+)
+def test_lq_direction_of_the_wrong_shape_is_a_shape_error(ref_lq, key, direction):
+    # a (2, 1, 1) d_a used to be broadcast into every entry of A
+    sched = PerturbationSchedule("combined", 1, **{key: direction})
+    with pytest.raises(ShapeError) as info:
+        perturbed_lq_sequence(ref_lq, sched)
+    assert info.value.path == f"schedule.{key}"
+
+
+def test_lq_sweep_rejects_a_cost_shift(ref_lq):
+    sched = PerturbationSchedule("combined", 1, d_m=np.zeros((2, 2)), d_cost=1.0)
+    with pytest.raises(ConfigError) as info:
+        perturbed_lq_sequence(ref_lq, sched)
+    assert info.value.path == "schedule.d_cost"
+
+
+def lq_model(lq: LQSpec) -> ModelSpec:
+    """The all-lq model whose LQ data is ``lq``."""
+    N, d, l = lq.n_regimes, lq.dim, lq.control_dim
+    return ModelSpec(
+        dim=d, regimes=RegimeSet(N), actions=ActionGrid(np.zeros((1, l))),
+        drift=DriftFamily("lq", d, N, l, a_mat=lq.a, b_mat=lq.b),
+        diffusion=DiffusionFamily("lq", d, N, c_mat=lq.c),
+        generator=GeneratorSpec("constant", N, rates=lq.rates),
+        costs=CostSpec(
+            running=RunningCost("lq", N, d, l, q_mat=lq.q, r_mat=lq.r), alpha=1.0,
+            horizon=lq.horizon, terminal=TerminalCost("quad", N, d, p_mat=lq.p),
+            exit_h=BoundaryCost("zero"), exit_beta=ExitDiscount("zero"), exit_domain=(-1.0, 1.0),
+        ),
+    )
+
+
+def test_model_and_lq_sequences_agree_on_an_all_lq_model(ref_lq):
+    model = lq_model(ref_lq)
+    assert all(np.array_equal(getattr(lq_from_model(model), a), getattr(ref_lq, a)) for a in LQ_ARRAYS)
+    for sched in (CRITERION_4, PerturbationSchedule("rates", 4, d_m=np.array([[0.0, 0.5], [1.0, 0.0]]))):
+        via_model = [lq_from_model(m) for m in make_perturbation_sequence(model, sched)]
+        direct = perturbed_lq_sequence(lq_from_model(model), sched)
+        assert len(via_model) == len(direct) == sched.n_max + 1
+        for a, b in zip(via_model, direct):
+            for name in LQ_ARRAYS:
+                assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_lq_sweep_raises_when_a_member_blows_up():
