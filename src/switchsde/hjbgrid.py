@@ -22,9 +22,12 @@ evaluation one banded solve for the average cost and a relative value.
 
 The solvers work on stacks of models sharing one grid (``_Tables``): the
 stacked system is block diagonal, so one banded solve per Howard iteration
-or time level serves every model, and each model keeps its own stopping
-test. The public functions solve the one-model stack; the robustness
-sweeps stack a whole perturbation schedule.
+or time level serves every model still iterating, and each model keeps its
+own stopping test. The public functions solve the one-model stack; the
+robustness sweeps stack a whole perturbation schedule, solving the true
+model first and the rest from its policy (a warm start), so their values
+and policies equal solves of each model alone while their iteration
+counts do not.
 """
 
 from __future__ import annotations
@@ -137,9 +140,9 @@ class _Tables:
 
     Tables are (action, regime, model, node[, regime]) with one model slice
     per block, except that a stack of one spec in every block (the true
-    model tiled for a replay) builds that spec once and broadcasts it.
+    model tiled for a replay) holds that spec once and broadcasts it.
     ``models`` lists the specs of the slices and ``model`` maps each block
-    to its slice.
+    to its slice. ``take`` cuts a sub-stack out of built tables.
 
     sub and sup are the off-diagonals of the drift-diffusion operator L
     (excluding regime coupling), whose diagonal is -(sub + sup) so that L
@@ -159,22 +162,37 @@ class _Tables:
                 spec.actions.actions, first.actions.actions
             ):
                 raise ShapeError("stacked models must share their regimes and actions")
-        B = len(self.specs)
         tiled = all(spec is first for spec in self.specs)
         self.models = [first] if tiled else list(self.specs)
-        self.model = np.zeros(B, dtype=np.int64) if tiled else np.arange(B)
         parts = [_node_tables(spec, grid) for spec in self.models]
-        self.c, self.beta, self.sub, self.sup, self.rates = (
-            np.stack(t, axis=2) for t in zip(*parts)
-        )
+        self._index([np.stack(t, axis=2) for t in zip(*parts)], tiled)
 
+    def _index(self, tables: list, tiled: bool) -> None:
+        self.c, self.beta, self.sub, self.sup, self.rates = tables
         A, N, M, K = self.c.shape
+        B = len(self.specs)
+        self.model = np.zeros(B, dtype=np.int64) if tiled else np.arange(B)
         self.shape = (N, B, K)
         # flat index of (action 0, regime, model of the block, node) in an
         # (A, N, M, K) table; action a adds a * N M K
         i, m, k = np.arange(N)[:, None, None], self.model[:, None], np.arange(K)
         self._base = (i * M + m) * K + k
         self._stride = N * M * K
+
+    def take(self, blocks) -> _Tables:
+        """The sub-stack of the given blocks, labels kept, its tables copied
+        out of this stack's; blocks of one model slice give the tiled form."""
+        ms = self.model[np.asarray(blocks, dtype=np.int64)]
+        tiled = bool(np.all(ms == ms[0]))
+        if tiled:
+            ms = ms[:1]
+        sub = object.__new__(_Tables)
+        sub.specs = tuple(self.specs[b] for b in blocks)
+        sub.grid = self.grid
+        sub.labels = tuple(self.labels[b] for b in blocks) if self.labels else ()
+        sub.models = [self.models[m] for m in ms]
+        sub._index([t.take(ms, axis=2) for t in (self.c, self.beta, self.sub, self.sup, self.rates)], tiled)
+        return sub
 
     def gather(self, table: np.ndarray, ai_tab: np.ndarray) -> FloatArray:
         """Per-node entries of an (A, N, M, K, ...) table under an (N, B, K) action table."""
@@ -285,8 +303,9 @@ def _solve_policy(
 
     def diagonal(offset, shape, strides):
         # entry (r, c) lives at store[(c + N) * width + 2N + r - c]
-        return np.lib.stride_tricks.as_strided(
-            store[N * width + offset:], shape, [store.itemsize * st for st in strides]
+        size = store.itemsize
+        return np.ndarray(
+            shape, store.dtype, store, (N * width + offset) * size, [size * st for st in strides]
         )
 
     node = (K * N * width, N * width)  # strides of (block, node) along the diagonal
@@ -326,15 +345,26 @@ def _pinned_regimes(tab: _Tables, rates: FloatArray) -> np.ndarray:
     return np.argmax(recurrent, axis=1)
 
 
-def _average_cost(tab: _Tables, policy: np.ndarray, k_ref: int) -> tuple:
+def _policy_free_pin(tab: _Tables) -> np.ndarray | None:
+    """``_pinned_regimes`` of every policy at once when no action moves a rate
+    across zero (as with any constant generator), else None."""
+    positive = tab.rates > 0.0
+    if not np.all(positive == positive[:1]):
+        return None
+    return _pinned_regimes(tab, tab.gather(tab.rates, np.zeros(tab.shape, dtype=np.int64)))
+
+
+def _average_cost(tab: _Tables, policy: np.ndarray, k_ref: int, pin: np.ndarray | None = None) -> tuple:
     """Exact average cost rho (B,) and relative value h (N, B, K) of an action table.
 
     Solves (L + M) h + c = rho, h = 0 at an unknown p of node k_ref in a
     recurrent regime (else singular): with p's column of -(L + M) replaced
     by e_p, the right sides c and 1 give y1 and y2, and rho = y1[p] / y2[p],
     h = y1 - rho y2 off p (Puterman, Markov Decision Processes, 1994, ch. 8).
+    ``pin`` gives the recurrent regimes when the caller knows them.
     """
-    pin = _pinned_regimes(tab, tab.gather(tab.rates, policy))
+    if pin is None:
+        pin = _pinned_regimes(tab, tab.gather(tab.rates, policy))
     rhs = np.stack([tab.gather(tab.c, policy), np.ones(tab.shape)], axis=-1)
     y = _solve_policy(tab, policy, rhs, 0.0, pin=(k_ref, pin))
     blocks = np.arange(tab.shape[1])
@@ -346,54 +376,67 @@ def _average_cost(tab: _Tables, policy: np.ndarray, k_ref: int) -> tuple:
 
 def _howard(
     tab: _Tables, v: FloatArray, alpha: float | None, tol: float, max_iter: int,
-    h_vals: FloatArray | None = None, k_ref: int | None = None,
+    h_vals: FloatArray | None = None, k_ref: int | None = None, policy: np.ndarray | None = None,
 ) -> tuple[FloatArray, np.ndarray, list, np.ndarray]:
     """Howard's policy iteration from v: exact evaluation, exhaustive improvement.
 
     Discounted by default (zeta = alpha); the exit problem when h_vals is
     given (zeta = beta_a, Dirichlet ends pinned to h_vals (N, B, 2)); the
     average cost rho when k_ref is given (``_average_cost``; values are h).
+    The first policy improves on v, unless ``policy`` gives a warm start;
+    either way the first value change is measured from v.
+
     Each block stops on its own test: when its improved policy repeats, so
     its last evaluation is exact for the returned policy, or when the
     sup-norm change of its values and rho drops below tol. A stopped block
-    keeps that iteration's results, as a solve of its model alone would.
-    Returns (values, policy, per-block residual histories, per-block rho).
+    keeps that iteration's results, as a solve of its model alone from the
+    same start would, and leaves the stack: later evaluations solve the
+    live blocks only. Returns (values, policy, per-block residual
+    histories, per-block rho).
 
     The discounted and exit iterates never increase, because each
     evaluation matrix has a nonnegative inverse. The residual history
     carries no such guarantee: it can rise from one iteration to the next.
     """
     exit_ = h_vals is not None
-    policy = np.argmin(_hamiltonians(tab, v, exit_), axis=0)
+    if policy is None:
+        policy = np.argmin(_hamiltonians(tab, v, exit_), axis=0)
     out_v, out_policy = np.empty_like(v), np.empty_like(policy)
     B = len(tab.specs)
     rho, out_rho = np.zeros(B), np.zeros(B)
     histories = [[] for _ in range(B)]
-    live = np.ones(B, dtype=bool)
+    live, live_tab = np.arange(B), tab
+    pin = None if k_ref is None else _policy_free_pin(tab)
     for _ in range(max_iter):
         if k_ref is not None:
-            rho_new, v_new = _average_cost(tab, policy, k_ref)
+            rho_new, v_new = _average_cost(live_tab, policy, k_ref, pin)
             level = rho_new[:, None]
         else:
-            zeta = tab.gather(tab.beta, policy) if exit_ else alpha
-            v_new = _solve_policy(tab, policy, tab.gather(tab.c, policy), zeta, h_vals)
+            zeta = live_tab.gather(live_tab.beta, policy) if exit_ else alpha
+            v_new = _solve_policy(live_tab, policy, live_tab.gather(live_tab.c, policy), zeta, h_vals)
             rho_new, level = rho, 0.0 if exit_ else alpha * v_new
-        ham = _hamiltonians(tab, v_new, exit_)
+        ham = _hamiltonians(live_tab, v_new, exit_)
         best = np.min(ham, axis=0) - level
         res = np.max(np.abs(best[..., 1:-1] if exit_ else best), axis=(0, 2))
         change = np.maximum(np.max(np.abs(v_new - v), axis=(0, 2)), np.abs(rho_new - rho))
         v, rho, previous = v_new, rho_new, policy
         policy = np.argmin(ham, axis=0)
-        for b in np.flatnonzero(live):
-            histories[b].append(float(res[b]))
-        stop = live & ((change < tol) | np.all(policy == previous, axis=(0, 2)))
-        out_v[:, stop] = v[:, stop]
-        out_policy[:, stop] = policy[:, stop]
-        out_rho[stop] = rho[stop]
-        live &= ~stop
-        if not live.any():
+        for b, r in zip(live, res):
+            histories[b].append(float(r))
+        stop = (change < tol) | np.all(policy == previous, axis=(0, 2))
+        done = live[stop]
+        out_v[:, done] = v[:, stop]
+        out_policy[:, done] = policy[:, stop]
+        out_rho[done] = rho[stop]
+        if stop.all():
             return out_v, out_policy, histories, out_rho
-    where = f" ({tab.labels[np.flatnonzero(live)[0]]})" if tab.labels else ""
+        if stop.any():
+            keep = ~stop
+            live, v, policy, rho = live[keep], v[:, keep], policy[:, keep], rho[keep]
+            live_tab = tab.take(live)
+            h_vals = None if h_vals is None else h_vals[:, keep]
+            pin = None if pin is None else pin[keep]
+    where = f" ({tab.labels[live[0]]})" if tab.labels else ""
     raise MaxIterError(f"policy iteration did not converge in {max_iter} iterations{where}")
 
 
@@ -452,11 +495,14 @@ def solve_discounted(
     return _discounted(_Tables([spec], grid), alpha, tol, max_iter)[0]
 
 
-def _discounted(tab: _Tables, alpha: float | None, tol: float, max_iter: int) -> list:
-    """solve_discounted for every block of the stack, one GridSolution each."""
+def _discounted(
+    tab: _Tables, alpha: float | None, tol: float, max_iter: int, start: np.ndarray | None = None,
+) -> list:
+    """solve_discounted for every block of the stack, one GridSolution each;
+    ``start`` is an optional (N, B, K) first policy."""
     alpha = _discount(tab.models, alpha)
     bounds = [_bounded_cost(spec) / alpha for spec in tab.models]
-    v, policy, histories, _ = _howard(tab, np.zeros(tab.shape), alpha, tol, max_iter)
+    v, policy, histories, _ = _howard(tab, np.zeros(tab.shape), alpha, tol, max_iter, policy=start)
     sols = []
     for vb, pb, history, m in zip(_blocks(v), _blocks(policy), histories, tab.model):
         if not (np.all(vb >= -1e-9) and np.all(vb <= bounds[m] + 1e-9)):
@@ -503,14 +549,14 @@ def solve_exit(spec: ModelSpec, grid: Grid1D, tol: float = 1e-8, max_iter: int =
     return _exit(_Tables([spec], grid), tol, max_iter)[0]
 
 
-def _exit(tab: _Tables, tol: float, max_iter: int) -> list:
+def _exit(tab: _Tables, tol: float, max_iter: int, start: np.ndarray | None = None) -> list:
     """solve_exit for every block of the stack, each pinned to its own h."""
     for spec in tab.models:
         _bounded_cost(spec)
     h_vals = _exit_values(tab)
     v = np.zeros(tab.shape)
     v[..., [0, -1]] = h_vals
-    v, policy, histories, _ = _howard(tab, v, None, tol, max_iter, h_vals)
+    v, policy, histories, _ = _howard(tab, v, None, tol, max_iter, h_vals, policy=start)
     return [
         GridSolution(
             criterion="exit", grid=tab.grid, values=vb, policy=pb,
@@ -642,11 +688,13 @@ def estimate_ergodic(
     return _ergodic(_Tables([spec], grid), tol, max_iter)[0]
 
 
-def _ergodic(tab: _Tables, tol: float, max_iter: int) -> list:
+def _ergodic(tab: _Tables, tol: float, max_iter: int, start: np.ndarray | None = None) -> list:
     """estimate_ergodic for every block of the stack: one stacked Howard."""
     bounds = [_bounded_cost(spec) for spec in tab.models]
     k_ref = _reference_node(tab.grid)
-    h, policy, histories, rho = _howard(tab, np.zeros(tab.shape), None, tol, max_iter, k_ref=k_ref)
+    h, policy, histories, rho = _howard(
+        tab, np.zeros(tab.shape), None, tol, max_iter, k_ref=k_ref, policy=start,
+    )
     sols = []
     for r, hb, pb, history, m in zip(rho, _blocks(h), _blocks(policy), histories, tab.model):
         if not -1e-9 <= r <= bounds[m] + 1e-9:

@@ -41,13 +41,6 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _shaped(a, shape: tuple[int, ...], name: str) -> np.ndarray:
-    arr = np.asarray(a, dtype=np.float64)
-    if arr.shape != shape:
-        raise ShapeError(f"{name} has shape {arr.shape}, expected {shape}")
-    return _freeze(arr)
-
-
 # ---------------------------------------------------------------------------
 # field tables
 
@@ -970,7 +963,11 @@ class PerturbationSchedule:
 
 def _checked(key: str, direction, shape: tuple, per_regime: bool = False) -> np.ndarray:
     """Direction ``key`` as floats of ``shape``; with ``per_regime`` a number also fits."""
-    d = np.asarray(direction, dtype=np.float64)
+    try:
+        d = np.asarray(direction, dtype=np.float64)
+    except ValueError:
+        raise ShapeError(f"'{key}' is not an array of numbers with rows of one length",
+                         f"schedule.{key}") from None
     if d.shape != shape and not (per_regime and d.shape == ()):
         raise ShapeError(f"'{key}' has shape {d.shape}, expected {shape}", f"schedule.{key}")
     return d

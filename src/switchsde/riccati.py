@@ -34,7 +34,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import BlowupError, EigError, RatesError, ShapeError
-from .model import FloatArray, ModelSpec, _freeze, _shaped, ROW_SUM_TOL
+from .model import FloatArray, ModelSpec, _freeze, ROW_SUM_TOL
 
 BLOWUP_LIMIT = 1e12
 COND_LIMIT = 1e12
@@ -77,13 +77,15 @@ class LQSpec:
 
     def __post_init__(self):
         N, d, l = self.n_regimes, self.dim, self.control_dim
-        for nm in ("a", "c", "q", "p"):
-            object.__setattr__(self, nm, _shaped(getattr(self, nm), (N, d, d), nm.upper()))
-        object.__setattr__(self, "b", _shaped(self.b, (N, d, l), "B"))
-        object.__setattr__(self, "r", _shaped(self.r, (N, l, l), "R"))
-        object.__setattr__(self, "rates", _shaped(self.rates, (N, N), "rates"))
+        shapes = dict(a=(N, d, d), b=(N, d, l), c=(N, d, d), q=(N, d, d), r=(N, l, l), p=(N, d, d),
+                      rates=(N, N))
+        for nm, shape in shapes.items():
+            arr = np.asarray(getattr(self, nm), dtype=np.float64)
+            if arr.shape != shape:
+                raise ShapeError(f"'{nm}' has shape {arr.shape}, expected {shape}", f"lq.{nm}")
+            object.__setattr__(self, nm, _freeze(arr))
         if not self.horizon > 0:
-            raise ShapeError("horizon must be > 0")
+            raise ShapeError("horizon must be > 0", "lq.horizon")
         _check_psd(self.q, "Q")
         _check_sym(self.p, "P")
         # P must be positive definite; a semidefinite P (e.g. exactly zero) is

@@ -180,16 +180,31 @@ def _grid_stack(true_spec: ModelSpec, sched: PerturbationSchedule, grid: Grid1D)
             stack.append(by_delta.get(delta, true_spec))
             labels.append(f"schedule row n = {n}, delta = {delta:g}")
     tab = _Tables(stack, grid, labels)
-    replay = _Tables([true_spec] * len(stack), grid)
-    return tab, replay, [slot[d] for d in deltas], slot[0.0]
+    t = slot[0.0]
+    replay = tab.take([t] * len(stack))
+    replay.labels = tab.labels  # block b replays row b's policy
+    return tab, replay, [slot[d] for d in deltas], t
 
 
-def _stationary(tab: _Tables, criterion: str, tol: float, max_iter: int) -> tuple:
-    """Optimal values (the constant rho if ergodic), policies and iterations per block."""
-    if criterion == "discounted":
-        sols = _discounted(tab, None, tol, max_iter)
-    else:
-        sols = (_ergodic if criterion == "ergodic" else _exit)(tab, tol, max_iter)
+def _stationary(tab: _Tables, t: int, criterion: str, tol: float, max_iter: int) -> tuple:
+    """Optimal values (the constant rho if ergodic), policies and iterations per block.
+
+    The true block t is solved alone first; every other block then starts
+    Howard from its optimal policy, which the approximating policies
+    converge to.
+    """
+    def solve(blocks, start=None):
+        sub = tab.take(blocks)
+        if criterion == "discounted":
+            return _discounted(sub, None, tol, max_iter, start)
+        return (_ergodic if criterion == "ergodic" else _exit)(sub, tol, max_iter, start)
+
+    sols = solve([t])
+    others = [b for b in range(len(tab.specs)) if b != t]
+    if others:
+        start = np.repeat(sols[0].policy[:, None], len(others), axis=1)
+        warm = solve(others, start)
+        sols = warm[:t] + sols + warm[t:]
     v = [s.values if s.rho is None else np.full(s.values.shape, s.rho) for s in sols]
     return np.stack(v, axis=1), np.stack([s.policy for s in sols], axis=1), [s.iterations for s in sols]
 
@@ -250,10 +265,13 @@ def sweep_grid(
     The schedule's distinct models are solved as one stacked system (see
     hjbgrid._Tables), and every row's policy is replayed by one stacked
     evaluation on the true model's tables. The true model sits in the stack
-    once and serves both the reference values and the control row. Each
-    model keeps its own Howard stopping test, so every column equals a solve
-    of that model alone; MaxIterError names the first row that did not
-    converge.
+    once and serves both the reference values and the control row. A
+    stationary sweep solves it first, cold, and starts every other model's
+    Howard from its optimal policy. Each model keeps its own stopping test,
+    so every row's values and policy equal a solve of that model alone, but
+    solver_iters counts the warm-started iterations. MaxIterError names the
+    true model's row if it does not converge, else the first row that did
+    not.
     """
     if criterion not in GRID_CRITERIA:
         raise ConfigError(f"unknown sweep criterion '{criterion}'", "criterion")
@@ -264,7 +282,7 @@ def sweep_grid(
         value_gap, v, j, n_t = _finite_horizon_gaps(tab, replay, t, n_t)
         iters = [n_t] * len(value_gap)
     else:
-        v, policy, iters = _stationary(tab, criterion, tol, max_iter)
+        v, policy, iters = _stationary(tab, t, criterion, tol, max_iter)
         j = _replay(replay, criterion, policy)
         value_gap = _block_gap(v, v[:, t:t + 1])
     policy_loss = np.max(j - v[:, t:t + 1], axis=(0, 2))
@@ -360,7 +378,7 @@ def check_eps_optimality(
             "criterion",
         )
     tab, replay, slots, t = _grid_stack(true_spec, sched, grid)
-    values, _, _ = _stationary(tab, criterion, tol, max_iter)
+    values, _, _ = _stationary(tab, t, criterion, tol, max_iter)
     policy = _worst_eps_policy(tab, values, eps, criterion == "exit")
     gaps = _block_gap(_replay(replay, criterion, policy), values[:, t:t + 1])
     rows = [

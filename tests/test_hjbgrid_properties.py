@@ -7,8 +7,9 @@ are the ones the monotone scheme guarantees for every such model: the
 banded solve equals a dense solve of an independently assembled matrix,
 the maximum and comparison principles, replaying the optimal policy
 reproduces the optimal value, Howard's iterates never increase, each
-block of a stacked solve equals the solve of its model alone, and the
-discounted values approach the average cost as alpha vanishes.
+block of a stacked solve equals the solve of its model alone, a warm
+start changes the iteration count but not the answer, and the discounted
+values approach the average cost as alpha vanishes.
 """
 
 import dataclasses
@@ -33,6 +34,8 @@ from switchsde import (
     estimate_ergodic,
     evaluate_policy_exit,
     evaluate_policy_value,
+    hjbgrid,
+    robustness,
     solve_discounted,
     solve_exit,
     solve_finite_horizon,
@@ -44,8 +47,11 @@ from switchsde.hjbgrid import (
     _exit_values,
     _finite_horizon,
     _hamiltonians,
+    _howard,
+    _reference_node,
     _Tables,
 )
+from switchsde.model import PerturbationSchedule
 
 CRITERIA = {
     "discounted": (solve_discounted, evaluate_policy_value),
@@ -220,19 +226,28 @@ def test_residual_history_may_rise_while_iterates_fall():
     assert all(np.all(b <= a + 1e-12) for a, b in zip(iterates, iterates[1:]))
 
 
-@settings(max_examples=40, deadline=None)
-@given(
-    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3), n=st.integers(1, 3),
-    n_x=st.integers(11, 41), n_actions=st.integers(1, 3),
-)
-def test_stacked_blocks_equal_standalone_solves(seeds, n, n_x, n_actions):
-    # a stack shares its regimes, actions and discount; everything else differs
+def _stack(seeds, n, n_actions):
+    """Generated models sharing their regimes, actions and discount."""
     first = _model(seeds[0], n, n_actions)
     specs = []
     for seed in seeds:
         spec = _model(seed, n, n_actions)
         costs = dataclasses.replace(spec.costs, alpha=first.costs.alpha)
         specs.append(dataclasses.replace(spec, actions=first.actions, costs=costs))
+    return specs
+
+
+STACKS = dict(
+    seeds=st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=3), n=st.integers(1, 3),
+    n_x=st.integers(11, 41), n_actions=st.integers(1, 3),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(**STACKS)
+def test_stacked_blocks_equal_standalone_solves(seeds, n, n_x, n_actions):
+    # a stack shares its regimes, actions and discount; everything else differs
+    specs = _stack(seeds, n, n_actions)
     grid = Grid1D(-2.0, 2.0, n_x)
     tab = _Tables(specs, grid)
     for stacked, solve in (
@@ -247,6 +262,57 @@ def test_stacked_blocks_equal_standalone_solves(seeds, n, n_x, n_actions):
             for field in dataclasses.fields(want):
                 if field.name != "grid":
                     np.testing.assert_array_equal(getattr(got, field.name), getattr(want, field.name))
+
+
+def _howard_run(tab: _Tables, criterion: str, tol: float, start=None) -> tuple:
+    """(values, policy, rho) of one stacked Howard solve, cold or from ``start``."""
+    v = np.zeros(tab.shape)
+    if criterion == "exit":
+        h_vals = _exit_values(tab)
+        v[..., [0, -1]] = h_vals
+        out = _howard(tab, v, None, tol, 100, h_vals, policy=start)
+    elif criterion == "ergodic":
+        out = _howard(tab, v, None, tol, 100, k_ref=_reference_node(tab.grid), policy=start)
+    else:
+        out = _howard(tab, v, tab.models[0].costs.alpha, tol, 100, policy=start)
+    return out[0], out[1], out[3]
+
+
+@settings(max_examples=40, deadline=None)
+@given(start_seed=st.integers(0, 2**32 - 1), criterion=st.sampled_from(["discounted", "exit", "ergodic"]),
+       **STACKS)
+def test_warm_start_changes_only_the_iteration_count(seeds, n, n_x, n_actions, start_seed, criterion):
+    tab = _Tables(_stack(seeds, n, n_actions), Grid1D(-2.0, 2.0, n_x))
+    start = np.random.default_rng(start_seed).integers(0, n_actions, size=tab.shape)
+    # tol 0: every block stops on a repeated policy, whose last evaluation
+    # is exact, so cold and warm end on one policy and the same bits
+    cold, warm = _howard_run(tab, criterion, 0.0), _howard_run(tab, criterion, 0.0, start)
+    for got, want in zip(warm, cold):
+        np.testing.assert_array_equal(got, want)
+    # at tol 1e-8 a block may stop on a small value change instead
+    tol = 1e-8
+    cold, warm = _howard_run(tab, criterion, tol), _howard_run(tab, criterion, tol, start)
+    np.testing.assert_allclose(warm[0], cold[0], rtol=0.0, atol=tol)
+    np.testing.assert_allclose(warm[2], cold[2], rtol=0.0, atol=tol)
+
+
+def test_warm_sweep_makes_fewer_block_solves(monkeypatch, saturated):
+    # criterion 9's discounted sweep at 401 nodes has 12 blocks. Cold, their
+    # Howard solves need 61 block-solves, but all 12 stayed in the band for
+    # 6 iterations (72), and the replay adds 12: 84 in all
+    solved = []
+    solve = hjbgrid._solve_policy
+
+    def counting(tab, ai_tab, *args, **kwargs):
+        solved.append(ai_tab.shape[1])
+        return solve(tab, ai_tab, *args, **kwargs)
+
+    monkeypatch.setattr(hjbgrid, "_solve_policy", counting)
+    monkeypatch.setattr(robustness, "_solve_policy", counting)
+    sched = PerturbationSchedule("coefficient", 10, d_a=np.ones((2, 1, 1)), d_c=np.full((2, 1, 1), 0.3))
+    rep = robustness.sweep_grid(saturated, sched, "discounted", Grid1D(-2.0, 2.0, 401), tol=1e-8)
+    assert rep.rows[-1].solver_iters == 5  # the true model alone, cold
+    assert sum(solved) <= 32
 
 
 @settings(max_examples=40, deadline=None)

@@ -532,6 +532,14 @@ def test_direction_of_the_wrong_shape_is_a_shape_error(key):
     assert info.value.path == f"schedule.{key}"
 
 
+def test_ragged_direction_is_a_shape_error():
+    # a library caller can pass nested lists the CLI parser would reject
+    sched = PerturbationSchedule("rates", 1, d_m=[[0.0, 1.0], [2.0]])
+    with pytest.raises(ShapeError) as info:
+        make_perturbation_sequence(chain_model(), sched)
+    assert info.value.path == "schedule.d_m"
+
+
 @pytest.mark.parametrize("key", list(DIRECTIONS))
 def test_direction_its_mode_does_not_apply_is_a_config_error(key):
     # e.g. a rates schedule with d_cost, which used to be dropped silently

@@ -1,5 +1,7 @@
 """Coupled Riccati solver against closed forms and a frozen reference orbit."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -142,6 +144,15 @@ def test_lq_from_model_maps_families():
     assert lq.r[0, 0, 0] == 0.5
     assert lq.p[0, 0, 0] == 0.4
     assert lq.horizon == 1.5
+
+
+@pytest.mark.parametrize(
+    "name, shape", [("a", (2, 1, 1)), ("b", (3, 3, 3)), ("r", (2, 2)), ("rates", (2, 3))]
+)
+def test_lqspec_shape_error_names_the_field(ref_lq, name, shape):
+    with pytest.raises(ShapeError) as info:
+        dataclasses.replace(ref_lq, **{name: np.ones(shape)})
+    assert info.value.path == f"lq.{name}"
 
 
 def test_needs_at_least_eight_steps(ref_lq):
