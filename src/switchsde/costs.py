@@ -175,13 +175,16 @@ def mc_ergodic(
     spec: ModelSpec, policy, x0, i0, t_long: float, dt: float, n_paths: int, seed: int,
     burn_in: float | None = None, batch: int = DEFAULT_BATCH,
 ) -> McEstimate:
-    """Time-averaged running cost after a burn-in window (default 20%)."""
+    """Time-averaged running cost after a burn-in window (default 20%),
+    which must leave at least one step."""
     if burn_in is None:
         burn_in = 0.2 * t_long
     if not 0.0 <= burn_in < t_long:
         raise UnboundedError("mc_ergodic needs 0 <= burn_in < t_long")
     n_steps = _n_steps_for(t_long, dt)
     k0 = int(math.ceil(burn_in / dt - 1e-9))
+    if k0 >= n_steps:
+        raise UnboundedError(f"burn_in = {burn_in} leaves no step of dt = {dt} before t_long = {t_long}")
     weights = np.zeros(n_steps)
     # normalize by the covered window so a constant cost is reproduced exactly
     weights[k0:] = 1.0 / (n_steps - k0)

@@ -20,16 +20,19 @@ picks the destination from the cumulative outflow table, the second sets
 the next clock; S restarts at 1.
 
 Randomness is counter based: path p draws from a Philox stream keyed by
-(seed, p), independent of every other path and of how paths are batched.
-Each path consumes its stream in this order: one uniform for the first
-clock, then, per block of CHUNK steps, the block's Gaussian increments
-(none when the diffusion is identically zero) followed by a fixed number of
-jump uniforms (none when no regime has outflow). Both counts depend only on
-the spec and dt. Jumps take their uniforms from the block's supply two at a
-time; a path that uses it up draws further pairs straight from its stream,
-in step order, and leftovers are dropped at the block's end. The order
-depends only on the path's own trajectory, so a path simulated alone is
-bit-identical to the same path inside any batch.
+(seed, p), independent of every other path and of how paths are batched;
+the generator is built from that key alone. Each path consumes its stream
+in this order: one uniform for the first clock, then, per block of CHUNK
+steps, the block's Gaussian increments (none when the diffusion is
+identically zero) followed by a fixed number of jump uniforms (none when no
+regime has outflow). Both counts depend only on the spec and dt. Jumps take
+their uniforms from the block's supply two at a time; a path that uses it
+up draws further pairs straight from its stream, in step order, and
+leftovers are dropped at the block's end. The order depends only on the
+path's own trajectory, so a path simulated alone is bit-identical to the
+same path inside any batch. A block's normals are stored step-major, so a
+step reads one contiguous row; each path draws its block into a small tile
+that is copied in transposed.
 
 Actions are looked up and clamped once per step, by actions(policy); the
 caller hands that array to its running cost and then to step(), which uses
@@ -45,6 +48,7 @@ caller holding state row by row compacts it the same way.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -56,24 +60,36 @@ from .model import ActionGrid, FloatArray, ModelSpec
 from .riccati import FeedbackTrajectory
 
 CHUNK = 1024
+TILE = 64  # paths per transposed refill copy, steps per compaction copy
 MAX_STEPS = 10**8
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class RngStream:
     """Counter-based random stream identity for one path.
 
     ``generator()`` always rebuilds the underlying Philox bit generator from
     its key (seed, path_index) at counter zero, so the same RngStream yields
-    the same draw sequence every time it is handed to the simulator.
+    the same draw sequence every time it is handed to the simulator. It is
+    its own seed sequence, handing Philox the key of ``Philox(key=...)``
+    without the ``SeedSequence`` that call draws from OS entropy and drops.
     """
 
     seed: int
     path_index: int
 
+    def generate_state(self, n_words, dtype=None) -> np.ndarray:
+        return np.array([self.seed, self.path_index], dtype=np.uint64)
+
     def generator(self) -> np.random.Generator:
-        bg = np.random.Philox(key=np.array([self.seed, self.path_index], dtype=np.uint64))
-        return np.random.Generator(bg)
+        _register_stream()
+        return np.random.Generator(np.random.Philox(self))
+
+
+@functools.cache
+def _register_stream() -> None:
+    # on first use, so that importing the package leaves numpy.random out
+    np.random.bit_generator.ISeedSequence.register(RngStream)
 
 
 def make_rng_stream(seed: int, path_index: int) -> RngStream:
@@ -198,10 +214,10 @@ class BatchStepper:
         n_paths: int = 1,
     ):
         n_big = spec.regimes.count * spec.generator.bound
-        if dt <= 0 or dt * 4.0 * n_big > 1.0 + 1e-12:
-            raise StepError(
-                f"dt = {dt} violates dt <= 1/(4 N M) = {1.0 / (4.0 * n_big):.6g}"
-            )
+        bound = 1.0 / (4.0 * n_big) if n_big else math.inf
+        # written so that a NaN or infinite dt fails it too
+        if not (0.0 < dt < math.inf and dt * 4.0 * n_big <= 1.0 + 1e-12):
+            raise StepError(f"dt = {dt} violates 0 < dt <= 1/(4 N M) = {bound:.6g}")
         self.spec = spec
         self.dt = float(dt)
         self.t = 0.0
@@ -226,9 +242,8 @@ class BatchStepper:
         self.original_index = np.arange(m, dtype=np.int64)
         # one generator per path, alive for the whole run; its first draw
         # sets the path's first jump clock
-        self._gens = [
-            make_rng_stream(seed, first_path_index + p).generator() for p in range(m)
-        ]
+        seed, first = int(seed), int(first_path_index)
+        self._gens = [RngStream(seed, first + p).generator() for p in range(m)]
         self._clock = 1.0 - np.array([g.random() for g in self._gens])
         self._survival = np.ones(m)
         self.clamped_steps = 0
@@ -267,11 +282,14 @@ class BatchStepper:
         # count in the fastest regime plus four standard deviations
         lam = p_max * CHUNK
         self._n_jump_u = 2 * math.ceil(lam + 4.0 * math.sqrt(lam)) if lam > 0 else 0
-        # block buffers; rows only shrink, so later blocks use leading rows
+        # block buffers; rows (columns of the step-major normals) only
+        # shrink, so later blocks use the leading ones
         self._jump_u = np.empty((m, self._n_jump_u))
-        self._normals = None
+        self._normals = self._tile = None
         if not self._zero_diffusion:
-            self._normals = np.empty((m, CHUNK) if self._scalar else (m, CHUNK, self.wd))
+            cols = () if self._scalar else (self.wd,)
+            self._normals = np.empty((CHUNK, m) + cols)
+            self._tile = np.empty((min(TILE, m), CHUNK) + cols)
         # clamp cache keyed on the identity of the raw action batch
         self._clamp_key = None
         self._clamp_val = None
@@ -334,11 +352,12 @@ class BatchStepper:
         self._gens = [self._gens[r] for r in rows]
         if pos < CHUNK:
             if self._normals is not None:
-                self._normals[:n, pos:] = self._normals[rows, pos:]
+                for r in range(pos, CHUNK, TILE):
+                    self._normals[r : r + TILE, :n] = self._normals[r : r + TILE, rows]
             self._jump_u[:n] = self._jump_u[rows]
             self._jump_next = self._jump_next[rows]
         if self._normals is not None:
-            self._normals = self._normals[:n]
+            self._normals = self._normals[:, :n]
         self._jump_u = self._jump_u[:n]
         self.alive = np.ones(n, dtype=bool)
         self._all_alive = True
@@ -348,10 +367,15 @@ class BatchStepper:
     def _refill(self) -> None:
         """Draw the next block's randomness into the leading buffer rows."""
         m = self.x.shape[0]
-        # per path, the normals come first in its stream, then the uniforms
+        # per path, the normals come first in its stream, then the uniforms;
+        # each path fills its own tile row, and the tile goes in transposed
         if self._normals is not None:
-            for p, g in enumerate(self._gens):
-                g.standard_normal(out=self._normals[p])
+            tile = self._tile
+            for p0 in range(0, m, TILE):
+                gens = self._gens[p0 : p0 + TILE]
+                for t, g in enumerate(gens):
+                    g.standard_normal(out=tile[t])
+                self._normals[:, p0 : p0 + len(gens)] = tile[: len(gens)].swapaxes(0, 1)
         if self._n_jump_u:
             for p, g in enumerate(self._gens):
                 g.random(out=self._jump_u[p])
@@ -398,10 +422,10 @@ class BatchStepper:
                     inc = self.spec.drift.eval_batch(x, s, u)[:, 0] * self.dt
             if not self._zero_diffusion:
                 if self._sig_sdt is not None:
-                    noise = self._sig_sdt[s] * self._normals[:, pos]
+                    noise = self._sig_sdt[s] * self._normals[pos]
                 else:
                     sig = self.spec.diffusion.eval_batch(x, s)[:, 0, 0]
-                    noise = sig * self._normals[:, pos] * self._sqrt_dt
+                    noise = sig * self._normals[pos] * self._sqrt_dt
                 inc = noise if inc is None else inc + noise
             if inc is not None:
                 xf = x[:, 0]
@@ -412,7 +436,7 @@ class BatchStepper:
         else:
             b = self.spec.drift.eval_batch(x, s, u)
             sig = self.spec.diffusion.eval_batch(x, s)
-            xi = self._normals[:, pos, :]
+            xi = self._normals[pos]
             dx = b * self.dt + np.einsum("mdw,mw->md", sig, xi) * self._sqrt_dt
             if all_alive:
                 x += dx
@@ -440,11 +464,14 @@ class BatchStepper:
         s = self.s
         nxt = self._jump_next[rows]
         supplied = nxt + 2 <= self._n_jump_u
-        draws = self._jump_u[rows[:, None], np.minimum(nxt, self._n_jump_u - 2)[:, None] + [0, 1]]
+        # a row's pair sits at row * width + next in the flat buffer
+        at = rows * self._jump_u.shape[1] + np.minimum(nxt, self._n_jump_u - 2)
+        flat = self._jump_u.reshape(-1)
+        pick, clock = flat[at], flat[at + 1]
         self._jump_next[rows[supplied]] += 2
         for i in np.flatnonzero(~supplied):
-            draws[i] = self._gens[rows[i]].random(2)
-        self._clock[rows] = 1.0 - draws[:, 1]
+            pick[i], clock[i] = self._gens[rows[i]].random(2)
+        self._clock[rows] = 1.0 - clock
         self._survival[rows] = 1.0
         sj = s[rows]
         if self._stay is not None:
@@ -452,7 +479,7 @@ class BatchStepper:
         else:
             cum = np.cumsum(self._base_off[sj] * gval[rows, None], axis=1)
         # the first draw times the total outflow is uniform on [0, outflow)
-        s[rows] = np.argmax((draws[:, 0] * cum[:, -1])[:, None] < cum, axis=1)
+        s[rows] = np.argmax((pick * cum[:, -1])[:, None] < cum, axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -239,6 +239,7 @@ def test_non_finite_coefficients_exit_3(tmp_path, capsys):
         ({"n_paths": 0}, "E_SHAPE"),
         ({"criterion": "exit", "t_cap": 0.0}, "E_STEP"),
         ({"criterion": "exit", "t_cap": -2.0}, "E_STEP"),
+        ({"criterion": "ergodic", "t_long": 1.0, "burn_in": 0.975}, "E_UNBOUNDED"),
     ],
 )
 def test_cost_rejects_bad_counts_and_time_cap(tmp_path, capsys, overrides, code_name):
@@ -429,9 +430,11 @@ def test_out_key_in_config_is_used(tmp_path, monkeypatch):
 
 
 def test_import_leaves_scipy_out():
+    # scipy and numpy.random load on first use, not with the package
     src = str(Path(switchsde.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = "import sys, switchsde; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    probe = ("import sys, switchsde; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy' or m.startswith('numpy.random')))")
     proc = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )

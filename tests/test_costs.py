@@ -193,6 +193,10 @@ def test_ergodic_rejects_bad_burn_in(chain):
         mc_ergodic(chain, ZERO, [0.0], 1, 1.0, 0.05, 4, seed=1, burn_in=1.0)
     with pytest.raises(UnboundedError):
         mc_ergodic(chain, ZERO, [0.0], 1, 1.0, 0.05, 4, seed=1, burn_in=-0.1)
+    # burn_in / dt rounds up to the last step, so no step would be averaged
+    for dt, burn_in in ((0.1, 0.95), (0.05, 0.975)):
+        with pytest.raises(UnboundedError, match=r"burn_in = .* dt = "):
+            mc_ergodic(chain, ZERO, [0.0], 1, 1.0, dt, 4, seed=1, burn_in=burn_in)
 
 
 # ---------------------------------------------------------------------------

@@ -73,6 +73,15 @@ def test_rng_stream_is_reproducible():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1])
+@pytest.mark.parametrize("path", [0, 1, 2**32 - 1])
+def test_rng_stream_is_the_philox_stream_of_its_key(seed, path):
+    ours = make_rng_stream(seed, path).generator()
+    ref = np.random.Generator(np.random.Philox(key=np.array([seed, path], dtype=np.uint64)))
+    assert np.array_equal(ours.standard_normal(1000), ref.standard_normal(1000))
+    assert np.array_equal(ours.random(77), ref.random(77))
+
+
 def test_rng_stream_separates_paths_and_seeds():
     base = make_rng_stream(7, 3).generator().standard_normal(8)
     other_path = make_rng_stream(7, 4).generator().standard_normal(8)
@@ -196,16 +205,19 @@ def test_exhausted_jump_supply_keeps_batch_invariance_and_law():
         eng._n_jump_u = 2
         return eng
 
+    # every row of the whole batch against the two halves, bit for bit; the
+    # supply is read at the buffer's own row width, wider than _n_jump_u here
     eng = stepper(0, m)
-    lone = {p: stepper(p, 1) for p in (0, 5, 63)}
+    halves = (stepper(0, m // 2), stepper(m // 2, m // 2))
     jumps = 0
     for _ in range(n):
         before = eng.s.copy()
         eng.step(np.zeros((m, 1)))
         jumps += int(np.count_nonzero(eng.s != before))
-        for p, one in lone.items():
-            one.step(np.zeros((1, 1)))
-            assert one.x[0, 0] == eng.x[p, 0] and one.s[0] == eng.s[p]
+        for half in halves:
+            half.step(np.zeros((m // 2, 1)))
+        assert np.array_equal(eng.x, np.concatenate([h.x for h in halves]))
+        assert np.array_equal(eng.s, np.concatenate([h.s for h in halves]))
     p_jump, total = 5.0 * dt, m * n
     assert abs(jumps / total - p_jump) <= 4.0 * np.sqrt(p_jump * (1.0 - p_jump) / total)
 
@@ -341,6 +353,14 @@ def test_step_size_precondition(make_chain):
     with pytest.raises(StepError):
         BatchStepper(spec, [0.0], 1, 0.1, seed=0)
     BatchStepper(spec, [0.0], 1, 0.0625, seed=0)
+
+
+@pytest.mark.parametrize("dt", [math.nan, math.inf])
+def test_stepper_rejects_a_dt_outside_the_bound(make_chain, make_bm, dt):
+    # a NaN dt fails every comparison, so the guard must be written to fail it
+    for spec in (make_chain(sigma=0.0), make_bm()):
+        with pytest.raises(StepError, match="violates"):
+            BatchStepper(spec, [0.0], 1, dt, seed=0)
 
 
 def test_invalid_start_regime(make_chain):
