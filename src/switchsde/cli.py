@@ -468,6 +468,7 @@ def run_command(cfg: ExperimentConfig, out_dir=None, verbose: bool = False) -> i
     lines = [f"switchsde {__version__}", f"command: {cfg.command}", f"config digest: {cfg.digest}"]
     results = {"version": __version__, "command": cfg.command, "config_digest": cfg.digest}
 
+    code, failure = 0, None
     try:
         if cfg.command in GATED_COMMANDS:
             report = validate_model(cfg.model, default_sample(cfg.model))
@@ -476,33 +477,21 @@ def run_command(cfg: ExperimentConfig, out_dir=None, verbose: bool = False) -> i
             results["validation_passed"] = report.passed
             if not report.passed:
                 results["validation_failures"] = [f.name for f in report.failures()]
-                _write_report(out, lines, results)
-                if verbose:
-                    print("\n".join(lines))
-                return 2
-            if cfg.command == "validate":
-                _write_report(out, lines, results)
-                if verbose:
-                    print("\n".join(lines))
-                return 0
-        _RUNNERS[cfg.command](cfg, out, lines, results)
-    except ConfigError as exc:
-        lines.append(f"error: {exc}")
-        results["error"] = str(exc)
-        _write_report(out, lines, results)
-        print(f"config error: {exc}", file=sys.stderr)
-        return 4
+                code = 2
+        if code == 0 and cfg.command != "validate":
+            _RUNNERS[cfg.command](cfg, out, lines, results)
     except SwitchSdeError as exc:
+        code = 4 if isinstance(exc, ConfigError) else 3
+        failure = f"{'config' if code == 4 else 'solver'} error: {exc}"
         lines.append(f"error: {exc}")
         results["error"] = str(exc)
-        _write_report(out, lines, results)
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
 
     _write_report(out, lines, results)
-    if verbose:
+    if failure:
+        print(failure, file=sys.stderr)
+    elif verbose:
         print("\n".join(lines))
-    return 0
+    return code
 
 
 def main(argv=None) -> int:

@@ -20,6 +20,13 @@ ActionGrid in list order; ties keep the lowest index.
 The ergodic criterion runs the same Howard loop with zeta = 0, each
 evaluation one banded solve for the average cost and a relative value.
 
+A stationary criterion ("discounted", "exit" or "ergodic") is dispatched
+in one place: ``_evaluate`` is its fixed-policy solve (every Howard step,
+the public evaluators, the sweeps' replay), ``_residual`` its HJB defect
+and ``_stationary`` its checked Howard solve. The public functions apply
+their ``alpha`` and ``horizon`` arguments to the model's costs, so the
+code below them reads both from the models only.
+
 The solvers work on stacks of models sharing one grid (``_Tables``): the
 stacked system is block diagonal, so one banded solve per Howard iteration
 or time level serves every model still iterating, and each model keeps its
@@ -32,7 +39,7 @@ counts do not.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -228,6 +235,8 @@ def _node_tables(spec: ModelSpec, grid: Grid1D) -> tuple:
 
     if not np.all(a > 0.0):
         raise DegenerateError("grid solvers need a = sigma^2 / 2 > 0 at every node")
+    if not np.isfinite(spec.cost_bound()):
+        raise UnboundedError("grid solvers need a bounded running cost")
     sub = a[None] / dx**2 + np.maximum(-b, 0.0) / dx
     sup = a[None] / dx**2 + np.maximum(b, 0.0) / dx
     # reflecting ends: one-sided second difference, outward drift dropped
@@ -354,37 +363,73 @@ def _policy_free_pin(tab: _Tables) -> np.ndarray | None:
     return _pinned_regimes(tab, tab.gather(tab.rates, np.zeros(tab.shape, dtype=np.int64)))
 
 
-def _average_cost(tab: _Tables, policy: np.ndarray, k_ref: int, pin: np.ndarray | None = None) -> tuple:
-    """Exact average cost rho (B,) and relative value h (N, B, K) of an action table.
+def _average_cost(tab: _Tables, policy: np.ndarray, k_ref: int, regimes: np.ndarray | None) -> tuple:
+    """Exact relative value h (N, B, K) and average cost rho (B,) of an action table.
 
     Solves (L + M) h + c = rho, h = 0 at an unknown p of node k_ref in a
     recurrent regime (else singular): with p's column of -(L + M) replaced
     by e_p, the right sides c and 1 give y1 and y2, and rho = y1[p] / y2[p],
     h = y1 - rho y2 off p (Puterman, Markov Decision Processes, 1994, ch. 8).
-    ``pin`` gives the recurrent regimes when the caller knows them.
+    ``regimes`` gives the recurrent regimes when they are known.
+    """
+    if regimes is None:
+        regimes = _pinned_regimes(tab, tab.gather(tab.rates, policy))
+    rhs = np.stack([tab.gather(tab.c, policy), np.ones(tab.shape)], axis=-1)
+    y = _solve_policy(tab, policy, rhs, 0.0, pin=(k_ref, regimes))
+    blocks = np.arange(tab.shape[1])
+    rho = y[regimes, blocks, k_ref, 0] / y[regimes, blocks, k_ref, 1]
+    h = y[..., 0] - rho[:, None] * y[..., 1]
+    h[regimes, blocks, k_ref] = 0.0  # p's own unknown carried rho's scale, not h
+    return h, rho
+
+
+def _pin(tab: _Tables, criterion: str):
+    """What every evaluation of one solve under a stationary criterion shares:
+    the stack's discount alpha, the exit costs at the Dirichlet ends (N, B, 2),
+    or the average cost's pinned node and regimes (None when the regimes
+    depend on the policy)."""
+    if criterion == "discounted":
+        return _shared(tab.models, "alpha")
+    if criterion == "exit":
+        return _exit_values(tab)
+    return _reference_node(tab.grid), _policy_free_pin(tab)
+
+
+def _evaluate(tab: _Tables, criterion: str, policy: np.ndarray, pin=None) -> tuple:
+    """Values (N, B, K) and rho (B,) of an action table under a stationary criterion.
+
+    One banded solve: discounted (zeta = alpha), exit (zeta = beta_a, the
+    end rows pinned to h) or the pinned average-cost solve (ergodic; the
+    values are relative values h). rho is 0 except for the ergodic
+    criterion. ``pin`` is the solve's ``_pin``, computed when not given.
     """
     if pin is None:
-        pin = _pinned_regimes(tab, tab.gather(tab.rates, policy))
-    rhs = np.stack([tab.gather(tab.c, policy), np.ones(tab.shape)], axis=-1)
-    y = _solve_policy(tab, policy, rhs, 0.0, pin=(k_ref, pin))
-    blocks = np.arange(tab.shape[1])
-    rho = y[pin, blocks, k_ref, 0] / y[pin, blocks, k_ref, 1]
-    h = y[..., 0] - rho[:, None] * y[..., 1]
-    h[pin, blocks, k_ref] = 0.0  # p's own unknown carried rho's scale, not h
-    return rho, h
+        pin = _pin(tab, criterion)
+    if criterion == "ergodic":
+        return _average_cost(tab, policy, *pin)
+    zeta, ends = (tab.gather(tab.beta, policy), pin) if criterion == "exit" else (pin, None)
+    return _solve_policy(tab, policy, tab.gather(tab.c, policy), zeta, ends), np.zeros(tab.shape[1])
+
+
+def _residual(criterion: str, ham: FloatArray, v: FloatArray, rho: FloatArray, pin) -> FloatArray:
+    """Per-block sup-norm HJB defect of Hamiltonian values ham (N, B, K) at (v, rho);
+    the exit problem's Dirichlet ends hold exactly and are left out."""
+    if criterion == "exit":
+        return np.max(np.abs(ham[..., 1:-1]), axis=(0, 2))
+    level = rho[:, None] if criterion == "ergodic" else pin * v
+    return np.max(np.abs(ham - level), axis=(0, 2))
 
 
 def _howard(
-    tab: _Tables, v: FloatArray, alpha: float | None, tol: float, max_iter: int,
-    h_vals: FloatArray | None = None, k_ref: int | None = None, policy: np.ndarray | None = None,
+    tab: _Tables, criterion: str, v: FloatArray, tol: float, max_iter: int,
+    policy: np.ndarray | None = None,
 ) -> tuple[FloatArray, np.ndarray, list, np.ndarray]:
     """Howard's policy iteration from v: exact evaluation, exhaustive improvement.
 
-    Discounted by default (zeta = alpha); the exit problem when h_vals is
-    given (zeta = beta_a, Dirichlet ends pinned to h_vals (N, B, 2)); the
-    average cost rho when k_ref is given (``_average_cost``; values are h).
-    The first policy improves on v, unless ``policy`` gives a warm start;
-    either way the first value change is measured from v.
+    Each evaluation is one ``_evaluate`` of the stationary criterion; for
+    the ergodic criterion the values are h. The first policy improves on v,
+    unless ``policy`` gives a warm start; either way the first value change
+    is measured from v.
 
     Each block stops on its own test: when its improved policy repeats, so
     its last evaluation is exact for the returned policy, or when the
@@ -398,26 +443,19 @@ def _howard(
     evaluation matrix has a nonnegative inverse. The residual history
     carries no such guarantee: it can rise from one iteration to the next.
     """
-    exit_ = h_vals is not None
+    with_beta = criterion == "exit"
     if policy is None:
-        policy = np.argmin(_hamiltonians(tab, v, exit_), axis=0)
+        policy = np.argmin(_hamiltonians(tab, v, with_beta), axis=0)
     out_v, out_policy = np.empty_like(v), np.empty_like(policy)
     B = len(tab.specs)
     rho, out_rho = np.zeros(B), np.zeros(B)
     histories = [[] for _ in range(B)]
     live, live_tab = np.arange(B), tab
-    pin = None if k_ref is None else _policy_free_pin(tab)
+    pin = _pin(tab, criterion)
     for _ in range(max_iter):
-        if k_ref is not None:
-            rho_new, v_new = _average_cost(live_tab, policy, k_ref, pin)
-            level = rho_new[:, None]
-        else:
-            zeta = live_tab.gather(live_tab.beta, policy) if exit_ else alpha
-            v_new = _solve_policy(live_tab, policy, live_tab.gather(live_tab.c, policy), zeta, h_vals)
-            rho_new, level = rho, 0.0 if exit_ else alpha * v_new
-        ham = _hamiltonians(live_tab, v_new, exit_)
-        best = np.min(ham, axis=0) - level
-        res = np.max(np.abs(best[..., 1:-1] if exit_ else best), axis=(0, 2))
+        v_new, rho_new = _evaluate(live_tab, criterion, policy, pin)
+        ham = _hamiltonians(live_tab, v_new, with_beta)
+        res = _residual(criterion, np.min(ham, axis=0), v_new, rho_new, pin)
         change = np.maximum(np.max(np.abs(v_new - v), axis=(0, 2)), np.abs(rho_new - rho))
         v, rho, previous = v_new, rho_new, policy
         policy = np.argmin(ham, axis=0)
@@ -434,10 +472,57 @@ def _howard(
             keep = ~stop
             live, v, policy, rho = live[keep], v[:, keep], policy[:, keep], rho[keep]
             live_tab = tab.take(live)
-            h_vals = None if h_vals is None else h_vals[:, keep]
-            pin = None if pin is None else pin[keep]
+            pin = _pin(live_tab, criterion)
     where = f" ({tab.labels[live[0]]})" if tab.labels else ""
     raise MaxIterError(f"policy iteration did not converge in {max_iter} iterations{where}")
+
+
+def _stationary(
+    tab: _Tables, criterion: str, tol: float, max_iter: int, start: np.ndarray | None = None,
+) -> list:
+    """One stacked Howard solve of a stationary criterion, one GridSolution per block.
+
+    ``start`` is an optional (N, B, K) first policy. The discrete maximum
+    principle is checked: 0 <= V <= M_c / alpha (discounted), 0 <= rho <=
+    M_c (ergodic). Ergodic values are h shifted to vanish at the reference
+    node of regime 1.
+    """
+    v = np.zeros(tab.shape)
+    if criterion == "exit":
+        v[..., [0, -1]] = _exit_values(tab)
+    v, policy, histories, rho = _howard(tab, criterion, v, tol, max_iter, policy=start)
+    k_ref = _reference_node(tab.grid)
+    sols = []
+    for vb, pb, history, r, m in zip(_blocks(v), _blocks(policy), histories, rho, tab.model):
+        spec, extra = tab.models[m], {}
+        if criterion == "discounted":
+            alpha = spec.costs.alpha
+            if not (np.all(vb >= -1e-9) and np.all(vb <= spec.cost_bound() / alpha + 1e-9)):
+                raise SchemeError("discounted solution violates the maximum principle bound")
+            extra = {"alpha": alpha}
+        elif criterion == "ergodic":
+            if not -1e-9 <= r <= spec.cost_bound() + 1e-9:
+                raise SchemeError("ergodic solution violates the bound 0 <= rho <= M_c")
+            vb, extra = vb - vb[0, k_ref], {"rho": float(r)}
+        sols.append(GridSolution(
+            criterion=criterion, grid=tab.grid, values=vb, policy=pb, iterations=len(history),
+            residual=history[-1], residual_history=tuple(history), **extra,
+        ))
+    return sols
+
+
+def _fixed_policy(spec: ModelSpec, grid: Grid1D, criterion: str, policy: np.ndarray) -> GridSolution:
+    """Values of a fixed (N, K) action table under the discounted or exit criterion."""
+    tab = _Tables([spec], grid)
+    policy = _action_table(tab, policy)
+    pin = _pin(tab, criterion)
+    v, rho = _evaluate(tab, criterion, policy, pin)
+    ham = np.take_along_axis(_hamiltonians(tab, v, criterion == "exit"), policy[None], axis=0)[0]
+    return GridSolution(
+        criterion=f"{criterion}-policy", grid=grid, values=v[:, 0], policy=policy[:, 0], iterations=1,
+        residual=float(_residual(criterion, ham, v, rho, pin)[0]),
+        alpha=pin if criterion == "discounted" else None,
+    )
 
 
 def _shared(specs, name: str):
@@ -448,18 +533,11 @@ def _shared(specs, name: str):
     return values.pop()
 
 
-def _discount(specs, alpha: float | None) -> float:
-    alpha = _shared(specs, "alpha") if alpha is None else float(alpha)
-    if alpha <= 0:
-        raise ShapeError("discount alpha must be > 0")
-    return alpha
-
-
-def _bounded_cost(spec: ModelSpec) -> float:
-    m_c = spec.cost_bound()
-    if not np.isfinite(m_c):
-        raise UnboundedError("grid solvers need a bounded running cost")
-    return m_c
+def _with_costs(spec: ModelSpec, **given) -> ModelSpec:
+    """The model with the given cost constants (alpha, horizon) replaced where
+    not None; CostSpec checks them (> 0, E_SHAPE at costs.<name>)."""
+    given = {name: float(value) for name, value in given.items() if value is not None}
+    return replace(spec, costs=replace(spec.costs, **given)) if given else spec
 
 
 def _action_table(tab: _Tables, policy: np.ndarray, ndim: int = 2) -> np.ndarray:
@@ -492,42 +570,14 @@ def solve_discounted(
     evaluations. The discrete maximum principle 0 <= V <= M_c/alpha is
     checked on the result.
     """
-    return _discounted(_Tables([spec], grid), alpha, tol, max_iter)[0]
-
-
-def _discounted(
-    tab: _Tables, alpha: float | None, tol: float, max_iter: int, start: np.ndarray | None = None,
-) -> list:
-    """solve_discounted for every block of the stack, one GridSolution each;
-    ``start`` is an optional (N, B, K) first policy."""
-    alpha = _discount(tab.models, alpha)
-    bounds = [_bounded_cost(spec) / alpha for spec in tab.models]
-    v, policy, histories, _ = _howard(tab, np.zeros(tab.shape), alpha, tol, max_iter, policy=start)
-    sols = []
-    for vb, pb, history, m in zip(_blocks(v), _blocks(policy), histories, tab.model):
-        if not (np.all(vb >= -1e-9) and np.all(vb <= bounds[m] + 1e-9)):
-            raise SchemeError("discounted solution violates the maximum principle bound")
-        sols.append(GridSolution(
-            criterion="discounted", grid=tab.grid, values=vb, policy=pb,
-            iterations=len(history), residual=history[-1], residual_history=tuple(history),
-            alpha=alpha,
-        ))
-    return sols
+    return _stationary(_Tables([_with_costs(spec, alpha=alpha)], grid), "discounted", tol, max_iter)[0]
 
 
 def evaluate_policy_value(
     spec: ModelSpec, grid: Grid1D, policy: np.ndarray, alpha: float | None = None,
 ) -> GridSolution:
     """Discounted value of a fixed action table (one exact coupled solve)."""
-    tab = _Tables([spec], grid)
-    alpha = _discount(tab.models, alpha)
-    policy = _action_table(tab, policy)
-    v = _solve_policy(tab, policy, tab.gather(tab.c, policy), alpha)
-    ham = np.take_along_axis(_hamiltonians(tab, v, False), policy[None], axis=0)[0]
-    return GridSolution(
-        criterion="discounted-policy", grid=grid, values=v[:, 0], policy=policy[:, 0],
-        iterations=1, residual=float(np.max(np.abs(ham - alpha * v))), alpha=alpha,
-    )
+    return _fixed_policy(_with_costs(spec, alpha=alpha), grid, "discounted", policy)
 
 
 def _exit_values(tab: _Tables) -> FloatArray:
@@ -546,55 +596,24 @@ def solve_exit(spec: ModelSpec, grid: Grid1D, tol: float = 1e-8, max_iter: int =
     rows pinning V to the model's exit cost h exactly, and beta is the model's
     exit discount. Stopping and MaxIterError as in solve_discounted.
     """
-    return _exit(_Tables([spec], grid), tol, max_iter)[0]
-
-
-def _exit(tab: _Tables, tol: float, max_iter: int, start: np.ndarray | None = None) -> list:
-    """solve_exit for every block of the stack, each pinned to its own h."""
-    for spec in tab.models:
-        _bounded_cost(spec)
-    h_vals = _exit_values(tab)
-    v = np.zeros(tab.shape)
-    v[..., [0, -1]] = h_vals
-    v, policy, histories, _ = _howard(tab, v, None, tol, max_iter, h_vals, policy=start)
-    return [
-        GridSolution(
-            criterion="exit", grid=tab.grid, values=vb, policy=pb,
-            iterations=len(history), residual=history[-1], residual_history=tuple(history),
-        )
-        for vb, pb, history in zip(_blocks(v), _blocks(policy), histories)
-    ]
+    return _stationary(_Tables([spec], grid), "exit", tol, max_iter)[0]
 
 
 def evaluate_policy_exit(spec: ModelSpec, grid: Grid1D, policy: np.ndarray) -> GridSolution:
     """Exit cost of a fixed action table (one exact coupled Dirichlet solve)."""
-    tab = _Tables([spec], grid)
-    policy = _action_table(tab, policy)
-    v = _exit_cost(tab, policy)
-    ham = np.take_along_axis(_hamiltonians(tab, v, True), policy[None], axis=0)[0]
-    return GridSolution(
-        criterion="exit-policy", grid=grid, values=v[:, 0], policy=policy[:, 0],
-        iterations=1, residual=float(np.max(np.abs(ham[..., 1:-1]))),
-    )
+    return _fixed_policy(spec, grid, "exit", policy)
 
 
-def _exit_cost(tab: _Tables, policy: np.ndarray) -> FloatArray:
-    """Exit cost of an (N, B, K) action table, each block pinned to its own h."""
-    return _solve_policy(
-        tab, policy, tab.gather(tab.c, policy), tab.gather(tab.beta, policy), _exit_values(tab),
-    )
-
-
-def _time_levels(tab: _Tables, horizon: float | None, n_t: int | None) -> tuple:
-    """(T, n_t, dt) of a finite-horizon solve; checks the step and the cost bound."""
-    T = _shared(tab.models, "horizon") if horizon is None else float(horizon)
+def _time_levels(tab: _Tables, n_t: int | None) -> tuple:
+    """(T, n_t, dt) of a finite-horizon solve over the stack's horizon; checks the step."""
+    T = _shared(tab.models, "horizon")
     if n_t is None:
         n_t = max(int(np.ceil(T / 0.05)), 10)
+    if n_t < 1:
+        raise StepError(f"finite-horizon solve needs n_t >= 1 time levels, got {n_t}")
     dt = T / n_t
     if dt > 0.1 + 1e-12:
         raise StepError(f"finite-horizon time step {dt:.4g} exceeds 0.1; raise n_t")
-    for spec in tab.models:
-        _bounded_cost(spec)
     return T, n_t, dt
 
 
@@ -620,12 +639,12 @@ def solve_finite_horizon(
     solved exactly; the terminal level equals c_T exactly. Needs the time
     step at or below 0.1 for the frozen-policy accuracy to hold.
     """
-    return _finite_horizon(_Tables([spec], grid), horizon, n_t)[0]
+    return _finite_horizon(_Tables([_with_costs(spec, horizon=horizon)], grid), n_t)[0]
 
 
-def _finite_horizon(tab: _Tables, horizon: float | None, n_t: int | None) -> list:
+def _finite_horizon(tab: _Tables, n_t: int | None) -> list:
     """solve_finite_horizon for every block: one backward level loop for the stack."""
-    T, n_t, dt = _time_levels(tab, horizon, n_t)
+    T, n_t, dt = _time_levels(tab, n_t)
     values = np.empty((n_t + 1, *tab.shape))
     values[n_t] = _terminal(tab)
     policy = np.empty((n_t, *tab.shape), dtype=np.int64)
@@ -655,15 +674,14 @@ def _finite_horizon(tab: _Tables, horizon: float | None, n_t: int | None) -> lis
 def evaluate_policy_finite_horizon(
     spec: ModelSpec, grid: Grid1D, policy: np.ndarray, horizon: float | None = None,
 ) -> GridSolution:
-    """Finite-horizon cost of a fixed time-indexed action table."""
-    tab = _Tables([spec], grid)
+    """Finite-horizon cost of a fixed time-indexed action table, one level per time step."""
+    tab = _Tables([_with_costs(spec, horizon=horizon)], grid)
     policy = _action_table(tab, policy, ndim=3)
-    T = spec.costs.horizon if horizon is None else float(horizon)
-    n_t = policy.shape[0]
+    T, n_t, dt = _time_levels(tab, policy.shape[0])
     values = np.empty((n_t + 1, *tab.shape))
     values[n_t] = _terminal(tab)
     for j in range(n_t - 1, -1, -1):
-        values[j] = _step_back(tab, policy[j], values[j + 1], T / n_t)
+        values[j] = _step_back(tab, policy[j], values[j + 1], dt)
     return GridSolution(
         criterion="finite-horizon-policy", grid=grid, values=values[:, :, 0], policy=policy[:, :, 0],
         iterations=n_t, residual=0.0, horizon=T, t_levels=np.linspace(0.0, T, n_t + 1),
@@ -685,30 +703,10 @@ def estimate_ergodic(
     raises DegenerateError. h is shifted to vanish at the reference node of
     regime 1.
     """
-    return _ergodic(_Tables([spec], grid), tol, max_iter)[0]
-
-
-def _ergodic(tab: _Tables, tol: float, max_iter: int, start: np.ndarray | None = None) -> list:
-    """estimate_ergodic for every block of the stack: one stacked Howard."""
-    bounds = [_bounded_cost(spec) for spec in tab.models]
-    k_ref = _reference_node(tab.grid)
-    h, policy, histories, rho = _howard(
-        tab, np.zeros(tab.shape), None, tol, max_iter, k_ref=k_ref, policy=start,
-    )
-    sols = []
-    for r, hb, pb, history, m in zip(rho, _blocks(h), _blocks(policy), histories, tab.model):
-        if not -1e-9 <= r <= bounds[m] + 1e-9:
-            raise SchemeError("ergodic solution violates the bound 0 <= rho <= M_c")
-        sols.append(GridSolution(
-            criterion="ergodic", grid=tab.grid, values=hb - hb[0, k_ref], policy=pb,
-            iterations=len(history), residual=history[-1], residual_history=tuple(history),
-            rho=float(r),
-        ))
-    return sols
+    return _stationary(_Tables([spec], grid), "ergodic", tol, max_iter)[0]
 
 
 def estimate_ergodic_policy(spec: ModelSpec, grid: Grid1D, policy: np.ndarray) -> float:
     """Long-run average cost of a fixed action table (one pinned banded solve)."""
     tab = _Tables([spec], grid)
-    rho, _ = _average_cost(tab, _action_table(tab, policy), _reference_node(grid))
-    return float(rho[0])
+    return float(_evaluate(tab, "ergodic", _action_table(tab, policy))[1][0])

@@ -21,14 +21,9 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .hjbgrid import (
     Grid1D,
-    _average_cost,
-    _discounted,
-    _ergodic,
-    _exit,
-    _exit_cost,
+    _evaluate,
     _hamiltonians,
-    _reference_node,
-    _solve_policy,
+    _stationary,
     _step_back,
     _Tables,
     _terminal,
@@ -79,6 +74,25 @@ def _schedule_deltas(sched: PerturbationSchedule) -> list[float]:
     if deltas[-1] != 0.0:
         deltas.append(0.0)
     return deltas
+
+
+def _schedule_stack(true_model, sched: PerturbationSchedule, models: list) -> tuple:
+    """The schedule's distinct models in row order, ``models`` holding one per magnitude.
+
+    Returns (the models, the block of each sweep row, the true model's
+    block, a label per block). The true model sits in the stack once, as
+    the delta = 0 block that the control row shares.
+    """
+    by_delta = dict(zip((float(d) for d in sched.magnitudes), models))
+    by_delta[0.0] = true_model
+    stack, slot, labels = [], {}, []
+    deltas = _schedule_deltas(sched)
+    for n, delta in enumerate(deltas):
+        if delta not in slot:
+            slot[delta] = len(stack)
+            stack.append(by_delta[delta])
+            labels.append(f"schedule row n = {n}, delta = {delta:g}")
+    return stack, [slot[d] for d in deltas], slot[0.0], labels
 
 
 def _spectral_gap(a: np.ndarray, b: np.ndarray) -> float:
@@ -139,26 +153,21 @@ def sweep_lq_finite_horizon(
     x0 = np.asarray(x0, dtype=np.float64).reshape(true_lq.dim)
     if not 1 <= i0 <= true_lq.n_regimes:
         raise ShapeError(f"regime {i0} out of range")
-    stack, slot = [true_lq], {0.0: 0}
-    for delta, lq in zip(sched.magnitudes, perturbed_lq_sequence(true_lq, sched)):
-        if float(delta) not in slot:
-            slot[float(delta)] = len(stack)
-            stack.append(lq)
+    stack, slots, t, _ = _schedule_stack(true_lq, sched, perturbed_lq_sequence(true_lq, sched))
     # gains on a doubled grid so the replay ODE sees exact half-step values
     k = _solve_stack(stack, 2 * steps)  # (2 steps + 1, models, N, d, d)
     gains = np.stack([lq.r_inv_bt() for lq in stack]) @ k
-    value_gap = [_spectral_gap(k[:, b], k[:, 0]) for b in range(len(stack))]
-    aux = [_spectral_gap(gains[:, b], gains[:, 0]) for b in range(len(stack))]
+    value_gap = [_spectral_gap(k[:, b], k[:, t]) for b in range(len(stack))]
+    aux = [_spectral_gap(gains[:, b], gains[:, t]) for b in range(len(stack))]
     del k  # free the Riccati stack before the replay allocates its own
     # the doubled grid is the replay's RK4 stage grid, so gains are stage gains
     m0 = _feedback_cost_stack(true_lq, gains, steps)[0, :, i0 - 1]
     cost = x0 @ m0 @ x0  # (models,)
 
-    rows = []
-    for n, delta in enumerate(_schedule_deltas(sched)):
-        b = slot[delta]
-        loss = float(cost[b] - cost[0])
-        rows.append(SweepRow(n, delta, value_gap[b], loss, aux[b], solver_iters=2 * steps))
+    rows = [
+        SweepRow(n, delta, value_gap[b], float(cost[b] - cost[t]), aux[b], solver_iters=2 * steps)
+        for n, (delta, b) in enumerate(zip(_schedule_deltas(sched), slots))
+    ]
     return SweepReport(criterion="lq-finite-horizon", rows=tuple(rows))
 
 
@@ -169,55 +178,30 @@ def _grid_stack(true_spec: ModelSpec, sched: PerturbationSchedule, grid: Grid1D)
     blocks for the replay, the block of each sweep row, the true model's
     block). The delta = 0 control row shares the true model's block.
     """
-    by_delta = dict(zip(
-        (float(d) for d in sched.magnitudes), make_perturbation_sequence(true_spec, sched)
-    ))
-    stack, slot, labels = [], {}, []
-    deltas = _schedule_deltas(sched)
-    for n, delta in enumerate(deltas):
-        if delta not in slot:
-            slot[delta] = len(stack)
-            stack.append(by_delta.get(delta, true_spec))
-            labels.append(f"schedule row n = {n}, delta = {delta:g}")
+    stack, slots, t, labels = _schedule_stack(
+        true_spec, sched, make_perturbation_sequence(true_spec, sched)
+    )
     tab = _Tables(stack, grid, labels)
-    t = slot[0.0]
     replay = tab.take([t] * len(stack))
     replay.labels = tab.labels  # block b replays row b's policy
-    return tab, replay, [slot[d] for d in deltas], t
+    return tab, replay, slots, t
 
 
-def _stationary(tab: _Tables, t: int, criterion: str, tol: float, max_iter: int) -> tuple:
+def _warm_stationary(tab: _Tables, t: int, criterion: str, tol: float, max_iter: int) -> tuple:
     """Optimal values (the constant rho if ergodic), policies and iterations per block.
 
     The true block t is solved alone first; every other block then starts
     Howard from its optimal policy, which the approximating policies
     converge to.
     """
-    def solve(blocks, start=None):
-        sub = tab.take(blocks)
-        if criterion == "discounted":
-            return _discounted(sub, None, tol, max_iter, start)
-        return (_ergodic if criterion == "ergodic" else _exit)(sub, tol, max_iter, start)
-
-    sols = solve([t])
+    sols = _stationary(tab.take([t]), criterion, tol, max_iter)
     others = [b for b in range(len(tab.specs)) if b != t]
     if others:
         start = np.repeat(sols[0].policy[:, None], len(others), axis=1)
-        warm = solve(others, start)
+        warm = _stationary(tab.take(others), criterion, tol, max_iter, start)
         sols = warm[:t] + sols + warm[t:]
     v = [s.values if s.rho is None else np.full(s.values.shape, s.rho) for s in sols]
     return np.stack(v, axis=1), np.stack([s.policy for s in sols], axis=1), [s.iterations for s in sols]
-
-
-def _replay(replay: _Tables, criterion: str, policy: np.ndarray) -> np.ndarray:
-    """Values in the true model of each block's policy, (N, B, K) to (N, B, K)."""
-    if criterion == "discounted":
-        alpha = replay.models[0].costs.alpha
-        return _solve_policy(replay, policy, replay.gather(replay.c, policy), alpha)
-    if criterion == "ergodic":
-        rho, _ = _average_cost(replay, policy, _reference_node(replay.grid))
-        return np.broadcast_to(rho[:, None], replay.shape)
-    return _exit_cost(replay, policy)
 
 
 def _block_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -231,7 +215,7 @@ def _finite_horizon_gaps(tab: _Tables, replay: _Tables, t: int, n_t: int | None)
     The stack and the replay step back together, so each level's policy is
     replayed as soon as it is chosen and only one level of each is kept.
     """
-    _, n_t, dt = _time_levels(tab, None, n_t)
+    _, n_t, dt = _time_levels(tab, n_t)
     v, j = _terminal(tab), _terminal(replay)
     value_gap = _block_gap(v, v[:, t:t + 1])
     ham = _hamiltonians(tab, v, False)
@@ -282,8 +266,10 @@ def sweep_grid(
         value_gap, v, j, n_t = _finite_horizon_gaps(tab, replay, t, n_t)
         iters = [n_t] * len(value_gap)
     else:
-        v, policy, iters = _stationary(tab, t, criterion, tol, max_iter)
-        j = _replay(replay, criterion, policy)
+        v, policy, iters = _warm_stationary(tab, t, criterion, tol, max_iter)
+        j, rho = _evaluate(replay, criterion, policy)
+        if criterion == "ergodic":
+            j = np.broadcast_to(rho[:, None], j.shape)
         value_gap = _block_gap(v, v[:, t:t + 1])
     policy_loss = np.max(j - v[:, t:t + 1], axis=(0, 2))
     per_block = [
@@ -378,9 +364,9 @@ def check_eps_optimality(
             "criterion",
         )
     tab, replay, slots, t = _grid_stack(true_spec, sched, grid)
-    values, _, _ = _stationary(tab, t, criterion, tol, max_iter)
+    values, _, _ = _warm_stationary(tab, t, criterion, tol, max_iter)
     policy = _worst_eps_policy(tab, values, eps, criterion == "exit")
-    gaps = _block_gap(_replay(replay, criterion, policy), values[:, t:t + 1])
+    gaps = _block_gap(_evaluate(replay, criterion, policy)[0], values[:, t:t + 1])
     rows = [
         EpsRow(n, delta, float(gaps[b]), bool(gaps[b] <= 3.0 * eps))
         for n, (delta, b) in enumerate(zip(_schedule_deltas(sched), slots))

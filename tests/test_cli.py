@@ -285,6 +285,25 @@ SAD = {"kind": "state-action-dependent", "base": [[0.0, 1.0], [2.0, 0.0]]}
 
 
 @pytest.mark.parametrize(
+    "overrides,expected",
+    [
+        ({"horizon": -1.0}, "E_SHAPE: horizon must be > 0 at 'costs.horizon'"),
+        ({"horizon": 0.0}, "E_SHAPE: horizon must be > 0 at 'costs.horizon'"),
+        ({"n_t": 0}, "E_STEP"),
+        ({"n_t": -3}, "E_STEP"),
+    ],
+    ids=["horizon=-1", "horizon=0", "n_t=0", "n_t=-3"],
+)
+def test_hjb_rejects_bad_finite_horizon_inputs(tmp_path, capsys, overrides, expected):
+    block = {"criterion": "finite-horizon", "grid": GRID, **overrides}
+    code, out = _run(tmp_path, {"command": "hjb", "model": CHAIN, "hjb": block})
+    assert code == 3
+    assert expected in capsys.readouterr().err
+    assert not (out / "values.csv").exists()
+    assert json.loads((out / "results.json").read_text())["error"].startswith(expected)
+
+
+@pytest.mark.parametrize(
     "command,block,model,path",
     [
         ("hjb", {"criterion": "discounted", "grid": GRID, "alpha": "x"}, {}, "hjb.alpha"),

@@ -15,9 +15,11 @@ from switchsde import (
     SchemeError,
     ShapeError,
     StepError,
+    UnboundedError,
     estimate_ergodic,
     estimate_ergodic_policy,
     evaluate_policy_exit,
+    evaluate_policy_finite_horizon,
     evaluate_policy_value,
     solve_discounted,
     solve_exit,
@@ -140,6 +142,31 @@ def test_fixed_policy_table_is_checked(saturated, evaluate):
         evaluate(saturated, grid, np.full((2, 21), 2))
 
 
+ZEROS = np.zeros((2, 21), dtype=np.int64)  # an action table of the saturated model on 21 nodes
+ENTRY_POINTS = {
+    "solve_discounted": solve_discounted,
+    "solve_exit": solve_exit,
+    "solve_finite_horizon": solve_finite_horizon,
+    "estimate_ergodic": estimate_ergodic,
+    "evaluate_policy_value": lambda spec, grid: evaluate_policy_value(spec, grid, ZEROS),
+    "evaluate_policy_exit": lambda spec, grid: evaluate_policy_exit(spec, grid, ZEROS),
+    "evaluate_policy_finite_horizon": lambda spec, grid: evaluate_policy_finite_horizon(
+        spec, grid, np.zeros((20, 2, 21), dtype=np.int64)
+    ),
+    "estimate_ergodic_policy": lambda spec, grid: estimate_ergodic_policy(spec, grid, ZEROS),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_every_grid_entry_point_rejects_an_unbounded_cost(saturated, entry):
+    running = RunningCost("lq", 2, 1, 1, q_mat=np.ones((2, 1, 1)), r_mat=np.ones((2, 1, 1)))
+    spec = dataclasses.replace(saturated, costs=dataclasses.replace(saturated.costs, running=running))
+    grid = Grid1D(-2.0, 2.0, 21)
+    ENTRY_POINTS[entry](saturated, grid)  # the bounded model passes
+    with pytest.raises(UnboundedError, match="bounded running cost"):
+        ENTRY_POINTS[entry](spec, grid)
+
+
 # ---------------------------------------------------------------------------
 # finite horizon
 
@@ -171,6 +198,22 @@ def test_finite_horizon_chain_first_order_in_time(chain):
 def test_finite_horizon_rejects_coarse_time_step(chain):
     with pytest.raises(StepError, match="exceeds 0.1"):
         solve_finite_horizon(chain, GRID, horizon=2.0, n_t=10)
+    # a fixed policy's levels set the step: 5 levels over T = 1 is dt = 0.2
+    with pytest.raises(StepError, match="exceeds 0.1"):
+        evaluate_policy_finite_horizon(chain, GRID, np.zeros((5, 2, GRID.n_x), dtype=np.int64))
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0, math.nan])
+def test_finite_horizon_override_is_checked_as_the_model_horizon(chain, horizon):
+    for solve in (
+        lambda: solve_finite_horizon(chain, GRID, horizon=horizon),
+        lambda: evaluate_policy_finite_horizon(
+            chain, GRID, np.zeros((20, 2, GRID.n_x), dtype=np.int64), horizon=horizon
+        ),
+    ):
+        with pytest.raises(ShapeError) as err:
+            solve()
+        assert err.value.path == "costs.horizon"
 
 
 # ---------------------------------------------------------------------------

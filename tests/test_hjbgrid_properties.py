@@ -41,14 +41,11 @@ from switchsde import (
     solve_finite_horizon,
 )
 from switchsde.hjbgrid import (
-    _discounted,
-    _ergodic,
-    _exit,
     _exit_values,
     _finite_horizon,
     _hamiltonians,
     _howard,
-    _reference_node,
+    _stationary,
     _Tables,
 )
 from switchsde.model import PerturbationSchedule
@@ -251,10 +248,10 @@ def test_stacked_blocks_equal_standalone_solves(seeds, n, n_x, n_actions):
     grid = Grid1D(-2.0, 2.0, n_x)
     tab = _Tables(specs, grid)
     for stacked, solve in (
-        (_discounted(tab, None, 1e-8, 100), solve_discounted),
-        (_exit(tab, 1e-8, 100), solve_exit),
-        (_finite_horizon(tab, None, 20), lambda spec, grid: solve_finite_horizon(spec, grid, n_t=20)),
-        (_ergodic(tab, 1e-8, 100), estimate_ergodic),
+        (_stationary(tab, "discounted", 1e-8, 100), solve_discounted),
+        (_stationary(tab, "exit", 1e-8, 100), solve_exit),
+        (_finite_horizon(tab, 20), lambda spec, grid: solve_finite_horizon(spec, grid, n_t=20)),
+        (_stationary(tab, "ergodic", 1e-8, 100), estimate_ergodic),
     ):
         assert len(stacked) == len(specs)
         for spec, got in zip(specs, stacked):
@@ -268,13 +265,8 @@ def _howard_run(tab: _Tables, criterion: str, tol: float, start=None) -> tuple:
     """(values, policy, rho) of one stacked Howard solve, cold or from ``start``."""
     v = np.zeros(tab.shape)
     if criterion == "exit":
-        h_vals = _exit_values(tab)
-        v[..., [0, -1]] = h_vals
-        out = _howard(tab, v, None, tol, 100, h_vals, policy=start)
-    elif criterion == "ergodic":
-        out = _howard(tab, v, None, tol, 100, k_ref=_reference_node(tab.grid), policy=start)
-    else:
-        out = _howard(tab, v, tab.models[0].costs.alpha, tol, 100, policy=start)
+        v[..., [0, -1]] = _exit_values(tab)
+    out = _howard(tab, criterion, v, tol, 100, policy=start)
     return out[0], out[1], out[3]
 
 
@@ -308,7 +300,6 @@ def test_warm_sweep_makes_fewer_block_solves(monkeypatch, saturated):
         return solve(tab, ai_tab, *args, **kwargs)
 
     monkeypatch.setattr(hjbgrid, "_solve_policy", counting)
-    monkeypatch.setattr(robustness, "_solve_policy", counting)
     sched = PerturbationSchedule("coefficient", 10, d_a=np.ones((2, 1, 1)), d_c=np.full((2, 1, 1), 0.3))
     rep = robustness.sweep_grid(saturated, sched, "discounted", Grid1D(-2.0, 2.0, 401), tol=1e-8)
     assert rep.rows[-1].solver_iters == 5  # the true model alone, cold
