@@ -84,8 +84,10 @@ RICCATI_HEADER = "t,regime,row,col,value"
 # A type is one of "number", "integer", "bool", "state" (dim numbers),
 # "action" (action-dim numbers), "array" (numbers nested to any depth),
 # "grid", "schedule", "policy", or a tuple of allowed strings. A default is
-# a value, REQUIRED, a function of the model, or When(key, values): required
-# when that earlier key of the block has one of the values, else None.
+# a value, REQUIRED, a function of the model, When(key, values): required
+# when that earlier key of the block has one of the values, else None, or
+# Only(key, values, default): the default when that earlier key has one of
+# the values, else None, and then giving the key is a ConfigError.
 
 REQUIRED = object()
 
@@ -95,11 +97,18 @@ class When(NamedTuple):
     values: tuple
 
 
+class Only(NamedTuple):
+    key: str
+    values: tuple
+    default: object = REQUIRED
+
+
 def _horizon(model: ModelSpec) -> float:
     return model.costs.horizon
 
 
-_LQ_SWEEP = When("criterion", ("lq-finite-horizon",))
+_LQ_SWEEP = ("lq-finite-horizon",)
+_STATIONARY = ("discounted", "exit", "ergodic")
 _START = (
     ("x0", "state", REQUIRED),
     ("i0", "integer", REQUIRED),
@@ -133,24 +142,27 @@ BLOCKS = {
     "hjb": (
         ("criterion", ("discounted", "finite-horizon", "exit"), REQUIRED),
         ("grid", "grid", REQUIRED),
-        ("alpha", "number", None),
-        ("horizon", "number", None),
-        ("n_t", "integer", None),
-        *_SOLVER,
+        ("alpha", "number", Only("criterion", ("discounted",), None)),
+        ("horizon", "number", Only("criterion", ("finite-horizon",), None)),
+        ("n_t", "integer", Only("criterion", ("finite-horizon",), None)),
+        ("tol", "number", Only("criterion", _STATIONARY, 1e-8)),
+        ("max_iter", "integer", Only("criterion", _STATIONARY, 100)),
     ),
     "ergodic": (
         ("grid", "grid", REQUIRED),
         *_SOLVER,
     ),
     "robustness": (
-        ("criterion", ("lq-finite-horizon", *GRID_CRITERIA), REQUIRED),
+        ("criterion", (*_LQ_SWEEP, *GRID_CRITERIA), REQUIRED),
         ("schedule", "schedule", REQUIRED),
-        ("grid", "grid", When("criterion", GRID_CRITERIA)),
-        ("x0", "state", _LQ_SWEEP),
-        ("i0", "integer", _LQ_SWEEP),
-        ("steps", "integer", 400),
-        *_SOLVER,
-        ("n_t", "integer", None),
+        ("grid", "grid", Only("criterion", GRID_CRITERIA)),
+        ("x0", "state", Only("criterion", _LQ_SWEEP)),
+        ("i0", "integer", Only("criterion", _LQ_SWEEP)),
+        ("steps", "integer", Only("criterion", _LQ_SWEEP, 400)),
+        # tol also sets the tolerance of the report's checks, for every criterion
+        ("tol", "number", 1e-8),
+        ("max_iter", "integer", Only("criterion", _STATIONARY, 100)),
+        ("n_t", "integer", Only("criterion", ("finite-horizon",), None)),
     ),
     "eps-check": (
         ("criterion", ("discounted", "exit"), REQUIRED),
@@ -192,6 +204,15 @@ def _read(doc, table, path: str, model: ModelSpec) -> dict:
     out = {}
     for key, typ, default in table:
         where = f"{path}.{key}"
+        if isinstance(default, Only):
+            if out[default.key] not in default.values:
+                if key in doc:
+                    raise ConfigError(
+                        f"'{key}' does not apply when {default.key} is {json.dumps(out[default.key])}", where
+                    )
+                out[key] = None
+                continue
+            default = default.default
         if key in doc:
             out[key] = _convert(doc[key], typ, where, model)
         elif default is REQUIRED or isinstance(default, When) and out[default.key] in default.values:

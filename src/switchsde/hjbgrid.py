@@ -39,6 +39,7 @@ counts do not.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -609,8 +610,9 @@ def _time_levels(tab: _Tables, n_t: int | None) -> tuple:
     T = _shared(tab.models, "horizon")
     if n_t is None:
         n_t = max(int(np.ceil(T / 0.05)), 10)
-    if n_t < 1:
-        raise StepError(f"finite-horizon solve needs n_t >= 1 time levels, got {n_t}")
+    if not (isinstance(n_t, numbers.Real) and float(n_t).is_integer() and n_t >= 1):
+        raise StepError(f"finite-horizon solve needs a whole number n_t >= 1 of time levels, got {n_t}")
+    n_t = int(n_t)
     dt = T / n_t
     if dt > 0.1 + 1e-12:
         raise StepError(f"finite-horizon time step {dt:.4g} exceeds 0.1; raise n_t")

@@ -11,13 +11,25 @@ below one quarter.
 
 Jumps are driven by a clock rather than a per-step uniform. Each path holds
 a uniform clock W = 1 - v in (0, 1] and a survival product S, the chance
-of no jump since its last one; every step multiplies S by 1 - p_k, and the
-path jumps as soon as S < W. Given no jump since the last one, the jump
-fires at step k with probability exactly p_k, so the discretised chain's
-law is the per-step Bernoulli thinning's. A regime with zero outflow keeps
-S at 1, so it never jumps. On a jump the path takes two uniforms: the first
-picks the destination from the cumulative outflow table, the second sets
-the next clock; S restarts at 1.
+of no jump since its last one: the step-order product of 1 - p_k over the
+steps since then. The path jumps at the first step at which S < W. Given
+no jump since the last one, the jump fires at step k with probability
+exactly p_k, so the discretised chain's law is the per-step Bernoulli
+thinning's. A regime with zero outflow keeps S at 1, so it never jumps. On
+a jump the path takes two uniforms: the first picks the destination from
+the cumulative outflow table, the second sets the next clock; S restarts
+at 1.
+
+Under a state-dependent generator, every step multiplies S by 1 - p_k and
+compares it with W. Under a constant generator the chain does not depend on
+the state or the action, so after n steps in regime i, S is entry n - 1 of
+the per-regime table cumprod(1 - p_i); a cumulative product is sequential,
+so the entry equals the per-step product bit for bit. A block's jumps are
+then found when its draws are made: a binary search of the table finds
+each path's next jump, once per jump rather than once per step, and step()
+only writes the regimes of the rows that jump at that step. The jumps read
+the same draws in the same order as the per-step rule, so the schedule
+gives the same paths.
 
 Randomness is counter based: path p draws from a Philox stream keyed by
 (seed, p), independent of every other path and of how paths are batched;
@@ -27,7 +39,7 @@ steps, the block's Gaussian increments (none when the diffusion is
 identically zero) followed by a fixed number of jump uniforms (none when no
 regime has outflow). Both counts depend only on the spec and dt. Jumps take
 their uniforms from the block's supply two at a time; a path that uses it
-up draws further pairs straight from its stream, in step order, and
+up draws further pairs straight from its stream, in jump order, and
 leftovers are dropped at the block's end. The order depends only on the
 path's own trajectory, so a path simulated alone is bit-identical to the
 same path inside any batch. A block's normals are stored step-major, so a
@@ -41,9 +53,10 @@ it as given, so cost, drift and rates all see the same clamped action.
 A batch retires rows with mark_dead. It compacts them away at the next
 chunk refill, or earlier, at the start of the first step at which at most
 half of its rows are alive; a mid-block compaction carries the survivors'
-unused draws along with them, so compaction never changes a path. step()
-returns the mask of kept rows when it compacts, and None otherwise, so a
-caller holding state row by row compacts it the same way.
+unused draws and scheduled jumps along with them, so compaction never
+changes a path. step() returns the mask of kept rows when it compacts, and
+None otherwise, so a caller holding state row by row compacts it the same
+way.
 """
 
 from __future__ import annotations
@@ -197,6 +210,17 @@ class BatchStepper:
     the kept-row mask of a compaction (else None). ``original_index`` maps
     current rows back to path indices.
 
+    Under a constant generator each refill also schedules the block's
+    jumps (see the module docstring), so a step does no jump work beyond
+    writing the regimes of the rows that jump at it. The survival tables
+    are built per regime on first use, doubled as sojourns outgrow them and
+    cut at their first entry below 2**-53, where every clock has fired; a
+    regime with zero outflow has none. A table of 8-byte entries is at
+    most twice as long as the longest sojourn in its regime plus a block,
+    and never longer than its cut, about 37 / p_i entries; the worst case
+    is a slow regime, at 16 bytes per step of its longest sojourn. A
+    state-dependent generator keeps the per-step rule.
+
     Non-finite states are detected at chunk boundaries, before every
     compaction and on an explicit check_finite() call, not per step;
     callers that consume the final state should call check_finite() once
@@ -245,7 +269,6 @@ class BatchStepper:
         seed, first = int(seed), int(first_path_index)
         self._gens = [RngStream(seed, first + p).generator() for p in range(m)]
         self._clock = 1.0 - np.array([g.random() for g in self._gens])
-        self._survival = np.ones(m)
         self.clamped_steps = 0
         self._pos = CHUNK  # forces a refill on the first step
         self._jump_next = None
@@ -270,11 +293,15 @@ class BatchStepper:
             np.fill_diagonal(off, 0.0)
             self._stay = 1.0 - off.sum(axis=1) * self.dt  # (N,), 1 - p_jump
             self._cum_off = np.cumsum(off, axis=1)  # (N, N)
+            self._moving = np.flatnonzero(self._stay < 1.0)
+            self._tables = {}  # regime -> negated survival table
+            self._since = np.zeros(m, dtype=np.int64)  # steps since the last jump
             p_max = 1.0 - self._stay.min()
         else:
             off = gen.base.copy()
             np.fill_diagonal(off, 0.0)
             self._stay = None
+            self._survival = np.ones(m)
             self._base_out = off.sum(axis=1)
             self._base_off = off
             p_max = self._base_out.max() * (1.0 + abs(gen.gx) + abs(gen.gu)) * self.dt
@@ -337,9 +364,10 @@ class BatchStepper:
     def _compact(self) -> np.ndarray:
         """Move the living rows to the front and drop the rest.
 
-        Mid-block, the survivors' unused normals, jump uniforms and supply
-        positions move with them, in place in the block buffers. Returns
-        the mask of kept rows.
+        Mid-block, the survivors' unused normals move with them, in place
+        in the block buffer, and so do their scheduled jumps or, under a
+        state-dependent generator, their jump uniforms and supply
+        positions. Returns the mask of kept rows.
         """
         keep = self.alive
         rows = np.flatnonzero(keep)
@@ -348,14 +376,24 @@ class BatchStepper:
         self.s = self.s[rows]
         self.original_index = self.original_index[rows]
         self._clock = self._clock[rows]
-        self._survival = self._survival[rows]
         self._gens = [self._gens[r] for r in rows]
+        if self._stay is None:
+            self._survival = self._survival[rows]
+        else:
+            self._since = self._since[rows]
         if pos < CHUNK:
             if self._normals is not None:
                 for r in range(pos, CHUNK, TILE):
                     self._normals[r : r + TILE, :n] = self._normals[r : r + TILE, rows]
-            self._jump_u[:n] = self._jump_u[rows]
-            self._jump_next = self._jump_next[rows]
+            if self._stay is None:
+                self._jump_u[:n] = self._jump_u[rows]
+                self._jump_next = self._jump_next[rows]
+            else:
+                a = self._ev_at[pos]
+                live = keep[self._ev_rows[a:]]
+                self._ev_rows = (np.cumsum(keep) - 1)[self._ev_rows[a:][live]]
+                self._ev_dest = self._ev_dest[a:][live]
+                self._set_events(self._ev_step[a:][live])
         if self._normals is not None:
             self._normals = self._normals[:, :n]
         self._jump_u = self._jump_u[:n]
@@ -381,6 +419,61 @@ class BatchStepper:
                 g.random(out=self._jump_u[p])
         self._jump_next = np.zeros(m, dtype=np.int64)
         self._pos = 0
+        if self._stay is not None:
+            self._schedule()
+
+    def _table(self, i: int, need: int) -> FloatArray:
+        """Regime i's negated survival table, -cumprod(1 - p_i), with at
+        least ``need`` entries unless it ends at its first entry below
+        2**-53; every clock is at least that, so no path outlives it."""
+        tab = self._tables.get(i)
+        if tab is None or (tab.size < need and -tab[-1] >= 2.0**-53):
+            n = max(need, 2 * CHUNK if tab is None else 2 * tab.size)
+            tab = -np.cumprod(np.full(n, self._stay[i]))
+            tab = tab[: np.searchsorted(tab, -(2.0**-53), side="right") + 1]
+            self._tables[i] = tab
+        return tab
+
+    def _schedule(self) -> None:
+        """Find every jump of the coming block under a constant generator.
+
+        Each round takes every row's next jump: the first survival-table
+        entry below the row's clock, counted from the row's sojourn so far,
+        gives the step. Rows whose jump falls past the block carry their
+        sojourn into the next one. The jumps are kept sorted by step, with
+        one offset per step into them.
+        """
+        s, since, clock = self.s.copy(), self._since, self._clock
+        start = np.zeros(s.size, dtype=np.int64)  # first block step still unscanned
+        rows = np.flatnonzero(self._stay[s] < 1.0)
+        found = [(np.empty(0, dtype=np.int16), np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32))]
+        while rows.size:
+            sr, sn = s[rows], since[rows]
+            first = np.empty(rows.size, dtype=np.int64)
+            for i in self._moving:
+                sel = sr == i
+                if sel.any():
+                    tab = self._table(i, int(sn[sel].max()) + CHUNK)
+                    first[sel] = np.searchsorted(tab, -clock[rows[sel]], side="right")
+            at = start[rows] + first - sn
+            inside = at < CHUNK
+            late = rows[~inside]
+            since[late] += CHUNK - start[late]
+            rows, at = rows[inside], at[inside]
+            dest, clock[rows] = self._draw_jumps(rows, self._cum_off[s[rows]])
+            found.append((at.astype(np.int16), rows.astype(np.int32), dest.astype(np.int32)))
+            s[rows], since[rows], start[rows] = dest, 0, at + 1
+            stuck = self._stay[dest] == 1.0  # jumped into a regime with no outflow
+            rows = rows[~stuck]
+        at, rows, dest = (np.concatenate(a) for a in zip(*found))
+        order = np.argsort(at, kind="stable")
+        self._ev_rows, self._ev_dest = rows[order], dest[order]
+        self._set_events(at[order])
+
+    def _set_events(self, steps: np.ndarray) -> None:
+        """Store the scheduled jumps' steps, sorted, and each step's offset."""
+        self._ev_step = steps
+        self._ev_at = np.searchsorted(steps, np.arange(CHUNK + 1)).tolist()
 
     def step(self, u: FloatArray) -> np.ndarray | None:
         """Advance every living row one Euler step using the given actions.
@@ -403,11 +496,9 @@ class BatchStepper:
         x, s, alive = self.x, self.s, self.alive
         all_alive = self._all_alive
 
-        # survive this step's jump, probability 1 - p_jump, from the pre-step state
-        if self._stay is not None:
-            self._survival *= self._stay[s]
-            gval = None
-        else:
+        # survive this step's jump, probability 1 - p_jump, from the pre-step
+        # state; a constant generator's jumps are scheduled at the refill
+        if self._stay is None:
             gen = self.spec.generator
             gval = 1.0 + gen.gx * np.tanh(x.mean(axis=1)) + gen.gu * np.tanh(u.mean(axis=1))
             self._survival *= 1.0 - self._base_out[s] * gval * self.dt
@@ -444,24 +535,40 @@ class BatchStepper:
                 x[alive] += dx[alive]
 
         # a path jumps once its survival drops below its clock
-        jumped = self._survival < self._clock
-        if not all_alive:
-            jumped &= alive
-        if np.count_nonzero(jumped):
-            self._jump(np.nonzero(jumped)[0], gval)
+        if self._stay is None:
+            jumped = self._survival < self._clock
+            if not all_alive:
+                jumped &= alive
+            if np.count_nonzero(jumped):
+                self._jump(np.nonzero(jumped)[0], gval)
+        else:
+            a, b = self._ev_at[pos], self._ev_at[pos + 1]
+            if a < b:
+                rows, dest = self._ev_rows[a:b], self._ev_dest[a:b]
+                if not all_alive:
+                    live = alive[rows]
+                    rows, dest = rows[live], dest[live]
+                s[rows] = dest
 
         self._pos = pos + 1
         self.t += self.dt
         return keep
 
-    def _jump(self, rows: np.ndarray, gval: FloatArray | None) -> None:
-        """Move the given rows to new regimes and restart their clocks.
+    def _jump(self, rows: np.ndarray, gval: FloatArray) -> None:
+        """Move the given rows to new regimes in proportion to their
+        pre-step rates, and restart their clocks."""
+        cum = np.cumsum(self._base_off[self.s[rows]] * gval[rows, None], axis=1)
+        self.s[rows], self._clock[rows] = self._draw_jumps(rows, cum)
+        self._survival[rows] = 1.0
+
+    def _draw_jumps(self, rows: np.ndarray, cum: FloatArray) -> tuple[np.ndarray, FloatArray]:
+        """Destinations and next clocks of one jump of each given row.
 
         Each row takes two uniforms, from the block's supply or, once that
-        is used up, from its own stream: the first picks the destination in
-        proportion to the pre-step rates, the second sets the next clock.
+        is used up, from its own stream: the first picks the destination
+        from the row's cumulative outflow ``cum``, the second sets the
+        next clock.
         """
-        s = self.s
         nxt = self._jump_next[rows]
         supplied = nxt + 2 <= self._n_jump_u
         # a row's pair sits at row * width + next in the flat buffer
@@ -471,15 +578,8 @@ class BatchStepper:
         self._jump_next[rows[supplied]] += 2
         for i in np.flatnonzero(~supplied):
             pick[i], clock[i] = self._gens[rows[i]].random(2)
-        self._clock[rows] = 1.0 - clock
-        self._survival[rows] = 1.0
-        sj = s[rows]
-        if self._stay is not None:
-            cum = self._cum_off[sj]
-        else:
-            cum = np.cumsum(self._base_off[sj] * gval[rows, None], axis=1)
         # the first draw times the total outflow is uniform on [0, outflow)
-        s[rows] = np.argmax((pick * cum[:, -1])[:, None] < cum, axis=1)
+        return np.argmax((pick * cum[:, -1])[:, None] < cum, axis=1), 1.0 - clock
 
 
 # ---------------------------------------------------------------------------

@@ -336,6 +336,30 @@ def test_malformed_config_exits_4_naming_the_field(tmp_path, capsys, command, bl
     assert err.rstrip().endswith(f" at '{path}'")
 
 
+@pytest.mark.parametrize(
+    "command,block,path",
+    [
+        ("hjb", {"criterion": "exit", "alpha": -5}, "hjb.alpha"),
+        ("hjb", {"criterion": "discounted", "n_t": -3, "horizon": -1}, "hjb.horizon"),
+        ("hjb", {"criterion": "finite-horizon", "tol": -1, "max_iter": 0}, "hjb.tol"),
+        ("hjb", {"criterion": "finite-horizon", "max_iter": 5}, "hjb.max_iter"),
+        ("robustness", {"criterion": "discounted", "schedule": SCHED, "n_t": 5}, "robustness.n_t"),
+        ("robustness", {"criterion": "finite-horizon", "schedule": SCHED, "max_iter": 5},
+         "robustness.max_iter"),
+        ("robustness", {"criterion": "exit", "schedule": SCHED, "steps": 50}, "robustness.steps"),
+        ("robustness", {"criterion": "lq-finite-horizon", "schedule": SCHED, "x0": [0.0], "i0": 1},
+         "robustness.grid"),
+    ],
+)
+def test_keys_that_do_not_apply_to_the_criterion_exit_4(tmp_path, capsys, command, block, path):
+    code, out = _run(tmp_path, {"command": command, "model": CHAIN, command: dict(block, grid=GRID)})
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("config error: E_CONFIG: ") and "does not apply" in err
+    assert err.rstrip().endswith(f" at '{path}'")
+    assert not (out / "values.csv").exists() and not (out / "sweep.csv").exists()
+
+
 def test_simulate_exit_rounds_t_cap_up_like_mc_exit(tmp_path):
     # dt = 0.03 does not divide t_cap = 1.0; both commands cap at 34 steps
     model = model_to_dict(bm_model(cost_value=1.0))

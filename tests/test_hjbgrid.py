@@ -11,6 +11,7 @@ from switchsde import (
     DegenerateError,
     Grid1D,
     MaxIterError,
+    PerturbationSchedule,
     RunningCost,
     SchemeError,
     ShapeError,
@@ -24,6 +25,7 @@ from switchsde import (
     solve_discounted,
     solve_exit,
     solve_finite_horizon,
+    sweep_grid,
 )
 from switchsde.hjbgrid import GRID_HEADER, GRID_HEADER_T, _solve_policy, _Tables
 from conftest import bm_model, chain_model, chain_value, cosine_exit_model, saturated_model
@@ -214,6 +216,23 @@ def test_finite_horizon_override_is_checked_as_the_model_horizon(chain, horizon)
         with pytest.raises(ShapeError) as err:
             solve()
         assert err.value.path == "costs.horizon"
+
+
+@pytest.mark.parametrize("n_t", [20.5, math.nan, math.inf, "20"])
+def test_finite_horizon_rejects_a_fractional_level_count(chain, n_t):
+    sched = PerturbationSchedule("rates", 1, d_m=np.array([[0.0, 1.0], [0.0, 0.0]]))
+    for solve in (
+        lambda: solve_finite_horizon(chain, Grid1D(-1.0, 1.0, 21), n_t=n_t),
+        lambda: sweep_grid(chain, sched, "finite-horizon", Grid1D(-1.0, 1.0, 21), n_t=n_t),
+    ):
+        with pytest.raises(StepError, match="whole number"):
+            solve()
+
+
+def test_finite_horizon_takes_a_whole_float_level_count(chain):
+    a = solve_finite_horizon(chain, GRID, n_t=20.0)
+    b = solve_finite_horizon(chain, GRID, n_t=20)
+    assert np.array_equal(a.values, b.values)
 
 
 # ---------------------------------------------------------------------------

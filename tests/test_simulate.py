@@ -222,6 +222,54 @@ def test_exhausted_jump_supply_keeps_batch_invariance_and_law():
     assert abs(jumps / total - p_jump) <= 4.0 * np.sqrt(p_jump * (1.0 - p_jump) / total)
 
 
+@pytest.mark.parametrize("dt, n_jump_u", [(0.01, None), (0.025, 2)])
+def test_scheduled_jumps_equal_the_per_step_rule(dt, n_jump_u):
+    # gx = gu = 0 gives the state-dependent family the constant one's rates,
+    # clocks and supply, through the per-step rule instead of the schedule;
+    # 40 of 64 rows retire at step 500, so both compact mid-block
+    off = np.array([[0.0, 1.2, 0.8], [1.5, 0.0, 0.5], [0.6, 0.9, 0.0]])
+    gens = (GeneratorSpec("constant", 3, rates=off - np.diag(off.sum(axis=1))),
+            GeneratorSpec("state-action-dependent", 3, base=off, gx=0.0, gu=0.0))
+    policy = CallablePolicy(lambda t, x, regimes: np.sin(3.0 * x))
+    m, n = 64, 3 * CHUNK + 17
+    engs = [BatchStepper(_switching_model(g, sigma=0.3), [0.0], np.arange(m) % 3 + 1, dt,
+                         seed=31, n_paths=m) for g in gens]
+    assert engs[0]._n_jump_u == engs[1]._n_jump_u
+    if n_jump_u is not None:
+        for eng in engs:
+            eng._n_jump_u = n_jump_u
+    retire = {500: np.arange(m) % 8 < 5, 2100: np.arange(m) % 8 == 5}
+    jumps = 0
+    for k in range(n):
+        before = engs[0].s.copy()
+        for eng in engs:
+            if k in retire:
+                eng.mark_dead(retire[k][eng.original_index])
+            eng.step(eng.actions(policy))
+        assert np.array_equal(engs[0].x, engs[1].x)
+        assert np.array_equal(engs[0].s, engs[1].s)
+        assert np.array_equal(engs[0].original_index, engs[1].original_index)
+        if engs[0].s.size == before.size:
+            jumps += int(np.count_nonzero(engs[0].s != before))
+    assert engs[0].x.shape[0] == 16
+    assert jumps > 1000
+
+
+def test_survival_tables_skip_still_regimes_and_stop_below_the_smallest_clock():
+    # regime 3 has no outflow and builds no table; regime 1's table ends at
+    # its first entry below 2**-53, the smallest clock, however much is asked
+    off = np.array([[0.0, 5.0, 5.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
+    spec = _switching_model(GeneratorSpec("constant", 3, rates=off - np.diag(off.sum(axis=1))))
+    eng = BatchStepper(spec, [0.0], np.arange(30) % 3 + 1, 0.005, seed=2, n_paths=30)
+    for _ in range(CHUNK + 1):
+        eng.step(np.zeros((30, 1)))
+    assert sorted(eng._tables) == [0, 1]
+    tab = -eng._table(0, 8 * CHUNK)
+    assert np.array_equal(tab, np.cumprod(np.full(tab.size, 1.0 - 10.0 * 0.005)))
+    assert tab[-1] < 2.0**-53 <= tab[-2]
+    assert eng._table(0, 16 * CHUNK).size == tab.size
+
+
 def test_first_jump_step_is_geometric():
     # P(first jump at step k) = (1 - p)^(k - 1) p with p = outflow * dt
     gen = GeneratorSpec("constant", 2, rates=np.array([[-2.0, 2.0], [0.0, 0.0]]))
