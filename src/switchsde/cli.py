@@ -84,17 +84,11 @@ RICCATI_HEADER = "t,regime,row,col,value"
 # A type is one of "number", "integer", "bool", "state" (dim numbers),
 # "action" (action-dim numbers), "array" (numbers nested to any depth),
 # "grid", "schedule", "policy", or a tuple of allowed strings. A default is
-# a value, REQUIRED, a function of the model, When(key, values): required
-# when that earlier key of the block has one of the values, else None, or
-# Only(key, values, default): the default when that earlier key has one of
-# the values, else None, and then giving the key is a ConfigError.
+# a value, REQUIRED, a function of the model, or Only(key, values, default):
+# that default when an earlier key of the block has one of the values, else
+# None, and then giving the key is a ConfigError.
 
 REQUIRED = object()
-
-
-class When(NamedTuple):
-    key: str
-    values: tuple
 
 
 class Only(NamedTuple):
@@ -122,9 +116,9 @@ BLOCKS = {
     "riccati": (("steps", "integer", 400),),
     "simulate": (
         *_START,
-        ("t", "number", _horizon),
         ("exit", "bool", False),
-        ("t_cap", "number", When("exit", (True,))),
+        ("t", "number", Only("exit", (False,), _horizon)),
+        ("t_cap", "number", Only("exit", (True,))),
         ("policy", "policy", None),
     ),
     "cost": (
@@ -132,11 +126,11 @@ BLOCKS = {
         *_START,
         ("n_paths", "integer", REQUIRED),
         ("policy", "policy", None),
-        ("t", "number", _horizon),
-        ("t_long", "number", When("criterion", ("ergodic",))),
-        ("t_cap", "number", When("criterion", ("exit",))),
-        ("burn_in", "number", None),
-        ("eps_tail", "number", 1e-4),
+        ("t", "number", Only("criterion", ("finite-horizon",), _horizon)),
+        ("t_long", "number", Only("criterion", ("ergodic",))),
+        ("t_cap", "number", Only("criterion", ("exit",))),
+        ("burn_in", "number", Only("criterion", ("ergodic",), None)),
+        ("eps_tail", "number", Only("criterion", ("discounted",), 1e-4)),
         ("batch", "integer", DEFAULT_BATCH),
     ),
     "hjb": (
@@ -215,10 +209,8 @@ def _read(doc, table, path: str, model: ModelSpec) -> dict:
             default = default.default
         if key in doc:
             out[key] = _convert(doc[key], typ, where, model)
-        elif default is REQUIRED or isinstance(default, When) and out[default.key] in default.values:
+        elif default is REQUIRED:
             raise ConfigError(f"missing key '{key}'", where)
-        elif isinstance(default, When):
-            out[key] = None
         else:
             out[key] = default(model) if callable(default) else default
     return out
@@ -524,7 +516,8 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output directory (default: config 'out' or ./out)")
     parser.add_argument(
         "--threads", type=int, default=0,
-        help="accepted and ignored: every command runs on one thread",
+        help="accepted and ignored: Monte Carlo normals are drawn with one worker per core, "
+        "and no result depends on the worker count",
     )
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)

@@ -46,6 +46,14 @@ same path inside any batch. A block's normals are stored step-major, so a
 step reads one contiguous row; each path draws its block into a small tile
 that is copied in transposed.
 
+A refill draws the normals on at most one thread per available core
+(WORKERS), never more than one per tile: each thread takes a contiguous run
+of whole tiles, into its own tile, and the calling thread takes the first
+run. The jump uniforms are drawn on the calling thread once every worker
+has been joined, so each path still reads its normals before its uniforms,
+and no path and no estimate depends on the worker count. A block with no
+normals, or of one tile or less, is drawn on the calling thread alone.
+
 Actions are looked up and clamped once per step, by actions(policy); the
 caller hands that array to its running cost and then to step(), which uses
 it as given, so cost, drift and rates all see the same clamped action.
@@ -63,6 +71,8 @@ from __future__ import annotations
 
 import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -75,6 +85,13 @@ from .riccati import FeedbackTrajectory
 CHUNK = 1024
 TILE = 64  # paths per transposed refill copy, steps per compaction copy
 MAX_STEPS = 10**8
+
+
+# most threads a refill draws normals on: one per core this process may use
+try:
+    WORKERS = len(os.sched_getaffinity(0))
+except AttributeError:  # platforms without CPU affinity
+    WORKERS = os.cpu_count() or 1
 
 
 @dataclass(frozen=True, slots=True)
@@ -221,6 +238,10 @@ class BatchStepper:
     is a slow regime, at 16 bytes per step of its longest sojourn. A
     state-dependent generator keeps the per-step rule.
 
+    A refill draws the normals on up to ``WORKERS`` threads, started for
+    that refill and joined before it returns (see the module docstring);
+    each extra thread holds one tile, 512 KB for a scalar noise.
+
     Non-finite states are detected at chunk boundaries, before every
     compaction and on an explicit check_finite() call, not per step;
     callers that consume the final state should call check_finite() once
@@ -347,6 +368,9 @@ class BatchStepper:
         if u_raw is self._clamp_key:
             rows = self._clamp_rows
         else:
+            shape = (self.x.shape[0], self.spec.actions.action_dim)
+            if np.shape(u_raw) != shape:
+                raise ShapeError(f"policy actions have shape {np.shape(u_raw)}, expected {shape}")
             u = self.spec.actions.clamp(u_raw)
             rows = np.any(u != u_raw, axis=1)
             if not rows.any():
@@ -405,15 +429,9 @@ class BatchStepper:
     def _refill(self) -> None:
         """Draw the next block's randomness into the leading buffer rows."""
         m = self.x.shape[0]
-        # per path, the normals come first in its stream, then the uniforms;
-        # each path fills its own tile row, and the tile goes in transposed
+        # per path, the normals come first in its stream, then the uniforms
         if self._normals is not None:
-            tile = self._tile
-            for p0 in range(0, m, TILE):
-                gens = self._gens[p0 : p0 + TILE]
-                for t, g in enumerate(gens):
-                    g.standard_normal(out=tile[t])
-                self._normals[:, p0 : p0 + len(gens)] = tile[: len(gens)].swapaxes(0, 1)
+            self._draw_normals(m)
         if self._n_jump_u:
             for p, g in enumerate(self._gens):
                 g.random(out=self._jump_u[p])
@@ -421,6 +439,44 @@ class BatchStepper:
         self._pos = 0
         if self._stay is not None:
             self._schedule()
+
+    def _draw_normals(self, m: int) -> None:
+        """Draw the block's normals of rows 0..m-1, split into contiguous runs
+        of whole tiles, one run per worker thread; the calling thread takes
+        the first run. Every path reads only its own stream, so the draws do
+        not depend on the split. A worker's exception is raised here once
+        every worker has been joined."""
+        n_tiles = -(-m // TILE)
+        k = max(1, min(WORKERS, n_tiles))
+        cuts = [min(m, TILE * (n_tiles * w // k)) for w in range(k + 1)]
+        errors = []
+
+        def work(lo, hi):
+            try:
+                self._draw_run(lo, hi, np.empty_like(self._tile))
+            except BaseException as exc:  # raised on the calling thread after the join
+                errors.append(exc)
+
+        threads = [threading.Thread(target=work, args=run) for run in zip(cuts[1:-1], cuts[2:])]
+        for t in threads:
+            t.start()
+        try:
+            self._draw_run(0, cuts[1], self._tile)
+        finally:
+            for t in threads:
+                t.join()
+        if errors:
+            raise errors[0]
+
+    def _draw_run(self, lo: int, hi: int, tile: FloatArray) -> None:
+        """Each path of rows lo..hi-1 fills one row of ``tile`` with its
+        block of normals, and each tile goes into the step-major buffer
+        transposed; lo and hi are multiples of TILE, except hi = m at the end."""
+        for p0 in range(lo, hi, TILE):
+            gens = self._gens[p0 : p0 + TILE]
+            for t, g in enumerate(gens):
+                g.standard_normal(out=tile[t])
+            self._normals[:, p0 : p0 + len(gens)] = tile[: len(gens)].swapaxes(0, 1)
 
     def _table(self, i: int, need: int) -> FloatArray:
         """Regime i's negated survival table, -cumprod(1 - p_i), with at

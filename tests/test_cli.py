@@ -231,6 +231,12 @@ def test_non_finite_coefficients_exit_3(tmp_path, capsys):
     assert json.loads((out / "results.json").read_text())["error"].startswith("E_SCHEME")
 
 
+# the horizon keys each cost criterion takes, and the blocks' other keys
+COST_HORIZONS = {"discounted": {}, "finite-horizon": {"t": 1.0}, "ergodic": {"t_long": 2.0},
+                 "exit": {"t_cap": 1000.0}}
+COST_KEYS = {"discounted": {"eps_tail": 0.01}, "finite-horizon": {}, "ergodic": {}, "exit": {}}
+
+
 @pytest.mark.parametrize(
     "overrides,code_name",
     [
@@ -243,8 +249,9 @@ def test_non_finite_coefficients_exit_3(tmp_path, capsys):
     ],
 )
 def test_cost_rejects_bad_counts_and_time_cap(tmp_path, capsys, overrides, code_name):
-    block = {"criterion": "discounted", "x0": [0.0], "i0": 1, "dt": 0.05,
-             "n_paths": 16, "seed": 7, "eps_tail": 0.01, **overrides}
+    criterion = overrides.get("criterion", "discounted")
+    block = {"criterion": criterion, "x0": [0.0], "i0": 1, "dt": 0.05, "n_paths": 16, "seed": 7,
+             **COST_KEYS[criterion], **overrides}
     code, out = _run(tmp_path, {"command": "cost", "model": CHAIN, "cost": block})
     assert code == 3
     assert code_name in capsys.readouterr().err
@@ -259,7 +266,7 @@ def test_cost_rejects_bad_counts_and_time_cap(tmp_path, capsys, overrides, code_
 def test_cost_rejects_bad_dt_and_runs_beyond_the_step_budget(tmp_path, capsys, criterion, dt):
     # at dt = 1e-9 each criterion asks for 1e9 to 1e12 steps
     block = {"criterion": criterion, "x0": [0.0], "i0": 1, "dt": dt, "n_paths": 4, "seed": 7,
-             "t": 1.0, "t_long": 2.0, "t_cap": 1000.0}
+             **COST_HORIZONS[criterion]}
     code, out = _run(tmp_path, {"command": "cost", "model": CHAIN, "cost": block})
     assert code == 3
     assert "E_STEP" in capsys.readouterr().err
@@ -336,28 +343,40 @@ def test_malformed_config_exits_4_naming_the_field(tmp_path, capsys, command, bl
     assert err.rstrip().endswith(f" at '{path}'")
 
 
+COST = dict(SIM, n_paths=4)
+
+
 @pytest.mark.parametrize(
     "command,block,path",
     [
-        ("hjb", {"criterion": "exit", "alpha": -5}, "hjb.alpha"),
-        ("hjb", {"criterion": "discounted", "n_t": -3, "horizon": -1}, "hjb.horizon"),
-        ("hjb", {"criterion": "finite-horizon", "tol": -1, "max_iter": 0}, "hjb.tol"),
-        ("hjb", {"criterion": "finite-horizon", "max_iter": 5}, "hjb.max_iter"),
-        ("robustness", {"criterion": "discounted", "schedule": SCHED, "n_t": 5}, "robustness.n_t"),
-        ("robustness", {"criterion": "finite-horizon", "schedule": SCHED, "max_iter": 5},
-         "robustness.max_iter"),
-        ("robustness", {"criterion": "exit", "schedule": SCHED, "steps": 50}, "robustness.steps"),
-        ("robustness", {"criterion": "lq-finite-horizon", "schedule": SCHED, "x0": [0.0], "i0": 1},
-         "robustness.grid"),
+        ("hjb", {"criterion": "exit", "grid": GRID, "alpha": -5}, "hjb.alpha"),
+        ("hjb", {"criterion": "discounted", "grid": GRID, "n_t": -3, "horizon": -1}, "hjb.horizon"),
+        ("hjb", {"criterion": "finite-horizon", "grid": GRID, "tol": -1, "max_iter": 0}, "hjb.tol"),
+        ("hjb", {"criterion": "finite-horizon", "grid": GRID, "max_iter": 5}, "hjb.max_iter"),
+        ("robustness", {"criterion": "discounted", "grid": GRID, "schedule": SCHED, "n_t": 5},
+         "robustness.n_t"),
+        ("robustness", {"criterion": "finite-horizon", "grid": GRID, "schedule": SCHED,
+                        "max_iter": 5}, "robustness.max_iter"),
+        ("robustness", {"criterion": "exit", "grid": GRID, "schedule": SCHED, "steps": 50},
+         "robustness.steps"),
+        ("robustness", {"criterion": "lq-finite-horizon", "grid": GRID, "schedule": SCHED,
+                        "x0": [0.0], "i0": 1}, "robustness.grid"),
+        ("cost", dict(COST, criterion="discounted", t_long=2.0), "cost.t_long"),
+        ("cost", dict(COST, criterion="finite-horizon", t_cap=1.0), "cost.t_cap"),
+        ("cost", dict(COST, criterion="exit", t_cap=1.0, eps_tail=0.01), "cost.eps_tail"),
+        ("cost", dict(COST, criterion="discounted", burn_in=0.1), "cost.burn_in"),
+        ("cost", dict(COST, criterion="ergodic", t_long=2.0, t=1.0), "cost.t"),
+        ("simulate", dict(SIM, exit=True, t_cap=1.0, t=1.0), "simulate.t"),
+        ("simulate", dict(SIM, t_cap=1.0), "simulate.t_cap"),
     ],
 )
 def test_keys_that_do_not_apply_to_the_criterion_exit_4(tmp_path, capsys, command, block, path):
-    code, out = _run(tmp_path, {"command": command, "model": CHAIN, command: dict(block, grid=GRID)})
+    code, out = _run(tmp_path, {"command": command, "model": CHAIN, command: block})
     assert code == 4
     err = capsys.readouterr().err
     assert err.startswith("config error: E_CONFIG: ") and "does not apply" in err
     assert err.rstrip().endswith(f" at '{path}'")
-    assert not (out / "values.csv").exists() and not (out / "sweep.csv").exists()
+    assert not list(out.glob("*.csv"))
 
 
 def test_simulate_exit_rounds_t_cap_up_like_mc_exit(tmp_path):
@@ -473,15 +492,18 @@ def test_out_key_in_config_is_used(tmp_path, monkeypatch):
 
 
 def test_import_leaves_scipy_out():
-    # scipy and numpy.random load on first use, not with the package
+    # scipy and numpy.random load on first use, not with the package, and the
+    # refill's worker threads need neither concurrent.futures nor a thread
+    # of their own at import
     src = str(Path(switchsde.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    probe = ("import sys, switchsde; print(sorted(m for m in sys.modules "
-             "if m.split('.')[0] == 'scipy' or m.startswith('numpy.random')))")
+    probe = ("import sys, threading, switchsde; print(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy' or m.startswith(('numpy.random', 'concurrent'))), "
+             "threading.active_count())")
     proc = subprocess.run(
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.strip() == "[] 1"
 
 
 # ---------------------------------------------------------------------------

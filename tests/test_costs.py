@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -299,6 +300,20 @@ def test_estimators_charge_the_clamped_action(criterion):
         a = ESTIMATORS[criterion](saturated_model(), policy=wild, n_paths=64)
         b = ESTIMATORS[criterion](saturated_model(), policy=tame, n_paths=64)
     assert (a.value, a.stderr, a.capped_fraction) == (b.value, b.stderr, b.capped_fraction)
+
+
+@pytest.mark.parametrize(
+    "fn,shape",
+    [
+        (lambda t, x, regimes: np.zeros((x.shape[0], 2)), "(16, 2)"),
+        (lambda t, x, regimes: np.zeros((3, 1)), "(3, 1)"),
+        (lambda t, x, regimes: 0.5, "()"),
+    ],
+    ids=["two-columns", "three-rows", "scalar"],
+)
+def test_policy_actions_of_the_wrong_shape_raise(fn, shape):
+    with pytest.raises(ShapeError, match=rf"shape {re.escape(shape)}, expected \(16, 1\)"):
+        mc_discounted(saturated_model(), CallablePolicy(fn), [0.0], 1, 0.5, 0.05, 16, 7, eps_tail=0.1)
 
 
 def test_exit_batch_invariance_across_compaction():

@@ -1,6 +1,9 @@
 """Path simulation: stream reproducibility, laws, clamps and exits."""
 
+import dataclasses
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -25,6 +28,8 @@ from switchsde import (
     ShapeError,
     StepError,
     make_rng_stream,
+    mc_discounted,
+    simulate,
     simulate_exit_path,
     simulate_path,
 )
@@ -268,6 +273,108 @@ def test_survival_tables_skip_still_regimes_and_stop_below_the_smallest_clock():
     assert np.array_equal(tab, np.cumprod(np.full(tab.size, 1.0 - 10.0 * 0.005)))
     assert tab[-1] < 2.0**-53 <= tab[-2]
     assert eng._table(0, 16 * CHUNK).size == tab.size
+
+
+def _worker_runs():
+    """Stepper runs whose paths the worker count must not change, as
+    (spec, m, dt, rows retired by step, forced jump-supply width)."""
+    off = np.array([[0.0, 1.2, 0.8], [1.5, 0.0, 0.5], [0.6, 0.9, 0.0]])
+    three = _switching_model(GeneratorSpec("constant", 3, rates=off - np.diag(off.sum(axis=1))),
+                             sigma=0.3)
+    wide = DiffusionFamily("constant", 1, 2, c0=np.array([[[0.3, 0.2]], [[0.1, 0.5]]]))
+    wd2 = dataclasses.replace(
+        _switching_model(GeneratorSpec("state-action-dependent", 2,
+                                       base=np.array([[0.0, 1.0], [2.0, 0.0]]), gx=0.3, gu=0.1)),
+        diffusion=wide,
+    )
+    return {
+        "ragged": (three, 200, 0.01, {}, None),
+        "mid-block": (three, 320, 0.01, {300: np.arange(320) % 5 < 3}, None),
+        "exhausted-supply": (chain_model(sigma=0.3, m12=5.0, m21=5.0), 192, 0.025, {}, 2),
+        "wd=2": (wd2, 150, 0.01, {}, None),
+    }
+
+
+@pytest.mark.parametrize("run", sorted(_worker_runs()))
+def test_paths_do_not_depend_on_the_worker_count(monkeypatch, run):
+    spec, m, dt, retire, n_jump_u = _worker_runs()[run]
+    policy = CallablePolicy(lambda t, x, regimes: np.sin(3.0 * x))
+    traces = []
+    for workers in (1, 2, 3):
+        monkeypatch.setattr(simulate, "WORKERS", workers)
+        eng = BatchStepper(spec, [0.0], np.arange(m) % spec.regimes.count + 1, dt, seed=13,
+                           n_paths=m)
+        if n_jump_u is not None:
+            eng._n_jump_u = n_jump_u
+        trace = []
+        for k in range(CHUNK + 40):
+            if k in retire:
+                eng.mark_dead(retire[k][eng.original_index])
+            eng.step(eng.actions(policy))
+            trace.append((eng.x.copy(), eng.s.copy(), eng.original_index.copy()))
+        traces.append(trace)
+    for trace in traces[1:]:
+        for got, want in zip(trace, traces[0], strict=True):
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
+    if retire:
+        assert traces[0][-1][0].shape[0] < m
+
+
+def test_draws_hold_with_more_workers_than_cores_and_fast_switching(monkeypatch):
+    # 9 tiles on 8 workers, with the interpreter switching threads every
+    # microsecond: each block's normals and uniforms equal the serial ones
+    spec, m = chain_model(sigma=0.3, m12=5.0, m21=5.0), 9 * 64 - 3
+    blocks = []
+    for workers in (1, 8):
+        monkeypatch.setattr(simulate, "WORKERS", workers)
+        eng = BatchStepper(spec, [0.0], 1, 0.025, seed=5, n_paths=m)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                eng._refill()
+                blocks.append((eng._normals.copy(), eng._jump_u.copy()))
+        finally:
+            sys.setswitchinterval(interval)
+    for (za, ua), (zb, ub) in zip(blocks[:3], blocks[3:]):
+        assert np.array_equal(za, zb) and np.array_equal(ua, ub)
+
+
+class _Counted(threading.Thread):
+    started = 0
+
+    def start(self):
+        type(self).started += 1
+        super().start()
+
+
+def test_a_worker_exception_reaches_the_caller_after_the_join(monkeypatch):
+    # 4 tiles on 2 workers: path 150 is drawn by the second worker
+    monkeypatch.setattr(simulate, "WORKERS", 2)
+    before, threads = threading.active_count(), []
+
+    class Broken:
+        def standard_normal(self, out):
+            threads.append(threading.current_thread())
+            raise RuntimeError("no draw")
+
+    eng = BatchStepper(chain_model(), [0.0], 1, 0.01, seed=3, n_paths=256)
+    eng._gens[150] = Broken()
+    with pytest.raises(RuntimeError, match="no draw"):
+        eng.step(np.zeros((256, 1)))
+    assert threads and threads[0] is not threading.main_thread()
+    assert threading.active_count() == before
+
+
+def test_no_thread_outlives_a_run(monkeypatch):
+    monkeypatch.setattr(simulate, "WORKERS", 3)
+    monkeypatch.setattr(threading, "Thread", _Counted)
+    _Counted.started = 0
+    before = threading.active_count()
+    # 2,996 steps, so 3 refills of 300 paths: 5 tiles on 3 workers
+    mc_discounted(chain_model(), ZERO, [0.0], 1, 1.0, 0.001, 300, 5, eps_tail=0.1)
+    assert _Counted.started == 2 * 3
+    assert threading.active_count() == before
 
 
 def test_first_jump_step_is_geometric():
