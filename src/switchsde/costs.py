@@ -9,6 +9,7 @@ identical no matter how paths are batched or scheduled.
 from __future__ import annotations
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -43,13 +44,13 @@ def pairwise_sum(values: FloatArray) -> float:
     return float(v[0])
 
 
-def _mean_stderr(totals: FloatArray) -> tuple[float, float]:
+def _estimate(criterion: str, x0, i0, totals: FloatArray, **extra) -> McEstimate:
+    """Sample mean and standard error of the per-path totals."""
     n = totals.size
     mean = pairwise_sum(totals) / n
-    if n < 2:
-        return mean, 0.0
-    var = pairwise_sum((totals - mean) ** 2) / (n - 1)
-    return mean, math.sqrt(max(var, 0.0) / n)
+    var = pairwise_sum((totals - mean) ** 2) / (n - 1) if n > 1 else 0.0
+    stderr = math.sqrt(max(var, 0.0) / n)
+    return McEstimate(criterion, np.atleast_1d(np.asarray(x0, float)), int(i0), mean, stderr, n, **extra)
 
 
 @dataclass(frozen=True)
@@ -84,10 +85,12 @@ def write_estimates_csv(path, estimates) -> None:
     write_csv(path, ESTIMATE_HEADER, [e.csv_row() for e in estimates])
 
 
-def _check_counts(n_paths: int, batch: int) -> None:
-    """Every estimator needs at least one path and a positive batch size."""
-    if n_paths < 1 or batch < 1:
-        raise ShapeError(f"n_paths = {n_paths} and batch = {batch} must both be >= 1")
+def _check_counts(n_paths: int, batch: int) -> tuple[int, int]:
+    """n_paths and batch as ints; each must be a whole number >= 1 (10.0 is 10)."""
+    for v in (n_paths, batch):
+        if not (isinstance(v, numbers.Real) and v % 1 == 0 and v >= 1):
+            raise ShapeError(f"n_paths = {n_paths} and batch = {batch} must both be >= 1 and whole")
+    return int(n_paths), int(batch)
 
 
 def _run_weighted(
@@ -104,7 +107,7 @@ def _run_weighted(
     batch: int = DEFAULT_BATCH,
 ) -> FloatArray:
     """Per-path totals sum_k weights[k] * c(X_k, S_k, U_k) (+ terminal)."""
-    _check_counts(n_paths, batch)
+    n_paths, batch = _check_counts(n_paths, batch)
     totals = np.empty(n_paths)
     for start in range(0, n_paths, batch):
         m = min(batch, n_paths - start)
@@ -134,8 +137,7 @@ def mc_finite_horizon(
         spec, policy, x0, i0, dt, n_steps, seed, n_paths, weights,
         terminal=spec.costs.terminal.eval_batch, batch=batch,
     )
-    value, stderr = _mean_stderr(totals)
-    return McEstimate("finite-horizon", np.atleast_1d(np.asarray(x0, float)), int(i0), value, stderr, n_paths)
+    return _estimate("finite-horizon", x0, i0, totals)
 
 
 def discounted_horizon(spec: ModelSpec, alpha: float, eps_tail: float) -> float:
@@ -164,11 +166,7 @@ def mc_discounted(
     n_steps = max(int(math.ceil(t_alpha / dt - 1e-12)), 0)
     weights = dt * np.exp(-alpha * dt * np.arange(n_steps))
     totals = _run_weighted(spec, policy, x0, i0, dt, n_steps, seed, n_paths, weights, batch=batch)
-    value, stderr = _mean_stderr(totals)
-    return McEstimate(
-        "discounted", np.atleast_1d(np.asarray(x0, float)), int(i0), value, stderr,
-        n_paths, truncation_bias_bound=eps_tail,
-    )
+    return _estimate("discounted", x0, i0, totals, truncation_bias_bound=eps_tail)
 
 
 def mc_ergodic(
@@ -189,8 +187,7 @@ def mc_ergodic(
     # normalize by the covered window so a constant cost is reproduced exactly
     weights[k0:] = 1.0 / (n_steps - k0)
     totals = _run_weighted(spec, policy, x0, i0, dt, n_steps, seed, n_paths, weights, batch=batch)
-    value, stderr = _mean_stderr(totals)
-    return McEstimate("ergodic", np.atleast_1d(np.asarray(x0, float)), int(i0), value, stderr, n_paths)
+    return _estimate("ergodic", x0, i0, totals)
 
 
 def mc_exit(
@@ -199,19 +196,19 @@ def mc_exit(
 ) -> McEstimate:
     """Discounted running cost up to the first grid exit, plus exit payoff.
 
-    Per path: accumulate e^(-B_k) c dt with B the running integral of beta,
-    and add e^(-B_tau) h at the exit node. Paths still inside the domain at
-    t_cap keep their accrued running cost, get no exit payoff, and are
-    counted in capped_fraction; a fraction above 1% raises the cap warning.
+    Per path: accumulate e^(-B_k) c dt with B_k = beta t_k, summed step by
+    step, and add e^(-B_tau) h at the exit node. Paths still inside the
+    domain at t_cap keep their accrued running cost, get no exit payoff, and
+    are counted in capped_fraction; a fraction above 1% raises the cap warning.
 
-    The running value and B are held per stepper row and compacted with the
-    rows whenever ``BatchStepper.step`` compacts. Costs are evaluated on the
-    whole batch; a retired row's entries are ignored, since its value was
-    written once, at its exit.
+    beta and h are constants, so the discount is one number per step, shared
+    by every path. The running value is held per stepper row and compacted
+    with the rows whenever ``BatchStepper.step`` compacts; a retired row's
+    value was written once, at its exit.
     """
-    _check_counts(n_paths, batch)
+    n_paths, batch = _check_counts(n_paths, batch)
     n_cap = _cap_steps(t_cap, dt)
-    domain, beta, exit_h = spec.costs.exit_domain, spec.costs.exit_beta, spec.costs.exit_h
+    domain, rate, h = spec.costs.exit_domain, spec.costs.exit_beta.constant, spec.costs.exit_h.constant
 
     values = np.zeros(n_paths)
     capped = np.zeros(n_paths, dtype=bool)
@@ -219,15 +216,14 @@ def mc_exit(
         m = min(batch, n_paths - start)
         eng = BatchStepper(spec, x0, i0, dt, seed, first_path_index=start, n_paths=m)
         acc = np.zeros(m)
-        log_disc = np.zeros(m)
+        log_disc = 0.0
         for k in range(n_cap + 1):
-            out_rows = outside_interval(eng.x, domain) & eng.alive
-            if np.any(out_rows):
-                h = exit_h.eval_batch(eng.x[out_rows], eng.s[out_rows])
-                values[start + eng.original_index[out_rows]] = (
-                    acc[out_rows] + np.exp(-log_disc[out_rows]) * h
-                )
-                eng.mark_dead(out_rows)
+            disc = np.exp(-log_disc)
+            out = outside_interval(eng.x, domain)
+            out &= eng.alive
+            if out.any():
+                values[start + eng.original_index[out]] = acc[out] + disc * h
+                eng.mark_dead(out)
             if eng.n_alive == 0:
                 break
             if k == n_cap:
@@ -236,24 +232,17 @@ def mc_exit(
                 values[orig] = acc[eng.alive]
                 break
             u = eng.actions(policy)
-            c = spec.costs.running.eval_batch(eng.x, eng.s, u)
-            b = beta.eval_batch(eng.x, eng.s, u)
-            acc += np.exp(-log_disc) * c * dt
-            log_disc += b * dt
+            acc += disc * spec.costs.running.eval_batch(eng.x, eng.s, u) * dt
+            log_disc += rate * dt
             keep = eng.step(u)
             if keep is not None:
                 acc = acc[keep]
-                log_disc = log_disc[keep]
         eng.check_finite()
 
-    value, stderr = _mean_stderr(values)
     frac = float(pairwise_sum(capped.astype(np.float64)) / n_paths)
     if frac > 0.01:
         warnings.warn(
             CapFractionWarning(f"{frac:.2%} of exit paths hit the time cap t_cap = {t_cap}"),
             stacklevel=2,
         )
-    return McEstimate(
-        "exit", np.atleast_1d(np.asarray(x0, float)), int(i0), value, stderr,
-        n_paths, capped_fraction=frac,
-    )
+    return _estimate("exit", x0, i0, values, capped_fraction=frac)

@@ -480,10 +480,10 @@ class TerminalCost:
 
 
 @dataclass(frozen=True, eq=False)
-class BoundaryCost:
-    """Exit payoff h(x, i) >= 0 on the boundary: 'zero' or 'constant'."""
+class _ConstantFamily:
+    """One constant >= 0, the same at every state, regime and action:
+    'zero' or 'constant'."""
 
-    PATH = "costs.exit_h"
     ERROR = ShapeError
     FIELDS = _ZERO_OR_CONSTANT
 
@@ -493,30 +493,28 @@ class BoundaryCost:
     def __post_init__(self):
         _check_fields(self)
 
-    def eval_batch(self, x: FloatArray, s: NDArray[np.int64]) -> FloatArray:
-        if self.kind == "zero":
-            return np.zeros(x.shape[0])
-        return np.full(x.shape[0], self.value)
+    @property
+    def constant(self) -> float:
+        """The family's value; 0 for 'zero', whatever ``value`` holds."""
+        return self.value if self.kind == "constant" else 0.0
+
+    def eval_batch(self, x: FloatArray, s: NDArray[np.int64], u: FloatArray | None = None) -> FloatArray:
+        return np.full(x.shape[0], self.constant)
 
 
 @dataclass(frozen=True, eq=False)
-class ExitDiscount:
-    """State discount rate beta(x, i, u) >= 0 for exit costs: 'zero' or 'constant'."""
+class BoundaryCost(_ConstantFamily):
+    """Exit payoff h >= 0 on the boundary, one constant."""
+
+    PATH = "costs.exit_h"
+
+
+@dataclass(frozen=True, eq=False)
+class ExitDiscount(_ConstantFamily):
+    """Exit discount rate beta >= 0, one constant rate rather than a
+    function beta(x, i, u)."""
 
     PATH = "costs.exit_beta"
-    ERROR = ShapeError
-    FIELDS = _ZERO_OR_CONSTANT
-
-    kind: str
-    value: float = 0.0
-
-    def __post_init__(self):
-        _check_fields(self)
-
-    def eval_batch(self, x: FloatArray, s: NDArray[np.int64], u: FloatArray) -> FloatArray:
-        if self.kind == "zero":
-            return np.zeros(x.shape[0])
-        return np.full(x.shape[0], self.value)
 
 
 @dataclass(frozen=True, eq=False)

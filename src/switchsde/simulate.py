@@ -123,7 +123,14 @@ def _register_stream() -> None:
 
 
 def make_rng_stream(seed: int, path_index: int) -> RngStream:
+    _check_key(int(seed), int(path_index), 1)
     return RngStream(seed=int(seed), path_index=int(path_index))
+
+
+def _check_key(seed: int, first: int, n: int) -> None:
+    """The seed and path indices first..first+n-1 are uint64 key words."""
+    if not (0 <= seed < 2**64 and 0 <= first and first + n <= 2**64):
+        raise ShapeError(f"seed = {seed} and path indices {first}..{first + n - 1} must lie in [0, 2**64)")
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +166,13 @@ class LQFeedbackPolicy:
         return -np.einsum("mld,md->ml", f[s], x)
 
 
+def _spacing(nodes: FloatArray, what: str) -> float:
+    """Step of a uniform policy-table axis, which needs two entries or more."""
+    if nodes.size < 2:
+        raise ShapeError(f"a policy table needs at least two {what}, got {nodes.size}")
+    return float(nodes[1] - nodes[0])
+
+
 class GridPolicy:
     """Stationary policy table from a grid solve, nearest-node lookup."""
 
@@ -166,7 +180,7 @@ class GridPolicy:
         self.x_nodes = np.asarray(x_nodes, dtype=np.float64)
         self.table = np.asarray(table, dtype=np.int64)  # (N, n_x)
         self.actions = actions
-        self.dx = float(self.x_nodes[1] - self.x_nodes[0])
+        self.dx = _spacing(self.x_nodes, "x nodes")
 
     def _node(self, x: FloatArray) -> np.ndarray:
         idx = np.rint((x[:, 0] - self.x_nodes[0]) / self.dx).astype(np.int64)
@@ -176,27 +190,22 @@ class GridPolicy:
         return self.actions.actions[self.table[s, self._node(x)]]
 
 
-class TimeGridPolicy:
+class TimeGridPolicy(GridPolicy):
     """Time-indexed policy table (finite-horizon solves).
 
-    The table holds one action index per (time level, regime, node); the
-    action chosen at level k applies on [t_k, t_{k+1}), so lookup floors t
-    to a level.
+    The table holds one action index per (time level, regime, node), shape
+    (n_levels, N, n_x); the action chosen at level k applies on
+    [t_k, t_{k+1}), so lookup floors t to a level.
     """
 
     def __init__(self, t_levels: FloatArray, x_nodes: FloatArray, table: np.ndarray, actions: ActionGrid):
+        super().__init__(x_nodes, table, actions)
         self.t_levels = np.asarray(t_levels, dtype=np.float64)
-        self.x_nodes = np.asarray(x_nodes, dtype=np.float64)
-        self.table = np.asarray(table, dtype=np.int64)  # (n_levels, N, n_x)
-        self.actions = actions
-        self.dx = float(self.x_nodes[1] - self.x_nodes[0])
-        self.dt = float(self.t_levels[1] - self.t_levels[0])
+        self.dt = _spacing(self.t_levels, "time levels")
 
     def actions_at(self, t: float, x: FloatArray, s: np.ndarray) -> FloatArray:
         lev = int(np.clip(np.floor((t - self.t_levels[0]) / self.dt + 1e-9), 0, self.table.shape[0] - 1))
-        idx = np.rint((x[:, 0] - self.x_nodes[0]) / self.dx).astype(np.int64)
-        idx = np.clip(idx, 0, self.x_nodes.size - 1)
-        return self.actions.actions[self.table[lev, s, idx]]
+        return self.actions.actions[self.table[lev, s, self._node(x)]]
 
 
 class CallablePolicy:
@@ -288,6 +297,7 @@ class BatchStepper:
         # one generator per path, alive for the whole run; its first draw
         # sets the path's first jump clock
         seed, first = int(seed), int(first_path_index)
+        _check_key(seed, first, m)
         self._gens = [RngStream(seed, first + p).generator() for p in range(m)]
         self._clock = 1.0 - np.array([g.random() for g in self._gens])
         self.clamped_steps = 0
@@ -579,7 +589,7 @@ class BatchStepper:
                 if all_alive:
                     xf += inc
                 else:
-                    xf[alive] += inc[alive]
+                    np.add(xf, inc, out=xf, where=alive)
         else:
             b = self.spec.drift.eval_batch(x, s, u)
             sig = self.spec.diffusion.eval_batch(x, s)
@@ -588,7 +598,7 @@ class BatchStepper:
             if all_alive:
                 x += dx
             else:
-                x[alive] += dx[alive]
+                np.add(x, dx, out=x, where=alive[:, None])
 
         # a path jumps once its survival drops below its clock
         if self._stay is None:
@@ -722,7 +732,10 @@ def _cap_steps(t_cap: float, dt: float) -> int:
 def outside_interval(x: FloatArray, domain: tuple[float, float]) -> np.ndarray:
     """Rows whose state has left the open box (lo, hi) in any coordinate."""
     lo, hi = domain
-    return np.any((x <= lo) | (x >= hi), axis=1)
+    if x.shape[1] == 1:
+        x = x[:, 0]
+        return (x <= lo) | (x >= hi)
+    return ((x <= lo) | (x >= hi)).any(axis=1)
 
 
 def simulate_exit_path(

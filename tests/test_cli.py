@@ -273,6 +273,27 @@ def test_cost_rejects_bad_dt_and_runs_beyond_the_step_budget(tmp_path, capsys, c
     assert not (out / "estimates.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "command,block",
+    [
+        ("cost", {"criterion": "exit", "t_cap": 1.0, "seed": -1}),
+        ("cost", {"criterion": "discounted", "eps_tail": 0.01, "seed": 2**64}),
+        ("simulate", {"t": 1.0, "seed": -5}),
+        ("simulate", {"exit": True, "t_cap": 1.0, "seed": 2**64}),
+    ],
+    ids=["cost-exit-minus-1", "cost-discounted-2**64", "simulate-minus-5", "simulate-exit-2**64"],
+)
+def test_seeds_outside_uint64_exit_3(tmp_path, capsys, command, block):
+    base = {"x0": [0.0], "i0": 1, "dt": 0.05}
+    if command == "cost":
+        base["n_paths"] = 4
+    code, out = _run(tmp_path, {"command": command, "model": CHAIN, command: {**base, **block}})
+    assert code == 3
+    expected = f"E_SHAPE: seed = {block['seed']} and path indices"
+    assert expected in capsys.readouterr().err
+    assert json.loads((out / "results.json").read_text())["error"].startswith(expected)
+
+
 def test_config_errors_exit_4(tmp_path, capsys):
     bad_key = _write(tmp_path, {"command": "validate", "model": CHAIN, "bogus": 1})
     assert cli.main(["--config", str(bad_key), "--out", str(tmp_path / "a")]) == 4

@@ -12,11 +12,13 @@ from hypothesis import strategies as st
 
 from switchsde import (
     DEFAULT_BATCH,
+    ActionGrid,
     BatchStepper,
     BoundaryCost,
     CallablePolicy,
     CapFractionWarning,
     ConstantPolicy,
+    CostSpec,
     DiffusionFamily,
     DriftFamily,
     ExitDiscount,
@@ -24,8 +26,12 @@ from switchsde import (
     Grid1D,
     GridPolicy,
     McEstimate,
+    ModelSpec,
+    RegimeSet,
+    RunningCost,
     ShapeError,
     StepError,
+    TerminalCost,
     UnboundedError,
     discounted_horizon,
     mc_discounted,
@@ -213,27 +219,29 @@ def test_exit_mean_time_brownian():
     assert est.criterion == "exit"
 
 
+def _drift_model():
+    """Unit drift, no diffusion, unit running cost, beta = 0.25 and h = 2."""
+    spec = bm_model(sigma=1.0, cost_value=1.0)
+    return dataclasses.replace(
+        spec,
+        drift=DriftFamily("constant", 1, 1, 1, b0=np.ones((1, 1))),
+        diffusion=DiffusionFamily("constant", 1, 1, c0=np.zeros((1, 1, 1))),
+        costs=dataclasses.replace(
+            spec.costs,
+            exit_h=BoundaryCost("constant", value=2.0),
+            exit_beta=ExitDiscount("constant", value=0.25),
+        ),
+    )
+
+
 def test_exit_payoff_and_discount_deterministic():
     """Pure drift toward the boundary pins the exit node and both discounts.
 
     x_k = 0.5 + k dt reaches the boundary exactly at step 10, so the value
     is the geometric running sum plus e^(-beta tau) h with tau = 0.5.
     """
-    spec = bm_model(sigma=1.0, cost_value=1.0)
-    spec = dataclasses.replace(
-        spec,
-        drift=DriftFamily("constant", 1, 1, 1, b0=np.ones((1, 1))),
-        diffusion=DiffusionFamily("constant", 1, 1, c0=np.zeros((1, 1, 1))),
-    )
-    spec = dataclasses.replace(
-        spec, costs=dataclasses.replace(
-            spec.costs,
-            exit_h=BoundaryCost("constant", value=2.0),
-            exit_beta=ExitDiscount("constant", value=0.25),
-        )
-    )
     beta, dt, k_exit = 0.25, 0.05, 10
-    est = mc_exit(spec, ZERO, [0.5], 1, dt, 2, seed=4, t_cap=3.0)
+    est = mc_exit(_drift_model(), ZERO, [0.5], 1, dt, 2, seed=4, t_cap=3.0)
     oracle = (
         dt * (1 - math.exp(-beta * dt * k_exit)) / (1 - math.exp(-beta * dt))
         + math.exp(-beta * dt * k_exit) * 2.0
@@ -241,6 +249,19 @@ def test_exit_payoff_and_discount_deterministic():
     assert est.value == pytest.approx(oracle, abs=1e-12)
     assert est.stderr == 0.0
     assert est.capped_fraction == 0.0
+
+
+def test_exit_zero_kinds_ignore_a_stored_value():
+    # a 'zero' family is zero whatever its value field holds
+    spec = saturated_model()
+    zero = dataclasses.replace(spec, costs=dataclasses.replace(
+        spec.costs, exit_h=BoundaryCost("zero"), exit_beta=ExitDiscount("zero")))
+    stored = dataclasses.replace(spec, costs=dataclasses.replace(
+        spec.costs, exit_h=BoundaryCost("zero", value=2.0), exit_beta=ExitDiscount("zero", value=5.0)))
+    args = (ConstantPolicy([1.0]), [0.0], 1, 0.01, 64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CapFractionWarning)
+        assert mc_exit(stored, *args, seed=8, t_cap=2.0) == mc_exit(zero, *args, seed=8, t_cap=2.0)
 
 
 def test_exit_cap_warning():
@@ -271,6 +292,23 @@ ESTIMATORS = {
 def test_estimators_reject_nonpositive_path_and_batch_counts(chain, criterion, n_paths, batch):
     with pytest.raises(ShapeError, match="must both be >= 1"):
         ESTIMATORS[criterion](chain, n_paths=n_paths, batch=batch)
+
+
+@pytest.mark.parametrize("criterion", sorted(ESTIMATORS))
+@pytest.mark.parametrize("n_paths,batch", [(10.5, 16), (10, 2.5), ("10", 16), (10, None), (math.nan, 4)])
+def test_estimators_reject_non_integral_path_and_batch_counts(chain, criterion, n_paths, batch):
+    with pytest.raises(ShapeError, match="must both be >= 1 and whole"):
+        ESTIMATORS[criterion](chain, n_paths=n_paths, batch=batch)
+
+
+@pytest.mark.parametrize("criterion", sorted(ESTIMATORS))
+def test_estimators_take_whole_float_counts_as_ints(chain, criterion):
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CapFractionWarning)
+        a = ESTIMATORS[criterion](chain, n_paths=10.0, batch=4.0)
+        b = ESTIMATORS[criterion](chain, n_paths=10, batch=4)
+    assert a == dataclasses.replace(b, x0=a.x0)
+    assert type(a.paths) is int and a.csv_row()[5] == 10
 
 
 @pytest.mark.parametrize("t_cap", [0.0, -1.0, math.inf, math.nan])
@@ -357,3 +395,119 @@ def test_exit_batch_invariance_across_mid_block_compaction(monkeypatch):
     assert batched.value == alone.value
     assert batched.stderr == alone.stderr
     assert batched.capped_fraction == alone.capped_fraction
+
+
+# ---------------------------------------------------------------------------
+# the exit estimator against its per-row restatement
+
+
+def _plane_model():
+    """Two regimes in d = 2 with two Wiener components, constant drift and
+    diffusion, a state-dependent cost, beta = 0.5 and h = 0.3 on the square
+    (-1, 1)^2."""
+    n = 2
+    return ModelSpec(
+        dim=2,
+        regimes=RegimeSet(n),
+        actions=ActionGrid(np.zeros((1, 1))),
+        drift=DriftFamily("constant", 2, n, 1, b0=np.array([[0.4, -0.2], [-0.3, 0.1]])),
+        diffusion=DiffusionFamily(
+            "constant", 2, n, c0=np.array([[[0.8, 0.2], [0.0, 0.6]], [[0.5, 0.0], [0.3, 0.9]]]),
+        ),
+        generator=GeneratorSpec("constant", n, rates=np.array([[-1.0, 1.0], [2.0, -2.0]])),
+        costs=CostSpec(
+            running=RunningCost("quad-clamped", n, 2, 1, weight=1.0, cap=0.5, offset=0.1),
+            alpha=1.0,
+            horizon=1.0,
+            terminal=TerminalCost("zero", n, 2),
+            exit_h=BoundaryCost("constant", value=0.3),
+            exit_beta=ExitDiscount("constant", value=0.5),
+            exit_domain=(-1.0, 1.0),
+        ),
+    )
+
+
+def _mc_exit_per_row(spec, policy, x0, i0, dt, n_paths, seed, t_cap, batch):
+    """mc_exit restated with a discount per row: each row's B is summed from
+    beta.eval_batch and compacted with the rows, and h comes from
+    exit_h.eval_batch at the exit. Returns (value, stderr, capped_fraction)."""
+    n_cap = int(math.ceil(t_cap / dt - 1e-9))
+    (lo, hi), beta, exit_h = spec.costs.exit_domain, spec.costs.exit_beta, spec.costs.exit_h
+    values = np.zeros(n_paths)
+    capped = np.zeros(n_paths, dtype=bool)
+    for start in range(0, n_paths, batch):
+        m = min(batch, n_paths - start)
+        eng = BatchStepper(spec, x0, i0, dt, seed, first_path_index=start, n_paths=m)
+        acc, log_disc = np.zeros(m), np.zeros(m)
+        for k in range(n_cap + 1):
+            out = np.any((eng.x <= lo) | (eng.x >= hi), axis=1) & eng.alive
+            if np.any(out):
+                h = exit_h.eval_batch(eng.x[out], eng.s[out])
+                values[start + eng.original_index[out]] = acc[out] + np.exp(-log_disc[out]) * h
+                eng.mark_dead(out)
+            if eng.n_alive == 0:
+                break
+            if k == n_cap:
+                orig = start + eng.original_index[eng.alive]
+                capped[orig] = True
+                values[orig] = acc[eng.alive]
+                break
+            u = eng.actions(policy)
+            c = spec.costs.running.eval_batch(eng.x, eng.s, u)
+            b = beta.eval_batch(eng.x, eng.s, u)
+            acc += np.exp(-log_disc) * c * dt
+            log_disc += b * dt
+            keep = eng.step(u)
+            if keep is not None:
+                acc, log_disc = acc[keep], log_disc[keep]
+    mean = pairwise_sum(values) / n_paths
+    var = pairwise_sum((values - mean) ** 2) / (n_paths - 1)
+    return mean, math.sqrt(max(var, 0.0) / n_paths), pairwise_sum(capped.astype(np.float64)) / n_paths
+
+
+EXIT_CASES = {
+    # the constant action 3 is clamped to 1; beta = 0.25, h = 0.5
+    "saturated": (saturated_model, ConstantPolicy([3.0]), [0.0], 1, 0.002, 3000, 11, 2.0, 1024),
+    "bm": (lambda: bm_model(math.sqrt(2.0), 1.0), ZERO, [0.3], 1, 5e-4, 600, 2, 6.0, 256),
+    "plane": (_plane_model, ZERO, [0.2, -0.1], 2, 0.002, 800, 5, 1.5, 300),
+    # exits at step 89, where math.exp(-B) is one ulp off numpy's exp and
+    # the payoff shows it
+    "drift": (_drift_model, ZERO, [0.115], 1, 0.01, 4, 1, 3.0, 4),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXIT_CASES))
+def test_exit_equals_the_per_row_discount_loop(case):
+    make, policy, x0, i0, dt, n_paths, seed, t_cap, batch = EXIT_CASES[case]
+    spec = make()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", CapFractionWarning)
+        est = mc_exit(spec, policy, x0, i0, dt, n_paths, seed, t_cap, batch=batch)
+        ref = _mc_exit_per_row(spec, policy, x0, i0, dt, n_paths, seed, t_cap, batch)
+    assert (est.value, est.stderr, est.capped_fraction) == ref
+    if case == "saturated":
+        assert 0.0 < est.capped_fraction < 0.2
+
+
+@pytest.mark.parametrize("make,x0", [(saturated_model, [0.0]), (_plane_model, [0.0, 0.0])])
+def test_step_leaves_retired_rows_unchanged(make, x0):
+    # a twin batch that retires no row shows that the living rows still
+    # take the same steps
+    spec = make()
+    eng = BatchStepper(spec, x0, 1, 0.002, seed=9, n_paths=16)
+    twin = BatchStepper(spec, x0, 1, 0.002, seed=9, n_paths=16)
+    u = np.zeros((16, spec.actions.action_dim))
+    for _ in range(5):
+        eng.step(u)
+        twin.step(u)
+    dead = np.zeros(16, dtype=bool)
+    dead[[1, 4, 5, 11]] = True
+    eng.mark_dead(dead)
+    frozen = eng.x[dead].copy()
+    for _ in range(3):
+        assert eng.step(u) is None  # 12 of 16 rows alive: no compaction
+        twin.step(u)
+        assert np.array_equal(eng.x[dead], frozen)
+        assert np.array_equal(eng.x[~dead], twin.x[~dead])
+        assert np.array_equal(eng.s[~dead], twin.s[~dead])
+    assert not np.array_equal(twin.x[dead], frozen)

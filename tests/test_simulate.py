@@ -95,6 +95,26 @@ def test_rng_stream_separates_paths_and_seeds():
     assert not np.array_equal(base, other_seed)
 
 
+@pytest.mark.parametrize(
+    "seed,first,n",
+    [(-1, 0, 1), (2**64, 0, 1), (-5, 0, 4), (0, -1, 2), (7, 2**64 - 1, 2), (7, 2**64, 1)],
+)
+def test_keys_outside_uint64_raise_a_shape_error(make_chain, seed, first, n):
+    with pytest.raises(ShapeError, match=rf"seed = {seed} and path indices"):
+        BatchStepper(make_chain(), [0.0], 1, 0.01, seed=seed, first_path_index=first, n_paths=n)
+    if n == 1:
+        with pytest.raises(ShapeError, match=rf"seed = {seed} and path indices"):
+            make_rng_stream(seed, first)
+
+
+def test_keys_at_the_ends_of_uint64_are_accepted(make_chain):
+    top = 2**64 - 1
+    eng = BatchStepper(make_chain(), [0.0], 1, 0.01, seed=top, first_path_index=top - 1, n_paths=2)
+    eng.step(np.zeros((2, 1)))
+    ref = np.random.Generator(np.random.Philox(key=np.array([top, top], dtype=np.uint64)))
+    assert make_rng_stream(top, top).generator().random() == ref.random()
+
+
 def test_same_seed_reproduces_path_bitwise(make_chain):
     spec = make_chain()
     a = simulate_path(spec, ZERO, [0.1], 1, 1.0, 0.01, make_rng_stream(5, 0))
@@ -641,6 +661,18 @@ def test_grid_policy_rounds_to_nearest_node_and_clips():
     nearest = [0, 1, 2, 3, 4, 0, 4, 3]
     expected = _table_actions().actions[table[s, nearest]]
     assert np.array_equal(policy.actions_at(0.0, x, s), expected)
+
+
+def test_grid_policy_needs_two_nodes():
+    with pytest.raises(ShapeError, match="at least two x nodes, got 1"):
+        GridPolicy(np.array([0.0]), np.zeros((2, 1), dtype=np.int64), _table_actions())
+
+
+@pytest.mark.parametrize("n_levels,n_nodes,what", [(1, 3, "time levels"), (4, 1, "x nodes")])
+def test_time_grid_policy_needs_two_levels_and_two_nodes(n_levels, n_nodes, what):
+    table = np.zeros((n_levels, 1, n_nodes), dtype=np.int64)
+    with pytest.raises(ShapeError, match=f"at least two {what}, got 1"):
+        TimeGridPolicy(np.linspace(0.0, 1.0, n_levels), np.linspace(-1.0, 1.0, n_nodes), table, _table_actions())
 
 
 def test_time_grid_policy_floors_time_to_a_level():
