@@ -39,7 +39,12 @@ counts do not.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import numbers
+import os
+import sys
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -288,10 +293,10 @@ def _solve_policy(
     for the LU's fill-in. Each diagonal of the system (regime coupling,
     upwind neighbours) is then a regular stride of that storage and is
     written through one strided view; N padding columns on each side take
-    the neighbour entries that fall outside the matrix.
+    the neighbour entries that fall outside the matrix. The solve is
+    LAPACK's dgbsv, loaded on the first call by ``_dgbsv``.
     """
-    from scipy.linalg.lapack import dgbsv
-
+    dgbsv = _dgbsv()
     N, B, K = ai_tab.shape
     n = B * K
     sub = tab.gather(tab.sub, ai_tab)
@@ -336,6 +341,31 @@ def _solve_policy(
     if info != 0:
         raise SchemeError(f"banded LU of the policy system failed (LAPACK dgbsv info {info})")
     return np.ascontiguousarray(np.moveaxis(v.reshape(B, K, N, *rhs.shape[3:]), 2, 0))
+
+
+@functools.cache
+def _dgbsv():
+    """LAPACK dgbsv from scipy's compiled extension ``scipy.linalg._flapack``.
+
+    The extension is loaded straight from its file, so the ``scipy.linalg``
+    package, whose import costs several times a grid command's own work,
+    never runs. The module is registered under its own name: a later
+    ``import scipy.linalg`` reuses it, and one already imported is used.
+    """
+    name = "scipy.linalg._flapack"
+    if name not in sys.modules:
+        scipy = importlib.util.find_spec("scipy")
+        if scipy is None:
+            raise ImportError("the grid solvers need scipy, which is not installed", name="scipy")
+        where = os.path.join(scipy.submodule_search_locations[0], "linalg")
+        loaders = (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+        spec = importlib.machinery.FileFinder(where, loaders).find_spec(name)
+        if spec is None:
+            raise ImportError(f"scipy has no LAPACK extension {name} in {where}", name=name)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        sys.modules[name] = module
+    return sys.modules[name].dgbsv
 
 
 def _pinned_regimes(tab: _Tables, rates: FloatArray) -> np.ndarray:

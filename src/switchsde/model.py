@@ -21,7 +21,7 @@ and the grid solver.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import MISSING, dataclass, replace
 from operator import attrgetter
 from typing import NamedTuple
 
@@ -76,10 +76,21 @@ def _fields(cls, kind) -> tuple[Field, ...]:
 def _check_fields(fam, **sizes: int) -> None:
     """Shape and sign of every field of ``fam``'s kind; arrays are frozen.
 
-    Shape errors are E_SHAPE, sign errors the family's ``ERROR``; both carry
-    the field's document path.
+    A field the kind does not list must keep its default (E_CONFIG, as the
+    document reader rejects an unknown key). Shape errors are E_SHAPE, sign
+    errors the family's ``ERROR``; all carry the field's document path.
     """
-    for f in _fields(type(fam), fam.kind):
+    fields = _fields(type(fam), fam.kind)
+    listed = {f.attr for f in fields}
+    for name, dc in type(fam).__dataclass_fields__.items():
+        v, default = getattr(fam, name), dc.default
+        if name in listed or default is MISSING or v is default or (
+            default is not None and np.array_equal(v, default)
+        ):
+            continue
+        key = next((f.key for kind in fam.FIELDS.values() for f in kind if f.attr == name), name)
+        raise ConfigError(f"'{key}' does not apply to {fam.PATH} kind '{fam.kind}'", f"{fam.PATH}.{key}")
+    for f in fields:
         path = f"{fam.PATH}.{f.key}"
         v = getattr(fam, f.attr)
         if f.shape:
@@ -495,7 +506,7 @@ class _ConstantFamily:
 
     @property
     def constant(self) -> float:
-        """The family's value; 0 for 'zero', whatever ``value`` holds."""
+        """The family's value as a float; 0.0 for 'zero', which takes none."""
         return self.value if self.kind == "constant" else 0.0
 
     def eval_batch(self, x: FloatArray, s: NDArray[np.int64], u: FloatArray | None = None) -> FloatArray:

@@ -4,8 +4,19 @@ Every closed-form oracle in the tests is pinned to one of these builders, so
 the construction parameters are frozen here and referenced by fixture.
 """
 
+import os
 import shutil
+import sys
 import tempfile
+from pathlib import Path
+
+# the checkout's src/ goes after the entries of an explicit PYTHONPATH, so
+# PYTHONPATH=<other tree>/src python -m pytest tests that tree
+_explicit = {os.path.abspath(p) for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p}
+sys.path.insert(
+    max((i + 1 for i, p in enumerate(sys.path) if p and os.path.abspath(p) in _explicit), default=0),
+    str(Path(__file__).resolve().parents[1] / "src"),
+)
 
 import numpy as np
 import pytest

@@ -512,19 +512,41 @@ def test_out_key_in_config_is_used(tmp_path, monkeypatch):
     assert (tmp_path / "from_config" / "report.txt").exists()
 
 
-def test_import_leaves_scipy_out():
+def _fresh(tmp_path, code: str) -> str:
+    """stdout of ``code`` run in a fresh interpreter on the tree under test."""
+    src = str(Path(switchsde.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, cwd=tmp_path, capture_output=True, text=True, check=True
+    )
+    return proc.stdout.strip()
+
+
+def test_import_leaves_scipy_out(tmp_path):
     # scipy and numpy.random load on first use, not with the package, and the
     # refill's worker threads need neither concurrent.futures nor a thread
     # of their own at import
-    src = str(Path(switchsde.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     probe = ("import sys, threading, switchsde; print(sorted(m for m in sys.modules "
              "if m.split('.')[0] == 'scipy' or m.startswith(('numpy.random', 'concurrent'))), "
              "threading.active_count())")
-    proc = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
-    )
-    assert proc.stdout.strip() == "[] 1"
+    assert _fresh(tmp_path, probe) == "[] 1"
+
+    # a grid solve loads LAPACK's dgbsv from scipy's compiled extension alone:
+    # neither the scipy.linalg package nor the numpy.f2py it pulls in
+    loaded = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.f2py'))"
+    solve = (f"from switchsde import Grid1D, model_from_dict, solve_discounted; "
+             f"v = solve_discounted(model_from_dict({CHAIN!r}), Grid1D(-2.0, 2.0, 21)).values")
+    same = ("import scipy.linalg; from switchsde import hjbgrid; "
+            "print(hjbgrid._dgbsv() is scipy.linalg.lapack.dgbsv, v.tobytes().hex())")
+    solve_first = _fresh(tmp_path, f"import sys; {solve}; print({loaded}); {same}").splitlines()
+    assert solve_first[0] == "['scipy.linalg._flapack']"
+    linalg_first = _fresh(tmp_path, f"import scipy.linalg; {solve}; {same}")
+    assert solve_first[1] == linalg_first
+    assert linalg_first.startswith("True ")
+
+    cfg = _write(tmp_path, {"command": "hjb", "model": CHAIN, "hjb": {"criterion": "discounted", "grid": GRID}})
+    run = f"import sys; from switchsde import cli; print(cli.main(['--config', {str(cfg)!r}, '--out', 'out']), {loaded})"
+    assert _fresh(tmp_path, run) == "0 ['scipy.linalg._flapack']"
 
 
 # ---------------------------------------------------------------------------

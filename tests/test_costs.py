@@ -17,6 +17,7 @@ from switchsde import (
     BoundaryCost,
     CallablePolicy,
     CapFractionWarning,
+    ConfigError,
     ConstantPolicy,
     CostSpec,
     DiffusionFamily,
@@ -251,17 +252,22 @@ def test_exit_payoff_and_discount_deterministic():
     assert est.capped_fraction == 0.0
 
 
-def test_exit_zero_kinds_ignore_a_stored_value():
-    # a 'zero' family is zero whatever its value field holds
+def test_exit_zero_kinds_reject_a_stored_value():
+    # a 'zero' family holds no value: a stored one is rejected, and it
+    # prices exits as a 'constant' family of value 0 does
+    with pytest.raises(ConfigError, match="costs.exit_h.value"):
+        BoundaryCost("zero", value=2.0)
+    with pytest.raises(ConfigError, match="costs.exit_beta.value"):
+        ExitDiscount("zero", value=5.0)
     spec = saturated_model()
     zero = dataclasses.replace(spec, costs=dataclasses.replace(
         spec.costs, exit_h=BoundaryCost("zero"), exit_beta=ExitDiscount("zero")))
-    stored = dataclasses.replace(spec, costs=dataclasses.replace(
-        spec.costs, exit_h=BoundaryCost("zero", value=2.0), exit_beta=ExitDiscount("zero", value=5.0)))
+    constant = dataclasses.replace(spec, costs=dataclasses.replace(
+        spec.costs, exit_h=BoundaryCost("constant", value=0.0), exit_beta=ExitDiscount("constant", value=0.0)))
     args = (ConstantPolicy([1.0]), [0.0], 1, 0.01, 64)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", CapFractionWarning)
-        assert mc_exit(stored, *args, seed=8, t_cap=2.0) == mc_exit(zero, *args, seed=8, t_cap=2.0)
+        assert mc_exit(constant, *args, seed=8, t_cap=2.0) == mc_exit(zero, *args, seed=8, t_cap=2.0)
 
 
 def test_exit_cap_warning():

@@ -1,7 +1,10 @@
 """Grid solvers against closed-form values and structural invariants."""
 
 import dataclasses
+import importlib.machinery
+import importlib.util
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -27,6 +30,7 @@ from switchsde import (
     solve_finite_horizon,
     sweep_grid,
 )
+from switchsde import hjbgrid
 from switchsde.hjbgrid import GRID_HEADER, GRID_HEADER_T, _solve_policy, _Tables
 from conftest import bm_model, chain_model, chain_value, cosine_exit_model, saturated_model
 
@@ -125,6 +129,20 @@ def test_singular_policy_system_raises_scheme_error():
     policy = np.zeros(tab.shape, dtype=np.int64)
     with pytest.raises(SchemeError, match="dgbsv info 17"):
         _solve_policy(tab, policy, np.ones(tab.shape), 0.0)
+
+
+@pytest.mark.parametrize("missing,named", [("scipy", "scipy"), ("extension", "scipy.linalg._flapack")])
+def test_missing_lapack_extension_raises_import_error(monkeypatch, missing, named):
+    # uncached, with no extension module registered yet: a missing scipy or
+    # a scipy without its LAPACK extension is an ImportError naming it
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    if missing == "scipy":
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    else:
+        monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
+    with pytest.raises(ImportError) as err:
+        hjbgrid._dgbsv.__wrapped__()
+    assert err.value.name == named
 
 
 @pytest.mark.parametrize("solve", [solve_discounted, solve_exit])

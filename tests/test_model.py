@@ -217,6 +217,34 @@ def test_from_json_rejects_unknown_key():
         model_from_dict(doc)
 
 
+# a field the family's kind does not list must keep its default, as the
+# document reader rejects a key the kind does not have
+STRAY_FIELDS = {
+    DriftFamily: (lambda **kw: DriftFamily("constant", 1, 2, 1, b0=np.zeros((2, 1)), **kw),
+                  {"a_mat": np.ones((2, 1, 1))}, "drift.a"),
+    DiffusionFamily: (lambda **kw: DiffusionFamily("constant", 1, 2, c0=np.ones((2, 1, 1)), **kw),
+                      {"c_mat": np.ones((2, 1, 1))}, "diffusion.c"),
+    GeneratorSpec: (lambda **kw: GeneratorSpec("constant", 2, rates=[[-1.0, 1.0], [1.0, -1.0]], **kw),
+                    {"gx": 0.5}, "generator.gx"),
+    RunningCost: (lambda **kw: RunningCost("regime", 2, 1, 1, values=[1.0, 2.0], **kw),
+                  {"cap": 3.0}, "costs.running.cap"),
+    TerminalCost: (lambda **kw: TerminalCost("zero", 2, 1, **kw), {"width": 2.0}, "costs.terminal.width"),
+    BoundaryCost: (lambda **kw: BoundaryCost("zero", **kw), {"value": 2.0}, "costs.exit_h.value"),
+    ExitDiscount: (lambda **kw: ExitDiscount("zero", **kw), {"value": 5.0}, "costs.exit_beta.value"),
+}
+
+
+@pytest.mark.parametrize("cls", STRAY_FIELDS, ids=lambda cls: cls.__name__)
+def test_family_rejects_a_field_its_kind_does_not_list(cls):
+    build, stray, path = STRAY_FIELDS[cls]
+    (name,) = stray
+    build()
+    build(**{name: cls.__dataclass_fields__[name].default})
+    with pytest.raises(ConfigError) as err:
+        build(**stray)
+    assert err.value.path == path
+
+
 # generated models: one hand-written constructor per family kind, so the
 # properties below do not read the schema tables they check
 
