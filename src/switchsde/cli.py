@@ -10,7 +10,7 @@ Each command block is described by one table in ``BLOCKS``; ``parse_config``
 converts every block value once, by that table, and fills in the defaults.
 
 Exit codes: 0 success, 2 validation findings failure, 3 solver error,
-4 config error.
+4 config error (a bad command line included).
 """
 
 from __future__ import annotations
@@ -126,7 +126,6 @@ BLOCKS = {
         *_START,
         ("n_paths", "integer", REQUIRED),
         ("policy", "policy", None),
-        ("t", "number", Only("criterion", ("finite-horizon",), _horizon)),
         ("t_long", "number", Only("criterion", ("ergodic",))),
         ("t_cap", "number", Only("criterion", ("exit",))),
         ("burn_in", "number", Only("criterion", ("ergodic",), None)),
@@ -136,8 +135,6 @@ BLOCKS = {
     "hjb": (
         ("criterion", ("discounted", "finite-horizon", "exit"), REQUIRED),
         ("grid", "grid", REQUIRED),
-        ("alpha", "number", Only("criterion", ("discounted",), None)),
-        ("horizon", "number", Only("criterion", ("finite-horizon",), None)),
         ("n_t", "integer", Only("criterion", ("finite-horizon",), None)),
         ("tol", "number", Only("criterion", _STATIONARY, 1e-8)),
         ("max_iter", "integer", Only("criterion", _STATIONARY, 100)),
@@ -350,7 +347,9 @@ def _run_cost(cfg: ExperimentConfig, out: Path, lines: list, results: dict) -> N
             eps_tail=b["eps_tail"], batch=b["batch"],
         )
     elif crit == "finite-horizon":
-        est = mc_finite_horizon(spec, policy, x0, i0, b["t"], dt, n_paths, seed, batch=b["batch"])
+        est = mc_finite_horizon(
+            spec, policy, x0, i0, spec.costs.horizon, dt, n_paths, seed, batch=b["batch"]
+        )
     elif crit == "ergodic":
         est = mc_ergodic(
             spec, policy, x0, i0, b["t_long"], dt, n_paths, seed,
@@ -372,11 +371,9 @@ def _run_hjb(cfg: ExperimentConfig, out: Path, lines: list, results: dict) -> No
     b = cfg.block
     crit = b["criterion"]
     if crit == "discounted":
-        sol = solve_discounted(
-            cfg.model, b["grid"], alpha=b["alpha"], tol=b["tol"], max_iter=b["max_iter"]
-        )
+        sol = solve_discounted(cfg.model, b["grid"], tol=b["tol"], max_iter=b["max_iter"])
     elif crit == "finite-horizon":
-        sol = solve_finite_horizon(cfg.model, b["grid"], horizon=b["horizon"], n_t=b["n_t"])
+        sol = solve_finite_horizon(cfg.model, b["grid"], n_t=b["n_t"])
     else:
         sol = solve_exit(cfg.model, b["grid"], tol=b["tol"], max_iter=b["max_iter"])
     sol.to_csv(out / "values.csv")
@@ -507,18 +504,21 @@ def run_command(cfg: ExperimentConfig, out_dir=None, verbose: bool = False) -> i
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad command line is a config error: exit 4, not argparse's 2."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(4, f"config error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="switchsde",
         description="Regime-switching diffusion control experiments from a JSON config.",
     )
     parser.add_argument("--config", required=True, help="path to the experiment JSON")
     parser.add_argument("--out", default=None, help="output directory (default: config 'out' or ./out)")
-    parser.add_argument(
-        "--threads", type=int, default=0,
-        help="accepted and ignored: Monte Carlo normals are drawn with one worker per core, "
-        "and no result depends on the worker count",
-    )
     parser.add_argument("--verbose", action="store_true")
     args = parser.parse_args(argv)
 

@@ -301,7 +301,7 @@ class DiffusionFamily:
 
 @dataclass(frozen=True, eq=False)
 class GeneratorSpec:
-    """Switching-rate matrix family with a declared uniform bound.
+    """Switching-rate matrix family with a derived uniform bound.
 
     kind 'constant'               m_ij independent of (x, u)
     kind 'state-action-dependent' off-diagonals base_ij * g(x, u) with
@@ -309,19 +309,19 @@ class GeneratorSpec:
                                   |gx| + |gu| <= 1 so rates stay nonnegative;
                                   diagonals rebuilt as minus the row sum
 
-    ``bound`` must dominate sup |m_ij| over all states and actions; it feeds
-    the simulator's step-size precondition.
+    ``bound`` is not an argument: it is computed on construction as the
+    family supremum of |m_ij| over all states and actions (at least 1e-12),
+    and feeds the simulator's step-size precondition and the validator.
     """
 
     PATH = "generator"
     ERROR = RatesError
     FIELDS = {
-        "constant": (Field("rates", "rates", "NN"), Field("bound", "bound", required=False)),
+        "constant": (Field("rates", "rates", "NN"),),
         "state-action-dependent": (
             Field("base", "base", "NN", sign=">= 0"),
             Field("gx", "gx", required=False),
             Field("gu", "gu", required=False),
-            Field("bound", "bound", required=False),
         ),
     }
 
@@ -331,7 +331,6 @@ class GeneratorSpec:
     base: FloatArray | None = None  # (N, N) off-diagonals, dependent kind
     gx: float = 0.0
     gu: float = 0.0
-    bound: float | None = None
 
     def __post_init__(self):
         _check_fields(self, N=self.n_regimes)
@@ -342,7 +341,7 @@ class GeneratorSpec:
                 raise RatesError("off-diagonal switching rates must be >= 0", "generator.rates")
             if np.max(np.abs(rates.sum(axis=1))) > ROW_SUM_TOL:
                 raise RatesError("generator rows must sum to zero", "generator.rates")
-            analytic = float(np.max(np.abs(rates))) if N > 1 else 0.0
+            sup = float(np.max(np.abs(rates))) if N > 1 else 0.0
         else:
             base = self.base
             if np.any(np.diag(base) != 0.0):
@@ -350,14 +349,8 @@ class GeneratorSpec:
             if abs(self.gx) + abs(self.gu) > 1.0:
                 raise RatesError("|gx| + |gu| must be <= 1 to keep rates nonnegative", "generator.gx")
             gmax = 1.0 + abs(self.gx) + abs(self.gu)
-            analytic = float(max(np.max(base), np.max(base.sum(axis=1))) * gmax) if N > 1 else 0.0
-        if self.bound is None:
-            object.__setattr__(self, "bound", max(analytic, 1e-12))
-        elif self.bound < analytic - 1e-12:
-            raise RatesError(
-                f"declared bound {self.bound} is below the family supremum {analytic}",
-                "generator.bound",
-            )
+            sup = float(max(np.max(base), np.max(base.sum(axis=1))) * gmax) if N > 1 else 0.0
+        object.__setattr__(self, "bound", max(sup, 1e-12))
 
     def rates_batch(self, x: FloatArray, u: FloatArray) -> FloatArray:
         """Rate matrices for stacked samples: x (m,d), u (m,l) -> (m, N, N)."""
@@ -539,7 +532,6 @@ class CostSpec:
     exit_h: BoundaryCost
     exit_beta: ExitDiscount
     exit_domain: tuple[float, float]
-    m_c: float | None = None  # optional declared bound; derived when None
 
     def __post_init__(self):
         if not self.alpha > 0:
@@ -576,27 +568,17 @@ class ModelSpec:
         rc = self.costs.running
         if rc.n_regimes != N or rc.dim != d or rc.action_dim != l:
             raise ShapeError("running cost dims do not match the model")
-        declared = self.costs.m_c
-        derived = rc.bound(self.actions)
-        if declared is not None and declared < derived - 1e-12:
-            raise ShapeError(
-                f"declared cost bound {declared} is below the family supremum {derived}",
-                "costs.m_c",
-            )
 
     def cost_bound(self) -> float:
-        """Least valid M_c for this model (declared bound wins if larger)."""
-        derived = self.costs.running.bound(self.actions)
-        if self.costs.m_c is not None:
-            return max(self.costs.m_c, derived)
-        return derived
+        """Least valid M_c for this model: the running cost's bound over the actions."""
+        return self.costs.running.bound(self.actions)
 
 
 # ---------------------------------------------------------------------------
 # serialization (strict: unknown keys are an error)
 
 _MODEL_KEYS = ("dim", "regimes", "actions", "drift", "diffusion", "generator", "costs")
-_COST_KEYS = ("running", "alpha", "horizon", "terminal", "exit_h", "exit_beta", "exit_domain", "m_c")
+_COST_KEYS = ("running", "alpha", "horizon", "terminal", "exit_h", "exit_beta", "exit_domain")
 _ZERO = {"kind": "zero"}
 
 
@@ -678,8 +660,6 @@ def model_to_dict(spec: ModelSpec) -> dict:
         "exit_beta": _write_family(c.exit_beta),
         "exit_domain": list(c.exit_domain),
     }
-    if c.m_c is not None:
-        costs["m_c"] = c.m_c
     return {
         "dim": spec.dim,
         "regimes": {"count": spec.regimes.count},
@@ -719,7 +699,6 @@ def model_from_dict(doc: dict) -> ModelSpec:
             exit_h=_read_family(BoundaryCost, co.get("exit_h", _ZERO)),
             exit_beta=_read_family(ExitDiscount, co.get("exit_beta", _ZERO)),
             exit_domain=(domain[0], domain[1]),
-            m_c=_number(co["m_c"], "model.costs.m_c") if "m_c" in co else None,
         )
         return ModelSpec(dim, regimes, actions, drift, diffusion, generator, costs)
     except (ShapeError, RatesError) as exc:
@@ -884,15 +863,14 @@ class Direction(NamedTuple):
     ``modes`` are the schedule modes that apply it. ``family`` is the model
     family it shifts and ``keys`` the field it shifts for each kind of that
     family (a key of the family's ``FIELDS``); other kinds do not take it.
-    ``lq`` is the LQSpec attribute it shifts (None: no LQ counterpart), and
-    ``derived`` the family attributes recomputed after the shift.
+    ``lq`` is the LQSpec attribute it shifts (None: no LQ counterpart). A
+    shifted family recomputes what it derives, such as the generator's ``bound``.
     """
 
     modes: tuple[str, ...]
     family: type
     keys: dict[str, str]
     lq: str | None = None
-    derived: tuple[str, ...] = ()
 
 
 _COEFFICIENT, _NOISE = ("coefficient", "combined"), ("noise-approx",)
@@ -903,8 +881,7 @@ DIRECTIONS = {
     "d_b": Direction(_COEFFICIENT, DriftFamily, dict.fromkeys(_AFFINE_KINDS, "b"), "b"),
     "d_c": Direction(_COEFFICIENT, DiffusionFamily, {"lq": "c", "constant": "c0"}, "c"),
     "d_m": Direction(
-        ("rates", "combined"), GeneratorSpec,
-        {"constant": "rates", "state-action-dependent": "base"}, "rates", ("bound",),
+        ("rates", "combined"), GeneratorSpec, {"constant": "rates", "state-action-dependent": "base"}, "rates"
     ),
     "d_cost": Direction(
         ("cost", "combined"), RunningCost,
@@ -1044,7 +1021,7 @@ def make_perturbation_sequence(true_spec: ModelSpec, sched: PerturbationSchedule
         for key, fam, f, d in shifts:
             new = _noise_shift(key, true_spec, d, delta) if noise else \
                 _shift(key, f.key, getattr(fam, f.attr), d, delta)
-            changes.setdefault(fam.PATH, dict.fromkeys(DIRECTIONS[key].derived))[f.attr] = new
+            changes.setdefault(fam.PATH, {})[f.attr] = new
         fams = {path: replace(attrgetter(path)(true_spec), **kw) for path, kw in changes.items()}
         costs = replace(true_spec.costs, running=fams.pop(RunningCost.PATH, true_spec.costs.running))
         out.append(replace(true_spec, costs=costs, **fams))

@@ -231,8 +231,45 @@ def test_non_finite_coefficients_exit_3(tmp_path, capsys):
     assert json.loads((out / "results.json").read_text())["error"].startswith("E_SCHEME")
 
 
+def test_constant_policy_cost_matches_the_library(tmp_path):
+    spec = saturated_model()
+    block = {"criterion": "finite-horizon", "x0": [0.5], "i0": 1, "dt": 0.02, "n_paths": 64, "seed": 11}
+    doc = {"command": "cost", "model": model_to_dict(spec), "cost": block}
+    code, zero = _run(tmp_path, doc, sub="zero")
+    assert code == 0
+    code, out = _run(tmp_path, dict(doc, cost=dict(block, policy={"kind": "constant", "u": [1.0]})))
+    assert code == 0
+    est = switchsde.mc_finite_horizon(
+        spec, switchsde.ConstantPolicy(np.array([1.0])), np.array([0.5]), 1, spec.costs.horizon, 0.02, 64, 11
+    )
+    switchsde.write_estimates_csv(tmp_path / "lib.csv", [est])
+    assert (out / "estimates.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+    assert (zero / "estimates.csv").read_bytes() != (tmp_path / "lib.csv").read_bytes()
+
+
+def test_lq_policy_simulate_matches_the_library(tmp_path):
+    # sigma = C x with C != 0 takes the stepper's state-dependent scalar noise;
+    # the wide action box leaves the feedback unclamped
+    model = dict(LQ_TWO_REGIMES, actions=[[-5.0], [5.0]])
+    block = {"x0": [1.0], "i0": 2, "dt": 0.01, "seed": 3, "policy": {"kind": "lq", "steps": 100}}
+    code, out = _run(tmp_path, {"command": "simulate", "model": model, "simulate": block})
+    assert code == 0
+    spec = switchsde.model_from_dict(model)
+    lq = switchsde.lq_from_model(spec)
+    gains = switchsde.lq_feedback(switchsde.solve_coupled_riccati(lq, n_steps=100), lq)
+
+    class Feedback:  # u = -F(t, i) x, one path at a time
+        def actions_at(self, t, x, s):
+            return np.array([-gains.gain_at(t)[i] @ xi for xi, i in zip(x, s)])
+
+    path = switchsde.simulate_path(spec, Feedback(), np.array([1.0]), 2, 1.0, 0.01, switchsde.make_rng_stream(3, 0))
+    path.to_csv(tmp_path / "lib.csv")
+    assert (out / "path.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+    assert path.clamped_steps == 0 and np.abs(path.states).max() > 0.0
+
+
 # the horizon keys each cost criterion takes, and the blocks' other keys
-COST_HORIZONS = {"discounted": {}, "finite-horizon": {"t": 1.0}, "ergodic": {"t_long": 2.0},
+COST_HORIZONS = {"discounted": {}, "finite-horizon": {}, "ergodic": {"t_long": 2.0},
                  "exit": {"t_cap": 1000.0}}
 COST_KEYS = {"discounted": {"eps_tail": 0.01}, "finite-horizon": {}, "ergodic": {}, "exit": {}}
 
@@ -294,6 +331,22 @@ def test_seeds_outside_uint64_exit_3(tmp_path, capsys, command, block):
     assert json.loads((out / "results.json").read_text())["error"].startswith(expected)
 
 
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        ([], "the following arguments are required: --config"),
+        (["--config", "cfg.json", "--threads", "8"], "unrecognized arguments: --threads 8"),
+    ],
+    ids=["missing-config", "unknown-option"],
+)
+def test_command_line_errors_exit_4(tmp_path, capsys, argv, message):
+    # exit 2 is kept for validation findings, so argparse's own exit 2 is not used
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(argv)
+    assert exit_.value.code == 4
+    assert capsys.readouterr().err.endswith(f"\nconfig error: {message}\n")
+
+
 def test_config_errors_exit_4(tmp_path, capsys):
     bad_key = _write(tmp_path, {"command": "validate", "model": CHAIN, "bogus": 1})
     assert cli.main(["--config", str(bad_key), "--out", str(tmp_path / "a")]) == 4
@@ -313,22 +366,25 @@ SAD = {"kind": "state-action-dependent", "base": [[0.0, 1.0], [2.0, 0.0]]}
 
 
 @pytest.mark.parametrize(
-    "overrides,expected",
+    "costs,block,code,expected",
     [
-        ({"horizon": -1.0}, "E_SHAPE: horizon must be > 0 at 'costs.horizon'"),
-        ({"horizon": 0.0}, "E_SHAPE: horizon must be > 0 at 'costs.horizon'"),
-        ({"n_t": 0}, "E_STEP"),
-        ({"n_t": -3}, "E_STEP"),
+        # the horizon is the model's, so a bad one is a config error before any run
+        ({"horizon": -1.0}, {}, 4, "E_CONFIG: horizon must be > 0 at 'model.costs.horizon'"),
+        ({"horizon": 0.0}, {}, 4, "E_CONFIG: horizon must be > 0 at 'model.costs.horizon'"),
+        ({}, {"n_t": 0}, 3, "E_STEP"),
+        ({}, {"n_t": -3}, 3, "E_STEP"),
     ],
     ids=["horizon=-1", "horizon=0", "n_t=0", "n_t=-3"],
 )
-def test_hjb_rejects_bad_finite_horizon_inputs(tmp_path, capsys, overrides, expected):
-    block = {"criterion": "finite-horizon", "grid": GRID, **overrides}
-    code, out = _run(tmp_path, {"command": "hjb", "model": CHAIN, "hjb": block})
-    assert code == 3
+def test_hjb_rejects_bad_finite_horizon_inputs(tmp_path, capsys, costs, block, code, expected):
+    model = dict(CHAIN, costs=dict(CHAIN["costs"], **costs))
+    block = {"criterion": "finite-horizon", "grid": GRID, **block}
+    got, out = _run(tmp_path, {"command": "hjb", "model": model, "hjb": block})
+    assert got == code
     assert expected in capsys.readouterr().err
     assert not (out / "values.csv").exists()
-    assert json.loads((out / "results.json").read_text())["error"].startswith(expected)
+    if code == 3:  # a config error stops before results.json is written
+        assert json.loads((out / "results.json").read_text())["error"].startswith(expected)
 
 
 @pytest.mark.parametrize(
@@ -370,8 +426,8 @@ COST = dict(SIM, n_paths=4)
 @pytest.mark.parametrize(
     "command,block,path",
     [
-        ("hjb", {"criterion": "exit", "grid": GRID, "alpha": -5}, "hjb.alpha"),
-        ("hjb", {"criterion": "discounted", "grid": GRID, "n_t": -3, "horizon": -1}, "hjb.horizon"),
+        ("hjb", {"criterion": "exit", "grid": GRID, "n_t": 5}, "hjb.n_t"),
+        ("hjb", {"criterion": "discounted", "grid": GRID, "n_t": -3}, "hjb.n_t"),
         ("hjb", {"criterion": "finite-horizon", "grid": GRID, "tol": -1, "max_iter": 0}, "hjb.tol"),
         ("hjb", {"criterion": "finite-horizon", "grid": GRID, "max_iter": 5}, "hjb.max_iter"),
         ("robustness", {"criterion": "discounted", "grid": GRID, "schedule": SCHED, "n_t": 5},
@@ -386,7 +442,7 @@ COST = dict(SIM, n_paths=4)
         ("cost", dict(COST, criterion="finite-horizon", t_cap=1.0), "cost.t_cap"),
         ("cost", dict(COST, criterion="exit", t_cap=1.0, eps_tail=0.01), "cost.eps_tail"),
         ("cost", dict(COST, criterion="discounted", burn_in=0.1), "cost.burn_in"),
-        ("cost", dict(COST, criterion="ergodic", t_long=2.0, t=1.0), "cost.t"),
+        ("cost", dict(COST, criterion="ergodic", t_long=2.0, t_cap=1.0), "cost.t_cap"),
         ("simulate", dict(SIM, exit=True, t_cap=1.0, t=1.0), "simulate.t"),
         ("simulate", dict(SIM, t_cap=1.0), "simulate.t_cap"),
     ],
@@ -398,6 +454,29 @@ def test_keys_that_do_not_apply_to_the_criterion_exit_4(tmp_path, capsys, comman
     assert err.startswith("config error: E_CONFIG: ") and "does not apply" in err
     assert err.rstrip().endswith(f" at '{path}'")
     assert not list(out.glob("*.csv"))
+
+
+# the rate and cost bounds are derived from the families, and every command
+# reads the discount and the horizon from the model's costs
+ONE_SOURCE = [
+    ("validate", None, {"generator": dict(CHAIN["generator"], bound=5.0)}, "model.generator.bound"),
+    ("validate", None, {"costs": dict(CHAIN["costs"], m_c=5.0)}, "model.costs.m_c"),
+    ("hjb", {"criterion": "discounted", "grid": GRID, "alpha": 0.5}, {}, "hjb.alpha"),
+    ("hjb", {"criterion": "finite-horizon", "grid": GRID, "horizon": 2.0}, {}, "hjb.horizon"),
+    ("cost", dict(COST, criterion="finite-horizon", t=2.0), {}, "cost.t"),
+]
+
+
+@pytest.mark.parametrize("command,block,model,path", ONE_SOURCE, ids=[case[-1] for case in ONE_SOURCE])
+def test_settings_with_one_source_are_unknown_keys(tmp_path, capsys, command, block, model, path):
+    doc = {"command": command, "model": dict(CHAIN, **model)}
+    if block is not None:
+        doc[command] = block
+    code, out = _run(tmp_path, doc)
+    assert code == 4
+    key = path.rsplit(".", 1)[1]
+    assert capsys.readouterr().err == f"config error: E_CONFIG: unknown key '{key}' at '{path}'\n"
+    assert not out.exists()
 
 
 def test_simulate_exit_rounds_t_cap_up_like_mc_exit(tmp_path):
@@ -493,15 +572,6 @@ def test_stochastic_rerun_is_byte_identical(tmp_path):
         outs.append(out)
     for name in ("estimates.csv", "results.json", "report.txt"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
-
-
-def test_threads_flag_never_changes_results(tmp_path):
-    doc = {"command": "validate", "model": CHAIN}
-    cfg = _write(tmp_path, doc)
-    a, b = tmp_path / "t0", tmp_path / "t8"
-    assert cli.main(["--config", str(cfg), "--out", str(a)]) == 0
-    assert cli.main(["--config", str(cfg), "--out", str(b), "--threads", "8"]) == 0
-    assert (a / "results.json").read_bytes() == (b / "results.json").read_bytes()
 
 
 def test_out_key_in_config_is_used(tmp_path, monkeypatch):

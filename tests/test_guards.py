@@ -1,9 +1,12 @@
 """Repository rules no other test checks: the README config reference lists
-exactly the keys of the schema tables, and ``src/`` has no bare assert."""
+exactly the keys of the schema tables, its command line section names
+exactly the tool's options, and ``src/`` has no bare assert."""
 
 import ast
 import re
 from pathlib import Path
+
+import pytest
 
 from switchsde import cli, model
 
@@ -59,6 +62,17 @@ def test_readme_schedule_modes_are_those_of_the_direction_table():
         key: list(model.DIRECTIONS[key].modes) if key in model.DIRECTIONS else []
         for key, _, _ in cli.SCHEDULE
     }
+
+
+def test_readme_command_line_names_exactly_the_cli_options(capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["--help"])
+    assert exit_.value.code == 0
+    options = set(re.findall(r"(?<![\w-])--[a-z][a-z-]*", capsys.readouterr().out))
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    assert {"--config", "--help"} <= options
+    assert set(re.findall(r"`(--[a-z][a-z-]*)`", section)) == options
 
 
 def test_src_has_no_bare_assert():

@@ -11,7 +11,9 @@ import pytest
 from scipy.linalg import expm
 
 from switchsde import (
+    ActionGrid,
     DegenerateError,
+    GeneratorSpec,
     Grid1D,
     MaxIterError,
     PerturbationSchedule,
@@ -215,6 +217,17 @@ def test_finite_horizon_chain_first_order_in_time(chain):
     assert 1.7 <= errs[20] / errs[40] <= 2.3
 
 
+def test_finite_horizon_residual_is_the_first_order_hjb_defect(saturated):
+    # each level's linear system holds to roundoff at the action it was solved
+    # with; the residual is the fully implicit HJB defect with min over the
+    # actions, O(dt): it must halve, within a factor 1.6 to 2.5, as n_t doubles
+    grid = Grid1D(-2.0, 2.0, 201)
+    res = [solve_finite_horizon(saturated, grid, n_t=n_t).residual for n_t in (20, 40, 80)]
+    assert res[-1] >= 1e-3
+    for coarse, fine in zip(res, res[1:]):
+        assert 1.6 <= coarse / fine <= 2.5
+
+
 def test_finite_horizon_rejects_coarse_time_step(chain):
     with pytest.raises(StepError, match="exceeds 0.1"):
         solve_finite_horizon(chain, GRID, horizon=2.0, n_t=10)
@@ -328,6 +341,27 @@ def test_ergodic_multichain_raises_degenerate_error():
         estimate_ergodic(spec, GRID)
     with pytest.raises(DegenerateError, match="multichain"):
         estimate_ergodic_policy(spec, GRID, np.zeros((2, GRID.n_x), dtype=np.int64))
+
+
+def test_ergodic_pin_follows_a_policy_that_switches_the_rates_off():
+    # with gu = 1 the action u = -20 sets g = 1 + tanh(-20) = 0 exactly, so
+    # which regimes are recurrent depends on the policy
+    assert np.tanh(-20.0) == -1.0
+    spec = dataclasses.replace(
+        chain_model(values=(2.0, 1.0)),
+        actions=ActionGrid(np.array([[0.0], [-20.0]])),
+        generator=GeneratorSpec("state-action-dependent", 2, base=np.array([[0.0, 1.0], [2.0, 0.0]]), gu=1.0),
+    )
+    # regime 2 is the cheaper: the optimal policy stops switching out of it
+    # and keeps regime 1's rates on, so regime 2 alone is recurrent, while
+    # under the first action both regimes are
+    est = estimate_ergodic(spec, GRID)
+    assert np.all(est.policy[0] == 0) and np.all(est.policy[1] == 1)
+    assert abs(est.rho - 1.0) <= 1e-10
+    assert est.residual <= 1e-10
+    # switching off in both regimes leaves each a closed class of its own
+    with pytest.raises(DegenerateError, match="multichain"):
+        estimate_ergodic_policy(spec, GRID, np.ones((2, GRID.n_x), dtype=np.int64))
 
 
 def test_ergodic_honours_max_iter(saturated):

@@ -117,11 +117,23 @@ def test_generator_rejects_nonzero_row_sum():
         GeneratorSpec("constant", 2, rates=np.array([[-1.0, 1.5], [2.0, -2.0]]))
 
 
-def test_generator_rejects_bound_below_supremum():
-    with pytest.raises(RatesError):
-        GeneratorSpec(
-            "constant", 2, rates=np.array([[-1.0, 1.0], [2.0, -2.0]]), bound=1.5
-        )
+def test_generator_bound_is_the_derived_supremum():
+    rates = np.array([[-1.0, 1.0], [2.0, -2.0]])
+    gen = GeneratorSpec("constant", 2, rates=rates)
+    assert gen.bound == 2.0
+    with pytest.raises(TypeError):
+        GeneratorSpec("constant", 2, rates=rates, bound=5.0)
+    # replace rebuilds the family, so the bound follows the new rates
+    assert dataclasses.replace(gen, rates=3.0 * rates).bound == 6.0
+    sad = GeneratorSpec("state-action-dependent", 2, base=np.array([[0.0, 1.0], [2.0, 0.0]]), gx=0.3, gu=-0.2)
+    assert sad.bound == pytest.approx(2.0 * 1.5, abs=1e-15)
+    assert GeneratorSpec("constant", 1, rates=np.zeros((1, 1))).bound == 1e-12
+    doc = model_to_dict(chain_model())
+    assert "bound" not in doc["generator"]
+    doc["generator"]["bound"] = 5.0
+    with pytest.raises(ConfigError) as err:
+        model_from_dict(doc)
+    assert err.value.path == "model.generator.bound"
 
 
 def test_state_action_generator_rows_sum_to_zero():
@@ -168,15 +180,27 @@ def test_cosine_cost_nonnegative_part():
     assert out[1] == pytest.approx(0.0)
 
 
-def test_cost_bound_uses_declared_when_larger(make_chain):
+def test_cost_bound_is_the_running_cost_bound(make_chain):
     spec = make_chain()
-    assert spec.cost_bound() == pytest.approx(2.0)
+    assert spec.cost_bound() == spec.costs.running.bound(spec.actions) == 2.0
+    with pytest.raises(TypeError):
+        dataclasses.replace(spec.costs, m_c=5.0)
     doc = model_to_dict(spec)
+    assert "m_c" not in doc["costs"]
     doc["costs"]["m_c"] = 5.0
-    assert model_from_dict(doc).cost_bound() == pytest.approx(5.0)
-    doc["costs"]["m_c"] = 0.5  # below the family supremum
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError) as err:
         model_from_dict(doc)
+    assert err.value.path == "model.costs.m_c"
+
+
+def test_bump_terminal_cost_is_a_smooth_bump():
+    bump = TerminalCost("bump", 2, 1, height=3.0, width=2.0)
+    x = np.array([[0.0], [1.0], [-1.0], [2.0], [5.0]])
+    out = bump.eval_batch(x, np.array([0, 1, 0, 1, 0]))
+    # height * exp(1 - 1 / (1 - |x|^2 / width^2)) inside the width, 0 outside
+    assert out[0] == 3.0
+    assert out[1] == out[2] == pytest.approx(3.0 * np.exp(-1.0 / 3.0), rel=1e-15)
+    assert out[3] == out[4] == 0.0
 
 
 def test_lq_cost_bound_is_infinite():
@@ -334,9 +358,6 @@ def models(draw, pinned=()):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     actions = ActionGrid(rng.normal(size=(int(rng.integers(1, 4)), l)))
     running = _running(kinds["running"], N, d, l, rng)
-    m_c = None
-    if kinds["running"] != "lq" and draw(st.booleans()):
-        m_c = running.bound(actions) + float(rng.uniform(0.0, 1.0))
     value = lambda kind: float(rng.uniform(0.0, 1.0)) if kind == "constant" else 0.0
     lo = float(rng.normal())
     costs = CostSpec(
@@ -347,7 +368,6 @@ def models(draw, pinned=()):
         exit_h=BoundaryCost(kinds["exit_h"], value=value(kinds["exit_h"])),
         exit_beta=ExitDiscount(kinds["exit_beta"], value=value(kinds["exit_beta"])),
         exit_domain=(lo, lo + float(rng.uniform(0.5, 3.0))),
-        m_c=m_c,
     )
     return ModelSpec(
         d, RegimeSet(N), actions, _drift(kinds["drift"], N, d, l, rng),
@@ -391,8 +411,8 @@ def test_model_document_round_trips(family, kind, data):
 # the keys a document may leave out, per family path
 OPTIONAL_KEYS = {
     "drift": {"offset", "saturation"},
-    "generator": {"bound", "gx", "gu"},
-    "costs": {"exit_domain", "m_c"},
+    "generator": {"gx", "gu"},
+    "costs": {"exit_domain"},
     "costs.running": {"action_weight", "offset", "frequency"},
     "costs.exit_h": {"value"},
     "costs.exit_beta": {"value"},
