@@ -23,7 +23,9 @@ evaluation one banded solve for the average cost and a relative value.
 A stationary criterion ("discounted", "exit" or "ergodic") is dispatched
 in one place: ``_evaluate`` is its fixed-policy solve (every Howard step,
 the public evaluators, the sweeps' replay), ``_residual`` its HJB defect
-and ``_stationary`` its checked Howard solve. The public functions apply
+and ``_stationary`` its checked Howard solve. The finite horizon has one
+backward level scheme, ``_backward``, which its solve, its fixed-policy
+evaluation and its sweep consume. The public functions apply
 their ``alpha`` and ``horizon`` arguments to the model's costs, so the
 code below them reads both from the models only.
 
@@ -151,17 +153,16 @@ class _Tables:
     model, and one model is the one-block stack. ``labels`` names the
     blocks in error messages.
 
-    Tables are (action, regime, model, node[, regime]) with one model slice
-    per block, except that a stack of one spec in every block (the true
-    model tiled for a replay) holds that spec once and broadcasts it.
-    ``models`` lists the specs of the slices and ``model`` maps each block
-    to its slice. ``take`` cuts a sub-stack out of built tables.
+    Tables are (action, regime, block, node[, regime]), one slice per
+    block. ``take`` cuts a sub-stack out of built tables, copying each
+    slice it names, so a block may repeat (the replay tiles the true
+    model's slice).
 
     sub and sup are the off-diagonals of the drift-diffusion operator L
     (excluding regime coupling), whose diagonal is -(sub + sup) so that L
     annihilates constants; they are nonnegative for every action, which is
     the M-matrix property the maximum principle rests on.
-    rates[a, i, m, k, j] is m_ij at node k under action a, diagonal
+    rates[a, i, b, k, j] is m_ij at node k under action a, diagonal
     included.
     """
 
@@ -175,46 +176,33 @@ class _Tables:
                 spec.actions.actions, first.actions.actions
             ):
                 raise ShapeError("stacked models must share their regimes and actions")
-        tiled = all(spec is first for spec in self.specs)
-        self.models = [first] if tiled else list(self.specs)
-        parts = [_node_tables(spec, grid) for spec in self.models]
-        self._index([np.stack(t, axis=2) for t in zip(*parts)], tiled)
+        parts = [_node_tables(spec, grid) for spec in self.specs]
+        self._index([np.stack(t, axis=2) for t in zip(*parts)])
 
-    def _index(self, tables: list, tiled: bool) -> None:
+    def _index(self, tables: list) -> None:
         self.c, self.beta, self.sub, self.sup, self.rates = tables
-        A, N, M, K = self.c.shape
-        B = len(self.specs)
-        self.model = np.zeros(B, dtype=np.int64) if tiled else np.arange(B)
+        A, N, B, K = self.c.shape
         self.shape = (N, B, K)
-        # flat index of (action 0, regime, model of the block, node) in an
-        # (A, N, M, K) table; action a adds a * N M K
-        i, m, k = np.arange(N)[:, None, None], self.model[:, None], np.arange(K)
-        self._base = (i * M + m) * K + k
-        self._stride = N * M * K
+        # flat index of (action 0, regime, block, node) in an (A, N, B, K)
+        # table; action a adds a * N B K
+        i, b, k = np.arange(N)[:, None, None], np.arange(B)[:, None], np.arange(K)
+        self._base = (i * B + b) * K + k
+        self._stride = N * B * K
 
     def take(self, blocks) -> _Tables:
         """The sub-stack of the given blocks, labels kept, its tables copied
-        out of this stack's; blocks of one model slice give the tiled form."""
-        ms = self.model[np.asarray(blocks, dtype=np.int64)]
-        tiled = bool(np.all(ms == ms[0]))
-        if tiled:
-            ms = ms[:1]
+        out of this stack's."""
         sub = object.__new__(_Tables)
         sub.specs = tuple(self.specs[b] for b in blocks)
         sub.grid = self.grid
         sub.labels = tuple(self.labels[b] for b in blocks) if self.labels else ()
-        sub.models = [self.models[m] for m in ms]
-        sub._index([t.take(ms, axis=2) for t in (self.c, self.beta, self.sub, self.sup, self.rates)], tiled)
+        sub._index([t.take(blocks, axis=2) for t in (self.c, self.beta, self.sub, self.sup, self.rates)])
         return sub
 
     def gather(self, table: np.ndarray, ai_tab: np.ndarray) -> FloatArray:
-        """Per-node entries of an (A, N, M, K, ...) table under an (N, B, K) action table."""
+        """Per-node entries of an (A, N, B, K, ...) table under an (N, B, K) action table."""
         flat = table.reshape(-1, *table.shape[4:])
         return flat.take(ai_tab * self._stride + self._base, axis=0)
-
-    def per_model(self, values: list) -> np.ndarray:
-        """Per-block copy of one (N, X) array per model slice, (N, B, X)."""
-        return np.stack(values, axis=1)[:, self.model]
 
 
 def _node_tables(spec: ModelSpec, grid: Grid1D) -> tuple:
@@ -420,7 +408,7 @@ def _pin(tab: _Tables, criterion: str):
     or the average cost's pinned node and regimes (None when the regimes
     depend on the policy)."""
     if criterion == "discounted":
-        return _shared(tab.models, "alpha")
+        return _shared(tab.specs, "alpha")
     if criterion == "exit":
         return _exit_values(tab)
     return _reference_node(tab.grid), _policy_free_pin(tab)
@@ -524,8 +512,8 @@ def _stationary(
     v, policy, histories, rho = _howard(tab, criterion, v, tol, max_iter, policy=start)
     k_ref = _reference_node(tab.grid)
     sols = []
-    for vb, pb, history, r, m in zip(_blocks(v), _blocks(policy), histories, rho, tab.model):
-        spec, extra = tab.models[m], {}
+    for vb, pb, history, r, spec in zip(_blocks(v), _blocks(policy), histories, rho, tab.specs):
+        extra = {}
         if criterion == "discounted":
             alpha = spec.costs.alpha
             if not (np.all(vb >= -1e-9) and np.all(vb <= spec.cost_bound() / alpha + 1e-9)):
@@ -617,7 +605,7 @@ def _exit_values(tab: _Tables) -> FloatArray:
     N = tab.shape[0]
     ends = np.tile([[grid.x_min], [grid.x_max]], (N, 1))
     s = np.repeat(np.arange(N), 2)
-    return tab.per_model([spec.costs.exit_h.eval_batch(ends, s).reshape(N, 2) for spec in tab.models])
+    return np.stack([spec.costs.exit_h.eval_batch(ends, s).reshape(N, 2) for spec in tab.specs], axis=1)
 
 
 def solve_exit(spec: ModelSpec, grid: Grid1D, tol: float = 1e-8, max_iter: int = 100) -> GridSolution:
@@ -637,7 +625,7 @@ def evaluate_policy_exit(spec: ModelSpec, grid: Grid1D, policy: np.ndarray) -> G
 
 def _time_levels(tab: _Tables, n_t: int | None) -> tuple:
     """(T, n_t, dt) of a finite-horizon solve over the stack's horizon; checks the step."""
-    T = _shared(tab.models, "horizon")
+    T = _shared(tab.specs, "horizon")
     if n_t is None:
         n_t = max(int(np.ceil(T / 0.05)), 10)
     if not (isinstance(n_t, numbers.Real) and float(n_t).is_integer() and n_t >= 1):
@@ -653,12 +641,51 @@ def _terminal(tab: _Tables) -> FloatArray:
     """Terminal cost c_T per regime, block and node, (N, B, K)."""
     N, _, K = tab.shape
     xs, s = np.tile(tab.grid.nodes, N)[:, None], np.repeat(np.arange(N), K)
-    return tab.per_model([spec.costs.terminal.eval_batch(xs, s).reshape(N, K) for spec in tab.models])
+    return np.stack([spec.costs.terminal.eval_batch(xs, s).reshape(N, K) for spec in tab.specs], axis=1)
 
 
 def _step_back(tab: _Tables, policy: np.ndarray, v_next: FloatArray, dt: float) -> FloatArray:
     """One backward level: solve (1/dt - L - M) v = c + v_next / dt under policy."""
     return _solve_policy(tab, policy, tab.gather(tab.c, policy) + v_next / dt, 1.0 / dt)
+
+
+def _backward(tab: _Tables, v: FloatArray, n_t: int, dt: float, policy: np.ndarray | None = None):
+    """The backward level scheme of a stack from its terminal level v = c_T.
+
+    Level j, for j = n_t - 1 down to 0, acts with ``policy[j]`` from an
+    (n_t, N, B, K) table when one is given, else with the argmin of the
+    Hamiltonians at level j + 1 (the explicit choice), and solves its
+    level system exactly by one ``_step_back``. Yields (policy_j, v_j,
+    per-block defect) level by level, keeping only the current level. The
+    defect is the level's fully implicit HJB defect max |(v_{j+1} - v_j)/dt
+    + H(v_j)|, H being min_a H_a under the scheme's own choice and
+    H_{policy[j]} under a given table.
+    """
+    ham = _hamiltonians(tab, v, False)
+    for j in range(n_t - 1, -1, -1):
+        pol = np.argmin(ham, axis=0) if policy is None else policy[j]
+        v_next, v = v, _step_back(tab, pol, v, dt)
+        ham = _hamiltonians(tab, v, False)
+        h = np.min(ham, axis=0) if policy is None else np.take_along_axis(ham, pol[None], axis=0)[0]
+        yield pol, v, np.max(np.abs((v_next - v) / dt + h), axis=(0, 2))
+
+
+def _finite_horizon(tab: _Tables, n_t: int | None, policy: np.ndarray | None = None) -> list:
+    """Every level of the stack's backward scheme, one GridSolution per block
+    with its largest level defect as the residual; ``policy`` is a checked
+    (n_t, N, B, K) table or None."""
+    T, n_t, dt = _time_levels(tab, n_t)
+    terminal = _terminal(tab)
+    levels, values, defects = zip(*_backward(tab, terminal, n_t, dt, policy))
+    values, levels = np.stack([*values[::-1], terminal]), np.stack(levels[::-1])
+    return [
+        GridSolution(
+            criterion="finite-horizon" if policy is None else "finite-horizon-policy", grid=tab.grid,
+            values=vb, policy=pb, iterations=n_t, residual=float(r), horizon=T,
+            t_levels=np.linspace(0.0, T, n_t + 1),
+        )
+        for vb, pb, r in zip(_blocks(values), _blocks(levels), np.max(defects, axis=0))
+    ]
 
 
 def solve_finite_horizon(
@@ -677,49 +704,18 @@ def solve_finite_horizon(
     return _finite_horizon(_Tables([_with_costs(spec, horizon=horizon)], grid), n_t)[0]
 
 
-def _finite_horizon(tab: _Tables, n_t: int | None) -> list:
-    """solve_finite_horizon for every block: one backward level loop for the stack."""
-    T, n_t, dt = _time_levels(tab, n_t)
-    values = np.empty((n_t + 1, *tab.shape))
-    values[n_t] = _terminal(tab)
-    policy = np.empty((n_t, *tab.shape), dtype=np.int64)
-
-    worst_res = np.zeros(len(tab.specs))
-    ham = _hamiltonians(tab, values[n_t], False)
-    for j in range(n_t - 1, -1, -1):
-        v_next = values[j + 1]
-        pol = np.argmin(ham, axis=0)
-        values[j] = _step_back(tab, pol, v_next, dt)
-        ham = _hamiltonians(tab, values[j], False)
-        res = np.max(np.abs((v_next - values[j]) / dt + np.min(ham, axis=0)), axis=(0, 2))
-        worst_res = np.maximum(worst_res, res)
-        policy[j] = pol
-
-    t_levels = np.linspace(0.0, T, n_t + 1)
-    return [
-        GridSolution(
-            criterion="finite-horizon", grid=tab.grid, values=vb, policy=pb,
-            iterations=n_t, residual=float(r), horizon=T, t_levels=t_levels,
-        )
-        for vb, pb, r in zip(_blocks(values), _blocks(policy), worst_res)
-    ]
-
-
 def evaluate_policy_finite_horizon(
     spec: ModelSpec, grid: Grid1D, policy: np.ndarray, horizon: float | None = None,
 ) -> GridSolution:
-    """Finite-horizon cost of a fixed time-indexed action table, one level per time step."""
+    """Finite-horizon cost of a fixed time-indexed action table, one level per time step.
+
+    The residual is the largest defect of the level equations,
+    max |(v_{j+1} - v_j)/dt + H_{policy[j]}(v_j)|, which the exact level
+    solves hold to roundoff.
+    """
     tab = _Tables([_with_costs(spec, horizon=horizon)], grid)
     policy = _action_table(tab, policy, ndim=3)
-    T, n_t, dt = _time_levels(tab, policy.shape[0])
-    values = np.empty((n_t + 1, *tab.shape))
-    values[n_t] = _terminal(tab)
-    for j in range(n_t - 1, -1, -1):
-        values[j] = _step_back(tab, policy[j], values[j + 1], dt)
-    return GridSolution(
-        criterion="finite-horizon-policy", grid=grid, values=values[:, :, 0], policy=policy[:, :, 0],
-        iterations=n_t, residual=0.0, horizon=T, t_levels=np.linspace(0.0, T, n_t + 1),
-    )
+    return _finite_horizon(tab, policy.shape[0], policy)[0]
 
 
 def _reference_node(grid: Grid1D) -> int:

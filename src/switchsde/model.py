@@ -167,10 +167,6 @@ class ActionGrid:
         object.__setattr__(self, "upper", _freeze(arr.max(axis=0)))
 
     @property
-    def n_actions(self) -> int:
-        return self.actions.shape[0]
-
-    @property
     def action_dim(self) -> int:
         return self.actions.shape[1]
 

@@ -180,10 +180,6 @@ class RiccatiTrajectory:
                 f"trajectory k has shape {self.k.shape}, expected ({self.times.size}, N, d, d)"
             )
 
-    @property
-    def n_regimes(self) -> int:
-        return self.k.shape[1]
-
     def symmetry_defect(self) -> float:
         return float(np.max(np.abs(self.k - np.swapaxes(self.k, -1, -2))))
 

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError
 from .hjbgrid import (
     Grid1D,
+    _backward,
     _evaluate,
     _hamiltonians,
     _stationary,
@@ -33,7 +34,8 @@ from .io import write_csv
 from .model import DIRECTIONS, ModelSpec, PerturbationSchedule, _checked, _shift, make_perturbation_sequence
 from .riccati import LQSpec, _feedback_cost_stack, _solve_stack
 
-SWEEP_HEADER = "n,delta,value_gap,policy_loss,aux,solver_iters,stderr"
+SWEEP_HEADER = "n,delta,value_gap,policy_loss,aux,solver_iters"
+EPS_HEADER = "n,delta,gap,three_eps,passed"
 
 GRID_CRITERIA = ("discounted", "finite-horizon", "exit", "ergodic")
 
@@ -46,7 +48,6 @@ class SweepRow:
     policy_loss: float
     aux: float
     solver_iters: int
-    stderr: float = 0.0
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,7 +60,7 @@ class SweepReport:
 
     def csv_rows(self):
         for r in self.rows:
-            yield (r.n, r.delta, r.value_gap, r.policy_loss, r.aux, r.solver_iters, r.stderr)
+            yield (r.n, r.delta, r.value_gap, r.policy_loss, r.aux, r.solver_iters)
 
     def to_csv(self, path) -> None:
         write_csv(path, SWEEP_HEADER, self.csv_rows())
@@ -212,18 +213,14 @@ def _block_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _finite_horizon_gaps(tab: _Tables, replay: _Tables, t: int, n_t: int | None) -> tuple:
     """Per-block value gap over all levels, and values and replayed costs at t = 0.
 
-    The stack and the replay step back together, so each level's policy is
-    replayed as soon as it is chosen and only one level of each is kept.
+    The replay steps back with the stack's backward scheme, so each level's
+    policy is replayed as soon as it is chosen and one level of each is kept.
     """
     _, n_t, dt = _time_levels(tab, n_t)
     v, j = _terminal(tab), _terminal(replay)
     value_gap = _block_gap(v, v[:, t:t + 1])
-    ham = _hamiltonians(tab, v, False)
-    for _ in range(n_t):
-        pol = np.argmin(ham, axis=0)
-        v = _step_back(tab, pol, v, dt)
+    for pol, v, _ in _backward(tab, v, n_t, dt):
         j = _step_back(replay, pol, j, dt)
-        ham = _hamiltonians(tab, v, False)
         value_gap = np.maximum(value_gap, _block_gap(v, v[:, t:t + 1]))
     return value_gap, v, j, n_t
 
@@ -324,7 +321,7 @@ class EpsOptimalityReport:
             yield (r.n, r.delta, r.gap, 3.0 * self.epsilon, r.passed)
 
     def to_csv(self, path) -> None:
-        write_csv(path, "n,delta,gap,three_eps,passed", self.csv_rows())
+        write_csv(path, EPS_HEADER, self.csv_rows())
 
 
 def _worst_eps_policy(tab: _Tables, values: np.ndarray, eps: float, with_beta: bool) -> np.ndarray:

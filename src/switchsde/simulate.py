@@ -279,14 +279,9 @@ class BatchStepper:
         self.wd = spec.diffusion.wiener_dim
         m = int(n_paths)
         x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
-        if x0.ndim == 1:
-            if x0.shape != (self.d,):
-                raise ShapeError(f"x0 has shape {x0.shape}, expected ({self.d},)")
-            self.x = np.tile(x0, (m, 1))
-        else:
-            if x0.shape != (m, self.d):
-                raise ShapeError(f"x0 batch has shape {x0.shape}, expected ({m}, {self.d})")
-            self.x = x0.copy()
+        if x0.shape != (self.d,):
+            raise ShapeError(f"x0 has shape {x0.shape}, expected ({self.d},)")
+        self.x = np.tile(x0, (m, 1))
         i0 = np.broadcast_to(np.asarray(i0, dtype=np.int64), (m,)).copy()
         if np.any(i0 < 1) or np.any(i0 > spec.regimes.count):
             raise ShapeError(f"i0 outside 1..{spec.regimes.count}")

@@ -558,6 +558,16 @@ def test_hjb_values_layout(tmp_path):
     assert float(lines[1].split(",")[3]) == pytest.approx(1.25, abs=1e-6)
 
 
+def test_hjb_exit_values_match_the_library(tmp_path):
+    spec = saturated_model()
+    grid = {"x_min": -2.0, "x_max": 2.0, "n_x": 101}
+    doc = {"command": "hjb", "model": model_to_dict(spec), "hjb": {"criterion": "exit", "grid": grid}}
+    code, out = _run(tmp_path, doc)
+    assert code == 0
+    switchsde.solve_exit(spec, switchsde.Grid1D(**grid)).to_csv(tmp_path / "lib.csv")
+    assert (out / "values.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+
 def test_stochastic_rerun_is_byte_identical(tmp_path):
     doc = {
         "command": "cost", "model": CHAIN,

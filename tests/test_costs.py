@@ -40,12 +40,13 @@ from switchsde import (
     mc_exit,
     mc_finite_horizon,
     pairwise_sum,
+    solve_discounted,
     solve_exit,
     write_estimates_csv,
 )
 from switchsde.costs import ESTIMATE_HEADER
 from switchsde.simulate import CHUNK
-from conftest import bm_model, chain_model, chain_value, saturated_model
+from conftest import bm_model, chain_model, chain_value, lq_model, saturated_model
 
 ZERO = ConstantPolicy(np.zeros(1))
 
@@ -112,6 +113,27 @@ def test_discounted_rejects_bad_parameters(chain):
         mc_discounted(chain, ZERO, [0.0], 1, 1.0, 0.01, 4, seed=1, eps_tail=math.nan)
     with pytest.raises(UnboundedError):
         mc_discounted(chain, ZERO, [0.0], 1, math.nan, 0.01, 4, seed=1)
+
+
+def test_discounted_rejects_an_unbounded_running_cost(ref_lq):
+    with pytest.raises(UnboundedError, match="bounded running cost"):
+        mc_discounted(lq_model(ref_lq), ZERO, [0.0, 0.0], 1, 1.0, 0.01, 4, seed=1)
+
+
+def test_tabulated_noise_of_constant_sigma_matches_the_constant_family():
+    # sigma = 1 at two nodes interpolates to 1 everywhere: the grid solve and
+    # the Monte Carlo estimate equal those of the constant family bit for bit
+    spec = saturated_model()
+    nodes = np.array([-2.0, 2.0])
+    noise = DiffusionFamily("tabulated", 1, 2, x_nodes=nodes, values=np.ones((2, 2)))
+    table = dataclasses.replace(spec, diffusion=noise)
+    assert np.array_equal(table.diffusion.eval_batch(np.zeros((2, 1)), np.array([0, 1])), np.ones((2, 1, 1)))
+    grid = Grid1D(-2.0, 2.0, 101)
+    want, got = solve_discounted(spec, grid), solve_discounted(table, grid)
+    assert np.array_equal(got.values, want.values) and np.array_equal(got.policy, want.policy)
+    policy = ConstantPolicy(np.array([1.0]))
+    want, got = (mc_discounted(s, policy, [0.5], 1, 0.5, 0.01, 64, seed=5) for s in (spec, table))
+    assert (got.value, got.stderr) == (want.value, want.stderr)
 
 
 def test_discounted_constant_cost_is_deterministic():

@@ -1,14 +1,19 @@
 """Repository rules no other test checks: the README config reference lists
 exactly the keys of the schema tables, its command line section names
-exactly the tool's options, and ``src/`` has no bare assert."""
+exactly the tool's options and gives every artifact's header line, and
+``src/`` has no bare assert."""
 
 import ast
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from switchsde import cli, model
+from switchsde import PathSample, cli, model
+from switchsde.costs import ESTIMATE_HEADER
+from switchsde.hjbgrid import GRID_HEADER, GRID_HEADER_T
+from switchsde.robustness import EPS_HEADER, SWEEP_HEADER
 
 ROOT = Path(__file__).resolve().parents[1]
 FAMILIES = (
@@ -73,6 +78,29 @@ def test_readme_command_line_names_exactly_the_cli_options(capsys):
     section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     assert {"--config", "--help"} <= options
     assert set(re.findall(r"`(--[a-z][a-z-]*)`", section)) == options
+
+
+def test_readme_artifact_table_gives_the_written_header_lines(tmp_path):
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    # path.csv's header pattern is written out for d = 2 state and l = 3 action components
+    table = [
+        (re.findall(r"`([^`]+)`", cells[1]),
+         re.fullmatch(r" `([^`]+)` ", cells[3]).group(1)
+         .replace("x_1,...,x_d", "x_1,x_2").replace("u_1,...,u_l", "u_1,u_2,u_3"))
+        for cells in (line.split("|") for line in section.splitlines() if line.startswith("| `"))
+    ]
+    PathSample(np.zeros(1), np.zeros((1, 2)), np.ones(1, dtype=np.int64), np.zeros((0, 3)), (), "horizon",
+               0).to_csv(tmp_path / "path.csv")
+    assert table == [
+        (["K.csv", "gains.csv"], cli.RICCATI_HEADER),
+        (["path.csv"], (tmp_path / "path.csv").read_text().splitlines()[0]),
+        (["estimates.csv"], ESTIMATE_HEADER),
+        (["values.csv"], GRID_HEADER),
+        (["values.csv"], GRID_HEADER_T),
+        (["sweep.csv"], SWEEP_HEADER),
+        (["epscheck.csv"], EPS_HEADER),
+    ]
 
 
 def test_src_has_no_bare_assert():

@@ -13,6 +13,8 @@ from scipy.linalg import expm
 from switchsde import (
     ActionGrid,
     DegenerateError,
+    DiffusionFamily,
+    DriftFamily,
     GeneratorSpec,
     Grid1D,
     MaxIterError,
@@ -21,6 +23,7 @@ from switchsde import (
     SchemeError,
     ShapeError,
     StepError,
+    TerminalCost,
     UnboundedError,
     estimate_ergodic,
     estimate_ergodic_policy,
@@ -189,6 +192,22 @@ def test_every_grid_entry_point_rejects_an_unbounded_cost(saturated, entry):
         ENTRY_POINTS[entry](spec, grid)
 
 
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_every_grid_entry_point_rejects_a_planar_model(saturated, entry):
+    # the saturated model's data on d = 2: constant drift, noise and costs
+    planar = dataclasses.replace(
+        saturated, dim=2,
+        drift=DriftFamily("constant", 2, 2, 1, b0=np.zeros((2, 2))),
+        diffusion=DiffusionFamily("constant", 2, 2, c0=np.tile(np.eye(2), (2, 1, 1))),
+        costs=dataclasses.replace(
+            saturated.costs, running=RunningCost("regime", 2, 2, 1, values=np.array([1.0, 2.0])),
+            terminal=TerminalCost("zero", 2, 2),
+        ),
+    )
+    with pytest.raises(ShapeError, match="dim 1 only"):
+        ENTRY_POINTS[entry](planar, Grid1D(-2.0, 2.0, 21))
+
+
 # ---------------------------------------------------------------------------
 # finite horizon
 
@@ -226,6 +245,23 @@ def test_finite_horizon_residual_is_the_first_order_hjb_defect(saturated):
     assert res[-1] >= 1e-3
     for coarse, fine in zip(res, res[1:]):
         assert 1.6 <= coarse / fine <= 2.5
+
+
+def test_finite_horizon_policy_residual_is_the_defect_of_its_level_equations(saturated):
+    # a random table: each level's equation (v_{j+1} - v_j)/dt + H_{pi_j}(v_j)
+    # = 0 holds to roundoff, and the residual is its measured largest defect
+    grid = Grid1D(-2.0, 2.0, 401)
+    policy = np.random.default_rng(19).integers(0, 2, size=(20, 2, grid.n_x))
+    sol = evaluate_policy_finite_horizon(saturated, grid, policy)
+    dt = saturated.costs.horizon / 20
+    tab = _Tables([saturated], grid)
+    defect = 0.0
+    for j in range(20):
+        ham = hjbgrid._hamiltonians(tab, sol.values[j][:, None], False)[:, :, 0]
+        at = np.take_along_axis(ham, policy[j][None], axis=0)[0]
+        defect = max(defect, float(np.max(np.abs((sol.values[j + 1] - sol.values[j]) / dt + at))))
+    assert sol.residual == defect
+    assert 0.0 < sol.residual < 1e-9
 
 
 def test_finite_horizon_rejects_coarse_time_step(chain):

@@ -9,11 +9,17 @@ from hypothesis import strategies as st
 
 from switchsde import (
     BlowupError,
+    DiffusionFamily,
+    DriftFamily,
     EigError,
     FeedbackTrajectory,
+    GeneratorSpec,
     LQSpec,
+    RatesError,
     RiccatiTrajectory,
+    RunningCost,
     ShapeError,
+    TerminalCost,
     a_priori_bound,
     fixed_feedback_cost,
     lq_feedback,
@@ -22,7 +28,7 @@ from switchsde import (
     solve_coupled_riccati,
 )
 from switchsde.riccati import BLOWUP_LIMIT, _integrate_backward, _riccati_data, _riccati_rhs
-from conftest import reference_lq, scalar_lq
+from conftest import lq_model, reference_lq, scalar_lq
 
 # K(0) of the reference problem, integrated independently with an adaptive
 # RK45 at rtol 1e-12 and frozen here; symmetric by construction.
@@ -153,6 +159,57 @@ def test_lqspec_shape_error_names_the_field(ref_lq, name, shape):
     with pytest.raises(ShapeError) as info:
         dataclasses.replace(ref_lq, **{name: np.ones(shape)})
     assert info.value.path == f"lq.{name}"
+
+
+def _two_controls(r):
+    """Changes to the reference problem that give it two controls with R = r."""
+    return dict(control_dim=2, b=np.ones((2, 2, 2)), r=np.array([r, r], dtype=np.float64))
+
+
+@pytest.mark.parametrize("changes,error,match", [
+    (dict(q=np.array([[[1.0, 0.5], [0.0, 1.0]]] * 2)), ShapeError, "Q must be symmetric"),
+    (_two_controls([[1.0, 0.5], [0.0, 1.0]]), ShapeError, "R must be symmetric"),
+    (dict(p=np.array([[[1.0, 0.0], [0.0, -1.0]]] * 2)), EigError, "P must be positive definite"),
+    (_two_controls([[100.0, 0.0], [0.0, 1e-11]]), EigError, "ill-conditioned"),
+    (dict(rates=np.array([[1.0, -1.0], [2.0, -2.0]])), RatesError, "off-diagonal"),
+    (dict(rates=np.array([[-1.0, 2.0], [2.0, -2.0]])), RatesError, "sum to zero"),
+], ids=["q-asymmetric", "r-asymmetric", "p-indefinite", "r-ill-conditioned", "negative-rate", "row-sum"])
+def test_lqspec_rejects_invalid_data(ref_lq, changes, error, match):
+    with pytest.raises(error, match=match):
+        dataclasses.replace(ref_lq, **changes)
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0])
+def test_lqspec_rejects_a_horizon_that_is_not_positive(ref_lq, horizon):
+    with pytest.raises(ShapeError) as info:
+        dataclasses.replace(ref_lq, horizon=horizon)
+    assert info.value.path == "lq.horizon"
+
+
+def _scalar_lq_model_with(**changes):
+    """The all-lq scalar model with families replaced (costs' families by name)."""
+    spec = lq_model(scalar_lq(p_val=1.0))
+    costs = {k: changes.pop(k) for k in ("running", "terminal") if k in changes}
+    return dataclasses.replace(spec, costs=dataclasses.replace(spec.costs, **costs), **changes)
+
+
+@pytest.mark.parametrize("changes,match", [
+    (dict(drift=DriftFamily("constant", 1, 1, 1, b0=np.zeros((1, 1)))), "drift and diffusion"),
+    (dict(diffusion=DiffusionFamily("constant", 1, 1, c0=np.ones((1, 1, 1)))), "drift and diffusion"),
+    (dict(running=RunningCost("constant", 1, 1, 1, value=1.0)), "running cost"),
+    (dict(generator=GeneratorSpec("state-action-dependent", 1, base=np.zeros((1, 1)))), "constant generator"),
+    (dict(terminal=TerminalCost("constant", 1, 1, value=1.0)), "terminal cost"),
+], ids=["drift", "diffusion", "running", "generator", "terminal"])
+def test_lq_from_model_rejects_a_family_outside_lq(changes, match):
+    lq_from_model(_scalar_lq_model_with())  # the all-lq model passes
+    with pytest.raises(ShapeError, match=match):
+        lq_from_model(_scalar_lq_model_with(**changes))
+
+
+def test_defect_needs_three_time_nodes(ref_lq):
+    traj = RiccatiTrajectory(times=np.array([0.0, 2.0]), k=np.zeros((2, 2, 2, 2)))
+    with pytest.raises(ShapeError, match="3 time nodes"):
+        riccati_defect(traj, ref_lq)
 
 
 def test_needs_at_least_eight_steps(ref_lq):

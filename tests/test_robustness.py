@@ -6,19 +6,14 @@ import numpy as np
 import pytest
 
 from switchsde import (
-    ActionGrid,
     BlowupError,
-    BoundaryCost,
     ConfigError,
-    CostSpec,
     DiffusionFamily,
     DriftFamily,
-    ExitDiscount,
     GeneratorSpec,
     Grid1D,
     LQSpec,
     MaxIterError,
-    ModelSpec,
     PerturbationSchedule,
     RegimeSet,
     RunningCost,
@@ -47,6 +42,7 @@ from switchsde.robustness import (
     sweep_grid,
     sweep_lq_finite_horizon,
 )
+from conftest import lq_model
 
 
 @pytest.fixture
@@ -158,20 +154,20 @@ def test_lq_sweep_rejects_a_cost_shift(ref_lq):
     assert info.value.path == "schedule.d_cost"
 
 
-def lq_model(lq: LQSpec) -> ModelSpec:
-    """The all-lq model whose LQ data is ``lq``."""
-    N, d, l = lq.n_regimes, lq.dim, lq.control_dim
-    return ModelSpec(
-        dim=d, regimes=RegimeSet(N), actions=ActionGrid(np.zeros((1, l))),
-        drift=DriftFamily("lq", d, N, l, a_mat=lq.a, b_mat=lq.b),
-        diffusion=DiffusionFamily("lq", d, N, c_mat=lq.c),
-        generator=GeneratorSpec("constant", N, rates=lq.rates),
-        costs=CostSpec(
-            running=RunningCost("lq", N, d, l, q_mat=lq.q, r_mat=lq.r), alpha=1.0,
-            horizon=lq.horizon, terminal=TerminalCost("quad", N, d, p_mat=lq.p),
-            exit_h=BoundaryCost("zero"), exit_beta=ExitDiscount("zero"), exit_domain=(-1.0, 1.0),
-        ),
-    )
+@pytest.mark.parametrize("sched", [
+    PerturbationSchedule("cost", 1, d_cost=1.0),
+    PerturbationSchedule("noise-approx", 1, hat_sigma=np.ones((2, 1, 1))),
+], ids=["cost", "noise-approx"])
+def test_lq_sweep_rejects_a_mode_without_an_lq_direction(ref_lq, sched):
+    with pytest.raises(ConfigError) as info:
+        sweep_lq_finite_horizon(ref_lq, sched, x0=[1.0, 0.5], i0=1, steps=100)
+    assert info.value.path == "schedule.mode"
+
+
+@pytest.mark.parametrize("i0", [0, 3])
+def test_lq_sweep_rejects_a_regime_out_of_range(ref_lq, lq_schedule, i0):
+    with pytest.raises(ShapeError, match="out of range"):
+        sweep_lq_finite_horizon(ref_lq, lq_schedule, x0=[1.0, 0.5], i0=i0, steps=100)
 
 
 def test_model_and_lq_sequences_agree_on_an_all_lq_model(ref_lq):

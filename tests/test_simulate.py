@@ -543,6 +543,13 @@ def test_invalid_start_regime(make_chain):
         BatchStepper(make_chain(), [0.0], 3, 0.01, seed=0)
 
 
+@pytest.mark.parametrize("x0", [[0.0, 1.0], np.zeros((4, 1)), []], ids=["too-long", "per-path", "empty"])
+def test_stepper_rejects_a_start_state_of_the_wrong_shape(make_chain, x0):
+    # one (d,) start state serves every path; a per-path (m, d) array is not taken
+    with pytest.raises(ShapeError, match="x0 has shape"):
+        BatchStepper(make_chain(), x0, 1, 0.01, seed=0, n_paths=4)
+
+
 def test_horizon_must_be_step_multiple(make_chain):
     with pytest.raises(StepError):
         simulate_path(make_chain(), ZERO, [0.0], 1, 1.0, 0.03, make_rng_stream(0, 0))
