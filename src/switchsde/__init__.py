@@ -65,7 +65,6 @@ from .model import (
     RunningCost,
     TerminalCost,
     ValidationReport,
-    default_sample,
     make_perturbation_sequence,
     model_from_dict,
     model_to_dict,

@@ -52,7 +52,6 @@ from .model import (
     _integer,
     _number,
     _object,
-    default_sample,
     model_from_dict,
     validate_model,
 )
@@ -481,7 +480,7 @@ def run_command(cfg: ExperimentConfig, out_dir=None, verbose: bool = False) -> i
     code, failure = 0, None
     try:
         if cfg.command in GATED_COMMANDS:
-            report = validate_model(cfg.model, default_sample(cfg.model))
+            report = validate_model(cfg.model)
             lines.append(f"validation: {'PASS' if report.passed else 'FAIL'}")
             lines.extend(str(report).splitlines())
             results["validation_passed"] = report.passed

@@ -656,28 +656,34 @@ def _backward(tab: _Tables, v: FloatArray, n_t: int, dt: float, policy: np.ndarr
     (n_t, N, B, K) table when one is given, else with the argmin of the
     Hamiltonians at level j + 1 (the explicit choice), and solves its
     level system exactly by one ``_step_back``. Yields (policy_j, v_j,
-    per-block defect) level by level, keeping only the current level. The
-    defect is the level's fully implicit HJB defect max |(v_{j+1} - v_j)/dt
-    + H(v_j)|, H being min_a H_a under the scheme's own choice and
-    H_{policy[j]} under a given table.
+    Hamiltonians H_a(v_j)) level by level, keeping only the current level;
+    the Hamiltonians are the ones the next level chooses from.
     """
     ham = _hamiltonians(tab, v, False)
     for j in range(n_t - 1, -1, -1):
         pol = np.argmin(ham, axis=0) if policy is None else policy[j]
-        v_next, v = v, _step_back(tab, pol, v, dt)
+        v = _step_back(tab, pol, v, dt)
         ham = _hamiltonians(tab, v, False)
-        h = np.min(ham, axis=0) if policy is None else np.take_along_axis(ham, pol[None], axis=0)[0]
-        yield pol, v, np.max(np.abs((v_next - v) / dt + h), axis=(0, 2))
+        yield pol, v, ham
 
 
 def _finite_horizon(tab: _Tables, n_t: int | None, policy: np.ndarray | None = None) -> list:
     """Every level of the stack's backward scheme, one GridSolution per block
     with its largest level defect as the residual; ``policy`` is a checked
-    (n_t, N, B, K) table or None."""
+    (n_t, N, B, K) table or None.
+
+    A level's defect is its fully implicit HJB defect max |(v_{j+1} - v_j)/dt
+    + H(v_j)|, H being min_a H_a under the scheme's own choice and
+    H_{policy[j]} under a given table.
+    """
     T, n_t, dt = _time_levels(tab, n_t)
-    terminal = _terminal(tab)
-    levels, values, defects = zip(*_backward(tab, terminal, n_t, dt, policy))
-    values, levels = np.stack([*values[::-1], terminal]), np.stack(levels[::-1])
+    levels, values, defects = [], [_terminal(tab)], []
+    for pol, v, ham in _backward(tab, values[0], n_t, dt, policy):
+        h = np.min(ham, axis=0) if policy is None else np.take_along_axis(ham, pol[None], axis=0)[0]
+        defects.append(np.max(np.abs((values[-1] - v) / dt + h), axis=(0, 2)))
+        levels.append(pol)
+        values.append(v)
+    values, levels = np.stack(values[::-1]), np.stack(levels[::-1])
     return [
         GridSolution(
             criterion="finite-horizon" if policy is None else "finite-horizon-policy", grid=tab.grid,

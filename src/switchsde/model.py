@@ -295,6 +295,16 @@ class DiffusionFamily:
 # generator families
 
 
+def _check_rates(rates: FloatArray, path: str) -> None:
+    """The generator rule for a rate matrix: nonnegative off-diagonals and
+    rows summing to zero within ``ROW_SUM_TOL`` times max(1, sum_j |m_ij|),
+    so the rule holds at every rate scale. Violations are E_RATES at ``path``."""
+    if np.any(rates - np.diag(np.diag(rates)) < 0):
+        raise RatesError("off-diagonal switching rates must be >= 0", path)
+    if not np.all(np.abs(rates.sum(axis=1)) <= ROW_SUM_TOL * np.maximum(1.0, np.abs(rates).sum(axis=1))):
+        raise RatesError("generator rows must sum to zero", path)
+
+
 @dataclass(frozen=True, eq=False)
 class GeneratorSpec:
     """Switching-rate matrix family with a derived uniform bound.
@@ -332,12 +342,8 @@ class GeneratorSpec:
         _check_fields(self, N=self.n_regimes)
         N = self.n_regimes
         if self.kind == "constant":
-            rates = self.rates
-            if np.any(rates - np.diag(np.diag(rates)) < 0):
-                raise RatesError("off-diagonal switching rates must be >= 0", "generator.rates")
-            if np.max(np.abs(rates.sum(axis=1))) > ROW_SUM_TOL:
-                raise RatesError("generator rows must sum to zero", "generator.rates")
-            sup = float(np.max(np.abs(rates))) if N > 1 else 0.0
+            _check_rates(self.rates, "generator.rates")
+            sup = float(np.max(np.abs(self.rates))) if N > 1 else 0.0
         else:
             base = self.base
             if np.any(np.diag(base) != 0.0):
@@ -735,118 +741,36 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _sample_arrays(spec: ModelSpec, sample) -> tuple[FloatArray, NDArray[np.int64], FloatArray]:
-    xs, ss, us = [], [], []
-    for x, i, u in sample:
-        x = np.atleast_1d(np.asarray(x, dtype=np.float64))
-        u = np.atleast_1d(np.asarray(u, dtype=np.float64))
-        if x.shape != (spec.dim,):
-            raise ShapeError(f"sample state has shape {x.shape}, expected ({spec.dim},)")
-        if u.shape != (spec.actions.action_dim,):
-            raise ShapeError(
-                f"sample action has shape {u.shape}, expected ({spec.actions.action_dim},)"
-            )
-        if not (1 <= int(i) <= spec.regimes.count):
-            raise ShapeError(f"sample regime {i} outside 1..{spec.regimes.count}")
-        xs.append(x)
-        ss.append(int(i) - 1)
-        us.append(u)
-    return np.array(xs), np.array(ss, dtype=np.int64), np.array(us)
+def validate_model(spec: ModelSpec) -> ValidationReport:
+    """Check what construction cannot, at nine states on [-2, 2] (all
+    components equal), every regime and every action.
 
-
-def validate_model(spec: ModelSpec, sample) -> ValidationReport:
-    """Check structural assumptions at the given (x, regime, action) points.
-
-    Regimes in the sample are 1-based labels. The report carries one finding
-    per assumption; violations are findings, not exceptions. Shape mismatches
-    between sample points and the model raise E_SHAPE.
+    The generator's signs and row sums are enforced, and the rate and cost
+    bounds derived, when a model is built. ``nondegeneracy`` needs
+    a = sigma sigma^T / 2 > 0; it is advisory for the lq diffusion
+    sigma = C x, which vanishes at x = 0 (grid solvers reject a <= 0 at a
+    node). The advisory ``lipschitz-ratio`` is the largest drift chord slope
+    between neighbouring states at one regime and action: the states lie on
+    one line, so no chord between two of them is steeper.
     """
-    if not sample:
-        raise ShapeError("validation sample must be nonempty")
-    x, s, u = _sample_arrays(spec, sample)
+    N, A = spec.regimes.count, spec.actions.actions.shape[0]
+    states = np.linspace(-2.0, 2.0, 9)[:, None] * np.ones(spec.dim)
+    x = np.repeat(states, N * A, axis=0)
+    s = np.tile(np.repeat(np.arange(N), A), len(states))
+    u = np.tile(spec.actions.actions, (len(states) * N, 1))
 
-    findings: list[Finding] = []
-    rates = spec.generator.rates_batch(x, u)
-
-    row = float(np.max(np.abs(rates.sum(axis=2))))
-    findings.append(
-        Finding("generator-row-sum", row <= ROW_SUM_TOL, f"max |row sum| = {row:.3e}")
-    )
-    off = rates.copy()
-    idx = np.arange(spec.regimes.count)
-    off[:, idx, idx] = 0.0
-    min_off = float(off.min()) if spec.regimes.count > 1 else 0.0
-    findings.append(
-        Finding("generator-sign", min_off >= 0.0, f"min off-diagonal rate = {min_off:.3e}")
-    )
-    sup = float(np.max(np.abs(rates)))
-    findings.append(
-        Finding(
-            "generator-bound",
-            sup <= spec.generator.bound + 1e-12,
-            f"sup |m_ij| = {sup:.6g} vs bound {spec.generator.bound:.6g}",
-        )
-    )
-
-    c = spec.costs.running.eval_batch(x, s, u)
-    mc = spec.cost_bound()
-    if np.isinf(mc):
-        findings.append(
-            Finding(
-                "cost-bound",
-                bool(np.all(c >= 0)),
-                "quadratic running cost is unbounded: riccati-only family, grid "
-                f"solvers reject it; sampled min c = {float(c.min()):.3e}",
-                advisory=True,
-            )
-        )
-    else:
-        ok = bool(np.all(c >= -1e-15) and np.all(c <= mc + 1e-12))
-        findings.append(
-            Finding("cost-bound", ok, f"c in [{float(c.min()):.6g}, {float(c.max()):.6g}], M_c = {mc:.6g}")
-        )
-
-    a = spec.diffusion.a_batch(x, s)
-    min_eig = float(np.min(np.linalg.eigvalsh(a)))
-    # advisory for sigma = C x, which vanishes at x = 0; grid solvers reject a <= 0 at a node
+    min_eig = float(np.min(np.linalg.eigvalsh(spec.diffusion.a_batch(x, s))))
     lq = spec.diffusion.kind == "lq"
     detail = f"{'riccati-only family, ' if lq else ''}min eigenvalue of a = {min_eig:.3e}"
-    findings.append(Finding("nondegeneracy", min_eig > 0.0, detail, advisory=lq))
 
-    # advisory finite-difference surrogate for local Lipschitz continuity
-    ratio = 0.0
-    m = x.shape[0]
-    if m >= 2:
-        b = spec.drift.eval_batch(x, s, u)
-        for p in range(m - 1):
-            same = (s[p + 1 :] == s[p]) & np.all(u[p + 1 :] == u[p], axis=1)
-            if not np.any(same):
-                continue
-            dx = np.linalg.norm(x[p + 1 :][same] - x[p], axis=1)
-            db = np.linalg.norm(b[p + 1 :][same] - b[p], axis=1)
-            keep = dx > 1e-12
-            if np.any(keep):
-                ratio = max(ratio, float(np.max(db[keep] / dx[keep])))
-    findings.append(
-        Finding(
-            "lipschitz-ratio",
-            bool(np.isfinite(ratio)),
-            f"max sampled |b(x)-b(y)|/|x-y| = {ratio:.6g}",
-            advisory=True,
-        )
-    )
-    return ValidationReport(tuple(findings))
-
-
-def default_sample(spec: ModelSpec):
-    """Cartesian sample of nine states on [-2, 2], all regimes and all actions."""
-    pts = []
-    for xv in np.linspace(-2.0, 2.0, 9):
-        x = np.full(spec.dim, xv)
-        for i in range(1, spec.regimes.count + 1):
-            for a in spec.actions.actions:
-                pts.append((x.copy(), i, np.array(a)))
-    return pts
+    b = spec.drift.eval_batch(x, s, u).reshape(len(states), N * A, spec.dim)
+    db = np.linalg.norm(np.diff(b, axis=0), axis=2)
+    ratio = float(np.max(db / np.linalg.norm(np.diff(states, axis=0), axis=1)[:, None]))
+    return ValidationReport((
+        Finding("nondegeneracy", min_eig > 0.0, detail, advisory=lq),
+        Finding("lipschitz-ratio", bool(np.isfinite(ratio)),
+                f"max sampled |b(x)-b(y)|/|x-y| = {ratio:.6g}", advisory=True),
+    ))
 
 
 # ---------------------------------------------------------------------------

@@ -33,8 +33,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BlowupError, EigError, RatesError, ShapeError
-from .model import FloatArray, ModelSpec, _freeze, ROW_SUM_TOL
+from .errors import BlowupError, EigError, ShapeError
+from .model import FloatArray, ModelSpec, _check_rates, _freeze
 
 BLOWUP_LIMIT = 1e12
 COND_LIMIT = 1e12
@@ -107,11 +107,7 @@ class LQSpec:
             raise EigError(f"R must be positive definite (min eig {r_eigs.min():.3e})")
         if float(r_eigs.max() / r_eigs.min()) > COND_LIMIT:
             raise EigError("R is too ill-conditioned to invert reliably")
-        offdiag = self.rates - np.diag(np.diag(self.rates))
-        if np.any(offdiag < 0):
-            raise RatesError("off-diagonal switching rates must be >= 0")
-        if float(np.max(np.abs(self.rates.sum(axis=1)))) > ROW_SUM_TOL:
-            raise RatesError("generator rows must sum to zero")
+        _check_rates(self.rates, "lq.rates")
 
     def r_inv_bt(self) -> FloatArray:
         """Per-regime R^{-1} B^T, shape (N, l, d); R is checked definite above."""

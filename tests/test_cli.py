@@ -153,6 +153,28 @@ def test_hjb_gate_blocks_degenerate_model(tmp_path):
     assert not (out / "values.csv").exists()
 
 
+def test_hjb_runs_on_a_large_state_action_dependent_generator(tmp_path):
+    # rates_batch rebuilds each diagonal as minus the row sum, which leaves
+    # row sums of order 1e-12 at rates near 1e4; the model is valid
+    base = [[0, 4000.1, 3000.1, 2000.1], [1000.1, 0, 3000.1, 1500.1],
+            [2500.1, 1000.1, 0, 1000.1], [100.1, 200.1, 7000.1, 0]]
+    doc = {
+        "command": "hjb",
+        "model": dict(
+            CHAIN, regimes={"count": 4}, actions=[[-1.0], [0.0], [1.0]],
+            drift={"kind": "constant", "b0": [[0.0]] * 4},
+            diffusion={"kind": "constant", "c0": [[[0.2]]] * 4},
+            generator={"kind": "state-action-dependent", "base": base, "gx": 0.3, "gu": 0.2},
+            costs={"running": {"kind": "regime", "values": [1.0, 2.0, 3.0, 4.0]}, "alpha": 1.0, "horizon": 1.0},
+        ),
+        "hjb": {"criterion": "discounted", "grid": {"x_min": -1.0, "x_max": 1.0, "n_x": 21}},
+    }
+    code, out = _run(tmp_path, doc)
+    assert code == 0
+    assert json.loads((out / "results.json").read_text())["validation_passed"] is True
+    assert (out / "values.csv").exists()
+
+
 def test_solver_error_exits_3(tmp_path, capsys):
     # the schedule drives m12 negative at its largest magnitude
     doc = {

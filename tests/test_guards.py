@@ -1,7 +1,7 @@
 """Repository rules no other test checks: the README config reference lists
 exactly the keys of the schema tables, its command line section names
-exactly the tool's options and gives every artifact's header line, and
-``src/`` has no bare assert."""
+exactly the tool's options and the validator's findings and gives every
+artifact's header line, and ``src/`` has no bare assert."""
 
 import ast
 import re
@@ -14,6 +14,7 @@ from switchsde import PathSample, cli, model
 from switchsde.costs import ESTIMATE_HEADER
 from switchsde.hjbgrid import GRID_HEADER, GRID_HEADER_T
 from switchsde.robustness import EPS_HEADER, SWEEP_HEADER
+from conftest import chain_model
 
 ROOT = Path(__file__).resolve().parents[1]
 FAMILIES = (
@@ -101,6 +102,13 @@ def test_readme_artifact_table_gives_the_written_header_lines(tmp_path):
         (["sweep.csv"], SWEEP_HEADER),
         (["epscheck.csv"], EPS_HEADER),
     ]
+
+
+def test_readme_names_exactly_the_validator_findings():
+    text = (ROOT / "README.md").read_text()
+    section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    named = {a or b for a, b in re.findall(r"finding\s+`([a-z-]+)`|`([a-z-]+)`\s+finding", section)}
+    assert named == {f.name for f in model.validate_model(chain_model()).findings}
 
 
 def test_src_has_no_bare_assert():

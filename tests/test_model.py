@@ -17,6 +17,7 @@ from switchsde import (
     DriftFamily,
     ExitDiscount,
     GeneratorSpec,
+    LQSpec,
     ModelSpec,
     PerturbationSchedule,
     RatesError,
@@ -24,13 +25,12 @@ from switchsde import (
     RunningCost,
     ShapeError,
     TerminalCost,
-    default_sample,
     make_perturbation_sequence,
     model_from_dict,
     model_to_dict,
     validate_model,
 )
-from switchsde.model import DIRECTIONS
+from switchsde.model import DIRECTIONS, ROW_SUM_TOL
 from conftest import bm_model, chain_model, saturated_model
 
 
@@ -115,6 +115,26 @@ def test_generator_rejects_negative_offdiagonal():
 def test_generator_rejects_nonzero_row_sum():
     with pytest.raises(RatesError):
         GeneratorSpec("constant", 2, rates=np.array([[-1.0, 1.5], [2.0, -2.0]]))
+
+
+# one-decimal rates near 1e4: the diagonal -sum_j m_ij leaves a row sum of 1.8e-12
+DECIMAL_OFF = np.array([[0.0, 9099.6, 430.7], [8227.1, 0.0, 8298.0], [99.5, 3650.5, 0.0]])
+RATE_CLASSES = {
+    "generator": lambda rates: GeneratorSpec("constant", 3, rates=rates),
+    "lq": lambda rates: LQSpec(
+        1, 3, 1, a=np.zeros((3, 1, 1)), b=np.ones((3, 1, 1)), c=np.zeros((3, 1, 1)),
+        q=np.ones((3, 1, 1)), r=np.ones((3, 1, 1)), p=np.ones((3, 1, 1)), rates=rates, horizon=1.0,
+    ),
+}
+
+
+@pytest.mark.parametrize("build", RATE_CLASSES.values(), ids=RATE_CLASSES)
+def test_row_sum_tolerance_scales_with_the_row(build):
+    rates = DECIMAL_OFF - np.diag(DECIMAL_OFF.sum(axis=1))
+    assert np.max(np.abs(rates.sum(axis=1))) > ROW_SUM_TOL
+    assert np.array_equal(build(rates).rates, rates)
+    with pytest.raises(RatesError, match="sum to zero"):
+        build(rates + np.diag([0.0, 1e-6, 0.0]))
 
 
 def test_generator_bound_is_the_derived_supremum():
@@ -466,23 +486,45 @@ def test_malformed_field_is_a_config_error_at_its_path(spec, family, mutation, p
 
 
 def test_validate_passes_on_elliptic_chain(chain):
-    report = validate_model(chain, default_sample(chain))
+    report = validate_model(chain)
     assert report.passed
-    names = {f.name for f in report.findings}
-    assert {"generator-row-sum", "generator-sign", "generator-bound",
-            "cost-bound", "nondegeneracy"} <= names
+    assert {f.name for f in report.findings} == {"nondegeneracy", "lipschitz-ratio"}
 
 
 def test_validate_flags_degenerate_diffusion(make_chain):
-    spec = make_chain(sigma=0.0)
-    report = validate_model(spec, default_sample(spec))
+    report = validate_model(make_chain(sigma=0.0))
     assert not report.passed
     assert [f.name for f in report.failures()] == ["nondegeneracy"]
 
 
-def test_validate_rejects_empty_sample(chain):
-    with pytest.raises(ShapeError):
-        validate_model(chain, [])
+def _all_pairs_lipschitz(spec) -> float:
+    """Largest drift chord slope over every pair of sample points with one
+    regime and action, on nine states on [-2, 2], every regime and action."""
+    pts = [
+        (np.full(spec.dim, xv), i, a)
+        for xv in np.linspace(-2.0, 2.0, 9) for i in range(spec.regimes.count) for a in spec.actions.actions
+    ]
+    x, u = np.array([p[0] for p in pts]), np.array([p[2] for p in pts])
+    s = np.array([p[1] for p in pts], dtype=np.int64)
+    b = spec.drift.eval_batch(x, s, u)
+    ratio = 0.0
+    for p in range(len(pts) - 1):
+        same = (s[p + 1:] == s[p]) & np.all(u[p + 1:] == u[p], axis=1)
+        dx = np.linalg.norm(x[p + 1:][same] - x[p], axis=1)
+        db = np.linalg.norm(b[p + 1:][same] - b[p], axis=1)
+        keep = dx > 1e-12
+        if np.any(keep):
+            ratio = max(ratio, float(np.max(db[keep] / dx[keep])))
+    return ratio
+
+
+@settings(max_examples=100, deadline=None)
+@given(spec=models())
+def test_lipschitz_ratio_is_the_all_pairs_chord_slope(spec):
+    detail = {f.name: f.detail for f in validate_model(spec).findings}["lipschitz-ratio"]
+    # the report prints six significant digits, so the oracle is rounded the same way
+    oracle = float(f"{_all_pairs_lipschitz(spec):.6g}")
+    assert float(detail.rsplit("= ", 1)[1]) == pytest.approx(oracle, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------

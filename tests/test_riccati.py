@@ -179,6 +179,14 @@ def test_lqspec_rejects_invalid_data(ref_lq, changes, error, match):
         dataclasses.replace(ref_lq, **changes)
 
 
+@pytest.mark.parametrize("rates", [[[1.0, -1.0], [2.0, -2.0]], [[-1.0, 2.0], [2.0, -2.0]]],
+                         ids=["negative-rate", "row-sum"])
+def test_lqspec_rate_errors_carry_the_path_lq_rates(ref_lq, rates):
+    with pytest.raises(RatesError) as info:
+        dataclasses.replace(ref_lq, rates=np.array(rates))
+    assert info.value.path == "lq.rates"
+
+
 @pytest.mark.parametrize("horizon", [0.0, -1.0])
 def test_lqspec_rejects_a_horizon_that_is_not_positive(ref_lq, horizon):
     with pytest.raises(ShapeError) as info:
