@@ -8,6 +8,7 @@ timestamps, so a rerun of the same config bytes is byte-identical.
 
 Each command block is described by one table in ``BLOCKS``; ``parse_config``
 converts every block value once, by that table, and fills in the defaults.
+Each command runner imports only the solver modules it calls.
 
 Exit codes: 0 success, 2 validation findings failure, 3 solver error,
 4 config error (a bad command line included).
@@ -26,26 +27,11 @@ from typing import NamedTuple
 import numpy as np
 
 from . import __version__
-from .costs import (
-    DEFAULT_BATCH,
-    mc_discounted,
-    mc_ergodic,
-    mc_exit,
-    mc_finite_horizon,
-    write_estimates_csv,
-)
 from .errors import ConfigError, SwitchSdeError
-from .hjbgrid import (
-    Grid1D,
-    _reference_node,
-    estimate_ergodic,
-    solve_discounted,
-    solve_exit,
-    solve_finite_horizon,
-)
 from .io import atomic_write_text, g17, write_csv
 from .model import (
     DIRECTIONS,
+    GRID_CRITERIA,
     ModelSpec,
     PerturbationSchedule,
     _array,
@@ -54,21 +40,6 @@ from .model import (
     _object,
     model_from_dict,
     validate_model,
-)
-from .riccati import (
-    a_priori_bound,
-    lq_feedback,
-    lq_from_model,
-    riccati_defect,
-    solve_coupled_riccati,
-)
-from .robustness import GRID_CRITERIA, check_eps_optimality, sweep_grid, sweep_lq_finite_horizon
-from .simulate import (
-    ConstantPolicy,
-    LQFeedbackPolicy,
-    make_rng_stream,
-    simulate_exit_path,
-    simulate_path,
 )
 
 COMMANDS = ("validate", "riccati", "simulate", "cost", "hjb", "ergodic", "robustness", "eps-check")
@@ -100,6 +71,12 @@ def _horizon(model: ModelSpec) -> float:
     return model.costs.horizon
 
 
+def _batch(model: ModelSpec) -> int:
+    from .costs import DEFAULT_BATCH
+
+    return DEFAULT_BATCH
+
+
 _LQ_SWEEP = ("lq-finite-horizon",)
 _STATIONARY = ("discounted", "exit", "ergodic")
 _START = (
@@ -129,7 +106,7 @@ BLOCKS = {
         ("t_cap", "number", Only("criterion", ("exit",))),
         ("burn_in", "number", Only("criterion", ("ergodic",), None)),
         ("eps_tail", "number", Only("criterion", ("discounted",), 1e-4)),
-        ("batch", "integer", DEFAULT_BATCH),
+        ("batch", "integer", _batch),
     ),
     "hjb": (
         ("criterion", ("discounted", "finite-horizon", "exit"), REQUIRED),
@@ -232,6 +209,8 @@ def _convert(v, typ, path: str, model: ModelSpec):
         return _read(v, (("kind", kinds, REQUIRED), *POLICIES[kind]), path, model)
     if typ in ("grid", "schedule"):
         values = _read(v, GRID if typ == "grid" else SCHEDULE, path, model)
+        if typ == "grid":
+            from .hjbgrid import Grid1D
         try:
             return Grid1D(**values) if typ == "grid" else PerturbationSchedule(**values)
         except SwitchSdeError as exc:
@@ -281,10 +260,14 @@ def parse_config(data) -> ExperimentConfig:
 
 def _policy(entry: dict | None, spec: ModelSpec):
     """The simulation policy of a parsed ``policy`` entry (zero when absent)."""
+    from .simulate import ConstantPolicy, LQFeedbackPolicy
+
     if entry is None or entry["kind"] == "zero":
         return ConstantPolicy(np.zeros(spec.actions.action_dim))
     if entry["kind"] == "constant":
         return ConstantPolicy(entry["u"])
+    from .riccati import lq_feedback, lq_from_model, solve_coupled_riccati
+
     lq = lq_from_model(spec)
     return LQFeedbackPolicy(lq_feedback(solve_coupled_riccati(lq, n_steps=entry["steps"]), lq))
 
@@ -294,6 +277,8 @@ def _policy(entry: dict | None, spec: ModelSpec):
 
 
 def _run_riccati(cfg: ExperimentConfig, out: Path, lines: list, results: dict) -> None:
+    from .riccati import a_priori_bound, lq_feedback, lq_from_model, riccati_defect, solve_coupled_riccati
+
     steps = cfg.block["steps"]
     lq = lq_from_model(cfg.model)
     traj = solve_coupled_riccati(lq, n_steps=steps)
@@ -316,6 +301,8 @@ def _run_riccati(cfg: ExperimentConfig, out: Path, lines: list, results: dict) -
 
 
 def _run_simulate(cfg: ExperimentConfig, out: Path, lines: list, results: dict) -> None:
+    from .simulate import make_rng_stream, simulate_exit_path, simulate_path
+
     b, spec = cfg.block, cfg.model
     stream = make_rng_stream(b["seed"], 0)
     policy = _policy(b["policy"], spec)
@@ -336,6 +323,8 @@ def _run_simulate(cfg: ExperimentConfig, out: Path, lines: list, results: dict) 
 
 
 def _run_cost(cfg: ExperimentConfig, out: Path, lines: list, results: dict) -> None:
+    from .costs import mc_discounted, mc_ergodic, mc_exit, mc_finite_horizon, write_estimates_csv
+
     b, spec = cfg.block, cfg.model
     crit = b["criterion"]
     x0, i0, dt, n_paths, seed = b["x0"], b["i0"], b["dt"], b["n_paths"], b["seed"]
@@ -367,6 +356,8 @@ def _run_cost(cfg: ExperimentConfig, out: Path, lines: list, results: dict) -> N
 
 
 def _run_hjb(cfg: ExperimentConfig, out: Path, lines: list, results: dict) -> None:
+    from .hjbgrid import solve_discounted, solve_exit, solve_finite_horizon
+
     b = cfg.block
     crit = b["criterion"]
     if crit == "discounted":
@@ -386,6 +377,8 @@ def _run_hjb(cfg: ExperimentConfig, out: Path, lines: list, results: dict) -> No
 
 
 def _run_ergodic(cfg: ExperimentConfig, out: Path, lines: list, results: dict) -> None:
+    from .hjbgrid import _reference_node, estimate_ergodic
+
     b = cfg.block
     grid = b["grid"]
     est = estimate_ergodic(cfg.model, grid, tol=b["tol"], max_iter=b["max_iter"])
@@ -407,9 +400,14 @@ def _run_robustness(cfg: ExperimentConfig, out: Path, lines: list, results: dict
     crit = b["criterion"]
     tol = b["tol"]
     if crit == "lq-finite-horizon":
+        from .riccati import lq_from_model
+        from .robustness import sweep_lq_finite_horizon
+
         lq = lq_from_model(cfg.model)
         rep = sweep_lq_finite_horizon(lq, b["schedule"], b["x0"], b["i0"], steps=b["steps"])
     else:
+        from .robustness import sweep_grid
+
         rep = sweep_grid(
             cfg.model, b["schedule"], crit, b["grid"], tol=tol, max_iter=b["max_iter"],
             n_t=b["n_t"],
@@ -438,6 +436,8 @@ def _run_robustness(cfg: ExperimentConfig, out: Path, lines: list, results: dict
 
 
 def _run_eps_check(cfg: ExperimentConfig, out: Path, lines: list, results: dict) -> None:
+    from .robustness import check_eps_optimality
+
     b = cfg.block
     rep = check_eps_optimality(
         cfg.model, b["schedule"], b["criterion"], b["eps"], b["grid"],

@@ -33,6 +33,13 @@ from .errors import ConfigError, RatesError, ShapeError
 FloatArray = NDArray[np.float64]
 
 ROW_SUM_TOL = 1e-12
+EIG_FLOOR = 1e-12
+
+
+def _check_sym(mats: np.ndarray, name: str, path: str = "") -> None:
+    sym = float(np.max(np.abs(mats - np.swapaxes(mats, -1, -2))))
+    if sym > 1e-10:
+        raise ShapeError(f"{name} must be symmetric (defect {sym:.3e})", path)
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -377,8 +384,9 @@ class RunningCost:
     kind 'regime'       c = values[i]
     kind 'quad-clamped' c = min(weight*|x|^2, cap) + action_weight*|u|^2 + offset
     kind 'cosine'       c = amplitude * max(cos(frequency * x_1), 0)   (d = 1)
-    kind 'lq'           c = x^T Q(i) x + u^T R(i) u; unbounded, accepted only
-                        by the Riccati path
+    kind 'lq'           c = x^T Q(i) x + u^T R(i) u with Q(i) symmetric positive
+                        semidefinite and R(i) symmetric positive definite;
+                        unbounded, accepted only by the Riccati path
 
     ``bound(actions)`` is the least M_c valid for the family given the finite
     action set (infinity for 'lq').
@@ -418,6 +426,14 @@ class RunningCost:
         _check_fields(self, N=self.n_regimes, d=self.dim, l=self.action_dim)
         if self.kind == "cosine" and self.dim != 1:
             raise ShapeError("cosine cost supports dim 1 only", "costs.running.kind")
+        if self.kind == "lq":
+            for key, mats, floor in (("q", self.q_mat, -EIG_FLOOR), ("r", self.r_mat, EIG_FLOOR)):
+                path = f"{self.PATH}.{key}"
+                _check_sym(mats, f"'{key}'", path)
+                least = float(np.min(np.linalg.eigvalsh(mats)))
+                if least < floor:
+                    what = "semidefinite" if key == "q" else "definite"
+                    raise ShapeError(f"'{key}' must be positive {what} (min eig {least:.3e})", path)
 
     def bound(self, actions: ActionGrid) -> float:
         if self.kind == "constant":
@@ -521,6 +537,10 @@ class ExitDiscount(_ConstantFamily):
     function beta(x, i, u)."""
 
     PATH = "costs.exit_beta"
+
+
+# the four criteria of a CostSpec, each of which the grid layer solves
+GRID_CRITERIA = ("discounted", "finite-horizon", "exit", "ergodic")
 
 
 @dataclass(frozen=True, eq=False)

@@ -33,18 +33,11 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import BlowupError, EigError, ShapeError
-from .model import FloatArray, ModelSpec, _check_rates, _freeze
+from .errors import BlowupError, ConfigError, EigError, ShapeError
+from .model import EIG_FLOOR, FloatArray, ModelSpec, _check_rates, _check_sym, _freeze
 
 BLOWUP_LIMIT = 1e12
 COND_LIMIT = 1e12
-EIG_FLOOR = 1e-12
-
-
-def _check_sym(mats: np.ndarray, name: str) -> None:
-    sym = float(np.max(np.abs(mats - np.swapaxes(mats, -1, -2))))
-    if sym > 1e-10:
-        raise ShapeError(f"{name} must be symmetric (defect {sym:.3e})")
 
 
 def _check_psd(mats: np.ndarray, name: str) -> None:
@@ -115,9 +108,16 @@ class LQSpec:
 
 
 def lq_from_model(spec: ModelSpec) -> LQSpec:
-    """Extract the LQ problem from a model with lq families throughout."""
+    """Extract the LQ problem from a model with lq families throughout.
+
+    The Riccati equations have no affine drift term, so a nonzero lq drift
+    offset b0 is E_CONFIG at ``model.drift.offset``.
+    """
     if spec.drift.kind != "lq" or spec.diffusion.kind != "lq":
         raise ShapeError("lq extraction needs drift and diffusion of kind 'lq'")
+    if np.any(spec.drift.b0 != 0.0):
+        raise ConfigError("the lq drift offset must be zero: the Riccati equations have no affine term",
+                          "model.drift.offset")
     if spec.costs.running.kind != "lq":
         raise ShapeError("lq extraction needs a running cost of kind 'lq'")
     if spec.generator.kind != "constant":

@@ -15,6 +15,7 @@ so its gaps vanish exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -31,13 +32,21 @@ from .hjbgrid import (
     _time_levels,
 )
 from .io import write_csv
-from .model import DIRECTIONS, ModelSpec, PerturbationSchedule, _checked, _shift, make_perturbation_sequence
-from .riccati import LQSpec, _feedback_cost_stack, _solve_stack
+from .model import (
+    DIRECTIONS,
+    GRID_CRITERIA,
+    ModelSpec,
+    PerturbationSchedule,
+    _checked,
+    _shift,
+    make_perturbation_sequence,
+)
+
+if TYPE_CHECKING:
+    from .riccati import LQSpec
 
 SWEEP_HEADER = "n,delta,value_gap,policy_loss,aux,solver_iters"
 EPS_HEADER = "n,delta,gap,three_eps,passed"
-
-GRID_CRITERIA = ("discounted", "finite-horizon", "exit", "ergodic")
 
 
 @dataclass(frozen=True, eq=False)
@@ -151,6 +160,8 @@ def sweep_lq_finite_horizon(
     the stack once and serves the reference K, the base cost M* and the
     delta = 0 control row, so that row's gaps are exactly zero.
     """
+    from .riccati import _feedback_cost_stack, _solve_stack
+
     x0 = np.asarray(x0, dtype=np.float64).reshape(true_lq.dim)
     if not 1 <= i0 <= true_lq.n_regimes:
         raise ShapeError(f"regime {i0} out of range")

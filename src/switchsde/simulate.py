@@ -74,13 +74,16 @@ import math
 import os
 import threading
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import NanError, ShapeError, StepError
 from .io import g17, write_csv
 from .model import ActionGrid, FloatArray, ModelSpec
-from .riccati import FeedbackTrajectory
+
+if TYPE_CHECKING:
+    from .riccati import FeedbackTrajectory
 
 CHUNK = 1024
 TILE = 64  # paths per transposed refill copy, steps per compaction copy

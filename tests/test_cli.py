@@ -290,6 +290,28 @@ def test_lq_policy_simulate_matches_the_library(tmp_path):
     assert path.clamped_steps == 0 and np.abs(path.states).max() > 0.0
 
 
+LQ_POLICY_COST = {"criterion": "finite-horizon", "x0": [1.0], "i0": 1, "dt": 0.01, "n_paths": 16, "seed": 5,
+                  "policy": {"kind": "lq", "steps": 50}}
+
+
+@pytest.mark.parametrize("command,block", [("riccati", {"steps": 50}), ("cost", LQ_POLICY_COST)])
+def test_lq_drift_offset_must_be_zero(tmp_path, capsys, command, block):
+    # the Riccati equations have no affine term: a nonzero offset b0 is a
+    # config error, and a zero one changes no artifact
+    model = dict(LQ_SCALAR, actions=[[-5.0], [5.0]])
+    doc = {"command": command, "model": model, command: block}
+    with_offset = lambda b0: dict(doc, model=dict(model, drift=dict(model["drift"], offset=[[b0]])))
+    code, _ = _run(tmp_path, with_offset(5.0), sub="offset")
+    assert code == 4
+    assert capsys.readouterr().err.rstrip().endswith("at 'model.drift.offset'")
+    with pytest.warns(UserWarning, match="nudged"):  # P = 0 in the model
+        codes, outs = zip(*(_run(tmp_path, d, sub=sub) for d, sub in ((doc, "plain"), (with_offset(0.0), "zero"))))
+    assert codes == (0, 0)
+    names = json.loads((outs[0] / "results.json").read_text())["outputs"]
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
 # the horizon keys each cost criterion takes, and the blocks' other keys
 COST_HORIZONS = {"discounted": {}, "finite-horizon": {}, "ergodic": {"t_long": 2.0},
                  "exit": {"t_cap": 1000.0}}
@@ -429,6 +451,9 @@ def test_hjb_rejects_bad_finite_horizon_inputs(tmp_path, capsys, costs, block, c
         ("robustness", {"criterion": "discounted", "grid": GRID,
                         "schedule": {"mode": "rates", "n_max": 1, "d_cost": 5.0}},
          {}, "robustness.schedule.d_cost"),
+        ("validate", None, {"costs": dict(CHAIN["costs"], running={"kind": "lq", "q": [[[-1.0]], [[1.0]]],
+                                                                   "r": [[[1.0]], [[1.0]]]})},
+         "model.costs.running.q"),
     ],
 )
 def test_malformed_config_exits_4_naming_the_field(tmp_path, capsys, command, block, model, path):
@@ -649,6 +674,76 @@ def test_import_leaves_scipy_out(tmp_path):
     cfg = _write(tmp_path, {"command": "hjb", "model": CHAIN, "hjb": {"criterion": "discounted", "grid": GRID}})
     run = f"import sys; from switchsde import cli; print(cli.main(['--config', {str(cfg)!r}, '--out', 'out']), {loaded})"
     assert _fresh(tmp_path, run) == "0 ['scipy.linalg._flapack']"
+
+
+def test_import_loads_no_module_until_a_name_is_used(tmp_path):
+    # neither dir() nor an unknown name loads a module; a name loads its home module
+    loaded = "sorted(m for m in sys.modules if m.split('.')[0] in ('numpy', 'switchsde'))"
+    probe = (f"import sys, switchsde; print({loaded}); "
+             f"print(hasattr(switchsde, 'no_such_name'), set(switchsde.__all__) <= set(dir(switchsde)), {loaded}); "
+             f"switchsde.ConfigError; print({loaded})")
+    assert _fresh(tmp_path, probe).splitlines() == [
+        "['switchsde']", "False True ['switchsde']", "['switchsde', 'switchsde.errors']"
+    ]
+    with pytest.raises(AttributeError, match="no_such_name"):
+        switchsde.no_such_name
+
+
+# the package's public names by home module; each module name is public too
+PUBLIC = {
+    "costs": "DEFAULT_BATCH McEstimate discounted_horizon mc_discounted mc_ergodic mc_exit mc_finite_horizon "
+             "pairwise_sum write_estimates_csv",
+    "errors": "BlowupError CapFractionWarning ConfigError DegenerateError EigError IoError MaxIterError NanError "
+              "RatesError SchemeError ShapeError StepError SwitchSdeError UnboundedError",
+    "hjbgrid": "Grid1D GridSolution estimate_ergodic estimate_ergodic_policy evaluate_policy_exit "
+               "evaluate_policy_finite_horizon evaluate_policy_value solve_discounted solve_exit solve_finite_horizon",
+    "io": "",
+    "model": "ActionGrid BoundaryCost CostSpec DiffusionFamily DriftFamily ExitDiscount Finding GeneratorSpec "
+             "ModelSpec PerturbationSchedule RegimeSet RunningCost TerminalCost ValidationReport "
+             "make_perturbation_sequence model_from_dict model_to_dict validate_model",
+    "riccati": "FeedbackTrajectory LQSpec RiccatiTrajectory a_priori_bound fixed_feedback_cost lq_feedback "
+               "lq_from_model riccati_defect solve_coupled_riccati",
+    "robustness": "EpsOptimalityReport SweepReport SweepRow check_eps_optimality perturbed_lq_sequence sweep_grid "
+                  "sweep_lq_finite_horizon",
+    "simulate": "BatchStepper CallablePolicy ConstantPolicy GridPolicy LQFeedbackPolicy PathSample RngStream "
+                "TimeGridPolicy make_rng_stream simulate_exit_path simulate_path",
+}
+
+
+def test_public_names_resolve_on_first_use_to_their_home_objects(tmp_path):
+    assert set(switchsde.__all__) == {*PUBLIC, *" ".join(PUBLIC.values()).split()}
+    # no public name is bound by the import; each resolves to its home module's object
+    probe = (f"import importlib, switchsde; public = {PUBLIC!r}; "
+             "print(sorted(set(switchsde.__all__) & set(vars(switchsde)))); "
+             "home = lambda m: importlib.import_module('switchsde.' + m); "
+             "print([n for m, names in public.items() for n in (m, *names.split()) "
+             "if getattr(switchsde, n) is not (home(m) if n == m else getattr(home(m), n))])")
+    assert _fresh(tmp_path, probe).splitlines() == ["[]", "[]"]
+
+
+# what each command loads of the package, besides the package, cli and the
+# parser's errors, io and model
+COMMAND_MODULES = {
+    "validate": ({}, ()),
+    "riccati": ({"steps": 50}, ("riccati",)),
+    "simulate": (SIM, ("simulate",)),
+    "cost": (dict(COST, criterion="discounted"), ("costs", "simulate")),
+    "hjb": ({"criterion": "discounted", "grid": GRID}, ("hjbgrid",)),
+    "ergodic": ({"grid": GRID}, ("hjbgrid",)),
+    "robustness": ({"criterion": "discounted", "grid": GRID, "schedule": SCHED}, ("hjbgrid", "robustness")),
+    "eps-check": ({"criterion": "discounted", "eps": 0.05, "grid": GRID, "schedule": SCHED},
+                  ("hjbgrid", "robustness")),
+}
+
+
+@pytest.mark.parametrize("command", COMMAND_MODULES)
+def test_each_command_loads_only_the_modules_it_runs(tmp_path, command):
+    block, modules = COMMAND_MODULES[command]
+    model = LQ_SCALAR if command == "riccati" else CHAIN
+    cfg = _write(tmp_path, {"command": command, "model": model, command: block})
+    run = (f"import sys; from switchsde import cli; code = cli.main(['--config', {str(cfg)!r}, '--out', 'out']); "
+           "print(code, sorted(m.removeprefix('switchsde.') for m in sys.modules if m.startswith('switchsde.')))")
+    assert _fresh(tmp_path, run) == f"0 {sorted(['cli', 'errors', 'io', 'model', *modules])}"
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ from switchsde import (
     validate_model,
 )
 from switchsde.model import DIRECTIONS, ROW_SUM_TOL
-from conftest import bm_model, chain_model, saturated_model
+from conftest import bm_model, chain_model, lq_model, saturated_model
 
 
 # ---------------------------------------------------------------------------
@@ -228,6 +228,30 @@ def test_lq_cost_bound_is_infinite():
     assert rc.bound(ActionGrid(np.zeros((1, 1)))) == np.inf
 
 
+LQ_COST_DEFECTS = {
+    "asymmetric-q": ("q", [[1.0, 0.5], [0.0, 1.0]], np.eye(2)),
+    "indefinite-q": ("q", [[1.0, 0.0], [0.0, -1e-6]], np.eye(2)),
+    "asymmetric-r": ("r", np.eye(2), [[1.0, 0.5], [0.0, 1.0]]),
+    "singular-r": ("r", np.eye(2), [[1.0, 0.0], [0.0, 0.0]]),
+    "indefinite-r": ("r", np.eye(2), [[-1.0, 0.0], [0.0, 1.0]]),
+}
+
+
+@pytest.mark.parametrize("key,q,r", LQ_COST_DEFECTS.values(), ids=LQ_COST_DEFECTS)
+def test_lq_running_cost_needs_semidefinite_q_and_definite_r(key, q, r):
+    # E_SHAPE at construction; a document reads it as E_CONFIG at its path
+    q, r = np.array([q]), np.array([r])
+    with pytest.raises(ShapeError) as err:
+        RunningCost("lq", 1, 2, 2, q_mat=q, r_mat=r)
+    assert err.value.path == f"costs.running.{key}"
+    eye = np.eye(2)[None]
+    doc = model_to_dict(lq_model(LQSpec(2, 1, 2, 0 * eye, eye, 0 * eye, eye, eye, eye, np.zeros((1, 1)), 1.0)))
+    doc["costs"]["running"].update(q=q.tolist(), r=r.tolist())
+    with pytest.raises(ConfigError) as err:
+        model_from_dict(doc)
+    assert err.value.path == f"model.costs.running.{key}"
+
+
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -346,7 +370,10 @@ def _running(kind, N, d, l, rng):
         return RunningCost(kind, N, d, l, weight=w, cap=cap, action_weight=aw, offset=off)
     if kind == "cosine":
         return RunningCost(kind, N, d, l, amplitude=float(rng.uniform(0.0, 2.0)), frequency=float(rng.normal()))
-    return RunningCost(kind, N, d, l, q_mat=rng.normal(size=(N, d, d)), r_mat=rng.normal(size=(N, l, l)))
+    # Q = G G^T is positive semidefinite and R = H H^T + I positive definite, as the kind requires
+    g, h = rng.normal(size=(N, d, d)), rng.normal(size=(N, l, l))
+    q, r = g @ np.swapaxes(g, 1, 2), h @ np.swapaxes(h, 1, 2) + np.eye(l)
+    return RunningCost(kind, N, d, l, q_mat=q, r_mat=r)
 
 
 def _terminal(kind, N, d, rng):
