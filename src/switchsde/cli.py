@@ -20,7 +20,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple
 
@@ -272,6 +272,28 @@ def _policy(entry: dict | None, spec: ModelSpec):
     return LQFeedbackPolicy(lq_feedback(solve_coupled_riccati(lq, n_steps=entry["steps"]), lq))
 
 
+def _lq_within_horizon(cfg: ExperimentConfig, t_end: float, capped: bool) -> None:
+    """``policy: lq`` is the Riccati feedback on [0, costs.horizon]: past it the
+    gain stays the one at the horizon, so a run that can end later is E_CONFIG.
+
+    ``t_end`` is rounded to the run's step count as the run rounds it, up
+    for a ``capped`` (exit) run.
+    """
+    from .simulate import _cap_steps, _n_steps_for
+
+    b = cfg.block
+    if b["policy"] is None or b["policy"]["kind"] != "lq":
+        return
+    horizon = cfg.model.costs.horizon
+    end = (_cap_steps if capped else _n_steps_for)(t_end, b["dt"]) * b["dt"]
+    if end > horizon + 1e-9 * max(1.0, horizon):
+        raise ConfigError(
+            f"policy 'lq' is the feedback on [0, costs.horizon = {horizon:g}], "
+            f"but the run can end at t = {end:g}",
+            f"{cfg.command}.policy",
+        )
+
+
 # ---------------------------------------------------------------------------
 # command runners
 
@@ -306,6 +328,7 @@ def _run_simulate(cfg: ExperimentConfig, out: Path, lines: list, results: dict) 
     b, spec = cfg.block, cfg.model
     stream = make_rng_stream(b["seed"], 0)
     policy = _policy(b["policy"], spec)
+    _lq_within_horizon(cfg, b["t_cap"] if b["exit"] else b["t"], capped=b["exit"])
     if b["exit"]:
         path = simulate_exit_path(
             spec, policy, b["x0"], b["i0"], spec.costs.exit_domain, b["dt"], b["t_cap"], stream
@@ -339,11 +362,13 @@ def _run_cost(cfg: ExperimentConfig, out: Path, lines: list, results: dict) -> N
             spec, policy, x0, i0, spec.costs.horizon, dt, n_paths, seed, batch=b["batch"]
         )
     elif crit == "ergodic":
+        _lq_within_horizon(cfg, b["t_long"], capped=False)
         est = mc_ergodic(
             spec, policy, x0, i0, b["t_long"], dt, n_paths, seed,
             burn_in=b["burn_in"], batch=b["batch"],
         )
     else:
+        _lq_within_horizon(cfg, b["t_cap"], capped=True)
         est = mc_exit(spec, policy, x0, i0, dt, n_paths, seed, b["t_cap"], batch=b["batch"])
     write_estimates_csv(out / "estimates.csv", [est])
     lines.append(
@@ -412,20 +437,17 @@ def _run_robustness(cfg: ExperimentConfig, out: Path, lines: list, results: dict
             cfg.model, b["schedule"], crit, b["grid"], tol=tol, max_iter=b["max_iter"],
             n_t=b["n_t"],
         )
-    rep = replace(rep, config_digest=cfg.digest)
     rep.to_csv(out / "sweep.csv")
-    first, last = rep.rows[0], rep.rows[-1]
+    # the last row is the true model's delta = 0 row; the final result is
+    # the smallest delta > 0, unless the schedule is that row alone
+    *schedule, z = rep.rows
+    first, last = rep.rows[0], schedule[-1] if schedule else z
     lines.append(
         f"robustness: criterion={crit} rows={len(rep.rows)} "
         f"first value_gap={g17(first.value_gap)} last value_gap={g17(last.value_gap)}"
     )
-    zero_rows = [r for r in rep.rows if r.delta == 0.0]
-    if zero_rows:
-        z = zero_rows[-1]
-        tag = "PASS" if max(abs(z.value_gap), abs(z.policy_loss)) <= 10 * tol else "FAIL"
-        lines.append(
-            f"{tag} zero-delta-row: value_gap={g17(z.value_gap)} policy_loss={g17(z.policy_loss)}"
-        )
+    tag = "PASS" if max(abs(z.value_gap), abs(z.policy_loss)) <= 10 * tol else "FAIL"
+    lines.append(f"{tag} zero-delta-row: value_gap={g17(z.value_gap)} policy_loss={g17(z.policy_loss)}")
     worst = min(r.policy_loss for r in rep.rows)
     tag = "PASS" if worst >= -tol else "FAIL"
     lines.append(f"{tag} policy-loss-nonnegative: min policy_loss = {g17(worst)}")
@@ -443,7 +465,6 @@ def _run_eps_check(cfg: ExperimentConfig, out: Path, lines: list, results: dict)
         cfg.model, b["schedule"], b["criterion"], b["eps"], b["grid"],
         tol=b["tol"], max_iter=b["max_iter"],
     )
-    rep = replace(rep, config_digest=cfg.digest)
     rep.to_csv(out / "epscheck.csv")
     tag = "PASS" if rep.passed else "FAIL"
     lines.append(f"{tag} three-eps: {rep.verdict}")

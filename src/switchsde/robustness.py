@@ -1,15 +1,15 @@
 """Robustness sweeps: solve a schedule of approximating models, replay their policies.
 
-Each sweep takes the distinct models of a perturbation schedule and solves
+Each sweep stacks one model per row of a perturbation schedule and solves
 them together: the LQ sweep as one stacked Riccati RK4, a grid sweep as one
 block-diagonal banded system per Howard iteration or time level, on one
 shared grid (or Riccati time grid). It reports two curves per row: the
 value gap between the approximating and true optimal values, and the
 performance loss from running the approximating model's optimal policy
-inside the true model, replayed for every row at once. The true model sits
-in each stack once. A delta = 0 control row is appended whenever the
-schedule does not already end with one; it shares the true model's solve,
-so its gaps vanish exactly.
+inside the true model, replayed for every row at once. The true model is
+the last block: the schedule's own delta = 0 row, or else an appended
+delta = 0 control row. It is compared with itself, so its gaps vanish
+exactly.
 """
 
 from __future__ import annotations
@@ -65,7 +65,6 @@ class SweepReport:
 
     criterion: str
     rows: tuple
-    config_digest: str = ""
 
     def csv_rows(self):
         for r in self.rows:
@@ -78,31 +77,16 @@ class SweepReport:
         return np.array([getattr(r, name) for r in self.rows], dtype=np.float64)
 
 
-def _schedule_deltas(sched: PerturbationSchedule) -> list[float]:
-    """Schedule magnitudes plus an appended delta = 0 control entry."""
+def _schedule_rows(true_model, sched: PerturbationSchedule, models: list) -> tuple:
+    """(deltas, models) of the sweep rows, from ``models``, one per magnitude.
+
+    The true model is the last row: a final magnitude of 0 is the true
+    model itself, and otherwise a delta = 0 control row is appended.
+    """
     deltas = [float(d) for d in sched.magnitudes]
     if deltas[-1] != 0.0:
-        deltas.append(0.0)
-    return deltas
-
-
-def _schedule_stack(true_model, sched: PerturbationSchedule, models: list) -> tuple:
-    """The schedule's distinct models in row order, ``models`` holding one per magnitude.
-
-    Returns (the models, the block of each sweep row, the true model's
-    block, a label per block). The true model sits in the stack once, as
-    the delta = 0 block that the control row shares.
-    """
-    by_delta = dict(zip((float(d) for d in sched.magnitudes), models))
-    by_delta[0.0] = true_model
-    stack, slot, labels = [], {}, []
-    deltas = _schedule_deltas(sched)
-    for n, delta in enumerate(deltas):
-        if delta not in slot:
-            slot[delta] = len(stack)
-            stack.append(by_delta[delta])
-            labels.append(f"schedule row n = {n}, delta = {delta:g}")
-    return stack, [slot[d] for d in deltas], slot[0.0], labels
+        return deltas + [0.0], models + [true_model]
+    return deltas, models
 
 
 def _spectral_gap(a: np.ndarray, b: np.ndarray) -> float:
@@ -155,63 +139,59 @@ def sweep_lq_finite_horizon(
     true feedback pushed through the same ODE (equal to K in exact
     arithmetic), aux = sup_t ||F_n - F||_2. No Monte Carlo enters.
 
-    The schedule's distinct models are stacked on a leading axis and solved
-    by one Riccati RK4 and one fixed-feedback RK4. The true model sits in
-    the stack once and serves the reference K, the base cost M* and the
-    delta = 0 control row, so that row's gaps are exactly zero.
+    The rows' models are stacked on a leading axis and solved by one
+    Riccati RK4 and one fixed-feedback RK4. The true model is the last
+    block and serves the reference K and the base cost M*, so its own
+    row's gaps are exactly zero.
     """
     from .riccati import _feedback_cost_stack, _solve_stack
 
     x0 = np.asarray(x0, dtype=np.float64).reshape(true_lq.dim)
     if not 1 <= i0 <= true_lq.n_regimes:
         raise ShapeError(f"regime {i0} out of range")
-    stack, slots, t, _ = _schedule_stack(true_lq, sched, perturbed_lq_sequence(true_lq, sched))
+    deltas, stack = _schedule_rows(true_lq, sched, perturbed_lq_sequence(true_lq, sched))
     # gains on a doubled grid so the replay ODE sees exact half-step values
     k = _solve_stack(stack, 2 * steps)  # (2 steps + 1, models, N, d, d)
     gains = np.stack([lq.r_inv_bt() for lq in stack]) @ k
-    value_gap = [_spectral_gap(k[:, b], k[:, t]) for b in range(len(stack))]
-    aux = [_spectral_gap(gains[:, b], gains[:, t]) for b in range(len(stack))]
+    value_gap = [_spectral_gap(k[:, b], k[:, -1]) for b in range(len(stack))]
+    aux = [_spectral_gap(gains[:, b], gains[:, -1]) for b in range(len(stack))]
     del k  # free the Riccati stack before the replay allocates its own
     # the doubled grid is the replay's RK4 stage grid, so gains are stage gains
     m0 = _feedback_cost_stack(true_lq, gains, steps)[0, :, i0 - 1]
     cost = x0 @ m0 @ x0  # (models,)
 
     rows = [
-        SweepRow(n, delta, value_gap[b], float(cost[b] - cost[t]), aux[b], solver_iters=2 * steps)
-        for n, (delta, b) in enumerate(zip(_schedule_deltas(sched), slots))
+        SweepRow(n, delta, value_gap[n], float(cost[n] - cost[-1]), aux[n], solver_iters=2 * steps)
+        for n, delta in enumerate(deltas)
     ]
     return SweepReport(criterion="lq-finite-horizon", rows=tuple(rows))
 
 
 def _grid_stack(true_spec: ModelSpec, sched: PerturbationSchedule, grid: Grid1D) -> tuple:
-    """The schedule's distinct models stacked on one grid, in row order.
+    """The rows' models stacked on one grid, one block per row, the true model last.
 
-    Returns (tables of the stack, the true model's tables tiled to the same
-    blocks for the replay, the block of each sweep row, the true model's
-    block). The delta = 0 control row shares the true model's block.
+    Returns (the delta of each row, tables of the stack, the true model's
+    tables tiled to the same blocks for the replay).
     """
-    stack, slots, t, labels = _schedule_stack(
-        true_spec, sched, make_perturbation_sequence(true_spec, sched)
-    )
-    tab = _Tables(stack, grid, labels)
-    replay = tab.take([t] * len(stack))
+    deltas, stack = _schedule_rows(true_spec, sched, make_perturbation_sequence(true_spec, sched))
+    tab = _Tables(stack, grid, [f"schedule row n = {n}, delta = {d:g}" for n, d in enumerate(deltas)])
+    replay = tab.take([-1] * len(stack))
     replay.labels = tab.labels  # block b replays row b's policy
-    return tab, replay, slots, t
+    return deltas, tab, replay
 
 
-def _warm_stationary(tab: _Tables, t: int, criterion: str, tol: float, max_iter: int) -> tuple:
+def _warm_stationary(tab: _Tables, criterion: str, tol: float, max_iter: int) -> tuple:
     """Optimal values (the constant rho if ergodic), policies and iterations per block.
 
-    The true block t is solved alone first; every other block then starts
-    Howard from its optimal policy, which the approximating policies
-    converge to.
+    The true model, the last block, is solved alone first; every other
+    block then starts Howard from its optimal policy, which the
+    approximating policies converge to.
     """
-    sols = _stationary(tab.take([t]), criterion, tol, max_iter)
-    others = [b for b in range(len(tab.specs)) if b != t]
-    if others:
-        start = np.repeat(sols[0].policy[:, None], len(others), axis=1)
-        warm = _stationary(tab.take(others), criterion, tol, max_iter, start)
-        sols = warm[:t] + sols + warm[t:]
+    B = len(tab.specs)
+    sols = _stationary(tab.take([B - 1]), criterion, tol, max_iter)
+    if B > 1:
+        start = np.repeat(sols[0].policy[:, None], B - 1, axis=1)
+        sols = _stationary(tab.take(range(B - 1)), criterion, tol, max_iter, start) + sols
     v = [s.values if s.rho is None else np.full(s.values.shape, s.rho) for s in sols]
     return np.stack(v, axis=1), np.stack([s.policy for s in sols], axis=1), [s.iterations for s in sols]
 
@@ -221,7 +201,7 @@ def _block_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.max(np.abs(a - b), axis=(0, 2))
 
 
-def _finite_horizon_gaps(tab: _Tables, replay: _Tables, t: int, n_t: int | None) -> tuple:
+def _finite_horizon_gaps(tab: _Tables, replay: _Tables, n_t: int | None) -> tuple:
     """Per-block value gap over all levels, and values and replayed costs at t = 0.
 
     The replay steps back with the stack's backward scheme, so each level's
@@ -229,10 +209,10 @@ def _finite_horizon_gaps(tab: _Tables, replay: _Tables, t: int, n_t: int | None)
     """
     _, n_t, dt = _time_levels(tab, n_t)
     v, j = _terminal(tab), _terminal(replay)
-    value_gap = _block_gap(v, v[:, t:t + 1])
+    value_gap = _block_gap(v, v[:, -1:])
     for pol, v, _ in _backward(tab, v, n_t, dt):
         j = _step_back(replay, pol, j, dt)
-        value_gap = np.maximum(value_gap, _block_gap(v, v[:, t:t + 1]))
+        value_gap = np.maximum(value_gap, _block_gap(v, v[:, -1:]))
     return value_gap, v, j, n_t
 
 
@@ -254,40 +234,35 @@ def sweep_grid(
     cross-model term J_true(pi_n) - V_n entering the triangle bound
     policy_loss <= value_gap + aux.
 
-    The schedule's distinct models are solved as one stacked system (see
-    hjbgrid._Tables), and every row's policy is replayed by one stacked
-    evaluation on the true model's tables. The true model sits in the stack
-    once and serves both the reference values and the control row. A
-    stationary sweep solves it first, cold, and starts every other model's
-    Howard from its optimal policy. Each model keeps its own stopping test,
-    so every row's values and policy equal a solve of that model alone, but
-    solver_iters counts the warm-started iterations. MaxIterError names the
-    true model's row if it does not converge, else the first row that did
-    not.
+    The rows' models are solved as one stacked system (see hjbgrid._Tables),
+    and every row's policy is replayed by one stacked evaluation on the true
+    model's tables. The true model is the last block and serves the
+    reference values. A stationary sweep solves it first, cold, and starts
+    every other model's Howard from its optimal policy. Each model keeps its
+    own stopping test, so every row's values and policy equal a solve of
+    that model alone, but solver_iters counts the warm-started iterations.
+    MaxIterError names the true model's row if it does not converge, else
+    the first row that did not.
     """
     if criterion not in GRID_CRITERIA:
         raise ConfigError(f"unknown sweep criterion '{criterion}'", "criterion")
-    tab, replay, slots, t = _grid_stack(true_spec, sched, grid)
+    deltas, tab, replay = _grid_stack(true_spec, sched, grid)
 
     if criterion == "finite-horizon":
         # the replay is compared at t = 0
-        value_gap, v, j, n_t = _finite_horizon_gaps(tab, replay, t, n_t)
-        iters = [n_t] * len(value_gap)
+        value_gap, v, j, n_t = _finite_horizon_gaps(tab, replay, n_t)
+        iters = [n_t] * len(deltas)
     else:
-        v, policy, iters = _warm_stationary(tab, t, criterion, tol, max_iter)
+        v, policy, iters = _warm_stationary(tab, criterion, tol, max_iter)
         j, rho = _evaluate(replay, criterion, policy)
         if criterion == "ergodic":
             j = np.broadcast_to(rho[:, None], j.shape)
-        value_gap = _block_gap(v, v[:, t:t + 1])
-    policy_loss = np.max(j - v[:, t:t + 1], axis=(0, 2))
-    per_block = [
-        (float(g), float(loss), float(a), it)
-        for g, loss, a, it in zip(value_gap, policy_loss, _block_gap(j, v), iters)
-    ]
-
-    deltas = _schedule_deltas(sched)
+        value_gap = _block_gap(v, v[:, -1:])
+    policy_loss = np.max(j - v[:, -1:], axis=(0, 2))
+    columns = zip(deltas, value_gap, policy_loss, _block_gap(j, v), iters)
     return SweepReport(criterion=criterion, rows=tuple(
-        SweepRow(n, delta, *per_block[b]) for n, (delta, b) in enumerate(zip(deltas, slots))
+        SweepRow(n, delta, float(g), float(loss), float(a), it)
+        for n, (delta, g, loss, a, it) in enumerate(columns)
     ))
 
 
@@ -315,7 +290,6 @@ class EpsOptimalityReport:
     epsilon: float
     rows: tuple
     threshold_n: int | None
-    config_digest: str = ""
 
     @property
     def verdict(self) -> str:
@@ -371,13 +345,13 @@ def check_eps_optimality(
             f"eps-optimality check supports 'discounted' and 'exit', not '{criterion}'",
             "criterion",
         )
-    tab, replay, slots, t = _grid_stack(true_spec, sched, grid)
-    values, _, _ = _warm_stationary(tab, t, criterion, tol, max_iter)
+    deltas, tab, replay = _grid_stack(true_spec, sched, grid)
+    values, _, _ = _warm_stationary(tab, criterion, tol, max_iter)
     policy = _worst_eps_policy(tab, values, eps, criterion == "exit")
-    gaps = _block_gap(_evaluate(replay, criterion, policy)[0], values[:, t:t + 1])
+    gaps = _block_gap(_evaluate(replay, criterion, policy)[0], values[:, -1:])
     rows = [
-        EpsRow(n, delta, float(gaps[b]), bool(gaps[b] <= 3.0 * eps))
-        for n, (delta, b) in enumerate(zip(_schedule_deltas(sched), slots))
+        EpsRow(n, delta, float(gap), bool(gap <= 3.0 * eps))
+        for n, (delta, gap) in enumerate(zip(deltas, gaps))
     ]
 
     threshold = None

@@ -237,6 +237,21 @@ def test_lq_robustness_sweep_runs_and_matches_the_library(tmp_path):
     assert (out / "sweep.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
 
 
+def test_robustness_reports_the_smallest_delta_row_as_final(tmp_path):
+    # the last row is the delta = 0 control row, whose gaps are 0 by construction
+    schedule = {"mode": "rates", "n_max": 4, "d_m": [[0.0, 0.5], [1.0, 0.0]]}
+    block = {"criterion": "discounted", "grid": {"x_min": -2.0, "x_max": 2.0, "n_x": 51}, "schedule": schedule}
+    code, out = _run(tmp_path, {"command": "robustness", "model": CHAIN, "robustness": block})
+    assert code == 0
+    rows = [line.split(",") for line in (out / "sweep.csv").read_text().splitlines()[1:]]
+    assert [int(r[0]) for r in rows] == [0, 1, 2, 3, 4, 5] and float(rows[-1][1]) == 0.0
+    n_max = rows[4]
+    results = json.loads((out / "results.json").read_text())
+    assert results["final_value_gap"] == float(n_max[2]) > 0.0
+    assert results["final_policy_loss"] == float(n_max[3])
+    assert f"last value_gap={n_max[2]}\n" in (out / "report.txt").read_text()
+
+
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_non_finite_coefficients_exit_3(tmp_path, capsys):
     model = model_to_dict(saturated_model())
@@ -310,6 +325,34 @@ def test_lq_drift_offset_must_be_zero(tmp_path, capsys, command, block):
     names = json.loads((outs[0] / "results.json").read_text())["outputs"]
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+# u = -F(t) x holds a = 0.5 down only on [0, horizon]: past it F stays F(T) = 0
+LQ_PAST_HORIZON = dict(
+    LQ_SCALAR, actions=[[-5.0], [5.0]], drift=dict(LQ_SCALAR["drift"], a=[[[0.5]]]),
+    costs=dict(LQ_SCALAR["costs"], exit_domain=[-3.0, 3.0]),
+)
+
+
+@pytest.mark.filterwarnings("ignore:.*exit paths hit the time cap")
+@pytest.mark.parametrize("command,block,end", [
+    ("simulate", {}, "t"),
+    ("simulate", {"exit": True}, "t_cap"),
+    ("cost", {"criterion": "ergodic", "n_paths": 8}, "t_long"),
+    ("cost", {"criterion": "exit", "n_paths": 8}, "t_cap"),
+], ids=["simulate", "simulate-exit", "cost-ergodic", "cost-exit"])
+def test_lq_policy_past_the_horizon_exits_4(tmp_path, capsys, command, block, end):
+    block = {"x0": [1.0], "i0": 1, "dt": 0.01, "seed": 1, **block}
+    lq = {"kind": "lq", "steps": 50}
+    doc = lambda t, **policy: {"command": command, "model": LQ_PAST_HORIZON, command: {**block, end: t, **policy}}
+    with pytest.warns(UserWarning, match="nudged"):  # P = 0 in the model
+        codes = [_run(tmp_path, doc(t, policy=lq), sub=f"lq-{t}")[0] for t in (3.0, 1.0)]
+    assert codes == [4, 0]
+    err = capsys.readouterr().err.rstrip()
+    assert err.endswith(f"costs.horizon = 1], but the run can end at t = 3 at '{command}.policy'")
+    assert json.loads((tmp_path / "lq-3.0" / "results.json").read_text())["error"].startswith("E_CONFIG")
+    # the zero policy has no horizon
+    assert _run(tmp_path, doc(3.0), sub="zero")[0] == 0
 
 
 # the horizon keys each cost criterion takes, and the blocks' other keys

@@ -1,9 +1,11 @@
 """Repository rules no other test checks: the README config reference lists
 exactly the keys of the schema tables, its command line section names
 exactly the tool's options and the validator's findings and gives every
-artifact's header line, and ``src/`` has no bare assert."""
+artifact's header line, ``src/`` has no bare assert, and every package name
+the benchmark uses still resolves."""
 
 import ast
+import importlib
 import re
 from pathlib import Path
 
@@ -121,3 +123,37 @@ def test_src_has_no_bare_assert():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def _perfbench_names() -> set:
+    """(module, name) of every switchsde name the benchmark uses, read from its source.
+
+    These are the names perfbench/workloads.py imports from the package, the
+    attributes it takes of the solver modules it imports, and the functions
+    perfbench/tracing.py wraps by name (its ``TRACED`` table).
+    """
+    modules = ("costs", "hjbgrid", "riccati", "robustness", "simulate")
+    names = set()
+    for node in ast.walk(ast.parse((ROOT / "perfbench" / "workloads.py").read_text())):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "switchsde":
+            names |= {(node.module, alias.name) for alias in node.names}
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            names.add((f"switchsde.{node.value.id}", node.attr))
+    traced = next(
+        node.value for node in ast.parse((ROOT / "perfbench" / "tracing.py").read_text()).body
+        if isinstance(node, ast.Assign) and [getattr(t, "id", None) for t in node.targets] == ["TRACED"]
+    )
+    for layer, functions in ast.literal_eval(traced).items():
+        names |= {(f"switchsde.{layer}", name) for name in functions}
+    return names
+
+
+def test_every_package_name_the_benchmark_uses_resolves():
+    names = _perfbench_names()
+    assert ("switchsde.robustness", "sweep_lq_finite_horizon") in names
+    assert ("switchsde.cli", "run_command") in names
+    missing = [
+        f"{module}.{name}" for module, name in sorted(names)
+        if not hasattr(importlib.import_module(module), name)
+    ]
+    assert missing == []

@@ -366,22 +366,76 @@ def test_stacked_sweep_names_the_first_row_short_of_max_iter(saturated, criterio
         sweep_grid(blind, sched, criterion, grid, max_iter=max_iter)
 
 
-@pytest.mark.parametrize("criterion", ["discounted", "exit"])
-def test_stacked_eps_check_matches_rowwise_reference(saturated, criterion):
-    _, grid, sched = SWEEP_CASES["criterion-9"]
+def _rowwise_eps_gaps(true_spec, sched, criterion, eps, grid):
+    """The 3-eps replay gap per row, one model at a time."""
     solve, evaluate = {
         "discounted": (solve_discounted, evaluate_policy_value),
         "exit": (solve_exit, evaluate_policy_exit),
     }[criterion]
-    v_true = solve(saturated, grid).values
+    models = make_perturbation_sequence(true_spec, sched)
+    if sched.magnitudes[-1] != 0.0:
+        models.append(true_spec)  # the delta = 0 control row
+    v_true = solve(true_spec, grid).values
     gaps = []
-    for model in make_perturbation_sequence(saturated, sched) + [saturated]:
+    for model in models:
         values = solve(model, grid).values
         tab = _Tables([model], grid)
-        policy = _worst_eps_policy(tab, values[:, None], 0.05, criterion == "exit")[:, 0]
-        gaps.append(float(np.max(np.abs(evaluate(saturated, grid, policy).values - v_true))))
+        policy = _worst_eps_policy(tab, values[:, None], eps, criterion == "exit")[:, 0]
+        gaps.append(float(np.max(np.abs(evaluate(true_spec, grid, policy).values - v_true))))
+    return gaps
+
+
+@pytest.mark.parametrize("criterion", ["discounted", "exit"])
+def test_stacked_eps_check_matches_rowwise_reference(saturated, criterion):
+    _, grid, sched = SWEEP_CASES["criterion-9"]
     rep = check_eps_optimality(saturated, sched, criterion, 0.05, grid)
-    assert [r.gap for r in rep.rows] == gaps
+    assert [r.gap for r in rep.rows] == _rowwise_eps_gaps(saturated, sched, criterion, 0.05, grid)
+
+
+# magnitudes that end in 0: that row is the true model's own, so no control
+# row is appended and the schedule's last row is the true model's block
+ENDS_IN_ZERO = {"three-rows": (2, [1.0, 0.5, 0.0]), "zero-only": (0, [0.0])}
+
+
+def _ends_in_zero(which, mode, **directions):
+    n_max, magnitudes = ENDS_IN_ZERO[which]
+    return PerturbationSchedule(mode, n_max, magnitudes=np.array(magnitudes), **directions)
+
+
+@pytest.mark.parametrize("which", sorted(ENDS_IN_ZERO))
+@pytest.mark.parametrize("criterion", ["discounted", "exit", "finite-horizon", "ergodic"])
+def test_grid_sweep_of_a_schedule_ending_in_zero(saturated, sat_grid, which, criterion):
+    sched = _ends_in_zero(which, "coefficient", d_a=np.ones((2, 1, 1)), d_c=np.full((2, 1, 1), 0.3))
+    rep = sweep_grid(saturated, sched, criterion, sat_grid)
+    assert [r.delta for r in rep.rows] == list(sched.magnitudes)
+    assert (rep.rows[-1].value_gap, rep.rows[-1].policy_loss) == (0.0, 0.0)
+    want = _rowwise_grid_sweep(saturated, sched, criterion, sat_grid)
+    assert [(r.value_gap, r.policy_loss, r.aux) for r in rep.rows] == [w[:3] for w in want]
+    assert rep.rows[-1].solver_iters == want[-1][3]  # the true model runs cold
+
+
+@pytest.mark.parametrize("which", sorted(ENDS_IN_ZERO))
+def test_lq_sweep_of_a_schedule_ending_in_zero(ref_lq, which):
+    sched = _ends_in_zero(which, "rates", d_m=np.array([[0.0, 0.5], [1.0, 0.0]]))
+    rep = sweep_lq_finite_horizon(ref_lq, sched, x0=[1.0, 0.5], i0=2, steps=200)
+    assert [r.delta for r in rep.rows] == list(sched.magnitudes)
+    assert (rep.rows[-1].value_gap, rep.rows[-1].policy_loss) == (0.0, 0.0)
+    got = np.column_stack([rep.column(c) for c in ("value_gap", "policy_loss", "aux")])
+    np.testing.assert_allclose(
+        got, _rowwise_lq_sweep(ref_lq, sched, [1.0, 0.5], 2, 200), rtol=1e-12, atol=1e-12
+    )
+
+
+@pytest.mark.parametrize("which", sorted(ENDS_IN_ZERO))
+@pytest.mark.parametrize("criterion", ["discounted", "exit"])
+def test_eps_check_of_a_schedule_ending_in_zero(saturated, sat_grid, which, criterion):
+    # at an eps this small the true model's degraded policy is its optimal
+    # one, replayed through its own solve, so the last row's gap is 0
+    sched = _ends_in_zero(which, "coefficient", d_a=np.ones((2, 1, 1)), d_c=np.full((2, 1, 1), 0.3))
+    rep = check_eps_optimality(saturated, sched, criterion, 1e-12, sat_grid)
+    assert [r.delta for r in rep.rows] == list(sched.magnitudes)
+    assert rep.rows[-1].gap == 0.0
+    assert [r.gap for r in rep.rows] == _rowwise_eps_gaps(saturated, sched, criterion, 1e-12, sat_grid)
 
 
 # ---------------------------------------------------------------------------
