@@ -327,7 +327,7 @@ def test_lq_drift_offset_must_be_zero(tmp_path, capsys, command, block):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
-# u = -F(t) x holds a = 0.5 down only on [0, horizon]: past it F stays F(T) = 0
+# u = -F(t) x holds a = 0.5 down only on [0, horizon]: past it F stays F(T) ~ 0
 LQ_PAST_HORIZON = dict(
     LQ_SCALAR, actions=[[-5.0], [5.0]], drift=dict(LQ_SCALAR["drift"], a=[[[0.5]]]),
     costs=dict(LQ_SCALAR["costs"], exit_domain=[-3.0, 3.0]),
