@@ -20,16 +20,16 @@ Integration is classical fourth-order Runge-Kutta on the stacked matrices,
 backward from the horizon, with re-symmetrization after every step. The
 linear part A^T K + K A + C^T K C + sum_j m_ij K_j of both right sides is one
 precomputed Kronecker matrix acting on the flattened regime stack, and the
-quadratic term uses S = B R^{-1} B^T. The RK4 core carries leading batch
-axes: a robustness sweep integrates all its models at once, and a single
-solve is a batch of one.
+quadratic term uses S = B R^{-1} B^T; the fixed-feedback terms are tabled
+for every RK4 stage before the run. The RK4 core carries leading batch axes:
+a robustness sweep integrates all its models at once, and a single solve is
+a batch of one. Blow-up is checked once, over every stored iterate, after the loop.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -111,7 +111,8 @@ def lq_from_model(spec: ModelSpec) -> LQSpec:
     """Extract the LQ problem from a model with lq families throughout.
 
     The Riccati equations have no affine drift term, so a nonzero lq drift
-    offset b0 is E_CONFIG at ``model.drift.offset``.
+    offset b0 is E_CONFIG at ``model.drift.offset``. A zero terminal cost
+    gives P = EIG_FLOOR * I, what LQSpec nudges P = 0 to, with no warning.
     """
     if spec.drift.kind != "lq" or spec.diffusion.kind != "lq":
         raise ShapeError("lq extraction needs drift and diffusion of kind 'lq'")
@@ -127,7 +128,7 @@ def lq_from_model(spec: ModelSpec) -> LQSpec:
     if tc.kind == "quad":
         p = tc.p_mat
     elif tc.kind == "zero":
-        p = np.zeros((N, d, d))
+        p = EIG_FLOOR * np.broadcast_to(np.eye(d), (N, d, d))
     else:
         raise ShapeError("lq extraction needs a 'quad' or 'zero' terminal cost")
     return LQSpec(
@@ -260,27 +261,33 @@ def _integrate_backward(rhs, terminal: np.ndarray, horizon: float, n_steps: int)
 
     rhs receives the stage time as its index j on the half-step grid
     t_j = j*T/(2n) and a stack shaped like terminal, whose leading axes are
-    batch axes. Iterates are re-symmetrized after every step; any entry that
-    is not finite or exceeds BLOWUP_LIMIT in size raises BlowupError.
+    batch axes. Iterates are re-symmetrized after every step. After the loop,
+    a stored iterate below the terminal with an entry that is not finite or
+    exceeds BLOWUP_LIMIT in size raises BlowupError at its node, the first going backward.
     """
     if n_steps < 1:
         raise ShapeError("n_steps must be >= 1")
     h = horizon / n_steps
+    half, twelfth = 0.5 * h, h / 12.0
     traj = np.empty((n_steps + 1, *terminal.shape))
     traj[n_steps] = terminal
     # a symmetric iterate plus a symmetrized increment stays exactly symmetric
     k = 0.5 * (terminal + terminal.swapaxes(-1, -2))
-    for step in range(n_steps, 0, -1):
-        j = 2 * step
-        k1 = rhs(j, k)
-        k2 = rhs(j - 1, k + 0.5 * h * k1)
-        k3 = rhs(j - 1, k + 0.5 * h * k2)
-        k4 = rhs(j - 2, k + h * k3)
-        inc = k1 + 2.0 * (k2 + k3) + k4
-        k = k + (h / 12.0) * (inc + inc.swapaxes(-1, -2))
-        if not np.abs(k).max() <= BLOWUP_LIMIT:
-            raise BlowupError(f"Riccati iterate exceeded {BLOWUP_LIMIT:.0e} at t = {(step - 1) * h:.6g}")
-        traj[step - 1] = k
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(n_steps, 0, -1):
+            j = 2 * step
+            k1 = rhs(j, k)
+            k2 = rhs(j - 1, k + half * k1)
+            k3 = rhs(j - 1, k + half * k2)
+            k4 = rhs(j - 2, k + h * k3)
+            inc = k1 + 2.0 * (k2 + k3) + k4
+            k = k + twelfth * (inc + inc.swapaxes(-1, -2))
+            traj[step - 1] = k
+    # per node, NaN-safe: max <= limit and min >= -limit hold iff every |entry| <= limit
+    nodes = traj[:-1].reshape(n_steps, -1)
+    bad = np.flatnonzero(~((nodes.max(axis=1) <= BLOWUP_LIMIT) & (nodes.min(axis=1) >= -BLOWUP_LIMIT)))
+    if bad.size:
+        raise BlowupError(f"Riccati iterate exceeded {BLOWUP_LIMIT:.0e} at t = {bad[-1] * h:.6g}")
     return traj
 
 
@@ -319,17 +326,14 @@ def _feedback_cost_stack(lq: LQSpec, stage_gains: np.ndarray, n_steps: int) -> n
     if stage_gains.shape[0] != 2 * n_steps + 1:
         raise ShapeError(f"need gains at {2 * n_steps + 1} stage times, got {stage_gains.shape[0]}")
     op = _linear_operator(lq.a, lq.c, lq.rates)
-
-    @lru_cache(maxsize=2)  # RK4 asks for each interior stage time twice in a row
-    def stage(j):
-        f = stage_gains[j]
-        return (lq.b @ f).swapaxes(-1, -2), f.swapaxes(-1, -2) @ lq.r @ f + lq.q
+    bf_t = (lq.b @ stage_gains).swapaxes(-1, -2)
+    w = stage_gains.swapaxes(-1, -2) @ lq.r @ stage_gains
+    w += lq.q
 
     def rhs(j, m):
         # with A - B F in the drift: op M - (BF)^T M - M BF + Q + F^T R F
-        bf_t, w = stage(j)
-        bf_m = bf_t @ m
-        return _apply(op, m) + w - bf_m - bf_m.swapaxes(-1, -2)
+        bf_m = bf_t[j] @ m
+        return _apply(op, m) + w[j] - bf_m - bf_m.swapaxes(-1, -2)
 
     terminal = np.broadcast_to(lq.p, (*stage_gains.shape[1:-2], lq.dim, lq.dim))
     return _integrate_backward(rhs, terminal, lq.horizon, n_steps)

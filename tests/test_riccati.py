@@ -1,6 +1,8 @@
 """Coupled Riccati solver against closed forms and a frozen reference orbit."""
 
 import dataclasses
+import warnings
+from functools import lru_cache
 
 import numpy as np
 import pytest
@@ -27,7 +29,16 @@ from switchsde import (
     riccati_defect,
     solve_coupled_riccati,
 )
-from switchsde.riccati import BLOWUP_LIMIT, _integrate_backward, _riccati_data, _riccati_rhs
+from switchsde.riccati import (
+    BLOWUP_LIMIT,
+    _apply,
+    _feedback_cost_stack,
+    _integrate_backward,
+    _interp,
+    _linear_operator,
+    _riccati_data,
+    _riccati_rhs,
+)
 from conftest import lq_model, reference_lq, scalar_lq
 
 # K(0) of the reference problem, integrated independently with an adaptive
@@ -455,3 +466,103 @@ def test_integrate_backward_passes_half_step_stage_indices():
 
     _integrate_backward(rhs, np.zeros((1, 1, 1, 1)), 1.0, 2)
     assert seen == [4, 3, 3, 2, 2, 1, 1, 0]
+
+
+# ---------------------------------------------------------------------------
+# one blow-up check per solve, and closed-loop stage tables, against the
+# per-step loops they replace
+
+
+def _per_step_rk4(rhs, terminal, horizon, n_steps):
+    """The RK4 loop with the blow-up rule applied after every step.
+
+    Stepping backward, the first iterate with an entry that is not finite or
+    exceeds BLOWUP_LIMIT in size stops the solve with BlowupError at that
+    iterate's time node.
+    """
+    h = horizon / n_steps
+    traj = np.empty((n_steps + 1, *terminal.shape))
+    traj[n_steps] = terminal
+    k = 0.5 * (terminal + terminal.swapaxes(-1, -2))
+    for step in range(n_steps, 0, -1):
+        j = 2 * step
+        k1 = rhs(j, k)
+        k2 = rhs(j - 1, k + 0.5 * h * k1)
+        k3 = rhs(j - 1, k + 0.5 * h * k2)
+        k4 = rhs(j - 2, k + h * k3)
+        inc = k1 + 2.0 * (k2 + k3) + k4
+        k = k + (h / 12.0) * (inc + inc.swapaxes(-1, -2))
+        if not np.abs(k).max() <= BLOWUP_LIMIT:
+            raise BlowupError(f"Riccati iterate exceeded {BLOWUP_LIMIT:.0e} at t = {(step - 1) * h:.6g}")
+        traj[step - 1] = k
+    return traj
+
+
+@pytest.mark.parametrize("first_bad", [16, 15, 9, 6, 2, 1, 0])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e13])
+def test_blowup_names_the_node_the_per_step_rule_stops_at(bad, first_bad):
+    # stage indices run 16, 15, 15, 14, 14, ..., 0 over 8 steps; the right
+    # side turns bad at stage index first_bad and stays bad below it, and its
+    # quadratic term then overflows on the iterates that follow
+    def rhs(j, k):
+        return bad - k @ k if j <= first_bad else np.ones_like(k)
+
+    terminal = np.zeros((2, 1, 2, 2))
+    with np.errstate(all="ignore"):
+        try:
+            expect = _per_step_rk4(rhs, terminal, 1.0, 8)
+        except BlowupError as err:
+            expect = err
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no RuntimeWarning escapes the solve
+        if isinstance(expect, BlowupError):
+            with pytest.raises(BlowupError) as exc:
+                _integrate_backward(rhs, terminal, 1.0, 8)
+            assert str(exc.value) == str(expect)
+        else:  # a 1e13 stage only at t = 0 moves K by h/6 * 1e13 < BLOWUP_LIMIT
+            assert np.array_equal(_integrate_backward(rhs, terminal, 1.0, 8), expect)
+
+
+def _cached_stage_replay(lq, stage_gains, n_steps):
+    """The fixed-feedback replay with its closed-loop terms built stage by stage.
+
+    RK4 asks for each interior stage twice in a row, so the last two stages'
+    terms are cached.
+    """
+    op = _linear_operator(lq.a, lq.c, lq.rates)
+
+    @lru_cache(maxsize=2)
+    def stage(j):
+        f = stage_gains[j]
+        return (lq.b @ f).swapaxes(-1, -2), f.swapaxes(-1, -2) @ lq.r @ f + lq.q
+
+    def rhs(j, m):
+        bf_t, w = stage(j)
+        bf_m = bf_t @ m
+        return _apply(op, m) + w - bf_m - bf_m.swapaxes(-1, -2)
+
+    terminal = np.broadcast_to(lq.p, (*stage_gains.shape[1:-2], lq.dim, lq.dim))
+    return _per_step_rk4(rhs, terminal, lq.horizon, n_steps)
+
+
+def _stage_gains(lq, n_steps, scales):
+    """Optimal gains scaled by each factor, at the 2 n_steps + 1 stage times: (stages, blocks, N, l, d)."""
+    gains = lq_feedback(solve_coupled_riccati(lq, n_steps=2 * n_steps), lq).gains
+    return np.stack([s * gains for s in scales], axis=1)
+
+
+@pytest.mark.parametrize("which", ["reference", "scalar"])
+def test_stage_tables_replay_equals_the_stage_by_stage_replay(ref_lq, which):
+    lq = ref_lq if which == "reference" else scalar_lq(p_val=1.0)
+    n_steps = 100
+    feedback = lq_feedback(solve_coupled_riccati(lq, n_steps=64), lq)
+    detuned = FeedbackTrajectory(times=feedback.times, gains=0.8 * feedback.gains)
+    table = _interp(detuned.times, detuned.gains, np.linspace(0.0, lq.horizon, 2 * n_steps + 1))
+    expect = _cached_stage_replay(lq, table[:, None], n_steps)[:, 0]
+    assert np.array_equal(fixed_feedback_cost(lq, detuned, n_steps=n_steps).k, expect)
+
+    stacked = _stage_gains(lq, n_steps, [0.5, 0.8, 1.0, 1.3])
+    got = _feedback_cost_stack(lq, stacked, n_steps)
+    assert np.array_equal(got, _cached_stage_replay(lq, stacked, n_steps))
+    for b in range(stacked.shape[1]):
+        assert np.array_equal(got[:, b], _feedback_cost_stack(lq, stacked[:, b:b + 1], n_steps)[:, 0])

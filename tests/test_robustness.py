@@ -4,6 +4,8 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from switchsde import (
     BlowupError,
@@ -36,6 +38,7 @@ from switchsde import (
 from switchsde.hjbgrid import _Tables
 from switchsde.robustness import (
     SWEEP_HEADER,
+    _spectral_gaps,
     _worst_eps_policy,
     check_eps_optimality,
     perturbed_lq_sequence,
@@ -132,6 +135,26 @@ def test_stacked_lq_sweep_matches_rowwise_reference(ref_lq, which):
     np.testing.assert_allclose(
         got, _rowwise_lq_sweep(ref_lq, sched, x0, i0, steps), rtol=1e-12, atol=1e-12
     )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    shape=st.sampled_from(["symmetric", "row", "column", "general"]), d=st.integers(1, 4),
+    n_regimes=st.integers(1, 3), log_scale=st.floats(-8.0, 3.0), seed=st.integers(0, 2**32 - 1),
+)
+def test_spectral_gaps_match_the_blockwise_two_norm(shape, d, n_regimes, log_scale, seed):
+    rng = np.random.default_rng(seed)
+    rows, cols = {"symmetric": (d, d), "row": (1, d), "column": (d, 1),
+                  "general": tuple(rng.integers(1, 5, size=2))}[shape]
+    stack = 10.0**log_scale * rng.normal(size=(7, 5, n_regimes, rows, cols))
+    if shape == "symmetric":
+        stack = stack + stack.swapaxes(-1, -2)
+    stack[:, 1] = stack[:, -1]  # block 1 equals the reference, the last block
+    got = _spectral_gaps(stack)
+    expect = [max(np.linalg.norm(stack[t, b, i] - stack[t, -1, i], ord=2)
+                  for t in range(7) for i in range(n_regimes)) for b in range(5)]
+    assert got[1] == 0.0 and got[-1] == 0.0 and not np.signbit(got).any()
+    np.testing.assert_allclose(got, expect, rtol=1e-14, atol=0.0)
 
 
 @pytest.mark.parametrize(
