@@ -262,8 +262,8 @@ def _integrate_backward(rhs, terminal: np.ndarray, horizon: float, n_steps: int)
     rhs receives the stage time as its index j on the half-step grid
     t_j = j*T/(2n) and a stack shaped like terminal, whose leading axes are
     batch axes. Iterates are re-symmetrized after every step. After the loop,
-    a stored iterate below the terminal with an entry that is not finite or
-    exceeds BLOWUP_LIMIT in size raises BlowupError at its node, the first going backward.
+    the first stored node going backward (the terminal is not checked) with an
+    entry that is not finite or exceeds BLOWUP_LIMIT in size raises BlowupError.
     """
     if n_steps < 1:
         raise ShapeError("n_steps must be >= 1")
