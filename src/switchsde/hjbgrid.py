@@ -57,6 +57,7 @@ from .errors import (
     SchemeError,
     ShapeError,
     StepError,
+    SwitchSdeError,
     UnboundedError,
 )
 from .io import write_csv
@@ -155,8 +156,9 @@ class _Tables:
 
     Tables are (action, regime, block, node[, regime]), one slice per
     block. ``take`` cuts a sub-stack out of built tables, copying each
-    slice it names, so a block may repeat (the replay tiles the true
-    model's slice).
+    slice it names, so a block may repeat (a sweep's replay stacks copies
+    of the true model's slice). A model whose tables fail a check raises
+    with its block's label.
 
     sub and sup are the off-diagonals of the drift-diffusion operator L
     (excluding regime coupling), whose diagonal is -(sub + sup) so that L
@@ -176,11 +178,19 @@ class _Tables:
                 spec.actions.actions, first.actions.actions
             ):
                 raise ShapeError("stacked models must share their regimes and actions")
-        parts = [_node_tables(spec, grid) for spec in self.specs]
+        parts = []
+        for b, spec in enumerate(self.specs):
+            try:
+                parts.append(_node_tables(spec, grid))
+            except SwitchSdeError as err:
+                if not self.labels:
+                    raise
+                raise type(err)(f"{err.message} ({self.labels[b]})", err.path) from err
         self._index([np.stack(t, axis=2) for t in zip(*parts)])
 
     def _index(self, tables: list) -> None:
-        self.c, self.beta, self.sub, self.sup, self.rates = tables
+        # C order, so that gather's flat view and take copy no table
+        self.c, self.beta, self.sub, self.sup, self.rates = map(np.ascontiguousarray, tables)
         A, N, B, K = self.c.shape
         self.shape = (N, B, K)
         # flat index of (action 0, regime, block, node) in an (A, N, B, K)

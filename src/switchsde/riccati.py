@@ -23,7 +23,8 @@ precomputed Kronecker matrix acting on the flattened regime stack, and the
 quadratic term uses S = B R^{-1} B^T; the fixed-feedback terms are tabled
 for every RK4 stage before the run. The RK4 core carries leading batch axes:
 a robustness sweep integrates all its models at once, and a single solve is
-a batch of one. Blow-up is checked once, over every stored iterate, after the loop.
+a batch of one. Blow-up is checked over blocks of BLOWUP_CHECK_STEPS stored
+iterates inside the loop, so a diverging solve stops within one block.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .errors import BlowupError, ConfigError, EigError, ShapeError
 from .model import EIG_FLOOR, FloatArray, ModelSpec, _check_rates, _check_sym, _freeze
 
 BLOWUP_LIMIT = 1e12
+BLOWUP_CHECK_STEPS = 64  # RK4 steps between two blow-up checks
 COND_LIMIT = 1e12
 
 
@@ -261,9 +263,10 @@ def _integrate_backward(rhs, terminal: np.ndarray, horizon: float, n_steps: int)
 
     rhs receives the stage time as its index j on the half-step grid
     t_j = j*T/(2n) and a stack shaped like terminal, whose leading axes are
-    batch axes. Iterates are re-symmetrized after every step. After the loop,
-    the first stored node going backward (the terminal is not checked) with an
-    entry that is not finite or exceeds BLOWUP_LIMIT in size raises BlowupError.
+    batch axes. Iterates are re-symmetrized after every step. The stored
+    nodes below the terminal are checked in blocks of BLOWUP_CHECK_STEPS, each
+    as soon as it is complete: the first node going backward with an entry
+    that is not finite or exceeds BLOWUP_LIMIT in size raises BlowupError.
     """
     if n_steps < 1:
         raise ShapeError("n_steps must be >= 1")
@@ -282,12 +285,16 @@ def _integrate_backward(rhs, terminal: np.ndarray, horizon: float, n_steps: int)
             k4 = rhs(j - 2, k + h * k3)
             inc = k1 + 2.0 * (k2 + k3) + k4
             k = k + twelfth * (inc + inc.swapaxes(-1, -2))
-            traj[step - 1] = k
-    # per node, NaN-safe: max <= limit and min >= -limit hold iff every |entry| <= limit
-    nodes = traj[:-1].reshape(n_steps, -1)
-    bad = np.flatnonzero(~((nodes.max(axis=1) <= BLOWUP_LIMIT) & (nodes.min(axis=1) >= -BLOWUP_LIMIT)))
-    if bad.size:
-        raise BlowupError(f"Riccati iterate exceeded {BLOWUP_LIMIT:.0e} at t = {bad[-1] * h:.6g}")
+            lo = step - 1
+            traj[lo] = k
+            if lo % BLOWUP_CHECK_STEPS == 0:
+                # nodes lo up to the next block or the terminal; per node, NaN-safe:
+                # max <= limit and min >= -limit hold iff every |entry| <= limit
+                nodes = traj[lo:min(lo + BLOWUP_CHECK_STEPS, n_steps)].reshape(-1, k.size)
+                ok = (nodes.max(axis=1) <= BLOWUP_LIMIT) & (nodes.min(axis=1) >= -BLOWUP_LIMIT)
+                if not ok.all():
+                    bad = lo + np.flatnonzero(~ok)[-1]
+                    raise BlowupError(f"Riccati iterate exceeded {BLOWUP_LIMIT:.0e} at t = {bad * h:.6g}")
     return traj
 
 

@@ -6,10 +6,10 @@ block-diagonal banded system per Howard iteration or time level, on one
 shared grid (or Riccati time grid). It reports two curves per row: the
 value gap between the approximating and true optimal values, and the
 performance loss from running the approximating model's optimal policy
-inside the true model, replayed for every row at once. The true model is
-the last block: the schedule's own delta = 0 row, or else an appended
-delta = 0 control row. It is compared with itself, so its gaps vanish
-exactly.
+inside the true model. The true model is the last block: the schedule's
+own delta = 0 row, or else an appended delta = 0 control row. It is
+compared with itself, so its gaps vanish exactly. A grid replay solves the
+true row and the rows whose replay input differs; the rest copy its result.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ if TYPE_CHECKING:
 
 SWEEP_HEADER = "n,delta,value_gap,policy_loss,aux,solver_iters"
 EPS_HEADER = "n,delta,gap,three_eps,passed"
+GAP_CHUNK = 64  # time nodes per chunk of _spectral_gaps
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,10 +91,14 @@ def _schedule_rows(true_model, sched: PerturbationSchedule, models: list) -> tup
 
 
 def _spectral_gaps(stack: np.ndarray) -> np.ndarray:
-    """max over times and regimes of ||stack[:, b] - stack[:, -1]||_2 per block b, by Gram eigenvalues."""
-    g = stack - stack[:, -1:]
-    g = g @ g.swapaxes(-1, -2) if g.shape[-2] <= g.shape[-1] else g.swapaxes(-1, -2) @ g  # frees the differences
-    return np.sqrt(np.maximum(0.0, np.linalg.eigvalsh(g)[..., -1].max(axis=(0, 2))))
+    """max over times and regimes of ||stack[:, b] - stack[:, -1]||_2 per block b, by Gram eigenvalues
+    of GAP_CHUNK time nodes at a time, which bounds the memory and, per matrix, changes no bit."""
+    top = np.full(stack.shape[1], -np.inf)
+    for t in range(0, len(stack), GAP_CHUNK):
+        g = stack[t:t + GAP_CHUNK] - stack[t:t + GAP_CHUNK, -1:]
+        g = g @ g.swapaxes(-1, -2) if g.shape[-2] <= g.shape[-1] else g.swapaxes(-1, -2) @ g
+        top = np.maximum(top, np.linalg.eigvalsh(g)[..., -1].max(axis=(0, 2)))
+    return np.sqrt(np.maximum(0.0, top))
 
 
 def perturbed_lq_sequence(true_lq: LQSpec, sched: PerturbationSchedule) -> list[LQSpec]:
@@ -167,16 +172,35 @@ def sweep_lq_finite_horizon(
 
 
 def _grid_stack(true_spec: ModelSpec, sched: PerturbationSchedule, grid: Grid1D) -> tuple:
-    """The rows' models stacked on one grid, one block per row, the true model last.
-
-    Returns (the delta of each row, tables of the stack, the true model's
-    tables tiled to the same blocks for the replay).
-    """
+    """(the delta of each row, tables of the rows' models stacked on one grid),
+    one block per row, labelled with its row, the true model last."""
     deltas, stack = _schedule_rows(true_spec, sched, make_perturbation_sequence(true_spec, sched))
-    tab = _Tables(stack, grid, [f"schedule row n = {n}, delta = {d:g}" for n, d in enumerate(deltas)])
-    replay = tab.take([-1] * len(stack))
-    replay.labels = tab.labels  # block b replays row b's policy
-    return deltas, tab, replay
+    return deltas, _Tables(stack, grid, [f"schedule row n = {n}, delta = {d:g}" for n, d in enumerate(deltas)])
+
+
+def _replay(tab: _Tables, solve, *inputs) -> np.ndarray:
+    """``solve(stack, *inputs)`` of every block on the true model's tables, (N, B, K).
+
+    ``inputs`` are the blocks' (N, B, K) replay inputs: the action table and,
+    for the finite horizon, the next level's replayed values. Each block of
+    the band is factored alone, so a block whose inputs equal the true (last)
+    block's bit for bit has its result bit for bit: only the true block and
+    the differing ones are solved, on copies of the true tables labelled with
+    their own rows, and the rest copy the true block's result.
+    """
+    B = len(tab.specs)
+    differs = np.zeros(B, dtype=bool)
+    for x in inputs:
+        bits = x.view(np.int64)  # int64 actions and float64 values alike, bit for bit
+        differs |= np.any(bits != bits[:, -1:], axis=(0, 2))
+    differs[-1] = True  # the true block itself is solved
+    rows = np.flatnonzero(differs)
+    true = tab.take([B - 1] * len(rows))
+    true.labels = tuple(tab.labels[r] for r in rows)
+    out = solve(true, *(x[:, rows] for x in inputs))
+    where = np.full(B, len(rows) - 1)
+    where[rows] = np.arange(len(rows))
+    return out[:, where]
 
 
 def _warm_stationary(tab: _Tables, criterion: str, tol: float, max_iter: int) -> tuple:
@@ -200,17 +224,18 @@ def _block_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.max(np.abs(a - b), axis=(0, 2))
 
 
-def _finite_horizon_gaps(tab: _Tables, replay: _Tables, n_t: int | None) -> tuple:
+def _finite_horizon_gaps(tab: _Tables, n_t: int | None) -> tuple:
     """Per-block value gap over all levels, and values and replayed costs at t = 0.
 
     The replay steps back with the stack's backward scheme, so each level's
     policy is replayed as soon as it is chosen and one level of each is kept.
     """
     _, n_t, dt = _time_levels(tab, n_t)
-    v, j = _terminal(tab), _terminal(replay)
+    v = _terminal(tab)
+    j = np.broadcast_to(v[:, -1:], v.shape)  # every row starts from the true terminal cost
     value_gap = _block_gap(v, v[:, -1:])
     for pol, v, _ in _backward(tab, v, n_t, dt):
-        j = _step_back(replay, pol, j, dt)
+        j = _replay(tab, lambda t, p, j_next: _step_back(t, p, j_next, dt), pol, j)
         value_gap = np.maximum(value_gap, _block_gap(v, v[:, -1:]))
     return value_gap, v, j, n_t
 
@@ -234,8 +259,9 @@ def sweep_grid(
     policy_loss <= value_gap + aux.
 
     The rows' models are solved as one stacked system (see hjbgrid._Tables),
-    and every row's policy is replayed by one stacked evaluation on the true
-    model's tables. The true model is the last block and serves the
+    and their policies are replayed by one stacked evaluation on the true
+    model's tables of the true row and the rows whose replay input differs
+    (``_replay``). The true model is the last block and serves the
     reference values. A stationary sweep solves it first, cold, and starts
     every other model's Howard from its optimal policy. Each model keeps its
     own stopping test, so every row's values and policy equal a solve of
@@ -245,17 +271,20 @@ def sweep_grid(
     """
     if criterion not in GRID_CRITERIA:
         raise ConfigError(f"unknown sweep criterion '{criterion}'", "criterion")
-    deltas, tab, replay = _grid_stack(true_spec, sched, grid)
+    deltas, tab = _grid_stack(true_spec, sched, grid)
 
     if criterion == "finite-horizon":
         # the replay is compared at t = 0
-        value_gap, v, j, n_t = _finite_horizon_gaps(tab, replay, n_t)
+        value_gap, v, j, n_t = _finite_horizon_gaps(tab, n_t)
         iters = [n_t] * len(deltas)
     else:
         v, policy, iters = _warm_stationary(tab, criterion, tol, max_iter)
-        j, rho = _evaluate(replay, criterion, policy)
-        if criterion == "ergodic":
-            j = np.broadcast_to(rho[:, None], j.shape)
+
+        def replayed(t, p):
+            j, rho = _evaluate(t, criterion, p)
+            return np.broadcast_to(rho[:, None], j.shape) if criterion == "ergodic" else j
+
+        j = _replay(tab, replayed, policy)
         value_gap = _block_gap(v, v[:, -1:])
     policy_loss = np.max(j - v[:, -1:], axis=(0, 2))
     columns = zip(deltas, value_gap, policy_loss, _block_gap(j, v), iters)
@@ -344,10 +373,11 @@ def check_eps_optimality(
             f"eps-optimality check supports 'discounted' and 'exit', not '{criterion}'",
             "criterion",
         )
-    deltas, tab, replay = _grid_stack(true_spec, sched, grid)
+    deltas, tab = _grid_stack(true_spec, sched, grid)
     values, _, _ = _warm_stationary(tab, criterion, tol, max_iter)
     policy = _worst_eps_policy(tab, values, eps, criterion == "exit")
-    gaps = _block_gap(_evaluate(replay, criterion, policy)[0], values[:, -1:])
+    j = _replay(tab, lambda t, p: _evaluate(t, criterion, p)[0], policy)
+    gaps = _block_gap(j, values[:, -1:])
     rows = [
         EpsRow(n, delta, float(gap), bool(gap <= 3.0 * eps))
         for n, (delta, gap) in enumerate(zip(deltas, gaps))

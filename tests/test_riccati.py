@@ -30,6 +30,7 @@ from switchsde import (
     solve_coupled_riccati,
 )
 from switchsde.riccati import (
+    BLOWUP_CHECK_STEPS,
     BLOWUP_LIMIT,
     _apply,
     _feedback_cost_stack,
@@ -521,6 +522,32 @@ def test_blowup_names_the_node_the_per_step_rule_stops_at(bad, first_bad):
             assert str(exc.value) == str(expect)
         else:  # a 1e13 stage only at t = 0 moves K by h/6 * 1e13 < BLOWUP_LIMIT
             assert np.array_equal(_integrate_backward(rhs, terminal, 1.0, 8), expect)
+
+
+N_LONG = 4 * BLOWUP_CHECK_STEPS + 5
+
+
+@pytest.mark.parametrize(
+    "first_bad",
+    [N_LONG - 1, 4 * BLOWUP_CHECK_STEPS, 3 * BLOWUP_CHECK_STEPS, 3 * BLOWUP_CHECK_STEPS - 1, 5, 0],
+)
+def test_a_diverging_solve_stops_within_one_check_block(first_bad):
+    # step s runs the stages 2s, 2s - 1, 2s - 1, 2s - 2, so the right side
+    # turns NaN first in the step that stores node first_bad
+    calls = []
+
+    def rhs(j, k):
+        calls.append(j)
+        return np.full_like(k, np.nan) if j <= 2 * first_bad + 1 else np.ones_like(k)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(BlowupError, match=f"at t = {first_bad / N_LONG:.6g}$"):
+            _integrate_backward(rhs, np.zeros((1, 1, 1, 1)), 1.0, N_LONG)
+    steps = len(calls) // 4
+    assert len(calls) == 4 * steps and calls[-1] == 2 * (N_LONG - steps)
+    # the steps past the bad node's fill up at most the rest of its check block
+    assert 0 <= steps - (N_LONG - first_bad) < BLOWUP_CHECK_STEPS
 
 
 def _cached_stage_replay(lq, stage_gains, n_steps):

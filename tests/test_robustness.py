@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from switchsde import (
     BlowupError,
     ConfigError,
+    ActionGrid,
+    DegenerateError,
     DiffusionFamily,
     DriftFamily,
     GeneratorSpec,
@@ -35,9 +37,12 @@ from switchsde import (
     solve_exit,
     solve_finite_horizon,
 )
-from switchsde.hjbgrid import _Tables
+from switchsde import hjbgrid, robustness
+from switchsde.hjbgrid import _evaluate, _Tables
 from switchsde.robustness import (
+    GAP_CHUNK,
     SWEEP_HEADER,
+    _replay,
     _spectral_gaps,
     _worst_eps_policy,
     check_eps_optimality,
@@ -45,7 +50,7 @@ from switchsde.robustness import (
     sweep_grid,
     sweep_lq_finite_horizon,
 )
-from conftest import lq_model
+from conftest import chain_model, lq_model
 
 
 @pytest.fixture
@@ -141,20 +146,24 @@ def test_stacked_lq_sweep_matches_rowwise_reference(ref_lq, which):
 @given(
     shape=st.sampled_from(["symmetric", "row", "column", "general"]), d=st.integers(1, 4),
     n_regimes=st.integers(1, 3), log_scale=st.floats(-8.0, 3.0), seed=st.integers(0, 2**32 - 1),
+    n_times=st.sampled_from([7, 2 * GAP_CHUNK + 3]),
 )
-def test_spectral_gaps_match_the_blockwise_two_norm(shape, d, n_regimes, log_scale, seed):
+def test_spectral_gaps_match_the_blockwise_two_norm(shape, d, n_regimes, log_scale, seed, n_times):
     rng = np.random.default_rng(seed)
     rows, cols = {"symmetric": (d, d), "row": (1, d), "column": (d, 1),
                   "general": tuple(rng.integers(1, 5, size=2))}[shape]
-    stack = 10.0**log_scale * rng.normal(size=(7, 5, n_regimes, rows, cols))
+    stack = 10.0**log_scale * rng.normal(size=(n_times, 5, n_regimes, rows, cols))
     if shape == "symmetric":
         stack = stack + stack.swapaxes(-1, -2)
     stack[:, 1] = stack[:, -1]  # block 1 equals the reference, the last block
     got = _spectral_gaps(stack)
-    expect = [max(np.linalg.norm(stack[t, b, i] - stack[t, -1, i], ord=2)
-                  for t in range(7) for i in range(n_regimes)) for b in range(5)]
+    expect = np.linalg.norm(stack - stack[:, -1:], ord=2, axis=(-2, -1)).max(axis=(0, 2))
     assert got[1] == 0.0 and got[-1] == 0.0 and not np.signbit(got).any()
     np.testing.assert_allclose(got, expect, rtol=1e-14, atol=0.0)
+    # the same eigen-solve over all time nodes at once, bit for bit
+    g = stack - stack[:, -1:]
+    g = g @ g.swapaxes(-1, -2) if rows <= cols else g.swapaxes(-1, -2) @ g
+    assert np.array_equal(got, np.sqrt(np.maximum(0.0, np.linalg.eigvalsh(g)[..., -1].max(axis=(0, 2)))))
 
 
 @pytest.mark.parametrize(
@@ -309,6 +318,10 @@ SWEEP_CASES = {
         _first_regime, Grid1D(-2.0, 2.0, 51),
         PerturbationSchedule("coefficient", 4, d_a=np.ones((1, 1, 1)), d_c=np.full((1, 1, 1), 0.3)),
     ),
+    # shifts the action loading: no perturbed row shares the true stationary policy
+    "distinct": (
+        lambda m: m, Grid1D(-2.0, 2.0, 201), PerturbationSchedule("coefficient", 3, d_b=np.ones((2, 1, 1))),
+    ),
 }
 
 
@@ -413,6 +426,127 @@ def test_stacked_eps_check_matches_rowwise_reference(saturated, criterion):
     _, grid, sched = SWEEP_CASES["criterion-9"]
     rep = check_eps_optimality(saturated, sched, criterion, 0.05, grid)
     assert [r.gap for r in rep.rows] == _rowwise_eps_gaps(saturated, sched, criterion, 0.05, grid)
+
+
+# ---------------------------------------------------------------------------
+# the replay solves the true row and the rows whose replay input differs
+
+
+def _rowwise_policies(true_spec, sched, criterion, grid):
+    """Each row's replayed action table, one model at a time, the true model's
+    last: its optimal table ((n_t, N, K) for the finite horizon), or for
+    'eps-<criterion>' its worst table within 0.05 of the Hamiltonian minimum."""
+    models = make_perturbation_sequence(true_spec, sched)
+    if sched.magnitudes[-1] != 0.0:
+        models.append(true_spec)  # the delta = 0 control row
+    if criterion.startswith("eps-"):
+        criterion = criterion[4:]
+        solve = {"discounted": solve_discounted, "exit": solve_exit}[criterion]
+        return [
+            _worst_eps_policy(_Tables([m], grid), solve(m, grid).values[:, None], 0.05, criterion == "exit")[:, 0]
+            for m in models
+        ]
+    solve = {"discounted": solve_discounted, "exit": solve_exit, "finite-horizon": solve_finite_horizon,
+             "ergodic": estimate_ergodic}[criterion]
+    return [solve(m, grid).policy for m in models]
+
+
+@pytest.mark.parametrize("criterion", ["discounted", "exit"])
+@pytest.mark.parametrize("case", ["cost", "distinct"])
+def test_eps_check_matches_rowwise_reference_however_many_rows_share_the_true_policy(
+    saturated, case, criterion
+):
+    _, grid, sched = SWEEP_CASES[case]
+    rep = check_eps_optimality(saturated, sched, criterion, 0.05, grid)
+    assert [r.gap for r in rep.rows] == _rowwise_eps_gaps(saturated, sched, criterion, 0.05, grid)
+
+
+def test_cost_rows_all_share_the_true_policy_and_distinct_rows_none(saturated):
+    for case, shared in (("cost", True), ("distinct", False)):
+        _, grid, sched = SWEEP_CASES[case]
+        for criterion in ("discounted", "ergodic", "eps-discounted"):
+            policies = _rowwise_policies(saturated, sched, criterion, grid)
+            assert [np.array_equal(p, policies[-1]) for p in policies[:-1]] == [shared] * (len(policies) - 1)
+
+
+@pytest.fixture
+def replay_unknowns(monkeypatch):
+    """Per _replay call, in call order, the unknowns it hands to LAPACK dgbsv."""
+    dgbsv, replay, counts, inside = hjbgrid._dgbsv(), robustness._replay, [], []
+
+    def counting_dgbsv(kl, ku, ab, b, **kwargs):
+        if inside:
+            counts[-1] += b.shape[0]
+        return dgbsv(kl, ku, ab, b, **kwargs)
+
+    def counting_replay(*args):
+        counts.append(0)
+        inside.append(True)
+        try:
+            return replay(*args)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(hjbgrid, "_dgbsv", lambda: counting_dgbsv)
+    monkeypatch.setattr(robustness, "_replay", counting_replay)
+    return counts
+
+
+@pytest.mark.parametrize(
+    "criterion", ["discounted", "exit", "finite-horizon", "ergodic", "eps-discounted", "eps-exit"]
+)
+@pytest.mark.parametrize("case", ["criterion-9", "cost", "distinct"])
+def test_replay_solves_the_true_row_and_the_rows_that_differ(saturated, replay_unknowns, case, criterion):
+    _, grid, sched = SWEEP_CASES[case]
+    policies = _rowwise_policies(saturated, sched, criterion, grid)
+    if criterion.startswith("eps-"):
+        check_eps_optimality(saturated, sched, criterion[4:], 0.05, grid)
+    else:
+        sweep_grid(saturated, sched, criterion, grid)
+    # the finite horizon replays level j from its table and the later levels'
+    # replay, which equals the true row's where the later tables do
+    levels = range(len(policies[-1]) - 1, -1, -1) if criterion == "finite-horizon" else [0]
+    unknowns = grid.n_x * saturated.regimes.count
+    expect = [
+        (1 + sum(not np.array_equal(p[j:], policies[-1][j:]) for p in policies[:-1])) * unknowns
+        for j in levels
+    ]
+    assert replay_unknowns == expect
+    if case == "criterion-9":  # most small-delta rows repeat the true replay
+        assert sum(expect) < len(policies) * unknowns * len(levels)
+
+
+def test_replay_error_names_the_original_row():
+    # with gu = 1 the action u = -20 switches the rates off (g = 1 + tanh(-20)
+    # = 0), so a row that takes it in both regimes replays a multichain policy
+    spec = dataclasses.replace(
+        chain_model(),
+        actions=ActionGrid(np.array([[0.0], [-20.0]])),
+        generator=GeneratorSpec("state-action-dependent", 2, base=np.array([[0.0, 1.0], [2.0, 0.0]]), gu=1.0),
+    )
+    grid = Grid1D(-1.0, 1.0, 21)
+    tab = _Tables([spec] * 4, grid, [f"schedule row n = {n}" for n in range(4)])
+    policy = np.zeros((2, 4, grid.n_x), dtype=np.int64)
+    policy[:, 2] = 1  # solved as block 0 of the sub-stack [row 2, row 3]
+    with pytest.raises(DegenerateError, match=r"multichain: several closed regime classes \(schedule row n = 2\)"):
+        _replay(tab, lambda t, p: _evaluate(t, "ergodic", p)[0], policy)
+
+
+@pytest.mark.parametrize("check", ["sweep", "eps"])
+def test_a_table_error_in_a_stacked_sweep_names_the_row(saturated, check):
+    # row 0 (delta = 1) has sigma = 0, so a = sigma^2 / 2 vanishes
+    sched = PerturbationSchedule("coefficient", 3, d_c=-np.ones((2, 1, 1)))
+    run = {"sweep": lambda: sweep_grid(saturated, sched, "discounted", Grid1D(-2.0, 2.0, 51)),
+           "eps": lambda: check_eps_optimality(saturated, sched, "exit", 0.05, Grid1D(-2.0, 2.0, 51))}[check]
+    with pytest.raises(DegenerateError) as exc:
+        run()
+    assert str(exc.value) == (
+        "E_DEGENERATE: grid solvers need a = sigma^2 / 2 > 0 at every node (schedule row n = 0, delta = 1)"
+    )
+    # a one-model solve names no row
+    with pytest.raises(DegenerateError) as exc:
+        solve_discounted(make_perturbation_sequence(saturated, sched)[0], Grid1D(-2.0, 2.0, 51))
+    assert str(exc.value) == "E_DEGENERATE: grid solvers need a = sigma^2 / 2 > 0 at every node"
 
 
 # magnitudes that end in 0: that row is the true model's own, so no control
