@@ -192,15 +192,15 @@ def _replay(tab: _Tables, solve, *inputs) -> np.ndarray:
     differs = np.zeros(B, dtype=bool)
     for x in inputs:
         bits = x.view(np.int64)  # int64 actions and float64 values alike, bit for bit
-        differs |= np.any(bits != bits[:, -1:], axis=(0, 2))
+        differs |= (bits != bits[:, -1:]).any(axis=(0, 2))
     differs[-1] = True  # the true block itself is solved
-    rows = np.flatnonzero(differs)
+    rows = differs.nonzero()[0]
     true = tab.take([B - 1] * len(rows))
     true.labels = tuple(tab.labels[r] for r in rows)
-    out = solve(true, *(x[:, rows] for x in inputs))
-    where = np.full(B, len(rows) - 1)
-    where[rows] = np.arange(len(rows))
-    return out[:, where]
+    out = solve(true, *(x.take(rows, axis=1) for x in inputs))
+    where = differs.cumsum() - 1  # each differing row's block in the solve
+    where[~differs] = len(rows) - 1
+    return out.take(where, axis=1)
 
 
 def _warm_stationary(tab: _Tables, criterion: str, tol: float, max_iter: int) -> tuple:
