@@ -91,8 +91,8 @@ def _schedule_rows(true_model, sched: PerturbationSchedule, models: list) -> tup
 
 
 def _spectral_gaps(stack: np.ndarray) -> np.ndarray:
-    """max over times and regimes of ||stack[:, b] - stack[:, -1]||_2 per block b, by Gram eigenvalues
-    of GAP_CHUNK time nodes at a time, which bounds the memory and, per matrix, changes no bit."""
+    """max over times and regimes of ||stack[:, b] - stack[:, -1]||_2 per block b, by Gram eigenvalues;
+    GAP_CHUNK time nodes at a time bound the memory, and eigvalsh works per matrix, so no bit changes."""
     top = np.full(stack.shape[1], -np.inf)
     for t in range(0, len(stack), GAP_CHUNK):
         g = stack[t:t + GAP_CHUNK] - stack[t:t + GAP_CHUNK, -1:]
