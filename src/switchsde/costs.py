@@ -117,7 +117,7 @@ def _run_weighted(
             u = eng.actions(policy)
             w = weights[k]
             if w != 0.0:
-                acc += w * spec.costs.running.eval_batch(eng.x, eng.s, u)
+                acc += w * eng.running_cost(u)
             eng.step(u)
         eng.check_finite()
         if terminal is not None:
@@ -232,7 +232,7 @@ def mc_exit(
                 values[orig] = acc[eng.alive]
                 break
             u = eng.actions(policy)
-            acc += disc * spec.costs.running.eval_batch(eng.x, eng.s, u) * dt
+            acc += disc * eng.running_cost(u) * dt
             log_disc += rate * dt
             keep = eng.step(u)
             if keep is not None:

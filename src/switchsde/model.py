@@ -447,6 +447,10 @@ class RunningCost:
             return self.amplitude
         return float("inf")
 
+    def regime_values(self) -> FloatArray | None:
+        """The cost per regime when it depends on the regime alone, else None."""
+        return {"constant": np.full(self.n_regimes, self.value), "regime": self.values}.get(self.kind)
+
     def eval_batch(self, x: FloatArray, s: NDArray[np.int64], u: FloatArray) -> FloatArray:
         if self.kind == "constant":
             return np.full(x.shape[0], self.value)

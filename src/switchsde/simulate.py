@@ -55,16 +55,19 @@ and no path and no estimate depends on the worker count. A block with no
 normals, or of one tile or less, is drawn on the calling thread alone.
 
 Actions are looked up and clamped once per step, by actions(policy); the
-caller hands that array to its running cost and then to step(), which uses
+caller hands that array to running_cost(u) and then to step(), which uses
 it as given, so cost, drift and rates all see the same clamped action.
 
-A batch retires rows with mark_dead. It compacts them away at the next
-chunk refill, or earlier, at the start of the first step at which at most
-half of its rows are alive; a mid-block compaction carries the survivors'
-unused draws and scheduled jumps along with them, so compaction never
-changes a path. step() returns the mask of kept rows when it compacts, and
-None otherwise, so a caller holding state row by row compacts it the same
-way.
+Between jumps a path's regime-indexed coefficients are constant, so the
+stepper holds b0 dt, sigma sqrt(dt) and a regime-only running cost as
+per-row columns table[s], rewritten with s at jumps only. mark_dead retires
+rows and zeroes their motion columns, so they stay put (a step that
+evaluates its drift or diffusion masks them). They are compacted away at
+the next chunk refill, or at the start of the first step with at most half
+of the rows alive; a mid-block compaction carries the survivors' columns,
+draws and scheduled jumps along, so it never changes a path. step() returns
+the kept-row mask when it compacts, else None, so a caller holding state
+row by row compacts it the same way.
 """
 
 from __future__ import annotations
@@ -231,9 +234,10 @@ class CallablePolicy:
 class BatchStepper:
     """Drives a batch of paths with per-path streams and chunked draws.
 
-    A step is ``u = eng.actions(policy)`` then ``eng.step(u)``; the clamp
-    happens in ``actions`` only. Rows can be retired (mark_dead); retired
-    rows stop updating immediately and are compacted away at the next chunk
+    A step is ``u = eng.actions(policy)``, ``eng.running_cost(u)`` to
+    accrue cost, then ``eng.step(u)``; the clamp happens in ``actions``
+    only. Retired rows (mark_dead) have their columns zeroed, so they stay
+    put, and are compacted away at the next chunk
     refill, or mid-block as soon as at most half the rows are alive, so the
     per-step work shrinks with the surviving population. ``step`` returns
     the kept-row mask of a compaction (else None). ``original_index`` maps
@@ -304,18 +308,19 @@ class BatchStepper:
         self._all_alive = True
         self._sqrt_dt = np.sqrt(self.dt)
 
-        # static fast-path tables for the constant families
-        drift = spec.drift
-        self._b0 = drift.b0 if drift.kind == "constant" else None
-        self._drift_zero = self._b0 is not None and not self._b0.any()
+        # per-row columns table[s] of the regime-indexed tables (see the module docstring)
+        b0 = spec.drift.b0 if spec.drift.kind == "constant" else None
+        self._drift_zero = b0 is not None and not b0.any()
         self._zero_diffusion = spec.diffusion.is_zero
         self._scalar = self.d == 1 and self.wd == 1
-        self._b0_dt = None
-        if self._scalar and self._b0 is not None:
-            self._b0_dt = np.ascontiguousarray(self._b0[:, 0]) * self.dt
-        self._sig_sdt = None
-        if self._scalar and spec.diffusion.kind == "constant":
-            self._sig_sdt = np.ascontiguousarray(spec.diffusion.c0[:, 0, 0]) * self._sqrt_dt
+        drift = self._scalar and b0 is not None and not self._drift_zero
+        noise = self._scalar and spec.diffusion.kind == "constant" and not self._zero_diffusion
+        # a scalar increment from columns alone is zero on retired rows
+        self._col_motion = self._scalar and (drift or self._drift_zero) and (noise or self._zero_diffusion)
+        tabs = {"drift": b0[:, 0] * self.dt if drift else None, "cost": spec.costs.running.regime_values(),
+                "noise": spec.diffusion.c0[:, 0, 0] * self._sqrt_dt if noise else None}
+        self._col_tabs = {name: tab for name, tab in tabs.items() if tab is not None}
+        self._cols = {name: tab[self.s] for name, tab in self._col_tabs.items()}
         gen = spec.generator
         if gen.kind == "constant":
             off = gen.rates.copy()
@@ -356,7 +361,12 @@ class BatchStepper:
         return self._n_alive
 
     def mark_dead(self, dead_rows: np.ndarray) -> None:
+        """Retire the rows set in ``dead_rows``, a boolean mask of the current rows."""
+        if getattr(dead_rows, "dtype", None) != bool or dead_rows.shape != self.alive.shape:
+            raise ShapeError(f"mark_dead takes a boolean mask of shape {self.alive.shape}")
         self.alive &= ~dead_rows
+        for name in self._cols.keys() & {"drift", "noise"}:
+            self._cols[name][dead_rows] = 0.0
         self._all_alive = False
         self._n_alive = int(np.count_nonzero(self.alive))
 
@@ -393,6 +403,17 @@ class BatchStepper:
                 self.clamped_steps += int(np.count_nonzero(rows & self.alive))
         return self._clamp_val
 
+    def running_cost(self, u: FloatArray) -> FloatArray:
+        """The current rows' running cost under ``u``: the read-only cost column if it is regime-only."""
+        col = self._cols.get("cost")
+        return self.spec.costs.running.eval_batch(self.x, self.s, u) if col is None else col
+
+    def _set_regimes(self, rows: np.ndarray, dest: np.ndarray) -> None:
+        """Move the rows to the regimes ``dest``, and every column's rows with them."""
+        self.s[rows] = dest
+        for name, col in self._cols.items():
+            col[rows] = self._col_tabs[name][dest]
+
     def _compact(self) -> np.ndarray:
         """Move the living rows to the front and drop the rest.
 
@@ -407,6 +428,7 @@ class BatchStepper:
         self.x = self.x[rows]
         self.s = self.s[rows]
         self.original_index = self.original_index[rows]
+        self._cols = {name: col[rows] for name, col in self._cols.items()}
         self._clock = self._clock[rows]
         self._gens = [self._gens[r] for r in rows]
         if self._stay is None:
@@ -571,20 +593,20 @@ class BatchStepper:
         if self._scalar:
             inc = None
             if not self._drift_zero:
-                if self._b0_dt is not None:
-                    inc = self._b0_dt[s]
-                else:
+                inc = self._cols.get("drift")
+                if inc is None:
                     inc = self.spec.drift.eval_batch(x, s, u)[:, 0] * self.dt
             if not self._zero_diffusion:
-                if self._sig_sdt is not None:
-                    noise = self._sig_sdt[s] * self._normals[pos]
+                noise = self._cols.get("noise")
+                if noise is not None:
+                    noise = noise * self._normals[pos]
                 else:
                     sig = self.spec.diffusion.eval_batch(x, s)[:, 0, 0]
                     noise = sig * self._normals[pos] * self._sqrt_dt
                 inc = noise if inc is None else inc + noise
             if inc is not None:
                 xf = x[:, 0]
-                if all_alive:
+                if all_alive or self._col_motion:
                     xf += inc
                 else:
                     np.add(xf, inc, out=xf, where=alive)
@@ -612,7 +634,7 @@ class BatchStepper:
                 if not all_alive:
                     live = alive[rows]
                     rows, dest = rows[live], dest[live]
-                s[rows] = dest
+                self._set_regimes(rows, dest)
 
         self._pos = pos + 1
         self.t += self.dt
@@ -622,7 +644,8 @@ class BatchStepper:
         """Move the given rows to new regimes in proportion to their
         pre-step rates, and restart their clocks."""
         cum = np.cumsum(self._base_off[self.s[rows]] * gval[rows, None], axis=1)
-        self.s[rows], self._clock[rows] = self._draw_jumps(rows, cum)
+        dest, self._clock[rows] = self._draw_jumps(rows, cum)
+        self._set_regimes(rows, dest)
         self._survival[rows] = 1.0
 
     def _draw_jumps(self, rows: np.ndarray, cum: FloatArray) -> tuple[np.ndarray, FloatArray]:

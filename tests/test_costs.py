@@ -517,7 +517,18 @@ def test_exit_equals_the_per_row_discount_loop(case):
         assert 0.0 < est.capped_fraction < 0.2
 
 
-@pytest.mark.parametrize("make,x0", [(saturated_model, [0.0]), (_plane_model, [0.0, 0.0])])
+def _constant_coefficient_model():
+    """chain_model with a nonzero constant drift: the scalar step reads
+    only the drift and noise columns."""
+    return dataclasses.replace(
+        chain_model(sigma=0.5), drift=DriftFamily("constant", 1, 2, 1, b0=np.array([[0.3], [-0.4]])),
+    )
+
+
+@pytest.mark.parametrize(
+    "make,x0",
+    [(saturated_model, [0.0]), (_plane_model, [0.0, 0.0]), (_constant_coefficient_model, [0.0])],
+)
 def test_step_leaves_retired_rows_unchanged(make, x0):
     # a twin batch that retires no row shows that the living rows still
     # take the same steps

@@ -295,6 +295,138 @@ def test_survival_tables_skip_still_regimes_and_stop_below_the_smallest_clock():
     assert eng._table(0, 16 * CHUNK).size == tab.size
 
 
+COLUMN_B0 = np.array([[0.4], [-0.7], [0.1]])
+COLUMN_SIGMA = np.array([0.3, 0.8, 0.5])
+COLUMN_COST = np.array([1.0, 2.5, 0.25])
+
+
+def _column_model(kind):
+    """Three regimes with a nonzero constant drift, a regime-dependent
+    constant sigma and a regime cost, under a constant or a state-action
+    dependent generator of the same base rates."""
+    off = np.array([[0.0, 1.2, 0.8], [1.5, 0.0, 0.5], [0.6, 0.9, 0.0]])
+    if kind == "constant":
+        gen = GeneratorSpec("constant", 3, rates=off - np.diag(off.sum(axis=1)))
+    else:
+        gen = GeneratorSpec("state-action-dependent", 3, base=off, gx=0.5, gu=-0.3)
+    spec = _with_drift(_switching_model(gen), COLUMN_B0)
+    return dataclasses.replace(
+        spec,
+        diffusion=DiffusionFamily("constant", 1, 3, c0=COLUMN_SIGMA[:, None, None]),
+        costs=dataclasses.replace(spec.costs, running=RunningCost("regime", 3, 1, 1, values=COLUMN_COST)),
+    )
+
+
+def _gather_step(eng, u):
+    """BatchStepper.step restated by the per-step gather rule, for a scalar
+    model with a constant drift and diffusion: b0 dt and sigma sqrt(dt) are
+    gathered by s at every step, retired rows are held by a masked add, and
+    a jump writes s alone."""
+    keep = None
+    refill = eng._pos >= CHUNK
+    if refill or (not eng._all_alive and 2 * eng._n_alive <= eng.x.shape[0]):
+        if not eng._all_alive:
+            keep = eng._compact()
+            u = u[keep]
+        if refill:
+            eng._refill()
+    pos, s, alive = eng._pos, eng.s, eng.alive
+    if eng._stay is None:
+        gen = eng.spec.generator
+        gval = 1.0 + gen.gx * np.tanh(eng.x.mean(axis=1)) + gen.gu * np.tanh(u.mean(axis=1))
+        eng._survival *= 1.0 - eng._base_out[s] * gval * eng.dt
+    b0_dt = COLUMN_B0[:, 0] * eng.dt
+    sig_sdt = COLUMN_SIGMA * np.sqrt(eng.dt)
+    xf = eng.x[:, 0]
+    np.add(xf, b0_dt[s] + sig_sdt[s] * eng._normals[pos], out=xf, where=alive)
+    if eng._stay is None:
+        rows = np.flatnonzero((eng._survival < eng._clock) & alive)
+        if rows.size:
+            cum = np.cumsum(eng._base_off[s[rows]] * gval[rows, None], axis=1)
+            s[rows], eng._clock[rows] = eng._draw_jumps(rows, cum)
+            eng._survival[rows] = 1.0
+    else:
+        rows, dest = (a[eng._ev_at[pos] : eng._ev_at[pos + 1]] for a in (eng._ev_rows, eng._ev_dest))
+        live = alive[rows]
+        s[rows[live]] = dest[live]
+    eng._pos = pos + 1
+    eng.t += eng.dt
+    return keep
+
+
+@pytest.mark.parametrize("kind", ["constant", "state-action-dependent"])
+def test_columns_equal_the_per_step_gather_rule(kind):
+    # three blocks and more; 40 of 64 rows retire at step 500, so the batch
+    # compacts mid-block, and 8 of the 24 left at step 2100, compacted away
+    # at the refill at step 3 * CHUNK
+    spec = _column_model(kind)
+    policy = CallablePolicy(lambda t, x, regimes: np.sin(3.0 * x))
+    m, n, dt = 64, 3 * CHUNK + 17, 0.01
+    eng, ref = (BatchStepper(spec, [0.0], np.arange(m) % 3 + 1, dt, seed=37, n_paths=m) for _ in range(2))
+    retire = {500: np.arange(m) % 8 < 5, 2100: np.arange(m) % 8 == 5}
+    acc, acc_ref = np.zeros(m), np.zeros(m)
+    compacted, jumps = [], 0
+    for k in range(n):
+        if k in retire:
+            eng.mark_dead(retire[k][eng.original_index])
+            ref.mark_dead(retire[k][ref.original_index])
+        before = eng.s.copy()
+        u = eng.actions(policy)
+        acc += dt * eng.running_cost(u)
+        keep = eng.step(u)
+        u_ref = ref.actions(policy)
+        acc_ref += dt * COLUMN_COST[ref.s]
+        assert np.array_equal(_gather_step(ref, u_ref), keep)
+        if keep is not None:
+            compacted.append(k)
+            acc, acc_ref, before = acc[keep], acc_ref[keep], before[keep]
+        jumps += int(np.count_nonzero(eng.s != before))
+        assert np.array_equal(eng.x.view(np.int64), ref.x.view(np.int64))
+        assert np.array_equal(eng.s, ref.s)
+        assert np.array_equal(acc.view(np.int64), acc_ref.view(np.int64))
+    assert compacted == [500, 3 * CHUNK]
+    assert eng.x.shape[0] == 16 and jumps > 1000
+
+
+@pytest.mark.parametrize("kind", ["constant", "state-action-dependent"])
+def test_columns_are_rewritten_only_where_the_regime_changes(kind):
+    # the one jump helper's rewritten rows, counted over the run, are the
+    # regime changes of living rows seen step over step, and every living
+    # row's column is its table's entry at its regime
+    spec = _column_model(kind)
+    m, dt = 48, 0.01
+    eng = BatchStepper(spec, [0.0], np.arange(m) % 3 + 1, dt, seed=5, n_paths=m)
+    written = []
+    helper = eng._set_regimes
+    eng._set_regimes = lambda rows, dest: (written.append(len(rows)), helper(rows, dest))
+    policy = CallablePolicy(lambda t, x, regimes: np.cos(2.0 * x))
+    changes = 0
+    for k in range(2 * CHUNK + 100):
+        if k == 300:
+            eng.mark_dead(np.arange(eng.s.size) % 2 == 0)
+        before = eng.s.copy()
+        keep = eng.step(eng.actions(policy))
+        if keep is not None:
+            before = before[keep]
+        changes += int(np.count_nonzero((eng.s != before) & eng.alive))
+        alive = eng.alive
+        assert sorted(eng._cols) == ["cost", "drift", "noise"]
+        for name, col in eng._cols.items():
+            assert np.array_equal(col[alive], eng._col_tabs[name][eng.s[alive]])
+    assert sum(written) == changes > 500
+
+
+def test_mark_dead_takes_only_a_boolean_mask_of_the_current_rows(make_chain):
+    eng = BatchStepper(make_chain(), [0.0], 1, 0.01, seed=0, n_paths=4)
+    for bad in (np.array([1, 2]), np.zeros(3, dtype=bool), [True, False, False, True],
+                np.zeros((4, 1), dtype=bool)):
+        with pytest.raises(ShapeError, match="boolean mask of shape"):
+            eng.mark_dead(bad)
+    assert eng.n_alive == 4
+    eng.mark_dead(np.array([True, False, False, True]))
+    assert eng.n_alive == 2
+
+
 def _worker_runs():
     """Stepper runs whose paths the worker count must not change, as
     (spec, m, dt, rows retired by step, forced jump-supply width)."""
