@@ -234,13 +234,13 @@ class CallablePolicy:
 class BatchStepper:
     """Drives a batch of paths with per-path streams and chunked draws.
 
-    A step is ``u = eng.actions(policy)``, ``eng.running_cost(u)`` to
-    accrue cost, then ``eng.step(u)``; the clamp happens in ``actions``
-    only. Retired rows (mark_dead) have their columns zeroed, so they stay
-    put, and are compacted away at the next chunk
-    refill, or mid-block as soon as at most half the rows are alive, so the
-    per-step work shrinks with the surviving population. ``step`` returns
-    the kept-row mask of a compaction (else None). ``original_index`` maps
+    A step is ``u = eng.actions(policy)``, ``eng.running_cost(u)`` to accrue
+    cost, then ``eng.step(u)``; the clamp happens in ``actions`` only.
+    Retired rows (mark_dead) have their drift and noise columns zeroed, so
+    they stay put, and are compacted away at the next chunk refill, or
+    mid-block as soon as at most half the rows are alive, so the per-step
+    work shrinks with the surviving population. ``step`` returns the
+    kept-row mask of a compaction (else None). ``original_index`` maps
     current rows back to path indices.
 
     Under a constant generator each refill also schedules the block's

@@ -396,6 +396,7 @@ def test_columns_are_rewritten_only_where_the_regime_changes(kind):
     spec = _column_model(kind)
     m, dt = 48, 0.01
     eng = BatchStepper(spec, [0.0], np.arange(m) % 3 + 1, dt, seed=5, n_paths=m)
+    assert sorted(eng._cols) == ["cost", "drift", "noise"]
     written = []
     helper = eng._set_regimes
     eng._set_regimes = lambda rows, dest: (written.append(len(rows)), helper(rows, dest))
@@ -410,7 +411,6 @@ def test_columns_are_rewritten_only_where_the_regime_changes(kind):
             before = before[keep]
         changes += int(np.count_nonzero((eng.s != before) & eng.alive))
         alive = eng.alive
-        assert sorted(eng._cols) == ["cost", "drift", "noise"]
         for name, col in eng._cols.items():
             assert np.array_equal(col[alive], eng._col_tabs[name][eng.s[alive]])
     assert sum(written) == changes > 500
