@@ -78,8 +78,8 @@ class Grid1D:
     def __post_init__(self):
         if self.n_x < 11:
             raise ShapeError("grid needs at least 11 nodes")
-        if not self.x_min < self.x_max:
-            raise ShapeError("grid interval must have x_min < x_max")
+        if not -np.inf < self.x_min < self.x_max < np.inf:
+            raise ShapeError("grid interval must be finite, with x_min < x_max")
 
     @property
     def dx(self) -> float:

@@ -564,6 +564,8 @@ class CostSpec:
             raise ShapeError("discount alpha must be > 0", "costs.alpha")
         if not self.horizon > 0:
             raise ShapeError("horizon must be > 0", "costs.horizon")
+        if self.horizon == np.inf:
+            raise ShapeError("horizon must be finite", "costs.horizon")
         lo, hi = self.exit_domain
         if not lo < hi:
             raise ShapeError("exit_domain must be an open interval (lo, hi)", "costs.exit_domain")
@@ -626,7 +628,7 @@ def _object(doc, path: str, keys, required=()) -> dict:
 def _number(v, path: str) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ConfigError("expected a number", path)
-    return float(v)
+    return float(_array(v, path))
 
 
 def _integer(v, path: str) -> int:
@@ -642,13 +644,18 @@ def _numeric(v) -> bool:
 
 
 def _array(v, path: str) -> np.ndarray:
-    """A number or JSON arrays of numbers nested to any depth, as floats."""
+    """A number or JSON arrays of numbers nested to any depth, as finite floats."""
     if not _numeric(v):
         raise ConfigError("expected a number or an array of numbers", path)
     try:
-        return np.array(v, dtype=np.float64)
+        arr = np.array(v, dtype=np.float64)
     except ValueError:
         raise ConfigError("array rows differ in length", path) from None
+    except OverflowError:  # an integer beyond the float range
+        arr = None
+    if arr is None or not np.isfinite(arr).all():
+        raise ConfigError("numbers must be finite", path)
+    return arr
 
 
 def _read_family(cls, doc, **sizes: int):

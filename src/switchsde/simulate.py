@@ -9,42 +9,42 @@ p_k = (sum_{j != i} m_ij(X_k, U_k)) dt, to a destination drawn
 proportionally to m_ij. The step bound dt <= 1/(4 N M) keeps p_k at or
 below one quarter.
 
-Jumps are driven by a clock rather than a per-step uniform. Each path holds
-a uniform clock W = 1 - v in (0, 1] and a survival product S, the chance
-of no jump since its last one: the step-order product of 1 - p_k over the
-steps since then. The path jumps at the first step at which S < W. Given
-no jump since the last one, the jump fires at step k with probability
-exactly p_k, so the discretised chain's law is the per-step Bernoulli
-thinning's. A regime with zero outflow keeps S at 1, so it never jumps. On
-a jump the path takes two uniforms: the first picks the destination from
-the cumulative outflow table, the second sets the next clock; S restarts
-at 1.
+Jumps are driven by clocks rather than a per-step uniform. Each path holds
+a uniform clock W = 1 - v in (0, 1]; a clock of per-step probability p
+rings at the first step at which (1 - p)^n, n the steps since its last
+ring, drops below W, so it rings at each step with probability exactly p.
+The product is entry n - 1 of the table cumprod(1 - p), equal to the
+per-step product bit for bit, so a binary search finds a block's rings
+when its draws are made, once per ring rather than once per step. A ring
+takes two uniforms: a pick, which decides the jump, and the next clock.
 
-Under a state-dependent generator, every step multiplies S by 1 - p_k and
-compares it with W. Under a constant generator the chain does not depend on
-the state or the action, so after n steps in regime i, S is entry n - 1 of
-the per-regime table cumprod(1 - p_i); a cumulative product is sequential,
-so the entry equals the per-step product bit for bit. A block's jumps are
-then found when its draws are made: a binary search of the table finds
-each path's next jump, once per jump rather than once per step, and step()
-only writes the regimes of the rows that jump at that step. The jumps read
-the same draws in the same order as the per-step rule, so the schedule
-gives the same paths.
+Under a constant generator regime i has its own clock, p_i = out_i dt,
+every ring is a jump, and the pick chooses the destination from the
+cumulative outflow table cum_off; a regime with zero outflow has no clock.
+A state-action-dependent generator, rates off_ij g(x, u) with g <= g_max =
+1 + |gx| + |gu| > 1, is thinned: one bound clock of rate rbar =
+max_i out_i g_max runs in every regime, and at each of its rings, a
+candidate with pick v, the path jumps to the first j with cum_off[s, j] >
+v rbar / g(X_k, U_k), at the pre-step state, and stays where there is
+none: it jumps to j with probability off_sj g dt. The bound clock does not
+depend on the regime, so neither does a candidate's successor, and a
+block's candidates are all found at the refill too. step() evaluates g on
+candidate rows alone and writes the regimes of the rows that jump.
 
 Randomness is counter based: path p draws from a Philox stream keyed by
 (seed, p), independent of every other path and of how paths are batched;
 the generator is built from that key alone. Each path consumes its stream
 in this order: one uniform for the first clock, then, per block of CHUNK
 steps, the block's Gaussian increments (none when the diffusion is
-identically zero) followed by a fixed number of jump uniforms (none when no
-regime has outflow). Both counts depend only on the spec and dt. Jumps take
-their uniforms from the block's supply two at a time; a path that uses it
-up draws further pairs straight from its stream, in jump order, and
-leftovers are dropped at the block's end. The order depends only on the
-path's own trajectory, so a path simulated alone is bit-identical to the
-same path inside any batch. A block's normals are stored step-major, so a
-step reads one contiguous row; each path draws its block into a small tile
-that is copied in transposed.
+identically zero) followed by a fixed number of jump uniforms, sized from
+the fastest clock's rate (none when no regime has outflow). Both counts
+depend only on the spec and dt. Rings take their uniforms from the block's
+supply two at a time, all at the refill; a path that uses it up draws
+further pairs straight from its stream, in ring order, and leftovers are
+dropped. The order depends only on the path's own trajectory, so a path
+simulated alone is bit-identical to the same path inside any batch. A
+block's normals are stored step-major, so a step reads one contiguous row;
+each path draws its block into a small tile that is copied in transposed.
 
 A refill draws the normals on at most one thread per available core
 (WORKERS), never more than one per tile: each thread takes a contiguous run
@@ -65,7 +65,7 @@ rows and zeroes their motion columns, so they stay put (a step that
 evaluates its drift or diffusion masks them). They are compacted away at
 the next chunk refill, or at the start of the first step with at most half
 of the rows alive; a mid-block compaction carries the survivors' columns,
-draws and scheduled jumps along, so it never changes a path. step() returns
+normals and scheduled jumps along, so it never changes a path. step() returns
 the kept-row mask when it compacts, else None, so a caller holding state
 row by row compacts it the same way.
 """
@@ -243,16 +243,16 @@ class BatchStepper:
     kept-row mask of a compaction (else None). ``original_index`` maps
     current rows back to path indices.
 
-    Under a constant generator each refill also schedules the block's
-    jumps (see the module docstring), so a step does no jump work beyond
-    writing the regimes of the rows that jump at it. The survival tables
-    are built per regime on first use, doubled as sojourns outgrow them and
-    cut at their first entry below 2**-53, where every clock has fired; a
-    regime with zero outflow has none. A table of 8-byte entries is at
-    most twice as long as the longest sojourn in its regime plus a block,
-    and never longer than its cut, about 37 / p_i entries; the worst case
-    is a slow regime, at 16 bytes per step of its longest sojourn. A
-    state-dependent generator keeps the per-step rule.
+    Each refill also schedules the block's jumps, or their thinning
+    candidates (see the module docstring), so a step does no jump work
+    beyond testing its candidates and writing the regimes of the rows that
+    jump at it. The survival tables are built per clock on first use,
+    doubled as sojourns outgrow them and cut at their first entry below
+    2**-53, where every clock has rung; a regime with zero outflow has
+    none. A table of 8-byte entries is at most twice as long as the
+    longest wait for its clock plus a block, and never longer than its
+    cut, about 37 / p entries; the worst case is a slow clock, at 16
+    bytes per step of its longest wait.
 
     A refill draws the normals on up to ``WORKERS`` threads, started for
     that refill and joined before it returns (see the module docstring);
@@ -304,7 +304,6 @@ class BatchStepper:
         self._clock = 1.0 - np.array([g.random() for g in self._gens])
         self.clamped_steps = 0
         self._pos = CHUNK  # forces a refill on the first step
-        self._jump_next = None
         self._all_alive = True
         self._sqrt_dt = np.sqrt(self.dt)
 
@@ -321,26 +320,24 @@ class BatchStepper:
                 "noise": spec.diffusion.c0[:, 0, 0] * self._sqrt_dt if noise else None}
         self._col_tabs = {name: tab for name, tab in tabs.items() if tab is not None}
         self._cols = {name: tab[self.s] for name, tab in self._col_tabs.items()}
+        # one clock per regime, or under thinning one bound clock for all
         gen = spec.generator
-        if gen.kind == "constant":
-            off = gen.rates.copy()
-            np.fill_diagonal(off, 0.0)
-            self._stay = 1.0 - off.sum(axis=1) * self.dt  # (N,), 1 - p_jump
-            self._cum_off = np.cumsum(off, axis=1)  # (N, N)
-            self._moving = np.flatnonzero(self._stay < 1.0)
-            self._tables = {}  # regime -> negated survival table
-            self._since = np.zeros(m, dtype=np.int64)  # steps since the last jump
-            p_max = 1.0 - self._stay.min()
-        else:
-            off = gen.base.copy()
-            np.fill_diagonal(off, 0.0)
-            self._stay = None
-            self._survival = np.ones(m)
-            self._base_out = off.sum(axis=1)
-            self._base_off = off
-            p_max = self._base_out.max() * (1.0 + abs(gen.gx) + abs(gen.gu)) * self.dt
-        # jump uniforms per block: two per jump for the block's expected jump
-        # count in the fastest regime plus four standard deviations
+        off = (gen.rates if gen.kind == "constant" else gen.base).copy()
+        np.fill_diagonal(off, 0.0)
+        self._cum_off = np.cumsum(off, axis=1)  # (N, N)
+        g_max = 1.0 + abs(gen.gx) + abs(gen.gu)
+        self._thin = g_max > 1.0
+        rate = off.sum(axis=1) * g_max
+        if self._thin:
+            rate = rate.max(keepdims=True)
+            self._rbar = rate[0]
+        self._stay = 1.0 - rate * self.dt  # 1 - p per step, per clock
+        self._moving = np.flatnonzero(self._stay < 1.0)
+        self._tables = {}  # clock -> negated survival table
+        self._since = np.zeros(m, dtype=np.int64)  # steps since the last ring
+        p_max = 1.0 - self._stay.min()
+        # jump uniforms per block: two per ring for the block's expected ring
+        # count on the fastest clock plus four standard deviations
         lam = p_max * CHUNK
         self._n_jump_u = 2 * math.ceil(lam + 4.0 * math.sqrt(lam)) if lam > 0 else 0
         # block buffers; rows (columns of the step-major normals) only
@@ -418,9 +415,8 @@ class BatchStepper:
         """Move the living rows to the front and drop the rest.
 
         Mid-block, the survivors' unused normals move with them, in place
-        in the block buffer, and so do their scheduled jumps or, under a
-        state-dependent generator, their jump uniforms and supply
-        positions. Returns the mask of kept rows.
+        in the block buffer, and so do their scheduled jumps. Returns the
+        mask of kept rows.
         """
         keep = self.alive
         rows = np.flatnonzero(keep)
@@ -431,23 +427,16 @@ class BatchStepper:
         self._cols = {name: col[rows] for name, col in self._cols.items()}
         self._clock = self._clock[rows]
         self._gens = [self._gens[r] for r in rows]
-        if self._stay is None:
-            self._survival = self._survival[rows]
-        else:
-            self._since = self._since[rows]
+        self._since = self._since[rows]
         if pos < CHUNK:
             if self._normals is not None:
                 for r in range(pos, CHUNK, TILE):
                     self._normals[r : r + TILE, :n] = self._normals[r : r + TILE, rows]
-            if self._stay is None:
-                self._jump_u[:n] = self._jump_u[rows]
-                self._jump_next = self._jump_next[rows]
-            else:
-                a = self._ev_at[pos]
-                live = keep[self._ev_rows[a:]]
-                self._ev_rows = (np.cumsum(keep) - 1)[self._ev_rows[a:][live]]
-                self._ev_dest = self._ev_dest[a:][live]
-                self._set_events(self._ev_step[a:][live])
+            a = self._ev_at[pos]
+            live = keep[self._ev_rows[a:]]
+            self._ev_rows = (np.cumsum(keep) - 1)[self._ev_rows[a:][live]]
+            self._ev_dest = self._ev_dest[a:][live]
+            self._set_events(self._ev_step[a:][live])
         if self._normals is not None:
             self._normals = self._normals[:, :n]
         self._jump_u = self._jump_u[:n]
@@ -465,10 +454,8 @@ class BatchStepper:
         if self._n_jump_u:
             for p, g in enumerate(self._gens):
                 g.random(out=self._jump_u[p])
-        self._jump_next = np.zeros(m, dtype=np.int64)
         self._pos = 0
-        if self._stay is not None:
-            self._schedule()
+        self._schedule()
 
     def _draw_normals(self, m: int) -> None:
         """Draw the block's normals of rows 0..m-1, split into contiguous runs
@@ -509,7 +496,7 @@ class BatchStepper:
             self._normals[:, p0 : p0 + len(gens)] = tile[: len(gens)].swapaxes(0, 1)
 
     def _table(self, i: int, need: int) -> FloatArray:
-        """Regime i's negated survival table, -cumprod(1 - p_i), with at
+        """Clock i's negated survival table, -cumprod(1 - p_i), with at
         least ``need`` entries unless it ends at its first entry below
         2**-53; every clock is at least that, so no path outlives it."""
         tab = self._tables.get(i)
@@ -521,23 +508,28 @@ class BatchStepper:
         return tab
 
     def _schedule(self) -> None:
-        """Find every jump of the coming block under a constant generator.
+        """Find every jump, or thinning candidate, of the coming block.
 
-        Each round takes every row's next jump: the first survival-table
-        entry below the row's clock, counted from the row's sojourn so far,
-        gives the step. Rows whose jump falls past the block carry their
-        sojourn into the next one. The jumps are kept sorted by step, with
-        one offset per step into them.
+        Each round takes every row's next ring: the first survival-table
+        entry below the row's clock, counted from the row's wait so far,
+        gives the step. Rows whose ring falls past the block carry their
+        wait into the next one. A constant generator's ring moves the row
+        to its destination, on that regime's clock; a candidate keeps its
+        pick for the test at its step. The rings are kept sorted by step,
+        with one offset per step into them.
         """
         s, since, clock = self.s.copy(), self._since, self._clock
+        key = np.zeros_like(s) if self._thin else s  # each row's clock
         start = np.zeros(s.size, dtype=np.int64)  # first block step still unscanned
-        rows = np.flatnonzero(self._stay[s] < 1.0)
-        found = [(np.empty(0, dtype=np.int16), np.empty(0, dtype=np.int32), np.empty(0, dtype=np.int32))]
+        self._jump_next = np.zeros(s.size, dtype=np.int64)  # each row's next supply uniform
+        rows = np.flatnonzero(self._stay[key] < 1.0)
+        val_type = np.float64 if self._thin else np.int32  # a candidate's pick, or a destination
+        found = [(np.empty(0, dtype=np.int16), np.empty(0, dtype=np.int32), np.empty(0, dtype=val_type))]
         while rows.size:
-            sr, sn = s[rows], since[rows]
+            kr, sn = key[rows], since[rows]
             first = np.empty(rows.size, dtype=np.int64)
             for i in self._moving:
-                sel = sr == i
+                sel = kr == i
                 if sel.any():
                     tab = self._table(i, int(sn[sel].max()) + CHUNK)
                     first[sel] = np.searchsorted(tab, -clock[rows[sel]], side="right")
@@ -546,11 +538,15 @@ class BatchStepper:
             late = rows[~inside]
             since[late] += CHUNK - start[late]
             rows, at = rows[inside], at[inside]
-            dest, clock[rows] = self._draw_jumps(rows, self._cum_off[s[rows]])
-            found.append((at.astype(np.int16), rows.astype(np.int32), dest.astype(np.int32)))
-            s[rows], since[rows], start[rows] = dest, 0, at + 1
-            stuck = self._stay[dest] == 1.0  # jumped into a regime with no outflow
-            rows = rows[~stuck]
+            val, clock[rows] = self._draw_jumps(rows)
+            if not self._thin:
+                cum = self._cum_off[s[rows]]
+                # the pick times the total outflow is uniform on [0, outflow)
+                val = np.argmax((val * cum[:, -1])[:, None] < cum, axis=1)
+                s[rows] = val
+            found.append((at.astype(np.int16), rows.astype(np.int32), val.astype(val_type)))
+            since[rows], start[rows] = 0, at + 1
+            rows = rows[self._stay[key[rows]] < 1.0]  # not into a regime with no outflow
         at, rows, dest = (np.concatenate(a) for a in zip(*found))
         order = np.argsort(at, kind="stable")
         self._ev_rows, self._ev_dest = rows[order], dest[order]
@@ -582,12 +578,17 @@ class BatchStepper:
         x, s, alive = self.x, self.s, self.alive
         all_alive = self._all_alive
 
-        # survive this step's jump, probability 1 - p_jump, from the pre-step
-        # state; a constant generator's jumps are scheduled at the refill
-        if self._stay is None:
-            gen = self.spec.generator
-            gval = 1.0 + gen.gx * np.tanh(x.mean(axis=1)) + gen.gu * np.tanh(u.mean(axis=1))
-            self._survival *= 1.0 - self._base_out[s] * gval * self.dt
+        # this step's scheduled jumps, written after the Euler increment;
+        # thinning candidates are tested on the pre-step state
+        a, z = self._ev_at[pos], self._ev_at[pos + 1]
+        rows = None
+        if a < z:
+            rows, dest = self._ev_rows[a:z], self._ev_dest[a:z]
+            if not all_alive:
+                live = alive[rows]
+                rows, dest = rows[live], dest[live]
+            if self._thin:
+                rows, dest = self._accept(rows, dest, u)
 
         # Euler increment, in place on the scalar fast path
         if self._scalar:
@@ -620,41 +621,31 @@ class BatchStepper:
             else:
                 np.add(x, dx, out=x, where=alive[:, None])
 
-        # a path jumps once its survival drops below its clock
-        if self._stay is None:
-            jumped = self._survival < self._clock
-            if not all_alive:
-                jumped &= alive
-            if np.count_nonzero(jumped):
-                self._jump(np.nonzero(jumped)[0], gval)
-        else:
-            a, b = self._ev_at[pos], self._ev_at[pos + 1]
-            if a < b:
-                rows, dest = self._ev_rows[a:b], self._ev_dest[a:b]
-                if not all_alive:
-                    live = alive[rows]
-                    rows, dest = rows[live], dest[live]
-                self._set_regimes(rows, dest)
-
+        if rows is not None:
+            self._set_regimes(rows, dest)
         self._pos = pos + 1
         self.t += self.dt
         return keep
 
-    def _jump(self, rows: np.ndarray, gval: FloatArray) -> None:
-        """Move the given rows to new regimes in proportion to their
-        pre-step rates, and restart their clocks."""
-        cum = np.cumsum(self._base_off[self.s[rows]] * gval[rows, None], axis=1)
-        dest, self._clock[rows] = self._draw_jumps(rows, cum)
-        self._set_regimes(rows, dest)
-        self._survival[rows] = 1.0
+    def _accept(self, rows: np.ndarray, pick: FloatArray, u: FloatArray) -> tuple[np.ndarray, np.ndarray]:
+        """The candidate rows that jump, and where to: each goes to the first
+        j with cum_off[s, j] > pick rbar / g, g at the pre-step state and
+        action, and the rows with no such j stay."""
+        gen = self.spec.generator
+        # each mean as np.mean takes it: the row's sum over its length
+        x, u = self.x.take(rows, axis=0), u.take(rows, axis=0)
+        g = 1.0 + gen.gx * np.tanh(x.sum(axis=1) / x.shape[1]) + gen.gu * np.tanh(u.sum(axis=1) / u.shape[1])
+        cum = self._cum_off.take(self.s.take(rows), axis=0)
+        w = pick * self._rbar / g
+        go = w < cum[:, -1]
+        return rows[go], (w[:, None] < cum).argmax(axis=1)[go]
 
-    def _draw_jumps(self, rows: np.ndarray, cum: FloatArray) -> tuple[np.ndarray, FloatArray]:
-        """Destinations and next clocks of one jump of each given row.
+    def _draw_jumps(self, rows: np.ndarray) -> tuple[FloatArray, FloatArray]:
+        """Picks and next clocks of one ring of each given row's clock.
 
         Each row takes two uniforms, from the block's supply or, once that
-        is used up, from its own stream: the first picks the destination
-        from the row's cumulative outflow ``cum``, the second sets the
-        next clock.
+        is used up, from its own stream: the first is the pick, the second
+        sets the next clock.
         """
         nxt = self._jump_next[rows]
         supplied = nxt + 2 <= self._n_jump_u
@@ -665,8 +656,7 @@ class BatchStepper:
         self._jump_next[rows[supplied]] += 2
         for i in np.flatnonzero(~supplied):
             pick[i], clock[i] = self._gens[rows[i]].random(2)
-        # the first draw times the total outflow is uniform on [0, outflow)
-        return np.argmax((pick * cum[:, -1])[:, None] < cum, axis=1), 1.0 - clock
+        return pick, 1.0 - clock
 
 
 # ---------------------------------------------------------------------------

@@ -515,6 +515,31 @@ def test_malformed_config_exits_4_naming_the_field(tmp_path, capsys, command, bl
     assert err.rstrip().endswith(f" at '{path}'")
 
 
+INF, NAN = float("inf"), float("nan")
+
+
+@pytest.mark.parametrize(
+    "command,block,model,path",
+    [
+        ("hjb", {"criterion": "finite-horizon", "grid": GRID},
+         {"costs": dict(CHAIN["costs"], horizon=INF)}, "model.costs.horizon"),
+        ("hjb", {"criterion": "discounted", "grid": dict(GRID, x_max=INF)}, {}, "hjb.grid.x_max"),
+        ("cost", dict(SIM, criterion="finite-horizon", n_paths=4),
+         {"costs": dict(CHAIN["costs"], running={"kind": "regime", "values": [INF, 1.0]})},
+         "model.costs.running.values"),
+        ("simulate", dict(SIM, x0=[NAN]), {}, "simulate.x0"),
+    ],
+    ids=["horizon", "grid-x_max", "regime-cost", "x0"],
+)
+def test_non_finite_numbers_exit_4_naming_the_field(tmp_path, capsys, command, block, model, path):
+    # json writes and reads the Infinity and NaN literals, which are no numbers here
+    doc = {"command": command, "model": dict(CHAIN, **model), command: block}
+    code, out = _run(tmp_path, doc)
+    assert code == 4
+    assert capsys.readouterr().err == f"config error: E_CONFIG: numbers must be finite at '{path}'\n"
+    assert not any(out.glob("*.csv"))
+
+
 COST = dict(SIM, n_paths=4)
 
 

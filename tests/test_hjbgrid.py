@@ -47,6 +47,9 @@ def test_grid_validation():
         Grid1D(-1.0, 1.0, 10)
     with pytest.raises(ShapeError, match="x_min < x_max"):
         Grid1D(1.0, -1.0, 101)
+    for lo, hi in ((-1.0, np.inf), (-np.inf, 1.0), (np.nan, 1.0), (-1.0, np.nan)):
+        with pytest.raises(ShapeError, match="grid interval must be finite"):
+            Grid1D(lo, hi, 101)
     g = Grid1D(0.0, 2.0, 21)
     assert g.dx == pytest.approx(0.1)
     assert g.nodes[0] == 0.0 and g.nodes[-1] == 2.0

@@ -508,6 +508,32 @@ def test_malformed_field_is_a_config_error_at_its_path(spec, family, mutation, p
     assert err.value.path == f"model.{family}.{key}"
 
 
+def _first_leaf_to(v, value):
+    return [_first_leaf_to(v[0], value), *v[1:]] if isinstance(v, list) else value
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), 10**400],
+                         ids=["inf", "-inf", "nan", "int-beyond-float"])
+@pytest.mark.parametrize("family,key", [("drift", "b0"), ("generator", "rates"), ("costs", "alpha"),
+                                        ("costs", "exit_domain"), ("costs.running", "values")])
+def test_non_finite_number_is_a_config_error_at_its_path(make_chain, family, key, value):
+    # JSON's Infinity and NaN literals parse to floats, and a long integer
+    # literal to an int no float holds; none of them is a number here
+    doc = json.loads(json.dumps(model_to_dict(make_chain())))
+    obj = doc
+    for part in family.split("."):
+        obj = obj[part]
+    obj[key] = _first_leaf_to(obj.get(key, [-1.0, 1.0]), value)
+    with pytest.raises(ConfigError, match="numbers must be finite") as err:
+        model_from_dict(json.loads(json.dumps(doc)))
+    assert err.value.path == f"model.{family}.{key}"
+
+
+def test_horizon_must_be_finite(make_chain):
+    with pytest.raises(ShapeError, match="horizon must be finite"):
+        dataclasses.replace(make_chain().costs, horizon=float("inf"))
+
+
 # ---------------------------------------------------------------------------
 # validation
 

@@ -220,38 +220,45 @@ def test_zero_outflow_regime_never_jumps(kind):
 
 
 def test_exhausted_jump_supply_keeps_batch_invariance_and_law():
-    # one jump's uniforms per block, so nearly every jump of this fast chain
-    # (p = 1/8 at its dt bound) draws its pair straight from the path stream
-    spec = chain_model(sigma=0.3, m12=5.0, m21=5.0)
-    n, dt, seed, m = 1100, 0.025, 21, 64
+    # one ring's uniforms per block, so nearly every jump of this fast chain
+    # (p = 1/8 at its dt bound) draws its pair straight from the path stream;
+    # thinned, the candidates come at the bound rate 5 * 1.8, p = 1/8 again
+    constant = chain_model(sigma=0.3, m12=5.0, m21=5.0)
+    thinned = dataclasses.replace(constant, generator=GeneratorSpec(
+        "state-action-dependent", 2, base=np.array([[0.0, 5.0], [5.0, 0.0]]), gx=0.5, gu=-0.3))
+    n, seed, m = 1100, 21, 64
+    u = np.full((m, 1), 0.5)
+    for spec, dt in ((constant, 0.025), (thinned, 1.0 / 72.0)):
 
-    def stepper(first, count):
-        eng = BatchStepper(spec, [0.0], 1, dt, seed=seed, first_path_index=first, n_paths=count)
-        eng._n_jump_u = 2
-        return eng
+        def stepper(first, count):
+            eng = BatchStepper(spec, [0.0], 1, dt, seed=seed, first_path_index=first, n_paths=count)
+            eng._n_jump_u = 2
+            return eng
 
-    # every row of the whole batch against the two halves, bit for bit; the
-    # supply is read at the buffer's own row width, wider than _n_jump_u here
-    eng = stepper(0, m)
-    halves = (stepper(0, m // 2), stepper(m // 2, m // 2))
-    jumps = 0
-    for _ in range(n):
-        before = eng.s.copy()
-        eng.step(np.zeros((m, 1)))
-        jumps += int(np.count_nonzero(eng.s != before))
-        for half in halves:
-            half.step(np.zeros((m // 2, 1)))
-        assert np.array_equal(eng.x, np.concatenate([h.x for h in halves]))
-        assert np.array_equal(eng.s, np.concatenate([h.s for h in halves]))
-    p_jump, total = 5.0 * dt, m * n
-    assert abs(jumps / total - p_jump) <= 4.0 * np.sqrt(p_jump * (1.0 - p_jump) / total)
+        # every row of the whole batch against the two halves, bit for bit; the
+        # supply is read at the buffer's own row width, wider than _n_jump_u here
+        eng = stepper(0, m)
+        halves = (stepper(0, m // 2), stepper(m // 2, m // 2))
+        jumps, p_sum, var, gen = 0, 0.0, 0.0, spec.generator
+        for _ in range(n):
+            g = 1.0 + gen.gx * np.tanh(eng.x[:, 0]) + gen.gu * np.tanh(u[:, 0])
+            p_jump = 5.0 * g * dt
+            p_sum, var = p_sum + p_jump.sum(), var + (p_jump * (1.0 - p_jump)).sum()
+            before = eng.s.copy()
+            eng.step(u)
+            jumps += int(np.count_nonzero(eng.s != before))
+            for half in halves:
+                half.step(u[: m // 2])
+            assert np.array_equal(eng.x, np.concatenate([h.x for h in halves]))
+            assert np.array_equal(eng.s, np.concatenate([h.s for h in halves]))
+        assert abs(jumps - p_sum) <= 4.0 * np.sqrt(var)
 
 
 @pytest.mark.parametrize("dt, n_jump_u", [(0.01, None), (0.025, 2)])
-def test_scheduled_jumps_equal_the_per_step_rule(dt, n_jump_u):
+def test_state_dependent_rates_with_gx_gu_zero_run_the_constant_schedule(dt, n_jump_u):
     # gx = gu = 0 gives the state-dependent family the constant one's rates,
-    # clocks and supply, through the per-step rule instead of the schedule;
-    # 40 of 64 rows retire at step 500, so both compact mid-block
+    # clocks and supply, and no thinning: g_max = 1, so it runs the constant
+    # schedule; 40 of 64 rows retire at step 500, so both compact mid-block
     off = np.array([[0.0, 1.2, 0.8], [1.5, 0.0, 0.5], [0.6, 0.9, 0.0]])
     gens = (GeneratorSpec("constant", 3, rates=off - np.diag(off.sum(axis=1))),
             GeneratorSpec("state-action-dependent", 3, base=off, gx=0.0, gu=0.0))
@@ -317,11 +324,34 @@ def _column_model(kind):
     )
 
 
+def _scheduled_jumps(eng, u):
+    """The rows that jump at the stepper's next step and their regimes,
+    restated from its schedule: the living rows scheduled at the step, and
+    under a state-dependent generator each such candidate with pick v
+    jumps, one row at a time, to the first j whose cumulative base outflow
+    exceeds v rbar / g, g from the pre-step state and action of every row,
+    rbar = max_i out_i (1 + |gx| + |gu|)."""
+    pos, s, alive = eng._pos, eng.s, eng.alive
+    rows, dest = (a[eng._ev_at[pos] : eng._ev_at[pos + 1]] for a in (eng._ev_rows, eng._ev_dest))
+    rows, dest = rows[alive[rows]], dest[alive[rows]]
+    gen = eng.spec.generator
+    if gen.gx == gen.gu == 0.0:  # constant rates: the schedule holds destinations
+        return rows, dest
+    g = 1.0 + gen.gx * np.tanh(eng.x.mean(axis=1)) + gen.gu * np.tanh(u.mean(axis=1))
+    rbar = gen.base.sum(axis=1).max() * (1.0 + abs(gen.gx) + abs(gen.gu))
+    moves = []
+    for r, v in zip(rows, dest):
+        above = np.flatnonzero(np.cumsum(gen.base[s[r]]) > v * rbar / g[r])
+        if above.size:
+            moves.append((r, above[0]))
+    return tuple(np.array([mv[k] for mv in moves], dtype=np.int64) for k in (0, 1))
+
+
 def _gather_step(eng, u):
     """BatchStepper.step restated by the per-step gather rule, for a scalar
     model with a constant drift and diffusion: b0 dt and sigma sqrt(dt) are
     gathered by s at every step, retired rows are held by a masked add, and
-    a jump writes s alone."""
+    a jump, restated by _scheduled_jumps, writes s alone."""
     keep = None
     refill = eng._pos >= CHUNK
     if refill or (not eng._all_alive and 2 * eng._n_alive <= eng.x.shape[0]):
@@ -331,24 +361,12 @@ def _gather_step(eng, u):
         if refill:
             eng._refill()
     pos, s, alive = eng._pos, eng.s, eng.alive
-    if eng._stay is None:
-        gen = eng.spec.generator
-        gval = 1.0 + gen.gx * np.tanh(eng.x.mean(axis=1)) + gen.gu * np.tanh(u.mean(axis=1))
-        eng._survival *= 1.0 - eng._base_out[s] * gval * eng.dt
+    rows, dest = _scheduled_jumps(eng, u)
     b0_dt = COLUMN_B0[:, 0] * eng.dt
     sig_sdt = COLUMN_SIGMA * np.sqrt(eng.dt)
     xf = eng.x[:, 0]
     np.add(xf, b0_dt[s] + sig_sdt[s] * eng._normals[pos], out=xf, where=alive)
-    if eng._stay is None:
-        rows = np.flatnonzero((eng._survival < eng._clock) & alive)
-        if rows.size:
-            cum = np.cumsum(eng._base_off[s[rows]] * gval[rows, None], axis=1)
-            s[rows], eng._clock[rows] = eng._draw_jumps(rows, cum)
-            eng._survival[rows] = 1.0
-    else:
-        rows, dest = (a[eng._ev_at[pos] : eng._ev_at[pos + 1]] for a in (eng._ev_rows, eng._ev_dest))
-        live = alive[rows]
-        s[rows[live]] = dest[live]
+    s[rows] = dest
     eng._pos = pos + 1
     eng.t += eng.dt
     return keep
@@ -425,6 +443,36 @@ def test_mark_dead_takes_only_a_boolean_mask_of_the_current_rows(make_chain):
     assert eng.n_alive == 4
     eng.mark_dead(np.array([True, False, False, True]))
     assert eng.n_alive == 2
+
+
+def test_thinned_candidates_read_the_mean_state_and_action_in_two_dimensions():
+    # d = 2 with two action components, so g reads the mean of each
+    n = 3
+    base = np.array([[0.0, 1.2, 0.8], [1.5, 0.0, 0.5], [0.6, 0.9, 0.0]])
+    spec = _switching_model(GeneratorSpec("state-action-dependent", n, base=base, gx=0.5, gu=-0.3))
+    spec = dataclasses.replace(
+        spec,
+        dim=2,
+        actions=ActionGrid(np.array([[-1.0, -1.0], [1.0, 1.0]])),
+        drift=DriftFamily("constant", 2, n, 2, b0=np.zeros((n, 2))),
+        diffusion=DiffusionFamily("constant", 2, n, c0=np.tile(np.array([[0.8, 0.2], [0.0, 0.6]]), (n, 1, 1))),
+        costs=dataclasses.replace(spec.costs, running=RunningCost("constant", n, 2, 2, value=1.0),
+                                  terminal=TerminalCost("zero", n, 2)),
+    )
+    policy = CallablePolicy(lambda t, x, regimes: np.tanh(np.stack([x[:, 0] - x[:, 1], 2.0 * x[:, 1]], axis=1)))
+    m = 64
+    eng = BatchStepper(spec, [0.1, -0.2], np.arange(m) % n + 1, 0.02, seed=3, n_paths=m)
+    eng.step(eng.actions(policy))  # the first step schedules the block
+    jumps = 0
+    for _ in range(CHUNK - 1):
+        u = eng.actions(policy)
+        rows, dest = _scheduled_jumps(eng, u)
+        want = eng.s.copy()
+        want[rows] = dest
+        eng.step(u)
+        assert np.array_equal(eng.s, want)
+        jumps += rows.size
+    assert jumps > 1000
 
 
 def _worker_runs():
@@ -570,6 +618,40 @@ def test_destinations_are_proportional_to_rates(kind):
     for j, share in ((0, 0.25), (2, 0.75)):
         se = np.sqrt(share * (1.0 - share) / total)
         assert abs(counts[j] / total - share) <= 4.0 * se
+
+
+def test_thinned_jumps_follow_the_state_dependent_law():
+    # under the exact per-step law a step of a path in regime i jumps with
+    # probability p = out_i g dt, g at the pre-step state and action, to j
+    # with probability base_ij / out_i given a jump; per (regime, tanh x
+    # bin) cell, count minus the sum of p is a martingale, so with 12
+    # cells the bound is 4.5 standard deviations; the seed is fixed
+    base = np.array([[0.0, 1.2, 0.8], [1.5, 0.0, 0.5], [0.6, 0.9, 0.0]])
+    gen = GeneratorSpec("state-action-dependent", 3, base=base, gx=0.5, gu=-0.3)
+    spec = _switching_model(gen, sigma=0.8)
+    policy = CallablePolicy(lambda t, x, regimes: np.tanh(2.0 * x))
+    m, n, dt = 2000, 3000, 0.02
+    out = base.sum(axis=1)
+    eng = BatchStepper(spec, [0.0], np.arange(m) % 3 + 1, dt, seed=41, n_paths=m)
+    assert eng._thin
+    count, p_sum, var, moves = np.zeros(12), np.zeros(12), np.zeros(12), np.zeros((3, 3))
+    for _ in range(n):
+        u = eng.actions(policy)
+        s, tx = eng.s.copy(), np.tanh(eng.x[:, 0])
+        p = out[s] * (1.0 + gen.gx * tx + gen.gu * np.tanh(u[:, 0])) * dt
+        cell = 4 * s + np.minimum(((tx + 1.0) * 2.0).astype(np.int64), 3)
+        p_sum += np.bincount(cell, weights=p, minlength=12)
+        var += np.bincount(cell, weights=p * (1.0 - p), minlength=12)
+        eng.step(u)
+        jumped = eng.s != s
+        count += np.bincount(cell[jumped], minlength=12)
+        np.add.at(moves, (s[jumped], eng.s[jumped]), 1.0)
+    assert np.all(var > 100.0)  # every cell is visited
+    assert np.max(np.abs(count - p_sum) / np.sqrt(var)) <= 4.5
+    for i in range(3):
+        share, total = base[i] / out[i], moves[i].sum()
+        se = np.sqrt(share * (1.0 - share) / total)
+        assert np.all(np.abs(moves[i] / total - share) <= 4.5 * se + 1e-12)
 
 
 def test_next_clock_is_independent_of_the_destination():
