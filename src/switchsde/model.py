@@ -885,6 +885,9 @@ class PerturbationSchedule:
         if self.n_max < 0:
             raise ConfigError("n_max must be >= 0", "schedule.n_max")
         if self.magnitudes is None:
+            # 2^-1075 rounds to 0, so n_max = 1075 has the one final 0 allowed
+            if self.n_max > 1075:
+                raise ConfigError("with the default magnitudes 2^-n, n_max must be <= 1075", "schedule.n_max")
             mags = 0.5 ** np.arange(self.n_max + 1, dtype=np.float64)
         else:
             mags = np.asarray(self.magnitudes, dtype=np.float64)

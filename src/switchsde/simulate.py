@@ -29,11 +29,17 @@ v rbar / g(X_k, U_k), at the pre-step state, and stays where there is
 none: it jumps to j with probability off_sj g dt. The bound clock does not
 depend on the regime, so neither does a candidate's successor, and a
 block's candidates are all found at the refill too. step() evaluates g on
-candidate rows alone and writes the regimes of the rows that jump.
+candidate rows alone and writes the regimes of the rows that jump. The
+block's schedule is held as event arrays sorted by step: the rows, and a
+constant generator's destinations, in np.intp, so every step indexes with
+them as they are; the steps in int16, for the sort.
 
 Randomness is counter based: path p draws from a Philox stream keyed by
 (seed, p), independent of every other path and of how paths are batched;
-the generator is built from that key alone. Each path consumes its stream
+the generator is built from that key alone. A stepper builds its paths'
+generators from one uint64 key table of (seed, first + p), each through a
+seed object that reads its row when Philox asks for the key, the same key
+RngStream(seed, first + p) hands it. Each path consumes its stream
 in this order: one uniform for the first clock, then, per block of CHUNK
 steps, the block's Gaussian increments (none when the diffusion is
 identically zero) followed by a fixed number of jump uniforms, sized from
@@ -122,10 +128,25 @@ class RngStream:
         return np.random.Generator(np.random.Philox(self))
 
 
+class _KeyRow:
+    """Seed sequence of one path of a batch: row ``row`` of its (seed, path
+    index) uint64 key table, which hands Philox the same key as the path's
+    RngStream. The row is indexed on use, so no per-path view stays alive."""
+
+    __slots__ = ("keys", "row")
+
+    def __init__(self, keys: np.ndarray, row: int):
+        self.keys, self.row = keys, row
+
+    def generate_state(self, n_words, dtype=None) -> np.ndarray:
+        return self.keys[self.row]
+
+
 @functools.cache
 def _register_stream() -> None:
     # on first use, so that importing the package leaves numpy.random out
     np.random.bit_generator.ISeedSequence.register(RngStream)
+    np.random.bit_generator.ISeedSequence.register(_KeyRow)
 
 
 def make_rng_stream(seed: int, path_index: int) -> RngStream:
@@ -243,16 +264,22 @@ class BatchStepper:
     kept-row mask of a compaction (else None). ``original_index`` maps
     current rows back to path indices.
 
+    The per-path generators are built once, from one (m, 2) uint64 key
+    table of (seed, first_path_index + p) that they share; no per-path view
+    of it is kept.
+
     Each refill also schedules the block's jumps, or their thinning
     candidates (see the module docstring), so a step does no jump work
     beyond testing its candidates and writing the regimes of the rows that
-    jump at it. The survival tables are built per clock on first use,
-    doubled as sojourns outgrow them and cut at their first entry below
-    2**-53, where every clock has rung; a regime with zero outflow has
-    none. A table of 8-byte entries is at most twice as long as the
-    longest wait for its clock plus a block, and never longer than its
-    cut, about 37 / p entries; the worst case is a slow clock, at 16
-    bytes per step of its longest wait.
+    jump at it. The schedule's event rows, and a constant generator's
+    destinations, are np.intp arrays, also once a mid-block compaction has
+    renumbered the rows, so applying them converts no index. The survival
+    tables are built per clock on first use, doubled as sojourns outgrow
+    them and cut at their first entry below 2**-53, where every clock has
+    rung; a regime with zero outflow has none. A table of 8-byte entries
+    is at most twice as long as the longest wait for its clock plus a
+    block, and never longer than its cut, about 37 / p entries; the worst
+    case is a slow clock, at 16 bytes per step of its longest wait.
 
     A refill draws the normals on up to ``WORKERS`` threads, started for
     that refill and joined before it returns (see the module docstring);
@@ -300,7 +327,12 @@ class BatchStepper:
         # sets the path's first jump clock
         seed, first = int(seed), int(first_path_index)
         _check_key(seed, first, m)
-        self._gens = [RngStream(seed, first + p).generator() for p in range(m)]
+        keys = np.empty((m, 2), dtype=np.uint64)
+        keys[:, 0] = seed
+        keys[:, 1] = np.arange(m, dtype=np.uint64) + np.uint64(first)  # at most 2**64 - 1
+        _register_stream()
+        gen, philox = np.random.Generator, np.random.Philox
+        self._gens = [gen(philox(_KeyRow(keys, p))) for p in range(m)]
         self._clock = 1.0 - np.array([g.random() for g in self._gens])
         self.clamped_steps = 0
         self._pos = CHUNK  # forces a refill on the first step
@@ -523,8 +555,8 @@ class BatchStepper:
         start = np.zeros(s.size, dtype=np.int64)  # first block step still unscanned
         self._jump_next = np.zeros(s.size, dtype=np.int64)  # each row's next supply uniform
         rows = np.flatnonzero(self._stay[key] < 1.0)
-        val_type = np.float64 if self._thin else np.int32  # a candidate's pick, or a destination
-        found = [(np.empty(0, dtype=np.int16), np.empty(0, dtype=np.int32), np.empty(0, dtype=val_type))]
+        val_type = np.float64 if self._thin else np.intp  # a candidate's pick, or a destination
+        found = [(np.empty(0, dtype=np.int16), np.empty(0, dtype=np.intp), np.empty(0, dtype=val_type))]
         while rows.size:
             kr, sn = key[rows], since[rows]
             first = np.empty(rows.size, dtype=np.int64)
@@ -544,7 +576,7 @@ class BatchStepper:
                 # the pick times the total outflow is uniform on [0, outflow)
                 val = np.argmax((val * cum[:, -1])[:, None] < cum, axis=1)
                 s[rows] = val
-            found.append((at.astype(np.int16), rows.astype(np.int32), val.astype(val_type)))
+            found.append((at.astype(np.int16), rows, val))
             since[rows], start[rows] = 0, at + 1
             rows = rows[self._stay[key[rows]] < 1.0]  # not into a regime with no outflow
         at, rows, dest = (np.concatenate(a) for a in zip(*found))

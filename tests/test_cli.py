@@ -502,6 +502,9 @@ def test_hjb_rejects_bad_finite_horizon_inputs(tmp_path, capsys, costs, block, c
         ("validate", None, {"costs": dict(CHAIN["costs"], running={"kind": "lq", "q": [[[-1.0]], [[1.0]]],
                                                                    "r": [[[1.0]], [[1.0]]]})},
          "model.costs.running.q"),
+        ("robustness", {"criterion": "discounted", "grid": GRID,
+                        "schedule": {"mode": "rates", "n_max": 1076, "d_m": [[0.0, 0.5], [1.0, 0.0]]}},
+         {}, "robustness.schedule.n_max"),
     ],
 )
 def test_malformed_config_exits_4_naming_the_field(tmp_path, capsys, command, block, model, path):

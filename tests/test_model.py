@@ -589,6 +589,19 @@ def test_schedule_default_magnitudes_are_halving():
     assert np.array_equal(sched.magnitudes, [1.0, 0.5, 0.25, 0.125])
 
 
+def test_default_magnitudes_keep_their_own_rule_up_to_n_max_1075():
+    # 2^-1075 rounds to 0, the one final 0 allowed; at 1076 a second 0 would
+    # follow, which the same list given as magnitudes is refused for
+    sched = PerturbationSchedule(mode="coefficient", n_max=1075, d_b=np.ones((2, 1, 1)))
+    assert sched.magnitudes[-1] == 0.0 < sched.magnitudes[-2] == 2.0**-1074
+    with pytest.raises(ConfigError) as err:
+        PerturbationSchedule(mode="coefficient", n_max=1076, d_b=np.ones((2, 1, 1)))
+    assert err.value.path == "schedule.n_max"
+    with pytest.raises(ConfigError) as err:
+        PerturbationSchedule(mode="coefficient", n_max=1076, magnitudes=0.5 ** np.arange(1077.0))
+    assert err.value.path == "schedule.magnitudes"
+
+
 def test_schedule_rejects_nondecreasing_magnitudes():
     with pytest.raises(ConfigError):
         PerturbationSchedule(

@@ -97,7 +97,8 @@ def test_rng_stream_separates_paths_and_seeds():
 
 @pytest.mark.parametrize(
     "seed,first,n",
-    [(-1, 0, 1), (2**64, 0, 1), (-5, 0, 4), (0, -1, 2), (7, 2**64 - 1, 2), (7, 2**64, 1)],
+    [(-1, 0, 1), (2**64, 0, 1), (-5, 0, 4), (0, -1, 2), (7, 2**64 - 1, 2), (7, 2**64, 1),
+     (2**64 - 1, 2**64 - 7, 8)],
 )
 def test_keys_outside_uint64_raise_a_shape_error(make_chain, seed, first, n):
     with pytest.raises(ShapeError, match=rf"seed = {seed} and path indices"):
@@ -113,6 +114,23 @@ def test_keys_at_the_ends_of_uint64_are_accepted(make_chain):
     eng.step(np.zeros((2, 1)))
     ref = np.random.Generator(np.random.Philox(key=np.array([top, top], dtype=np.uint64)))
     assert make_rng_stream(top, top).generator().random() == ref.random()
+
+
+@pytest.mark.parametrize("seed, first", [(0, 0), (2**64 - 1, 2**64 - 6)], ids=["bottom", "top"])
+def test_stepper_streams_are_the_rng_streams_of_their_keys(make_chain, seed, first):
+    # the streams come from one (seed, path index) uint64 key table, exact at
+    # the top of the key range; the first draw of each set its first clock
+    m = 6
+    eng = BatchStepper(make_chain(), [0.0], 1, 0.01, seed=seed, first_path_index=first, n_paths=m)
+    halves = [BatchStepper(make_chain(), [0.0], 1, 0.01, seed=seed, first_path_index=first + h, n_paths=m // 2)
+              for h in (0, m // 2)]
+    for p in range(m):
+        ref = simulate.RngStream(seed, first + p).generator()
+        assert eng._clock[p] == 1.0 - ref.random()
+        draws = ref.random(9)
+        assert np.array_equal(eng._gens[p].random(9), draws)
+        assert np.array_equal(halves[p // (m // 2)]._gens[p % (m // 2)].random(9), draws)
+    assert len({id(g.bit_generator.seed_seq.keys) for g in eng._gens}) == 1
 
 
 def test_same_seed_reproduces_path_bitwise(make_chain):
@@ -285,6 +303,29 @@ def test_state_dependent_rates_with_gx_gu_zero_run_the_constant_schedule(dt, n_j
             jumps += int(np.count_nonzero(engs[0].s != before))
     assert engs[0].x.shape[0] == 16
     assert jumps > 1000
+
+
+@pytest.mark.parametrize("kind", ["constant", "thinned"])
+def test_scheduled_events_index_as_intp(kind):
+    # the rows, and a constant generator's destinations, index the stepper's
+    # arrays with no conversion, after a refill and after a mid-block compaction
+    base = np.array([[0.0, 6.0], [4.0, 0.0]])
+    if kind == "constant":
+        gen = GeneratorSpec("constant", 2, rates=base - np.diag(base.sum(axis=1)))
+    else:
+        gen = GeneratorSpec("state-action-dependent", 2, base=base, gx=0.5, gu=0.3)
+    m = 64
+    eng = BatchStepper(_switching_model(gen), [0.0], 1, 0.01, seed=3, n_paths=m)
+    u = np.full((m, 1), 0.5)
+    eng.step(u)
+    events = [(eng._ev_rows, eng._ev_dest)]
+    eng.mark_dead(np.arange(m) % 3 > 0)
+    assert eng.step(u) is not None and eng._pos == 2  # compacted mid-block
+    events.append((eng._ev_rows, eng._ev_dest))
+    assert eng._ev_rows.size > 0
+    for rows, dest in events:
+        assert rows.dtype == np.intp
+        assert dest.dtype == (np.intp if kind == "constant" else np.float64)
 
 
 def test_survival_tables_skip_still_regimes_and_stop_below_the_smallest_clock():
