@@ -21,6 +21,7 @@ from .model import FloatArray, ModelSpec
 from .simulate import BatchStepper, _cap_steps, _check_step_budget, _n_steps_for, outside_interval
 
 DEFAULT_BATCH = 16384
+MAX_PATHS = 10**8  # most paths one estimate runs
 
 ESTIMATE_HEADER = "criterion,x0,i0,value,stderr,paths,bias_bound,capped_fraction"
 
@@ -86,10 +87,13 @@ def write_estimates_csv(path, estimates) -> None:
 
 
 def _check_counts(n_paths: int, batch: int) -> tuple[int, int]:
-    """n_paths and batch as ints; each must be a whole number >= 1 (10.0 is 10)."""
+    """n_paths and batch as ints; each must be a whole number >= 1 (10.0 is 10),
+    and n_paths at most MAX_PATHS."""
     for v in (n_paths, batch):
         if not (isinstance(v, numbers.Real) and v % 1 == 0 and v >= 1):
             raise ShapeError(f"n_paths = {n_paths} and batch = {batch} must both be >= 1 and whole")
+    if n_paths > MAX_PATHS:
+        raise ShapeError(f"n_paths = {n_paths} is beyond the path bound {MAX_PATHS}")
     return int(n_paths), int(batch)
 
 

@@ -32,11 +32,14 @@ code below them reads both from the models only.
 The solvers work on stacks of models sharing one grid (``_Tables``): the
 stacked system is block diagonal, so one banded solve per Howard iteration
 or time level serves every model still iterating, and each model keeps its
-own stopping test. The public functions solve the one-model stack; the
-robustness sweeps stack a whole perturbation schedule, solving the true
-model first and the rest from its policy (a warm start), so their values
-and policies equal solves of each model alone while their iteration
-counts do not.
+own stopping test. A stack's tables are built in one pass: each distinct
+family object is evaluated once and written to every block holding it,
+and the rows of a sweep share the true model's unshifted families, so
+those are evaluated once per stack. The public functions solve the
+one-model stack; the robustness sweeps stack a whole perturbation
+schedule, solving the true model first and the rest from its policy (a
+warm start), so their values and policies equal solves of each model
+alone while their iteration counts do not.
 """
 
 from __future__ import annotations
@@ -65,21 +68,31 @@ from .model import FloatArray, ModelSpec, _freeze
 
 GRID_HEADER = "criterion,regime,x,value,action_index"
 GRID_HEADER_T = "criterion,regime,x,value,action_index,t"
+MAX_NODES = 10**6  # most nodes a grid's arrays are made for
 
 
 @dataclass(frozen=True, eq=False)
 class Grid1D:
-    """Uniform 1-D node grid over a closed interval."""
+    """Uniform 1-D node grid over a closed interval.
+
+    ``n_x`` is a whole number of at least 11 nodes; a whole-valued real is
+    kept as its int. The nodes, and every table on them, are made only for
+    ``n_x <= MAX_NODES``: ``nodes`` checks that before allocating (E_SHAPE).
+    """
 
     x_min: float
     x_max: float
     n_x: int
 
     def __post_init__(self):
-        if self.n_x < 11:
+        n_x = self.n_x
+        if not (isinstance(n_x, numbers.Integral) or isinstance(n_x, numbers.Real) and float(n_x).is_integer()):
+            raise ShapeError(f"grid needs a whole number n_x of nodes, got {n_x!r}")
+        if n_x < 11:
             raise ShapeError("grid needs at least 11 nodes")
         if not -np.inf < self.x_min < self.x_max < np.inf:
             raise ShapeError("grid interval must be finite, with x_min < x_max")
+        object.__setattr__(self, "n_x", int(n_x))
 
     @property
     def dx(self) -> float:
@@ -87,6 +100,8 @@ class Grid1D:
 
     @property
     def nodes(self) -> FloatArray:
+        if self.n_x > MAX_NODES:
+            raise ShapeError(f"grid of n_x = {self.n_x} nodes is beyond the node bound {MAX_NODES}")
         return np.linspace(self.x_min, self.x_max, self.n_x)
 
 
@@ -155,10 +170,17 @@ class _Tables:
     blocks in error messages.
 
     Tables are (action, regime, block, node[, regime]), one slice per
-    block. ``take`` cuts a sub-stack out of built tables, copying each
-    slice it names, so a block may repeat (a sweep's replay stacks copies
-    of the true model's slice). A model whose tables fail a check raises
-    with its block's label.
+    block; ``exit_values`` (regime, block, end) holds the exit cost h at
+    the two interval ends and ``terminal`` (regime, block, node) the
+    terminal cost c_T. The stack is built in one pass (``_node_tables``):
+    each distinct family object is evaluated once on the grid's nodes and
+    written to every block that holds it, so the rows of a sweep, which
+    share the true model's unshifted families, pay for those once. The
+    upwind arithmetic and every check then run once over the stack, and a
+    failing check raises for the first failing block, with its label.
+    ``take`` cuts a sub-stack out of built tables, copying each slice it
+    names, so a block may repeat (a sweep's replay stacks copies of the
+    true model's slice).
 
     sub and sup are the off-diagonals of the drift-diffusion operator L
     (excluding regime coupling), whose diagonal is -(sub + sup) so that L
@@ -178,19 +200,25 @@ class _Tables:
                 spec.actions.actions, first.actions.actions
             ):
                 raise ShapeError("stacked models must share their regimes and actions")
-        parts = []
-        for b, spec in enumerate(self.specs):
-            try:
-                parts.append(_node_tables(spec, grid))
-            except SwitchSdeError as err:
-                if not self.labels:
-                    raise
-                raise type(err)(f"{err.message} ({self.labels[b]})", err.path) from err
-        self._index([np.stack(t, axis=2) for t in zip(*parts)])
+        flat = [spec.dim == 1 for spec in self.specs]
+        if not all(flat):
+            b = flat.index(False)
+            if b:  # an earlier block's failing check comes first
+                _Tables(self.specs[:b], grid, self.labels[:b])
+            raise self._error(b, ShapeError("grid solvers support dim 1 only"))
+        tables, failure = _node_tables(self.specs, grid)
+        if failure is not None:
+            raise self._error(*failure)
+        self._index(tables)
+
+    def _error(self, b: int, err: SwitchSdeError) -> SwitchSdeError:
+        """``err`` naming block b by its label, when the stack has labels."""
+        return type(err)(f"{err.message} ({self.labels[b]})", err.path) if self.labels else err
 
     def _index(self, tables: list) -> None:
         # C order, so that gather's flat view and take copy no table
-        self.c, self.beta, self.sub, self.sup, self.rates = map(np.ascontiguousarray, tables)
+        tables = list(map(np.ascontiguousarray, tables))
+        self.c, self.beta, self.sub, self.sup, self.rates, self.exit_values, self.terminal = tables
         A, N, B, K = self.c.shape
         self.shape = (N, B, K)
         # flat index of (action 0, regime, block, node) in an (A, N, B, K)
@@ -206,7 +234,9 @@ class _Tables:
         sub.specs = tuple(self.specs[b] for b in blocks)
         sub.grid = self.grid
         sub.labels = tuple(self.labels[b] for b in blocks) if self.labels else ()
-        sub._index([t.take(blocks, axis=2) for t in (self.c, self.beta, self.sub, self.sup, self.rates)])
+        node_tables = (self.c, self.beta, self.sub, self.sup, self.rates)
+        sub._index([t.take(blocks, axis=2) for t in node_tables]
+                   + [t.take(blocks, axis=1) for t in (self.exit_values, self.terminal)])
         return sub
 
     def gather(self, table: np.ndarray, ai_tab: np.ndarray) -> FloatArray:
@@ -215,43 +245,83 @@ class _Tables:
         return flat.take(ai_tab * self._stride + self._base, axis=0)
 
 
-def _node_tables(spec: ModelSpec, grid: Grid1D) -> tuple:
-    """(c, beta, sub, sup, rates) of one model on the grid's nodes, checked."""
-    if spec.dim != 1:
-        raise ShapeError("grid solvers support dim 1 only")
-    K = grid.n_x
-    N = spec.regimes.count
-    acts = spec.actions.actions
-    A = acts.shape[0]
+def _per_family(specs, family, axis: int, evaluate) -> FloatArray:
+    """``evaluate(f)`` for each block's family ``f = family(spec)``, stacked on
+    a block axis inserted at ``axis``. Each distinct family object is
+    evaluated once and written to every block that holds it (families
+    compare by identity)."""
+    blocks: dict = {}
+    for b, spec in enumerate(specs):
+        blocks.setdefault(family(spec), []).append(b)
+    out, lead = None, (slice(None),) * axis
+    for fam, rows in blocks.items():
+        # C order, so that each copy below moves whole contiguous rows
+        value = np.ascontiguousarray(evaluate(fam), dtype=np.float64)[(*lead, None)]
+        if len(rows) == len(specs):  # one family for the whole stack, as in a one-model stack
+            return value.repeat(len(specs), axis=axis)
+        if out is None:
+            out = np.empty((*value.shape[:axis], len(specs), *value.shape[axis + 1:]))
+        out[(*lead, rows)] = value
+    return out
+
+
+def _node_tables(specs, grid: Grid1D) -> tuple:
+    """The tables (c, beta, sub, sup, rates, exit values, terminal) of a stack
+    of 1-D models sharing regimes and actions, and its first failing check
+    as (block, error), or None.
+
+    The checks, in the order a block meets them: a > 0, a bounded running
+    cost, finite tables, nonnegative upwind terms.
+    """
+    K, N = grid.n_x, specs[0].regimes.count
+    actions = specs[0].actions
+    A = actions.actions.shape[0]
     dx = grid.dx
     nodes = grid.nodes
 
-    # one batch row per (action, regime, node), in that order
+    # one batch row per (action, regime, node), in that order; the first
+    # N K rows are the (regime, node) batch
     xs = np.tile(nodes, A * N)[:, None]
     s = np.tile(np.repeat(np.arange(N), K), A)
-    u = np.repeat(acts, N * K, axis=0)
-    a = spec.diffusion.a_batch(xs[: N * K], s[: N * K])[:, 0, 0].reshape(N, K)
-    b = spec.drift.eval_batch(xs, s, u)[:, 0].reshape(A, N, K)
-    c = spec.costs.running.eval_batch(xs, s, u).reshape(A, N, K)
-    beta = spec.costs.exit_beta.eval_batch(xs, s, u).reshape(A, N, K)
-    rates = spec.generator.rates_batch(np.tile(nodes, A)[:, None], np.repeat(acts, K, axis=0))
-    rates = rates.reshape(A, K, N, N).transpose(0, 2, 1, 3)
+    u = np.repeat(actions.actions, N * K, axis=0)
+    xs1, s1 = xs[: N * K], s[: N * K]
+    ends, s_ends = np.array([grid.x_min, grid.x_max] * N)[:, None], np.arange(2 * N) // 2
+    per = functools.partial(_per_family, specs)
+    a = per(lambda m: m.diffusion, 1, lambda f: f.a_batch(xs1, s1)[:, 0, 0].reshape(N, K))
+    b = per(lambda m: m.drift, 2, lambda f: f.eval_batch(xs, s, u)[:, 0].reshape(A, N, K))
+    c = per(lambda m: m.costs.running, 2, lambda f: f.eval_batch(xs, s, u).reshape(A, N, K))
+    beta = per(lambda m: m.costs.exit_beta, 2, lambda f: f.eval_batch(xs, s, u).reshape(A, N, K))
+    rates = per(lambda m: m.generator, 2, lambda f: f.rates_batch(
+        np.tile(nodes, A)[:, None], np.repeat(actions.actions, K, axis=0)
+    ).reshape(A, K, N, N).transpose(0, 2, 1, 3))
+    exit_values = per(lambda m: m.costs.exit_h, 1, lambda f: f.eval_batch(ends, s_ends).reshape(N, 2))
+    terminal = per(lambda m: m.costs.terminal, 1, lambda f: f.eval_batch(xs1, s1).reshape(N, K))
+    # the actions are equal across the stack, so each running cost has one bound
+    bound = per(lambda m: m.costs.running, 0, lambda f: f.bound(actions))
 
-    if not np.all(a > 0.0):
-        raise DegenerateError("grid solvers need a = sigma^2 / 2 > 0 at every node")
-    if not np.isfinite(spec.cost_bound()):
-        raise UnboundedError("grid solvers need a bounded running cost")
-    sub = a[None] / dx**2 + np.maximum(-b, 0.0) / dx
-    sup = a[None] / dx**2 + np.maximum(b, 0.0) / dx
+    diffusion = a[None] / dx**2
+    sub = diffusion + np.maximum(-b, 0.0) / dx
+    sup = diffusion + np.maximum(b, 0.0) / dx
     # reflecting ends: one-sided second difference, outward drift dropped
-    sub[:, :, 0] = 0.0
-    sup[:, :, -1] = 0.0
-    for name, table in (("sub", sub), ("sup", sup), ("c", c), ("beta", beta), ("rates", rates)):
-        if not np.all(np.isfinite(table)):
-            raise SchemeError(f"coefficient table '{name}' is not finite on the grid")
-    if not (np.all(sub >= 0.0) and np.all(sup >= 0.0)):
-        raise SchemeError("upwind coefficients must be nonnegative")
-    return c, beta, sub, sup, rates
+    sub[..., 0] = 0.0
+    sup[..., -1] = 0.0
+    # each check's error and pass mask, its block axis at 2
+    checks = (
+        (DegenerateError, "grid solvers need a = sigma^2 / 2 > 0 at every node", a[None] > 0.0),
+        (UnboundedError, "grid solvers need a bounded running cost", np.isfinite(bound)[None, None]),
+        *(
+            (SchemeError, f"coefficient table '{name}' is not finite on the grid", np.isfinite(table))
+            for name, table in (("sub", sub), ("sup", sup), ("c", c), ("beta", beta), ("rates", rates))
+        ),
+        (SchemeError, "upwind coefficients must be nonnegative", (sub >= 0.0) & (sup >= 0.0)),
+    )
+    failure = None
+    if not all(ok.all() for *_, ok in checks):
+        passed = np.array([ok.all(axis=tuple(i for i in range(ok.ndim) if i != 2)) for *_, ok in checks])
+        block = int(np.argmin(passed.all(axis=0)))
+        kind, message, _ = checks[int(np.argmin(passed[:, block]))]
+        failure = block, kind(message)
+    return [c, beta, sub, sup, rates, exit_values, terminal], failure
 
 
 def _hamiltonians(tab: _Tables, v: FloatArray, with_beta: bool) -> FloatArray:
@@ -259,7 +329,13 @@ def _hamiltonians(tab: _Tables, v: FloatArray, with_beta: bool) -> FloatArray:
     out = -(tab.sub + tab.sup) * v
     out[..., 1:] += tab.sub[..., 1:] * v[..., :-1]
     out[..., :-1] += tab.sup[..., :-1] * v[..., 1:]
-    out += np.einsum("ai...j,j...->ai...", tab.rates, v)
+    # the regime coupling sum_j m_ij v_j, one multiply-add per regime j in
+    # increasing j from 0.0, the order of einsum's sum, so bit for bit its value
+    coupling = tab.rates[..., 0] * v[0]
+    coupling += 0.0  # 0.0 + (-0.0) is 0.0, as einsum's sum starts
+    for j in range(1, v.shape[0]):
+        coupling += tab.rates[..., j] * v[j]
+    out += coupling
     out += tab.c
     if with_beta:
         out -= tab.beta * v
@@ -420,7 +496,7 @@ def _pin(tab: _Tables, criterion: str):
     if criterion == "discounted":
         return _shared(tab.specs, "alpha")
     if criterion == "exit":
-        return _exit_values(tab)
+        return tab.exit_values
     return _reference_node(tab.grid), _policy_free_pin(tab)
 
 
@@ -518,7 +594,7 @@ def _stationary(
     """
     v = np.zeros(tab.shape)
     if criterion == "exit":
-        v[..., [0, -1]] = _exit_values(tab)
+        v[..., [0, -1]] = tab.exit_values
     v, policy, histories, rho = _howard(tab, criterion, v, tol, max_iter, policy=start)
     k_ref = _reference_node(tab.grid)
     sols = []
@@ -609,15 +685,6 @@ def evaluate_policy_value(
     return _fixed_policy(_with_costs(spec, alpha=alpha), grid, "discounted", policy)
 
 
-def _exit_values(tab: _Tables) -> FloatArray:
-    """Exit cost h at the two interval ends per regime and block, (N, B, 2)."""
-    grid = tab.grid
-    N = tab.shape[0]
-    ends = np.tile([[grid.x_min], [grid.x_max]], (N, 1))
-    s = np.repeat(np.arange(N), 2)
-    return np.stack([spec.costs.exit_h.eval_batch(ends, s).reshape(N, 2) for spec in tab.specs], axis=1)
-
-
 def solve_exit(spec: ModelSpec, grid: Grid1D, tol: float = 1e-8, max_iter: int = 100) -> GridSolution:
     """Policy iteration for min_a [L_a V + M_a V - beta_a V + c_a] = 0 on O.
 
@@ -645,13 +712,6 @@ def _time_levels(tab: _Tables, n_t: int | None) -> tuple:
     if dt > 0.1 + 1e-12:
         raise StepError(f"finite-horizon time step {dt:.4g} exceeds 0.1; raise n_t")
     return T, n_t, dt
-
-
-def _terminal(tab: _Tables) -> FloatArray:
-    """Terminal cost c_T per regime, block and node, (N, B, K)."""
-    N, _, K = tab.shape
-    xs, s = np.tile(tab.grid.nodes, N)[:, None], np.repeat(np.arange(N), K)
-    return np.stack([spec.costs.terminal.eval_batch(xs, s).reshape(N, K) for spec in tab.specs], axis=1)
 
 
 def _step_back(tab: _Tables, policy: np.ndarray, v_next: FloatArray, dt: float) -> FloatArray:
@@ -687,7 +747,7 @@ def _finite_horizon(tab: _Tables, n_t: int | None, policy: np.ndarray | None = N
     H_{policy[j]} under a given table.
     """
     T, n_t, dt = _time_levels(tab, n_t)
-    levels, values, defects = [], [_terminal(tab)], []
+    levels, values, defects = [], [tab.terminal], []
     for pol, v, ham in _backward(tab, values[0], n_t, dt, policy):
         h = np.min(ham, axis=0) if policy is None else np.take_along_axis(ham, pol[None], axis=0)[0]
         defects.append(np.max(np.abs((values[-1] - v) / dt + h), axis=(0, 2)))

@@ -946,7 +946,10 @@ def make_perturbation_sequence(true_spec: ModelSpec, sched: PerturbationSchedule
     the model before any model is built: a kind that does not take it is
     E_CONFIG, a wrong shape E_SHAPE, both at ``schedule.<key>``. Every
     element is checked against the structural generator rules (E_RATES). A
-    magnitude of exactly zero reproduces the true model bit for bit.
+    magnitude of exactly zero reproduces the true model bit for bit. Every
+    element keeps the true model's objects for what it does not shift (its
+    families, and its CostSpec unless the running cost is shifted), so the
+    grid tables evaluate each of those once per stack.
     """
     noise = sched.mode == "noise-approx"
     shifts = []
@@ -977,6 +980,7 @@ def make_perturbation_sequence(true_spec: ModelSpec, sched: PerturbationSchedule
                 _shift(key, f.key, getattr(fam, f.attr), d, delta)
             changes.setdefault(fam.PATH, {})[f.attr] = new
         fams = {path: replace(attrgetter(path)(true_spec), **kw) for path, kw in changes.items()}
-        costs = replace(true_spec.costs, running=fams.pop(RunningCost.PATH, true_spec.costs.running))
+        running = fams.pop(RunningCost.PATH, None)
+        costs = true_spec.costs if running is None else replace(true_spec.costs, running=running)
         out.append(replace(true_spec, costs=costs, **fams))
     return out

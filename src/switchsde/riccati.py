@@ -34,12 +34,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BlowupError, ConfigError, EigError, ShapeError
+from .errors import BlowupError, ConfigError, EigError, ShapeError, StepError
 from .model import EIG_FLOOR, FloatArray, ModelSpec, _check_rates, _check_sym, _freeze
 
 BLOWUP_LIMIT = 1e12
 BLOWUP_CHECK_STEPS = 64  # RK4 steps between two blow-up checks
 COND_LIMIT = 1e12
+MAX_RICCATI_STEPS = 10**7  # most steps a Riccati solve or an LQ sweep is asked for
 
 
 def _check_psd(mats: np.ndarray, name: str) -> None:
@@ -304,16 +305,23 @@ def _solve_stack(lqs, n_steps: int) -> np.ndarray:
     return _integrate_backward(lambda _j, k: _riccati_rhs(k, op, s, q), p, lqs[0].horizon, n_steps)
 
 
+def _check_steps(n_steps: int) -> None:
+    """Reject a step count beyond MAX_RICCATI_STEPS before anything is allocated for it."""
+    if n_steps > MAX_RICCATI_STEPS:
+        raise StepError(f"{n_steps} Riccati steps is beyond the step bound {MAX_RICCATI_STEPS}")
+
+
 def solve_coupled_riccati(lq: LQSpec, n_steps: int = 400) -> RiccatiTrajectory:
     """Integrate the coupled system backward from K(T) = P.
 
     Classical RK4 with an even grid of n_steps intervals on [0, T]; iterates
     are re-symmetrized after every step so the stored trajectory is exactly
     symmetric. Escapes to E_BLOWUP if any entry passes 1e12 and to E_EIG if
-    R cannot be factored.
+    R cannot be factored. More than MAX_RICCATI_STEPS steps is E_STEP.
     """
     if n_steps < 8:
         raise ShapeError("solve_coupled_riccati needs at least 8 steps")
+    _check_steps(n_steps)
     times = np.linspace(0.0, lq.horizon, n_steps + 1)
     return RiccatiTrajectory(times=times, k=_solve_stack([lq], n_steps)[:, 0])
 

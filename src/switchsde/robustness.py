@@ -28,7 +28,6 @@ from .hjbgrid import (
     _stationary,
     _step_back,
     _Tables,
-    _terminal,
     _time_levels,
 )
 from .io import write_csv
@@ -146,10 +145,11 @@ def sweep_lq_finite_horizon(
     The rows' models are stacked on a leading axis and solved by one
     Riccati RK4 and one fixed-feedback RK4. The true model is the last
     block and serves the reference K and the base cost M*, so its own
-    row's gaps are exactly zero.
+    row's gaps are exactly zero. More than MAX_RICCATI_STEPS steps is E_STEP.
     """
-    from .riccati import _feedback_cost_stack, _solve_stack
+    from .riccati import _check_steps, _feedback_cost_stack, _solve_stack
 
+    _check_steps(steps)
     x0 = np.asarray(x0, dtype=np.float64).reshape(true_lq.dim)
     if not 1 <= i0 <= true_lq.n_regimes:
         raise ShapeError(f"regime {i0} out of range")
@@ -233,7 +233,7 @@ def _finite_horizon_gaps(tab: _Tables, n_t: int | None) -> tuple:
     policy is replayed as soon as it is chosen and one level of each is kept.
     """
     _, n_t, dt = _time_levels(tab, n_t)
-    v = _terminal(tab)
+    v = tab.terminal
     j = np.broadcast_to(v[:, -1:], v.shape)  # every row starts from the true terminal cost
     value_gap = _block_gap(v, v[:, -1:])
     for pol, v, _ in _backward(tab, v, n_t, dt):

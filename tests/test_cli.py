@@ -402,6 +402,34 @@ def test_cost_rejects_bad_dt_and_runs_beyond_the_step_budget(tmp_path, capsys, c
     assert not (out / "estimates.csv").exists()
 
 
+HUGE_GRID = {"x_min": -1.0, "x_max": 1.0, "n_x": 10**11}
+HUGE_COUNTS = {
+    "cost-n_paths": (CHAIN, "cost", {"criterion": "discounted", "x0": [0.0], "i0": 1, "dt": 0.05,
+                                     "n_paths": 10**12, "seed": 7},
+                     "E_SHAPE: n_paths = 1000000000000 is beyond the path bound 100000000"),
+    "hjb-n_x": (CHAIN, "hjb", {"criterion": "discounted", "grid": HUGE_GRID},
+                "E_SHAPE: grid of n_x = 100000000000 nodes is beyond the node bound 1000000"),
+    "ergodic-n_x": (CHAIN, "ergodic", {"grid": HUGE_GRID},
+                    "E_SHAPE: grid of n_x = 100000000000 nodes is beyond the node bound 1000000"),
+    "riccati-steps": (LQ_SCALAR, "riccati", {"steps": 10**11},
+                      "E_STEP: 100000000000 Riccati steps is beyond the step bound 10000000"),
+    "lq-sweep-steps": (LQ_SCALAR, "robustness", {
+        "criterion": "lq-finite-horizon", "x0": [1.0], "i0": 1, "steps": 10**11,
+        "schedule": {"mode": "rates", "n_max": 1, "d_m": [[0.0]]},
+    }, "E_STEP: 100000000000 Riccati steps is beyond the step bound 10000000"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HUGE_COUNTS))
+def test_counts_beyond_their_bound_exit_3_before_allocating(tmp_path, capsys, case):
+    # each count asks for terabytes; the bound refuses it before numpy is asked
+    model, command, block, expected = HUGE_COUNTS[case]
+    code, out = _run(tmp_path, {"command": command, "model": model, command: block})
+    assert code == 3
+    assert f"solver error: {expected}" in capsys.readouterr().err
+    assert json.loads((out / "results.json").read_text())["error"] == expected
+
+
 @pytest.mark.parametrize(
     "command,block",
     [

@@ -55,6 +55,32 @@ def test_grid_validation():
     assert g.nodes[0] == 0.0 and g.nodes[-1] == 2.0
 
 
+@pytest.mark.parametrize("n_x", [101.0, np.float64(101.0), np.int32(101)], ids=repr)
+def test_grid_takes_a_whole_valued_node_count_as_its_int(chain, n_x):
+    grid = Grid1D(-1.0, 1.0, n_x)
+    assert type(grid.n_x) is int and grid.n_x == 101
+    want = solve_discounted(chain, GRID)
+    got = solve_discounted(chain, grid)
+    np.testing.assert_array_equal(got.values, want.values)
+    np.testing.assert_array_equal(got.policy, want.policy)
+
+
+@pytest.mark.parametrize("n_x", [101.5, np.float64(101.5), math.inf, math.nan, "101"], ids=repr)
+def test_grid_rejects_a_node_count_that_is_not_whole(n_x):
+    # 101.5 used to build, and its first solve raised numpy's TypeError
+    with pytest.raises(ShapeError, match="grid needs a whole number n_x of nodes"):
+        Grid1D(-1.0, 1.0, n_x)
+
+
+def test_grid_nodes_beyond_the_node_bound_are_refused_before_they_are_made(chain):
+    grid = Grid1D(-1.0, 1.0, hjbgrid.MAX_NODES + 1)  # the count alone allocates nothing
+    with pytest.raises(ShapeError, match="node bound 1000000"):
+        grid.nodes
+    with pytest.raises(ShapeError, match="node bound 1000000"):
+        solve_discounted(chain, grid)
+    assert Grid1D(-1.0, 1.0, hjbgrid.MAX_NODES).dx == 2.0 / (hjbgrid.MAX_NODES - 1)
+
+
 # ---------------------------------------------------------------------------
 # discounted
 
@@ -195,20 +221,65 @@ def test_every_grid_entry_point_rejects_an_unbounded_cost(saturated, entry):
         ENTRY_POINTS[entry](spec, grid)
 
 
-@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
-def test_every_grid_entry_point_rejects_a_planar_model(saturated, entry):
-    # the saturated model's data on d = 2: constant drift, noise and costs
-    planar = dataclasses.replace(
-        saturated, dim=2,
+def planar(spec):
+    """The saturated model's data on d = 2: constant drift, noise and costs."""
+    return dataclasses.replace(
+        spec, dim=2,
         drift=DriftFamily("constant", 2, 2, 1, b0=np.zeros((2, 2))),
         diffusion=DiffusionFamily("constant", 2, 2, c0=np.tile(np.eye(2), (2, 1, 1))),
         costs=dataclasses.replace(
-            saturated.costs, running=RunningCost("regime", 2, 2, 1, values=np.array([1.0, 2.0])),
+            spec.costs, running=RunningCost("regime", 2, 2, 1, values=np.array([1.0, 2.0])),
             terminal=TerminalCost("zero", 2, 2),
         ),
     )
+
+
+@pytest.mark.parametrize("entry", sorted(ENTRY_POINTS))
+def test_every_grid_entry_point_rejects_a_planar_model(saturated, entry):
     with pytest.raises(ShapeError, match="dim 1 only"):
-        ENTRY_POINTS[entry](planar, Grid1D(-2.0, 2.0, 21))
+        ENTRY_POINTS[entry](planar(saturated), Grid1D(-2.0, 2.0, 21))
+
+
+# one model per failing check of the table build, in the order a block
+# meets the checks: its model, error type and message
+TABLE_FAULTS = {
+    "dim": (planar, ShapeError, "grid solvers support dim 1 only"),
+    "a": (
+        lambda spec: dataclasses.replace(
+            spec, diffusion=DiffusionFamily("constant", 1, 2, c0=np.zeros((2, 1, 1)))
+        ),
+        DegenerateError, "grid solvers need a = sigma^2 / 2 > 0 at every node",
+    ),
+    "cost": (
+        lambda spec: dataclasses.replace(spec, costs=dataclasses.replace(
+            spec.costs, running=RunningCost("lq", 2, 1, 1, q_mat=np.ones((2, 1, 1)), r_mat=np.ones((2, 1, 1)))
+        )),
+        UnboundedError, "grid solvers need a bounded running cost",
+    ),
+    "sub": (overflowing_drift, SchemeError, "coefficient table 'sub' is not finite on the grid"),
+}
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.parametrize(
+    "rows", [("ok", "sub", "a"), ("ok", "cost", "a"), ("a", "dim"), ("ok", "dim", "a"), ("sub", "cost", "ok"),
+             ("ok", "ok", "dim")],
+    ids="-".join,
+)
+def test_a_stack_fails_on_its_lowest_failing_row_with_that_rows_error(saturated, rows):
+    # a later row may fail a check that comes earlier in the order: the
+    # stack still names the lowest failing row, with the error that row
+    # alone raises
+    specs = [saturated if row == "ok" else TABLE_FAULTS[row][0](saturated) for row in rows]
+    n = next(n for n, row in enumerate(rows) if row != "ok")
+    _, kind, message = TABLE_FAULTS[rows[n]]
+    grid = Grid1D(-2.0, 2.0, 21)
+    with pytest.raises(kind) as alone:
+        _Tables([specs[n]], grid)
+    assert str(alone.value) == f"{kind.code}: {message}"
+    with pytest.raises(kind) as stacked:
+        _Tables(specs, grid, [f"row {k}" for k in range(len(rows))])
+    assert str(stacked.value) == f"{kind.code}: {message} (row {n})"
 
 
 # ---------------------------------------------------------------------------

@@ -9,19 +9,24 @@ the maximum and comparison principles, replaying the optimal policy
 reproduces the optimal value, Howard's iterates never increase, each
 block of a stacked solve equals the solve of its model alone, a warm
 start changes the iteration count but not the answer, and the discounted
-values approach the average cost as alpha vanishes.
+values approach the average cost as alpha vanishes. A stacked table build
+over any generated model and schedule equals a row-by-row build bit for
+bit, and fails, where it fails, on the same row with the same error.
 """
 
 import dataclasses
+from operator import attrgetter
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from switchsde import (
     ActionGrid,
     BoundaryCost,
     CostSpec,
+    DegenerateError,
     DiffusionFamily,
     DriftFamily,
     ExitDiscount,
@@ -30,7 +35,11 @@ from switchsde import (
     ModelSpec,
     RegimeSet,
     RunningCost,
+    SchemeError,
+    ShapeError,
+    SwitchSdeError,
     TerminalCost,
+    UnboundedError,
     estimate_ergodic,
     evaluate_policy_exit,
     evaluate_policy_value,
@@ -41,14 +50,14 @@ from switchsde import (
     solve_finite_horizon,
 )
 from switchsde.hjbgrid import (
-    _exit_values,
     _finite_horizon,
     _hamiltonians,
     _howard,
     _stationary,
     _Tables,
 )
-from switchsde.model import PerturbationSchedule
+from switchsde.model import DIRECTIONS, PerturbationSchedule, make_perturbation_sequence
+from test_model import models
 
 CRITERIA = {
     "discounted": (solve_discounted, evaluate_policy_value),
@@ -147,7 +156,7 @@ def _howard_iterates(spec: ModelSpec, grid: Grid1D, criterion: str) -> list:
     tab = _Tables([spec], grid)
     v = np.zeros(tab.shape)  # (regime, block, node) with one block
     if exit_:
-        v[..., [0, -1]] = _exit_values(tab)
+        v[..., [0, -1]] = tab.exit_values
     policy = np.argmin(_hamiltonians(tab, v, exit_), axis=0)[:, 0]
     iterates = [v[:, 0]]
     while True:
@@ -265,7 +274,7 @@ def _howard_run(tab: _Tables, criterion: str, tol: float, start=None) -> tuple:
     """(values, policy, rho) of one stacked Howard solve, cold or from ``start``."""
     v = np.zeros(tab.shape)
     if criterion == "exit":
-        v[..., [0, -1]] = _exit_values(tab)
+        v[..., [0, -1]] = tab.exit_values
     out = _howard(tab, criterion, v, tol, 100, policy=start)
     return out[0], out[1], out[3]
 
@@ -320,3 +329,137 @@ def test_vanishing_discount_approaches_the_average_cost(seed, n, n_x, n_actions)
     for alpha in (0.2, 0.1, 0.05, 0.025):
         v = solve_discounted(spec, grid, alpha=alpha).values
         assert np.abs(alpha * v - est.rho).max() <= alpha * span + 1e-9
+
+
+# ---------------------------------------------------------------------------
+# the stacked table build against a row-by-row build
+
+
+def _rowwise_node_tables(spec: ModelSpec, grid: Grid1D) -> tuple:
+    """(c, beta, sub, sup, rates, exit values, terminal costs) of one model,
+    each family evaluated for this model alone and every check run on its
+    own tables, in the order a block meets them."""
+    if spec.dim != 1:
+        raise ShapeError("grid solvers support dim 1 only")
+    K, N = grid.n_x, spec.regimes.count
+    acts = spec.actions.actions
+    A = acts.shape[0]
+    dx, nodes = grid.dx, grid.nodes
+    xs = np.tile(nodes, A * N)[:, None]
+    s = np.tile(np.repeat(np.arange(N), K), A)
+    u = np.repeat(acts, N * K, axis=0)
+    a = spec.diffusion.a_batch(xs[: N * K], s[: N * K])[:, 0, 0].reshape(N, K)
+    b = spec.drift.eval_batch(xs, s, u)[:, 0].reshape(A, N, K)
+    c = spec.costs.running.eval_batch(xs, s, u).reshape(A, N, K)
+    beta = spec.costs.exit_beta.eval_batch(xs, s, u).reshape(A, N, K)
+    rates = spec.generator.rates_batch(np.tile(nodes, A)[:, None], np.repeat(acts, K, axis=0))
+    rates = rates.reshape(A, K, N, N).transpose(0, 2, 1, 3)
+    if not np.all(a > 0.0):
+        raise DegenerateError("grid solvers need a = sigma^2 / 2 > 0 at every node")
+    if not np.isfinite(spec.cost_bound()):
+        raise UnboundedError("grid solvers need a bounded running cost")
+    sub = a[None] / dx**2 + np.maximum(-b, 0.0) / dx
+    sup = a[None] / dx**2 + np.maximum(b, 0.0) / dx
+    sub[:, :, 0] = 0.0
+    sup[:, :, -1] = 0.0
+    for name, table in (("sub", sub), ("sup", sup), ("c", c), ("beta", beta), ("rates", rates)):
+        if not np.all(np.isfinite(table)):
+            raise SchemeError(f"coefficient table '{name}' is not finite on the grid")
+    if not (np.all(sub >= 0.0) and np.all(sup >= 0.0)):
+        raise SchemeError("upwind coefficients must be nonnegative")
+    ends = np.tile([[grid.x_min], [grid.x_max]], (N, 1))
+    exit_values = spec.costs.exit_h.eval_batch(ends, np.repeat(np.arange(N), 2)).reshape(N, 2)
+    terminal = spec.costs.terminal.eval_batch(np.tile(nodes, N)[:, None], np.repeat(np.arange(N), K))
+    return c, beta, sub, sup, rates, exit_values, terminal.reshape(N, K)
+
+
+def _bits(a) -> tuple:
+    a = np.ascontiguousarray(a, dtype=np.float64)
+    return a.shape, a.tobytes()
+
+
+def _directions(spec: ModelSpec, mode: str, rng) -> dict:
+    """Random nonnegative directions for every key ``mode`` applies to the
+    model's family kinds; nonnegative keeps shifted rates and costs valid."""
+    out = {}
+    for key, direction in DIRECTIONS.items():
+        fam = attrgetter(direction.family.PATH)(spec)
+        if mode not in direction.modes or fam.kind not in direction.keys:
+            continue
+        if mode == "noise-approx":
+            shape = (spec.diffusion.wiener_dim,) * (1 if key == "hat_b" else 2)
+        else:
+            attr = next(f.attr for f in fam.FIELDS[fam.kind] if f.key == direction.keys[fam.kind])
+            shape = np.shape(getattr(fam, attr))
+        out[key] = rng.uniform(0.0, 1.0, shape)
+    return out
+
+
+@pytest.mark.parametrize("mode", PerturbationSchedule.MODES)
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_stacked_tables_equal_a_rowwise_build(mode, data):
+    # the noise-approx pair acts through a constant diffusion on a drift with an offset
+    pinned = ()
+    if mode == "noise-approx":
+        drift = data.draw(st.sampled_from(["constant", "lq", "saturated-affine"]))
+        pinned = (("diffusion", "constant"), ("drift", drift))
+    spec = data.draw(models(pinned=pinned))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    sched = PerturbationSchedule(mode, data.draw(st.integers(0, 3)), **_directions(spec, mode, rng))
+    grid = Grid1D(*spec.costs.exit_domain, data.draw(st.integers(11, 31)))
+    rows = make_perturbation_sequence(spec, sched)
+    deltas = list(sched.magnitudes) + [0.0]  # and the appended control row, the true model
+    rows.append(spec)
+    labels = [f"schedule row n = {n}, delta = {d:g}" for n, d in enumerate(deltas)]
+
+    want = []
+    for row, label in zip(rows, labels):
+        try:
+            want.append(_rowwise_node_tables(row, grid))
+        except SwitchSdeError as err:
+            event(f"row {len(want)} of {len(rows)} fails: {err.code}")
+            with pytest.raises(type(err)) as got:
+                robustness._grid_stack(spec, sched, grid)
+            assert (str(got.value), got.value.path) == (f"{err.code}: {err.message} ({label})", err.path)
+            return
+    event("every row builds")
+    _, tab = robustness._grid_stack(spec, sched, grid)
+    assert tab.labels == tuple(labels)
+    for b, tables in enumerate(want):
+        node = (tab.c, tab.beta, tab.sub, tab.sup, tab.rates)
+        got = [t[:, :, b] for t in node] + [tab.exit_values[:, b], tab.terminal[:, b]]
+        assert [_bits(g) for g in got] == [_bits(w) for w in tables]
+
+
+def _einsum_hamiltonians(tab: _Tables, v: np.ndarray, with_beta: bool) -> np.ndarray:
+    """The Hamiltonians with the regime coupling summed by one einsum."""
+    out = -(tab.sub + tab.sup) * v
+    out[..., 1:] += tab.sub[..., 1:] * v[..., :-1]
+    out[..., :-1] += tab.sup[..., :-1] * v[..., 1:]
+    out += np.einsum("ai...j,j...->ai...", tab.rates, v)
+    out += tab.c
+    if with_beta:
+        out -= tab.beta * v
+    return out
+
+
+@pytest.mark.parametrize("with_beta", [False, True])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_hamiltonians_equal_the_einsum_sum_bit_for_bit(n, with_beta):
+    # two generated models and one whose rates and running cost are all
+    # -0.0 (each passes its sign rules): there values of both zero signs
+    # make coupling sums of -0.0, which einsum's sum from 0.0 makes 0.0, and
+    # the cost keeps the sign of a zero Hamiltonian
+    specs = _stack([11, 12, 13], n, 3)
+    quiet = specs[2]
+    specs[2] = dataclasses.replace(
+        quiet, generator=GeneratorSpec("constant", n, rates=np.full((n, n), -0.0)),
+        costs=dataclasses.replace(quiet.costs, running=RunningCost("constant", n, 1, 1, value=-0.0)),
+    )
+    tab = _Tables(specs, Grid1D(-2.0, 2.0, 41))
+    rng = np.random.default_rng(n)
+    for scale in (rng.normal(size=tab.shape), rng.choice([0.0, -0.0, 1.0], size=tab.shape)):
+        v = scale * rng.choice([0.0, -0.0, 1.0, 1e-3], size=tab.shape)
+        got, want = _hamiltonians(tab, v, with_beta), _einsum_hamiltonians(tab, v, with_beta)
+        assert _bits(got) == _bits(want)
