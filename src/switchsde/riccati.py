@@ -16,19 +16,18 @@ minimization gives the linear cost equation
 whose solution evaluates that feedback exactly; the two trajectories agree
 when F is the optimal gain.
 
-Integration is classical fourth-order Runge-Kutta on the stacked matrices,
-backward from the horizon, with re-symmetrization after every step. The
-linear part A^T K + K A + C^T K C + sum_j m_ij K_j of both right sides is one
-precomputed Kronecker matrix acting on the flattened regime stack, and the
-quadratic term uses S = B R^{-1} B^T; the fixed-feedback terms are tabled
-for every RK4 stage before the run. The RK4 core carries leading batch axes:
-a robustness sweep integrates all its models at once, and a single solve is
-a batch of one. Blow-up is checked over blocks of BLOWUP_CHECK_STEPS stored
-iterates inside the loop, so a diverging solve stops within one block.
+Integration is classical fourth-order Runge-Kutta, backward from the
+horizon, on z = [1, vech K_1, ..., vech K_N] (m = N d(d+1)/2 unknowns), so
+iterates are symmetric by construction. The Riccati right side is the outer
+product z^T z times one table G ((m+1)^2, m+1) per model, the fixed-feedback
+one z @ A_j with an (m+1) x (m+1) map per RK4 stage. The core carries leading
+batch axes (a sweep integrates all its models at once) and checks blow-up
+over blocks of BLOWUP_CHECK_STEPS stored iterates, stopping within a block.
 """
 
 from __future__ import annotations
 
+import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -221,73 +220,71 @@ def _stack_rows(times: FloatArray, stack: FloatArray):
         yield (times[k], i + 1, r, c, stack[k, i, r, c])
 
 
-def _linear_operator(a: np.ndarray, c: np.ndarray, rates: np.ndarray) -> np.ndarray:
-    """Matrix of K -> A_i^T K_i + K_i A_i + C_i^T K_i C_i + sum_j m_ij K_j.
-
-    a, c are (..., N, d, d) and rates (..., N, N); the result (..., N d^2, N d^2)
-    acts on the row-major flattening of the (N, d, d) stack.
-    """
-    n, d = a.shape[-3], a.shape[-1]
-    eye = np.eye(d)
-    # entry [i, p, q, j, u, v] is the weight of K_j[u, v] in g_i[p, q]
-    blocks = (
-        np.einsum("...iup,qv->...ipquv", a, eye) + np.einsum("pu,...ivq->...ipquv", eye, a)
-        + np.einsum("...iup,...ivq->...ipquv", c, c)
-    )
-    op = np.einsum("...ij,pu,qv->...ipqjuv", rates, eye, eye)
-    op += np.einsum("ij,...ipquv->...ipqjuv", np.eye(n), blocks)
-    return op.reshape(*op.shape[:-6], n * d * d, n * d * d)
+def _vech(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
+    """(pos, pick) of the half-vectorized (N, d, d) stack: pos[i, p, q] = pos[i, q, p] is the
+    place of K_i[p, q] in z, and pick the flat stack index of each of z[1:]."""
+    pick = np.flatnonzero(np.broadcast_to(np.triu(np.ones((d, d), dtype=bool)), (n, d, d)))
+    pos = np.zeros((n, d, d), dtype=np.intp)
+    pos.flat[pick] = np.arange(1, pick.size + 1)
+    return np.maximum(pos, pos.swapaxes(-1, -2)), pick
 
 
-def _apply(op: np.ndarray, k: np.ndarray) -> np.ndarray:
-    """op applied to the flattened (N, d, d) trailing block of k."""
-    return (op @ k.reshape(k.shape[:-3] + (-1, 1))).reshape(k.shape)
+def _augment(k: np.ndarray, pick: np.ndarray) -> np.ndarray:
+    """z = [1, vech of the symmetric part of k] as a row, shape (..., 1, m+1), for k (..., N, d, d)."""
+    v = (0.5 * (k + k.swapaxes(-1, -2))).reshape(*k.shape[:-3], -1)[..., pick]
+    return np.concatenate([np.ones((*v.shape[:-1], 1)), v], axis=-1)[..., None, :]
 
 
-def _riccati_data(lqs) -> tuple[np.ndarray, ...]:
-    """Models stacked on a leading axis: operator, S = B R^{-1} B^T, Q and P."""
-    op = _linear_operator(
-        np.stack([lq.a for lq in lqs]), np.stack([lq.c for lq in lqs]),
-        np.stack([lq.rates for lq in lqs]),
-    )
-    s = np.stack([lq.b @ lq.r_inv_bt() for lq in lqs])
-    return op, s, np.stack([lq.q for lq in lqs]), np.stack([lq.p for lq in lqs])
+def _riccati_table(lqs) -> tuple[np.ndarray, ...]:
+    """(G, pos, pick, basis) of models on a leading axis. Row (a, b) of G (models, (m+1)^2, m+1)
+    weighs z_a z_b in g, dK/dt = -g(K): vech Q at (0, 0), vech(A^T E + E A + C^T E C + sum_j m_ij E_j)
+    at (0, 1+a), -vech(E S E') at (1+a, 1+b); E = basis[a], E' = basis[b], S = B R^{-1} B^T."""
+    a, c, q = (np.stack([getattr(lq, nm) for lq in lqs])[:, None] for nm in "acq")
+    s = np.stack([lq.b @ lq.r_inv_bt() for lq in lqs])[:, None, None]
+    pos, pick = _vech(a.shape[-3], a.shape[-1])
+    m = pick.size
+    e = (pos == np.arange(1, m + 1)[:, None, None, None]).astype(np.float64)
+    ea = e @ a
+    lin = ea + ea.swapaxes(-1, -2) + c.swapaxes(-1, -2) @ e @ c
+    lin += np.einsum("bij,mjpq->bmipq", np.stack([lq.rates for lq in lqs]), e)
+    g = np.zeros((len(lqs), m + 1, m + 1, m + 1))
+    g[:, 0, 0, 1:] = q.reshape(len(lqs), -1)[:, pick]
+    g[:, 0, 1:, 1:] = lin.reshape(len(lqs), m, -1)[..., pick]
+    g[:, 1:, 1:, 1:] = -(e[:, None] @ s @ e).reshape(len(lqs), m, m, -1)[..., pick]
+    return g.reshape(len(lqs), -1, m + 1), pos, pick, e
 
 
-def _riccati_rhs(k: np.ndarray, op: np.ndarray, s: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Right side g with dK/dt = -g(K); leading axes of k are batch axes."""
-    return _apply(op, k) + q - k @ s @ k
+def _table_rhs(g: np.ndarray, batch: tuple):
+    """rhs(j, z) = g(K) at rows z of shape (*batch, 1, m+1): the outer product z^T z, flattened, times G."""
+    flat = (*batch, 1, -1)
+    return lambda _j, z: (z.swapaxes(-1, -2) * z).reshape(flat) @ g
 
 
 def _integrate_backward(rhs, terminal: np.ndarray, horizon: float, n_steps: int) -> np.ndarray:
-    """RK4 for dK/dt = -rhs(j, K) from t = T down to 0, nodes at k*T/n.
+    """RK4 for dy/dt = -rhs(j, y) from t = T down to 0, nodes at k*T/n.
 
     rhs receives the stage time as its index j on the half-step grid
-    t_j = j*T/(2n) and a stack shaped like terminal, whose leading axes are
-    batch axes. Iterates are re-symmetrized after every step. The stored
-    nodes below the terminal are checked in blocks of BLOWUP_CHECK_STEPS, each
-    as soon as it is complete: the first node going backward with an entry
-    that is not finite or exceeds BLOWUP_LIMIT in size raises BlowupError.
+    t_j = j*T/(2n) and a state shaped like terminal, whose leading axes are
+    batch axes; the solvers pass the half-vectorized z, so no step needs
+    re-symmetrizing. The stored nodes below the terminal are checked in
+    blocks of BLOWUP_CHECK_STEPS, each as soon as it is complete: the first
+    node going backward with an entry that is not finite or exceeds
+    BLOWUP_LIMIT in size raises BlowupError.
     """
     if n_steps < 1:
         raise ShapeError("n_steps must be >= 1")
     h = horizon / n_steps
-    half, twelfth = 0.5 * h, h / 12.0
+    half, sixth = 0.5 * h, h / 6.0
     traj = np.empty((n_steps + 1, *terminal.shape))
-    traj[n_steps] = terminal
-    # a symmetric iterate plus a symmetrized increment stays exactly symmetric
-    k = 0.5 * (terminal + terminal.swapaxes(-1, -2))
+    traj[n_steps] = k = terminal
     with np.errstate(over="ignore", invalid="ignore"):
-        for step in range(n_steps, 0, -1):
-            j = 2 * step
+        for lo in range(n_steps - 1, -1, -1):  # the step from node lo + 1 down to node lo
+            j = 2 * lo + 2
             k1 = rhs(j, k)
             k2 = rhs(j - 1, k + half * k1)
             k3 = rhs(j - 1, k + half * k2)
             k4 = rhs(j - 2, k + h * k3)
-            inc = k1 + 2.0 * (k2 + k3) + k4
-            k = k + twelfth * (inc + inc.swapaxes(-1, -2))
-            lo = step - 1
-            traj[lo] = k
+            traj[lo] = k = k + sixth * (k1 + 2.0 * (k2 + k3) + k4)
             if lo % BLOWUP_CHECK_STEPS == 0:
                 # nodes lo up to the next block or the terminal; per node, NaN-safe:
                 # max <= limit and min >= -limit hold iff every |entry| <= limit
@@ -301,27 +298,32 @@ def _integrate_backward(rhs, terminal: np.ndarray, horizon: float, n_steps: int)
 
 def _solve_stack(lqs, n_steps: int) -> np.ndarray:
     """K for models sharing one horizon, in one RK4: (n_steps + 1, len(lqs), N, d, d)."""
-    op, s, q, p = _riccati_data(lqs)
-    return _integrate_backward(lambda _j, k: _riccati_rhs(k, op, s, q), p, lqs[0].horizon, n_steps)
+    g, pos, pick, _ = _riccati_table(lqs)
+    terminal = _augment(np.stack([lq.p for lq in lqs]), pick)
+    traj = _integrate_backward(_table_rhs(g, terminal.shape[:-2]), terminal, lqs[0].horizon, n_steps)
+    return traj[..., 0, pos]
 
 
-def _check_steps(n_steps: int) -> None:
-    """Reject a step count beyond MAX_RICCATI_STEPS before anything is allocated for it."""
+def _check_steps(n_steps) -> int:
+    """n_steps as an int if whole (100.0 is 100) and at most MAX_RICCATI_STEPS, else E_STEP."""
+    if not (isinstance(n_steps, numbers.Real) and n_steps % 1 == 0):
+        raise StepError(f"Riccati solves need a whole number of steps, got {n_steps!r}")
     if n_steps > MAX_RICCATI_STEPS:
         raise StepError(f"{n_steps} Riccati steps is beyond the step bound {MAX_RICCATI_STEPS}")
+    return int(n_steps)
 
 
 def solve_coupled_riccati(lq: LQSpec, n_steps: int = 400) -> RiccatiTrajectory:
     """Integrate the coupled system backward from K(T) = P.
 
-    Classical RK4 with an even grid of n_steps intervals on [0, T]; iterates
-    are re-symmetrized after every step so the stored trajectory is exactly
-    symmetric. Escapes to E_BLOWUP if any entry passes 1e12 and to E_EIG if
-    R cannot be factored. More than MAX_RICCATI_STEPS steps is E_STEP.
+    Classical RK4 with an even grid of n_steps intervals on [0, T]; the
+    stored trajectory is exactly symmetric. Escapes to E_BLOWUP if any entry
+    passes 1e12 and to E_EIG if R cannot be factored. A step count that is
+    not whole or exceeds MAX_RICCATI_STEPS is E_STEP.
     """
+    n_steps = _check_steps(n_steps)
     if n_steps < 8:
         raise ShapeError("solve_coupled_riccati needs at least 8 steps")
-    _check_steps(n_steps)
     times = np.linspace(0.0, lq.horizon, n_steps + 1)
     return RiccatiTrajectory(times=times, k=_solve_stack([lq], n_steps)[:, 0])
 
@@ -336,22 +338,32 @@ def _feedback_cost_stack(lq: LQSpec, stage_gains: np.ndarray, n_steps: int) -> n
 
     stage_gains (2 n_steps + 1, ..., N, l, d) holds the gains at the RK4
     stage times t_j = j*T/(2 n_steps); the axes between time and regime are
-    batch axes, and the result is (n_steps + 1, ..., N, d, d).
+    batch axes, and the result is (n_steps + 1, ..., N, d, d). Stage j's map
+    is the Riccati table's linear rows, plus B F times the basis of
+    -(BF)^T M - M BF, plus vech F^T R F in row 0, built a check block at a time.
     """
     if stage_gains.shape[0] != 2 * n_steps + 1:
         raise ShapeError(f"need gains at {2 * n_steps + 1} stage times, got {stage_gains.shape[0]}")
-    op = _linear_operator(lq.a, lq.c, lq.rates)
-    bf_t = (lq.b @ stage_gains).swapaxes(-1, -2)
-    w = stage_gains.swapaxes(-1, -2) @ lq.r @ stage_gains
-    w += lq.q
+    g, pos, pick, e = _riccati_table([lq])
+    m1 = pick.size + 1
+    u = np.eye(pos.size).reshape(-1, 1, *pos.shape).swapaxes(-1, -2) @ e  # (BF)^T E, BF one unit entry
+    basis = np.zeros((pos.size, m1 * m1))
+    basis.reshape(-1, m1, m1)[:, 1:, 1:] = -(u + u.swapaxes(-1, -2)).reshape(*u.shape[:2], -1)[..., pick]
+    span = 2 * BLOWUP_CHECK_STEPS  # stage indices per check block of steps
+    lo, maps = 2 * n_steps + 1, None
 
-    def rhs(j, m):
-        # with A - B F in the drift: op M - (BF)^T M - M BF + Q + F^T R F
-        bf_m = bf_t[j] @ m
-        return _apply(op, m) + w[j] - bf_m - bf_m.swapaxes(-1, -2)
+    def rhs(j, z):
+        nonlocal lo, maps
+        if j < lo:  # the maps of the stages from j down to the start of j's check block
+            lo, maps = span * ((j - 1) // span), None  # the last block's maps go first
+            f = stage_gains[lo:j + 1]
+            maps = ((lq.b @ f).reshape(-1, pos.size) @ basis).reshape(*f.shape[:-3], m1, m1)
+            maps += g[0, :m1]
+            maps[..., 0, 1:] += (f.swapaxes(-1, -2) @ lq.r @ f).reshape(*f.shape[:-3], -1)[..., pick]
+        return z @ maps[j - lo]
 
-    terminal = np.broadcast_to(lq.p, (*stage_gains.shape[1:-2], lq.dim, lq.dim))
-    return _integrate_backward(rhs, terminal, lq.horizon, n_steps)
+    terminal = np.broadcast_to(_augment(lq.p, pick), (*stage_gains.shape[1:-3], 1, m1))
+    return _integrate_backward(rhs, terminal, lq.horizon, n_steps)[..., 0, pos]
 
 
 def fixed_feedback_cost(lq: LQSpec, feedback: FeedbackTrajectory, n_steps: int = 400) -> RiccatiTrajectory:
@@ -361,8 +373,10 @@ def fixed_feedback_cost(lq: LQSpec, feedback: FeedbackTrajectory, n_steps: int =
     frozen gain; the result M(t, i) gives the policy cost x^T M x. Gains are
     interpolated linearly to the RK4 stage times, all at once before the
     run, so passing a feedback grid at twice the resolution of the cost grid
-    makes the stage lookups exact.
+    makes the stage lookups exact. A step count that is not whole or exceeds
+    MAX_RICCATI_STEPS is E_STEP.
     """
+    n_steps = _check_steps(n_steps)
     if n_steps < 1:
         raise ShapeError("n_steps must be >= 1")
     stage_times = np.linspace(0.0, lq.horizon, 2 * n_steps + 1)
@@ -375,15 +389,16 @@ def riccati_defect(traj: RiccatiTrajectory, lq: LQSpec) -> float:
     """Max residual of the equation under a central time difference.
 
     For each interior node, compares (K_{k+1} - K_{k-1}) / (2 dt) against
-    -g(K_k), all nodes in one batched evaluation; the result decays like
-    dt^2 for the exact solution.
+    -g(K_k) on the symmetric parts, entry by entry in vech coordinates, all
+    nodes in one matmul with the table; the result decays like dt^2 for the
+    exact solution.
     """
     if len(traj.times) < 3:
         raise ShapeError("defect needs at least 3 time nodes")
-    op, s, q, _ = _riccati_data([lq])
-    dt = traj.times[1] - traj.times[0]
-    kdot = (traj.k[2:] - traj.k[:-2]) / (2.0 * dt)
-    return float(np.max(np.abs(kdot + _riccati_rhs(traj.k[1:-1], op, s, q))))
+    g, _, pick, _ = _riccati_table([lq])
+    z = _augment(traj.k, pick)[:, 0]
+    zdot = (z[2:] - z[:-2]) / (2.0 * (traj.times[1] - traj.times[0]))
+    return float(np.max(np.abs(zdot + (z[1:-1, :, None] * z[1:-1, None, :]).reshape(len(z) - 2, -1) @ g[0])))
 
 
 def a_priori_bound(lq: LQSpec) -> float:

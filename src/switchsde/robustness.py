@@ -149,7 +149,7 @@ def sweep_lq_finite_horizon(
     """
     from .riccati import _check_steps, _feedback_cost_stack, _solve_stack
 
-    _check_steps(steps)
+    steps = _check_steps(steps)
     x0 = np.asarray(x0, dtype=np.float64).reshape(true_lq.dim)
     if not 1 <= i0 <= true_lq.n_regimes:
         raise ShapeError(f"regime {i0} out of range")

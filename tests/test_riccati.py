@@ -1,6 +1,7 @@
 """Coupled Riccati solver against closed forms and a frozen reference orbit."""
 
 import dataclasses
+import tracemalloc
 import warnings
 from functools import lru_cache
 
@@ -21,6 +22,7 @@ from switchsde import (
     RiccatiTrajectory,
     RunningCost,
     ShapeError,
+    StepError,
     TerminalCost,
     a_priori_bound,
     fixed_feedback_cost,
@@ -32,13 +34,14 @@ from switchsde import (
 from switchsde.riccati import (
     BLOWUP_CHECK_STEPS,
     BLOWUP_LIMIT,
-    _apply,
+    MAX_RICCATI_STEPS,
+    _augment,
     _feedback_cost_stack,
     _integrate_backward,
     _interp,
-    _linear_operator,
-    _riccati_data,
-    _riccati_rhs,
+    _riccati_table,
+    _solve_stack,
+    _table_rhs,
 )
 from conftest import lq_model, reference_lq, scalar_lq
 
@@ -373,7 +376,7 @@ def test_feedback_shape_mismatch_raises(ref_lq):
 
 
 # ---------------------------------------------------------------------------
-# operator-form right side and the fused blow-up check
+# the table right side on the half-vectorized state, and the fused blow-up check
 
 
 def _textbook_terms(lq, k):
@@ -412,8 +415,8 @@ def test_operator_rhs_matches_textbook_formula(n, d, l, batch, seed):
     lq = _random_lq(seed, n, d, l)
     x = np.random.default_rng(seed + 1).normal(size=(batch, n, d, d))
     k = x + np.swapaxes(x, -1, -2)
-    op, s, q, _ = _riccati_data([lq])
-    got = _riccati_rhs(k, op, s, q)
+    g, pos, pick, _ = _riccati_table([lq])
+    got = _table_rhs(g, (batch,))(None, _augment(k, pick))[..., 0, pos]
     for b in range(batch):
         for i, terms in enumerate(_textbook_terms(lq, k[b])):
             scale = max(float(np.max(np.abs(t))) for t in terms)
@@ -427,8 +430,58 @@ def test_operator_rhs_matches_textbook_formula(n, d, l, batch, seed):
 def test_riccati_solution_stays_symmetric_positive_semidefinite(n, d, l, seed):
     k = solve_coupled_riccati(_random_lq(seed, n, d, l), n_steps=200).k
     scale = max(1.0, float(np.abs(k).max()))
-    assert np.abs(k - np.swapaxes(k, -1, -2)).max() <= 1e-12 * scale
+    assert np.array_equal(k, np.swapaxes(k, -1, -2))
     assert np.linalg.eigvalsh(k).min() >= -1e-10 * scale
+
+
+def _symmetrizing_rk4(rhs, terminal, horizon, n_steps):
+    """Full-matrix RK4 for dK/dt = -rhs(j, K), re-symmetrizing every increment."""
+    h = horizon / n_steps
+    traj = np.empty((n_steps + 1, *terminal.shape))
+    traj[n_steps] = k = 0.5 * (terminal + np.swapaxes(terminal, -1, -2))
+    for step in range(n_steps, 0, -1):
+        j = 2 * step
+        k1 = rhs(j, k)
+        k2 = rhs(j - 1, k + 0.5 * h * k1)
+        k3 = rhs(j - 1, k + 0.5 * h * k2)
+        k4 = rhs(j - 2, k + h * k3)
+        inc = k1 + 2.0 * (k2 + k3) + k4
+        k = traj[step - 1] = k + (h / 12.0) * (inc + np.swapaxes(inc, -1, -2))
+    return traj
+
+
+def _full_matrix_rhs(a, c, q, rates, k):
+    """A^T K + K A + C^T K C + Q + sum_j m_ij K_j on full matrices, batch axes in front."""
+    t = lambda x: np.swapaxes(x, -1, -2)
+    return t(a) @ k + k @ a + t(c) @ k @ c + q + np.einsum("...ij,...jpq->...ipq", rates, k)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(1, 3), d=st.integers(1, 3), l=st.integers(1, 2),
+    batch=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
+)
+def test_half_vectorized_solves_match_a_full_matrix_symmetrizing_rk4(n, d, l, batch, seed):
+    n_steps = 100
+    lqs = [_random_lq(seed + b, n, d, l) for b in range(batch)]
+    a, c, q, rates, p = (np.stack([getattr(lq, nm) for lq in lqs]) for nm in ("a", "c", "q", "rates", "p"))
+    s = np.stack([lq.b @ lq.r_inv_bt() for lq in lqs])
+    expect = _symmetrizing_rk4(lambda _j, k: _full_matrix_rhs(a, c, q, rates, k) - k @ s @ k, p, 1.0, n_steps)
+    got = _solve_stack(lqs, n_steps)
+    assert np.abs(got - expect).max() <= 1e-13 * max(1.0, float(np.abs(expect).max()))
+
+    lq = lqs[0]
+    gains = lq_feedback(solve_coupled_riccati(lq, n_steps=2 * n_steps), lq).gains
+    stage_gains = np.stack([(0.8 + 0.1 * b) * gains for b in range(batch)], axis=1)
+    bf = lq.b @ stage_gains
+    w = np.swapaxes(stage_gains, -1, -2) @ lq.r @ stage_gains
+
+    def replay(j, m):
+        return _full_matrix_rhs(lq.a - bf[j], lq.c, lq.q + w[j], lq.rates, m)
+
+    expect = _symmetrizing_rk4(replay, np.broadcast_to(lq.p, (batch, n, d, d)), 1.0, n_steps)
+    got = _feedback_cost_stack(lq, stage_gains, n_steps)
+    assert np.abs(got - expect).max() <= 1e-13 * max(1.0, float(np.abs(expect).max()))
 
 
 def test_defect_matches_nodewise_textbook_residual(ref_lq):
@@ -483,16 +536,14 @@ def _per_step_rk4(rhs, terminal, horizon, n_steps):
     """
     h = horizon / n_steps
     traj = np.empty((n_steps + 1, *terminal.shape))
-    traj[n_steps] = terminal
-    k = 0.5 * (terminal + terminal.swapaxes(-1, -2))
+    traj[n_steps] = k = terminal
     for step in range(n_steps, 0, -1):
         j = 2 * step
         k1 = rhs(j, k)
         k2 = rhs(j - 1, k + 0.5 * h * k1)
         k3 = rhs(j - 1, k + 0.5 * h * k2)
         k4 = rhs(j - 2, k + h * k3)
-        inc = k1 + 2.0 * (k2 + k3) + k4
-        k = k + (h / 12.0) * (inc + inc.swapaxes(-1, -2))
+        k = k + (h / 6.0) * (k1 + 2.0 * (k2 + k3) + k4)
         if not np.abs(k).max() <= BLOWUP_LIMIT:
             raise BlowupError(f"Riccati iterate exceeded {BLOWUP_LIMIT:.0e} at t = {(step - 1) * h:.6g}")
         traj[step - 1] = k
@@ -551,25 +602,32 @@ def test_a_diverging_solve_stops_within_one_check_block(first_bad):
 
 
 def _cached_stage_replay(lq, stage_gains, n_steps):
-    """The fixed-feedback replay with its closed-loop terms built stage by stage.
+    """The fixed-feedback replay with its stage maps on z built stage by stage.
 
-    RK4 asks for each interior stage twice in a row, so the last two stages'
-    terms are cached.
+    Stage j's map is the Riccati table's linear rows, plus the vech of
+    -(BF)^T E - E BF for each basis matrix E of z in its rows, plus
+    vech F^T R F added to its row 0. RK4 asks for each interior stage twice
+    in a row, so the last two stages' maps are cached.
     """
-    op = _linear_operator(lq.a, lq.c, lq.rates)
+    g, pos, pick, e = _riccati_table([lq])
+    m1 = pick.size + 1
+
+    def vech(x):
+        return x.reshape(*x.shape[:-3], -1)[..., pick]
 
     @lru_cache(maxsize=2)
     def stage(j):
-        f = stage_gains[j]
-        return (lq.b @ f).swapaxes(-1, -2), f.swapaxes(-1, -2) @ lq.r @ f + lq.q
+        f = stage_gains[j]  # (blocks, N, l, d)
+        bf = lq.b @ f
+        maps = np.zeros((f.shape[0], m1, m1))
+        for a in range(m1 - 1):
+            maps[:, 1 + a, 1:] = vech(-(bf.swapaxes(-1, -2) @ e[a]) - e[a] @ bf)
+        maps += g[0, :m1]
+        maps[:, 0, 1:] += vech(f.swapaxes(-1, -2) @ lq.r @ f)
+        return maps
 
-    def rhs(j, m):
-        bf_t, w = stage(j)
-        bf_m = bf_t @ m
-        return _apply(op, m) + w - bf_m - bf_m.swapaxes(-1, -2)
-
-    terminal = np.broadcast_to(lq.p, (*stage_gains.shape[1:-2], lq.dim, lq.dim))
-    return _per_step_rk4(rhs, terminal, lq.horizon, n_steps)
+    terminal = np.broadcast_to(_augment(lq.p, pick), (*stage_gains.shape[1:-3], 1, m1))
+    return _per_step_rk4(lambda j, z: z @ stage(j), terminal, lq.horizon, n_steps)[..., 0, pos]
 
 
 def _stage_gains(lq, n_steps, scales):
@@ -593,3 +651,49 @@ def test_stage_tables_replay_equals_the_stage_by_stage_replay(ref_lq, which):
     assert np.array_equal(got, _cached_stage_replay(lq, stacked, n_steps))
     for b in range(stacked.shape[1]):
         assert np.array_equal(got[:, b], _feedback_cost_stack(lq, stacked[:, b:b + 1], n_steps)[:, 0])
+
+
+# ---------------------------------------------------------------------------
+# step counts
+
+
+def _three_solves(ref_lq, steps):
+    """The three entry points that take a Riccati step count."""
+    from switchsde import PerturbationSchedule, sweep_lq_finite_horizon
+
+    gains = lq_feedback(solve_coupled_riccati(ref_lq, n_steps=16), ref_lq)
+    sched = PerturbationSchedule("rates", 2, d_m=np.array([[0.0, 0.5], [1.0, 0.0]]))
+    return {
+        "riccati": lambda: solve_coupled_riccati(ref_lq, steps).k,
+        "feedback": lambda: fixed_feedback_cost(ref_lq, gains, steps).k,
+        "sweep": lambda: np.array(list(sweep_lq_finite_horizon(ref_lq, sched, [1.0, 0.5], 2, steps=steps).csv_rows()),
+                                  dtype=object),
+    }
+
+
+@pytest.mark.parametrize("steps", [100.5, np.float64(50.5), np.inf, np.nan, "100"])
+@pytest.mark.parametrize("which", ["riccati", "feedback", "sweep"])
+def test_a_step_count_that_is_not_whole_is_a_step_error(ref_lq, which, steps):
+    with pytest.raises(StepError, match="whole number of steps") as info:
+        _three_solves(ref_lq, steps)[which]()
+    assert info.value.code == "E_STEP"
+
+
+@pytest.mark.parametrize("which", ["riccati", "feedback", "sweep"])
+def test_a_whole_valued_real_step_count_is_taken_as_its_int(ref_lq, which):
+    got = _three_solves(ref_lq, 100.0)[which]()
+    assert np.array_equal(got, _three_solves(ref_lq, 100)[which]())
+    assert np.array_equal(_three_solves(ref_lq, np.float64(100.0))[which](), got)
+
+
+@pytest.mark.parametrize("which", ["riccati", "feedback", "sweep"])
+def test_a_step_count_beyond_the_bound_is_refused_before_allocating(ref_lq, which):
+    solve = _three_solves(ref_lq, 10 * MAX_RICCATI_STEPS)[which]
+    tracemalloc.start()
+    try:
+        with pytest.raises(StepError, match="beyond the step bound"):
+            solve()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20  # 10^8 steps would ask for gigabytes
