@@ -18,6 +18,7 @@ from switchsde import (
     FeedbackTrajectory,
     GeneratorSpec,
     LQSpec,
+    PerturbationSchedule,
     RatesError,
     RiccatiTrajectory,
     RunningCost,
@@ -30,6 +31,7 @@ from switchsde import (
     lq_from_model,
     riccati_defect,
     solve_coupled_riccati,
+    sweep_lq_finite_horizon,
 )
 from switchsde.riccati import (
     BLOWUP_CHECK_STEPS,
@@ -659,8 +661,6 @@ def test_stage_tables_replay_equals_the_stage_by_stage_replay(ref_lq, which):
 
 def _three_solves(ref_lq, steps):
     """The three entry points that take a Riccati step count."""
-    from switchsde import PerturbationSchedule, sweep_lq_finite_horizon
-
     gains = lq_feedback(solve_coupled_riccati(ref_lq, n_steps=16), ref_lq)
     sched = PerturbationSchedule("rates", 2, d_m=np.array([[0.0, 0.5], [1.0, 0.0]]))
     return {
