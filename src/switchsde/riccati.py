@@ -296,12 +296,42 @@ def _integrate_backward(rhs, terminal: np.ndarray, horizon: float, n_steps: int)
     return traj
 
 
-def _solve_stack(lqs, n_steps: int) -> np.ndarray:
-    """K for models sharing one horizon, in one RK4: (n_steps + 1, len(lqs), N, d, d)."""
+def _solve_z(lqs, n_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(z, G, pos) of models sharing one horizon, z (n_steps + 1, len(lqs), m+1) from one RK4."""
     g, pos, pick, _ = _riccati_table(lqs)
     terminal = _augment(np.stack([lq.p for lq in lqs]), pick)
     traj = _integrate_backward(_table_rhs(g, terminal.shape[:-2]), terminal, lqs[0].horizon, n_steps)
-    return traj[..., 0, pos]
+    return traj[..., 0, :], g, pos
+
+
+def _solve_stack(lqs, n_steps: int) -> np.ndarray:
+    """K for models sharing one horizon, in one RK4: (n_steps + 1, len(lqs), N, d, d)."""
+    z, _, pos = _solve_z(lqs, n_steps)
+    return z[..., pos]
+
+
+def _stage_stack(lqs, n_steps: int) -> np.ndarray:
+    """K at the 2 n_steps + 1 RK4 stage times t_j = j*T/(2 n_steps): (2 n_steps + 1, len(lqs), N, d, d).
+
+    One n_steps RK4 gives the even stages. Between nodes k and k+1 the cubic
+    Hermite interpolant on the equation's own slopes zdot = -g(z) gives
+    z_{k+1/2} = (z_k + z_{k+1})/2 + (h/8)(zdot_k - zdot_{k+1}), fourth order
+    like the RK4 itself. Each model's slopes at a span of nodes are one
+    matmul with its table; the span is half a check block, so the (m+1)^2
+    outer products take a quarter of the memory of the replay's stage maps.
+    """
+    z, g, pos = _solve_z(lqs, n_steps)
+    eighth = lqs[0].horizon / n_steps / 8.0
+    span = BLOWUP_CHECK_STEPS // 2
+    k = np.empty((2 * n_steps + 1, *z.shape[1:-1], *pos.shape))
+    for lo in range(0, n_steps, span):
+        hi = min(lo + span, n_steps)  # node hi is also the next span's first
+        nodes = z[lo:hi + 1]
+        zt = np.ascontiguousarray(nodes.swapaxes(0, 1))  # (models, nodes, m+1)
+        gz = ((zt[..., :, None] * zt[..., None, :]).reshape(*zt.shape[:-1], -1) @ g).swapaxes(0, 1)
+        k[2 * lo:2 * hi + 1:2] = nodes[..., pos]
+        k[2 * lo + 1:2 * hi:2] = (0.5 * (nodes[:-1] + nodes[1:]) + eighth * (gz[1:] - gz[:-1]))[..., pos]
+    return k
 
 
 def _check_steps(n_steps) -> int:
@@ -363,7 +393,9 @@ def _feedback_cost_stack(lq: LQSpec, stage_gains: np.ndarray, n_steps: int) -> n
         return z @ maps[j - lo]
 
     terminal = np.broadcast_to(_augment(lq.p, pick), (*stage_gains.shape[1:-3], 1, m1))
-    return _integrate_backward(rhs, terminal, lq.horizon, n_steps)[..., 0, pos]
+    z = _integrate_backward(rhs, terminal, lq.horizon, n_steps)
+    maps = None  # the last block's maps go before the expansion
+    return z[..., 0, pos]
 
 
 def fixed_feedback_cost(lq: LQSpec, feedback: FeedbackTrajectory, n_steps: int = 400) -> RiccatiTrajectory:

@@ -14,6 +14,7 @@ true row and the rows whose replay input differs; the rest copy its result.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -90,13 +91,31 @@ def _schedule_rows(true_model, sched: PerturbationSchedule, models: list) -> tup
 
 
 def _spectral_gaps(stack: np.ndarray) -> np.ndarray:
-    """max over times and regimes of ||stack[:, b] - stack[:, -1]||_2 per block b, by Gram eigenvalues;
-    GAP_CHUNK time nodes at a time bound the memory, and eigvalsh works per matrix, so no bit changes."""
-    top = np.full(stack.shape[1], -np.inf)
-    for t in range(0, len(stack), GAP_CHUNK):
-        g = stack[t:t + GAP_CHUNK] - stack[t:t + GAP_CHUNK, -1:]
-        g = g @ g.swapaxes(-1, -2) if g.shape[-2] <= g.shape[-1] else g.swapaxes(-1, -2) @ g
-        top = np.maximum(top, np.linalg.eigvalsh(g)[..., -1].max(axis=(0, 2)))
+    """max over times and regimes of ||stack[:, b] - stack[:, -1]||_2 per block b, by Gram eigenvalues.
+
+    The top eigenvalue is at most the trace ||D||_F^2, so per block eigvalsh
+    runs at the entry of largest trace, then only where the trace exceeds
+    that eigenvalue less a 1e-12 share (far above the rounding of either).
+    eigvalsh works per matrix, so the maximum is the float every entry gives.
+    At most GAP_CHUNK time nodes are differenced at once.
+    """
+    n_t, n_b, n_r, rows, cols = stack.shape
+
+    def top_eig(t, b, i):  # largest Gram eigenvalue of each entry (t[e], b[e], i[e])
+        g = stack[t, b, i] - stack[t, -1, i]
+        g = g @ g.swapaxes(-1, -2) if rows <= cols else g.swapaxes(-1, -2) @ g
+        return np.linalg.eigvalsh(g)[:, -1]
+
+    chunks = range(0, n_t, GAP_CHUNK)
+    trace = np.concatenate([
+        np.square(stack[t:t + GAP_CHUNK] - stack[t:t + GAP_CHUNK, -1:]).sum(axis=(-2, -1)) for t in chunks
+    ])  # (times, blocks, regimes)
+    t, i = np.unravel_index(trace.swapaxes(0, 1).reshape(n_b, -1).argmax(axis=1), (n_t, n_r))
+    top = top_eig(t, np.arange(n_b), i)
+    floor = (top * (1.0 - 1e-12))[:, None]
+    for t0 in chunks:
+        t, b, i = np.nonzero(trace[t0:t0 + GAP_CHUNK] > floor)
+        np.maximum.at(top, b, top_eig(t0 + t, b, i))
     return np.sqrt(np.maximum(0.0, top))
 
 
@@ -136,36 +155,46 @@ def sweep_lq_finite_horizon(
     """Finite-horizon LQ sweep with exact (ODE-based) performance loss.
 
     Per row: the coupled Riccati solution K_n of the perturbed model,
-    value_gap = max over time nodes and regimes of ||K_n - K||_2, replay
-    the perturbed feedback in the true model through the fixed-feedback
-    matrix ODE, policy_loss = x0' (M_n(0,i0) - M*(0,i0)) x0 where M* is the
-    true feedback pushed through the same ODE (equal to K in exact
-    arithmetic), aux = sup_t ||F_n - F||_2. No Monte Carlo enters.
+    value_gap = max over the RK4 stage times and regimes of ||K_n - K||_2,
+    replay the perturbed feedback in the true model through the
+    fixed-feedback matrix ODE, policy_loss = x0' (M_n(0,i0) - M*(0,i0)) x0
+    where M* is the true feedback pushed through the same ODE (equal to K in
+    exact arithmetic), aux = sup_t ||F_n - F||_2 over the same times. No
+    Monte Carlo enters.
 
     The rows' models are stacked on a leading axis and solved by one
-    Riccati RK4 and one fixed-feedback RK4. The true model is the last
-    block and serves the reference K and the base cost M*, so its own
-    row's gaps are exactly zero. More than MAX_RICCATI_STEPS steps is E_STEP.
+    Riccati RK4 of ``steps`` steps, whose cubic Hermite midpoints give K at
+    the replay's half steps, and one fixed-feedback RK4 on the same grid;
+    solver_iters is ``steps``. The true model is the last block and serves
+    the reference K and the base cost M*, so its own row's gaps are exactly
+    zero. An x0 that is not dim finite numbers, or an i0 that is not a whole
+    regime number, is E_SHAPE before any solve; more than
+    MAX_RICCATI_STEPS steps is E_STEP.
     """
-    from .riccati import _check_steps, _feedback_cost_stack, _solve_stack
+    from .riccati import _check_steps, _feedback_cost_stack, _stage_stack
 
     steps = _check_steps(steps)
-    x0 = np.asarray(x0, dtype=np.float64).reshape(true_lq.dim)
-    if not 1 <= i0 <= true_lq.n_regimes:
-        raise ShapeError(f"regime {i0} out of range")
+    try:
+        x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
+    except (TypeError, ValueError):
+        raise ShapeError(f"x0 must be {true_lq.dim} finite numbers, got {x0!r}") from None
+    if x0.shape != (true_lq.dim,) or not np.isfinite(x0).all():
+        raise ShapeError(f"x0 must be {true_lq.dim} finite numbers, got {x0.tolist()}")
+    if not (isinstance(i0, numbers.Real) and i0 % 1 == 0 and 1 <= i0 <= true_lq.n_regimes):
+        raise ShapeError(f"regime {i0!r} out of range: i0 must be a whole number in 1..{true_lq.n_regimes}")
+    i0 = int(i0)
     deltas, stack = _schedule_rows(true_lq, sched, perturbed_lq_sequence(true_lq, sched))
-    # gains on a doubled grid so the replay ODE sees exact half-step values
-    k = _solve_stack(stack, 2 * steps)  # (2 steps + 1, models, N, d, d)
+    # K at the replay's RK4 stage times: nodes of one solve, Hermite midpoints between them
+    k = _stage_stack(stack, steps)  # (2 steps + 1, models, N, d, d)
     value_gap = _spectral_gaps(k).tolist()
     gains = np.stack([lq.r_inv_bt() for lq in stack]) @ k
     del k  # free the Riccati stack before the replay allocates its own
     aux = _spectral_gaps(gains).tolist()
-    # the doubled grid is the replay's RK4 stage grid, so gains are stage gains
     m0 = _feedback_cost_stack(true_lq, gains, steps)[0, :, i0 - 1]
     cost = x0 @ m0 @ x0  # (models,)
 
     rows = [
-        SweepRow(n, delta, value_gap[n], float(cost[n] - cost[-1]), aux[n], solver_iters=2 * steps)
+        SweepRow(n, delta, value_gap[n], float(cost[n] - cost[-1]), aux[n], solver_iters=steps)
         for n, delta in enumerate(deltas)
     ]
     return SweepReport(criterion="lq-finite-horizon", rows=tuple(rows))

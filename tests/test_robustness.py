@@ -20,6 +20,7 @@ from switchsde import (
     MaxIterError,
     PerturbationSchedule,
     RegimeSet,
+    RiccatiTrajectory,
     RunningCost,
     ShapeError,
     TerminalCost,
@@ -37,8 +38,9 @@ from switchsde import (
     solve_exit,
     solve_finite_horizon,
 )
-from switchsde import hjbgrid, robustness
+from switchsde import hjbgrid, riccati, robustness
 from switchsde.hjbgrid import _evaluate, _Tables
+from switchsde.riccati import _stage_stack
 from switchsde.robustness import (
     GAP_CHUNK,
     SWEEP_HEADER,
@@ -104,15 +106,31 @@ CRITERION_4 = PerturbationSchedule(
 LQ_ARRAYS = ("a", "b", "c", "q", "r", "p", "rates")
 
 
+def _hermite_stage_k(lq, steps):
+    """K at the 2 steps + 1 RK4 stage times: the nodes of solve_coupled_riccati(lq, steps) and,
+    between them, cubic Hermite midpoints on slopes from the textbook full-matrix right side."""
+    k = solve_coupled_riccati(lq, n_steps=steps).k
+    t = lambda x: np.swapaxes(x, -1, -2)
+    s = lq.b @ np.linalg.inv(lq.r) @ t(lq.b)
+    k_dot = -(t(lq.a) @ k + k @ lq.a + t(lq.c) @ k @ lq.c - k @ s @ k + lq.q
+              + np.einsum("ij,tjpq->tipq", lq.rates, k))
+    stage = np.empty((2 * steps + 1, *k.shape[1:]))
+    stage[::2] = k
+    stage[1::2] = 0.5 * (k[:-1] + k[1:]) + (lq.horizon / steps / 8.0) * (k_dot[:-1] - k_dot[1:])
+    return stage
+
+
 def _rowwise_lq_sweep(true_lq, sched, x0, i0, steps):
-    """(value_gap, policy_loss, aux) per row, one model at a time."""
+    """(value_gap, policy_loss, aux) per row, one model at a time: K and the gains at the
+    replay's stage times, the gains replayed in the true model by fixed_feedback_cost."""
     x0 = np.asarray(x0, dtype=np.float64)
+    stage_times = np.linspace(0.0, true_lq.horizon, 2 * steps + 1)
 
     def solve(lq):
-        traj = solve_coupled_riccati(lq, n_steps=2 * steps)
-        gains = lq_feedback(traj, lq)
+        k = _hermite_stage_k(lq, steps)
+        gains = lq_feedback(RiccatiTrajectory(times=stage_times, k=k), lq)
         m = fixed_feedback_cost(true_lq, gains, n_steps=steps)
-        return traj.k, gains.gains, float(x0 @ m.k[0, i0 - 1] @ x0)
+        return k, gains.gains, float(x0 @ m.k[0, i0 - 1] @ x0)
 
     def gap(a, b):
         return float(np.max(np.linalg.norm(a - b, ord=2, axis=(-2, -1))))
@@ -142,20 +160,85 @@ def test_stacked_lq_sweep_matches_rowwise_reference(ref_lq, which):
     )
 
 
-@settings(max_examples=60, deadline=None)
-@given(
+def test_hermite_midpoints_converge_at_fourth_order(ref_lq):
+    # the midpoints against K at the same times from a solve on twice as many steps
+    errs = [
+        np.abs(_stage_stack([ref_lq], n)[1::2, 0] - solve_coupled_riccati(ref_lq, n_steps=2 * n).k[1::2]).max()
+        for n in (100, 200, 400)
+    ]
+    orders = np.log2(np.array(errs[:-1]) / errs[1:])
+    assert np.all(np.abs(orders - 4.0) <= 0.5), orders
+
+
+def test_lq_sweep_losses_and_gain_gaps_converge_at_fourth_order(ref_lq):
+    def columns(steps):
+        rep = sweep_lq_finite_horizon(ref_lq, CRITERION_4, x0=[1.0, 0.5], i0=2, steps=steps)
+        return np.column_stack([rep.column("policy_loss"), rep.column("aux")])
+
+    fine = columns(3200)
+    steps = np.array([100, 200, 400])
+    errs = np.array([np.abs(columns(n) - fine).max(axis=0) for n in steps])
+    orders = -np.polyfit(np.log2(steps), np.log2(errs), 1)[0]
+    assert np.all(np.abs(orders - 4.0) <= 0.5), orders
+
+
+@pytest.mark.parametrize("steps", [10, 100])
+def test_lq_rows_report_the_riccati_steps_run(ref_lq, lq_schedule, monkeypatch, steps):
+    runs = []
+    integrate = riccati._integrate_backward
+
+    def counted(rhs, terminal, horizon, n_steps):
+        runs.append(n_steps)
+        return integrate(rhs, terminal, horizon, n_steps)
+
+    monkeypatch.setattr(riccati, "_integrate_backward", counted)
+    rep = sweep_lq_finite_horizon(ref_lq, lq_schedule, x0=[1.0, 0.5], i0=1, steps=steps)
+    assert runs == [steps, steps]  # the Riccati solve, then the replay
+    assert [r.solver_iters for r in rep.rows] == [steps] * len(rep.rows)
+
+
+@pytest.mark.parametrize("x0,i0", [([1.0, 2.0, 3.0], 1), ([1.0, np.nan], 1), ([1.0, 0.5], 1.5)],
+                         ids=["x0-too-long", "x0-not-finite", "i0-not-whole"])
+def test_lq_sweep_start_that_is_not_a_state_and_regime_is_a_shape_error(ref_lq, lq_schedule, monkeypatch,
+                                                                         x0, i0):
+    def no_solve(*args):
+        raise AssertionError("a solve ran before the start was checked")
+
+    monkeypatch.setattr(riccati, "_integrate_backward", no_solve)
+    with pytest.raises(ShapeError) as info:
+        sweep_lq_finite_horizon(ref_lq, lq_schedule, x0=x0, i0=i0, steps=100)
+    assert info.value.code == "E_SHAPE"
+
+
+def _gap_stack(shape, d, n_regimes, log_scale, seed, n_times, tied=False):
+    """(stack, rows, cols): 5 blocks of n_times matrices, block 1 equal to the reference, the last
+    block. Tied stacks have entries in {-1, 0, 1} times a power of two, so many of their
+    differences have exactly equal traces but different largest Gram eigenvalues."""
+    rng = np.random.default_rng(seed)
+    rows, cols = {"symmetric": (d, d), "row": (1, d), "column": (d, 1),
+                  "general": tuple(rng.integers(1, 5, size=2))}[shape]
+    size = (n_times, 5, n_regimes, rows, cols)
+    if tied:
+        stack = 2.0 ** round(log_scale) * rng.integers(-1, 2, size=size).astype(np.float64)
+    else:
+        stack = 10.0**log_scale * rng.normal(size=size)
+    if shape == "symmetric":
+        stack = stack + stack.swapaxes(-1, -2)
+    stack[:, 1] = stack[:, -1]
+    return stack, rows, cols
+
+
+GAP_STACKS = dict(
     shape=st.sampled_from(["symmetric", "row", "column", "general"]), d=st.integers(1, 4),
     n_regimes=st.integers(1, 3), log_scale=st.floats(-8.0, 3.0), seed=st.integers(0, 2**32 - 1),
     n_times=st.sampled_from([7, 2 * GAP_CHUNK + 3]),
 )
+
+
+@settings(max_examples=60, deadline=None)
+@given(**GAP_STACKS)
 def test_spectral_gaps_match_the_blockwise_two_norm(shape, d, n_regimes, log_scale, seed, n_times):
-    rng = np.random.default_rng(seed)
-    rows, cols = {"symmetric": (d, d), "row": (1, d), "column": (d, 1),
-                  "general": tuple(rng.integers(1, 5, size=2))}[shape]
-    stack = 10.0**log_scale * rng.normal(size=(n_times, 5, n_regimes, rows, cols))
-    if shape == "symmetric":
-        stack = stack + stack.swapaxes(-1, -2)
-    stack[:, 1] = stack[:, -1]  # block 1 equals the reference, the last block
+    stack, rows, cols = _gap_stack(shape, d, n_regimes, log_scale, seed, n_times)
     got = _spectral_gaps(stack)
     expect = np.linalg.norm(stack - stack[:, -1:], ord=2, axis=(-2, -1)).max(axis=(0, 2))
     assert got[1] == 0.0 and got[-1] == 0.0 and not np.signbit(got).any()
@@ -164,6 +247,23 @@ def test_spectral_gaps_match_the_blockwise_two_norm(shape, d, n_regimes, log_sca
     g = stack - stack[:, -1:]
     g = g @ g.swapaxes(-1, -2) if rows <= cols else g.swapaxes(-1, -2) @ g
     assert np.array_equal(got, np.sqrt(np.maximum(0.0, np.linalg.eigvalsh(g)[..., -1].max(axis=(0, 2)))))
+
+
+def _unpruned_gaps(stack):
+    """The largest Gram eigenvalue of every entry, GAP_CHUNK time nodes at a time, maximized per block."""
+    top = np.full(stack.shape[1], -np.inf)
+    for t in range(0, len(stack), GAP_CHUNK):
+        g = stack[t:t + GAP_CHUNK] - stack[t:t + GAP_CHUNK, -1:]
+        g = g @ g.swapaxes(-1, -2) if g.shape[-2] <= g.shape[-1] else g.swapaxes(-1, -2) @ g
+        top = np.maximum(top, np.linalg.eigvalsh(g)[..., -1].max(axis=(0, 2)))
+    return np.sqrt(np.maximum(0.0, top))
+
+
+@settings(max_examples=80, deadline=None)
+@given(**GAP_STACKS, tied=st.booleans())
+def test_pruned_spectral_gaps_equal_an_unpruned_evaluation(shape, d, n_regimes, log_scale, seed, n_times, tied):
+    stack, _, _ = _gap_stack(shape, d, n_regimes, log_scale, seed, n_times, tied)
+    assert np.array_equal(_spectral_gaps(stack), _unpruned_gaps(stack))
 
 
 @pytest.mark.parametrize(
