@@ -9,7 +9,6 @@ identical no matter how paths are batched or scheduled.
 from __future__ import annotations
 
 import math
-import numbers
 import warnings
 from dataclasses import dataclass
 
@@ -17,7 +16,7 @@ import numpy as np
 
 from .errors import CapFractionWarning, ShapeError, UnboundedError
 from .io import write_csv
-from .model import FloatArray, ModelSpec
+from .model import FloatArray, ModelSpec, _whole
 from .simulate import BatchStepper, _cap_steps, _check_step_budget, _n_steps_for, outside_interval
 
 DEFAULT_BATCH = 16384
@@ -90,7 +89,7 @@ def _check_counts(n_paths: int, batch: int) -> tuple[int, int]:
     """n_paths and batch as ints; each must be a whole number >= 1 (10.0 is 10),
     and n_paths at most MAX_PATHS."""
     for v in (n_paths, batch):
-        if not (isinstance(v, numbers.Real) and v % 1 == 0 and v >= 1):
+        if not (_whole(v) and v >= 1):
             raise ShapeError(f"n_paths = {n_paths} and batch = {batch} must both be >= 1 and whole")
     if n_paths > MAX_PATHS:
         raise ShapeError(f"n_paths = {n_paths} is beyond the path bound {MAX_PATHS}")

@@ -47,7 +47,6 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
-import numbers
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -64,7 +63,7 @@ from .errors import (
     UnboundedError,
 )
 from .io import write_csv
-from .model import FloatArray, ModelSpec, _freeze
+from .model import FloatArray, ModelSpec, _freeze, _whole
 
 GRID_HEADER = "criterion,regime,x,value,action_index"
 GRID_HEADER_T = "criterion,regime,x,value,action_index,t"
@@ -86,7 +85,7 @@ class Grid1D:
 
     def __post_init__(self):
         n_x = self.n_x
-        if not (isinstance(n_x, numbers.Integral) or isinstance(n_x, numbers.Real) and float(n_x).is_integer()):
+        if not _whole(n_x):
             raise ShapeError(f"grid needs a whole number n_x of nodes, got {n_x!r}")
         if n_x < 11:
             raise ShapeError("grid needs at least 11 nodes")
@@ -705,7 +704,7 @@ def _time_levels(tab: _Tables, n_t: int | None) -> tuple:
     T = _shared(tab.specs, "horizon")
     if n_t is None:
         n_t = max(int(np.ceil(T / 0.05)), 10)
-    if not (isinstance(n_t, numbers.Real) and float(n_t).is_integer() and n_t >= 1):
+    if not (_whole(n_t) and n_t >= 1):
         raise StepError(f"finite-horizon solve needs a whole number n_t >= 1 of time levels, got {n_t}")
     n_t = int(n_t)
     dt = T / n_t

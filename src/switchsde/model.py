@@ -21,6 +21,7 @@ and the grid solver.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import MISSING, dataclass, replace
 from operator import attrgetter
 from typing import NamedTuple
@@ -46,6 +47,32 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.asarray(a, dtype=np.float64)
     a.setflags(write=False)
     return a
+
+
+def _whole(v) -> bool:
+    """v is a real number with no fractional part; callers take a whole
+    float such as 3.0 as its int."""
+    return isinstance(v, numbers.Real) and v % 1 == 0
+
+
+def _check_start(x0, i0, dim: int, n_regimes: int, rows: tuple = ()) -> tuple[FloatArray, np.ndarray]:
+    """A start point as (x, s): x0 as a (dim,) float array, E_SHAPE unless
+    it is dim finite numbers, and i0 as int64 regimes of shape ``rows``,
+    E_SHAPE unless it is one whole regime number in 1..n_regimes (2.0 is 2)
+    or an array of them that broadcasts to ``rows``."""
+    try:
+        x = np.atleast_1d(np.asarray(x0, dtype=np.float64))
+    except (TypeError, ValueError):
+        raise ShapeError(f"x0 must be {dim} finite numbers, got {x0!r}") from None
+    if x.shape != (dim,) or not np.isfinite(x).all():
+        raise ShapeError(f"x0 has shape {x.shape} and entries {x.tolist()}; it must be {dim} finite numbers")
+    s = np.asarray(i0)
+    if s.dtype.kind in "iuf" and np.all((1 <= s) & (s <= n_regimes) & (s == np.floor(s))):
+        try:
+            return x, np.broadcast_to(s, rows).astype(np.int64)
+        except ValueError:
+            pass
+    raise ShapeError(f"regime {i0!r} out of range: i0 must be a whole number in 1..{n_regimes}, or one per path")
 
 
 # ---------------------------------------------------------------------------
@@ -882,8 +909,9 @@ class PerturbationSchedule:
         for key, direction in DIRECTIONS.items():
             if getattr(self, key) is not None and self.mode not in direction.modes:
                 raise ConfigError(f"mode '{self.mode}' does not apply '{key}'", f"schedule.{key}")
-        if self.n_max < 0:
-            raise ConfigError("n_max must be >= 0", "schedule.n_max")
+        if not (_whole(self.n_max) and self.n_max >= 0):
+            raise ConfigError(f"n_max must be a whole number >= 0, got {self.n_max!r}", "schedule.n_max")
+        object.__setattr__(self, "n_max", int(self.n_max))
         if self.magnitudes is None:
             # 2^-1075 rounds to 0, so n_max = 1075 has the one final 0 allowed
             if self.n_max > 1075:

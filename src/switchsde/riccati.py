@@ -27,14 +27,13 @@ over blocks of BLOWUP_CHECK_STEPS stored iterates, stopping within a block.
 
 from __future__ import annotations
 
-import numbers
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import BlowupError, ConfigError, EigError, ShapeError, StepError
-from .model import EIG_FLOOR, FloatArray, ModelSpec, _check_rates, _check_sym, _freeze
+from .model import EIG_FLOOR, FloatArray, ModelSpec, _check_rates, _check_sym, _freeze, _whole
 
 BLOWUP_LIMIT = 1e12
 BLOWUP_CHECK_STEPS = 64  # RK4 steps between two blow-up checks
@@ -336,7 +335,7 @@ def _stage_stack(lqs, n_steps: int) -> np.ndarray:
 
 def _check_steps(n_steps) -> int:
     """n_steps as an int if whole (100.0 is 100) and at most MAX_RICCATI_STEPS, else E_STEP."""
-    if not (isinstance(n_steps, numbers.Real) and n_steps % 1 == 0):
+    if not _whole(n_steps):
         raise StepError(f"Riccati solves need a whole number of steps, got {n_steps!r}")
     if n_steps > MAX_RICCATI_STEPS:
         raise StepError(f"{n_steps} Riccati steps is beyond the step bound {MAX_RICCATI_STEPS}")

@@ -14,13 +14,12 @@ true row and the rows whose replay input differs; the rest copy its result.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ConfigError
 from .hjbgrid import (
     Grid1D,
     _backward,
@@ -37,6 +36,7 @@ from .model import (
     GRID_CRITERIA,
     ModelSpec,
     PerturbationSchedule,
+    _check_start,
     _checked,
     _shift,
     make_perturbation_sequence,
@@ -174,15 +174,7 @@ def sweep_lq_finite_horizon(
     from .riccati import _check_steps, _feedback_cost_stack, _stage_stack
 
     steps = _check_steps(steps)
-    try:
-        x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
-    except (TypeError, ValueError):
-        raise ShapeError(f"x0 must be {true_lq.dim} finite numbers, got {x0!r}") from None
-    if x0.shape != (true_lq.dim,) or not np.isfinite(x0).all():
-        raise ShapeError(f"x0 must be {true_lq.dim} finite numbers, got {x0.tolist()}")
-    if not (isinstance(i0, numbers.Real) and i0 % 1 == 0 and 1 <= i0 <= true_lq.n_regimes):
-        raise ShapeError(f"regime {i0!r} out of range: i0 must be a whole number in 1..{true_lq.n_regimes}")
-    i0 = int(i0)
+    x0, i0 = _check_start(x0, i0, true_lq.dim, true_lq.n_regimes)
     deltas, stack = _schedule_rows(true_lq, sched, perturbed_lq_sequence(true_lq, sched))
     # K at the replay's RK4 stage times: nodes of one solve, Hermite midpoints between them
     k = _stage_stack(stack, steps)  # (2 steps + 1, models, N, d, d)

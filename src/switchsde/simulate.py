@@ -12,11 +12,13 @@ below one quarter.
 Jumps are driven by clocks rather than a per-step uniform. Each path holds
 a uniform clock W = 1 - v in (0, 1]; a clock of per-step probability p
 rings at the first step at which (1 - p)^n, n the steps since its last
-ring, drops below W, so it rings at each step with probability exactly p.
-The product is entry n - 1 of the table cumprod(1 - p), equal to the
-per-step product bit for bit, so a binary search finds a block's rings
-when its draws are made, once per ring rather than once per step. A ring
-takes two uniforms: a pick, which decides the jump, and the next clock.
+ring, drops below W, so it rings at each step with probability exactly p,
+up to the rounding of one log. Its wait, the count of n >= 1 with
+(1 - p)^n >= W, is floor(log W / log(1 - p)), a geometric variate by
+inversion, so each path keeps only the step its next ring is due, and a
+block's rings are found when its draws are made, once per ring rather
+than once per step. A ring takes two uniforms: a pick, which decides the
+jump, and the next clock.
 
 Under a constant generator regime i has its own clock, p_i = out_i dt,
 every ring is a jump, and the pick chooses the destination from the
@@ -89,7 +91,7 @@ import numpy as np
 
 from .errors import NanError, ShapeError, StepError
 from .io import g17, write_csv
-from .model import ActionGrid, FloatArray, ModelSpec
+from .model import ActionGrid, FloatArray, ModelSpec, _check_start, _whole
 
 if TYPE_CHECKING:
     from .riccati import FeedbackTrajectory
@@ -150,14 +152,33 @@ def _register_stream() -> None:
 
 
 def make_rng_stream(seed: int, path_index: int) -> RngStream:
-    _check_key(int(seed), int(path_index), 1)
-    return RngStream(seed=int(seed), path_index=int(path_index))
+    return RngStream(*_check_key(seed, path_index, 1)[:2])
 
 
-def _check_key(seed: int, first: int, n: int) -> None:
-    """The seed and path indices first..first+n-1 are uint64 key words."""
+def _check_key(seed, first, n) -> tuple[int, int, int]:
+    """(seed, first, n) as ints, E_SHAPE unless each is a whole number
+    (3.0 is 3), n >= 1, and the seed and path indices first..first+n-1 are
+    uint64 key words."""
+    if not (_whole(seed) and _whole(first) and _whole(n) and n >= 1):
+        raise ShapeError(f"seed = {seed!r}, first path index = {first!r} and path count = {n!r} "
+                         "must be whole numbers, the count at least 1")
+    seed, first, n = int(seed), int(first), int(n)
     if not (0 <= seed < 2**64 and 0 <= first and first + n <= 2**64):
         raise ShapeError(f"seed = {seed} and path indices {first}..{first + n - 1} must lie in [0, 2**64)")
+    return seed, first, n
+
+
+NEVER = 2**62  # the wait of a clock that never rings; a block step plus it stays in int64
+
+
+def _wait(w: FloatArray, stay: FloatArray) -> np.ndarray:
+    """Whole steps each clock W waits before it rings: the count of n >= 1
+    with stay^n >= W, stay = 1 - p, which is floor(log W / log stay); a
+    clock with stay = 1 never rings and waits NEVER."""
+    wait = np.full(w.shape, NEVER, dtype=np.int64)
+    ring = stay < 1.0
+    wait[ring] = np.floor(np.log(w[ring]) / np.log(stay[ring]))
+    return wait
 
 
 # ---------------------------------------------------------------------------
@@ -273,13 +294,9 @@ class BatchStepper:
     beyond testing its candidates and writing the regimes of the rows that
     jump at it. The schedule's event rows, and a constant generator's
     destinations, are np.intp arrays, also once a mid-block compaction has
-    renumbered the rows, so applying them converts no index. The survival
-    tables are built per clock on first use, doubled as sojourns outgrow
-    them and cut at their first entry below 2**-53, where every clock has
-    rung; a regime with zero outflow has none. A table of 8-byte entries
-    is at most twice as long as the longest wait for its clock plus a
-    block, and never longer than its cut, about 37 / p entries; the worst
-    case is a slow clock, at 16 bytes per step of its longest wait.
+    renumbered the rows, so applying them converts no index. Between
+    refills a row's jump state is one integer, the block step its next ring
+    is due, whatever the length of its wait.
 
     A refill draws the normals on up to ``WORKERS`` threads, started for
     that refill and joined before it returns (see the module docstring);
@@ -311,29 +328,21 @@ class BatchStepper:
         self.t = 0.0
         self.d = spec.dim
         self.wd = spec.diffusion.wiener_dim
-        m = int(n_paths)
-        x0 = np.atleast_1d(np.asarray(x0, dtype=np.float64))
-        if x0.shape != (self.d,):
-            raise ShapeError(f"x0 has shape {x0.shape}, expected ({self.d},)")
+        seed, first, m = _check_key(seed, first_path_index, n_paths)
+        x0, i0 = _check_start(x0, i0, self.d, spec.regimes.count, (m,))
         self.x = np.tile(x0, (m, 1))
-        i0 = np.broadcast_to(np.asarray(i0, dtype=np.int64), (m,)).copy()
-        if np.any(i0 < 1) or np.any(i0 > spec.regimes.count):
-            raise ShapeError(f"i0 outside 1..{spec.regimes.count}")
         self.s = i0 - 1
         self.alive = np.ones(m, dtype=bool)
         self._n_alive = m
         self.original_index = np.arange(m, dtype=np.int64)
         # one generator per path, alive for the whole run; its first draw
         # sets the path's first jump clock
-        seed, first = int(seed), int(first_path_index)
-        _check_key(seed, first, m)
         keys = np.empty((m, 2), dtype=np.uint64)
         keys[:, 0] = seed
         keys[:, 1] = np.arange(m, dtype=np.uint64) + np.uint64(first)  # at most 2**64 - 1
         _register_stream()
         gen, philox = np.random.Generator, np.random.Philox
         self._gens = [gen(philox(_KeyRow(keys, p))) for p in range(m)]
-        self._clock = 1.0 - np.array([g.random() for g in self._gens])
         self.clamped_steps = 0
         self._pos = CHUNK  # forces a refill on the first step
         self._all_alive = True
@@ -361,12 +370,11 @@ class BatchStepper:
         self._thin = g_max > 1.0
         rate = off.sum(axis=1) * g_max
         if self._thin:
-            rate = rate.max(keepdims=True)
-            self._rbar = rate[0]
-        self._stay = 1.0 - rate * self.dt  # 1 - p per step, per clock
-        self._moving = np.flatnonzero(self._stay < 1.0)
-        self._tables = {}  # clock -> negated survival table
-        self._since = np.zeros(m, dtype=np.int64)  # steps since the last ring
+            self._rbar = rate.max()
+            rate = np.full_like(rate, self._rbar)
+        self._stay = 1.0 - rate * self.dt  # 1 - p per step of each regime's clock
+        # the block step of each row's next ring, set from the first clock
+        self._due = _wait(1.0 - np.array([g.random() for g in self._gens]), self._stay[self.s])
         p_max = 1.0 - self._stay.min()
         # jump uniforms per block: two per ring for the block's expected ring
         # count on the fastest clock plus four standard deviations
@@ -404,9 +412,7 @@ class BatchStepper:
             return
         bad = ~np.isfinite(self.x).all(axis=1)
         path = int(self.original_index[np.argmax(bad)])
-        raise NanError(
-            f"state became non-finite at or before t = {self.t:.6g} on path {path}"
-        )
+        raise NanError(f"state became non-finite at or before t = {self.t:.6g} on path {path}")
 
     def actions(self, policy) -> FloatArray:
         """The policy's actions for the current rows, clamped to the box;
@@ -457,9 +463,8 @@ class BatchStepper:
         self.s = self.s[rows]
         self.original_index = self.original_index[rows]
         self._cols = {name: col[rows] for name, col in self._cols.items()}
-        self._clock = self._clock[rows]
+        self._due = self._due[rows]
         self._gens = [self._gens[r] for r in rows]
-        self._since = self._since[rows]
         if pos < CHUNK:
             if self._normals is not None:
                 for r in range(pos, CHUNK, TILE):
@@ -527,58 +532,34 @@ class BatchStepper:
                 g.standard_normal(out=tile[t])
             self._normals[:, p0 : p0 + len(gens)] = tile[: len(gens)].swapaxes(0, 1)
 
-    def _table(self, i: int, need: int) -> FloatArray:
-        """Clock i's negated survival table, -cumprod(1 - p_i), with at
-        least ``need`` entries unless it ends at its first entry below
-        2**-53; every clock is at least that, so no path outlives it."""
-        tab = self._tables.get(i)
-        if tab is None or (tab.size < need and -tab[-1] >= 2.0**-53):
-            n = max(need, 2 * CHUNK if tab is None else 2 * tab.size)
-            tab = -np.cumprod(np.full(n, self._stay[i]))
-            tab = tab[: np.searchsorted(tab, -(2.0**-53), side="right") + 1]
-            self._tables[i] = tab
-        return tab
-
     def _schedule(self) -> None:
         """Find every jump, or thinning candidate, of the coming block.
 
-        Each round takes every row's next ring: the first survival-table
-        entry below the row's clock, counted from the row's wait so far,
-        gives the step. Rows whose ring falls past the block carry their
-        wait into the next one. A constant generator's ring moves the row
-        to its destination, on that regime's clock; a candidate keeps its
-        pick for the test at its step. The rings are kept sorted by step,
-        with one offset per step into them.
+        Each round takes every row whose next ring is due inside the block.
+        A constant generator's ring moves the row to its destination; a
+        candidate keeps its pick for the test at its step. The ring's clock
+        sets the row's next ring 1 + _wait steps later, on the clock of its
+        regime after the ring. Rows due past the block carry ``due`` into
+        the next one. The rings are kept sorted by step, with one offset per
+        step into them.
         """
-        s, since, clock = self.s.copy(), self._since, self._clock
-        key = np.zeros_like(s) if self._thin else s  # each row's clock
-        start = np.zeros(s.size, dtype=np.int64)  # first block step still unscanned
+        s, due = self.s.copy(), self._due
         self._jump_next = np.zeros(s.size, dtype=np.int64)  # each row's next supply uniform
-        rows = np.flatnonzero(self._stay[key] < 1.0)
         val_type = np.float64 if self._thin else np.intp  # a candidate's pick, or a destination
         found = [(np.empty(0, dtype=np.int16), np.empty(0, dtype=np.intp), np.empty(0, dtype=val_type))]
+        rows = np.flatnonzero(due < CHUNK)
         while rows.size:
-            kr, sn = key[rows], since[rows]
-            first = np.empty(rows.size, dtype=np.int64)
-            for i in self._moving:
-                sel = kr == i
-                if sel.any():
-                    tab = self._table(i, int(sn[sel].max()) + CHUNK)
-                    first[sel] = np.searchsorted(tab, -clock[rows[sel]], side="right")
-            at = start[rows] + first - sn
-            inside = at < CHUNK
-            late = rows[~inside]
-            since[late] += CHUNK - start[late]
-            rows, at = rows[inside], at[inside]
-            val, clock[rows] = self._draw_jumps(rows)
+            at = due[rows]
+            val, clock = self._draw_jumps(rows)
             if not self._thin:
                 cum = self._cum_off[s[rows]]
                 # the pick times the total outflow is uniform on [0, outflow)
                 val = np.argmax((val * cum[:, -1])[:, None] < cum, axis=1)
                 s[rows] = val
             found.append((at.astype(np.int16), rows, val))
-            since[rows], start[rows] = 0, at + 1
-            rows = rows[self._stay[key[rows]] < 1.0]  # not into a regime with no outflow
+            due[rows] = at + 1 + _wait(clock, self._stay[s[rows]])
+            rows = rows[due[rows] < CHUNK]
+        due -= CHUNK
         at, rows, dest = (np.concatenate(a) for a in zip(*found))
         order = np.argsort(at, kind="stable")
         self._ev_rows, self._ev_dest = rows[order], dest[order]
@@ -723,9 +704,7 @@ class PathSample:
         header = "t,regime," + ",".join(f"x_{j + 1}" for j in range(d)) + "," + ",".join(
             f"u_{j + 1}" for j in range(l)
         )
-        comments = [
-            f"#jump,{g17(t)},{i},{j}" for (t, i, j) in self.jumps
-        ]
+        comments = [f"#jump,{g17(t)},{i},{j}" for (t, i, j) in self.jumps]
         rows = []
         n = self.actions.shape[0]
         for k in range(self.times.size):

@@ -602,6 +602,16 @@ def test_default_magnitudes_keep_their_own_rule_up_to_n_max_1075():
     assert err.value.path == "schedule.magnitudes"
 
 
+@pytest.mark.parametrize("magnitudes", [None, [1.0, 0.5, 0.25]], ids=["default", "given"])
+def test_schedule_n_max_must_be_whole(magnitudes):
+    # 2.5 once built four default magnitudes, or blamed given ones for their length
+    with pytest.raises(ConfigError, match="whole number") as err:
+        PerturbationSchedule("rates", 2.5, magnitudes=magnitudes, d_m=np.zeros((2, 2)))
+    assert err.value.code == "E_CONFIG" and err.value.path == "schedule.n_max"
+    sched = PerturbationSchedule("rates", 2.0, magnitudes=magnitudes, d_m=np.zeros((2, 2)))
+    assert type(sched.n_max) is int and sched.n_max == 2 and sched.magnitudes.size == 3
+
+
 def test_schedule_rejects_nondecreasing_magnitudes():
     with pytest.raises(ConfigError):
         PerturbationSchedule(

@@ -4,6 +4,7 @@ import dataclasses
 import math
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,7 +34,7 @@ from switchsde import (
     simulate_exit_path,
     simulate_path,
 )
-from switchsde.simulate import CHUNK, MAX_STEPS, outside_interval
+from switchsde.simulate import CHUNK, MAX_STEPS, NEVER, _wait, outside_interval
 from switchsde import DiffusionFamily, DriftFamily, ModelSpec
 from conftest import bm_model, chain_model
 
@@ -119,14 +120,14 @@ def test_keys_at_the_ends_of_uint64_are_accepted(make_chain):
 @pytest.mark.parametrize("seed, first", [(0, 0), (2**64 - 1, 2**64 - 6)], ids=["bottom", "top"])
 def test_stepper_streams_are_the_rng_streams_of_their_keys(make_chain, seed, first):
     # the streams come from one (seed, path index) uint64 key table, exact at
-    # the top of the key range; the first draw of each set its first clock
+    # the top of the key range; the first draw of each sets its first ring
     m = 6
     eng = BatchStepper(make_chain(), [0.0], 1, 0.01, seed=seed, first_path_index=first, n_paths=m)
     halves = [BatchStepper(make_chain(), [0.0], 1, 0.01, seed=seed, first_path_index=first + h, n_paths=m // 2)
               for h in (0, m // 2)]
     for p in range(m):
         ref = simulate.RngStream(seed, first + p).generator()
-        assert eng._clock[p] == 1.0 - ref.random()
+        assert eng._due[p] == _wait(np.array([1.0 - ref.random()]), eng._stay[:1])[0]
         draws = ref.random(9)
         assert np.array_equal(eng._gens[p].random(9), draws)
         assert np.array_equal(halves[p // (m // 2)]._gens[p % (m // 2)].random(9), draws)
@@ -227,7 +228,8 @@ def test_zero_outflow_regime_never_jumps(kind):
     n_paths, n, dt = 500, 400, 0.02
     eng = BatchStepper(spec, [0.0], np.array([1, 2] * (n_paths // 2)), dt, seed=4,
                        n_paths=n_paths)
-    eng._clock[1::2] = 1.0  # even the highest clock stays unfired without outflow
+    # even the highest clock, W = 1, stays unfired without outflow
+    eng._due[1::2] = _wait(np.ones(n_paths // 2), eng._stay[eng.s[1::2]])
     u = np.zeros((n_paths, 1))
     arrived = eng.s == 1
     for _ in range(n):
@@ -328,19 +330,52 @@ def test_scheduled_events_index_as_intp(kind):
         assert dest.dtype == (np.intp if kind == "constant" else np.float64)
 
 
-def test_survival_tables_skip_still_regimes_and_stop_below_the_smallest_clock():
-    # regime 3 has no outflow and builds no table; regime 1's table ends at
-    # its first entry below 2**-53, the smallest clock, however much is asked
-    off = np.array([[0.0, 5.0, 5.0], [2.0, 0.0, 0.0], [0.0, 0.0, 0.0]])
-    spec = _switching_model(GeneratorSpec("constant", 3, rates=off - np.diag(off.sum(axis=1))))
-    eng = BatchStepper(spec, [0.0], np.arange(30) % 3 + 1, 0.005, seed=2, n_paths=30)
-    for _ in range(CHUNK + 1):
-        eng.step(np.zeros((30, 1)))
-    assert sorted(eng._tables) == [0, 1]
-    tab = -eng._table(0, 8 * CHUNK)
-    assert np.array_equal(tab, np.cumprod(np.full(tab.size, 1.0 - 10.0 * 0.005)))
-    assert tab[-1] < 2.0**-53 <= tab[-2]
-    assert eng._table(0, 16 * CHUNK).size == tab.size
+@pytest.mark.parametrize("p", [1 / 4, 1 / 20, 1 / 250, 3e-5])
+def test_waits_equal_the_survival_product(p):
+    # the oracle: a clock W waits the count of n >= 1 whose survival product
+    # (1 - p)^n, multiplied out step by step, is still at least W; the
+    # product ends below 2**-53, the smallest clock, so every W rings on it
+    w = np.concatenate([1.0 - np.random.default_rng(17).random(20_000), [1.0, 2.0**-53]])
+    survival = np.cumprod(np.full(math.ceil(40.0 / p), 1.0 - p))
+    assert survival[-1] < 2.0**-53
+    wait = _wait(w, np.full(w.size, 1.0 - p))
+    assert np.array_equal(wait, np.searchsorted(-survival, -w, side="right"))
+    # W = 1 rings at once; W = 2**-53 at the first product below it
+    assert wait[-2] == 0 and survival[wait[-1]] < 2.0**-53 <= survival[wait[-1] - 1]
+    # a clock with no outflow never rings, however high W is
+    assert np.all(_wait(w, np.ones(w.size)) == NEVER)
+
+
+def test_stepper_first_rings_are_the_survival_waits_of_its_first_clocks():
+    # regime 1 has p = 5 dt = 1/20, regime 2 no outflow; each row's first
+    # ring is due at the wait of the first uniform of its stream
+    off = np.array([[0.0, 5.0], [0.0, 0.0]])
+    spec = _switching_model(GeneratorSpec("constant", 2, rates=off - np.diag(off.sum(axis=1))))
+    m, seed = 400, 12
+    eng = BatchStepper(spec, [0.0], np.arange(m) % 2 + 1, 0.01, seed=seed, n_paths=m)
+    w = np.array([1.0 - make_rng_stream(seed, p).generator().random() for p in range(m)])
+    survival = np.cumprod(np.full(2000, 1.0 - 5.0 * 0.01))
+    assert np.array_equal(eng._due[0::2], np.searchsorted(-survival, -w[0::2], side="right"))
+    assert np.all(eng._due[1::2] == NEVER)
+
+
+def test_slow_clock_memory_does_not_grow_with_the_step_count():
+    # a clock of p = 1e-7 per step, so every path waits through the whole
+    # run: its jump state is one integer, and the traced peak of a run 16
+    # times longer may exceed the shorter run's by 64 KiB at most
+    spec = chain_model(0.0, m12=1e-4, m21=2e-4)
+    u = np.zeros((16, 1))
+    peaks = []
+    for n in (4 * CHUNK, 64 * CHUNK):
+        eng = BatchStepper(spec, [0.0], 1, 0.001, seed=5, n_paths=16)
+        tracemalloc.start()
+        try:
+            for _ in range(n):
+                eng.step(u)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] - peaks[0] <= 64 * 1024, peaks
 
 
 COLUMN_B0 = np.array([[0.4], [-0.7], [0.1]])
@@ -803,6 +838,47 @@ def test_stepper_rejects_a_start_state_of_the_wrong_shape(make_chain, x0):
     # one (d,) start state serves every path; a per-path (m, d) array is not taken
     with pytest.raises(ShapeError, match="x0 has shape"):
         BatchStepper(make_chain(), x0, 1, 0.01, seed=0, n_paths=4)
+
+
+NOT_WHOLE = {
+    "stepper-i0": lambda spec: BatchStepper(spec, [0.0], 1.5, 0.01, seed=0),
+    "stepper-i0-per-row": lambda spec: BatchStepper(spec, [0.0], np.array([1.0, 1.5, 2.0]), 0.01, seed=0,
+                                                    n_paths=3),
+    "stepper-seed": lambda spec: BatchStepper(spec, [0.0], 1, 0.01, seed=1.5),
+    "stepper-first-path-index": lambda spec: BatchStepper(spec, [0.0], 1, 0.01, seed=0, first_path_index=2.9),
+    "stepper-n-paths": lambda spec: BatchStepper(spec, [0.0], 1, 0.01, seed=0, n_paths=2.7),
+    "stepper-x0-nan": lambda spec: BatchStepper(spec, [math.nan], 1, 0.01, seed=0),
+    "stepper-x0-text": lambda spec: BatchStepper(spec, ["zero"], 1, 0.01, seed=0),
+    "mc-i0": lambda spec: mc_discounted(spec, ZERO, [0.0], 1.5, 1.0, 0.01, 4, seed=0),
+    "mc-seed": lambda spec: mc_discounted(spec, ZERO, [0.0], 1, 1.0, 0.01, 4, seed=1.5),
+    "mc-x0-inf": lambda spec: mc_discounted(spec, ZERO, [math.inf], 1, 1.0, 0.01, 4, seed=0),
+    "path-i0": lambda spec: simulate_path(spec, ZERO, [0.0], 2.7, 0.1, 0.01, make_rng_stream(0, 0)),
+    "path-stream-seed": lambda spec: simulate_path(spec, ZERO, [0.0], 1, 0.1, 0.01, simulate.RngStream(1.5, 0)),
+    "exit-path-i0": lambda spec: simulate_exit_path(spec, ZERO, [0.0], 1.5, (-1.0, 1.0), 0.01, 1.0,
+                                                    make_rng_stream(0, 0)),
+    "stream-seed": lambda spec: make_rng_stream(1.5, 0),
+    "stream-path-index": lambda spec: make_rng_stream(0, 0.5),
+}
+
+
+@pytest.mark.parametrize("case", NOT_WHOLE, ids=list(NOT_WHOLE))
+def test_a_start_seed_or_count_that_is_not_whole_or_finite_is_a_shape_error(make_chain, case):
+    # each was once truncated to an int, or for x0 failed as E_NAN after stepping
+    with pytest.raises(ShapeError) as err:
+        NOT_WHOLE[case](make_chain())
+    assert err.value.code == "E_SHAPE"
+
+
+def test_whole_floats_are_taken_as_their_ints(make_chain):
+    runs = [BatchStepper(make_chain(), [0.0], i0, 0.01, seed=seed, first_path_index=first, n_paths=m)
+            for i0, seed, first, m in ((np.array([2, 1, 2]), 5, 3, 3), (np.array([2.0, 1.0, 2.0]), 5.0, 3.0, 3.0))]
+    for _ in range(CHUNK + 1):
+        for eng in runs:
+            eng.step(np.zeros((3, 1)))
+    assert np.array_equal(runs[0].x, runs[1].x) and np.array_equal(runs[0].s, runs[1].s)
+    assert make_rng_stream(5.0, 3.0) == make_rng_stream(5, 3)
+    est = mc_discounted(make_chain(), ZERO, [0.0], 2.0, 1.0, 0.01, 4, seed=0)
+    assert type(est.i0) is int and est.i0 == 2
 
 
 def test_horizon_must_be_step_multiple(make_chain):
