@@ -11,14 +11,12 @@ below one quarter.
 
 Jumps are driven by clocks rather than a per-step uniform. Each path holds
 a uniform clock W = 1 - v in (0, 1]; a clock of per-step probability p
-rings at the first step at which (1 - p)^n, n the steps since its last
-ring, drops below W, so it rings at each step with probability exactly p,
-up to the rounding of one log. Its wait, the count of n >= 1 with
-(1 - p)^n >= W, is floor(log W / log(1 - p)), a geometric variate by
-inversion, so each path keeps only the step its next ring is due, and a
-block's rings are found when its draws are made, once per ring rather
-than once per step. A ring takes two uniforms: a pick, which decides the
-jump, and the next clock.
+waits floor(log W / log(1 - p)) steps, the count of n >= 1 with
+(1 - p)^n >= W, and rings at the next, so it rings at each step with
+probability exactly p, up to the rounding of one log. A path keeps only
+the step its next ring is due, and a block's rings are found when its
+draws are made, once per ring rather than once per step. A ring takes two
+uniforms: a pick, which decides the jump, and the next clock.
 
 Under a constant generator regime i has its own clock, p_i = out_i dt,
 every ring is a jump, and the pick chooses the destination from the
@@ -412,7 +410,9 @@ class BatchStepper:
             return
         bad = ~np.isfinite(self.x).all(axis=1)
         path = int(self.original_index[np.argmax(bad)])
-        raise NanError(f"state became non-finite at or before t = {self.t:.6g} on path {path}")
+        raise NanError(
+            f"state became non-finite at or before t = {self.t:.6g} on path {path}"
+        )
 
     def actions(self, policy) -> FloatArray:
         """The policy's actions for the current rows, clamped to the box;
@@ -704,7 +704,9 @@ class PathSample:
         header = "t,regime," + ",".join(f"x_{j + 1}" for j in range(d)) + "," + ",".join(
             f"u_{j + 1}" for j in range(l)
         )
-        comments = [f"#jump,{g17(t)},{i},{j}" for (t, i, j) in self.jumps]
+        comments = [
+            f"#jump,{g17(t)},{i},{j}" for (t, i, j) in self.jumps
+        ]
         rows = []
         n = self.actions.shape[0]
         for k in range(self.times.size):
