@@ -63,7 +63,7 @@ from .errors import (
     UnboundedError,
 )
 from .io import write_csv
-from .model import FloatArray, ModelSpec, _freeze, _whole
+from .model import FloatArray, ModelSpec, _check_policy_table, _freeze, _whole
 
 GRID_HEADER = "criterion,regime,x,value,action_index"
 GRID_HEADER_T = "criterion,regime,x,value,action_index,t"
@@ -647,13 +647,8 @@ def _with_costs(spec: ModelSpec, **given) -> ModelSpec:
 def _action_table(tab: _Tables, policy: np.ndarray, ndim: int = 2) -> np.ndarray:
     """Checked int64 copy of a one-model policy table whose trailing axes are
     (N, K), with the block axis inserted: (..., N, 1, K)."""
-    pol = np.array(policy, dtype=np.int64)
     N, _, K = tab.shape
-    if pol.ndim != ndim or pol.shape[-2:] != (N, K):
-        raise ShapeError(f"policy table has shape {pol.shape}, expected trailing axes {(N, K)}")
-    if pol.size and (pol.min() < 0 or pol.max() >= tab.c.shape[0]):
-        raise ShapeError(f"policy table holds an action index outside 0..{tab.c.shape[0] - 1}")
-    return pol[..., None, :]
+    return _check_policy_table(policy, ndim, (N, K), tab.c.shape[0])[..., None, :]
 
 
 def _blocks(arr: np.ndarray) -> list:

@@ -37,10 +37,17 @@ ROW_SUM_TOL = 1e-12
 EIG_FLOOR = 1e-12
 
 
-def _check_sym(mats: np.ndarray, name: str, path: str = "") -> None:
+def _check_definite(mats: np.ndarray, name: str, floor: float, what: str, path="", error=ShapeError) -> FloatArray:
+    """The eigenvalues of a stack of matrices, the one definiteness test: E_SHAPE at ``path`` unless
+    each is symmetric within 1e-10, ``error`` there (positive ``what``) if one is below ``floor``."""
     sym = float(np.max(np.abs(mats - np.swapaxes(mats, -1, -2))))
     if sym > 1e-10:
         raise ShapeError(f"{name} must be symmetric (defect {sym:.3e})", path)
+    eigs = np.linalg.eigvalsh(mats)
+    least = float(eigs.min())
+    if least < floor:
+        raise error(f"{name} must be positive {what} (min eig {least:.3e})", path)
+    return eigs
 
 
 def _freeze(a: np.ndarray) -> np.ndarray:
@@ -207,6 +214,17 @@ class ActionGrid:
     def clamp(self, u: np.ndarray) -> np.ndarray:
         """Componentwise projection onto the box envelope."""
         return np.clip(u, self.lower, self.upper)
+
+
+def _check_policy_table(table, ndim: int, trailing: tuple, n_actions: int) -> np.ndarray:
+    """A policy table of the grid solvers or grid policies as a checked int64 copy: E_SHAPE
+    unless it has ``ndim`` axes ending in ``trailing``, each entry one of n_actions indices."""
+    pol = np.array(table, dtype=np.int64)
+    if pol.ndim != ndim or pol.shape[ndim - len(trailing):] != trailing:
+        raise ShapeError(f"policy table has shape {pol.shape}, expected trailing axes {trailing}")
+    if pol.size and (pol.min() < 0 or pol.max() >= n_actions):
+        raise ShapeError(f"policy table holds an action index outside 0..{n_actions - 1}")
+    return pol
 
 
 # ---------------------------------------------------------------------------
@@ -454,13 +472,8 @@ class RunningCost:
         if self.kind == "cosine" and self.dim != 1:
             raise ShapeError("cosine cost supports dim 1 only", "costs.running.kind")
         if self.kind == "lq":
-            for key, mats, floor in (("q", self.q_mat, -EIG_FLOOR), ("r", self.r_mat, EIG_FLOOR)):
-                path = f"{self.PATH}.{key}"
-                _check_sym(mats, f"'{key}'", path)
-                least = float(np.min(np.linalg.eigvalsh(mats)))
-                if least < floor:
-                    what = "semidefinite" if key == "q" else "definite"
-                    raise ShapeError(f"'{key}' must be positive {what} (min eig {least:.3e})", path)
+            _check_definite(self.q_mat, "'q'", -EIG_FLOOR, "semidefinite", f"{self.PATH}.q")
+            _check_definite(self.r_mat, "'r'", EIG_FLOOR, "definite", f"{self.PATH}.r")
 
     def bound(self, actions: ActionGrid) -> float:
         if self.kind == "constant":
@@ -921,6 +934,8 @@ class PerturbationSchedule:
             mags = np.asarray(self.magnitudes, dtype=np.float64)
             if mags.shape != (self.n_max + 1,):
                 raise ConfigError("magnitudes must have length n_max + 1", "schedule.magnitudes")
+            if not np.isfinite(mags).all():
+                raise ConfigError(f"magnitudes must be finite, got {mags.tolist()}", "schedule.magnitudes")
             if np.any(np.diff(mags) >= 0) or np.any(mags[:-1] <= 0) or mags[-1] < 0:
                 raise ConfigError(
                     "magnitudes must be strictly decreasing and positive (a final 0 is allowed)",

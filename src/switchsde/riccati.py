@@ -19,10 +19,13 @@ when F is the optimal gain.
 Integration is classical fourth-order Runge-Kutta, backward from the
 horizon, on z = [1, vech K_1, ..., vech K_N] (m = N d(d+1)/2 unknowns), so
 iterates are symmetric by construction. The Riccati right side is the outer
-product z^T z times one table G ((m+1)^2, m+1) per model, the fixed-feedback
-one z @ A_j with an (m+1) x (m+1) map per RK4 stage. The core carries leading
-batch axes (a sweep integrates all its models at once) and checks blow-up
-over blocks of BLOWUP_CHECK_STEPS stored iterates, stopping within a block.
+product z^T z times one table G ((m+1)^2, m+1) per model, written once, in
+_table_rhs, for the RK4, the Hermite half-step slopes and the defect; the
+fixed-feedback one is z @ A_j with an (m+1) x (m+1) map per RK4 stage. The
+core carries leading batch axes (a sweep integrates all its models at once)
+and checks blow-up over blocks of BLOWUP_CHECK_STEPS stored iterates,
+stopping within a block. LQSpec checks Q, P and R with the model's one
+definiteness test, raising E_EIG.
 """
 
 from __future__ import annotations
@@ -33,19 +36,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowupError, ConfigError, EigError, ShapeError, StepError
-from .model import EIG_FLOOR, FloatArray, ModelSpec, _check_rates, _check_sym, _freeze, _whole
+from .model import EIG_FLOOR, FloatArray, ModelSpec, _check_definite, _check_rates, _freeze, _whole
 
 BLOWUP_LIMIT = 1e12
 BLOWUP_CHECK_STEPS = 64  # RK4 steps between two blow-up checks
 COND_LIMIT = 1e12
 MAX_RICCATI_STEPS = 10**7  # most steps a Riccati solve or an LQ sweep is asked for
-
-
-def _check_psd(mats: np.ndarray, name: str) -> None:
-    _check_sym(mats, name)
-    eigs = np.linalg.eigvalsh(mats)
-    if float(eigs.min()) < -EIG_FLOOR:
-        raise EigError(f"{name} must be positive semidefinite (min eig {eigs.min():.3e})")
 
 
 @dataclass(frozen=True, eq=False)
@@ -80,13 +76,10 @@ class LQSpec:
             object.__setattr__(self, nm, _freeze(arr))
         if not self.horizon > 0:
             raise ShapeError("horizon must be > 0", "lq.horizon")
-        _check_psd(self.q, "Q")
-        _check_sym(self.p, "P")
+        _check_definite(self.q, "Q", -EIG_FLOOR, "semidefinite", error=EigError)
         # P must be positive definite; a semidefinite P (e.g. exactly zero) is
         # nudged onto the floor so closed-form P -> 0+ limits remain usable.
-        p_min = float(np.min(np.linalg.eigvalsh(self.p)))
-        if p_min < -1e-10:
-            raise EigError(f"P must be positive definite (min eig {p_min:.3e})")
+        p_min = float(_check_definite(self.p, "P", -1e-10, "definite", error=EigError).min())
         if p_min < EIG_FLOOR:
             warnings.warn(
                 f"terminal weight P has min eigenvalue {p_min:.3e}; "
@@ -95,10 +88,7 @@ class LQSpec:
             )
             nudged = self.p + EIG_FLOOR * np.eye(d)[None, :, :]
             object.__setattr__(self, "p", _freeze(nudged))
-        _check_sym(self.r, "R")
-        r_eigs = np.linalg.eigvalsh(self.r)
-        if float(r_eigs.min()) < EIG_FLOOR:
-            raise EigError(f"R must be positive definite (min eig {r_eigs.min():.3e})")
+        r_eigs = _check_definite(self.r, "R", EIG_FLOOR, "definite", error=EigError)
         if float(r_eigs.max() / r_eigs.min()) > COND_LIMIT:
             raise EigError("R is too ill-conditioned to invert reliably")
         _check_rates(self.rates, "lq.rates")
@@ -164,19 +154,33 @@ def _interp(times: np.ndarray, values: np.ndarray, t) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class RiccatiTrajectory:
-    """Solution K(t_k, i) on an even time grid, t ascending from 0 to T."""
+class _TimeStack:
+    """A (n_steps + 1, N, rows, cols) stack on an even time grid from 0 to T, frozen on construction;
+    STACK names the stack's field, what its shape error calls it, and its trailing axes."""
 
     times: FloatArray  # (n_steps + 1,)
-    k: FloatArray  # (n_steps + 1, N, d, d)
 
     def __post_init__(self):
+        name, what, axes = self.STACK
         object.__setattr__(self, "times", _freeze(self.times))
-        object.__setattr__(self, "k", _freeze(self.k))
-        if self.k.ndim != 4 or self.k.shape[0] != self.times.size:
-            raise ShapeError(
-                f"trajectory k has shape {self.k.shape}, expected ({self.times.size}, N, d, d)"
-            )
+        stack = _freeze(getattr(self, name))
+        object.__setattr__(self, name, stack)
+        if stack.ndim != 4 or stack.shape[0] != self.times.size:
+            raise ShapeError(f"{what} has shape {stack.shape}, expected ({self.times.size}, {axes})")
+
+    def rows(self):
+        """The stack as flat (t, regime, row, col, value) tuples, regimes 1-based."""
+        stack = getattr(self, self.STACK[0])
+        for k, i, r, c in np.ndindex(stack.shape):
+            yield (self.times[k], i + 1, r, c, stack[k, i, r, c])
+
+
+@dataclass(frozen=True, eq=False)
+class RiccatiTrajectory(_TimeStack):
+    """Solution K(t_k, i) on an even time grid, t ascending from 0 to T."""
+
+    STACK = ("k", "trajectory k", "N, d, d")
+    k: FloatArray  # (n_steps + 1, N, d, d)
 
     def symmetry_defect(self) -> float:
         return float(np.max(np.abs(self.k - np.swapaxes(self.k, -1, -2))))
@@ -185,38 +189,16 @@ class RiccatiTrajectory:
         """Linear interpolation in t, shape (N, d, d)."""
         return _interp(self.times, self.k, float(t))
 
-    def rows(self):
-        """K as flat (t, regime, row, col, value) tuples."""
-        return _stack_rows(self.times, self.k)
-
 
 @dataclass(frozen=True, eq=False)
-class FeedbackTrajectory:
+class FeedbackTrajectory(_TimeStack):
     """Gains F(t_k, i) = R^{-1} B^T K(t_k, i); control u = -F x."""
 
-    times: FloatArray  # (n_steps + 1,)
+    STACK = ("gains", "gain grid", "N, l, d")
     gains: FloatArray  # (n_steps + 1, N, l, d)
-
-    def __post_init__(self):
-        object.__setattr__(self, "times", _freeze(self.times))
-        object.__setattr__(self, "gains", _freeze(self.gains))
-        if self.gains.ndim != 4 or self.gains.shape[0] != self.times.size:
-            raise ShapeError(
-                f"gain grid has shape {self.gains.shape}, expected ({self.times.size}, N, l, d)"
-            )
 
     def gain_at(self, t: float) -> FloatArray:
         return _interp(self.times, self.gains, float(t))
-
-    def rows(self):
-        """The gains as flat (t, regime, row, col, value) tuples."""
-        return _stack_rows(self.times, self.gains)
-
-
-def _stack_rows(times: FloatArray, stack: FloatArray):
-    """Flat (t, regime, row, col, value) tuples of a (times, N, rows, cols) stack, regimes 1-based."""
-    for k, i, r, c in np.ndindex(stack.shape):
-        yield (times[k], i + 1, r, c, stack[k, i, r, c])
 
 
 def _vech(n: int, d: int) -> tuple[np.ndarray, np.ndarray]:
@@ -253,9 +235,11 @@ def _riccati_table(lqs) -> tuple[np.ndarray, ...]:
     return g.reshape(len(lqs), -1, m + 1), pos, pick, e
 
 
-def _table_rhs(g: np.ndarray, batch: tuple):
-    """rhs(j, z) = g(K) at rows z of shape (*batch, 1, m+1): the outer product z^T z, flattened, times G."""
-    flat = (*batch, 1, -1)
+def _table_rhs(g: np.ndarray, lead: tuple):
+    """rhs(j, z) = g(K) = -dK/dt, the one Riccati right side, at half-vectorized rows
+    z of shape (*lead, 1, m+1): the outer product z^T z, flattened to (*lead, (m+1)^2),
+    times the table G (..., (m+1)^2, m+1)."""
+    flat = (*lead, -1)
     return lambda _j, z: (z.swapaxes(-1, -2) * z).reshape(flat) @ g
 
 
@@ -299,14 +283,8 @@ def _solve_z(lqs, n_steps: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(z, G, pos) of models sharing one horizon, z (n_steps + 1, len(lqs), m+1) from one RK4."""
     g, pos, pick, _ = _riccati_table(lqs)
     terminal = _augment(np.stack([lq.p for lq in lqs]), pick)
-    traj = _integrate_backward(_table_rhs(g, terminal.shape[:-2]), terminal, lqs[0].horizon, n_steps)
+    traj = _integrate_backward(_table_rhs(g, terminal.shape[:-1]), terminal, lqs[0].horizon, n_steps)
     return traj[..., 0, :], g, pos
-
-
-def _solve_stack(lqs, n_steps: int) -> np.ndarray:
-    """K for models sharing one horizon, in one RK4: (n_steps + 1, len(lqs), N, d, d)."""
-    z, _, pos = _solve_z(lqs, n_steps)
-    return z[..., pos]
 
 
 def _stage_stack(lqs, n_steps: int) -> np.ndarray:
@@ -327,7 +305,7 @@ def _stage_stack(lqs, n_steps: int) -> np.ndarray:
         hi = min(lo + span, n_steps)  # node hi is also the next span's first
         nodes = z[lo:hi + 1]
         zt = np.ascontiguousarray(nodes.swapaxes(0, 1))  # (models, nodes, m+1)
-        gz = ((zt[..., :, None] * zt[..., None, :]).reshape(*zt.shape[:-1], -1) @ g).swapaxes(0, 1)
+        gz = _table_rhs(g, zt.shape[:-1])(None, zt[..., None, :]).swapaxes(0, 1)
         k[2 * lo:2 * hi + 1:2] = nodes[..., pos]
         k[2 * lo + 1:2 * hi:2] = (0.5 * (nodes[:-1] + nodes[1:]) + eighth * (gz[1:] - gz[:-1]))[..., pos]
     return k
@@ -353,8 +331,8 @@ def solve_coupled_riccati(lq: LQSpec, n_steps: int = 400) -> RiccatiTrajectory:
     n_steps = _check_steps(n_steps)
     if n_steps < 8:
         raise ShapeError("solve_coupled_riccati needs at least 8 steps")
-    times = np.linspace(0.0, lq.horizon, n_steps + 1)
-    return RiccatiTrajectory(times=times, k=_solve_stack([lq], n_steps)[:, 0])
+    z, _, pos = _solve_z([lq], n_steps)
+    return RiccatiTrajectory(times=np.linspace(0.0, lq.horizon, n_steps + 1), k=z[:, 0, pos])
 
 
 def lq_feedback(traj: RiccatiTrajectory, lq: LQSpec) -> FeedbackTrajectory:
@@ -429,7 +407,7 @@ def riccati_defect(traj: RiccatiTrajectory, lq: LQSpec) -> float:
     g, _, pick, _ = _riccati_table([lq])
     z = _augment(traj.k, pick)[:, 0]
     zdot = (z[2:] - z[:-2]) / (2.0 * (traj.times[1] - traj.times[0]))
-    return float(np.max(np.abs(zdot + (z[1:-1, :, None] * z[1:-1, None, :]).reshape(len(z) - 2, -1) @ g[0])))
+    return float(np.max(np.abs(zdot + _table_rhs(g[0], zdot.shape[:-1])(None, z[1:-1, None, :]))))
 
 
 def a_priori_bound(lq: LQSpec) -> float:

@@ -60,9 +60,10 @@ has been joined, so each path still reads its normals before its uniforms,
 and no path and no estimate depends on the worker count. A block with no
 normals, or of one tile or less, is drawn on the calling thread alone.
 
-Actions are looked up and clamped once per step, by actions(policy); the
-caller hands that array to running_cost(u) and then to step(), which uses
-it as given, so cost, drift and rates all see the same clamped action.
+Actions are looked up and clamped once per step (a ConstantPolicy's once
+per row count) by actions(policy); the caller hands that array to
+running_cost(u) and then step(), which uses it as given, so cost, drift and
+rates all see the same clamped action.
 
 Between jumps a path's regime-indexed coefficients are constant, so the
 stepper holds b0 dt, sigma sqrt(dt) and a regime-only running cost as
@@ -89,7 +90,7 @@ import numpy as np
 
 from .errors import NanError, ShapeError, StepError
 from .io import g17, write_csv
-from .model import ActionGrid, FloatArray, ModelSpec, _check_start, _whole
+from .model import ActionGrid, FloatArray, ModelSpec, _check_policy_table, _check_start, _freeze, _whole
 
 if TYPE_CHECKING:
     from .riccati import FeedbackTrajectory
@@ -115,10 +116,16 @@ class RngStream:
     the same draw sequence every time it is handed to the simulator. It is
     its own seed sequence, handing Philox the key of ``Philox(key=...)``
     without the ``SeedSequence`` that call draws from OS entropy and drops.
+    Construction checks the key with ``_check_key`` and keeps it as ints.
     """
 
     seed: int
     path_index: int
+
+    def __post_init__(self):
+        seed, path_index, _ = _check_key(self.seed, self.path_index, 1)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "path_index", path_index)
 
     def generate_state(self, n_words, dtype=None) -> np.ndarray:
         return np.array([self.seed, self.path_index], dtype=np.uint64)
@@ -149,8 +156,7 @@ def _register_stream() -> None:
     np.random.bit_generator.ISeedSequence.register(_KeyRow)
 
 
-def make_rng_stream(seed: int, path_index: int) -> RngStream:
-    return RngStream(*_check_key(seed, path_index, 1)[:2])
+make_rng_stream = RngStream  # the stream of key (seed, path_index), checked on construction
 
 
 def _check_key(seed, first, n) -> tuple[int, int, int]:
@@ -183,22 +189,18 @@ def _wait(w: FloatArray, stay: FloatArray) -> np.ndarray:
 # policies
 
 
+@dataclass(frozen=True, eq=False)
 class ConstantPolicy:
-    """Always the same action.
+    """Always the same action ``u``, a frozen copy of what it is given; a call returns
+    a new broadcast view and keeps nothing (BatchStepper.actions keeps the clamped batch)."""
 
-    The returned batch is a cached broadcast view, so repeated calls with an
-    unchanged batch size hand back the identical object; the stepper keys
-    its clamp cache on that identity.
-    """
+    u: FloatArray
 
-    def __init__(self, u):
-        self.u = np.atleast_1d(np.asarray(u, dtype=np.float64))
-        self._batch = None
+    def __post_init__(self):
+        object.__setattr__(self, "u", _freeze(np.array(self.u, dtype=np.float64, ndmin=1)))
 
     def actions_at(self, t: float, x: FloatArray, s: np.ndarray) -> FloatArray:
-        if self._batch is None or self._batch.shape[0] != x.shape[0]:
-            self._batch = np.broadcast_to(self.u, (x.shape[0], self.u.size))
-        return self._batch
+        return np.broadcast_to(self.u, (x.shape[0], self.u.size))
 
 
 class LQFeedbackPolicy:
@@ -213,20 +215,27 @@ class LQFeedbackPolicy:
 
 
 def _spacing(nodes: FloatArray, what: str) -> float:
-    """Step of a uniform policy-table axis, which needs two entries or more."""
+    """Step of a policy-table axis: E_SHAPE unless it has two entries or more, increasing,
+    node k within 1e-3 steps of nodes[0] + k step, where the lookup puts it (as linspace's are)."""
     if nodes.size < 2:
         raise ShapeError(f"a policy table needs at least two {what}, got {nodes.size}")
-    return float(nodes[1] - nodes[0])
+    step = float(nodes[1] - nodes[0])
+    if not (step > 0 and np.abs((nodes - nodes[0]) / step - np.arange(nodes.size)).max() <= 1e-3):
+        raise ShapeError(f"the {what} of a policy table must be increasing and evenly spaced "
+                         "(each within 1e-3 of a step of its place)")
+    return step
 
 
 class GridPolicy:
-    """Stationary policy table from a grid solve, nearest-node lookup."""
+    """Stationary policy table from a grid solve, nearest-node lookup, checked on construction."""
+
+    NDIM = 2  # table axes (N, n_x)
 
     def __init__(self, x_nodes: FloatArray, table: np.ndarray, actions: ActionGrid):
         self.x_nodes = np.asarray(x_nodes, dtype=np.float64)
-        self.table = np.asarray(table, dtype=np.int64)  # (N, n_x)
-        self.actions = actions
         self.dx = _spacing(self.x_nodes, "x nodes")
+        self.table = _check_policy_table(table, self.NDIM, (self.x_nodes.size,), actions.actions.shape[0])
+        self.actions = actions
 
     def _node(self, x: FloatArray) -> np.ndarray:
         idx = np.rint((x[:, 0] - self.x_nodes[0]) / self.dx).astype(np.int64)
@@ -243,6 +252,8 @@ class TimeGridPolicy(GridPolicy):
     (n_levels, N, n_x); the action chosen at level k applies on
     [t_k, t_{k+1}), so lookup floors t to a level.
     """
+
+    NDIM = 3
 
     def __init__(self, t_levels: FloatArray, x_nodes: FloatArray, table: np.ndarray, actions: ActionGrid):
         super().__init__(x_nodes, table, actions)
@@ -386,10 +397,8 @@ class BatchStepper:
             cols = () if self._scalar else (self.wd,)
             self._normals = np.empty((CHUNK, m) + cols)
             self._tile = np.empty((min(TILE, m), CHUNK) + cols)
-        # clamp cache keyed on the identity of the raw action batch
-        self._clamp_key = None
-        self._clamp_val = None
-        self._clamp_rows = None
+        # (policy, row count, clamped batch, clamped rows) of the last ConstantPolicy
+        self._kept = (None, -1, None, None)
 
     @property
     def n_alive(self) -> int:
@@ -415,28 +424,30 @@ class BatchStepper:
         )
 
     def actions(self, policy) -> FloatArray:
-        """The policy's actions for the current rows, clamped to the box;
-        clamped rows of living paths count into ``clamped_steps``."""
-        u_raw = policy.actions_at(self.t, self.x, self.s)
-        if u_raw is self._clamp_key:
-            rows = self._clamp_rows
+        """The policy's actions for the current rows, clamped to the box; clamped rows of
+        living paths count into ``clamped_steps``. A ConstantPolicy never changes, so its
+        clamped batch is kept, keyed on the policy and the row count; any other is clamped anew."""
+        n = self.x.shape[0]
+        kept = self._kept
+        if kept[0] is policy and kept[1] == n:
+            u, rows = kept[2], kept[3]
         else:
-            shape = (self.x.shape[0], self.spec.actions.action_dim)
+            u_raw = policy.actions_at(self.t, self.x, self.s)
+            shape = (n, self.spec.actions.action_dim)
             if np.shape(u_raw) != shape:
                 raise ShapeError(f"policy actions have shape {np.shape(u_raw)}, expected {shape}")
             u = self.spec.actions.clamp(u_raw)
             rows = np.any(u != u_raw, axis=1)
             if not rows.any():
                 rows = None
-            self._clamp_key = u_raw
-            self._clamp_val = u
-            self._clamp_rows = rows
+            if isinstance(policy, ConstantPolicy):
+                self._kept = (policy, n, u, rows)
         if rows is not None:
             if self._all_alive:
                 self.clamped_steps += int(np.count_nonzero(rows))
             else:
                 self.clamped_steps += int(np.count_nonzero(rows & self.alive))
-        return self._clamp_val
+        return u
 
     def running_cost(self, u: FloatArray) -> FloatArray:
         """The current rows' running cost under ``u``: the read-only cost column if it is regime-only."""

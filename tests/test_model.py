@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -610,6 +611,16 @@ def test_schedule_n_max_must_be_whole(magnitudes):
     assert err.value.code == "E_CONFIG" and err.value.path == "schedule.n_max"
     sched = PerturbationSchedule("rates", 2.0, magnitudes=magnitudes, d_m=np.zeros((2, 2)))
     assert type(sched.n_max) is int and sched.n_max == 2 and sched.magnitudes.size == 3
+
+
+@pytest.mark.parametrize("magnitudes", [[1.0, math.nan], [math.inf, 0.0], [math.nan], [math.inf]],
+                         ids=["nan", "inf", "lone-nan", "lone-inf"])
+def test_schedule_rejects_magnitudes_that_are_not_finite(magnitudes):
+    # NaN passed the order test and inf the sign test; a sweep then failed
+    # with E_RATES "generator rows must sum to zero" and a RuntimeWarning
+    with pytest.raises(ConfigError, match="finite") as err:
+        PerturbationSchedule("rates", len(magnitudes) - 1, magnitudes=magnitudes, d_m=np.zeros((2, 2)))
+    assert err.value.code == "E_CONFIG" and err.value.path == "schedule.magnitudes"
 
 
 def test_schedule_rejects_nondecreasing_magnitudes():

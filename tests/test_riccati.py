@@ -42,7 +42,7 @@ from switchsde.riccati import (
     _integrate_backward,
     _interp,
     _riccati_table,
-    _solve_stack,
+    _stage_stack,
     _table_rhs,
 )
 from conftest import lq_model, reference_lq, scalar_lq
@@ -418,7 +418,7 @@ def test_operator_rhs_matches_textbook_formula(n, d, l, batch, seed):
     x = np.random.default_rng(seed + 1).normal(size=(batch, n, d, d))
     k = x + np.swapaxes(x, -1, -2)
     g, pos, pick, _ = _riccati_table([lq])
-    got = _table_rhs(g, (batch,))(None, _augment(k, pick))[..., 0, pos]
+    got = _table_rhs(g, (batch, 1))(None, _augment(k, pick))[..., 0, pos]
     for b in range(batch):
         for i, terms in enumerate(_textbook_terms(lq, k[b])):
             scale = max(float(np.max(np.abs(t))) for t in terms)
@@ -464,12 +464,28 @@ def _full_matrix_rhs(a, c, q, rates, k):
     batch=st.integers(1, 3), seed=st.integers(0, 2**32 - 1),
 )
 def test_half_vectorized_solves_match_a_full_matrix_symmetrizing_rk4(n, d, l, batch, seed):
-    n_steps = 100
-    lqs = [_random_lq(seed + b, n, d, l) for b in range(batch)]
+    _check_against_full_matrix_rk4([_random_lq(seed + b, n, d, l) for b in range(batch)], 100)
+
+
+@pytest.mark.parametrize("d", [4, 6, 8])
+def test_half_vectorized_solves_match_a_full_matrix_rk4_at_large_dimension(d):
+    """N = 2 at d = 4, 6, 8 (m = 20, 42, 72), two models, 12 steps; A and C
+    are scaled by 1/sqrt(d) so that K stays far below the blow-up limit."""
+    lqs = [_random_lq(100 * d + b, 2, d, 2) for b in range(2)]
+    lqs = [dataclasses.replace(lq, a=lq.a / np.sqrt(d), c=lq.c / np.sqrt(d)) for lq in lqs]
+    _check_against_full_matrix_rk4(lqs, 12)
+
+
+def _check_against_full_matrix_rk4(lqs, n_steps):
+    """The half-vectorized Riccati RK4 of a batch of models (horizon 1) and the
+    fixed-feedback replay of scaled gains of the first, against the full-matrix
+    symmetrizing RK4, within 1e-13 of the largest entry."""
+    n, d = lqs[0].n_regimes, lqs[0].dim
+    batch = len(lqs)
     a, c, q, rates, p = (np.stack([getattr(lq, nm) for lq in lqs]) for nm in ("a", "c", "q", "rates", "p"))
     s = np.stack([lq.b @ lq.r_inv_bt() for lq in lqs])
     expect = _symmetrizing_rk4(lambda _j, k: _full_matrix_rhs(a, c, q, rates, k) - k @ s @ k, p, 1.0, n_steps)
-    got = _solve_stack(lqs, n_steps)
+    got = _stage_stack(lqs, n_steps)[::2]
     assert np.abs(got - expect).max() <= 1e-13 * max(1.0, float(np.abs(expect).max()))
 
     lq = lqs[0]

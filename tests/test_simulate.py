@@ -109,6 +109,17 @@ def test_keys_outside_uint64_raise_a_shape_error(make_chain, seed, first, n):
             make_rng_stream(seed, first)
 
 
+@pytest.mark.parametrize("seed,path", [(1.5, 0), (0, 0.5), (-1, 0), (2**64, 0), (0, 2**64), ("7", 0)])
+def test_rng_stream_checks_its_key_on_construction(seed, path):
+    # RngStream once took any key: its generator() drew seed 1's stream for
+    # seed 1.5 and failed as a bare OverflowError for seed -1
+    with pytest.raises(ShapeError) as err:
+        simulate.RngStream(seed, path)
+    assert err.value.code == "E_SHAPE"
+    stream = simulate.RngStream(5.0, 3.0)
+    assert stream == simulate.RngStream(5, 3) and type(stream.seed) is type(stream.path_index) is int
+
+
 def test_keys_at_the_ends_of_uint64_are_accepted(make_chain):
     top = 2**64 - 1
     eng = BatchStepper(make_chain(), [0.0], 1, 0.01, seed=top, first_path_index=top - 1, n_paths=2)
@@ -903,6 +914,61 @@ def test_clamped_actions_are_counted(make_chain, saturated):
     assert path.clamped_steps == int(np.count_nonzero(np.any(np.abs(raw) > 1.0, axis=1))) > 0
 
 
+def test_a_policy_that_refills_one_buffer_is_clamped_at_every_step(saturated):
+    # the stepper once kept the clamped batch of any policy that handed back
+    # the array of its last call, so a refilled buffer got stale actions
+    rule = lambda t, x, regimes: 3.0 * np.sin(2.0 * x) + 0.5 * (regimes[:, None] - 1.5)
+    buf = np.empty((8, 1))
+
+    def refill(t, x, regimes):
+        buf[...] = rule(t, x, regimes)
+        return buf
+
+    runs = []
+    for policy in (CallablePolicy(rule), CallablePolicy(refill)):
+        eng = BatchStepper(saturated, [0.2], 1, 0.01, seed=3, n_paths=8)
+        actions = []
+        for _ in range(50):
+            u = eng.actions(policy)
+            actions.append(u.copy())
+            eng.step(u)
+        runs.append((np.array(actions), eng.x, eng.clamped_steps))
+    assert np.array_equal(runs[0][0], runs[1][0]) and np.array_equal(runs[0][1], runs[1][1])
+    assert runs[0][2] == runs[1][2] > 0
+
+
+def test_a_constant_policy_is_looked_up_once_per_row_count(make_bm):
+    calls = []
+
+    class Counted(ConstantPolicy):
+        def actions_at(self, t, x, s):
+            calls.append(x.shape[0])
+            return super().actions_at(t, x, s)
+
+    policy = Counted([2.0])  # clamped to the zero-only action box
+    eng = BatchStepper(make_bm(), [0.0], 1, 0.01, seed=5, n_paths=8)
+    for k in range(6):
+        if k == 3:
+            eng.mark_dead(np.arange(8) < 5)
+        u = eng.actions(policy)
+        assert np.array_equal(u, np.zeros((eng.x.shape[0], 1)))
+        eng.step(u)
+    assert calls == [8, 3]  # the first step after mark_dead compacts to 3 rows
+    assert eng.clamped_steps == 3 * 8 + 3 * 3
+
+
+def test_constant_policy_holds_a_frozen_copy_and_caches_no_view():
+    u = np.array([0.5])
+    policy = ConstantPolicy(u)
+    u[0] = 2.0  # the caller's array stays the caller's
+    x, s = np.zeros((3, 1)), np.zeros(3, dtype=np.int64)
+    first, second = policy.actions_at(0.0, x, s), policy.actions_at(0.0, x, s)
+    assert first is not second and np.array_equal(first, np.full((3, 1), 0.5))
+    assert not policy.u.flags.writeable and u.flags.writeable
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        policy.u = np.zeros(1)
+
+
 def test_nonfinite_state_raises(make_bm):
     # drift 1e308 overflows the state to inf within the first unit of time
     spec = _with_drift(bm_model(sigma=0.0), np.full((1, 1), 1e308))
@@ -1011,6 +1077,40 @@ def test_time_grid_policy_needs_two_levels_and_two_nodes(n_levels, n_nodes, what
     table = np.zeros((n_levels, 1, n_nodes), dtype=np.int64)
     with pytest.raises(ShapeError, match=f"at least two {what}, got 1"):
         TimeGridPolicy(np.linspace(0.0, 1.0, n_levels), np.linspace(-1.0, 1.0, n_nodes), table, _table_actions())
+
+
+BAD_TABLES = {
+    "uneven-nodes": lambda a: GridPolicy([0.0, 1.0, 3.0], np.zeros((1, 3), dtype=np.int64), a),
+    "decreasing-nodes": lambda a: GridPolicy([1.0, 0.0, -1.0], np.zeros((1, 3), dtype=np.int64), a),
+    "nan-node": lambda a: GridPolicy([0.0, 1.0, math.nan], np.zeros((1, 3), dtype=np.int64), a),
+    "narrow-table": lambda a: GridPolicy(np.linspace(-1.0, 1.0, 5), np.zeros((2, 4), dtype=np.int64), a),
+    "flat-table": lambda a: GridPolicy(np.linspace(-1.0, 1.0, 5), np.zeros(5, dtype=np.int64), a),
+    "index-past-actions": lambda a: GridPolicy(np.linspace(-1.0, 1.0, 3), [[0, 3, 1]], a),
+    "negative-index": lambda a: GridPolicy(np.linspace(-1.0, 1.0, 3), [[0, -1, 1]], a),
+    "uneven-levels": lambda a: TimeGridPolicy([0.0, 0.25, 0.75], np.linspace(-1.0, 1.0, 3),
+                                              np.zeros((3, 1, 3), dtype=np.int64), a),
+    "time-table-2d": lambda a: TimeGridPolicy([0.0, 0.5], np.linspace(-1.0, 1.0, 3),
+                                              np.zeros((1, 3), dtype=np.int64), a),
+    "time-table-index": lambda a: TimeGridPolicy([0.0, 0.5], np.linspace(-1.0, 1.0, 3),
+                                                 np.full((2, 1, 3), 3), a),
+}
+
+
+@pytest.mark.parametrize("case", BAD_TABLES, ids=list(BAD_TABLES))
+def test_policy_tables_and_nodes_are_checked_on_construction(case):
+    # each was once accepted: uneven nodes gave wrong lookups (x = 1.6 took
+    # node 3's action for nodes 0, 1, 3), the rest a bare IndexError at the first step
+    with pytest.raises(ShapeError) as err:
+        BAD_TABLES[case](_table_actions())
+    assert err.value.code == "E_SHAPE"
+
+
+@pytest.mark.parametrize("lo,hi,n", [(-2.0, 2.0, 401), (-100.0, 100.0, 200_001), (1e3, 1e3 + 1.0, 1001),
+                                     (0.0, 3.7, 10_001)])
+def test_linspace_nodes_and_levels_pass_the_table_check(lo, hi, n):
+    assert GridPolicy(np.linspace(lo, hi, n), np.ones((2, n), dtype=np.int64), _table_actions()).dx > 0
+    policy = TimeGridPolicy(np.linspace(lo, hi, n), np.linspace(-1.0, 1.0, 3), np.zeros((n, 1, 3)), _table_actions())
+    assert policy.dt > 0 and policy.table.dtype == np.int64
 
 
 def test_time_grid_policy_floors_time_to_a_level():
