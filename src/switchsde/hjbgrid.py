@@ -647,8 +647,7 @@ def _with_costs(spec: ModelSpec, **given) -> ModelSpec:
 def _action_table(tab: _Tables, policy: np.ndarray, ndim: int = 2) -> np.ndarray:
     """Checked int64 copy of a one-model policy table whose trailing axes are
     (N, K), with the block axis inserted: (..., N, 1, K)."""
-    N, _, K = tab.shape
-    return _check_policy_table(policy, ndim, (N, K), tab.c.shape[0])[..., None, :]
+    return _check_policy_table(policy, tab.specs[0], tab.grid.n_x, ndim)[..., None, :]
 
 
 def _blocks(arr: np.ndarray) -> list:

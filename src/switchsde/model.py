@@ -216,15 +216,20 @@ class ActionGrid:
         return np.clip(u, self.lower, self.upper)
 
 
-def _check_policy_table(table, ndim: int, trailing: tuple, n_actions: int) -> np.ndarray:
-    """A policy table of the grid solvers or grid policies as a checked int64 copy: E_SHAPE
-    unless it has ``ndim`` axes ending in ``trailing``, each entry one of n_actions indices."""
-    pol = np.array(table, dtype=np.int64)
-    if pol.ndim != ndim or pol.shape[ndim - len(trailing):] != trailing:
-        raise ShapeError(f"policy table has shape {pol.shape}, expected trailing axes {trailing}")
-    if pol.size and (pol.min() < 0 or pol.max() >= n_actions):
-        raise ShapeError(f"policy table holds an action index outside 0..{n_actions - 1}")
-    return pol
+def _check_policy_table(table, spec: ModelSpec, n_x: int, ndim: int = 2) -> np.ndarray:
+    """The one rule for a policy table of the grid evaluators and grid policies, as a checked
+    int64 copy: E_SHAPE unless ``spec`` has dim 1, as the grid solvers need, and the table has
+    ``ndim`` nonempty axes ending in (N, n_x), each entry a whole number in 0..A-1 indexing
+    spec.actions (a whole float such as 1.0 is taken as 1; 0.7, NaN and +-inf are not)."""
+    if spec.dim != 1:
+        raise ShapeError(f"policy tables are for dim-1 models, as the grid solvers are; got dim {spec.dim}")
+    pol, trailing = np.asarray(table, dtype=np.float64), (spec.regimes.count, n_x)
+    if pol.ndim != ndim or pol.shape[ndim - 2:] != trailing or not pol.size:
+        raise ShapeError(f"policy table has shape {pol.shape}, expected {ndim} nonempty axes ending in {trailing}")
+    n_actions = spec.actions.actions.shape[0]
+    if not np.all((pol >= 0) & (pol < n_actions) & (pol == np.floor(pol))):
+        raise ShapeError(f"policy table holds an entry that is not a whole action index in 0..{n_actions - 1}")
+    return pol.astype(np.int64)
 
 
 # ---------------------------------------------------------------------------

@@ -90,9 +90,10 @@ import numpy as np
 
 from .errors import NanError, ShapeError, StepError
 from .io import g17, write_csv
-from .model import ActionGrid, FloatArray, ModelSpec, _check_policy_table, _check_start, _freeze, _whole
+from .model import FloatArray, ModelSpec, _check_policy_table, _check_start, _freeze, _whole
 
 if TYPE_CHECKING:
+    from .hjbgrid import Grid1D
     from .riccati import FeedbackTrajectory
 
 CHUNK = 1024
@@ -214,55 +215,44 @@ class LQFeedbackPolicy:
         return -np.einsum("mld,md->ml", f[s], x)
 
 
-def _spacing(nodes: FloatArray, what: str) -> float:
-    """Step of a policy-table axis: E_SHAPE unless it has two entries or more, increasing,
-    node k within 1e-3 steps of nodes[0] + k step, where the lookup puts it (as linspace's are)."""
-    if nodes.size < 2:
-        raise ShapeError(f"a policy table needs at least two {what}, got {nodes.size}")
-    step = float(nodes[1] - nodes[0])
-    if not (step > 0 and np.abs((nodes - nodes[0]) / step - np.arange(nodes.size)).max() <= 1e-3):
-        raise ShapeError(f"the {what} of a policy table must be increasing and evenly spaced "
-                         "(each within 1e-3 of a step of its place)")
-    return step
-
-
 class GridPolicy:
-    """Stationary policy table from a grid solve, nearest-node lookup, checked on construction."""
+    """A grid solve's (N, n_x) action table, checked by the grid evaluators' rule
+    (model._check_policy_table) and looked up at the solver's nearest node x_min + k dx,
+    rint((x - grid.x_min) / grid.dx) clipped to 0..n_x - 1. ``grid`` is a Grid1D, or
+    anything with its x_min, dx and n_x."""
 
     NDIM = 2  # table axes (N, n_x)
 
-    def __init__(self, x_nodes: FloatArray, table: np.ndarray, actions: ActionGrid):
-        self.x_nodes = np.asarray(x_nodes, dtype=np.float64)
-        self.dx = _spacing(self.x_nodes, "x nodes")
-        self.table = _check_policy_table(table, self.NDIM, (self.x_nodes.size,), actions.actions.shape[0])
-        self.actions = actions
+    def __init__(self, spec: ModelSpec, grid: Grid1D, table: np.ndarray):
+        self.table = _check_policy_table(table, spec, grid.n_x, self.NDIM)
+        self.grid = grid
+        self.actions = spec.actions.actions
 
     def _node(self, x: FloatArray) -> np.ndarray:
-        idx = np.rint((x[:, 0] - self.x_nodes[0]) / self.dx).astype(np.int64)
-        return np.clip(idx, 0, self.x_nodes.size - 1)
+        idx = np.rint((x[:, 0] - self.grid.x_min) / self.grid.dx).astype(np.int64)
+        return np.clip(idx, 0, self.grid.n_x - 1)
 
     def actions_at(self, t: float, x: FloatArray, s: np.ndarray) -> FloatArray:
-        return self.actions.actions[self.table[s, self._node(x)]]
+        return self.actions[self.table[s, self._node(x)]]
 
 
 class TimeGridPolicy(GridPolicy):
-    """Time-indexed policy table (finite-horizon solves).
-
-    The table holds one action index per (time level, regime, node), shape
-    (n_levels, N, n_x); the action chosen at level k applies on
-    [t_k, t_{k+1}), so lookup floors t to a level.
-    """
+    """A finite-horizon solve's (n_t, N, n_x) action table over ``horizon``: level j acts on
+    [j dt, (j + 1) dt), dt = horizon / n_t being the solver's step, so lookup floors t / dt
+    (1e-9 of a level early counts as on it) into 0..n_t - 1; nodes as in GridPolicy.
+    E_SHAPE unless 0 < horizon < inf."""
 
     NDIM = 3
 
-    def __init__(self, t_levels: FloatArray, x_nodes: FloatArray, table: np.ndarray, actions: ActionGrid):
-        super().__init__(x_nodes, table, actions)
-        self.t_levels = np.asarray(t_levels, dtype=np.float64)
-        self.dt = _spacing(self.t_levels, "time levels")
+    def __init__(self, spec: ModelSpec, grid: Grid1D, table: np.ndarray, horizon: float):
+        super().__init__(spec, grid, table)
+        if not 0 < horizon < np.inf:
+            raise ShapeError(f"a time-indexed policy table needs a finite horizon > 0, got {horizon}")
+        self.dt = horizon / self.table.shape[0]
 
     def actions_at(self, t: float, x: FloatArray, s: np.ndarray) -> FloatArray:
-        lev = int(np.clip(np.floor((t - self.t_levels[0]) / self.dt + 1e-9), 0, self.table.shape[0] - 1))
-        return self.actions.actions[self.table[lev, s, self._node(x)]]
+        lev = int(np.clip(np.floor(t / self.dt + 1e-9), 0, self.table.shape[0] - 1))
+        return self.actions[self.table[lev, s, self._node(x)]]
 
 
 class CallablePolicy:

@@ -33,6 +33,7 @@ from switchsde import (
     ShapeError,
     StepError,
     TerminalCost,
+    TimeGridPolicy,
     UnboundedError,
     discounted_horizon,
     mc_discounted,
@@ -42,6 +43,7 @@ from switchsde import (
     pairwise_sum,
     solve_discounted,
     solve_exit,
+    solve_finite_horizon,
     write_estimates_csv,
 )
 from switchsde.costs import ESTIMATE_HEADER
@@ -406,7 +408,7 @@ def test_exit_batch_invariance_across_mid_block_compaction(monkeypatch):
         "state-action-dependent", 2, base=np.array([[0.0, 1.0], [2.0, 0.0]]), gx=0.5, gu=-0.3,
     ))
     grid = Grid1D(*spec.costs.exit_domain, 81)
-    policy = GridPolicy(grid.nodes, solve_exit(spec, grid).policy, spec.actions)
+    policy = GridPolicy(spec, grid, solve_exit(spec, grid).policy)
     compactions = []
     compact = BatchStepper._compact
 
@@ -423,6 +425,38 @@ def test_exit_batch_invariance_across_mid_block_compaction(monkeypatch):
     assert batched.value == alone.value
     assert batched.stderr == alone.stderr
     assert batched.capped_fraction == alone.capped_fraction
+
+
+def _nearest_node_policy(sol):
+    """``sol``'s action table at node argmin |x - grid.nodes| and, for a time table, at the
+    level whose step [t_j, t_{j+1}) holds t, 1e-9 of a step early counting as on it."""
+    nodes, acts = sol.grid.nodes, saturated_model().actions.actions
+
+    def fn(t, x, regimes):
+        table = sol.policy
+        if table.ndim == 3:
+            step = sol.t_levels[1] - sol.t_levels[0]
+            table = table[min(np.searchsorted(sol.t_levels, t + 1e-9 * step, side="right") - 1, len(table) - 1)]
+        return acts[table[regimes - 1, np.argmin(np.abs(x - nodes), axis=1)]]
+
+    return CallablePolicy(fn)
+
+
+def test_grid_policies_replay_the_solver_tables_bit_for_bit():
+    # the seeds and the grid were fixed before the first run
+    spec, grid = saturated_model(), Grid1D(-3.0, 3.0, 61)
+    stationary, timed = solve_discounted(spec, grid), solve_finite_horizon(spec, grid)
+    assert 0 < stationary.policy.mean() < 1 and 0 < timed.policy.mean() < 1  # both actions are used
+    runs = [
+        (lambda policy: mc_discounted(spec, policy, [0.5], 1, spec.costs.alpha, 0.01, 256, seed=11),
+         GridPolicy(spec, grid, stationary.policy), stationary),
+        (lambda policy: mc_finite_horizon(spec, policy, [-0.5], 2, 1.0, 0.01, 256, seed=12),
+         TimeGridPolicy(spec, grid, timed.policy, timed.horizon), timed),
+    ]
+    for run, policy, sol in runs:
+        grid_run, callable_run = run(policy), run(_nearest_node_policy(sol))
+        for field in ("value", "stderr", "paths", "truncation_bias_bound", "capped_fraction"):
+            assert getattr(grid_run, field) == getattr(callable_run, field)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from switchsde import (
@@ -20,6 +20,7 @@ from switchsde import (
     CostSpec,
     ExitDiscount,
     GeneratorSpec,
+    Grid1D,
     GridPolicy,
     RegimeSet,
     RunningCost,
@@ -28,6 +29,8 @@ from switchsde import (
     NanError,
     ShapeError,
     StepError,
+    evaluate_policy_finite_horizon,
+    evaluate_policy_value,
     make_rng_stream,
     mc_discounted,
     simulate,
@@ -36,7 +39,7 @@ from switchsde import (
 )
 from switchsde.simulate import CHUNK, MAX_STEPS, NEVER, _wait, outside_interval
 from switchsde import DiffusionFamily, DriftFamily, ModelSpec
-from conftest import bm_model, chain_model
+from conftest import bm_model, chain_model, lq_model, reference_lq, saturated_model
 
 ZERO = ConstantPolicy(np.zeros(1))
 
@@ -1052,74 +1055,121 @@ def test_path_csv_has_jump_comments(make_chain, tmp_path):
 # grid policies
 
 
-def _table_actions():
-    return ActionGrid(np.array([[-1.0], [0.0], [1.0]]))
+def _with_actions(values):
+    """saturated_model with the given scalar actions (np.arange(n): each reads as its index)."""
+    return dataclasses.replace(saturated_model(), actions=ActionGrid(np.asarray(values, dtype=np.float64)[:, None]))
 
 
 def test_grid_policy_rounds_to_nearest_node_and_clips():
-    nodes = np.linspace(-1.0, 1.0, 5)  # dx = 0.5
-    table = np.array([[0, 1, 2, 0, 1], [2, 2, 1, 1, 0]])
-    policy = GridPolicy(nodes, table, _table_actions())
-    x = np.array([[-0.76], [-0.74], [0.24], [0.26], [0.99], [-7.0], [3.0], [0.26]])
+    spec, grid = _with_actions([-1.0, 0.0, 1.0]), Grid1D(-1.0, 1.0, 11)  # dx = 0.2
+    table = np.arange(22).reshape(2, 11) % 3
+    policy = GridPolicy(spec, grid, table)
+    x = np.array([[-0.91], [-0.89], [0.09], [0.11], [0.99], [-7.0], [3.0], [0.11]])
     s = np.array([0, 0, 0, 0, 1, 1, 0, 1])
-    nearest = [0, 1, 2, 3, 4, 0, 4, 3]
-    expected = _table_actions().actions[table[s, nearest]]
-    assert np.array_equal(policy.actions_at(0.0, x, s), expected)
+    nearest = [0, 1, 5, 6, 10, 0, 10, 6]
+    assert np.argmin(np.abs(x - grid.nodes), axis=1).tolist() == nearest
+    assert np.array_equal(policy.actions_at(0.0, x, s), spec.actions.actions[table[s, nearest]])
 
 
-def test_grid_policy_needs_two_nodes():
-    with pytest.raises(ShapeError, match="at least two x nodes, got 1"):
-        GridPolicy(np.array([0.0]), np.zeros((2, 1), dtype=np.int64), _table_actions())
-
-
-@pytest.mark.parametrize("n_levels,n_nodes,what", [(1, 3, "time levels"), (4, 1, "x nodes")])
-def test_time_grid_policy_needs_two_levels_and_two_nodes(n_levels, n_nodes, what):
-    table = np.zeros((n_levels, 1, n_nodes), dtype=np.int64)
-    with pytest.raises(ShapeError, match=f"at least two {what}, got 1"):
-        TimeGridPolicy(np.linspace(0.0, 1.0, n_levels), np.linspace(-1.0, 1.0, n_nodes), table, _table_actions())
-
-
+# (model, table axes, table): saturated_model has 2 regimes and 2 actions, and
+# the planar LQ model 2 regimes on d = 2; every table is for Grid1D(-2, 2, 11),
+# and a time table's 10 levels span 1
 BAD_TABLES = {
-    "uneven-nodes": lambda a: GridPolicy([0.0, 1.0, 3.0], np.zeros((1, 3), dtype=np.int64), a),
-    "decreasing-nodes": lambda a: GridPolicy([1.0, 0.0, -1.0], np.zeros((1, 3), dtype=np.int64), a),
-    "nan-node": lambda a: GridPolicy([0.0, 1.0, math.nan], np.zeros((1, 3), dtype=np.int64), a),
-    "narrow-table": lambda a: GridPolicy(np.linspace(-1.0, 1.0, 5), np.zeros((2, 4), dtype=np.int64), a),
-    "flat-table": lambda a: GridPolicy(np.linspace(-1.0, 1.0, 5), np.zeros(5, dtype=np.int64), a),
-    "index-past-actions": lambda a: GridPolicy(np.linspace(-1.0, 1.0, 3), [[0, 3, 1]], a),
-    "negative-index": lambda a: GridPolicy(np.linspace(-1.0, 1.0, 3), [[0, -1, 1]], a),
-    "uneven-levels": lambda a: TimeGridPolicy([0.0, 0.25, 0.75], np.linspace(-1.0, 1.0, 3),
-                                              np.zeros((3, 1, 3), dtype=np.int64), a),
-    "time-table-2d": lambda a: TimeGridPolicy([0.0, 0.5], np.linspace(-1.0, 1.0, 3),
-                                              np.zeros((1, 3), dtype=np.int64), a),
-    "time-table-index": lambda a: TimeGridPolicy([0.0, 0.5], np.linspace(-1.0, 1.0, 3),
-                                                 np.full((2, 1, 3), 3), a),
+    "flat-table": (saturated_model, 2, np.zeros(11, dtype=np.int64)),
+    "one-regime": (saturated_model, 2, np.zeros((1, 11), dtype=np.int64)),
+    "narrow-table": (saturated_model, 2, np.zeros((2, 10), dtype=np.int64)),
+    "index-past-actions": (saturated_model, 2, np.full((2, 11), 2)),
+    "negative-index": (saturated_model, 2, np.tile([0, -1, 1] * 3 + [0, 1], (2, 1))),
+    "fraction": (saturated_model, 2, np.full((2, 11), 0.7)),
+    "nan-entry": (saturated_model, 2, np.where(np.eye(2, 11) > 0, math.nan, 1.0)),
+    "inf-entry": (saturated_model, 2, np.where(np.eye(2, 11) > 0, math.inf, -math.inf)),
+    "planar-model": (lambda: lq_model(reference_lq()), 2, np.zeros((2, 11), dtype=np.int64)),
+    "time-table-2d": (saturated_model, 3, np.zeros((2, 11), dtype=np.int64)),
+    "time-table-no-levels": (saturated_model, 3, np.zeros((0, 2, 11), dtype=np.int64)),
+    "time-table-one-regime": (saturated_model, 3, np.zeros((10, 1, 11), dtype=np.int64)),
+    "time-table-index": (saturated_model, 3, np.full((10, 2, 11), 2)),
+    "time-table-fraction": (saturated_model, 3, np.full((10, 2, 11), 0.7)),
+    "time-planar-model": (lambda: lq_model(reference_lq()), 3, np.zeros((10, 2, 11), dtype=np.int64)),
 }
 
 
 @pytest.mark.parametrize("case", BAD_TABLES, ids=list(BAD_TABLES))
 def test_policy_tables_and_nodes_are_checked_on_construction(case):
-    # each was once accepted: uneven nodes gave wrong lookups (x = 1.6 took
-    # node 3's action for nodes 0, 1, 3), the rest a bare IndexError at the first step
-    with pytest.raises(ShapeError) as err:
-        BAD_TABLES[case](_table_actions())
-    assert err.value.code == "E_SHAPE"
+    # one rule for the grid evaluators and the grid policies: each table is
+    # E_SHAPE before any step; the policies once failed mid-run as a bare
+    # IndexError (one regime), or ran on x_1 alone (d = 2), and a 0.7 entry
+    # was evaluated as action 0
+    make, ndim, table = BAD_TABLES[case]
+    spec, grid = make(), Grid1D(-2.0, 2.0, 11)
+    if ndim == 2:
+        builds = [lambda: evaluate_policy_value(spec, grid, table), lambda: GridPolicy(spec, grid, table)]
+    else:
+        builds = [lambda: evaluate_policy_finite_horizon(spec, grid, table, 1.0),
+                  lambda: TimeGridPolicy(spec, grid, table, 1.0)]
+    for build in builds:
+        with pytest.raises(ShapeError) as err:
+            build()
+        assert err.value.code == "E_SHAPE"
 
 
-@pytest.mark.parametrize("lo,hi,n", [(-2.0, 2.0, 401), (-100.0, 100.0, 200_001), (1e3, 1e3 + 1.0, 1001),
-                                     (0.0, 3.7, 10_001)])
-def test_linspace_nodes_and_levels_pass_the_table_check(lo, hi, n):
-    assert GridPolicy(np.linspace(lo, hi, n), np.ones((2, n), dtype=np.int64), _table_actions()).dx > 0
-    policy = TimeGridPolicy(np.linspace(lo, hi, n), np.linspace(-1.0, 1.0, 3), np.zeros((n, 1, 3)), _table_actions())
-    assert policy.dt > 0 and policy.table.dtype == np.int64
+def test_policy_tables_take_whole_floats_as_indices():
+    spec, grid = saturated_model(), Grid1D(-2.0, 2.0, 11)
+    policy = GridPolicy(spec, grid, np.ones((2, 11)))
+    assert policy.table.dtype == np.int64 and np.all(policy.table == 1)
+    assert np.array_equal(evaluate_policy_value(spec, grid, np.ones((2, 11))).values,
+                          evaluate_policy_value(spec, grid, np.ones((2, 11), dtype=np.int64)).values)
+
+
+@pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf, math.nan])
+def test_time_grid_policy_needs_a_finite_positive_horizon(horizon):
+    with pytest.raises(ShapeError, match="horizon"):
+        TimeGridPolicy(saturated_model(), Grid1D(-2.0, 2.0, 11), np.zeros((10, 2, 11), dtype=np.int64), horizon)
+
+
+@st.composite
+def _grids(draw):
+    n = draw(st.integers(11, 1001))
+    lo = draw(st.floats(-1e3, 1e3))
+    return Grid1D(lo, lo + (n - 1) * draw(st.floats(1e-2, 1.0)), n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(grid=_grids(), at=st.lists(st.floats(-0.5, 1.5), min_size=1, max_size=16))
+@example(grid=Grid1D(1000.0, 1001.0, 1001), at=[0.0, 0.3337, 0.5, 0.9995, 1.0, -0.01, 1.2])
+@example(grid=Grid1D(-2.0, 2.0, 11), at=[0.0, 0.2, 0.26, 0.74, 1.0, -0.3, 1.4])
+def test_grid_policy_looks_up_the_solver_nodes(grid, at):
+    # the node of x is argmin |x - grid.nodes| over the solver's own nodes,
+    # inside the interval and out; x within 1e-9 dx of a midpoint is left out
+    nodes = grid.nodes
+    x = (grid.x_min + np.array(at) * (grid.x_max - grid.x_min))[:, None]
+    dist = np.sort(np.abs(x - nodes), axis=1)
+    x = x[dist[:, 1] - dist[:, 0] >= 2e-9 * grid.dx]
+    table = np.tile(np.arange(grid.n_x), (2, 1))
+    policy = GridPolicy(_with_actions(np.arange(grid.n_x)), grid, table)
+    node = policy.actions_at(0.0, x, np.zeros(x.shape[0], dtype=np.int64))[:, 0]
+    assert node.tolist() == np.argmin(np.abs(x - nodes), axis=1).tolist()
+
+
+@settings(max_examples=60, deadline=None)
+@given(horizon=st.floats(0.01, 100.0), n_t=st.integers(2, 400), data=st.data())
+def test_time_grid_policy_levels_are_the_solver_steps(horizon, n_t, data):
+    # level j acts from t = j T / n_t, the finite-horizon solver's step, and
+    # 1e-10 of a step early counts as on it while 1e-6 of a step does not
+    j = data.draw(st.integers(1, n_t - 1))
+    table = np.broadcast_to(np.arange(n_t)[:, None, None], (n_t, 2, 11))
+    policy = TimeGridPolicy(_with_actions(np.arange(n_t)), Grid1D(-2.0, 2.0, 11), table, horizon)
+    x, s = np.zeros((1, 1)), np.zeros(1, dtype=np.int64)
+    level = lambda t: int(policy.actions_at(t, x, s)[0, 0])
+    t_j, dt = j * horizon / n_t, horizon / n_t
+    assert (level(t_j), level(t_j - 1e-10 * dt), level(t_j - 1e-6 * dt)) == (j, j, j - 1)
 
 
 def test_time_grid_policy_floors_time_to_a_level():
-    levels = np.array([0.0, 0.25, 0.5, 0.75])
-    nodes = np.linspace(-1.0, 1.0, 3)  # dx = 1
-    table = np.zeros((4, 1, 3), dtype=np.int64)
-    table[:, 0, :] = [[0, 0, 0], [1, 1, 1], [2, 2, 2], [2, 1, 0]]
-    policy = TimeGridPolicy(levels, nodes, table, _table_actions())
-    x = np.array([[-0.4], [0.6], [9.0]])  # nodes 1, 2, and 2 after clipping
+    spec, grid = _with_actions([-1.0, 0.0, 1.0]), Grid1D(-1.0, 1.0, 11)  # dx = 0.2
+    x = np.array([[-0.4], [0.6], [9.0]])  # nodes 3, 8, and 10 after clipping
+    table = np.zeros((4, 2, 11), dtype=np.int64)
+    table[:, 0, [3, 8, 10]] = [[0, 0, 0], [1, 1, 1], [2, 2, 2], [1, 0, 0]]
+    policy = TimeGridPolicy(spec, grid, table, 1.0)  # levels at 0, 0.25, 0.5 and 0.75
     s = np.zeros(3, dtype=np.int64)
     u = lambda t: policy.actions_at(t, x, s)[:, 0].tolist()
     assert u(0.5) == [1.0, 1.0, 1.0]  # exactly on level 2
