@@ -216,7 +216,7 @@ class ActionGrid:
         return np.clip(u, self.lower, self.upper)
 
 
-def _check_policy_table(table, spec: ModelSpec, n_x: int, ndim: int = 2) -> np.ndarray:
+def _check_policy_table(table, spec: ModelSpec, n_x: int, ndim: int) -> np.ndarray:
     """The one rule for a policy table of the grid evaluators and grid policies, as a checked
     int64 copy: E_SHAPE unless ``spec`` has dim 1, as the grid solvers need, and the table has
     ``ndim`` nonempty axes ending in (N, n_x), each entry a whole number in 0..A-1 indexing
