@@ -1126,6 +1126,23 @@ def test_time_grid_policy_needs_a_finite_positive_horizon(horizon):
         TimeGridPolicy(saturated_model(), Grid1D(-2.0, 2.0, 11), np.zeros((10, 2, 11), dtype=np.int64), horizon)
 
 
+@pytest.mark.parametrize("lo,hi,n", [(-2.0, 2.0, 401), (-100.0, 100.0, 200_001), (1e3, 1e3 + 1.0, 1001),
+                                     (0.0, 3.7, 10_001)])
+def test_linspace_nodes_and_levels_pass_the_table_check(lo, hi, n):
+    # long grids, and short ones far from 0, pass the table check; each of the solver's
+    # nodes looks up its own entry, and level j of three over hi - lo acts from j dt
+    grid, spec = Grid1D(lo, hi, n), _with_actions(np.arange(n))
+    x, s, idx = grid.nodes[:, None], np.zeros(n, dtype=np.int64), np.arange(n)
+    policy = GridPolicy(spec, grid, np.tile(idx, (2, 1)))
+    assert policy.table.dtype == np.int64
+    assert np.array_equal(policy.actions_at(0.0, x, s)[:, 0], idx)
+    table = np.stack([np.tile((idx + j) % n, (2, 1)) for j in range(3)])
+    timed = TimeGridPolicy(spec, grid, table, hi - lo)
+    assert timed.dt > 0 and timed.table.dtype == np.int64
+    for j in range(3):
+        assert np.array_equal(timed.actions_at(j * timed.dt, x, s)[:, 0], (idx + j) % n)
+
+
 @st.composite
 def _grids(draw):
     n = draw(st.integers(11, 1001))
