@@ -43,12 +43,12 @@ _HOME = {
         ),
         "riccati": (
             "FeedbackTrajectory", "LQSpec", "RiccatiTrajectory", "a_priori_bound",
-            "fixed_feedback_cost", "lq_feedback", "lq_from_model", "riccati_defect",
+            "fixed_feedback_cost", "lq_feedback", "lq_from_model", "lq_model", "riccati_defect",
             "solve_coupled_riccati",
         ),
         "robustness": (
             "EpsOptimalityReport", "SweepReport", "SweepRow", "check_eps_optimality",
-            "perturbed_lq_sequence", "sweep_grid", "sweep_lq_finite_horizon",
+            "sweep_grid", "sweep_lq_finite_horizon",
         ),
         "simulate": (
             "BatchStepper", "CallablePolicy", "ConstantPolicy", "GridPolicy", "LQFeedbackPolicy",

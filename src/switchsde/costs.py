@@ -144,7 +144,10 @@ def mc_finite_horizon(
 
 
 def discounted_horizon(spec: ModelSpec, alpha: float, eps_tail: float) -> float:
-    """Truncation horizon T_a with tail int_{T_a}^inf e^{-a t} M_c dt <= eps_tail."""
+    """Truncation horizon T_a with tail int_{T_a}^inf e^{-a t} M_c dt <= eps_tail;
+    E_UNBOUNDED unless alpha and eps_tail are finite and > 0 and M_c is finite."""
+    if not (0 < alpha < math.inf and 0 < eps_tail < math.inf):
+        raise UnboundedError("discounted MC needs finite alpha > 0 and eps_tail > 0")
     m_c = spec.cost_bound()
     if not np.isfinite(m_c):
         raise UnboundedError("discounted MC needs a bounded running cost (M_c finite)")
@@ -162,8 +165,6 @@ def mc_discounted(
     Discounting is applied per step at the left endpoint, e^(-alpha t_k).
     The reported truncation_bias_bound is eps_tail itself.
     """
-    if not (alpha > 0 and eps_tail > 0):
-        raise UnboundedError("mc_discounted needs alpha > 0 and eps_tail > 0")
     t_alpha = discounted_horizon(spec, alpha, eps_tail)
     _check_step_budget(t_alpha, dt)
     n_steps = max(int(math.ceil(t_alpha / dt - 1e-12)), 0)

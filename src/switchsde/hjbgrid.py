@@ -63,7 +63,7 @@ from .errors import (
     UnboundedError,
 )
 from .io import write_csv
-from .model import FloatArray, ModelSpec, _check_policy_table, _freeze, _whole
+from .model import FloatArray, ModelSpec, _check_dim_1, _check_policy_table, _freeze, _whole
 
 GRID_HEADER = "criterion,regime,x,value,action_index"
 GRID_HEADER_T = "criterion,regime,x,value,action_index,t"
@@ -199,12 +199,13 @@ class _Tables:
                 spec.actions.actions, first.actions.actions
             ):
                 raise ShapeError("stacked models must share their regimes and actions")
-        flat = [spec.dim == 1 for spec in self.specs]
-        if not all(flat):
-            b = flat.index(False)
-            if b:  # an earlier block's failing check comes first
-                _Tables(self.specs[:b], grid, self.labels[:b])
-            raise self._error(b, ShapeError("grid solvers support dim 1 only"))
+        for b, spec in enumerate(self.specs):
+            try:
+                _check_dim_1(spec)
+            except ShapeError as err:
+                if b:  # an earlier block's failing check comes first
+                    _Tables(self.specs[:b], grid, self.labels[:b])
+                raise self._error(b, err) from None
         tables, failure = _node_tables(self.specs, grid)
         if failure is not None:
             raise self._error(*failure)

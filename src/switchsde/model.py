@@ -216,13 +216,18 @@ class ActionGrid:
         return np.clip(u, self.lower, self.upper)
 
 
+def _check_dim_1(spec: ModelSpec) -> None:
+    """The one dim rule of the grid solvers, evaluators and policies: E_SHAPE unless ``spec`` has dim 1."""
+    if spec.dim != 1:
+        raise ShapeError("grid solvers support dim 1 only")
+
+
 def _check_policy_table(table, spec: ModelSpec, n_x: int, ndim: int) -> np.ndarray:
     """The one rule for a policy table of the grid evaluators and grid policies, as a checked
-    int64 copy: E_SHAPE unless ``spec`` has dim 1, as the grid solvers need, and the table has
+    int64 copy: E_SHAPE unless ``spec`` has dim 1 (``_check_dim_1``) and the table has
     ``ndim`` nonempty axes ending in (N, n_x), each entry a whole number in 0..A-1 indexing
     spec.actions (a whole float such as 1.0 is taken as 1; 0.7, NaN and +-inf are not)."""
-    if spec.dim != 1:
-        raise ShapeError(f"policy tables are for dim-1 models, as the grid solvers are; got dim {spec.dim}")
+    _check_dim_1(spec)
     pol, trailing = np.asarray(table, dtype=np.float64), (spec.regimes.count, n_x)
     if pol.ndim != ndim or pol.shape[ndim - 2:] != trailing or not pol.size:
         raise ShapeError(f"policy table has shape {pol.shape}, expected {ndim} nonempty axes ending in {trailing}")
@@ -605,12 +610,11 @@ class CostSpec:
     exit_domain: tuple[float, float]
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ShapeError("discount alpha must be > 0", "costs.alpha")
-        if not self.horizon > 0:
-            raise ShapeError("horizon must be > 0", "costs.horizon")
-        if self.horizon == np.inf:
-            raise ShapeError("horizon must be finite", "costs.horizon")
+        for key, name in (("alpha", "discount alpha"), ("horizon", "horizon")):
+            if not getattr(self, key) > 0:
+                raise ShapeError(f"{name} must be > 0", f"costs.{key}")
+            if getattr(self, key) == np.inf:
+                raise ShapeError(f"{name} must be finite", f"costs.{key}")
         lo, hi = self.exit_domain
         if not lo < hi:
             raise ShapeError("exit_domain must be an open interval (lo, hi)", "costs.exit_domain")
@@ -858,27 +862,23 @@ class Direction(NamedTuple):
 
     ``modes`` are the schedule modes that apply it. ``family`` is the model
     family it shifts and ``keys`` the field it shifts for each kind of that
-    family (a key of the family's ``FIELDS``); other kinds do not take it.
-    ``lq`` is the LQSpec attribute it shifts (None: no LQ counterpart). A
+    family (a key of the family's ``FIELDS``); other kinds do not take it. A
     shifted family recomputes what it derives, such as the generator's ``bound``.
     """
 
     modes: tuple[str, ...]
     family: type
     keys: dict[str, str]
-    lq: str | None = None
 
 
 _COEFFICIENT, _NOISE = ("coefficient", "combined"), ("noise-approx",)
 _AFFINE_KINDS = ("lq", "saturated-affine")
 
 DIRECTIONS = {
-    "d_a": Direction(_COEFFICIENT, DriftFamily, dict.fromkeys(_AFFINE_KINDS, "a"), "a"),
-    "d_b": Direction(_COEFFICIENT, DriftFamily, dict.fromkeys(_AFFINE_KINDS, "b"), "b"),
-    "d_c": Direction(_COEFFICIENT, DiffusionFamily, {"lq": "c", "constant": "c0"}, "c"),
-    "d_m": Direction(
-        ("rates", "combined"), GeneratorSpec, {"constant": "rates", "state-action-dependent": "base"}, "rates"
-    ),
+    "d_a": Direction(_COEFFICIENT, DriftFamily, dict.fromkeys(_AFFINE_KINDS, "a")),
+    "d_b": Direction(_COEFFICIENT, DriftFamily, dict.fromkeys(_AFFINE_KINDS, "b")),
+    "d_c": Direction(_COEFFICIENT, DiffusionFamily, {"lq": "c", "constant": "c0"}),
+    "d_m": Direction(("rates", "combined"), GeneratorSpec, {"constant": "rates", "state-action-dependent": "base"}),
     "d_cost": Direction(
         ("cost", "combined"), RunningCost,
         {"constant": "value", "regime": "values", "quad-clamped": "offset", "cosine": "amplitude"},
@@ -950,7 +950,8 @@ class PerturbationSchedule:
 
 
 def _checked(key: str, direction, shape: tuple, per_regime: bool = False) -> np.ndarray:
-    """Direction ``key`` as floats of ``shape``; with ``per_regime`` a number also fits."""
+    """Direction ``key`` as finite floats of ``shape``; with ``per_regime`` a number also fits.
+    A wrong shape is E_SHAPE, a NaN or +-inf entry E_CONFIG, both at ``schedule.<key>``."""
     try:
         d = np.asarray(direction, dtype=np.float64)
     except ValueError:
@@ -958,6 +959,8 @@ def _checked(key: str, direction, shape: tuple, per_regime: bool = False) -> np.
                          f"schedule.{key}") from None
     if d.shape != shape and not (per_regime and d.shape == ()):
         raise ShapeError(f"'{key}' has shape {d.shape}, expected {shape}", f"schedule.{key}")
+    if not np.isfinite(d).all():
+        raise ConfigError(f"'{key}' must be finite, got {d.tolist()}", f"schedule.{key}")
     return d
 
 
@@ -991,13 +994,14 @@ def make_perturbation_sequence(true_spec: ModelSpec, sched: PerturbationSchedule
     Each direction shifts the field ``DIRECTIONS`` names for the model's
     family kind; the noise-approx pair (zero when left out) applies its
     drift/diffusion correction instead. Every direction is checked against
-    the model before any model is built: a kind that does not take it is
-    E_CONFIG, a wrong shape E_SHAPE, both at ``schedule.<key>``. Every
-    element is checked against the structural generator rules (E_RATES). A
-    magnitude of exactly zero reproduces the true model bit for bit. Every
-    element keeps the true model's objects for what it does not shift (its
-    families, and its CostSpec unless the running cost is shifted), so the
-    grid tables evaluate each of those once per stack.
+    the model before any model is built: a kind that does not take it, or a
+    NaN or +-inf entry, is E_CONFIG and a wrong shape E_SHAPE, all at
+    ``schedule.<key>``. Every element is checked against the structural
+    generator rules (E_RATES). A magnitude of exactly zero reproduces the
+    true model bit for bit. Every element keeps the true model's objects for
+    what it does not shift (its families, and its CostSpec unless the
+    running cost is shifted), so the grid tables evaluate each of those once
+    per stack.
     """
     noise = sched.mode == "noise-approx"
     shifts = []

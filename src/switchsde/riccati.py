@@ -36,7 +36,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowupError, ConfigError, EigError, ShapeError, StepError
-from .model import EIG_FLOOR, FloatArray, ModelSpec, _check_definite, _check_rates, _freeze, _whole
+from .model import (
+    EIG_FLOOR, ActionGrid, BoundaryCost, CostSpec, DiffusionFamily, DriftFamily, ExitDiscount, FloatArray,
+    GeneratorSpec, ModelSpec, RegimeSet, RunningCost, TerminalCost, _check_definite, _check_rates, _freeze, _whole,
+)
 
 BLOWUP_LIMIT = 1e12
 BLOWUP_CHECK_STEPS = 64  # RK4 steps between two blow-up checks
@@ -134,6 +137,23 @@ def lq_from_model(spec: ModelSpec) -> LQSpec:
         p=p,
         rates=spec.generator.rates,
         horizon=spec.costs.horizon,
+    )
+
+
+def lq_model(lq: LQSpec) -> ModelSpec:
+    """The all-lq model whose LQ data is ``lq``: lq_from_model returns every array of ``lq`` from it
+    bit for bit. Its alpha (1) and exit data (zero on (-1, 1)) are placeholders no LQ solve reads."""
+    N, d, l = lq.n_regimes, lq.dim, lq.control_dim
+    return ModelSpec(
+        dim=d, regimes=RegimeSet(N), actions=ActionGrid(np.zeros((1, l))),
+        drift=DriftFamily("lq", d, N, l, a_mat=lq.a, b_mat=lq.b),
+        diffusion=DiffusionFamily("lq", d, N, c_mat=lq.c),
+        generator=GeneratorSpec("constant", N, rates=lq.rates),
+        costs=CostSpec(
+            running=RunningCost("lq", N, d, l, q_mat=lq.q, r_mat=lq.r), alpha=1.0,
+            horizon=lq.horizon, terminal=TerminalCost("quad", N, d, p_mat=lq.p),
+            exit_h=BoundaryCost("zero"), exit_beta=ExitDiscount("zero"), exit_domain=(-1.0, 1.0),
+        ),
     )
 
 

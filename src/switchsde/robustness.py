@@ -14,7 +14,7 @@ true row and the rows whose replay input differs; the rest copy its result.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -31,16 +31,7 @@ from .hjbgrid import (
     _time_levels,
 )
 from .io import write_csv
-from .model import (
-    DIRECTIONS,
-    GRID_CRITERIA,
-    ModelSpec,
-    PerturbationSchedule,
-    _check_start,
-    _checked,
-    _shift,
-    make_perturbation_sequence,
-)
+from .model import GRID_CRITERIA, ModelSpec, PerturbationSchedule, _check_start, make_perturbation_sequence
 
 if TYPE_CHECKING:
     from .riccati import LQSpec
@@ -78,15 +69,17 @@ class SweepReport:
         return np.array([getattr(r, name) for r in self.rows], dtype=np.float64)
 
 
-def _schedule_rows(true_model, sched: PerturbationSchedule, models: list) -> tuple:
-    """(deltas, models) of the sweep rows, from ``models``, one per magnitude.
+def _schedule_rows(true_spec: ModelSpec, sched: PerturbationSchedule) -> tuple:
+    """(deltas, models) of the sweep rows, the one row producer of every sweep:
+    make_perturbation_sequence's models, one per magnitude.
 
     The true model is the last row: a final magnitude of 0 is the true
     model itself, and otherwise a delta = 0 control row is appended.
     """
     deltas = [float(d) for d in sched.magnitudes]
+    models = make_perturbation_sequence(true_spec, sched)
     if deltas[-1] != 0.0:
-        return deltas + [0.0], models + [true_model]
+        return deltas + [0.0], models + [true_spec]
     return deltas, models
 
 
@@ -119,32 +112,6 @@ def _spectral_gaps(stack: np.ndarray) -> np.ndarray:
     return np.sqrt(np.maximum(0.0, top))
 
 
-def perturbed_lq_sequence(true_lq: LQSpec, sched: PerturbationSchedule) -> list[LQSpec]:
-    """Apply the schedule's directions to an LQSpec, as make_perturbation_sequence does.
-
-    Each direction shifts the LQSpec attribute ``DIRECTIONS`` names by the
-    same rule and shape check as the model path: d_a, d_b the drift pair,
-    d_c the noise loading, d_m the generator off-diagonals. A mode or
-    direction with no LQ counterpart (cost, noise-approx) is E_CONFIG.
-    """
-    if not any(sched.mode in d.modes for d in DIRECTIONS.values() if d.lq):
-        raise ConfigError(f"mode '{sched.mode}' does not apply to the LQ sweep", "schedule.mode")
-    shifts = []
-    for key, direction in DIRECTIONS.items():
-        d = getattr(sched, key)
-        if d is None:
-            continue
-        if direction.lq is None:
-            raise ConfigError(f"'{key}' does not apply to the LQ sweep", f"schedule.{key}")
-        shifts.append((key, direction.lq, _checked(key, d, getattr(true_lq, direction.lq).shape)))
-    return [
-        true_lq if delta == 0.0 else replace(true_lq, **{
-            attr: _shift(key, attr, getattr(true_lq, attr), d, float(delta)) for key, attr, d in shifts
-        })
-        for delta in sched.magnitudes
-    ]
-
-
 def sweep_lq_finite_horizon(
     true_lq: LQSpec,
     sched: PerturbationSchedule,
@@ -162,20 +129,25 @@ def sweep_lq_finite_horizon(
     exact arithmetic), aux = sup_t ||F_n - F||_2 over the same times. No
     Monte Carlo enters.
 
-    The rows' models are stacked on a leading axis and solved by one
-    Riccati RK4 of ``steps`` steps, whose cubic Hermite midpoints give K at
-    the replay's half steps, and one fixed-feedback RK4 on the same grid;
+    The rows are lq_from_model of the schedule rows of lq_model(true_lq),
+    ``true_lq`` itself at delta = 0, so the LQ sweep rejects what the grid
+    sweeps reject, at the direction: d_cost and hat_sigma are E_CONFIG at
+    ``schedule.<key>``. They are stacked on a leading axis and solved by
+    one Riccati RK4 of ``steps`` steps, whose cubic Hermite midpoints give K
+    at the replay's half steps, and one fixed-feedback RK4 on the same grid;
     solver_iters is ``steps``. The true model is the last block and serves
     the reference K and the base cost M*, so its own row's gaps are exactly
     zero. An x0 that is not dim finite numbers, or an i0 that is not a whole
     regime number, is E_SHAPE before any solve; more than
     MAX_RICCATI_STEPS steps is E_STEP.
     """
-    from .riccati import _check_steps, _feedback_cost_stack, _stage_stack
+    from .riccati import _check_steps, _feedback_cost_stack, _stage_stack, lq_from_model, lq_model
 
     steps = _check_steps(steps)
     x0, i0 = _check_start(x0, i0, true_lq.dim, true_lq.n_regimes)
-    deltas, stack = _schedule_rows(true_lq, sched, perturbed_lq_sequence(true_lq, sched))
+    true_spec = lq_model(true_lq)
+    deltas, models = _schedule_rows(true_spec, sched)
+    stack = [true_lq if m is true_spec else lq_from_model(m) for m in models]
     # K at the replay's RK4 stage times: nodes of one solve, Hermite midpoints between them
     k = _stage_stack(stack, steps)  # (2 steps + 1, models, N, d, d)
     value_gap = _spectral_gaps(k).tolist()
@@ -195,7 +167,7 @@ def sweep_lq_finite_horizon(
 def _grid_stack(true_spec: ModelSpec, sched: PerturbationSchedule, grid: Grid1D) -> tuple:
     """(the delta of each row, tables of the rows' models stacked on one grid),
     one block per row, labelled with its row, the true model last."""
-    deltas, stack = _schedule_rows(true_spec, sched, make_perturbation_sequence(true_spec, sched))
+    deltas, stack = _schedule_rows(true_spec, sched)
     return deltas, _Tables(stack, grid, [f"schedule row n = {n}, delta = {d:g}" for n, d in enumerate(deltas)])
 
 

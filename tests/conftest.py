@@ -37,6 +37,7 @@ from switchsde import (
     RunningCost,
     TerminalCost,
 )
+from switchsde.riccati import lq_model  # noqa: F401 (the tests import it from here)
 
 # the same examples on every run, and no example database on disk; each
 # test's own max_examples and deadline still apply
@@ -169,22 +170,6 @@ def cosine_exit_model():
             exit_h=BoundaryCost("zero"),
             exit_beta=ExitDiscount("zero"),
             exit_domain=(-1.0, 1.0),
-        ),
-    )
-
-
-def lq_model(lq: LQSpec) -> ModelSpec:
-    """The all-lq model whose LQ data is ``lq``."""
-    N, d, l = lq.n_regimes, lq.dim, lq.control_dim
-    return ModelSpec(
-        dim=d, regimes=RegimeSet(N), actions=ActionGrid(np.zeros((1, l))),
-        drift=DriftFamily("lq", d, N, l, a_mat=lq.a, b_mat=lq.b),
-        diffusion=DiffusionFamily("lq", d, N, c_mat=lq.c),
-        generator=GeneratorSpec("constant", N, rates=lq.rates),
-        costs=CostSpec(
-            running=RunningCost("lq", N, d, l, q_mat=lq.q, r_mat=lq.r), alpha=1.0,
-            horizon=lq.horizon, terminal=TerminalCost("quad", N, d, p_mat=lq.p),
-            exit_h=BoundaryCost("zero"), exit_beta=ExitDiscount("zero"), exit_domain=(-1.0, 1.0),
         ),
     )
 

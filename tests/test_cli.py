@@ -806,8 +806,8 @@ PUBLIC = {
              "ModelSpec PerturbationSchedule RegimeSet RunningCost TerminalCost ValidationReport "
              "make_perturbation_sequence model_from_dict model_to_dict validate_model",
     "riccati": "FeedbackTrajectory LQSpec RiccatiTrajectory a_priori_bound fixed_feedback_cost lq_feedback "
-               "lq_from_model riccati_defect solve_coupled_riccati",
-    "robustness": "EpsOptimalityReport SweepReport SweepRow check_eps_optimality perturbed_lq_sequence sweep_grid "
+               "lq_from_model lq_model riccati_defect solve_coupled_riccati",
+    "robustness": "EpsOptimalityReport SweepReport SweepRow check_eps_optimality sweep_grid "
                   "sweep_lq_finite_horizon",
     "simulate": "BatchStepper CallablePolicy ConstantPolicy GridPolicy LQFeedbackPolicy PathSample RngStream "
                 "TimeGridPolicy make_rng_stream simulate_exit_path simulate_path",

@@ -117,6 +117,15 @@ def test_discounted_rejects_bad_parameters(chain):
         mc_discounted(chain, ZERO, [0.0], 1, math.nan, 0.01, 4, seed=1)
 
 
+@pytest.mark.parametrize("alpha,eps_tail", [(math.inf, 1e-4), (1.0, math.inf)], ids=["alpha", "eps_tail"])
+def test_discounted_rejects_an_infinite_alpha_or_eps_tail(chain, alpha, eps_tail):
+    # both were a bare ValueError (math domain error) from the horizon's log
+    with pytest.raises(UnboundedError):
+        discounted_horizon(chain, alpha, eps_tail)
+    with pytest.raises(UnboundedError):
+        mc_discounted(chain, ZERO, [0.0], 1, alpha, 0.01, 4, seed=1, eps_tail=eps_tail)
+
+
 def test_discounted_rejects_an_unbounded_running_cost(ref_lq):
     with pytest.raises(UnboundedError, match="bounded running cost"):
         mc_discounted(lq_model(ref_lq), ZERO, [0.0, 0.0], 1, 1.0, 0.01, 4, seed=1)

@@ -1,11 +1,14 @@
 """Repository rules no other test checks: the README config reference lists
 exactly the keys of the schema tables, its command line section names
 exactly the tool's options and the validator's findings and gives every
-artifact's header line, ``src/`` has no bare assert, and every package name
-the benchmark uses still resolves."""
+artifact's header line, ``src/`` has no bare assert, every package name
+the benchmark uses still resolves, and a committed bench file's summary is
+the one ``tools/pairs.py`` computes from its runs."""
 
 import ast
 import importlib
+import importlib.util
+import json
 import re
 from pathlib import Path
 
@@ -157,3 +160,14 @@ def test_every_package_name_the_benchmark_uses_resolves():
         if not hasattr(importlib.import_module(module), name)
     ]
     assert missing == []
+
+
+def test_bench_summary_is_recomputed_from_its_runs():
+    # BENCH_33.json was written before tools/pairs.py; its summary, to the
+    # last bit of every quartile, is the one the tool computes from its runs
+    spec = importlib.util.spec_from_file_location("pairs", ROOT / "tools" / "pairs.py")
+    pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(pairs)
+    bench = json.loads((ROOT / "BENCH_33.json").read_text())
+    assert pairs.summarize(bench["runs"]) == bench["summary"]
+    assert list(bench) == ["change", "command", "machine", "protocol", "claimed", "claim_note", "summary", "runs"]

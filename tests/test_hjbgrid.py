@@ -98,6 +98,13 @@ def test_discounted_constant_cost_is_c_over_alpha():
     assert np.abs(sol.values - 1.0).max() <= 1e-8
 
 
+def test_discounted_solve_rejects_an_infinite_alpha(saturated):
+    # it once returned all-zero values with a NaN residual
+    with pytest.raises(ShapeError, match="alpha must be finite") as info:
+        solve_discounted(saturated, Grid1D(-2.0, 2.0, 21), alpha=math.inf)
+    assert info.value.path == "costs.alpha"
+
+
 def test_discounted_maximum_principle(saturated):
     grid = Grid1D(-2.0, 2.0, 101)
     sol = solve_discounted(saturated, grid)

@@ -530,6 +530,12 @@ def test_non_finite_number_is_a_config_error_at_its_path(make_chain, family, key
     assert err.value.path == f"model.{family}.{key}"
 
 
+def test_discount_alpha_must_be_finite(make_chain):
+    with pytest.raises(ShapeError, match="alpha must be finite") as info:
+        dataclasses.replace(make_chain().costs, alpha=float("inf"))
+    assert info.value.path == "costs.alpha"
+
+
 def test_horizon_must_be_finite(make_chain):
     with pytest.raises(ShapeError, match="horizon must be finite"):
         dataclasses.replace(make_chain().costs, horizon=float("inf"))

@@ -231,6 +231,42 @@ def test_lq_from_model_rejects_a_family_outside_lq(changes, match):
         lq_from_model(_scalar_lq_model_with(**changes))
 
 
+LQ_ARRAYS = ("a", "b", "c", "q", "r", "p", "rates")
+
+
+@st.composite
+def lq_specs(draw):
+    """LQSpecs with N <= 3, d <= 3, l <= 2: Q semidefinite, R definite, P zero (nudged onto the
+    floor) or definite, and a generator of exponential rates."""
+    n, d, l = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gram = lambda m: m @ np.swapaxes(m, -1, -2)
+    off = rng.exponential(size=(n, n)) * (1.0 - np.eye(n))
+    p = np.zeros((n, d, d)) if draw(st.booleans()) else gram(rng.normal(size=(n, d, d))) + np.eye(d)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # the zero P's nudge
+        return LQSpec(
+            d, n, l, a=rng.normal(size=(n, d, d)), b=rng.normal(size=(n, d, l)), c=rng.normal(size=(n, d, d)),
+            q=gram(rng.normal(size=(n, d, d))), r=gram(rng.normal(size=(n, l, l))) + np.eye(l), p=p,
+            rates=off - np.diag(off.sum(axis=1)), horizon=draw(st.floats(0.01, 100.0)),
+        )
+
+
+@settings(max_examples=60, deadline=None)
+@given(lq=lq_specs())
+def test_lq_model_is_the_inverse_of_lq_from_model(lq):
+    # the LQ sweep reads its rows back through lq_from_model, so the round
+    # trip must hold every array bit for bit and warn about no P
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = lq_from_model(lq_model(lq))
+    assert (back.dim, back.n_regimes, back.control_dim, back.horizon) == (lq.dim, lq.n_regimes, lq.control_dim,
+                                                                        lq.horizon)
+    for name in LQ_ARRAYS:
+        got, want = getattr(back, name), getattr(lq, name)
+        assert got.dtype == want.dtype and got.shape == want.shape and got.tobytes() == want.tobytes(), name
+
+
 def test_defect_needs_three_time_nodes(ref_lq):
     traj = RiccatiTrajectory(times=np.array([0.0, 2.0]), k=np.zeros((2, 2, 2, 2)))
     with pytest.raises(ShapeError, match="3 time nodes"):

@@ -1,6 +1,7 @@
 """Perturbation sweeps: gap decay, exact control rows, 3-eps replay."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -48,7 +49,6 @@ from switchsde.robustness import (
     _spectral_gaps,
     _worst_eps_policy,
     check_eps_optimality,
-    perturbed_lq_sequence,
     sweep_grid,
     sweep_lq_finite_horizon,
 )
@@ -103,7 +103,6 @@ CRITERION_4 = PerturbationSchedule(
     d_c=np.array([[[0.05, 0.0], [0.0, 0.05]], [[0.05, 0.02], [0.0, 0.05]]]),
     d_m=np.array([[0.0, 0.5], [1.0, 0.0]]),
 )
-LQ_ARRAYS = ("a", "b", "c", "q", "r", "p", "rates")
 
 
 def _hermite_stage_k(lq, steps):
@@ -136,7 +135,7 @@ def _rowwise_lq_sweep(true_lq, sched, x0, i0, steps):
         return float(np.max(np.linalg.norm(a - b, ord=2, axis=(-2, -1))))
 
     k, f, base = solve(true_lq)
-    models = perturbed_lq_sequence(true_lq, sched)
+    models = [lq_from_model(m) for m in make_perturbation_sequence(lq_model(true_lq), sched)]
     if sched.magnitudes[-1] != 0.0:
         models.append(true_lq)  # the delta = 0 control row
     rows = []
@@ -146,12 +145,17 @@ def _rowwise_lq_sweep(true_lq, sched, x0, i0, steps):
     return np.array(rows)
 
 
-@pytest.mark.parametrize("which", ["combined", "rates"])
+LQ_SCHEDULES = {
+    "combined": CRITERION_4,
+    "rates": PerturbationSchedule("rates", 4, d_m=np.array([[0.0, 0.5], [1.0, 0.0]])),
+    "custom": dataclasses.replace(CRITERION_4, n_max=3, magnitudes=[0.7, 0.3, 0.1, 0.02]),
+    "custom-ending-in-0": dataclasses.replace(CRITERION_4, n_max=3, magnitudes=[0.7, 0.3, 0.1, 0.0]),
+}
+
+
+@pytest.mark.parametrize("which", LQ_SCHEDULES)
 def test_stacked_lq_sweep_matches_rowwise_reference(ref_lq, which):
-    if which == "combined":
-        sched = CRITERION_4
-    else:
-        sched = PerturbationSchedule("rates", 4, d_m=np.array([[0.0, 0.5], [1.0, 0.0]]))
+    sched = LQ_SCHEDULES[which]
     x0, i0, steps = [1.0, 0.5], 2, 200
     rep = sweep_lq_finite_horizon(ref_lq, sched, x0=x0, i0=i0, steps=steps)
     got = np.column_stack([rep.column(c) for c in ("value_gap", "policy_loss", "aux")])
@@ -275,43 +279,71 @@ def test_lq_direction_of_the_wrong_shape_is_a_shape_error(ref_lq, key, direction
     # a (2, 1, 1) d_a used to be broadcast into every entry of A
     sched = PerturbationSchedule("combined", 1, **{key: direction})
     with pytest.raises(ShapeError) as info:
-        perturbed_lq_sequence(ref_lq, sched)
+        sweep_lq_finite_horizon(ref_lq, sched, x0=[1.0, 0.5], i0=1, steps=100)
     assert info.value.path == f"schedule.{key}"
 
 
 def test_lq_sweep_rejects_a_cost_shift(ref_lq):
     sched = PerturbationSchedule("combined", 1, d_m=np.zeros((2, 2)), d_cost=1.0)
     with pytest.raises(ConfigError) as info:
-        perturbed_lq_sequence(ref_lq, sched)
+        sweep_lq_finite_horizon(ref_lq, sched, x0=[1.0, 0.5], i0=1, steps=100)
     assert info.value.path == "schedule.d_cost"
 
 
-@pytest.mark.parametrize("sched", [
-    PerturbationSchedule("cost", 1, d_cost=1.0),
-    PerturbationSchedule("noise-approx", 1, hat_sigma=np.ones((2, 1, 1))),
+@pytest.mark.parametrize("sched,key", [
+    (PerturbationSchedule("cost", 1, d_cost=1.0), "d_cost"),
+    (PerturbationSchedule("noise-approx", 1, hat_sigma=np.ones((2, 1, 1))), "hat_sigma"),
 ], ids=["cost", "noise-approx"])
-def test_lq_sweep_rejects_a_mode_without_an_lq_direction(ref_lq, sched):
+def test_lq_sweep_rejects_a_mode_without_an_lq_direction(ref_lq, sched, key):
+    # the all-lq model's running cost and diffusion kinds take neither direction,
+    # so the LQ sweep rejects them where a grid sweep would, at the direction
     with pytest.raises(ConfigError) as info:
         sweep_lq_finite_horizon(ref_lq, sched, x0=[1.0, 0.5], i0=1, steps=100)
-    assert info.value.path == "schedule.mode"
+    assert info.value.path == f"schedule.{key}"
+
+
+def test_lq_cost_schedule_without_a_direction_gives_zero_rows(ref_lq):
+    rep = sweep_lq_finite_horizon(ref_lq, PerturbationSchedule("cost", 2), x0=[1.0, 0.5], i0=1, steps=50)
+    assert len(rep.rows) == 4
+    for name in ("value_gap", "policy_loss", "aux"):
+        assert np.all(rep.column(name) == 0.0), name
+
+
+NON_FINITE_DIRECTIONS = {  # key: (mode, the key's shape on saturated_model, on reference_lq or None)
+    "d_a": ("combined", (2, 1, 1), (2, 2, 2)),
+    "d_b": ("combined", (2, 1, 1), (2, 2, 1)),
+    "d_c": ("combined", (2, 1, 1), (2, 2, 2)),
+    "d_m": ("combined", (2, 2), (2, 2)),
+    "d_cost": ("combined", (), None),
+    "hat_b": ("noise-approx", (1,), None),
+    "hat_sigma": ("noise-approx", (1, 1), None),
+}
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key,sweep", [
+    pytest.param(k, sweep, id=f"{k}-{sweep}") for sweep in ("grid", "lq")
+    for k, (*_, lq_shape) in NON_FINITE_DIRECTIONS.items() if sweep == "grid" or lq_shape
+])
+def test_a_non_finite_direction_is_a_config_error_at_its_key(saturated, ref_lq, key, sweep, value):
+    # NaN d_a once ended the LQ sweep as E_BLOWUP and the grid sweep as
+    # E_SCHEME, inf d_m as E_RATES at lq.rates, inf d_cost as E_UNBOUNDED
+    mode, grid_shape, lq_shape = NON_FINITE_DIRECTIONS[key]
+    d = np.zeros(grid_shape if sweep == "grid" else lq_shape)
+    d[(0,) * d.ndim] = value
+    sched = PerturbationSchedule(mode, 2, **{key: d})
+    with pytest.raises(ConfigError) as info:
+        if sweep == "grid":
+            sweep_grid(saturated, sched, "discounted", Grid1D(-2.0, 2.0, 21))
+        else:
+            sweep_lq_finite_horizon(ref_lq, sched, x0=[1.0, 0.5], i0=1, steps=50)
+    assert info.value.code == "E_CONFIG" and info.value.path == f"schedule.{key}"
 
 
 @pytest.mark.parametrize("i0", [0, 3])
 def test_lq_sweep_rejects_a_regime_out_of_range(ref_lq, lq_schedule, i0):
     with pytest.raises(ShapeError, match="out of range"):
         sweep_lq_finite_horizon(ref_lq, lq_schedule, x0=[1.0, 0.5], i0=i0, steps=100)
-
-
-def test_model_and_lq_sequences_agree_on_an_all_lq_model(ref_lq):
-    model = lq_model(ref_lq)
-    assert all(np.array_equal(getattr(lq_from_model(model), a), getattr(ref_lq, a)) for a in LQ_ARRAYS)
-    for sched in (CRITERION_4, PerturbationSchedule("rates", 4, d_m=np.array([[0.0, 0.5], [1.0, 0.0]]))):
-        via_model = [lq_from_model(m) for m in make_perturbation_sequence(model, sched)]
-        direct = perturbed_lq_sequence(lq_from_model(model), sched)
-        assert len(via_model) == len(direct) == sched.n_max + 1
-        for a, b in zip(via_model, direct):
-            for name in LQ_ARRAYS:
-                assert np.array_equal(getattr(a, name), getattr(b, name)), name
 
 
 def test_lq_sweep_raises_when_a_member_blows_up():

@@ -1106,10 +1106,13 @@ def test_policy_tables_and_nodes_are_checked_on_construction(case):
     else:
         builds = [lambda: evaluate_policy_finite_horizon(spec, grid, table, 1.0),
                   lambda: TimeGridPolicy(spec, grid, table, 1.0)]
+    messages = set()
     for build in builds:
         with pytest.raises(ShapeError) as err:
             build()
         assert err.value.code == "E_SHAPE"
+        messages.add(str(err.value))
+    assert len(messages) == 1, messages  # the one rule, one message
 
 
 def test_policy_tables_take_whole_floats_as_indices():
