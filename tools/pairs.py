@@ -113,7 +113,7 @@ def _run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
 def _machine() -> str:
     import numpy
 
-    return (f"{os.cpu_count()}-core {platform.machine()} {platform.system()} {platform.release()}, "
+    return (f"{os.cpu_count()}-core {platform.machine()} {platform.system()}, "
             f"python {platform.python_version()}, numpy {numpy.__version__}")
 
 
