@@ -77,8 +77,8 @@ class LQSpec:
             if arr.shape != shape:
                 raise ShapeError(f"'{nm}' has shape {arr.shape}, expected {shape}", f"lq.{nm}")
             object.__setattr__(self, nm, _freeze(arr))
-        if not self.horizon > 0:
-            raise ShapeError("horizon must be > 0", "lq.horizon")
+        if not 0 < self.horizon < np.inf:
+            raise ShapeError("horizon must be finite and > 0", "lq.horizon")
         _check_definite(self.q, "Q", -EIG_FLOOR, "semidefinite", error=EigError)
         # P must be positive definite; a semidefinite P (e.g. exactly zero) is
         # nudged onto the floor so closed-form P -> 0+ limits remain usable.

@@ -211,6 +211,12 @@ def test_lqspec_rejects_a_horizon_that_is_not_positive(ref_lq, horizon):
     assert info.value.path == "lq.horizon"
 
 
+def test_lqspec_rejects_an_infinite_horizon(ref_lq):
+    with pytest.raises(ShapeError, match="horizon must be finite") as info:
+        dataclasses.replace(ref_lq, horizon=np.inf)
+    assert info.value.path == "lq.horizon"
+
+
 def _scalar_lq_model_with(**changes):
     """The all-lq scalar model with families replaced (costs' families by name)."""
     spec = lq_model(scalar_lq(p_val=1.0))

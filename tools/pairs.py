@@ -5,7 +5,7 @@
 
 Each revision is unpacked from ``git archive`` into a temporary directory of
 its own. For every workload of ``BENCHMARK.json``, one after another, and
-pair i = 1..``--pairs``, both trees run
+pair i = 1..10, both trees run
 
     python3 perfbench/run.py --workload W --seed S --seconds <run_seconds> --trace 0
 
@@ -13,7 +13,8 @@ with ``PYTHONDONTWRITEBYTECODE=1``: the parent first when i is odd, the
 change first when i is even. A run's result is the JSON object on the last
 line of its output. The file is rewritten after every run, so a stopped
 session keeps the runs made; it holds ``change``, ``command``, ``machine``,
-``protocol``, ``claimed``, ``claim_note``, ``summary`` and ``runs``.
+``protocol``, ``claimed`` (null: the tool makes no claim), ``claim_note``,
+``summary`` and ``runs``.
 
 The summary gives, per workload, the pairs, whether every run was correct,
 the failed checks of all runs, and per end-to-end metric each side's median
@@ -37,6 +38,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+PAIRS = 10  # per workload
 
 
 def _quartiles(values: list) -> tuple:
@@ -130,8 +132,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", type=Path, required=True, help="the BENCH file to write")
     parser.add_argument("--change", dest="what", required=True, help="what the change does")
     parser.add_argument("--claim-note", required=True, help="the gain claimed, or why none is")
-    parser.add_argument("--claimed", default=None, help="the claimed metric as <workload>.<metric>, if any")
-    parser.add_argument("--pairs", type=int, default=10, help="pairs per workload")
     args = parser.parse_args(argv)
 
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
@@ -145,11 +145,11 @@ def main(argv=None) -> int:
         "machine": _machine(),
         "protocol": (
             f"alternating pairs (pair i runs the parent first when i is odd, the change first when even), "
-            f"{args.pairs} pairs per workload, workloads one after another; the parent side runs from a git "
+            f"{PAIRS} pairs per workload, workloads one after another; the parent side runs from a git "
             f"archive of {shas['parent'][:7]}, the change side from a git archive of {shas['change'][:7]}; "
             f"PYTHONDONTWRITEBYTECODE set on both sides"
         ),
-        "claimed": args.claimed,
+        "claimed": None,
         "claim_note": args.claim_note,
         "summary": {},
         "runs": [],
@@ -159,7 +159,7 @@ def main(argv=None) -> int:
         for side, sha in shas.items():
             _unpack(sha, trees[side])
         for workload in workloads:
-            for pair in range(1, args.pairs + 1):
+            for pair in range(1, PAIRS + 1):
                 for side in ("parent", "change") if pair % 2 else ("change", "parent"):
                     result = _run(trees[side], workload, args.seed, seconds)
                     doc["runs"].append({"workload": workload, "pair": pair, "side": side, "result": result})
