@@ -52,8 +52,7 @@ _HOME = {
         ),
         "simulate": (
             "BatchStepper", "CallablePolicy", "ConstantPolicy", "GridPolicy", "LQFeedbackPolicy",
-            "PathSample", "RngStream", "TimeGridPolicy", "make_rng_stream", "simulate_exit_path",
-            "simulate_path",
+            "PathSample", "RngStream", "TimeGridPolicy", "simulate_exit_path", "simulate_path",
         ),
     }.items()
     for name in (module, *names)

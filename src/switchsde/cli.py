@@ -323,10 +323,10 @@ def _run_riccati(cfg: ExperimentConfig, out: Path, lines: list, results: dict) -
 
 
 def _run_simulate(cfg: ExperimentConfig, out: Path, lines: list, results: dict) -> None:
-    from .simulate import make_rng_stream, simulate_exit_path, simulate_path
+    from .simulate import RngStream, simulate_exit_path, simulate_path
 
     b, spec = cfg.block, cfg.model
-    stream = make_rng_stream(b["seed"], 0)
+    stream = RngStream(b["seed"], 0)
     policy = _policy(b["policy"], spec)
     _lq_within_horizon(cfg, b["t_cap"] if b["exit"] else b["t"], capped=b["exit"])
     if b["exit"]:

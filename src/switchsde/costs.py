@@ -145,7 +145,8 @@ def mc_finite_horizon(
 
 def discounted_horizon(spec: ModelSpec, alpha: float, eps_tail: float) -> float:
     """Truncation horizon T_a with tail int_{T_a}^inf e^{-a t} M_c dt <= eps_tail;
-    E_UNBOUNDED unless alpha and eps_tail are finite and > 0 and M_c is finite."""
+    E_UNBOUNDED unless alpha and eps_tail are finite and > 0, their product
+    does not underflow to 0, and M_c is finite."""
     if not (0 < alpha < math.inf and 0 < eps_tail < math.inf):
         raise UnboundedError("discounted MC needs finite alpha > 0 and eps_tail > 0")
     m_c = spec.cost_bound()
@@ -153,6 +154,8 @@ def discounted_horizon(spec: ModelSpec, alpha: float, eps_tail: float) -> float:
         raise UnboundedError("discounted MC needs a bounded running cost (M_c finite)")
     if m_c <= 0.0:
         return 0.0
+    if alpha * eps_tail == 0.0:
+        raise UnboundedError(f"alpha * eps_tail underflows to 0 (alpha {alpha:g}, eps_tail {eps_tail:g})")
     return math.log(m_c / (alpha * eps_tail)) / alpha
 
 

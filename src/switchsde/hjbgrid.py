@@ -54,6 +54,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import (
+    ConfigError,
     DegenerateError,
     MaxIterError,
     SchemeError,
@@ -590,8 +591,12 @@ def _stationary(
     ``start`` is an optional (N, B, K) first policy. The discrete maximum
     principle is checked: 0 <= V <= M_c / alpha (discounted), 0 <= rho <=
     M_c (ergodic). Ergodic values are h shifted to vanish at the reference
-    node of regime 1.
+    node of regime 1. A max_iter that is not a whole number >= 1 is
+    E_CONFIG at ``max_iter``.
     """
+    if not (_whole(max_iter) and max_iter >= 1):
+        raise ConfigError(f"max_iter must be a whole number >= 1, got {max_iter!r}", "max_iter")
+    max_iter = int(max_iter)
     v = np.zeros(tab.shape)
     if criterion == "exit":
         v[..., [0, -1]] = tab.exit_values

@@ -25,12 +25,12 @@ fixed-feedback one is z @ A_j with an (m+1) x (m+1) map per RK4 stage. The
 core carries leading batch axes (a sweep integrates all its models at once)
 and checks blow-up over blocks of BLOWUP_CHECK_STEPS stored iterates,
 stopping within a block. LQSpec checks Q, P and R with the model's one
-definiteness test, raising E_EIG.
+definiteness test, raising E_EIG: Q and P positive semidefinite, R positive
+definite. No solve inverts P or K, so a P = 0 terminal weight is kept as given.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,8 +52,9 @@ class LQSpec:
     """Switching LQ problem data with a constant generator.
 
     All coefficient stacks are indexed by regime: A, C, Q, P are (N, d, d),
-    B is (N, d, l), R is (N, l, l). Q and P must be positive semidefinite,
-    R positive definite; rates follow the usual generator rules.
+    B is (N, d, l), R is (N, l, l). Q and P must be positive semidefinite
+    (least eigenvalue at least -EIG_FLOOR), R positive definite, else E_EIG;
+    rates follow the usual generator rules. Every array is kept as given.
     """
 
     dim: int
@@ -80,17 +81,7 @@ class LQSpec:
         if not 0 < self.horizon < np.inf:
             raise ShapeError("horizon must be finite and > 0", "lq.horizon")
         _check_definite(self.q, "Q", -EIG_FLOOR, "semidefinite", error=EigError)
-        # P must be positive definite; a semidefinite P (e.g. exactly zero) is
-        # nudged onto the floor so closed-form P -> 0+ limits remain usable.
-        p_min = float(_check_definite(self.p, "P", -1e-10, "definite", error=EigError).min())
-        if p_min < EIG_FLOOR:
-            warnings.warn(
-                f"terminal weight P has min eigenvalue {p_min:.3e}; "
-                f"nudged by {EIG_FLOOR:.0e} * I to keep it positive definite",
-                stacklevel=3,
-            )
-            nudged = self.p + EIG_FLOOR * np.eye(d)[None, :, :]
-            object.__setattr__(self, "p", _freeze(nudged))
+        _check_definite(self.p, "P", -EIG_FLOOR, "semidefinite", error=EigError)
         r_eigs = _check_definite(self.r, "R", EIG_FLOOR, "definite", error=EigError)
         if float(r_eigs.max() / r_eigs.min()) > COND_LIMIT:
             raise EigError("R is too ill-conditioned to invert reliably")
@@ -106,7 +97,7 @@ def lq_from_model(spec: ModelSpec) -> LQSpec:
 
     The Riccati equations have no affine drift term, so a nonzero lq drift
     offset b0 is E_CONFIG at ``model.drift.offset``. A zero terminal cost
-    gives P = EIG_FLOOR * I, what LQSpec nudges P = 0 to, with no warning.
+    gives P = 0.
     """
     if spec.drift.kind != "lq" or spec.diffusion.kind != "lq":
         raise ShapeError("lq extraction needs drift and diffusion of kind 'lq'")
@@ -122,7 +113,7 @@ def lq_from_model(spec: ModelSpec) -> LQSpec:
     if tc.kind == "quad":
         p = tc.p_mat
     elif tc.kind == "zero":
-        p = EIG_FLOOR * np.broadcast_to(np.eye(d), (N, d, d))
+        p = np.zeros((N, d, d))
     else:
         raise ShapeError("lq extraction needs a 'quad' or 'zero' terminal cost")
     return LQSpec(
@@ -274,8 +265,6 @@ def _integrate_backward(rhs, terminal: np.ndarray, horizon: float, n_steps: int)
     node going backward with an entry that is not finite or exceeds
     BLOWUP_LIMIT in size raises BlowupError.
     """
-    if n_steps < 1:
-        raise ShapeError("n_steps must be >= 1")
     h = horizon / n_steps
     half, sixth = 0.5 * h, h / 6.0
     traj = np.empty((n_steps + 1, *terminal.shape))
@@ -331,10 +320,13 @@ def _stage_stack(lqs, n_steps: int) -> np.ndarray:
     return k
 
 
-def _check_steps(n_steps) -> int:
-    """n_steps as an int if whole (100.0 is 100) and at most MAX_RICCATI_STEPS, else E_STEP."""
+def _check_steps(n_steps, least: int = 1) -> int:
+    """n_steps as an int if whole (100.0 is 100), at least ``least`` and at most MAX_RICCATI_STEPS,
+    else E_STEP."""
     if not _whole(n_steps):
         raise StepError(f"Riccati solves need a whole number of steps, got {n_steps!r}")
+    if n_steps < least:
+        raise StepError(f"this Riccati solve needs n_steps >= {least}, got {n_steps!r}")
     if n_steps > MAX_RICCATI_STEPS:
         raise StepError(f"{n_steps} Riccati steps is beyond the step bound {MAX_RICCATI_STEPS}")
     return int(n_steps)
@@ -346,11 +338,9 @@ def solve_coupled_riccati(lq: LQSpec, n_steps: int = 400) -> RiccatiTrajectory:
     Classical RK4 with an even grid of n_steps intervals on [0, T]; the
     stored trajectory is exactly symmetric. Escapes to E_BLOWUP if any entry
     passes 1e12 and to E_EIG if R cannot be factored. A step count that is
-    not whole or exceeds MAX_RICCATI_STEPS is E_STEP.
+    not whole, below 8 or above MAX_RICCATI_STEPS is E_STEP.
     """
-    n_steps = _check_steps(n_steps)
-    if n_steps < 8:
-        raise ShapeError("solve_coupled_riccati needs at least 8 steps")
+    n_steps = _check_steps(n_steps, 8)
     z, _, pos = _solve_z([lq], n_steps)
     return RiccatiTrajectory(times=np.linspace(0.0, lq.horizon, n_steps + 1), k=z[:, 0, pos])
 
@@ -402,12 +392,10 @@ def fixed_feedback_cost(lq: LQSpec, feedback: FeedbackTrajectory, n_steps: int =
     frozen gain; the result M(t, i) gives the policy cost x^T M x. Gains are
     interpolated linearly to the RK4 stage times, all at once before the
     run, so passing a feedback grid at twice the resolution of the cost grid
-    makes the stage lookups exact. A step count that is not whole or exceeds
-    MAX_RICCATI_STEPS is E_STEP.
+    makes the stage lookups exact. A step count that is not whole, below 1
+    or above MAX_RICCATI_STEPS is E_STEP.
     """
     n_steps = _check_steps(n_steps)
-    if n_steps < 1:
-        raise ShapeError("n_steps must be >= 1")
     stage_times = np.linspace(0.0, lq.horizon, 2 * n_steps + 1)
     table = _interp(feedback.times, feedback.gains, stage_times)
     m = _feedback_cost_stack(lq, table[:, None], n_steps)

@@ -359,10 +359,11 @@ def check_eps_optimality(
     argmin to the worst action within eps of the Hamiltonian minimum,
     replay that policy in the true model, and measure the sup-norm gap to
     the true optimal value. Supports the stationary criteria (discounted
-    and exit), where the eps-degradation acts on one Hamiltonian table.
+    and exit), where the eps-degradation acts on one Hamiltonian table. An
+    eps that is not finite and > 0 is E_CONFIG at ``eps``.
     """
-    if eps <= 0:
-        raise ConfigError("eps must be > 0", "eps")
+    if not 0 < eps < np.inf:
+        raise ConfigError("eps must be finite and > 0", "eps")
     if criterion not in ("discounted", "exit"):
         raise ConfigError(
             f"eps-optimality check supports 'discounted' and 'exit', not '{criterion}'",

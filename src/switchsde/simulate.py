@@ -157,9 +157,6 @@ def _register_stream() -> None:
     np.random.bit_generator.ISeedSequence.register(_KeyRow)
 
 
-make_rng_stream = RngStream  # the stream of key (seed, path_index), checked on construction
-
-
 def _check_key(seed, first, n) -> tuple[int, int, int]:
     """(seed, first, n) as ints, E_SHAPE unless each is a whole number
     (3.0 is 3), n >= 1, and the seed and path indices first..first+n-1 are

@@ -55,8 +55,7 @@ def _report(num, ok, detail):
 
 
 def test_criterion_01_scalar_riccati_closed_form():
-    with pytest.warns(UserWarning, match="nudged"):
-        lq = scalar_lq()
+    lq = scalar_lq()
     t0 = time.perf_counter()
     traj = solve_coupled_riccati(lq, n_steps=1000)
     elapsed = time.perf_counter() - t0
@@ -102,8 +101,7 @@ def test_criterion_02_riccati_bound_suite():
 
 
 def test_criterion_03_constant_gain_closed_form():
-    with pytest.warns(UserWarning, match="nudged"):
-        lq = scalar_lq()
+    lq = scalar_lq()
     gains = FeedbackTrajectory(times=np.array([0.0, 1.0]), gains=np.ones((2, 1, 1, 1)))
     m0 = float(fixed_feedback_cost(lq, gains, n_steps=500).k[0, 0, 0, 0])
     err = abs(m0 - (1.0 - math.exp(-2.0)))
@@ -358,7 +356,7 @@ def test_criterion_12_byte_identical_reruns(tmp_path):
             out = tmp_path / run / name
             argv = ["--config", str(cfg), "--out", str(out)]
             if name == "riccati":
-                with warnings.catch_warnings():  # the model's zero terminal cost needs no nudge
+                with warnings.catch_warnings():  # a zero terminal cost (P = 0) raises no warning
                     warnings.simplefilter("error")
                     code = cli.main(argv)
             else:

@@ -115,7 +115,7 @@ def test_parse_names_unknown_drift_family():
 
 def test_riccati_run_writes_K_and_gains(tmp_path):
     doc = {"command": "riccati", "model": LQ_SCALAR, "riccati": {"steps": 400}}
-    with warnings.catch_warnings():  # the model's zero terminal cost needs no nudge
+    with warnings.catch_warnings():  # a zero terminal cost (P = 0) raises no warning
         warnings.simplefilter("error")
         code, out = _run(tmp_path, doc)
     assert code == 0
@@ -301,7 +301,7 @@ def test_lq_policy_simulate_matches_the_library(tmp_path):
         def actions_at(self, t, x, s):
             return np.array([-gains.gain_at(t)[i] @ xi for xi, i in zip(x, s)])
 
-    path = switchsde.simulate_path(spec, Feedback(), np.array([1.0]), 2, 1.0, 0.01, switchsde.make_rng_stream(3, 0))
+    path = switchsde.simulate_path(spec, Feedback(), np.array([1.0]), 2, 1.0, 0.01, switchsde.RngStream(3, 0))
     path.to_csv(tmp_path / "lib.csv")
     assert (out / "path.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
     assert path.clamped_steps == 0 and np.abs(path.states).max() > 0.0
@@ -321,7 +321,7 @@ def test_lq_drift_offset_must_be_zero(tmp_path, capsys, command, block):
     code, _ = _run(tmp_path, with_offset(5.0), sub="offset")
     assert code == 4
     assert capsys.readouterr().err.rstrip().endswith("at 'model.drift.offset'")
-    with warnings.catch_warnings():  # the model's zero terminal cost needs no nudge
+    with warnings.catch_warnings():  # a zero terminal cost (P = 0) raises no warning
         warnings.simplefilter("error")
         codes, outs = zip(*(_run(tmp_path, d, sub=sub) for d, sub in ((doc, "plain"), (with_offset(0.0), "zero"))))
     assert codes == (0, 0)
@@ -348,7 +348,7 @@ def test_lq_policy_past_the_horizon_exits_4(tmp_path, capsys, command, block, en
     block = {"x0": [1.0], "i0": 1, "dt": 0.01, "seed": 1, **block}
     lq = {"kind": "lq", "steps": 50}
     doc = lambda t, **policy: {"command": command, "model": LQ_PAST_HORIZON, command: {**block, end: t, **policy}}
-    with warnings.catch_warnings():  # the model's zero terminal cost needs no nudge
+    with warnings.catch_warnings():  # a zero terminal cost (P = 0) raises no warning
         warnings.simplefilter("error")
         warnings.filterwarnings("ignore", ".*exit paths hit the time cap")  # as the mark allows
         codes = [_run(tmp_path, doc(t, policy=lq), sub=f"lq-{t}")[0] for t in (3.0, 1.0)]
@@ -607,6 +607,15 @@ def test_keys_that_do_not_apply_to_the_criterion_exit_4(tmp_path, capsys, comman
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("max_iter", [0, -3])
+def test_an_hjb_max_iter_below_1_exits_4(tmp_path, capsys, max_iter):
+    code, out = _run(tmp_path, {"command": "hjb", "model": CHAIN,
+                                "hjb": {"criterion": "discounted", "grid": GRID, "max_iter": max_iter}})
+    assert code == 4
+    assert capsys.readouterr().err.startswith("config error: E_CONFIG: max_iter must be a whole number >= 1")
+    assert not list(out.glob("*.csv"))
+
+
 # the rate and cost bounds are derived from the families, and every command
 # reads the discount and the horizon from the model's costs
 ONE_SOURCE = [
@@ -810,7 +819,7 @@ PUBLIC = {
     "robustness": "EpsOptimalityReport SweepReport SweepRow check_eps_optimality sweep_grid "
                   "sweep_lq_finite_horizon",
     "simulate": "BatchStepper CallablePolicy ConstantPolicy GridPolicy LQFeedbackPolicy PathSample RngStream "
-                "TimeGridPolicy make_rng_stream simulate_exit_path simulate_path",
+                "TimeGridPolicy simulate_exit_path simulate_path",
 }
 
 

@@ -126,6 +126,14 @@ def test_discounted_rejects_an_infinite_alpha_or_eps_tail(chain, alpha, eps_tail
         mc_discounted(chain, ZERO, [0.0], 1, alpha, 0.01, 4, seed=1, eps_tail=eps_tail)
 
 
+def test_discounted_rejects_an_alpha_eps_tail_product_that_underflows(chain):
+    # alpha * eps_tail = 0 was a bare ZeroDivisionError in the horizon's log
+    with pytest.raises(UnboundedError, match="underflows"):
+        discounted_horizon(chain, 1e-200, 1e-200)
+    with pytest.raises(UnboundedError, match="underflows"):
+        mc_discounted(chain, ZERO, [0.0], 1, 1e-200, 0.01, 4, seed=1, eps_tail=1e-200)
+
+
 def test_discounted_rejects_an_unbounded_running_cost(ref_lq):
     with pytest.raises(UnboundedError, match="bounded running cost"):
         mc_discounted(lq_model(ref_lq), ZERO, [0.0, 0.0], 1, 1.0, 0.01, 4, seed=1)

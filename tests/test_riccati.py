@@ -61,20 +61,20 @@ REFERENCE_K0 = np.array(
 
 @pytest.fixture
 def tanh_lq():
-    with pytest.warns(UserWarning, match="nudged"):
-        return scalar_lq(p_val=0.0)
+    return scalar_lq(p_val=0.0)
 
 
 def test_scalar_closed_form_is_tanh(tanh_lq):
     traj = solve_coupled_riccati(tanh_lq, n_steps=1000)
     exact = np.tanh(1.0 - traj.times)
-    assert np.max(np.abs(traj.k[:, 0, 0, 0] - exact)) < 1e-9
+    assert np.max(np.abs(traj.k[:, 0, 0, 0] - exact)) < 1e-13
 
 
-def test_zero_terminal_weight_warns_and_nudges():
-    with pytest.warns(UserWarning, match="nudged"):
+def test_zero_terminal_weight_is_kept_exactly():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         lq = scalar_lq(p_val=0.0)
-    assert lq.p[0, 0, 0] > 0.0
+    assert lq.p.tobytes() == np.zeros((1, 1, 1)).tobytes()
 
 
 def test_reference_orbit_matches_frozen_oracle(ref_lq):
@@ -186,7 +186,7 @@ def _two_controls(r):
 @pytest.mark.parametrize("changes,error,match", [
     (dict(q=np.array([[[1.0, 0.5], [0.0, 1.0]]] * 2)), ShapeError, "Q must be symmetric"),
     (_two_controls([[1.0, 0.5], [0.0, 1.0]]), ShapeError, "R must be symmetric"),
-    (dict(p=np.array([[[1.0, 0.0], [0.0, -1.0]]] * 2)), EigError, "P must be positive definite"),
+    (dict(p=np.array([[[1.0, 0.0], [0.0, -1.0]]] * 2)), EigError, "P must be positive semidefinite"),
     (_two_controls([[100.0, 0.0], [0.0, 1e-11]]), EigError, "ill-conditioned"),
     (dict(rates=np.array([[1.0, -1.0], [2.0, -2.0]])), RatesError, "off-diagonal"),
     (dict(rates=np.array([[-1.0, 2.0], [2.0, -2.0]])), RatesError, "sum to zero"),
@@ -242,27 +242,26 @@ LQ_ARRAYS = ("a", "b", "c", "q", "r", "p", "rates")
 
 @st.composite
 def lq_specs(draw):
-    """LQSpecs with N <= 3, d <= 3, l <= 2: Q semidefinite, R definite, P zero (nudged onto the
-    floor) or definite, and a generator of exponential rates."""
+    """LQSpecs with N <= 3, d <= 3, l <= 2: Q semidefinite, R definite, P the Gram matrix of
+    d x k normals for k = 0 (P = 0), d - 1 (rank-deficient semidefinite) or d (definite), and a
+    generator of exponential rates."""
     n, d, l = draw(st.integers(1, 3)), draw(st.integers(1, 3)), draw(st.integers(1, 2))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     gram = lambda m: m @ np.swapaxes(m, -1, -2)
     off = rng.exponential(size=(n, n)) * (1.0 - np.eye(n))
-    p = np.zeros((n, d, d)) if draw(st.booleans()) else gram(rng.normal(size=(n, d, d))) + np.eye(d)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")  # the zero P's nudge
-        return LQSpec(
-            d, n, l, a=rng.normal(size=(n, d, d)), b=rng.normal(size=(n, d, l)), c=rng.normal(size=(n, d, d)),
-            q=gram(rng.normal(size=(n, d, d))), r=gram(rng.normal(size=(n, l, l))) + np.eye(l), p=p,
-            rates=off - np.diag(off.sum(axis=1)), horizon=draw(st.floats(0.01, 100.0)),
-        )
+    p = gram(rng.normal(size=(n, d, draw(st.sampled_from([0, d - 1, d])))))
+    return LQSpec(
+        d, n, l, a=rng.normal(size=(n, d, d)), b=rng.normal(size=(n, d, l)), c=rng.normal(size=(n, d, d)),
+        q=gram(rng.normal(size=(n, d, d))), r=gram(rng.normal(size=(n, l, l))) + np.eye(l), p=p,
+        rates=off - np.diag(off.sum(axis=1)), horizon=draw(st.floats(0.01, 100.0)),
+    )
 
 
 @settings(max_examples=60, deadline=None)
 @given(lq=lq_specs())
 def test_lq_model_is_the_inverse_of_lq_from_model(lq):
     # the LQ sweep reads its rows back through lq_from_model, so the round
-    # trip must hold every array bit for bit and warn about no P
+    # trip must hold every array bit for bit, a semidefinite P included
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         back = lq_from_model(lq_model(lq))
@@ -280,15 +279,24 @@ def test_defect_needs_three_time_nodes(ref_lq):
 
 
 def test_needs_at_least_eight_steps(ref_lq):
-    with pytest.raises(ShapeError):
+    with pytest.raises(StepError, match="n_steps >= 8"):
         solve_coupled_riccati(ref_lq, n_steps=4)
+    solve_coupled_riccati(ref_lq, n_steps=8)
 
 
 @pytest.mark.parametrize("n_steps", [0, -3])
 def test_feedback_cost_needs_a_step(ref_lq, n_steps):
     gains = lq_feedback(solve_coupled_riccati(ref_lq, n_steps=8), ref_lq)
-    with pytest.raises(ShapeError):
+    with pytest.raises(StepError, match="n_steps >= 1"):
         fixed_feedback_cost(ref_lq, gains, n_steps=n_steps)
+
+
+@pytest.mark.parametrize("steps", [0, -3])
+def test_lq_sweep_needs_a_step(ref_lq, steps):
+    # this and the two above were E_SHAPE from separate checks
+    sched = PerturbationSchedule("rates", 2, d_m=np.array([[0.0, 0.5], [1.0, 0.0]]))
+    with pytest.raises(StepError, match="n_steps >= 1"):
+        sweep_lq_finite_horizon(ref_lq, sched, [1.0, 0.5], 2, steps=steps)
 
 
 def test_zero_cost_gives_zero_value():

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from switchsde import (
     DegenerateError,
     DiffusionFamily,
     DriftFamily,
+    EigError,
     GeneratorSpec,
     Grid1D,
     LQSpec,
@@ -52,7 +54,7 @@ from switchsde.robustness import (
     sweep_grid,
     sweep_lq_finite_horizon,
 )
-from conftest import chain_model, lq_model
+from conftest import chain_model, lq_model, scalar_lq
 
 
 @pytest.fixture
@@ -307,6 +309,23 @@ def test_lq_cost_schedule_without_a_direction_gives_zero_rows(ref_lq):
     assert len(rep.rows) == 4
     for name in ("value_gap", "policy_loss", "aux"):
         assert np.all(rep.column(name) == 0.0), name
+
+
+@pytest.mark.parametrize("p_val", [1e-13, -1e-13])
+def test_a_zero_shift_lq_sweep_keeps_a_semidefinite_p_exactly(p_val):
+    # every row rebuilds the true model bit for bit, so every gap is 0; a P
+    # nudged onto 1e-12 I once read value_gap 1e-12 and warned on every row
+    sched = PerturbationSchedule("coefficient", 3, d_a=np.zeros((1, 1, 1)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rep = sweep_lq_finite_horizon(scalar_lq(p_val), sched, x0=[1.0], i0=1, steps=50)
+    for name in ("value_gap", "policy_loss", "aux"):
+        assert rep.column(name).tolist() == [0.0] * 5, name
+
+
+def test_a_p_below_the_semidefinite_floor_is_an_eig_error():
+    with pytest.raises(EigError, match="P must be positive semidefinite"):
+        scalar_lq(-5e-11)
 
 
 NON_FINITE_DIRECTIONS = {  # key: (mode, the key's shape on saturated_model, on reference_lq or None)
@@ -772,8 +791,10 @@ def test_eps_check_fails_below_model_gap_scale(saturated, sat_schedule, sat_grid
 
 
 def test_eps_check_rejects_bad_arguments(saturated, sat_schedule, sat_grid):
-    with pytest.raises(ConfigError, match="eps"):
-        check_eps_optimality(saturated, sat_schedule, "discounted", 0.0, sat_grid)
+    for eps in (0.0, math.nan, math.inf):
+        with pytest.raises(ConfigError, match="eps") as info:
+            check_eps_optimality(saturated, sat_schedule, "discounted", eps, sat_grid)
+        assert info.value.path == "eps"
     with pytest.raises(ConfigError, match="criterion"):
         check_eps_optimality(saturated, sat_schedule, "ergodic", 0.05, sat_grid)
 

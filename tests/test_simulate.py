@@ -23,6 +23,7 @@ from switchsde import (
     Grid1D,
     GridPolicy,
     RegimeSet,
+    RngStream,
     RunningCost,
     TerminalCost,
     TimeGridPolicy,
@@ -31,7 +32,6 @@ from switchsde import (
     StepError,
     evaluate_policy_finite_horizon,
     evaluate_policy_value,
-    make_rng_stream,
     mc_discounted,
     simulate,
     simulate_exit_path,
@@ -77,24 +77,24 @@ def _with_drift(spec, b0):
 
 
 def test_rng_stream_is_reproducible():
-    a = make_rng_stream(7, 3).generator().standard_normal(8)
-    b = make_rng_stream(7, 3).generator().standard_normal(8)
+    a = RngStream(7, 3).generator().standard_normal(8)
+    b = RngStream(7, 3).generator().standard_normal(8)
     assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1])
 @pytest.mark.parametrize("path", [0, 1, 2**32 - 1])
 def test_rng_stream_is_the_philox_stream_of_its_key(seed, path):
-    ours = make_rng_stream(seed, path).generator()
+    ours = RngStream(seed, path).generator()
     ref = np.random.Generator(np.random.Philox(key=np.array([seed, path], dtype=np.uint64)))
     assert np.array_equal(ours.standard_normal(1000), ref.standard_normal(1000))
     assert np.array_equal(ours.random(77), ref.random(77))
 
 
 def test_rng_stream_separates_paths_and_seeds():
-    base = make_rng_stream(7, 3).generator().standard_normal(8)
-    other_path = make_rng_stream(7, 4).generator().standard_normal(8)
-    other_seed = make_rng_stream(8, 3).generator().standard_normal(8)
+    base = RngStream(7, 3).generator().standard_normal(8)
+    other_path = RngStream(7, 4).generator().standard_normal(8)
+    other_seed = RngStream(8, 3).generator().standard_normal(8)
     assert not np.array_equal(base, other_path)
     assert not np.array_equal(base, other_seed)
 
@@ -109,7 +109,7 @@ def test_keys_outside_uint64_raise_a_shape_error(make_chain, seed, first, n):
         BatchStepper(make_chain(), [0.0], 1, 0.01, seed=seed, first_path_index=first, n_paths=n)
     if n == 1:
         with pytest.raises(ShapeError, match=rf"seed = {seed} and path indices"):
-            make_rng_stream(seed, first)
+            RngStream(seed, first)
 
 
 @pytest.mark.parametrize("seed,path", [(1.5, 0), (0, 0.5), (-1, 0), (2**64, 0), (0, 2**64), ("7", 0)])
@@ -128,7 +128,7 @@ def test_keys_at_the_ends_of_uint64_are_accepted(make_chain):
     eng = BatchStepper(make_chain(), [0.0], 1, 0.01, seed=top, first_path_index=top - 1, n_paths=2)
     eng.step(np.zeros((2, 1)))
     ref = np.random.Generator(np.random.Philox(key=np.array([top, top], dtype=np.uint64)))
-    assert make_rng_stream(top, top).generator().random() == ref.random()
+    assert RngStream(top, top).generator().random() == ref.random()
 
 
 @pytest.mark.parametrize("seed, first", [(0, 0), (2**64 - 1, 2**64 - 6)], ids=["bottom", "top"])
@@ -150,12 +150,12 @@ def test_stepper_streams_are_the_rng_streams_of_their_keys(make_chain, seed, fir
 
 def test_same_seed_reproduces_path_bitwise(make_chain):
     spec = make_chain()
-    a = simulate_path(spec, ZERO, [0.1], 1, 1.0, 0.01, make_rng_stream(5, 0))
-    b = simulate_path(spec, ZERO, [0.1], 1, 1.0, 0.01, make_rng_stream(5, 0))
+    a = simulate_path(spec, ZERO, [0.1], 1, 1.0, 0.01, RngStream(5, 0))
+    b = simulate_path(spec, ZERO, [0.1], 1, 1.0, 0.01, RngStream(5, 0))
     assert np.array_equal(a.states, b.states)
     assert np.array_equal(a.regimes, b.regimes)
     assert a.jumps == b.jumps
-    c = simulate_path(spec, ZERO, [0.1], 1, 1.0, 0.01, make_rng_stream(6, 0))
+    c = simulate_path(spec, ZERO, [0.1], 1, 1.0, 0.01, RngStream(6, 0))
     assert not (np.array_equal(a.states, c.states) and np.array_equal(a.regimes, c.regimes))
 
 
@@ -164,7 +164,7 @@ def test_batch_row_equals_single_path(make_chain, sigma):
     # the per-path streams make batching irrelevant, bit for bit
     spec = make_chain(sigma=sigma)
     n, dt, seed, row = 200, 0.01, 11, 3
-    single = simulate_path(spec, ZERO, [0.0], 2, n * dt, dt, make_rng_stream(seed, row))
+    single = simulate_path(spec, ZERO, [0.0], 2, n * dt, dt, RngStream(seed, row))
 
     eng = BatchStepper(spec, [0.0], 2, dt, seed=seed, first_path_index=0, n_paths=8)
     xs = [eng.x[row, 0]]
@@ -224,7 +224,7 @@ def test_batch_row_equals_single_path_with_state_dependent_rates_and_compaction(
     assert masks == {300: (3, 8), CHUNK: (2, 3)}
     assert eng.x.shape[0] == len(keep)
     for p in keep:
-        single = simulate_path(spec, policy, [0.0], 2, n * dt, dt, make_rng_stream(seed, p))
+        single = simulate_path(spec, policy, [0.0], 2, n * dt, dt, RngStream(seed, p))
         assert len(single.jumps) > 0
         assert np.array_equal(single.states[:, 0], xs[p])
         assert np.array_equal(single.regimes, ss[p])
@@ -367,7 +367,7 @@ def test_stepper_first_rings_are_the_survival_waits_of_its_first_clocks():
     spec = _switching_model(GeneratorSpec("constant", 2, rates=off - np.diag(off.sum(axis=1))))
     m, seed = 400, 12
     eng = BatchStepper(spec, [0.0], np.arange(m) % 2 + 1, 0.01, seed=seed, n_paths=m)
-    w = np.array([1.0 - make_rng_stream(seed, p).generator().random() for p in range(m)])
+    w = np.array([1.0 - RngStream(seed, p).generator().random() for p in range(m)])
     survival = np.cumprod(np.full(2000, 1.0 - 5.0 * 0.01))
     assert np.array_equal(eng._due[0::2], np.searchsorted(-survival, -w[0::2], side="right"))
     assert np.all(eng._due[1::2] == NEVER)
@@ -866,12 +866,12 @@ NOT_WHOLE = {
     "mc-i0": lambda spec: mc_discounted(spec, ZERO, [0.0], 1.5, 1.0, 0.01, 4, seed=0),
     "mc-seed": lambda spec: mc_discounted(spec, ZERO, [0.0], 1, 1.0, 0.01, 4, seed=1.5),
     "mc-x0-inf": lambda spec: mc_discounted(spec, ZERO, [math.inf], 1, 1.0, 0.01, 4, seed=0),
-    "path-i0": lambda spec: simulate_path(spec, ZERO, [0.0], 2.7, 0.1, 0.01, make_rng_stream(0, 0)),
+    "path-i0": lambda spec: simulate_path(spec, ZERO, [0.0], 2.7, 0.1, 0.01, RngStream(0, 0)),
     "path-stream-seed": lambda spec: simulate_path(spec, ZERO, [0.0], 1, 0.1, 0.01, simulate.RngStream(1.5, 0)),
     "exit-path-i0": lambda spec: simulate_exit_path(spec, ZERO, [0.0], 1.5, (-1.0, 1.0), 0.01, 1.0,
-                                                    make_rng_stream(0, 0)),
-    "stream-seed": lambda spec: make_rng_stream(1.5, 0),
-    "stream-path-index": lambda spec: make_rng_stream(0, 0.5),
+                                                    RngStream(0, 0)),
+    "stream-seed": lambda spec: RngStream(1.5, 0),
+    "stream-path-index": lambda spec: RngStream(0, 0.5),
 }
 
 
@@ -890,27 +890,27 @@ def test_whole_floats_are_taken_as_their_ints(make_chain):
         for eng in runs:
             eng.step(np.zeros((3, 1)))
     assert np.array_equal(runs[0].x, runs[1].x) and np.array_equal(runs[0].s, runs[1].s)
-    assert make_rng_stream(5.0, 3.0) == make_rng_stream(5, 3)
+    assert RngStream(5.0, 3.0) == RngStream(5, 3)
     est = mc_discounted(make_chain(), ZERO, [0.0], 2.0, 1.0, 0.01, 4, seed=0)
     assert type(est.i0) is int and est.i0 == 2
 
 
 def test_horizon_must_be_step_multiple(make_chain):
     with pytest.raises(StepError):
-        simulate_path(make_chain(), ZERO, [0.0], 1, 1.0, 0.03, make_rng_stream(0, 0))
+        simulate_path(make_chain(), ZERO, [0.0], 1, 1.0, 0.03, RngStream(0, 0))
 
 
 def test_clamped_actions_are_counted(make_chain, saturated):
     spec = make_chain()
     wild = ConstantPolicy(np.array([5.0]))  # outside the zero-only grid
-    path = simulate_path(spec, wild, [0.0], 1, 0.5, 0.01, make_rng_stream(1, 0))
+    path = simulate_path(spec, wild, [0.0], 1, 0.5, 0.01, RngStream(1, 0))
     assert path.clamped_steps == 50
     assert np.array_equal(path.actions, np.zeros((50, 1)))
-    tame = simulate_path(spec, ZERO, [0.0], 1, 0.5, 0.01, make_rng_stream(1, 0))
+    tame = simulate_path(spec, ZERO, [0.0], 1, 0.5, 0.01, RngStream(1, 0))
     assert tame.clamped_steps == 0
     # an x-dependent policy that leaves saturated_model's action box [-1, 1]
     fn = lambda t, x, regimes: 3.0 * np.sin(2.0 * x) + 0.5 * (regimes[:, None] - 1.5)
-    path = simulate_path(saturated, CallablePolicy(fn), [0.2], 1, 2.0, 0.01, make_rng_stream(4, 0))
+    path = simulate_path(saturated, CallablePolicy(fn), [0.2], 1, 2.0, 0.01, RngStream(4, 0))
     raw = np.stack([fn(t, x[None], np.array([i]))[0] for t, x, i in
                     zip(path.times, path.states[:-1], path.regimes[:-1])])
     assert np.array_equal(path.actions, saturated.actions.clamp(raw))
@@ -976,12 +976,12 @@ def test_nonfinite_state_raises(make_bm):
     # drift 1e308 overflows the state to inf within the first unit of time
     spec = _with_drift(bm_model(sigma=0.0), np.full((1, 1), 1e308))
     with np.errstate(over="ignore"), pytest.raises(NanError, match="non-finite"):
-        simulate_path(spec, ZERO, [1e308], 1, 1.0, 0.01, make_rng_stream(0, 0))
+        simulate_path(spec, ZERO, [1e308], 1, 1.0, 0.01, RngStream(0, 0))
 
 
 def test_step_budget_is_enforced(make_bm):
     with pytest.raises(StepError):
-        simulate_path(make_bm(), ZERO, [0.0], 1, 1e7, 1e-4, make_rng_stream(0, 0))
+        simulate_path(make_bm(), ZERO, [0.0], 1, 1e7, 1e-4, RngStream(0, 0))
 
 
 @pytest.mark.parametrize("T,dt,match", [
@@ -991,10 +991,10 @@ def test_step_budget_is_enforced(make_bm):
 ])
 def test_paths_check_dt_and_budget_before_stepping(make_bm, T, dt, match):
     with pytest.raises(StepError, match=match):
-        simulate_path(make_bm(), ZERO, [0.0], 1, T, dt, make_rng_stream(0, 0))
+        simulate_path(make_bm(), ZERO, [0.0], 1, T, dt, RngStream(0, 0))
     if math.isfinite(T):
         with pytest.raises(StepError, match=match):
-            simulate_exit_path(make_bm(), ZERO, [0.0], 1, (-1.0, 1.0), dt, T, make_rng_stream(0, 0))
+            simulate_exit_path(make_bm(), ZERO, [0.0], 1, (-1.0, 1.0), dt, T, RngStream(0, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -1004,7 +1004,7 @@ def test_paths_check_dt_and_budget_before_stepping(make_bm, T, dt, match):
 def test_exit_terminates_outside_domain(make_bm):
     spec = make_bm(sigma=1.0)
     path = simulate_exit_path(
-        spec, ZERO, [0.9], 1, (-1.0, 1.0), 0.01, 50.0, make_rng_stream(3, 0)
+        spec, ZERO, [0.9], 1, (-1.0, 1.0), 0.01, 50.0, RngStream(3, 0)
     )
     assert path.termination == "exit"
     assert outside_interval(path.states[-1:].reshape(1, -1), (-1.0, 1.0))[0]
@@ -1014,7 +1014,7 @@ def test_exit_terminates_outside_domain(make_bm):
 
 def test_cap_termination(make_bm):
     path = simulate_exit_path(
-        make_bm(sigma=0.1), ZERO, [0.0], 1, (-1.0, 1.0), 0.01, 0.05, make_rng_stream(3, 0)
+        make_bm(sigma=0.1), ZERO, [0.0], 1, (-1.0, 1.0), 0.01, 0.05, RngStream(3, 0)
     )
     assert path.termination == "cap"
     assert path.exit_time is None
@@ -1023,7 +1023,7 @@ def test_cap_termination(make_bm):
 
 def test_start_outside_domain_exits_immediately(make_bm):
     path = simulate_exit_path(
-        make_bm(), ZERO, [1.5], 1, (-1.0, 1.0), 0.01, 1.0, make_rng_stream(0, 0)
+        make_bm(), ZERO, [1.5], 1, (-1.0, 1.0), 0.01, 1.0, RngStream(0, 0)
     )
     assert path.termination == "exit"
     assert path.times.size == 1
@@ -1032,7 +1032,7 @@ def test_start_outside_domain_exits_immediately(make_bm):
 
 def test_path_csv_has_jump_comments(make_chain, tmp_path):
     spec = make_chain(m12=5.0, m21=5.0)
-    path = simulate_path(spec, ZERO, [0.0], 1, 1.0, 0.01, make_rng_stream(21, 0))
+    path = simulate_path(spec, ZERO, [0.0], 1, 1.0, 0.01, RngStream(21, 0))
     assert len(path.jumps) > 0
     # each jump is stamped with the time node where its new regime first shows
     moved = np.flatnonzero(np.diff(path.regimes))
