@@ -127,7 +127,6 @@ def test_discounted_rejects_an_infinite_alpha_or_eps_tail(chain, alpha, eps_tail
 
 
 def test_discounted_rejects_an_alpha_eps_tail_product_that_underflows(chain):
-    # alpha * eps_tail = 0 was a bare ZeroDivisionError in the horizon's log
     with pytest.raises(UnboundedError, match="underflows"):
         discounted_horizon(chain, 1e-200, 1e-200)
     with pytest.raises(UnboundedError, match="underflows"):

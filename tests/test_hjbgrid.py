@@ -198,7 +198,6 @@ def test_exhausted_policy_iteration_raises(saturated, solve):
 @pytest.mark.parametrize("max_iter", [0, -3, 2.5, math.nan])
 @pytest.mark.parametrize("solve", [solve_discounted, solve_exit, estimate_ergodic])
 def test_a_max_iter_that_is_not_a_whole_number_above_0_is_a_config_error(saturated, solve, max_iter):
-    # 0 and -3 were E_MAXITER "did not converge in 0 iterations", 2.5 a bare TypeError
     with pytest.raises(ConfigError, match="max_iter must be a whole number >= 1") as info:
         solve(saturated, Grid1D(-2.0, 2.0, 21), max_iter=max_iter)
     assert info.value.path == "max_iter"

@@ -187,10 +187,11 @@ def _two_controls(r):
     (dict(q=np.array([[[1.0, 0.5], [0.0, 1.0]]] * 2)), ShapeError, "Q must be symmetric"),
     (_two_controls([[1.0, 0.5], [0.0, 1.0]]), ShapeError, "R must be symmetric"),
     (dict(p=np.array([[[1.0, 0.0], [0.0, -1.0]]] * 2)), EigError, "P must be positive semidefinite"),
+    (dict(p=np.array([-5e-11 * np.eye(2)] * 2)), EigError, "P must be positive semidefinite"),
     (_two_controls([[100.0, 0.0], [0.0, 1e-11]]), EigError, "ill-conditioned"),
     (dict(rates=np.array([[1.0, -1.0], [2.0, -2.0]])), RatesError, "off-diagonal"),
     (dict(rates=np.array([[-1.0, 2.0], [2.0, -2.0]])), RatesError, "sum to zero"),
-], ids=["q-asymmetric", "r-asymmetric", "p-indefinite", "r-ill-conditioned", "negative-rate", "row-sum"])
+], ids=["q-asymmetric", "r-asymmetric", "p-indefinite", "p-below-the-floor", "r-ill-conditioned", "negative-rate", "row-sum"])
 def test_lqspec_rejects_invalid_data(ref_lq, changes, error, match):
     with pytest.raises(error, match=match):
         dataclasses.replace(ref_lq, **changes)
@@ -293,7 +294,6 @@ def test_feedback_cost_needs_a_step(ref_lq, n_steps):
 
 @pytest.mark.parametrize("steps", [0, -3])
 def test_lq_sweep_needs_a_step(ref_lq, steps):
-    # this and the two above were E_SHAPE from separate checks
     sched = PerturbationSchedule("rates", 2, d_m=np.array([[0.0, 0.5], [1.0, 0.0]]))
     with pytest.raises(StepError, match="n_steps >= 1"):
         sweep_lq_finite_horizon(ref_lq, sched, [1.0, 0.5], 2, steps=steps)

@@ -16,7 +16,6 @@ from switchsde import (
     DegenerateError,
     DiffusionFamily,
     DriftFamily,
-    EigError,
     GeneratorSpec,
     Grid1D,
     LQSpec,
@@ -313,19 +312,13 @@ def test_lq_cost_schedule_without_a_direction_gives_zero_rows(ref_lq):
 
 @pytest.mark.parametrize("p_val", [1e-13, -1e-13])
 def test_a_zero_shift_lq_sweep_keeps_a_semidefinite_p_exactly(p_val):
-    # every row rebuilds the true model bit for bit, so every gap is 0; a P
-    # nudged onto 1e-12 I once read value_gap 1e-12 and warned on every row
+    # every row rebuilds the true model bit for bit, so every gap is 0
     sched = PerturbationSchedule("coefficient", 3, d_a=np.zeros((1, 1, 1)))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         rep = sweep_lq_finite_horizon(scalar_lq(p_val), sched, x0=[1.0], i0=1, steps=50)
     for name in ("value_gap", "policy_loss", "aux"):
         assert rep.column(name).tolist() == [0.0] * 5, name
-
-
-def test_a_p_below_the_semidefinite_floor_is_an_eig_error():
-    with pytest.raises(EigError, match="P must be positive semidefinite"):
-        scalar_lq(-5e-11)
 
 
 NON_FINITE_DIRECTIONS = {  # key: (mode, the key's shape on saturated_model, on reference_lq or None)
