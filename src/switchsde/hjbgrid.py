@@ -170,9 +170,10 @@ class _Tables:
     blocks in error messages.
 
     Tables are (action, regime, block, node[, regime]), one slice per
-    block; ``exit_values`` (regime, block, end) holds the exit cost h at
-    the two interval ends and ``terminal`` (regime, block, node) the
-    terminal cost c_T. The stack is built in one pass (``_node_tables``):
+    block, and ``terminal`` (regime, block, node) holds the terminal cost
+    c_T. ``alpha``, ``beta`` and ``h`` (block,) are each model's discount,
+    exit discount and exit cost, which are constants of the model. The
+    stack is built in one pass (``_node_tables``):
     each distinct family object is evaluated once on the grid's nodes and
     written to every block that holds it, so the rows of a sweep, which
     share the true model's unshifted families, pay for those once. The
@@ -219,7 +220,7 @@ class _Tables:
     def _index(self, tables: list) -> None:
         # C order, so that gather's flat view and take copy no table
         tables = list(map(np.ascontiguousarray, tables))
-        self.c, self.beta, self.sub, self.sup, self.rates, self.exit_values, self.terminal = tables
+        self.c, self.sub, self.sup, self.rates, self.terminal, self.alpha, self.beta, self.h = tables
         A, N, B, K = self.c.shape
         self.shape = (N, B, K)
         # flat index of (action 0, regime, block, node) in an (A, N, B, K)
@@ -235,9 +236,9 @@ class _Tables:
         sub.specs = tuple(self.specs[b] for b in blocks)
         sub.grid = self.grid
         sub.labels = tuple(self.labels[b] for b in blocks) if self.labels else ()
-        node_tables = (self.c, self.beta, self.sub, self.sup, self.rates)
-        sub._index([t.take(blocks, axis=2) for t in node_tables]
-                   + [t.take(blocks, axis=1) for t in (self.exit_values, self.terminal)])
+        sub._index([t.take(blocks, axis=2) for t in (self.c, self.sub, self.sup, self.rates)]
+                   + [self.terminal.take(blocks, axis=1)]
+                   + [t.take(blocks) for t in (self.alpha, self.beta, self.h)])
         return sub
 
     def gather(self, table: np.ndarray, ai_tab: np.ndarray) -> FloatArray:
@@ -267,12 +268,12 @@ def _per_family(specs, family, axis: int, evaluate) -> FloatArray:
 
 
 def _node_tables(specs, grid: Grid1D) -> tuple:
-    """The tables (c, beta, sub, sup, rates, exit values, terminal) of a stack
-    of 1-D models sharing regimes and actions, and its first failing check
-    as (block, error), or None.
+    """The tables (c, sub, sup, rates, terminal) and the per-block constants
+    (alpha, beta, h) of a stack of 1-D models sharing regimes and actions,
+    and its first failing check as (block, error), or None.
 
     The checks, in the order a block meets them: a > 0, a bounded running
-    cost, finite tables, nonnegative upwind terms.
+    cost, finite tables and beta, nonnegative upwind terms.
     """
     K, N = grid.n_x, specs[0].regimes.count
     actions = specs[0].actions
@@ -286,19 +287,19 @@ def _node_tables(specs, grid: Grid1D) -> tuple:
     s = np.tile(np.repeat(np.arange(N), K), A)
     u = np.repeat(actions.actions, N * K, axis=0)
     xs1, s1 = xs[: N * K], s[: N * K]
-    ends, s_ends = np.array([grid.x_min, grid.x_max] * N)[:, None], np.arange(2 * N) // 2
     per = functools.partial(_per_family, specs)
     a = per(lambda m: m.diffusion, 1, lambda f: f.a_batch(xs1, s1)[:, 0, 0].reshape(N, K))
     b = per(lambda m: m.drift, 2, lambda f: f.eval_batch(xs, s, u)[:, 0].reshape(A, N, K))
     c = per(lambda m: m.costs.running, 2, lambda f: f.eval_batch(xs, s, u).reshape(A, N, K))
-    beta = per(lambda m: m.costs.exit_beta, 2, lambda f: f.eval_batch(xs, s, u).reshape(A, N, K))
     rates = per(lambda m: m.generator, 2, lambda f: f.rates_batch(
         np.tile(nodes, A)[:, None], np.repeat(actions.actions, K, axis=0)
     ).reshape(A, K, N, N).transpose(0, 2, 1, 3))
-    exit_values = per(lambda m: m.costs.exit_h, 1, lambda f: f.eval_batch(ends, s_ends).reshape(N, 2))
     terminal = per(lambda m: m.costs.terminal, 1, lambda f: f.eval_batch(xs1, s1).reshape(N, K))
     # the actions are equal across the stack, so each running cost has one bound
     bound = per(lambda m: m.costs.running, 0, lambda f: f.bound(actions))
+    alpha = np.array([m.costs.alpha for m in specs])
+    beta = np.array([m.costs.exit_beta.constant for m in specs])
+    h = np.array([m.costs.exit_h.constant for m in specs])
 
     diffusion = a[None] / dx**2
     sub = diffusion + np.maximum(-b, 0.0) / dx
@@ -312,7 +313,8 @@ def _node_tables(specs, grid: Grid1D) -> tuple:
         (UnboundedError, "grid solvers need a bounded running cost", np.isfinite(bound)[None, None]),
         *(
             (SchemeError, f"coefficient table '{name}' is not finite on the grid", np.isfinite(table))
-            for name, table in (("sub", sub), ("sup", sup), ("c", c), ("beta", beta), ("rates", rates))
+            for name, table in (("sub", sub), ("sup", sup), ("c", c), ("beta", beta[None, None]),
+                                ("rates", rates))
         ),
         (SchemeError, "upwind coefficients must be nonnegative", (sub >= 0.0) & (sup >= 0.0)),
     )
@@ -322,11 +324,11 @@ def _node_tables(specs, grid: Grid1D) -> tuple:
         block = int(np.argmin(passed.all(axis=0)))
         kind, message, _ = checks[int(np.argmin(passed[:, block]))]
         failure = block, kind(message)
-    return [c, beta, sub, sup, rates, exit_values, terminal], failure
+    return [c, sub, sup, rates, terminal, alpha, beta, h], failure
 
 
-def _hamiltonians(tab: _Tables, v: FloatArray, with_beta: bool) -> FloatArray:
-    """Per-action pre-minimization values L_a v + M_a v + c_a (- beta_a v), (A, N, B, K)."""
+def _hamiltonians(tab: _Tables, v: FloatArray) -> FloatArray:
+    """Per-action pre-minimization values L_a v + M_a v + c_a, (A, N, B, K)."""
     out = -(tab.sub + tab.sup) * v
     out[..., 1:] += tab.sub[..., 1:] * v[..., :-1]
     out[..., :-1] += tab.sup[..., :-1] * v[..., 1:]
@@ -338,8 +340,6 @@ def _hamiltonians(tab: _Tables, v: FloatArray, with_beta: bool) -> FloatArray:
         coupling += tab.rates[..., j] * v[j]
     out += coupling
     out += tab.c
-    if with_beta:
-        out -= tab.beta * v
     return out
 
 
@@ -348,17 +348,17 @@ def _solve_policy(
     ai_tab: np.ndarray,
     rhs: FloatArray,
     zeta,
-    dirichlet: FloatArray | None = None,
+    ends: FloatArray | None = None,
     pin: tuple | None = None,
 ) -> FloatArray:
     """Solve (zeta - L - M) v = rhs for one stacked action table by one banded LU.
 
     zeta is the zeroth-order coefficient (alpha, beta or 1/dt), a scalar or
-    per (regime, block, node); rhs is (N, B, K), or (N, B, K, C) for C right
-    sides. ``dirichlet`` (N, B, 2) turns every block's two end nodes into
-    Dirichlet rows pinned to the given values: identity rows scaled by a
-    power of two no smaller than the one other entry of their column, so
-    partial pivoting keeps them in place and the pin is exact. ``pin`` =
+    one per block (B, 1); rhs is (N, B, K), or (N, B, K, C) for C right
+    sides. ``ends`` (B, 1) turns each block's two end nodes into Dirichlet
+    rows pinned to the block's value: identity rows scaled by a power of two
+    no smaller than the one other entry of their column, so partial
+    pivoting keeps them in place and the pin is exact. ``pin`` =
     (node, regimes) replaces the column of block b's unknown at that node
     and regime ``regimes[b]`` by the unit vector (see ``_average_cost``).
 
@@ -379,14 +379,14 @@ def _solve_policy(
     rates = tab.gather(tab.rates, ai_tab)  # (N, B, K, N): row regime, block, node, column regime
     center = zeta + (sub + sup)
     b = rhs
-    if dirichlet is not None:
-        ends = np.stack([sub[:, :, 1], sup[:, :, -2]], axis=-1)
-        scale = np.ldexp(1.0, np.frexp(np.maximum(ends, 1.0))[1])
+    if ends is not None:
+        inner = np.stack([sub[:, :, 1], sup[:, :, -2]], axis=-1)
+        scale = np.ldexp(1.0, np.frexp(np.maximum(inner, 1.0))[1])
         for arr in (sub, sup, rates):
             arr[:, :, [0, -1]] = 0.0
         center[:, :, [0, -1]] = scale
         b = rhs.copy()
-        b[:, :, [0, -1]] = scale * dirichlet
+        b[:, :, [0, -1]] = scale * ends
 
     width = 3 * N + 1
     store = np.zeros((n * N + 2 * N) * width)
@@ -491,39 +491,42 @@ def _average_cost(tab: _Tables, policy: np.ndarray, k_ref: int, regimes: np.ndar
 
 def _pin(tab: _Tables, criterion: str):
     """What every evaluation of one solve under a stationary criterion shares:
-    the stack's discount alpha, the exit costs at the Dirichlet ends (N, B, 2),
-    or the average cost's pinned node and regimes (None when the regimes
-    depend on the policy)."""
-    if criterion == "discounted":
-        return _shared(tab.specs, "alpha")
-    if criterion == "exit":
-        return tab.exit_values
-    return _reference_node(tab.grid), _policy_free_pin(tab)
+    each block's zeroth-order rate zeta (B, 1), alpha (discounted) or beta
+    (exit), or the average cost's pinned node and regimes (None when the
+    regimes depend on the policy). The exit problem's domain is the grid's
+    interval, so one that is not ``costs.exit_domain`` is E_CONFIG at ``grid``.
+    """
+    if criterion == "ergodic":
+        return _reference_node(tab.grid), _policy_free_pin(tab)
+    interval = (tab.grid.x_min, tab.grid.x_max)
+    domain = next((m.costs.exit_domain for m in tab.specs if m.costs.exit_domain != interval), None)
+    if criterion == "exit" and domain is not None:
+        raise ConfigError(f"exit solve needs the grid interval {interval} to be costs.exit_domain {domain}", "grid")
+    return (tab.alpha if criterion == "discounted" else tab.beta)[:, None]
 
 
 def _evaluate(tab: _Tables, criterion: str, policy: np.ndarray, pin=None) -> tuple:
     """Values (N, B, K) and rho (B,) of an action table under a stationary criterion.
 
-    One banded solve: discounted (zeta = alpha), exit (zeta = beta_a, the
-    end rows pinned to h) or the pinned average-cost solve (ergodic; the
-    values are relative values h). rho is 0 except for the ergodic
+    One banded solve: (zeta - L - M) v = c with zeta from ``_pin`` and, for
+    exit, the end rows pinned to h; or the pinned average-cost solve (ergodic;
+    the values are relative values h). rho is 0 except for the ergodic
     criterion. ``pin`` is the solve's ``_pin``, computed when not given.
     """
     if pin is None:
         pin = _pin(tab, criterion)
     if criterion == "ergodic":
         return _average_cost(tab, policy, *pin)
-    zeta, ends = (tab.gather(tab.beta, policy), pin) if criterion == "exit" else (pin, None)
-    return _solve_policy(tab, policy, tab.gather(tab.c, policy), zeta, ends), np.zeros(tab.shape[1])
+    ends = tab.h[:, None] if criterion == "exit" else None
+    return _solve_policy(tab, policy, tab.gather(tab.c, policy), pin, ends), np.zeros(tab.shape[1])
 
 
 def _residual(criterion: str, ham: FloatArray, v: FloatArray, rho: FloatArray, pin) -> FloatArray:
-    """Per-block sup-norm HJB defect of Hamiltonian values ham (N, B, K) at (v, rho);
-    the exit problem's Dirichlet ends hold exactly and are left out."""
-    if criterion == "exit":
-        return np.max(np.abs(ham[..., 1:-1]), axis=(0, 2))
-    level = rho[:, None] if criterion == "ergodic" else pin * v
-    return np.max(np.abs(ham - level), axis=(0, 2))
+    """Per-block sup-norm HJB defect |ham - zeta v| (|ham - rho| if ergodic) of
+    Hamiltonian values ham (N, B, K) at (v, rho); the exit problem's
+    Dirichlet ends hold exactly and are left out."""
+    defect = np.abs(ham - (rho[:, None] if criterion == "ergodic" else pin * v))
+    return np.max(defect[..., 1:-1] if criterion == "exit" else defect, axis=(0, 2))
 
 
 def _howard(
@@ -549,9 +552,8 @@ def _howard(
     evaluation matrix has a nonnegative inverse. The residual history
     carries no such guarantee: it can rise from one iteration to the next.
     """
-    with_beta = criterion == "exit"
     if policy is None:
-        policy = np.argmin(_hamiltonians(tab, v, with_beta), axis=0)
+        policy = np.argmin(_hamiltonians(tab, v), axis=0)
     out_v, out_policy = np.empty_like(v), np.empty_like(policy)
     B = len(tab.specs)
     rho, out_rho = np.zeros(B), np.zeros(B)
@@ -560,7 +562,7 @@ def _howard(
     pin = _pin(tab, criterion)
     for _ in range(max_iter):
         v_new, rho_new = _evaluate(live_tab, criterion, policy, pin)
-        ham = _hamiltonians(live_tab, v_new, with_beta)
+        ham = _hamiltonians(live_tab, v_new)
         res = _residual(criterion, np.min(ham, axis=0), v_new, rho_new, pin)
         change = np.maximum(np.max(np.abs(v_new - v), axis=(0, 2)), np.abs(rho_new - rho))
         v, rho, previous = v_new, rho_new, policy
@@ -599,7 +601,7 @@ def _stationary(
     max_iter = int(max_iter)
     v = np.zeros(tab.shape)
     if criterion == "exit":
-        v[..., [0, -1]] = tab.exit_values
+        v[..., [0, -1]] = tab.h[:, None]
     v, policy, histories, rho = _howard(tab, criterion, v, tol, max_iter, policy=start)
     k_ref = _reference_node(tab.grid)
     sols = []
@@ -627,20 +629,12 @@ def _fixed_policy(spec: ModelSpec, grid: Grid1D, criterion: str, policy: np.ndar
     policy = _action_table(tab, policy)
     pin = _pin(tab, criterion)
     v, rho = _evaluate(tab, criterion, policy, pin)
-    ham = np.take_along_axis(_hamiltonians(tab, v, criterion == "exit"), policy[None], axis=0)[0]
+    ham = np.take_along_axis(_hamiltonians(tab, v), policy[None], axis=0)[0]
     return GridSolution(
         criterion=f"{criterion}-policy", grid=grid, values=v[:, 0], policy=policy[:, 0], iterations=1,
         residual=float(_residual(criterion, ham, v, rho, pin)[0]),
-        alpha=pin if criterion == "discounted" else None,
+        alpha=spec.costs.alpha if criterion == "discounted" else None,
     )
-
-
-def _shared(specs, name: str):
-    """A cost constant every stacked model must share (schedules never perturb it)."""
-    values = {getattr(spec.costs, name) for spec in specs}
-    if len(values) != 1:
-        raise ShapeError(f"stacked models need one costs.{name}")
-    return values.pop()
 
 
 def _with_costs(spec: ModelSpec, **given) -> ModelSpec:
@@ -700,8 +694,12 @@ def evaluate_policy_exit(spec: ModelSpec, grid: Grid1D, policy: np.ndarray) -> G
 
 
 def _time_levels(tab: _Tables, n_t: int | None) -> tuple:
-    """(T, n_t, dt) of a finite-horizon solve over the stack's horizon; checks the step."""
-    T = _shared(tab.specs, "horizon")
+    """(T, n_t, dt) of a finite-horizon solve over the stack's one horizon (schedules
+    never perturb it); checks the step."""
+    horizons = {spec.costs.horizon for spec in tab.specs}
+    if len(horizons) != 1:
+        raise ShapeError("stacked models need one costs.horizon")
+    T = horizons.pop()
     if n_t is None:
         n_t = max(int(np.ceil(T / 0.05)), 10)
     if not (_whole(n_t) and n_t >= 1):
@@ -728,11 +726,11 @@ def _backward(tab: _Tables, v: FloatArray, n_t: int, dt: float, policy: np.ndarr
     Hamiltonians H_a(v_j)) level by level, keeping only the current level;
     the Hamiltonians are the ones the next level chooses from.
     """
-    ham = _hamiltonians(tab, v, False)
+    ham = _hamiltonians(tab, v)
     for j in range(n_t - 1, -1, -1):
         pol = np.argmin(ham, axis=0) if policy is None else policy[j]
         v = _step_back(tab, pol, v, dt)
-        ham = _hamiltonians(tab, v, False)
+        ham = _hamiltonians(tab, v)
         yield pol, v, ham
 
 

@@ -574,9 +574,6 @@ class _ConstantFamily:
         """The family's value as a float; 0.0 for 'zero', which takes none."""
         return self.value if self.kind == "constant" else 0.0
 
-    def eval_batch(self, x: FloatArray, s: NDArray[np.int64], u: FloatArray | None = None) -> FloatArray:
-        return np.full(x.shape[0], self.constant)
-
 
 @dataclass(frozen=True, eq=False)
 class BoundaryCost(_ConstantFamily):

@@ -53,8 +53,9 @@ class LQSpec:
 
     All coefficient stacks are indexed by regime: A, C, Q, P are (N, d, d),
     B is (N, d, l), R is (N, l, l). Q and P must be positive semidefinite
-    (least eigenvalue at least -EIG_FLOOR), R positive definite, else E_EIG;
-    rates follow the usual generator rules. Every array is kept as given.
+    (least eigenvalue at least -EIG_FLOOR), R positive definite with a
+    condition number at most COND_LIMIT, else E_EIG at ``lq.<name>``; rates
+    follow the usual generator rules. Every array is kept as given.
     """
 
     dim: int
@@ -80,11 +81,11 @@ class LQSpec:
             object.__setattr__(self, nm, _freeze(arr))
         if not 0 < self.horizon < np.inf:
             raise ShapeError("horizon must be finite and > 0", "lq.horizon")
-        _check_definite(self.q, "Q", -EIG_FLOOR, "semidefinite", error=EigError)
-        _check_definite(self.p, "P", -EIG_FLOOR, "semidefinite", error=EigError)
-        r_eigs = _check_definite(self.r, "R", EIG_FLOOR, "definite", error=EigError)
+        _check_definite(self.q, "Q", -EIG_FLOOR, "semidefinite", "lq.q", error=EigError)
+        _check_definite(self.p, "P", -EIG_FLOOR, "semidefinite", "lq.p", error=EigError)
+        r_eigs = _check_definite(self.r, "R", EIG_FLOOR, "definite", "lq.r", error=EigError)
         if float(r_eigs.max() / r_eigs.min()) > COND_LIMIT:
-            raise EigError("R is too ill-conditioned to invert reliably")
+            raise EigError("R is too ill-conditioned to invert reliably", "lq.r")
         _check_rates(self.rates, "lq.rates")
 
     def r_inv_bt(self) -> FloatArray:
@@ -97,7 +98,8 @@ def lq_from_model(spec: ModelSpec) -> LQSpec:
 
     The Riccati equations have no affine drift term, so a nonzero lq drift
     offset b0 is E_CONFIG at ``model.drift.offset``. A zero terminal cost
-    gives P = 0.
+    gives P = 0. A P or an R that LQSpec rejects is E_CONFIG at its model
+    field, ``model.costs.terminal.p`` or ``model.costs.running.r``.
     """
     if spec.drift.kind != "lq" or spec.diffusion.kind != "lq":
         raise ShapeError("lq extraction needs drift and diffusion of kind 'lq'")
@@ -116,19 +118,17 @@ def lq_from_model(spec: ModelSpec) -> LQSpec:
         p = np.zeros((N, d, d))
     else:
         raise ShapeError("lq extraction needs a 'quad' or 'zero' terminal cost")
-    return LQSpec(
-        dim=d,
-        n_regimes=N,
-        control_dim=spec.actions.action_dim,
-        a=spec.drift.a_mat,
-        b=spec.drift.b_mat,
-        c=spec.diffusion.c_mat,
-        q=spec.costs.running.q_mat,
-        r=spec.costs.running.r_mat,
-        p=p,
-        rates=spec.generator.rates,
-        horizon=spec.costs.horizon,
-    )
+    try:
+        return LQSpec(
+            dim=d, n_regimes=N, control_dim=spec.actions.action_dim, a=spec.drift.a_mat, b=spec.drift.b_mat,
+            c=spec.diffusion.c_mat, q=spec.costs.running.q_mat, r=spec.costs.running.r_mat, p=p,
+            rates=spec.generator.rates, horizon=spec.costs.horizon,
+        )
+    except (EigError, ShapeError) as exc:
+        fields = {"lq.p": "model.costs.terminal.p", "lq.r": "model.costs.running.r"}
+        if exc.path not in fields:
+            raise
+        raise ConfigError(exc.message, fields[exc.path]) from exc
 
 
 def lq_model(lq: LQSpec) -> ModelSpec:

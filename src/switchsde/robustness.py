@@ -332,14 +332,14 @@ class EpsOptimalityReport:
         write_csv(path, EPS_HEADER, self.csv_rows())
 
 
-def _worst_eps_policy(tab: _Tables, values: np.ndarray, eps: float, with_beta: bool) -> np.ndarray:
+def _worst_eps_policy(tab: _Tables, values: np.ndarray, eps: float) -> np.ndarray:
     """Worst action within eps of the pointwise Hamiltonian minimum.
 
     Adversarial degradation: among the eps-acceptable actions pick the one
     with the largest Hamiltonian value (lowest index on ties), so the
     3-eps bound is exercised rather than granted.
     """
-    ham = _hamiltonians(tab, values, with_beta)
+    ham = _hamiltonians(tab, values)
     acceptable = ham <= np.min(ham, axis=0)[None] + eps
     return np.argmax(np.where(acceptable, ham, -np.inf), axis=0).astype(np.int64)
 
@@ -371,7 +371,7 @@ def check_eps_optimality(
         )
     deltas, tab = _grid_stack(true_spec, sched, grid)
     values, _, _ = _warm_stationary(tab, criterion, tol, max_iter)
-    policy = _worst_eps_policy(tab, values, eps, criterion == "exit")
+    policy = _worst_eps_policy(tab, values, eps)
     j = _replay(tab, lambda t, p: _evaluate(t, criterion, p)[0], policy)
     gaps = _block_gap(j, values[:, -1:])
     rows = [

@@ -330,6 +330,34 @@ def test_lq_drift_offset_must_be_zero(tmp_path, capsys, command, block):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
 
 
+# an indefinite terminal weight, and two controls whose R is too ill-conditioned to invert
+LQ_BAD_WEIGHTS = {
+    "model.costs.terminal.p": dict(
+        LQ_SCALAR, costs=dict(LQ_SCALAR["costs"], terminal={"kind": "quad", "p": [[[-1.0]]]}),
+    ),
+    "model.costs.running.r": dict(
+        LQ_SCALAR, actions=[[0.0, 0.0]], drift=dict(LQ_SCALAR["drift"], b=[[[1.0, 1.0]]]),
+        costs=dict(LQ_SCALAR["costs"], running={"kind": "lq", "q": [[[1.0]]], "r": [[[1e13, 0.0], [0.0, 1.0]]]}),
+    ),
+}
+LQ_COMMANDS = {
+    "riccati": {"steps": 50},
+    "simulate": {"x0": [1.0], "i0": 1, "dt": 0.01, "seed": 1, "policy": {"kind": "lq", "steps": 50}},
+    "robustness": {"criterion": "lq-finite-horizon", "x0": [1.0], "i0": 1, "steps": 50,
+                   "schedule": {"mode": "coefficient", "n_max": 1, "d_a": [[[0.1]]]}},
+}
+
+
+@pytest.mark.parametrize("path", sorted(LQ_BAD_WEIGHTS))
+@pytest.mark.parametrize("command", sorted(LQ_COMMANDS))
+def test_an_lq_weight_the_riccati_solver_rejects_exits_4_at_its_model_field(tmp_path, capsys, command, path):
+    code, out = _run(tmp_path, {"command": command, "model": LQ_BAD_WEIGHTS[path], command: LQ_COMMANDS[command]})
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("config error: E_CONFIG: ") and err.rstrip().endswith(f" at '{path}'")
+    assert not list(out.glob("*.csv"))
+
+
 # u = -F(t) x holds a = 0.5 down only on [0, horizon]: past it F stays F(T) ~ 0
 LQ_PAST_HORIZON = dict(
     LQ_SCALAR, actions=[[-5.0], [5.0]], drift=dict(LQ_SCALAR["drift"], a=[[[0.5]]]),
@@ -718,7 +746,7 @@ def test_hjb_values_layout(tmp_path):
     assert float(lines[1].split(",")[3]) == pytest.approx(1.25, abs=1e-6)
 
 
-def test_hjb_exit_values_match_the_library(tmp_path):
+def test_hjb_exit_solution_matches_the_library(tmp_path):
     spec = saturated_model()
     grid = {"x_min": -2.0, "x_max": 2.0, "n_x": 101}
     doc = {"command": "hjb", "model": model_to_dict(spec), "hjb": {"criterion": "exit", "grid": grid}}
@@ -726,6 +754,32 @@ def test_hjb_exit_values_match_the_library(tmp_path):
     assert code == 0
     switchsde.solve_exit(spec, switchsde.Grid1D(**grid)).to_csv(tmp_path / "lib.csv")
     assert (out / "values.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+
+
+EXIT_SCHEDULE = {"mode": "cost", "n_max": 1, "d_cost": 0.5}
+EXIT_BLOCKS = {
+    "hjb": {"criterion": "exit"},
+    "robustness": {"criterion": "exit", "schedule": EXIT_SCHEDULE},
+    "eps-check": {"criterion": "exit", "eps": 0.05, "schedule": EXIT_SCHEDULE},
+}
+
+
+@pytest.mark.parametrize("command", sorted(EXIT_BLOCKS))
+def test_an_exit_grid_other_than_the_exit_domain_exits_4(tmp_path, capsys, command):
+    # the model exits (-1, 1); a grid on (-2, 2) would solve another problem
+    model = model_to_dict(bm_model(cost_value=1.0))
+    grid = {"x_min": -2.0, "x_max": 2.0, "n_x": 41}
+    code, out = _run(tmp_path, {"command": command, "model": model,
+                                command: dict(EXIT_BLOCKS[command], grid=grid)})
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("config error: E_CONFIG: exit solve needs the grid interval (-2.0, 2.0)")
+    assert err.rstrip().endswith("to be costs.exit_domain (-1.0, 1.0) at 'grid'")
+    assert not list(out.glob("*.csv"))
+    code, out = _run(tmp_path, {"command": command, "model": model,
+                                command: dict(EXIT_BLOCKS[command], grid=dict(grid, x_min=-1.0, x_max=1.0))},
+                     sub="on-the-domain")
+    assert code == 0
 
 
 def test_stochastic_rerun_is_byte_identical(tmp_path):

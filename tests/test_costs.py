@@ -507,10 +507,10 @@ def _plane_model():
 
 def _mc_exit_per_row(spec, policy, x0, i0, dt, n_paths, seed, t_cap, batch):
     """mc_exit restated with a discount per row: each row's B is summed from
-    beta.eval_batch and compacted with the rows, and h comes from
-    exit_h.eval_batch at the exit. Returns (value, stderr, capped_fraction)."""
+    the constant beta and compacted with the rows, and the constant h is
+    paid at the exit. Returns (value, stderr, capped_fraction)."""
     n_cap = int(math.ceil(t_cap / dt - 1e-9))
-    (lo, hi), beta, exit_h = spec.costs.exit_domain, spec.costs.exit_beta, spec.costs.exit_h
+    (lo, hi), beta, h = spec.costs.exit_domain, spec.costs.exit_beta.constant, spec.costs.exit_h.constant
     values = np.zeros(n_paths)
     capped = np.zeros(n_paths, dtype=bool)
     for start in range(0, n_paths, batch):
@@ -520,7 +520,6 @@ def _mc_exit_per_row(spec, policy, x0, i0, dt, n_paths, seed, t_cap, batch):
         for k in range(n_cap + 1):
             out = np.any((eng.x <= lo) | (eng.x >= hi), axis=1) & eng.alive
             if np.any(out):
-                h = exit_h.eval_batch(eng.x[out], eng.s[out])
                 values[start + eng.original_index[out]] = acc[out] + np.exp(-log_disc[out]) * h
                 eng.mark_dead(out)
             if eng.n_alive == 0:
@@ -532,9 +531,8 @@ def _mc_exit_per_row(spec, policy, x0, i0, dt, n_paths, seed, t_cap, batch):
                 break
             u = eng.actions(policy)
             c = spec.costs.running.eval_batch(eng.x, eng.s, u)
-            b = beta.eval_batch(eng.x, eng.s, u)
             acc += np.exp(-log_disc) * c * dt
-            log_disc += b * dt
+            log_disc += beta * dt
             keep = eng.step(u)
             if keep is not None:
                 acc, log_disc = acc[keep], log_disc[keep]

@@ -26,6 +26,7 @@ from switchsde import (
     StepError,
     TerminalCost,
     UnboundedError,
+    check_eps_optimality,
     estimate_ergodic,
     estimate_ergodic_policy,
     evaluate_policy_exit,
@@ -347,7 +348,7 @@ def test_finite_horizon_policy_residual_is_the_defect_of_its_level_equations(sat
     tab = _Tables([saturated], grid)
     defect = 0.0
     for j in range(20):
-        ham = hjbgrid._hamiltonians(tab, sol.values[j][:, None], False)[:, :, 0]
+        ham = hjbgrid._hamiltonians(tab, sol.values[j][:, None])[:, :, 0]
         at = np.take_along_axis(ham, policy[j][None], axis=0)[0]
         defect = max(defect, float(np.max(np.abs((sol.values[j + 1] - sol.values[j]) / dt + at))))
     assert sol.residual == defect
@@ -425,6 +426,29 @@ def test_exit_pins_the_ends_exactly(model, n_x):
     sol = solve_exit(spec, grid)
     h = spec.costs.exit_h.value
     assert np.all(sol.values[:, [0, -1]] == h)
+
+
+COST_SCHEDULE = PerturbationSchedule("cost", 1, d_cost=0.5)
+EXIT_ENTRY_POINTS = {
+    "solve_exit": solve_exit,
+    "evaluate_policy_exit": lambda spec, grid: evaluate_policy_exit(
+        spec, grid, np.zeros((spec.regimes.count, grid.n_x), dtype=np.int64)
+    ),
+    "sweep_grid": lambda spec, grid: sweep_grid(spec, COST_SCHEDULE, "exit", grid),
+    "check_eps_optimality": lambda spec, grid: check_eps_optimality(spec, COST_SCHEDULE, "exit", 0.05, grid),
+}
+
+
+@pytest.mark.parametrize("interval", [(-2.0, 2.0), (-1.0, 2.0), (-1.0, 1.5)])
+@pytest.mark.parametrize("entry", sorted(EXIT_ENTRY_POINTS))
+def test_every_exit_entry_point_needs_the_grid_interval_to_be_the_exit_domain(entry, interval):
+    # unit-cost Brownian motion exiting (-1, 1): E tau = 1 at 0, where a
+    # solve on (-2, 2) would give E tau on that interval, 4
+    spec = bm_model(sigma=1.0, cost_value=1.0)
+    EXIT_ENTRY_POINTS[entry](spec, Grid1D(*spec.costs.exit_domain, 21))
+    with pytest.raises(ConfigError, match=r"to be costs.exit_domain \(-1.0, 1.0\)") as info:
+        EXIT_ENTRY_POINTS[entry](spec, Grid1D(*interval, 21))
+    assert info.value.path == "grid"
 
 
 # ---------------------------------------------------------------------------

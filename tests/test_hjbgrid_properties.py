@@ -116,7 +116,7 @@ def _dense_solve(spec: ModelSpec, grid: Grid1D, policy: np.ndarray, criterion: s
             u = spec.actions.actions[policy[i, k]][None]
             if exit_ and k in (0, K - 1):
                 mat[r, r] = 1.0
-                rhs[r] = spec.costs.exit_h.eval_batch(x, s)[0]
+                rhs[r] = spec.costs.exit_h.constant
                 continue
             a = spec.diffusion.a_batch(x, s)[0, 0, 0]
             b = spec.drift.eval_batch(x, s, u)[0, 0]
@@ -124,7 +124,7 @@ def _dense_solve(spec: ModelSpec, grid: Grid1D, policy: np.ndarray, criterion: s
             # upwind drift; reflecting ends drop the outward neighbour
             lo = 0.0 if k == 0 else a / dx**2 + max(-b, 0.0) / dx
             hi = 0.0 if k == K - 1 else a / dx**2 + max(b, 0.0) / dx
-            zeta = spec.costs.exit_beta.eval_batch(x, s, u)[0] if exit_ else spec.costs.alpha
+            zeta = spec.costs.exit_beta.constant if exit_ else spec.costs.alpha
             mat[r, r] = zeta + lo + hi - rates[i, i]
             if k > 0:
                 mat[r, r - 1] = -lo
@@ -156,12 +156,12 @@ def _howard_iterates(spec: ModelSpec, grid: Grid1D, criterion: str) -> list:
     tab = _Tables([spec], grid)
     v = np.zeros(tab.shape)  # (regime, block, node) with one block
     if exit_:
-        v[..., [0, -1]] = tab.exit_values
-    policy = np.argmin(_hamiltonians(tab, v, exit_), axis=0)[:, 0]
+        v[..., [0, -1]] = spec.costs.exit_h.constant
+    policy = np.argmin(_hamiltonians(tab, v), axis=0)[:, 0]
     iterates = [v[:, 0]]
     while True:
         iterates.append(evaluate(spec, grid, policy).values)
-        improved = np.argmin(_hamiltonians(tab, iterates[-1][:, None], exit_), axis=0)[:, 0]
+        improved = np.argmin(_hamiltonians(tab, iterates[-1][:, None]), axis=0)[:, 0]
         if np.array_equal(improved, policy) or np.abs(iterates[-1] - iterates[-2]).max() < 1e-8:
             return iterates[1:]
         policy = improved
@@ -274,7 +274,7 @@ def _howard_run(tab: _Tables, criterion: str, tol: float, start=None) -> tuple:
     """(values, policy, rho) of one stacked Howard solve, cold or from ``start``."""
     v = np.zeros(tab.shape)
     if criterion == "exit":
-        v[..., [0, -1]] = tab.exit_values
+        v[..., [0, -1]] = tab.h[:, None]
     out = _howard(tab, criterion, v, tol, 100, policy=start)
     return out[0], out[1], out[3]
 
@@ -336,9 +336,9 @@ def test_vanishing_discount_approaches_the_average_cost(seed, n, n_x, n_actions)
 
 
 def _rowwise_node_tables(spec: ModelSpec, grid: Grid1D) -> tuple:
-    """(c, beta, sub, sup, rates, exit values, terminal costs) of one model,
-    each family evaluated for this model alone and every check run on its
-    own tables, in the order a block meets them."""
+    """(c, sub, sup, rates, terminal costs) and the constants (alpha, beta, h)
+    of one model, each family evaluated for this model alone and every
+    check run on its own tables, in the order a block meets them."""
     if spec.dim != 1:
         raise ShapeError("grid solvers support dim 1 only")
     K, N = grid.n_x, spec.regimes.count
@@ -351,7 +351,7 @@ def _rowwise_node_tables(spec: ModelSpec, grid: Grid1D) -> tuple:
     a = spec.diffusion.a_batch(xs[: N * K], s[: N * K])[:, 0, 0].reshape(N, K)
     b = spec.drift.eval_batch(xs, s, u)[:, 0].reshape(A, N, K)
     c = spec.costs.running.eval_batch(xs, s, u).reshape(A, N, K)
-    beta = spec.costs.exit_beta.eval_batch(xs, s, u).reshape(A, N, K)
+    beta = spec.costs.exit_beta.constant
     rates = spec.generator.rates_batch(np.tile(nodes, A)[:, None], np.repeat(acts, K, axis=0))
     rates = rates.reshape(A, K, N, N).transpose(0, 2, 1, 3)
     if not np.all(a > 0.0):
@@ -367,10 +367,8 @@ def _rowwise_node_tables(spec: ModelSpec, grid: Grid1D) -> tuple:
             raise SchemeError(f"coefficient table '{name}' is not finite on the grid")
     if not (np.all(sub >= 0.0) and np.all(sup >= 0.0)):
         raise SchemeError("upwind coefficients must be nonnegative")
-    ends = np.tile([[grid.x_min], [grid.x_max]], (N, 1))
-    exit_values = spec.costs.exit_h.eval_batch(ends, np.repeat(np.arange(N), 2)).reshape(N, 2)
     terminal = spec.costs.terminal.eval_batch(np.tile(nodes, N)[:, None], np.repeat(np.arange(N), K))
-    return c, beta, sub, sup, rates, exit_values, terminal.reshape(N, K)
+    return c, sub, sup, rates, terminal.reshape(N, K), spec.costs.alpha, beta, spec.costs.exit_h.constant
 
 
 def _bits(a) -> tuple:
@@ -427,26 +425,23 @@ def test_stacked_tables_equal_a_rowwise_build(mode, data):
     _, tab = robustness._grid_stack(spec, sched, grid)
     assert tab.labels == tuple(labels)
     for b, tables in enumerate(want):
-        node = (tab.c, tab.beta, tab.sub, tab.sup, tab.rates)
-        got = [t[:, :, b] for t in node] + [tab.exit_values[:, b], tab.terminal[:, b]]
+        node = (tab.c, tab.sub, tab.sup, tab.rates)
+        got = [t[:, :, b] for t in node] + [tab.terminal[:, b], tab.alpha[b], tab.beta[b], tab.h[b]]
         assert [_bits(g) for g in got] == [_bits(w) for w in tables]
 
 
-def _einsum_hamiltonians(tab: _Tables, v: np.ndarray, with_beta: bool) -> np.ndarray:
+def _einsum_hamiltonians(tab: _Tables, v: np.ndarray) -> np.ndarray:
     """The Hamiltonians with the regime coupling summed by one einsum."""
     out = -(tab.sub + tab.sup) * v
     out[..., 1:] += tab.sub[..., 1:] * v[..., :-1]
     out[..., :-1] += tab.sup[..., :-1] * v[..., 1:]
     out += np.einsum("ai...j,j...->ai...", tab.rates, v)
     out += tab.c
-    if with_beta:
-        out -= tab.beta * v
     return out
 
 
-@pytest.mark.parametrize("with_beta", [False, True])
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_hamiltonians_equal_the_einsum_sum_bit_for_bit(n, with_beta):
+def test_hamiltonians_equal_the_einsum_sum_bit_for_bit(n):
     # two generated models and one whose rates and running cost are all
     # -0.0 (each passes its sign rules): there values of both zero signs
     # make coupling sums of -0.0, which einsum's sum from 0.0 makes 0.0, and
@@ -461,5 +456,5 @@ def test_hamiltonians_equal_the_einsum_sum_bit_for_bit(n, with_beta):
     rng = np.random.default_rng(n)
     for scale in (rng.normal(size=tab.shape), rng.choice([0.0, -0.0, 1.0], size=tab.shape)):
         v = scale * rng.choice([0.0, -0.0, 1.0, 1e-3], size=tab.shape)
-        got, want = _hamiltonians(tab, v, with_beta), _einsum_hamiltonians(tab, v, with_beta)
+        got, want = _hamiltonians(tab, v), _einsum_hamiltonians(tab, v)
         assert _bits(got) == _bits(want)

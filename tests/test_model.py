@@ -29,6 +29,7 @@ from switchsde import (
     make_perturbation_sequence,
     model_from_dict,
     model_to_dict,
+    cli,
     validate_model,
 )
 from switchsde.model import DIRECTIONS, ROW_SUM_TOL
@@ -312,6 +313,104 @@ def test_family_rejects_a_field_its_kind_does_not_list(cls):
     with pytest.raises(ConfigError) as err:
         build(**stray)
     assert err.value.path == path
+
+
+def _document(base, **edits):
+    """A thunk reading ``base()``'s document with the given fields replaced;
+    a key's dots are written as double underscores (costs__running)."""
+    doc = model_to_dict(base())
+    for key, value in edits.items():
+        *parents, leaf = key.split("__")
+        obj = doc
+        for part in parents:
+            obj = obj[part]
+        obj[leaf] = value
+    return lambda: model_from_dict(doc)
+
+
+def _planar_lq():
+    eye = np.eye(2)[None]
+    return lq_model(LQSpec(2, 1, 1, 0 * eye, np.ones((1, 2, 1)), 0 * eye, eye, np.ones((1, 1, 1)), eye,
+                           np.zeros((1, 1)), 1.0))
+
+
+def _chain_with(**changes):
+    """The chain model with families replaced (its costs' families by name)."""
+    spec = chain_model()
+    costs = {k: changes.pop(k) for k in ("running", "exit_domain") if k in changes}
+    return lambda: dataclasses.replace(spec, costs=dataclasses.replace(spec.costs, **costs), **changes)
+
+
+TABULATED = dict(kind="tabulated", x_nodes=[0.0, 1.0], values=[[0.0, 0.0]])
+# one case per rule: (library construction or None, its error, its path,
+# document or None, message); a document raises E_CONFIG at ``model.<path>``.
+# No document reaches the ModelSpec dimension rules, whose family sizes the
+# reader takes from the model, and no library call the reader's own rules.
+MODEL_RULES = {
+    "field-shape": (lambda: DriftFamily("constant", 1, 2, 1, b0=np.zeros((3, 1))), ShapeError, "drift.b0",
+                    _document(chain_model, drift__b0=[[0.0]] * 3), "'b0' has shape"),
+    "field-sign-nonnegative": (lambda: RunningCost("constant", 2, 1, 1, value=-1.0), ShapeError,
+                               "costs.running.value",
+                               _document(chain_model, costs__running={"kind": "constant", "value": -1.0}),
+                               "'value' must be >= 0"),
+    "field-sign-positive": (lambda: RunningCost("quad-clamped", 2, 1, 1, weight=1.0, cap=0.0), ShapeError,
+                            "costs.running.cap",
+                            _document(chain_model, costs__running={"kind": "quad-clamped", "weight": 1.0, "cap": 0.0}),
+                            "'cap' must be > 0"),
+    "tabulated-dim": (lambda: DriftFamily("tabulated", 2, 1, 1, x_nodes=[0.0, 1.0], values=[[0.0, 0.0]]),
+                      ShapeError, "drift.kind", _document(_planar_lq, drift=TABULATED), "dim 1 only"),
+    "tabulated-nodes": (lambda: DriftFamily("tabulated", 1, 1, 1, x_nodes=[0.0, 0.0], values=[[0.0, 0.0]]),
+                        ShapeError, "drift.x_nodes", _document(bm_model, drift=dict(TABULATED, x_nodes=[1.0, 0.0])),
+                        "at least two increasing nodes"),
+    "empty-actions": (lambda: ActionGrid(np.zeros((0, 1))), ShapeError, "actions",
+                      _document(chain_model, actions=[]), "nonempty"),
+    "base-diagonal": (lambda: GeneratorSpec("state-action-dependent", 1, base=[[1.0]]), RatesError,
+                      "generator.base",
+                      _document(bm_model, generator={"kind": "state-action-dependent", "base": [[1.0]]}),
+                      "zero diagonal"),
+    "cosine-dim": (lambda: RunningCost("cosine", 1, 2, 1, amplitude=1.0), ShapeError, "costs.running.kind",
+                   _document(_planar_lq, costs__running={"kind": "cosine", "amplitude": 1.0}), "dim 1 only"),
+    "empty-exit-domain": (_chain_with(exit_domain=(1.0, 1.0)), ShapeError, "costs.exit_domain",
+                          _document(chain_model, costs__exit_domain=[1.0, -1.0]), "open interval"),
+    "drift-dims": (_chain_with(drift=DriftFamily("constant", 1, 3, 1, b0=np.zeros((3, 1)))), ShapeError, "",
+                   None, "drift family dims"),
+    "diffusion-dims": (_chain_with(diffusion=DiffusionFamily("constant", 2, 2, c0=np.ones((2, 2, 2)))),
+                       ShapeError, "", None, "diffusion family dims"),
+    "drift-action-dim": (_chain_with(drift=DriftFamily("constant", 1, 2, 2, b0=np.zeros((2, 1)))), ShapeError,
+                         "", None, "drift action dim"),
+    "generator-count": (_chain_with(generator=GeneratorSpec("constant", 3, rates=np.zeros((3, 3)))), ShapeError,
+                        "", None, "generator regime count"),
+    "running-dims": (_chain_with(running=RunningCost("regime", 3, 1, 1, values=np.ones(3))), ShapeError, "",
+                     None, "running cost dims"),
+    "not-an-object": (None, None, "regimes", _document(chain_model, regimes=3), "expected an object"),
+    "ragged-array": (None, None, "actions", _document(chain_model, actions=[[0.0], [0.0, 1.0]]),
+                     "rows differ in length"),
+}
+
+
+@pytest.mark.parametrize("rule", MODEL_RULES)
+def test_each_model_rule_raises_its_error_at_its_path(rule):
+    library, error, path, document, match = MODEL_RULES[rule]
+    if library is not None:
+        with pytest.raises(error, match=match) as err:
+            library()
+        assert err.value.path == path
+    if document is not None:
+        with pytest.raises(ConfigError, match=match) as err:
+            document()
+        assert err.value.path == f"model.{path}"
+
+
+def test_magnitudes_of_the_wrong_length_are_a_config_error_at_their_path():
+    with pytest.raises(ConfigError, match="length n_max \\+ 1") as err:
+        PerturbationSchedule("rates", 2, magnitudes=[1.0, 0.5])
+    assert err.value.path == "schedule.magnitudes"
+    doc = {"command": "robustness", "model": model_to_dict(chain_model()),
+           "robustness": {"criterion": "discounted", "grid": {"x_min": -1.0, "x_max": 1.0, "n_x": 11},
+                          "schedule": {"mode": "rates", "n_max": 2, "magnitudes": [1.0, 0.5]}}}
+    with pytest.raises(ConfigError, match="length n_max \\+ 1") as err:
+        cli.parse_config(json.dumps(doc))
+    assert err.value.path == "robustness.schedule.magnitudes"
 
 
 # generated models: one hand-written constructor per family kind, so the

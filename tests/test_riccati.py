@@ -11,7 +11,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from switchsde import (
+    ActionGrid,
     BlowupError,
+    ConfigError,
     DiffusionFamily,
     DriftFamily,
     EigError,
@@ -183,18 +185,19 @@ def _two_controls(r):
     return dict(control_dim=2, b=np.ones((2, 2, 2)), r=np.array([r, r], dtype=np.float64))
 
 
-@pytest.mark.parametrize("changes,error,match", [
-    (dict(q=np.array([[[1.0, 0.5], [0.0, 1.0]]] * 2)), ShapeError, "Q must be symmetric"),
-    (_two_controls([[1.0, 0.5], [0.0, 1.0]]), ShapeError, "R must be symmetric"),
-    (dict(p=np.array([[[1.0, 0.0], [0.0, -1.0]]] * 2)), EigError, "P must be positive semidefinite"),
-    (dict(p=np.array([-5e-11 * np.eye(2)] * 2)), EigError, "P must be positive semidefinite"),
-    (_two_controls([[100.0, 0.0], [0.0, 1e-11]]), EigError, "ill-conditioned"),
-    (dict(rates=np.array([[1.0, -1.0], [2.0, -2.0]])), RatesError, "off-diagonal"),
-    (dict(rates=np.array([[-1.0, 2.0], [2.0, -2.0]])), RatesError, "sum to zero"),
+@pytest.mark.parametrize("changes,error,match,path", [
+    (dict(q=np.array([[[1.0, 0.5], [0.0, 1.0]]] * 2)), ShapeError, "Q must be symmetric", "lq.q"),
+    (_two_controls([[1.0, 0.5], [0.0, 1.0]]), ShapeError, "R must be symmetric", "lq.r"),
+    (dict(p=np.array([[[1.0, 0.0], [0.0, -1.0]]] * 2)), EigError, "P must be positive semidefinite", "lq.p"),
+    (dict(p=np.array([-5e-11 * np.eye(2)] * 2)), EigError, "P must be positive semidefinite", "lq.p"),
+    (_two_controls([[100.0, 0.0], [0.0, 1e-11]]), EigError, "ill-conditioned", "lq.r"),
+    (dict(rates=np.array([[1.0, -1.0], [2.0, -2.0]])), RatesError, "off-diagonal", "lq.rates"),
+    (dict(rates=np.array([[-1.0, 2.0], [2.0, -2.0]])), RatesError, "sum to zero", "lq.rates"),
 ], ids=["q-asymmetric", "r-asymmetric", "p-indefinite", "p-below-the-floor", "r-ill-conditioned", "negative-rate", "row-sum"])
-def test_lqspec_rejects_invalid_data(ref_lq, changes, error, match):
-    with pytest.raises(error, match=match):
+def test_lqspec_rejects_invalid_data(ref_lq, changes, error, match, path):
+    with pytest.raises(error, match=match) as info:
         dataclasses.replace(ref_lq, **changes)
+    assert info.value.path == path
 
 
 @pytest.mark.parametrize("rates", [[[1.0, -1.0], [2.0, -2.0]], [[-1.0, 2.0], [2.0, -2.0]]],
@@ -236,6 +239,27 @@ def test_lq_from_model_rejects_a_family_outside_lq(changes, match):
     lq_from_model(_scalar_lq_model_with())  # the all-lq model passes
     with pytest.raises(ShapeError, match=match):
         lq_from_model(_scalar_lq_model_with(**changes))
+
+
+def _two_control_scalar_model(r):
+    """The all-lq scalar model with two controls whose running weight is R = r."""
+    return _scalar_lq_model_with(
+        actions=ActionGrid(np.zeros((1, 2))),
+        drift=DriftFamily("lq", 1, 1, 2, a_mat=np.zeros((1, 1, 1)), b_mat=np.ones((1, 1, 2))),
+        running=RunningCost("lq", 1, 1, 2, q_mat=np.ones((1, 1, 1)), r_mat=np.array([r], dtype=np.float64)),
+    )
+
+
+@pytest.mark.parametrize("spec,match,path", [
+    (lambda: _scalar_lq_model_with(terminal=TerminalCost("quad", 1, 1, p_mat=-np.ones((1, 1, 1)))),
+     "P must be positive semidefinite", "model.costs.terminal.p"),
+    (lambda: _two_control_scalar_model([[1e13, 0.0], [0.0, 1.0]]), "ill-conditioned", "model.costs.running.r"),
+], ids=["p-indefinite", "r-ill-conditioned"])
+def test_lq_from_model_reports_a_weight_lqspec_rejects_at_its_model_field(spec, match, path):
+    lq_from_model(_two_control_scalar_model(np.eye(2)))  # a well-conditioned R passes
+    with pytest.raises(ConfigError, match=match) as info:
+        lq_from_model(spec())
+    assert info.value.path == path
 
 
 LQ_ARRAYS = ("a", "b", "c", "q", "r", "p", "rates")

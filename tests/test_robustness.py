@@ -560,7 +560,7 @@ def _rowwise_eps_gaps(true_spec, sched, criterion, eps, grid):
     for model in models:
         values = solve(model, grid).values
         tab = _Tables([model], grid)
-        policy = _worst_eps_policy(tab, values[:, None], eps, criterion == "exit")[:, 0]
+        policy = _worst_eps_policy(tab, values[:, None], eps)[:, 0]
         gaps.append(float(np.max(np.abs(evaluate(true_spec, grid, policy).values - v_true))))
     return gaps
 
@@ -587,7 +587,7 @@ def _rowwise_policies(true_spec, sched, criterion, grid):
         criterion = criterion[4:]
         solve = {"discounted": solve_discounted, "exit": solve_exit}[criterion]
         return [
-            _worst_eps_policy(_Tables([m], grid), solve(m, grid).values[:, None], 0.05, criterion == "exit")[:, 0]
+            _worst_eps_policy(_Tables([m], grid), solve(m, grid).values[:, None], 0.05)[:, 0]
             for m in models
         ]
     solve = {"discounted": solve_discounted, "exit": solve_exit, "finite-horizon": solve_finite_horizon,
@@ -770,7 +770,7 @@ def test_eps_check_fails_below_model_gap_scale(saturated, sat_schedule, sat_grid
     for model in models:
         values = solve_discounted(model, sat_grid).values
         tab = _Tables([model], sat_grid)
-        degraded = _worst_eps_policy(tab, values[:, None], eps, with_beta=False)[:, 0]
+        degraded = _worst_eps_policy(tab, values[:, None], eps)[:, 0]
         replays_optimal.append(np.array_equal(degraded, optimal))
     assert len(rep.rows) == len(models)
     assert not rep.rows[0].passed and rep.rows[0].gap > 3.0 * eps

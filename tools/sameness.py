@@ -18,6 +18,16 @@ tree reports:
   the ``cli-commands`` workload write, each run as ``python -m
   switchsde.cli`` in a fresh interpreter.
 
+Once per tree it also reports the grid exit problem, which the passes
+reach only through their exit sweeps. On the benchmark's ``saturated_model``
+at 51, 201 and 401 nodes over its exit domain: ``solve_exit`` and
+``evaluate_policy_exit`` of a fixed random action table on the model and on
+the first row of each of a coefficient (the benchmark's directions), rates
+and cost schedule, each schedule's exit ``sweep_grid``, and its exit
+``check_eps_optimality`` at eps = 0.01, 0.05 and 0.2. Two CLI configs,
+``hjb`` and ``eps-check`` with ``criterion: exit`` on the model's document,
+add their exit codes and artifacts.
+
 BLAS runs on one thread, as in the benchmark. The script prints one line
 per item, ``same`` or ``DIFF`` with both values, and exits with 0 when every
 item is equal, 1 when an item differs or one tree lacks it, and 2 when a
@@ -41,6 +51,8 @@ SEEDS = (1401, 7717)
 PASSES = ("lq-riccati", "hjb-grid", "mc-paths")
 ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1",
        "PYTHONDONTWRITEBYTECODE": "1"}
+EXIT_GRIDS = (51, 201, 401)
+EXIT_EPS = (0.01, 0.05, 0.2)
 
 
 def _canon(obj) -> str:
@@ -62,6 +74,65 @@ def _canon(obj) -> str:
 
 def _sha(text: str | bytes) -> str:
     return hashlib.sha256(text.encode() if isinstance(text, str) else text).hexdigest()[:16]
+
+
+def _cli_items(cfg: Path, out: Path, env: dict, key: str) -> dict:
+    """The exit code and the SHA-256 of each artifact of one ``python -m
+    switchsde.cli`` run of the config file ``cfg``, under ``key``."""
+    proc = subprocess.run([sys.executable, "-m", "switchsde.cli", "--config", str(cfg), "--out", str(out)],
+                          env=env, capture_output=True)
+    items = {f"{key} exit": str(proc.returncode)}
+    for p in sorted(out.iterdir()) if out.is_dir() else ():
+        items[f"{key}/{p.name}"] = _sha(p.read_bytes())
+    return items
+
+
+def exit_items(workloads, env: dict) -> dict:
+    """The grid exit problem's library calls and CLI commands (see the module doc)."""
+    import numpy as np
+    from switchsde import hjbgrid, robustness
+    from switchsde.model import PerturbationSchedule, make_perturbation_sequence, model_to_dict
+
+    sat = workloads.saturated_model()
+    schedules = {
+        "coefficient": PerturbationSchedule("coefficient", 10, **workloads.SAT_DIRECTIONS),
+        "rates": PerturbationSchedule("rates", 10, d_m=workloads.RATES_DIRECTION),
+        "cost": PerturbationSchedule("cost", 10, d_cost=0.5),
+    }
+    items = {}
+    for n_x in EXIT_GRIDS:
+        grid = hjbgrid.Grid1D(*sat.costs.exit_domain, n_x)
+        policy = np.random.default_rng(n_x).integers(0, 2, size=(2, n_x))
+        models = {"true": sat, **{name: make_perturbation_sequence(sat, sched)[0]
+                                  for name, sched in schedules.items()}}
+        for name, spec in models.items():
+            prefix = f"exit n={n_x} {name}"
+            items[f"{prefix} solve_exit"] = _sha(_canon(hjbgrid.solve_exit(spec, grid, tol=workloads.GRID_TOL)))
+            items[f"{prefix} evaluate_policy_exit"] = _sha(_canon(hjbgrid.evaluate_policy_exit(spec, grid, policy)))
+        for name, sched in schedules.items():
+            prefix = f"exit n={n_x} {name}"
+            rep = robustness.sweep_grid(sat, sched, "exit", grid, tol=workloads.GRID_TOL)
+            items[f"{prefix} sweep_grid"] = _sha(_canon(rep))
+            for eps in EXIT_EPS:
+                rep = robustness.check_eps_optimality(sat, sched, "exit", eps, grid)
+                items[f"{prefix} check_eps_optimality eps={eps}"] = _sha(_canon(rep))
+    model = model_to_dict(sat)
+    lo, hi = sat.costs.exit_domain
+    configs = {
+        "hjb": {"command": "hjb", "model": model,
+                "hjb": {"criterion": "exit", "grid": {"x_min": lo, "x_max": hi, "n_x": 101}}},
+        "eps-check": {"command": "eps-check", "model": model,
+                      "eps-check": {"criterion": "exit", "eps": 0.05,
+                                    "grid": {"x_min": lo, "x_max": hi, "n_x": 51},
+                                    "schedule": {"mode": "coefficient", "n_max": 4,
+                                                 **{k: v.tolist() for k, v in workloads.SAT_DIRECTIONS.items()}}}},
+    }
+    with tempfile.TemporaryDirectory() as tmp:
+        for command, doc in configs.items():
+            cfg = Path(tmp) / f"{command}.json"
+            cfg.write_text(json.dumps(doc) + "\n")
+            items.update(_cli_items(cfg, Path(tmp) / "out" / command, env, f"cli exit {command}"))
+    return items
 
 
 def child(tree: Path) -> dict:
@@ -93,12 +164,8 @@ def child(tree: Path) -> dict:
         with tempfile.TemporaryDirectory() as tmp:
             configs = workloads.cli_inputs(seed, False, SimpleNamespace(work=Path(tmp), env=env)).configs
             for command, cfg in configs.items():
-                out = Path(tmp) / "out" / command
-                proc = subprocess.run([sys.executable, "-m", "switchsde.cli", "--config", str(cfg), "--out", str(out)],
-                                      env=env, capture_output=True)
-                items[f"cli seed {seed} {command} exit"] = str(proc.returncode)
-                for p in sorted(out.iterdir()) if out.is_dir() else ():
-                    items[f"cli seed {seed} {command}/{p.name}"] = _sha(p.read_bytes())
+                items.update(_cli_items(cfg, Path(tmp) / "out" / command, env, f"cli seed {seed} {command}"))
+    items.update(exit_items(workloads, env))
     return items
 
 
