@@ -5,7 +5,9 @@ second-order term a V'' with a = sigma^2 / 2, fully upwind first differences
 for b V' (direction chosen per candidate action), so every assembled row is
 an M-matrix row for every action. Ends are reflecting (zero outward
 derivative, one-sided second difference) except for the exit problem, whose
-boundary rows are Dirichlet.
+boundary rows are Dirichlet. The exit problem is the discounted one at the
+model's constant exit rate beta in place of alpha, on the model's exit
+domain, with both ends pinned to its constant exit cost h.
 
 Every policy evaluation is one exact linear solve. With the unknowns ordered
 node-major (row k N + i for node k and regime i), the matrix zeta - L_a - M_a
@@ -679,11 +681,13 @@ def evaluate_policy_value(
 
 
 def solve_exit(spec: ModelSpec, grid: Grid1D, tol: float = 1e-8, max_iter: int = 100) -> GridSolution:
-    """Policy iteration for min_a [L_a V + M_a V - beta_a V + c_a] = 0 on O.
+    """Policy iteration for min_a [L_a V + M_a V + c_a] = beta V on O, V = h on its ends.
 
-    The grid interval is the exit domain; the two boundary rows are Dirichlet
-    rows pinning V to the model's exit cost h exactly, and beta is the model's
-    exit discount. Stopping and MaxIterError as in solve_discounted.
+    The discounted solve at the model's constant exit rate beta, with the
+    two boundary rows Dirichlet rows pinning V to the constant exit cost h
+    exactly. The grid interval must be the model's ``costs.exit_domain``,
+    else E_CONFIG at ``grid``. Stopping and MaxIterError as in
+    solve_discounted.
     """
     return _stationary(_Tables([spec], grid), "exit", tol, max_iter)[0]
 
