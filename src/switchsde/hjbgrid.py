@@ -13,11 +13,13 @@ Every policy evaluation is one exact linear solve. With the unknowns ordered
 node-major (row k N + i for node k and regime i), the matrix zeta - L_a - M_a
 of a fixed action table couples each row to its two spatial neighbours N
 rows away and to the other regimes of its node, so it is banded with N sub-
-and N super-diagonals and one LAPACK dgbsv call solves it. The matrix is a
-weakly chained diagonally dominant M-matrix, so policy iteration is Howard's
-algorithm with exact evaluation (Bokanowski, Maroso & Zidani, SIAM J. Numer.
-Anal. 47, 2009). Minimization over actions is an exhaustive scan of the
-ActionGrid in list order; ties keep the lowest index.
+and N super-diagonals: one LAPACK dgbtrf call factors it and one dgbtrs
+call solves the factors, so one factorization can serve several right sides
+(the finite-horizon replay's). The matrix is a weakly chained diagonally
+dominant M-matrix, so policy iteration is Howard's algorithm with exact
+evaluation (Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009).
+Minimization over actions is an exhaustive scan of the ActionGrid in list
+order; ties keep the lowest index (``_lowest_attaining``).
 
 The ergodic criterion runs the same Howard loop with zeta = 0, each
 evaluation one banded solve for the average cost and a relative value.
@@ -275,7 +277,7 @@ def _node_tables(specs, grid: Grid1D) -> tuple:
     and its first failing check as (block, error), or None.
 
     The checks, in the order a block meets them: a > 0, a bounded running
-    cost, finite tables and beta, nonnegative upwind terms.
+    cost, finite tables, nonnegative upwind terms.
     """
     K, N = grid.n_x, specs[0].regimes.count
     actions = specs[0].actions
@@ -315,8 +317,7 @@ def _node_tables(specs, grid: Grid1D) -> tuple:
         (UnboundedError, "grid solvers need a bounded running cost", np.isfinite(bound)[None, None]),
         *(
             (SchemeError, f"coefficient table '{name}' is not finite on the grid", np.isfinite(table))
-            for name, table in (("sub", sub), ("sup", sup), ("c", c), ("beta", beta[None, None]),
-                                ("rates", rates))
+            for name, table in (("sub", sub), ("sup", sup), ("c", c), ("rates", rates))
         ),
         (SchemeError, "upwind coefficients must be nonnegative", (sub >= 0.0) & (sup >= 0.0)),
     )
@@ -345,19 +346,32 @@ def _hamiltonians(tab: _Tables, v: FloatArray) -> FloatArray:
     return out
 
 
+def _lowest_attaining(table: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """The lowest index along axis 0 at which ``table`` equals ``target``,
+    which it attains: with target the minimum over the axis this is
+    ``np.argmin(table, axis=0)``, with the maximum ``np.argmax``, in one scan
+    that advances each entry's index while its value misses the target."""
+    index = (table[0] != target).astype(np.int64)
+    for a in range(1, table.shape[0] - 1):
+        index += (index == a) & (table[a] != target)
+    return index
+
+
 def _solve_policy(
     tab: _Tables,
     ai_tab: np.ndarray,
-    rhs: FloatArray,
+    rhs: FloatArray | None,
     zeta,
     ends: FloatArray | None = None,
     pin: tuple | None = None,
-) -> FloatArray:
+):
     """Solve (zeta - L - M) v = rhs for one stacked action table by one banded LU.
 
     zeta is the zeroth-order coefficient (alpha, beta or 1/dt), a scalar or
     one per block (B, 1); rhs is (N, B, K), or (N, B, K, C) for C right
-    sides. ``ends`` (B, 1) turns each block's two end nodes into Dirichlet
+    sides. With rhs None the factors are returned instead, as (LU, pivots,
+    the end rows' right sides or None), for any number of ``_lu_solve``
+    calls. ``ends`` (B, 1) turns each block's two end nodes into Dirichlet
     rows pinned to the block's value: identity rows scaled by a power of two
     no smaller than the one other entry of their column, so partial
     pivoting keeps them in place and the pin is exact. ``pin`` =
@@ -370,25 +384,24 @@ def _solve_policy(
     for the LU's fill-in. Each diagonal of the system (regime coupling,
     upwind neighbours) is then a regular stride of that storage and is
     written through one strided view; N padding columns on each side take
-    the neighbour entries that fall outside the matrix. The solve is
-    LAPACK's dgbsv, loaded on the first call by ``_dgbsv``.
+    the neighbour entries that fall outside the matrix. The factorization
+    is LAPACK's dgbtrf and the solve its dgbtrs, loaded on the first call by
+    ``_lapack``.
     """
-    dgbsv = _dgbsv()
     N, B, K = ai_tab.shape
     n = B * K
     sub = tab.gather(tab.sub, ai_tab)
     sup = tab.gather(tab.sup, ai_tab)
     rates = tab.gather(tab.rates, ai_tab)  # (N, B, K, N): row regime, block, node, column regime
     center = zeta + (sub + sup)
-    b = rhs
+    pinned = None
     if ends is not None:
         inner = np.stack([sub[:, :, 1], sup[:, :, -2]], axis=-1)
         scale = np.ldexp(1.0, np.frexp(np.maximum(inner, 1.0))[1])
         for arr in (sub, sup, rates):
             arr[:, :, [0, -1]] = 0.0
         center[:, :, [0, -1]] = scale
-        b = rhs.copy()
-        b[:, :, [0, -1]] = scale * ends
+        pinned = scale * ends
 
     width = 3 * N + 1
     store = np.zeros((n * N + 2 * N) * width)
@@ -411,18 +424,36 @@ def _solve_policy(
         columns = N + (np.arange(B) * K + k_pin) * N + regimes
         band[columns, N:] = 0.0
         band[columns, 2 * N] = 1.0
-    _, _, v, info = dgbsv(
-        N, N, band[N:N + n * N].T, b.reshape(N, B, K, -1).transpose(1, 2, 0, 3).reshape(n * N, -1),
-        overwrite_ab=True, overwrite_b=True,
+    lu, piv, info = _lapack().dgbtrf(band[N:N + n * N].T, N, N, overwrite_ab=True)
+    if info != 0:
+        raise SchemeError(f"banded LU of the policy system failed (LAPACK dgbtrf info {info})")
+    # solved here, while the gathered tables live: tables freed before the
+    # solution is made leave the band
+    # at the top of the heap, which glibc can return to the system, so that
+    # each later level faults its pages in again
+    return (lu, piv, pinned) if rhs is None else _lu_solve((lu, piv, pinned), rhs)
+
+
+def _lu_solve(factor: tuple, rhs: FloatArray) -> FloatArray:
+    """Solve a factored ``_solve_policy`` system for rhs (N, B, K), or (N, B, K, C)
+    for C right sides; the pinned end rows take their values."""
+    lu, piv, pinned = factor
+    N, B, K = rhs.shape[:3]
+    if pinned is not None:
+        rhs = rhs.copy()
+        rhs[:, :, [0, -1]] = pinned
+    v, info = _lapack().dgbtrs(
+        lu, N, N, rhs.reshape(N, B, K, -1).transpose(1, 2, 0, 3).reshape(B * K * N, -1), piv,
+        overwrite_b=True,
     )
     if info != 0:
-        raise SchemeError(f"banded LU of the policy system failed (LAPACK dgbsv info {info})")
+        raise SchemeError(f"banded solve of the policy system failed (LAPACK dgbtrs info {info})")
     return np.ascontiguousarray(np.moveaxis(v.reshape(B, K, N, *rhs.shape[3:]), 2, 0))
 
 
 @functools.cache
-def _dgbsv():
-    """LAPACK dgbsv from scipy's compiled extension ``scipy.linalg._flapack``.
+def _lapack():
+    """scipy's compiled LAPACK extension ``scipy.linalg._flapack``, for dgbtrf and dgbtrs.
 
     The extension is loaded straight from its file, so the ``scipy.linalg``
     package, whose import costs several times a grid command's own work,
@@ -442,7 +473,7 @@ def _dgbsv():
         module = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
         sys.modules[name] = module
-    return sys.modules[name].dgbsv
+    return sys.modules[name]
 
 
 def _pinned_regimes(tab: _Tables, rates: FloatArray) -> np.ndarray:
@@ -555,7 +586,8 @@ def _howard(
     carries no such guarantee: it can rise from one iteration to the next.
     """
     if policy is None:
-        policy = np.argmin(_hamiltonians(tab, v), axis=0)
+        ham = _hamiltonians(tab, v)
+        policy = _lowest_attaining(ham, np.min(ham, axis=0))
     out_v, out_policy = np.empty_like(v), np.empty_like(policy)
     B = len(tab.specs)
     rho, out_rho = np.zeros(B), np.zeros(B)
@@ -565,10 +597,11 @@ def _howard(
     for _ in range(max_iter):
         v_new, rho_new = _evaluate(live_tab, criterion, policy, pin)
         ham = _hamiltonians(live_tab, v_new)
-        res = _residual(criterion, np.min(ham, axis=0), v_new, rho_new, pin)
+        low = np.min(ham, axis=0)
+        res = _residual(criterion, low, v_new, rho_new, pin)
         change = np.maximum(np.max(np.abs(v_new - v), axis=(0, 2)), np.abs(rho_new - rho))
         v, rho, previous = v_new, rho_new, policy
-        policy = np.argmin(ham, axis=0)
+        policy = _lowest_attaining(ham, low)
         for b, r in zip(live, res):
             histories[b].append(float(r))
         stop = (change < tol) | np.all(policy == previous, axis=(0, 2))
@@ -724,15 +757,15 @@ def _backward(tab: _Tables, v: FloatArray, n_t: int, dt: float, policy: np.ndarr
     """The backward level scheme of a stack from its terminal level v = c_T.
 
     Level j, for j = n_t - 1 down to 0, acts with ``policy[j]`` from an
-    (n_t, N, B, K) table when one is given, else with the argmin of the
-    Hamiltonians at level j + 1 (the explicit choice), and solves its
-    level system exactly by one ``_step_back``. Yields (policy_j, v_j,
+    (n_t, N, B, K) table when one is given, else with the lowest action
+    minimizing the Hamiltonians at level j + 1 (the explicit choice), and
+    solves its level system exactly by one ``_step_back``. Yields (policy_j, v_j,
     Hamiltonians H_a(v_j)) level by level, keeping only the current level;
     the Hamiltonians are the ones the next level chooses from.
     """
     ham = _hamiltonians(tab, v)
     for j in range(n_t - 1, -1, -1):
-        pol = np.argmin(ham, axis=0) if policy is None else policy[j]
+        pol = _lowest_attaining(ham, np.min(ham, axis=0)) if policy is None else policy[j]
         v = _step_back(tab, pol, v, dt)
         ham = _hamiltonians(tab, v)
         yield pol, v, ham

@@ -29,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ConfigError, RatesError, ShapeError
+from .errors import ConfigError, RatesError, ShapeError, SwitchSdeError
 
 FloatArray = NDArray[np.float64]
 
@@ -288,10 +288,15 @@ class DriftFamily:
             return self.b0[s]
         if self.kind == "tabulated":
             return _interp_rows(x[:, 0], s, self.x_nodes, self.values)[:, None]
-        ax = np.einsum("mij,mj->mi", self.a_mat[s], x)
+        if self.dim == self.action_dim == 1:
+            # plain products; + 0.0 turns a -0.0 into einsum's 0.0, whose sum starts from 0.0
+            ax = self.a_mat[:, 0][s] * x + 0.0
+            bu = self.b_mat[:, 0][s] * u + 0.0
+        else:
+            ax = np.einsum("mij,mj->mi", self.a_mat[s], x)
+            bu = np.einsum("mij,mj->mi", self.b_mat[s], u)
         if self.kind == "saturated-affine":
             ax = self.saturation * np.tanh(ax / self.saturation)
-        bu = np.einsum("mij,mj->mi", self.b_mat[s], u)
         return ax + bu + self.b0[s]
 
 
@@ -557,8 +562,8 @@ class TerminalCost:
 
 @dataclass(frozen=True, eq=False)
 class _ConstantFamily:
-    """One constant >= 0, the same at every state, regime and action:
-    'zero' or 'constant'."""
+    """One finite constant >= 0, the same at every state, regime and action:
+    'zero' or 'constant'. An infinite value is E_SHAPE at ``<PATH>.value``."""
 
     ERROR = ShapeError
     FIELDS = _ZERO_OR_CONSTANT
@@ -568,6 +573,8 @@ class _ConstantFamily:
 
     def __post_init__(self):
         _check_fields(self)
+        if not np.isfinite(self.value):
+            raise ShapeError("'value' must be finite", f"{self.PATH}.value")
 
     @property
     def constant(self) -> float:
@@ -828,7 +835,10 @@ def validate_model(spec: ModelSpec) -> ValidationReport:
     sigma = C x, which vanishes at x = 0 (grid solvers reject a <= 0 at a
     node). The advisory ``lipschitz-ratio`` is the largest drift chord slope
     between neighbouring states at one regime and action: the states lie on
-    one line, so no chord between two of them is steeper.
+    one line, so no chord between two of them is steeper. A model whose
+    drift, diffusion and running cost are all of kind 'lq' also gets the
+    advisory ``lq-data``: whether ``riccati.lq_from_model`` accepts it, with
+    its error when not, as the Riccati solves would meet it.
     """
     N, A = spec.regimes.count, spec.actions.actions.shape[0]
     states = np.linspace(-2.0, 2.0, 9)[:, None] * np.ones(spec.dim)
@@ -843,11 +853,20 @@ def validate_model(spec: ModelSpec) -> ValidationReport:
     b = spec.drift.eval_batch(x, s, u).reshape(len(states), N * A, spec.dim)
     db = np.linalg.norm(np.diff(b, axis=0), axis=2)
     ratio = float(np.max(db / np.linalg.norm(np.diff(states, axis=0), axis=1)[:, None]))
-    return ValidationReport((
+    findings = [
         Finding("nondegeneracy", min_eig > 0.0, detail, advisory=lq),
         Finding("lipschitz-ratio", bool(np.isfinite(ratio)),
                 f"max sampled |b(x)-b(y)|/|x-y| = {ratio:.6g}", advisory=True),
-    ))
+    ]
+    if spec.drift.kind == spec.diffusion.kind == spec.costs.running.kind == "lq":
+        from .riccati import lq_from_model  # the Riccati layer loads for lq models only
+
+        try:
+            lq_from_model(spec)
+            findings.append(Finding("lq-data", True, "the Riccati solves accept the LQ data", advisory=True))
+        except SwitchSdeError as exc:
+            findings.append(Finding("lq-data", False, str(exc), advisory=True))
+    return ValidationReport(tuple(findings))
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,12 @@ performance loss from running the approximating model's optimal policy
 inside the true model. The true model is the last block: the schedule's
 own delta = 0 row, or else an appended delta = 0 control row. It is
 compared with itself, so its gaps vanish exactly. A grid replay solves the
-true row and the rows whose replay input differs; the rest copy its result.
+rows whose replay input differs from the true row's; the rest copy its
+result. A stationary replay solves them and the true row as one stack. A
+finite-horizon level takes the true row's result from the stack's own level
+solve, and factors one level matrix per distinct policy of the differing
+rows, unless the level before already factored it, solving the rows of each
+policy as right sides of one solve.
 """
 
 from __future__ import annotations
@@ -25,8 +30,10 @@ from .hjbgrid import (
     _backward,
     _evaluate,
     _hamiltonians,
+    _lowest_attaining,
+    _lu_solve,
+    _solve_policy,
     _stationary,
-    _step_back,
     _Tables,
     _time_levels,
 )
@@ -171,28 +178,29 @@ def _grid_stack(true_spec: ModelSpec, sched: PerturbationSchedule, grid: Grid1D)
     return deltas, _Tables(stack, grid, [f"schedule row n = {n}, delta = {d:g}" for n, d in enumerate(deltas)])
 
 
-def _replay(tab: _Tables, solve, *inputs) -> np.ndarray:
-    """``solve(stack, *inputs)`` of every block on the true model's tables, (N, B, K).
+def _differs(policy: np.ndarray) -> np.ndarray:
+    """Per block, whether its (N, B, K) action table differs from the true (last) block's."""
+    return (policy != policy[:, -1:]).any(axis=(0, 2))
 
-    ``inputs`` are the blocks' (N, B, K) replay inputs: the action table and,
-    for the finite horizon, the next level's replayed values. Each block of
-    the band is factored alone, so a block whose inputs equal the true (last)
-    block's bit for bit has its result bit for bit: only the true block and
-    the differing ones are solved, on copies of the true tables labelled with
-    their own rows, and the rest copy the true block's result.
+
+def _replay(tab: _Tables, solve, policy: np.ndarray) -> np.ndarray:
+    """``solve(stack, policy)`` of every block on the true model's tables, (N, B, K).
+
+    Each block of the band is factored alone, so a block whose action table
+    equals the true (last) block's bit for bit has its result bit for bit:
+    only the true block and the differing ones are solved, on copies of the
+    true tables labelled with their own rows, and the rest copy the true
+    block's result.
     """
     B = len(tab.specs)
-    differs = np.zeros(B, dtype=bool)
-    for x in inputs:
-        bits = x.view(np.int64)  # int64 actions and float64 values alike, bit for bit
-        differs |= (bits != bits[:, -1:]).any(axis=(0, 2))
+    differs = _differs(policy)
     differs[-1] = True  # the true block itself is solved
     rows = differs.nonzero()[0]
     true = tab.take([B - 1] * len(rows))
     true.labels = tuple(tab.labels[r] for r in rows)
     if len(rows) == B:
-        return solve(true, *inputs)
-    out = solve(true, *(x.take(rows, axis=1) for x in inputs))
+        return solve(true, policy)
+    out = solve(true, policy.take(rows, axis=1))
     where = differs.cumsum() - 1  # each differing row's block in the solve
     where[~differs] = len(rows) - 1
     return out.take(where, axis=1)
@@ -219,18 +227,50 @@ def _block_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.max(np.abs(a - b), axis=(0, 2))
 
 
+def _replay_level(true: _Tables, policy: np.ndarray, j_next: np.ndarray, stale: np.ndarray,
+                  v_true: np.ndarray, factors: dict, dt: float) -> tuple:
+    """One level of the finite-horizon replay on the true model's one-block
+    tables ``true``: every row's (N, B, K) level ``policy`` run from its
+    replayed next level ``j_next``, of which ``stale`` (B,) marks the rows
+    that are not the true row's. Returns (the rows' replayed level, its
+    ``stale`` mask, the LUs of this level's policies).
+
+    The true (last) row's replay is the stack's own level system, so it takes
+    the stack's level values ``v_true`` (N, K), and so does every row whose
+    policy and next level are the true row's. The other rows are grouped by
+    their level policy: each group's level matrix is factored once, or taken
+    from ``factors``, the previous level's LUs keyed by policy, and its rows
+    are solved as right sides of one banded solve.
+    """
+    differs = stale | _differs(policy)
+    j = np.repeat(v_true[:, None], policy.shape[1], axis=1)
+    groups: dict = {}
+    for b in differs.nonzero()[0]:
+        groups.setdefault(policy[:, b].tobytes(), []).append(b)
+    kept = {}
+    for key, rows in groups.items():
+        p = policy[:, rows[:1]]  # (N, 1, K)
+        kept[key] = factors[key] if key in factors else _solve_policy(true, p, None, 1.0 / dt)
+        rhs = true.gather(true.c, p)[..., None] + np.moveaxis(j_next[:, rows] / dt, 1, -1)[:, None]
+        j[:, rows] = np.moveaxis(_lu_solve(kept[key], rhs)[:, 0], -1, 1)
+    return j, differs, kept
+
+
 def _finite_horizon_gaps(tab: _Tables, n_t: int | None) -> tuple:
     """Per-block value gap over all levels, and values and replayed costs at t = 0.
 
     The replay steps back with the stack's backward scheme, so each level's
-    policy is replayed as soon as it is chosen and one level of each is kept.
+    policy is replayed as soon as it is chosen and one level of each, with
+    its LUs, is kept.
     """
     _, n_t, dt = _time_levels(tab, n_t)
+    true = tab.take([len(tab.specs) - 1])
     v = tab.terminal
     j = np.broadcast_to(v[:, -1:], v.shape)  # every row starts from the true terminal cost
+    stale, factors = np.zeros(len(tab.specs), dtype=bool), {}
     value_gap = _block_gap(v, v[:, -1:])
     for pol, v, _ in _backward(tab, v, n_t, dt):
-        j = _replay(tab, lambda t, p, j_next: _step_back(t, p, j_next, dt), pol, j)
+        j, stale, factors = _replay_level(true, pol, j, stale, v[:, -1], factors, dt)
         value_gap = np.maximum(value_gap, _block_gap(v, v[:, -1:]))
     return value_gap, v, j, n_t
 
@@ -254,9 +294,10 @@ def sweep_grid(
     policy_loss <= value_gap + aux.
 
     The rows' models are solved as one stacked system (see hjbgrid._Tables),
-    and their policies are replayed by one stacked evaluation on the true
-    model's tables of the true row and the rows whose replay input differs
-    (``_replay``). The true model is the last block and serves the
+    and their policies are replayed on the true model's tables: the rows
+    whose replay input differs from the true row's are solved, the true row
+    with them (``_replay``) or, per finite-horizon level, from the stack's
+    own level (``_replay_level``). The true model is the last block and serves the
     reference values. A stationary sweep solves it first, cold, and starts
     every other model's Howard from its optimal policy. Each model keeps its
     own stopping test, so every row's values and policy equal a solve of
@@ -340,8 +381,8 @@ def _worst_eps_policy(tab: _Tables, values: np.ndarray, eps: float) -> np.ndarra
     3-eps bound is exercised rather than granted.
     """
     ham = _hamiltonians(tab, values)
-    acceptable = ham <= np.min(ham, axis=0)[None] + eps
-    return np.argmax(np.where(acceptable, ham, -np.inf), axis=0).astype(np.int64)
+    acceptable = np.where(ham <= np.min(ham, axis=0)[None] + eps, ham, -np.inf)
+    return _lowest_attaining(acceptable, np.max(acceptable, axis=0))
 
 
 def check_eps_optimality(

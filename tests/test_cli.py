@@ -358,6 +358,19 @@ def test_an_lq_weight_the_riccati_solver_rejects_exits_4_at_its_model_field(tmp_
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize("path", [None, *sorted(LQ_BAD_WEIGHTS)])
+def test_validate_reports_the_lq_data_the_riccati_solver_rejects(tmp_path, path):
+    # advisory: the model is valid for the grid and Monte Carlo commands, so
+    # validate exits 0 and names the field the Riccati solves reject
+    code, out = _run(tmp_path, {"command": "validate", "model": LQ_BAD_WEIGHTS.get(path, LQ_SCALAR)})
+    assert code == 0
+    line = next(ln for ln in (out / "report.txt").read_text().splitlines() if " lq-data: " in ln)
+    if path is None:
+        assert line == "PASS (advisory) lq-data: the Riccati solves accept the LQ data"
+    else:
+        assert line.startswith("FAIL (advisory) lq-data: E_CONFIG: ") and line.endswith(f" at '{path}'")
+
+
 # u = -F(t) x holds a = 0.5 down only on [0, horizon]: past it F stays F(T) ~ 0
 LQ_PAST_HORIZON = dict(
     LQ_SCALAR, actions=[[-5.0], [5.0]], drift=dict(LQ_SCALAR["drift"], a=[[[0.5]]]),
@@ -825,13 +838,13 @@ def test_import_leaves_scipy_out(tmp_path):
              "threading.active_count())")
     assert _fresh(tmp_path, probe) == "[] 1"
 
-    # a grid solve loads LAPACK's dgbsv from scipy's compiled extension alone:
+    # a grid solve loads LAPACK from scipy's compiled extension alone:
     # neither the scipy.linalg package nor the numpy.f2py it pulls in
     loaded = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy' or m.startswith('numpy.f2py'))"
     solve = (f"from switchsde import Grid1D, model_from_dict, solve_discounted; "
              f"v = solve_discounted(model_from_dict({CHAIN!r}), Grid1D(-2.0, 2.0, 21)).values")
     same = ("import scipy.linalg; from switchsde import hjbgrid; "
-            "print(hjbgrid._dgbsv() is scipy.linalg.lapack.dgbsv, v.tobytes().hex())")
+            "print(hjbgrid._lapack() is scipy.linalg.lapack._flapack, v.tobytes().hex())")
     solve_first = _fresh(tmp_path, f"import sys; {solve}; print({loaded}); {same}").splitlines()
     assert solve_first[0] == "['scipy.linalg._flapack']"
     linalg_first = _fresh(tmp_path, f"import scipy.linalg; {solve}; {same}")

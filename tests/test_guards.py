@@ -19,7 +19,7 @@ from switchsde import PathSample, cli, model
 from switchsde.costs import ESTIMATE_HEADER
 from switchsde.hjbgrid import GRID_HEADER, GRID_HEADER_T
 from switchsde.robustness import EPS_HEADER, SWEEP_HEADER
-from conftest import chain_model
+from conftest import chain_model, lq_model, reference_lq
 
 ROOT = Path(__file__).resolve().parents[1]
 FAMILIES = (
@@ -113,7 +113,9 @@ def test_readme_names_exactly_the_validator_findings():
     text = (ROOT / "README.md").read_text()
     section = text.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     named = {a or b for a, b in re.findall(r"finding\s+`([a-z-]+)`|`([a-z-]+)`\s+finding", section)}
-    assert named == {f.name for f in model.validate_model(chain_model()).findings}
+    # the chain's findings, and the one an all-lq model adds
+    specs = (chain_model(), lq_model(reference_lq()))
+    assert named == {f.name for spec in specs for f in model.validate_model(spec).findings}
 
 
 def test_src_has_no_bare_assert():

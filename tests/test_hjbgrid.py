@@ -170,7 +170,7 @@ def test_singular_policy_system_raises_scheme_error():
     grid = Grid1D(-1.0, 1.0, 17)
     tab = _Tables([bm_model(sigma=1.0)], grid)
     policy = np.zeros(tab.shape, dtype=np.int64)
-    with pytest.raises(SchemeError, match="dgbsv info 17"):
+    with pytest.raises(SchemeError, match="dgbtrf info 17"):
         _solve_policy(tab, policy, np.ones(tab.shape), 0.0)
 
 
@@ -184,7 +184,7 @@ def test_missing_lapack_extension_raises_import_error(monkeypatch, missing, name
     else:
         monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".missing"])
     with pytest.raises(ImportError) as err:
-        hjbgrid._dgbsv.__wrapped__()
+        hjbgrid._lapack.__wrapped__()
     assert err.value.name == named
 
 

@@ -21,6 +21,7 @@ import numpy as np
 import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from switchsde import (
     ActionGrid,
@@ -53,6 +54,7 @@ from switchsde.hjbgrid import (
     _finite_horizon,
     _hamiltonians,
     _howard,
+    _lowest_attaining,
     _stationary,
     _Tables,
 )
@@ -458,3 +460,16 @@ def test_hamiltonians_equal_the_einsum_sum_bit_for_bit(n):
         v = scale * rng.choice([0.0, -0.0, 1.0, 1e-3], size=tab.shape)
         got, want = _hamiltonians(tab, v), _einsum_hamiltonians(tab, v)
         assert _bits(got) == _bits(want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ham=arrays(np.float64, st.tuples(st.integers(1, 9), st.integers(1, 3), st.integers(1, 4), st.integers(1, 12)),
+                  elements=st.sampled_from([-0.0, 0.0, 1.0, -1.0, 2.5])))
+def test_action_scan_equals_argmin(ham):
+    # (A, N, B, K) stacks of values from a small set with both zero signs, so
+    # that ties (-0.0 == 0.0 among them) are common; the scan keeps argmin's
+    # lowest index, and on the maximum argmax's
+    scan = _lowest_attaining(ham, np.min(ham, axis=0))
+    assert scan.dtype == np.int64
+    assert np.array_equal(scan, np.argmin(ham, axis=0))
+    assert np.array_equal(_lowest_attaining(ham, np.max(ham, axis=0)), np.argmax(ham, axis=0))

@@ -315,6 +315,16 @@ def test_family_rejects_a_field_its_kind_does_not_list(cls):
     assert err.value.path == path
 
 
+@pytest.mark.parametrize("cls,path", [(BoundaryCost, "costs.exit_h.value"), (ExitDiscount, "costs.exit_beta.value")])
+def test_an_exit_constant_must_be_finite(cls, path):
+    # an infinite beta failed every grid solve, one that never reads it too,
+    # and an infinite h made exit values NaN
+    assert cls("constant", value=1e300).constant == 1e300
+    with pytest.raises(ShapeError, match="'value' must be finite") as err:
+        cls("constant", value=np.inf)
+    assert err.value.path == path
+
+
 def _document(base, **edits):
     """A thunk reading ``base()``'s document with the given fields replaced;
     a key's dots are written as double underscores (costs__running)."""
@@ -648,6 +658,11 @@ def test_validate_passes_on_elliptic_chain(chain):
     report = validate_model(chain)
     assert report.passed
     assert {f.name for f in report.findings} == {"nondegeneracy", "lipschitz-ratio"}
+
+
+def test_validate_reports_lq_data_for_all_lq_models(ref_lq):
+    report = validate_model(lq_model(ref_lq))
+    assert [(f.name, f.passed, f.advisory) for f in report.findings][2:] == [("lq-data", True, True)]
 
 
 def test_validate_flags_degenerate_diffusion(make_chain):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import types
 import warnings
 
 import numpy as np
@@ -614,25 +615,38 @@ def test_cost_rows_all_share_the_true_policy_and_distinct_rows_none(saturated):
 
 
 @pytest.fixture
-def replay_unknowns(monkeypatch):
-    """Per _replay call, in call order, the unknowns it hands to LAPACK dgbsv."""
-    dgbsv, replay, counts, inside = hjbgrid._dgbsv(), robustness._replay, [], []
+def replay_solves(monkeypatch):
+    """Per replay call (a stationary _replay or a finite-horizon level), in
+    call order, the LAPACK dgbtrf factorizations made inside it and the
+    right sides handed to dgbtrs, as [factorizations, right sides, unknowns],
+    unknowns summing the rows of each dgbtrs call's right sides."""
+    lapack, counts, inside = hjbgrid._lapack(), [], []
 
-    def counting_dgbsv(kl, ku, ab, b, **kwargs):
+    def dgbtrf(ab, *args, **kwargs):
         if inside:
-            counts[-1] += b.shape[0]
-        return dgbsv(kl, ku, ab, b, **kwargs)
+            counts[-1][0] += 1
+        return lapack.dgbtrf(ab, *args, **kwargs)
 
-    def counting_replay(*args):
-        counts.append(0)
-        inside.append(True)
-        try:
-            return replay(*args)
-        finally:
-            inside.pop()
+    def dgbtrs(ab, kl, ku, b, *args, **kwargs):
+        if inside:
+            counts[-1][1] += b.shape[1]
+            counts[-1][2] += b.shape[0]
+        return lapack.dgbtrs(ab, kl, ku, b, *args, **kwargs)
 
-    monkeypatch.setattr(hjbgrid, "_dgbsv", lambda: counting_dgbsv)
-    monkeypatch.setattr(robustness, "_replay", counting_replay)
+    def counting(replay):
+        def call(*args):
+            counts.append([0, 0, 0])
+            inside.append(True)
+            try:
+                return replay(*args)
+            finally:
+                inside.pop()
+        return call
+
+    counting_lapack = types.SimpleNamespace(dgbtrf=dgbtrf, dgbtrs=dgbtrs)
+    monkeypatch.setattr(hjbgrid, "_lapack", lambda: counting_lapack)
+    for name in ("_replay", "_replay_level"):
+        monkeypatch.setattr(robustness, name, counting(getattr(robustness, name)))
     return counts
 
 
@@ -640,24 +654,33 @@ def replay_unknowns(monkeypatch):
     "criterion", ["discounted", "exit", "finite-horizon", "ergodic", "eps-discounted", "eps-exit"]
 )
 @pytest.mark.parametrize("case", ["criterion-9", "cost", "distinct"])
-def test_replay_solves_the_true_row_and_the_rows_that_differ(saturated, replay_unknowns, case, criterion):
+def test_replay_solves_the_true_row_and_the_rows_that_differ(saturated, replay_solves, case, criterion):
     _, grid, sched = SWEEP_CASES[case]
     policies = _rowwise_policies(saturated, sched, criterion, grid)
     if criterion.startswith("eps-"):
         check_eps_optimality(saturated, sched, criterion[4:], 0.05, grid)
     else:
         sweep_grid(saturated, sched, criterion, grid)
-    # the finite horizon replays level j from its table and the later levels'
-    # replay, which equals the true row's where the later tables do
-    levels = range(len(policies[-1]) - 1, -1, -1) if criterion == "finite-horizon" else [0]
     unknowns = grid.n_x * saturated.regimes.count
-    expect = [
-        (1 + sum(not np.array_equal(p[j:], policies[-1][j:]) for p in policies[:-1])) * unknowns
-        for j in levels
-    ]
-    assert replay_unknowns == expect
-    if case == "criterion-9":  # most small-delta rows repeat the true replay
-        assert sum(expect) < len(policies) * unknowns * len(levels)
+    if criterion != "finite-horizon":
+        # one stacked solve of the true row and the differing rows
+        rows = 1 + sum(not np.array_equal(p, policies[-1]) for p in policies[:-1])
+        assert [c[2] for c in replay_solves] == [rows * unknowns]
+        return
+    # level j replays a row from its table and the later levels' replay, which
+    # equals the true row's where the later tables do; the differing rows are
+    # solved by their level policy, each factored unless the level before
+    # had a group of it, and one solve per group takes its rows as right
+    # sides; the true row takes the stack's own level
+    expect, before = [], set()
+    for j in range(len(policies[-1]) - 1, -1, -1):
+        differ = [p for p in policies[:-1] if not np.array_equal(p[j:], policies[-1][j:])]
+        groups = {p[j].tobytes() for p in differ}
+        expect.append([len(groups - before), len(differ), len(groups) * unknowns])
+        before = groups
+    assert replay_solves == expect
+    if case == "criterion-9":  # most small-delta rows repeat a policy of the level before
+        assert sum(e[0] for e in expect) < len(policies) * len(expect)
 
 
 def test_replay_error_names_the_original_row():

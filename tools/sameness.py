@@ -28,6 +28,11 @@ and cost schedule, each schedule's exit ``sweep_grid``, and its exit
 ``hjb`` and ``eps-check`` with ``criterion: exit`` on the model's document,
 add their exit codes and artifacts.
 
+Once per tree it also reports the finite horizon on the same model, schedules
+and node counts over [-2, 2]: each schedule's finite-horizon ``sweep_grid``,
+and ``evaluate_policy_finite_horizon`` of a fixed random table of 20 levels
+on the model and on the first row of each schedule.
+
 BLAS runs on one thread, as in the benchmark. The script prints one line
 per item, ``same`` or ``DIFF`` with both values, and exits with 0 when every
 item is equal, 1 when an item differs or one tree lacks it, and 2 when a
@@ -53,6 +58,7 @@ ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "
        "PYTHONDONTWRITEBYTECODE": "1"}
 EXIT_GRIDS = (51, 201, 401)
 EXIT_EPS = (0.01, 0.05, 0.2)
+FH_LEVELS = 20  # levels of the random finite-horizon table, the solvers' count at horizon 1
 
 
 def _canon(obj) -> str:
@@ -87,24 +93,37 @@ def _cli_items(cfg: Path, out: Path, env: dict, key: str) -> dict:
     return items
 
 
-def exit_items(workloads, env: dict) -> dict:
-    """The grid exit problem's library calls and CLI commands (see the module doc)."""
-    import numpy as np
-    from switchsde import hjbgrid, robustness
-    from switchsde.model import PerturbationSchedule, make_perturbation_sequence, model_to_dict
+def _schedules(workloads) -> dict:
+    """The coefficient (the benchmark's directions), rates and cost schedules."""
+    from switchsde.model import PerturbationSchedule
 
-    sat = workloads.saturated_model()
-    schedules = {
+    return {
         "coefficient": PerturbationSchedule("coefficient", 10, **workloads.SAT_DIRECTIONS),
         "rates": PerturbationSchedule("rates", 10, d_m=workloads.RATES_DIRECTION),
         "cost": PerturbationSchedule("cost", 10, d_cost=0.5),
     }
+
+
+def _first_rows(sat, schedules: dict) -> dict:
+    """The model and the first row of each schedule, by name."""
+    from switchsde.model import make_perturbation_sequence
+
+    return {"true": sat, **{name: make_perturbation_sequence(sat, sched)[0] for name, sched in schedules.items()}}
+
+
+def exit_items(workloads, env: dict) -> dict:
+    """The grid exit problem's library calls and CLI commands (see the module doc)."""
+    import numpy as np
+    from switchsde import hjbgrid, robustness
+    from switchsde.model import model_to_dict
+
+    sat = workloads.saturated_model()
+    schedules = _schedules(workloads)
+    models = _first_rows(sat, schedules)
     items = {}
     for n_x in EXIT_GRIDS:
         grid = hjbgrid.Grid1D(*sat.costs.exit_domain, n_x)
         policy = np.random.default_rng(n_x).integers(0, 2, size=(2, n_x))
-        models = {"true": sat, **{name: make_perturbation_sequence(sat, sched)[0]
-                                  for name, sched in schedules.items()}}
         for name, spec in models.items():
             prefix = f"exit n={n_x} {name}"
             items[f"{prefix} solve_exit"] = _sha(_canon(hjbgrid.solve_exit(spec, grid, tol=workloads.GRID_TOL)))
@@ -132,6 +151,27 @@ def exit_items(workloads, env: dict) -> dict:
             cfg = Path(tmp) / f"{command}.json"
             cfg.write_text(json.dumps(doc) + "\n")
             items.update(_cli_items(cfg, Path(tmp) / "out" / command, env, f"cli exit {command}"))
+    return items
+
+
+def finite_horizon_items(workloads) -> dict:
+    """The finite-horizon sweeps and level-table evaluations (see the module doc)."""
+    import numpy as np
+    from switchsde import hjbgrid, robustness
+
+    sat = workloads.saturated_model()
+    schedules = _schedules(workloads)
+    models = _first_rows(sat, schedules)
+    items = {}
+    for n_x in EXIT_GRIDS:
+        grid = hjbgrid.Grid1D(-2.0, 2.0, n_x)
+        for name, sched in schedules.items():
+            rep = robustness.sweep_grid(sat, sched, "finite-horizon", grid)
+            items[f"finite-horizon n={n_x} {name} sweep_grid"] = _sha(_canon(rep))
+        policy = np.random.default_rng([n_x, 1]).integers(0, 2, size=(FH_LEVELS, 2, n_x))
+        for name, spec in models.items():
+            sol = hjbgrid.evaluate_policy_finite_horizon(spec, grid, policy)
+            items[f"finite-horizon n={n_x} {name} evaluate_policy_finite_horizon"] = _sha(_canon(sol))
     return items
 
 
@@ -166,6 +206,7 @@ def child(tree: Path) -> dict:
             for command, cfg in configs.items():
                 items.update(_cli_items(cfg, Path(tmp) / "out" / command, env, f"cli seed {seed} {command}"))
     items.update(exit_items(workloads, env))
+    items.update(finite_horizon_items(workloads))
     return items
 
 
