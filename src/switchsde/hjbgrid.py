@@ -428,9 +428,8 @@ def _solve_policy(
     if info != 0:
         raise SchemeError(f"banded LU of the policy system failed (LAPACK dgbtrf info {info})")
     # solved here, while the gathered tables live: tables freed before the
-    # solution is made leave the band
-    # at the top of the heap, which glibc can return to the system, so that
-    # each later level faults its pages in again
+    # solution is made leave the band at the top of the heap, which glibc can
+    # return to the system, so that each later level faults its pages in again
     return (lu, piv, pinned) if rhs is None else _lu_solve((lu, piv, pinned), rhs)
 
 
