@@ -51,9 +51,10 @@ RICCATI_HEADER = "t,regime,row,col,value"
 # ---------------------------------------------------------------------------
 # block tables: (key, type, default) per key
 #
-# A type is one of "number", "integer", "bool", "state" (dim numbers),
-# "action" (action-dim numbers), "array" (numbers nested to any depth),
-# "grid", "schedule", "policy", or a tuple of allowed strings. A default is
+# A type is one of "number", "tol" (a number >= 0), "integer", "bool",
+# "state" (dim numbers), "action" (action-dim numbers), "array" (numbers
+# nested to any depth), "grid", "schedule", "policy", or a tuple of
+# allowed strings. A default is
 # a value, REQUIRED, a function of the model, or Only(key, values, default):
 # that default when an earlier key of the block has one of the values, else
 # None, and then giving the key is a ConfigError.
@@ -85,7 +86,7 @@ _START = (
     ("dt", "number", REQUIRED),
     ("seed", "integer", REQUIRED),
 )
-_SOLVER = (("tol", "number", 1e-8), ("max_iter", "integer", 100))
+_SOLVER = (("tol", "tol", 1e-8), ("max_iter", "integer", 100))
 
 BLOCKS = {
     "validate": (),
@@ -112,7 +113,7 @@ BLOCKS = {
         ("criterion", ("discounted", "finite-horizon", "exit"), REQUIRED),
         ("grid", "grid", REQUIRED),
         ("n_t", "integer", Only("criterion", ("finite-horizon",), None)),
-        ("tol", "number", Only("criterion", _STATIONARY, 1e-8)),
+        ("tol", "tol", Only("criterion", _STATIONARY, 1e-8)),
         ("max_iter", "integer", Only("criterion", _STATIONARY, 100)),
     ),
     "ergodic": (
@@ -127,7 +128,7 @@ BLOCKS = {
         ("i0", "integer", Only("criterion", _LQ_SWEEP)),
         ("steps", "integer", Only("criterion", _LQ_SWEEP, 400)),
         # tol also sets the tolerance of the report's checks, for every criterion
-        ("tol", "number", 1e-8),
+        ("tol", "tol", 1e-8),
         ("max_iter", "integer", Only("criterion", _STATIONARY, 100)),
         ("n_t", "integer", Only("criterion", ("finite-horizon",), None)),
     ),
@@ -195,8 +196,11 @@ def _convert(v, typ, path: str, model: ModelSpec):
         if not isinstance(v, str) or v not in typ:
             raise ConfigError(f"expected one of {', '.join(typ)}", path)
         return v
-    if typ == "number":
-        return _number(v, path)
+    if typ in ("number", "tol"):
+        x = _number(v, path)
+        if typ == "tol" and x < 0:
+            raise ConfigError("tol must be a number with 0 <= tol < inf", path)
+        return x
     if typ == "integer":
         return _integer(v, path)
     if typ == "bool":

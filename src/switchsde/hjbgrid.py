@@ -14,8 +14,7 @@ node-major (row k N + i for node k and regime i), the matrix zeta - L_a - M_a
 of a fixed action table couples each row to its two spatial neighbours N
 rows away and to the other regimes of its node, so it is banded with N sub-
 and N super-diagonals: one LAPACK dgbtrf call factors it and one dgbtrs
-call solves the factors, so one factorization can serve several right sides
-(the finite-horizon replay's). The matrix is a weakly chained diagonally
+call solves the factors. The matrix is a weakly chained diagonally
 dominant M-matrix, so policy iteration is Howard's algorithm with exact
 evaluation (Bokanowski, Maroso & Zidani, SIAM J. Numer. Anal. 47, 2009).
 Minimization over actions is an exhaustive scan of the ActionGrid in list
@@ -29,9 +28,10 @@ in one place: ``_evaluate`` is its fixed-policy solve (every Howard step,
 the public evaluators, the sweeps' replay), ``_residual`` its HJB defect
 and ``_stationary`` its checked Howard solve. The finite horizon has one
 backward level scheme, ``_backward``, which its solve, its fixed-policy
-evaluation and its sweep consume. The public functions apply
-their ``alpha`` and ``horizon`` arguments to the model's costs, so the
-code below them reads both from the models only.
+evaluation and its sweep consume; each level is one banded solve, which
+also carries the sweep's replay of the level's policies on the true model.
+The public functions apply their ``alpha`` and ``horizon`` arguments to the
+model's costs, so the code below them reads both from the models only.
 
 The solvers work on stacks of models sharing one grid (``_Tables``): the
 stacked system is block diagonal, so one banded solve per Howard iteration
@@ -51,6 +51,7 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
+import numbers
 import os
 import sys
 from dataclasses import dataclass, replace
@@ -184,8 +185,10 @@ class _Tables:
     upwind arithmetic and every check then run once over the stack, and a
     failing check raises for the first failing block, with its label.
     ``take`` cuts a sub-stack out of built tables, copying each slice it
-    names, so a block may repeat (a sweep's replay stacks copies of the
-    true model's slice).
+    names, so a block may repeat (a stationary sweep's replay stacks copies
+    of the true model's slice). ``gather`` reads the blocks of an action
+    table past the stack's from the last block's slice, with no copy: a
+    finite-horizon level carries a sweep's replay rows that way.
 
     sub and sup are the off-diagonals of the drift-diffusion operator L
     (excluding regime coupling), whose diagonal is -(sub + sup) so that L
@@ -228,9 +231,10 @@ class _Tables:
         A, N, B, K = self.c.shape
         self.shape = (N, B, K)
         # flat index of (action 0, regime, block, node) in an (A, N, B, K)
-        # table; action a adds a * N B K
-        i, b, k = np.arange(N)[:, None, None], np.arange(B)[:, None], np.arange(K)
-        self._base = (i * B + b) * K + k
+        # table, action a adding a * N B K, for action tables of up to
+        # 2B - 1 blocks: those past the stack's read its last block
+        b = np.minimum(np.arange(2 * B - 1), B - 1)[:, None]
+        self._base = (np.arange(N)[:, None, None] * B + b) * K + np.arange(K)
         self._stride = N * B * K
 
     def take(self, blocks) -> _Tables:
@@ -245,10 +249,11 @@ class _Tables:
                    + [t.take(blocks) for t in (self.alpha, self.beta, self.h)])
         return sub
 
-    def gather(self, table: np.ndarray, ai_tab: np.ndarray) -> FloatArray:
-        """Per-node entries of an (A, N, B, K, ...) table under an (N, B, K) action table."""
-        flat = table.reshape(-1, *table.shape[4:])
-        return flat.take(ai_tab * self._stride + self._base, axis=0)
+    def gather(self, ai_tab: np.ndarray, *tables: np.ndarray) -> list:
+        """Per-node entries of each (A, N, B, K, ...) table under an (N, B + R, K)
+        action table, whose R blocks past the stack's read its last block."""
+        at = ai_tab * self._stride + self._base[:, :ai_tab.shape[1]]
+        return [table.reshape(-1, *table.shape[4:]).take(at, axis=0) for table in tables]
 
 
 def _per_family(specs, family, axis: int, evaluate) -> FloatArray:
@@ -360,21 +365,20 @@ def _lowest_attaining(table: np.ndarray, target: np.ndarray) -> np.ndarray:
 def _solve_policy(
     tab: _Tables,
     ai_tab: np.ndarray,
-    rhs: FloatArray | None,
+    rhs: FloatArray,
     zeta,
     ends: FloatArray | None = None,
     pin: tuple | None = None,
-):
+) -> FloatArray:
     """Solve (zeta - L - M) v = rhs for one stacked action table by one banded LU.
 
     zeta is the zeroth-order coefficient (alpha, beta or 1/dt), a scalar or
     one per block (B, 1); rhs is (N, B, K), or (N, B, K, C) for C right
-    sides. With rhs None the factors are returned instead, as (LU, pivots,
-    the end rows' right sides or None), for any number of ``_lu_solve``
-    calls. ``ends`` (B, 1) turns each block's two end nodes into Dirichlet
-    rows pinned to the block's value: identity rows scaled by a power of two
-    no smaller than the one other entry of their column, so partial
-    pivoting keeps them in place and the pin is exact. ``pin`` =
+    sides; blocks of the action table past the stack's read its last block
+    (``_Tables.gather``). ``ends`` (B, 1) turns each block's two end nodes
+    into Dirichlet rows pinned to the block's value: identity rows scaled by
+    a power of two no smaller than the one other entry of their column, so
+    partial pivoting keeps them in place and the pin is exact. ``pin`` =
     (node, regimes) replaces the column of block b's unknown at that node
     and regime ``regimes[b]`` by the unit vector (see ``_average_cost``).
 
@@ -390,18 +394,18 @@ def _solve_policy(
     """
     N, B, K = ai_tab.shape
     n = B * K
-    sub = tab.gather(tab.sub, ai_tab)
-    sup = tab.gather(tab.sup, ai_tab)
-    rates = tab.gather(tab.rates, ai_tab)  # (N, B, K, N): row regime, block, node, column regime
+    # rates (N, B, K, N): row regime, block, node, column regime
+    sub, sup, rates = tab.gather(ai_tab, tab.sub, tab.sup, tab.rates)
     center = zeta + (sub + sup)
-    pinned = None
+    b = rhs
     if ends is not None:
         inner = np.stack([sub[:, :, 1], sup[:, :, -2]], axis=-1)
         scale = np.ldexp(1.0, np.frexp(np.maximum(inner, 1.0))[1])
         for arr in (sub, sup, rates):
             arr[:, :, [0, -1]] = 0.0
         center[:, :, [0, -1]] = scale
-        pinned = scale * ends
+        b = rhs.copy()
+        b[:, :, [0, -1]] = scale * ends
 
     width = 3 * N + 1
     store = np.zeros((n * N + 2 * N) * width)
@@ -424,26 +428,15 @@ def _solve_policy(
         columns = N + (np.arange(B) * K + k_pin) * N + regimes
         band[columns, N:] = 0.0
         band[columns, 2 * N] = 1.0
-    lu, piv, info = _lapack().dgbtrf(band[N:N + n * N].T, N, N, overwrite_ab=True)
+    lapack = _lapack()
+    lu, piv, info = lapack.dgbtrf(band[N:N + n * N].T, N, N, overwrite_ab=True)
     if info != 0:
         raise SchemeError(f"banded LU of the policy system failed (LAPACK dgbtrf info {info})")
     # solved here, while the gathered tables live: tables freed before the
     # solution is made leave the band at the top of the heap, which glibc can
     # return to the system, so that each later level faults its pages in again
-    return (lu, piv, pinned) if rhs is None else _lu_solve((lu, piv, pinned), rhs)
-
-
-def _lu_solve(factor: tuple, rhs: FloatArray) -> FloatArray:
-    """Solve a factored ``_solve_policy`` system for rhs (N, B, K), or (N, B, K, C)
-    for C right sides; the pinned end rows take their values."""
-    lu, piv, pinned = factor
-    N, B, K = rhs.shape[:3]
-    if pinned is not None:
-        rhs = rhs.copy()
-        rhs[:, :, [0, -1]] = pinned
-    v, info = _lapack().dgbtrs(
-        lu, N, N, rhs.reshape(N, B, K, -1).transpose(1, 2, 0, 3).reshape(B * K * N, -1), piv,
-        overwrite_b=True,
+    v, info = lapack.dgbtrs(
+        lu, N, N, b.reshape(N, B, K, -1).transpose(1, 2, 0, 3).reshape(n * N, -1), piv, overwrite_b=True,
     )
     if info != 0:
         raise SchemeError(f"banded solve of the policy system failed (LAPACK dgbtrs info {info})")
@@ -498,7 +491,7 @@ def _policy_free_pin(tab: _Tables) -> np.ndarray | None:
     positive = tab.rates > 0.0
     if not np.all(positive == positive[:1]):
         return None
-    return _pinned_regimes(tab, tab.gather(tab.rates, np.zeros(tab.shape, dtype=np.int64)))
+    return _pinned_regimes(tab, tab.gather(np.zeros(tab.shape, dtype=np.int64), tab.rates)[0])
 
 
 def _average_cost(tab: _Tables, policy: np.ndarray, k_ref: int, regimes: np.ndarray | None) -> tuple:
@@ -511,8 +504,8 @@ def _average_cost(tab: _Tables, policy: np.ndarray, k_ref: int, regimes: np.ndar
     ``regimes`` gives the recurrent regimes when they are known.
     """
     if regimes is None:
-        regimes = _pinned_regimes(tab, tab.gather(tab.rates, policy))
-    rhs = np.stack([tab.gather(tab.c, policy), np.ones(tab.shape)], axis=-1)
+        regimes = _pinned_regimes(tab, tab.gather(policy, tab.rates)[0])
+    rhs = np.stack([tab.gather(policy, tab.c)[0], np.ones(tab.shape)], axis=-1)
     y = _solve_policy(tab, policy, rhs, 0.0, pin=(k_ref, regimes))
     blocks = np.arange(tab.shape[1])
     rho = y[regimes, blocks, k_ref, 0] / y[regimes, blocks, k_ref, 1]
@@ -550,7 +543,7 @@ def _evaluate(tab: _Tables, criterion: str, policy: np.ndarray, pin=None) -> tup
     if criterion == "ergodic":
         return _average_cost(tab, policy, *pin)
     ends = tab.h[:, None] if criterion == "exit" else None
-    return _solve_policy(tab, policy, tab.gather(tab.c, policy), pin, ends), np.zeros(tab.shape[1])
+    return _solve_policy(tab, policy, tab.gather(policy, tab.c)[0], pin, ends), np.zeros(tab.shape[1])
 
 
 def _residual(criterion: str, ham: FloatArray, v: FloatArray, rho: FloatArray, pin) -> FloatArray:
@@ -627,9 +620,12 @@ def _stationary(
     ``start`` is an optional (N, B, K) first policy. The discrete maximum
     principle is checked: 0 <= V <= M_c / alpha (discounted), 0 <= rho <=
     M_c (ergodic). Ergodic values are h shifted to vanish at the reference
-    node of regime 1. A max_iter that is not a whole number >= 1 is
+    node of regime 1. A tol that is not a number with 0 <= tol < inf is
+    E_CONFIG at ``tol``, and a max_iter that is not a whole number >= 1 is
     E_CONFIG at ``max_iter``.
     """
+    if not (isinstance(tol, numbers.Real) and 0 <= tol < np.inf):
+        raise ConfigError(f"tol must be a number with 0 <= tol < inf, got {tol!r}", "tol")
     if not (_whole(max_iter) and max_iter >= 1):
         raise ConfigError(f"max_iter must be a whole number >= 1, got {max_iter!r}", "max_iter")
     max_iter = int(max_iter)
@@ -749,7 +745,12 @@ def _time_levels(tab: _Tables, n_t: int | None) -> tuple:
 
 def _step_back(tab: _Tables, policy: np.ndarray, v_next: FloatArray, dt: float) -> FloatArray:
     """One backward level: solve (1/dt - L - M) v = c + v_next / dt under policy."""
-    return _solve_policy(tab, policy, tab.gather(tab.c, policy) + v_next / dt, 1.0 / dt)
+    return _solve_policy(tab, policy, tab.gather(policy, tab.c)[0] + v_next / dt, 1.0 / dt)
+
+
+def _differs(policy: np.ndarray) -> np.ndarray:
+    """Per block, whether its (N, B, K) action table differs from the last block's."""
+    return (policy != policy[:, -1:]).any(axis=(0, 2))
 
 
 def _backward(tab: _Tables, v: FloatArray, n_t: int, dt: float, policy: np.ndarray | None = None):
@@ -758,16 +759,31 @@ def _backward(tab: _Tables, v: FloatArray, n_t: int, dt: float, policy: np.ndarr
     Level j, for j = n_t - 1 down to 0, acts with ``policy[j]`` from an
     (n_t, N, B, K) table when one is given, else with the lowest action
     minimizing the Hamiltonians at level j + 1 (the explicit choice), and
-    solves its level system exactly by one ``_step_back``. Yields (policy_j, v_j,
-    Hamiltonians H_a(v_j)) level by level, keeping only the current level;
-    the Hamiltonians are the ones the next level chooses from.
+    solves its level system exactly by one ``_step_back``. Yields (policy_j,
+    v_j, Hamiltonians H_a(v_j), replay_j) level by level, keeping only the
+    current level; the Hamiltonians are the ones the next level chooses from.
+
+    replay_j (N, B, K) runs each block's policies from level j on in the
+    last block's model (a sweep's true model), from the last block's
+    terminal cost. Each block of the band is factored alone, so a block
+    whose policies at this and every later level are the last block's has
+    the last block's level as its replay, bit for bit; each of the R_j
+    other blocks rides in the same system as one more block, which reads
+    the last block's tables.
     """
+    B = v.shape[1]
+    replay, stale = v[:, [B - 1] * B], np.zeros(B, dtype=bool)
     ham = _hamiltonians(tab, v)
     for j in range(n_t - 1, -1, -1):
         pol = _lowest_attaining(ham, np.min(ham, axis=0)) if policy is None else policy[j]
-        v = _step_back(tab, pol, v, dt)
+        stale |= _differs(pol)
+        rows = stale.nonzero()[0]
+        out = _step_back(tab, np.concatenate([pol, pol[:, rows]], axis=1),
+                         np.concatenate([v, replay[:, rows]], axis=1), dt)
+        # a stale block's replay is the system's block B + its rank among the stale
+        v, replay = out[:, :B], out.take(np.where(stale, B - 1 + stale.cumsum(), B - 1), axis=1)
         ham = _hamiltonians(tab, v)
-        yield pol, v, ham
+        yield pol, v, ham, replay
 
 
 def _finite_horizon(tab: _Tables, n_t: int | None, policy: np.ndarray | None = None) -> list:
@@ -781,7 +797,7 @@ def _finite_horizon(tab: _Tables, n_t: int | None, policy: np.ndarray | None = N
     """
     T, n_t, dt = _time_levels(tab, n_t)
     levels, values, defects = [], [tab.terminal], []
-    for pol, v, ham in _backward(tab, values[0], n_t, dt, policy):
+    for pol, v, ham, _ in _backward(tab, values[0], n_t, dt, policy):
         h = np.min(ham, axis=0) if policy is None else np.take_along_axis(ham, pol[None], axis=0)[0]
         defects.append(np.max(np.abs((values[-1] - v) / dt + h), axis=(0, 2)))
         levels.append(pol)

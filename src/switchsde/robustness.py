@@ -11,10 +11,8 @@ own delta = 0 row, or else an appended delta = 0 control row. It is
 compared with itself, so its gaps vanish exactly. A grid replay solves the
 rows whose replay input differs from the true row's; the rest copy its
 result. A stationary replay solves them and the true row as one stack. A
-finite-horizon level takes the true row's result from the stack's own level
-solve, and factors one level matrix per distinct policy of the differing
-rows, unless the level before already factored it, solving the rows of each
-policy as right sides of one solve.
+finite-horizon replay rides in the stack's own level system, one extra
+block per differing row (``hjbgrid._backward``).
 """
 
 from __future__ import annotations
@@ -28,11 +26,10 @@ from .errors import ConfigError
 from .hjbgrid import (
     Grid1D,
     _backward,
+    _differs,
     _evaluate,
     _hamiltonians,
     _lowest_attaining,
-    _lu_solve,
-    _solve_policy,
     _stationary,
     _Tables,
     _time_levels,
@@ -178,11 +175,6 @@ def _grid_stack(true_spec: ModelSpec, sched: PerturbationSchedule, grid: Grid1D)
     return deltas, _Tables(stack, grid, [f"schedule row n = {n}, delta = {d:g}" for n, d in enumerate(deltas)])
 
 
-def _differs(policy: np.ndarray) -> np.ndarray:
-    """Per block, whether its (N, B, K) action table differs from the true (last) block's."""
-    return (policy != policy[:, -1:]).any(axis=(0, 2))
-
-
 def _replay(tab: _Tables, solve, policy: np.ndarray) -> np.ndarray:
     """``solve(stack, policy)`` of every block on the true model's tables, (N, B, K).
 
@@ -227,50 +219,16 @@ def _block_gap(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return np.max(np.abs(a - b), axis=(0, 2))
 
 
-def _replay_level(true: _Tables, policy: np.ndarray, j_next: np.ndarray, stale: np.ndarray,
-                  v_true: np.ndarray, factors: dict, dt: float) -> tuple:
-    """One level of the finite-horizon replay on the true model's one-block
-    tables ``true``: every row's (N, B, K) level ``policy`` run from its
-    replayed next level ``j_next``, of which ``stale`` (B,) marks the rows
-    that are not the true row's. Returns (the rows' replayed level, its
-    ``stale`` mask, the LUs of this level's policies).
-
-    The true (last) row's replay is the stack's own level system, so it takes
-    the stack's level values ``v_true`` (N, K), and so does every row whose
-    policy and next level are the true row's. The other rows are grouped by
-    their level policy: each group's level matrix is factored once, or taken
-    from ``factors``, the previous level's LUs keyed by policy, and its rows
-    are solved as right sides of one banded solve.
-    """
-    differs = stale | _differs(policy)
-    j = np.repeat(v_true[:, None], policy.shape[1], axis=1)
-    groups: dict = {}
-    for b in differs.nonzero()[0]:
-        groups.setdefault(policy[:, b].tobytes(), []).append(b)
-    kept = {}
-    for key, rows in groups.items():
-        p = policy[:, rows[:1]]  # (N, 1, K)
-        kept[key] = factors[key] if key in factors else _solve_policy(true, p, None, 1.0 / dt)
-        rhs = true.gather(true.c, p)[..., None] + np.moveaxis(j_next[:, rows] / dt, 1, -1)[:, None]
-        j[:, rows] = np.moveaxis(_lu_solve(kept[key], rhs)[:, 0], -1, 1)
-    return j, differs, kept
-
-
 def _finite_horizon_gaps(tab: _Tables, n_t: int | None) -> tuple:
     """Per-block value gap over all levels, and values and replayed costs at t = 0.
 
-    The replay steps back with the stack's backward scheme, so each level's
-    policy is replayed as soon as it is chosen and one level of each, with
-    its LUs, is kept.
+    The replay is the stack's backward scheme's own, so one level of each
+    is kept.
     """
     _, n_t, dt = _time_levels(tab, n_t)
-    true = tab.take([len(tab.specs) - 1])
     v = tab.terminal
-    j = np.broadcast_to(v[:, -1:], v.shape)  # every row starts from the true terminal cost
-    stale, factors = np.zeros(len(tab.specs), dtype=bool), {}
     value_gap = _block_gap(v, v[:, -1:])
-    for pol, v, _ in _backward(tab, v, n_t, dt):
-        j, stale, factors = _replay_level(true, pol, j, stale, v[:, -1], factors, dt)
+    for _, v, _, j in _backward(tab, v, n_t, dt):
         value_gap = np.maximum(value_gap, _block_gap(v, v[:, -1:]))
     return value_gap, v, j, n_t
 
@@ -296,9 +254,9 @@ def sweep_grid(
     The rows' models are solved as one stacked system (see hjbgrid._Tables),
     and their policies are replayed on the true model's tables: the rows
     whose replay input differs from the true row's are solved, the true row
-    with them (``_replay``) or, per finite-horizon level, from the stack's
-    own level (``_replay_level``). The true model is the last block and serves the
-    reference values. A stationary sweep solves it first, cold, and starts
+    with them (``_replay``) or, per finite-horizon level, as extra blocks of
+    the stack's own level system (``hjbgrid._backward``). The true model is
+    the last block and serves the reference values. A stationary sweep solves it first, cold, and starts
     every other model's Howard from its optimal policy. Each model keeps its
     own stopping test, so every row's values and policy equal a solve of
     that model alone, but solver_iters counts the warm-started iterations.

@@ -648,6 +648,26 @@ def test_keys_that_do_not_apply_to_the_criterion_exit_4(tmp_path, capsys, comman
     assert not list(out.glob("*.csv"))
 
 
+@pytest.mark.parametrize(
+    "command,block",
+    [
+        ("hjb", {"criterion": "discounted", "grid": GRID}),
+        ("ergodic", {"grid": GRID}),
+        ("robustness", {"criterion": "finite-horizon", "grid": GRID, "schedule": SCHED}),
+        ("robustness", {"criterion": "lq-finite-horizon", "schedule": SCHED, "x0": [0.0], "i0": 1}),
+        ("eps-check", {"criterion": "exit", "eps": 0.05, "grid": GRID, "schedule": SCHED}),
+    ],
+    ids=["hjb", "ergodic", "robustness", "robustness-lq", "eps-check"],
+)
+def test_a_negative_tol_exits_4_naming_the_field(tmp_path, capsys, command, block):
+    code, out = _run(tmp_path, {"command": command, "model": CHAIN, command: dict(block, tol=-1)})
+    assert code == 4
+    assert capsys.readouterr().err == (
+        f"config error: E_CONFIG: tol must be a number with 0 <= tol < inf at '{command}.tol'\n"
+    )
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("max_iter", [0, -3])
 def test_an_hjb_max_iter_below_1_exits_4(tmp_path, capsys, max_iter):
     code, out = _run(tmp_path, {"command": "hjb", "model": CHAIN,

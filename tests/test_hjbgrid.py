@@ -204,6 +204,22 @@ def test_a_max_iter_that_is_not_a_whole_number_above_0_is_a_config_error(saturat
     assert info.value.path == "max_iter"
 
 
+@pytest.mark.parametrize("tol", [-1e-12, math.inf, -math.inf, math.nan, "1e-8"])
+@pytest.mark.parametrize("solve", [solve_discounted, solve_exit, estimate_ergodic])
+def test_a_tol_outside_0_to_inf_is_a_config_error(saturated, solve, tol):
+    with pytest.raises(ConfigError, match="tol must be a number with 0 <= tol < inf") as info:
+        solve(saturated, Grid1D(-2.0, 2.0, 51), tol=tol)
+    assert info.value.path == "tol"
+
+
+@pytest.mark.parametrize("solve", [solve_discounted, solve_exit, estimate_ergodic])
+def test_a_zero_tol_stops_when_the_policy_repeats(saturated, solve):
+    grid = Grid1D(-2.0, 2.0, 51)
+    sol = solve(saturated, grid, tol=0.0)
+    assert sol.iterations > 1
+    assert sol.residual < 1e-8
+
+
 @pytest.mark.parametrize("evaluate", [evaluate_policy_value, evaluate_policy_exit])
 def test_fixed_policy_table_is_checked(saturated, evaluate):
     grid = Grid1D(-2.0, 2.0, 21)

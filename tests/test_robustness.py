@@ -412,6 +412,17 @@ def test_ergodic_grid_sweep_honours_max_iter(saturated, sat_grid):
         sweep_grid(saturated, sched, "ergodic", sat_grid, max_iter=1)
 
 
+@pytest.mark.parametrize("check", ["sweep", "eps"])
+def test_stationary_sweeps_reject_an_infinite_tol(saturated, sat_grid, check):
+    sched = PerturbationSchedule("coefficient", 2, d_a=np.ones((2, 1, 1)))
+    with pytest.raises(ConfigError, match="tol must be") as info:
+        if check == "sweep":
+            sweep_grid(saturated, sched, "discounted", sat_grid, tol=math.inf)
+        else:
+            check_eps_optimality(saturated, sched, "discounted", 0.05, sat_grid, tol=math.inf)
+    assert info.value.path == "tol"
+
+
 def test_grid_sweep_rejects_unknown_criterion(chain, sat_schedule):
     with pytest.raises(ConfigError, match="criterion"):
         sweep_grid(chain, sat_schedule, "myopic", Grid1D(-1.0, 1.0, 11))
@@ -470,7 +481,7 @@ SWEEP_CASES = {
 }
 
 
-def _rowwise_grid_sweep(true_spec, sched, criterion, grid, max_iter=100):
+def _rowwise_grid_sweep(true_spec, sched, criterion, grid, max_iter=100, n_t=None):
     """(value_gap, policy_loss, aux, solver_iters) per row, one model at a time
     through the public solvers."""
     models = make_perturbation_sequence(true_spec, sched)
@@ -488,7 +499,7 @@ def _rowwise_grid_sweep(true_spec, sched, criterion, grid, max_iter=100):
     solve, evaluate = {
         "discounted": (lambda m: solve_discounted(m, grid, max_iter=max_iter), evaluate_policy_value),
         "exit": (lambda m: solve_exit(m, grid, max_iter=max_iter), evaluate_policy_exit),
-        "finite-horizon": (lambda m: solve_finite_horizon(m, grid), evaluate_policy_finite_horizon),
+        "finite-horizon": (lambda m: solve_finite_horizon(m, grid, n_t=n_t), evaluate_policy_finite_horizon),
     }[criterion]
     first = (lambda a: a[0]) if criterion == "finite-horizon" else (lambda a: a)
     v_true = solve(true_spec).values
@@ -513,6 +524,12 @@ def test_stacked_grid_sweep_matches_rowwise_reference(saturated, case, criterion
     rep = sweep_grid(true_spec, sched, criterion, grid)
     want = _rowwise_grid_sweep(true_spec, sched, criterion, grid)
     assert [(r.value_gap, r.policy_loss, r.aux) for r in rep.rows] == [w[:3] for w in want]
+    if criterion == "finite-horizon":
+        # more levels than the default 20 carry a differing row across more of them
+        for n_t in (11, 40):
+            rows = sweep_grid(true_spec, sched, criterion, grid, n_t=n_t).rows
+            want_t = _rowwise_grid_sweep(true_spec, sched, criterion, grid, n_t=n_t)
+            assert [(r.value_gap, r.policy_loss, r.aux, r.solver_iters) for r in rows] == want_t
     # the true model runs cold, as alone; every other row starts from its
     # optimal policy, and on these schedules never needs more iterations
     for row, (*_, cold) in zip(rep.rows, want):
@@ -616,10 +633,11 @@ def test_cost_rows_all_share_the_true_policy_and_distinct_rows_none(saturated):
 
 @pytest.fixture
 def replay_solves(monkeypatch):
-    """Per replay call (a stationary _replay or a finite-horizon level), in
-    call order, the LAPACK dgbtrf factorizations made inside it and the
-    right sides handed to dgbtrs, as [factorizations, right sides, unknowns],
-    unknowns summing the rows of each dgbtrs call's right sides."""
+    """Per stationary replay (_replay) or finite-horizon level solve
+    (_step_back), in call order, the LAPACK dgbtrf factorizations made
+    inside it and the right sides handed to dgbtrs, as [factorizations,
+    right sides, unknowns], unknowns summing the rows of each dgbtrs call's
+    right sides."""
     lapack, counts, inside = hjbgrid._lapack(), [], []
 
     def dgbtrf(ab, *args, **kwargs):
@@ -645,8 +663,8 @@ def replay_solves(monkeypatch):
 
     counting_lapack = types.SimpleNamespace(dgbtrf=dgbtrf, dgbtrs=dgbtrs)
     monkeypatch.setattr(hjbgrid, "_lapack", lambda: counting_lapack)
-    for name in ("_replay", "_replay_level"):
-        monkeypatch.setattr(robustness, name, counting(getattr(robustness, name)))
+    monkeypatch.setattr(robustness, "_replay", counting(robustness._replay))
+    monkeypatch.setattr(hjbgrid, "_step_back", counting(hjbgrid._step_back))
     return counts
 
 
@@ -657,6 +675,7 @@ def replay_solves(monkeypatch):
 def test_replay_solves_the_true_row_and_the_rows_that_differ(saturated, replay_solves, case, criterion):
     _, grid, sched = SWEEP_CASES[case]
     policies = _rowwise_policies(saturated, sched, criterion, grid)
+    replay_solves.clear()  # the reference solves' own levels
     if criterion.startswith("eps-"):
         check_eps_optimality(saturated, sched, criterion[4:], 0.05, grid)
     else:
@@ -668,19 +687,16 @@ def test_replay_solves_the_true_row_and_the_rows_that_differ(saturated, replay_s
         assert [c[2] for c in replay_solves] == [rows * unknowns]
         return
     # level j replays a row from its table and the later levels' replay, which
-    # equals the true row's where the later tables do; the differing rows are
-    # solved by their level policy, each factored unless the level before
-    # had a group of it, and one solve per group takes its rows as right
-    # sides; the true row takes the stack's own level
-    expect, before = [], set()
+    # equals the true row's where the later tables do; the R_j rows that
+    # differ ride in the stack's own level system as R_j more blocks, so each
+    # level is one factorization and one solve of B + R_j blocks
+    expect = []
     for j in range(len(policies[-1]) - 1, -1, -1):
-        differ = [p for p in policies[:-1] if not np.array_equal(p[j:], policies[-1][j:])]
-        groups = {p[j].tobytes() for p in differ}
-        expect.append([len(groups - before), len(differ), len(groups) * unknowns])
-        before = groups
+        differ = sum(not np.array_equal(p[j:], policies[-1][j:]) for p in policies[:-1])
+        expect.append([1, 1, (len(policies) + differ) * unknowns])
     assert replay_solves == expect
-    if case == "criterion-9":  # most small-delta rows repeat a policy of the level before
-        assert sum(e[0] for e in expect) < len(policies) * len(expect)
+    if case == "distinct":  # every perturbed row is carried at some level
+        assert expect[-1][2] == 2 * (len(policies) - 1) * unknowns + unknowns
 
 
 def test_replay_error_names_the_original_row():

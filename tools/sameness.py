@@ -29,9 +29,10 @@ and cost schedule, each schedule's exit ``sweep_grid``, and its exit
 add their exit codes and artifacts.
 
 Once per tree it also reports the finite horizon on the same model, schedules
-and node counts over [-2, 2]: each schedule's finite-horizon ``sweep_grid``,
-and ``evaluate_policy_finite_horizon`` of a fixed random table of 20 levels
-on the model and on the first row of each schedule.
+and node counts over [-2, 2]: each schedule's finite-horizon ``sweep_grid``
+at the default 20 levels and at 40, and ``evaluate_policy_finite_horizon`` of
+a fixed random table of 20 levels on the model and on the first row of each
+schedule.
 
 BLAS runs on one thread, as in the benchmark. The script prints one line
 per item, ``same`` or ``DIFF`` with both values, and exits with 0 when every
@@ -59,6 +60,7 @@ ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "
 EXIT_GRIDS = (51, 201, 401)
 EXIT_EPS = (0.01, 0.05, 0.2)
 FH_LEVELS = 20  # levels of the random finite-horizon table, the solvers' count at horizon 1
+FH_SWEEP_LEVELS = 40  # the sweeps' second level count, which carries a differing row across more levels
 
 
 def _canon(obj) -> str:
@@ -168,6 +170,8 @@ def finite_horizon_items(workloads) -> dict:
         for name, sched in schedules.items():
             rep = robustness.sweep_grid(sat, sched, "finite-horizon", grid)
             items[f"finite-horizon n={n_x} {name} sweep_grid"] = _sha(_canon(rep))
+            rep = robustness.sweep_grid(sat, sched, "finite-horizon", grid, n_t=FH_SWEEP_LEVELS)
+            items[f"finite-horizon n={n_x} {name} sweep_grid n_t={FH_SWEEP_LEVELS}"] = _sha(_canon(rep))
         policy = np.random.default_rng([n_x, 1]).integers(0, 2, size=(FH_LEVELS, 2, n_x))
         for name, spec in models.items():
             sol = hjbgrid.evaluate_policy_finite_horizon(spec, grid, policy)
