@@ -25,13 +25,14 @@ evaluation one banded solve for the average cost and a relative value.
 
 A stationary criterion ("discounted", "exit" or "ergodic") is dispatched
 in one place: ``_evaluate`` is its fixed-policy solve (every Howard step,
-the public evaluators, the sweeps' replay), ``_residual`` its HJB defect
-and ``_stationary`` its checked Howard solve. The finite horizon has one
-backward level scheme, ``_backward``, which its solve, its fixed-policy
-evaluation and its sweep consume; each level is one banded solve, which
-also carries the sweep's replay of the level's policies on the true model.
-The public functions apply their ``alpha`` and ``horizon`` arguments to the
-model's costs, so the code below them reads both from the models only.
+the public evaluators, the stationary sweeps' replay), ``_residual`` its
+HJB defect and ``_stationary`` its checked Howard solve. The finite horizon
+has one backward level scheme, ``_backward``, which its solve, its
+fixed-policy evaluation and its sweep consume; each level is one banded
+solve, which also carries the sweep's replay of the level's policies on
+the true model. The public functions apply their ``alpha`` and
+``horizon`` arguments to the model's costs, so the code below them reads
+both from the models only.
 
 The solvers work on stacks of models sharing one grid (``_Tables``): the
 stacked system is block diagonal, so one banded solve per Howard iteration
